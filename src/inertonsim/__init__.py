@@ -32,7 +32,6 @@ from .dynamics import (
     integrate,
     invariant_residual,
     oracle_errors,
-    rhs_aggregate,
     write_events_json,
     write_trajectory_csv,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "registry_names",
     "reports_to_json_lines",
     "resonator_dimensions",
-    "rhs_aggregate",
     "run_checks",
     "scale_channel",
     "shortened_action",

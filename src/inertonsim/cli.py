@@ -36,14 +36,16 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .action import OscillatorSpec, cyclic_action, quantize
 from .constants import ELECTRON_MASS, LIGHT_SPEED, PLANCK
 from .core import derive_kinematics
 from .dynamics import (
-    DivergenceError,
     integrate,
     oracle_errors,
+    step_count,
     write_events_json,
     write_trajectory_csv,
 )
@@ -143,19 +145,27 @@ def resolve_config(cfg):
     has_T, has_h = "T" in pars, "h" in pars
     if has_T == has_h:
         raise ConfigError("parameters: supply exactly one of T or h")
-    M0, v0, c = float(pars["M0"]), float(pars["v0"]), float(pars["c"])
+    values = {}
+    for key, val in pars.items():
+        try:
+            values[key] = float(val)
+        except (TypeError, ValueError):
+            raise ConfigError(f"parameters.{key}: must be a number, got {val!r}") from None
+        if not math.isfinite(values[key]):
+            raise ConfigError(f"parameters.{key}: must be a finite number, got {val}")
+    M0, v0, c = values["M0"], values["v0"], values["c"]
     if has_T:
-        T = float(pars["T"])
+        T = values["T"]
         h_in = None
     else:
-        h_in = float(pars["h"])
+        h_in = values["h"]
         if h_in <= 0.0:
             raise ConfigError("parameters.h: must be positive")
         if not 0.0 < v0 < c:
             raise ConfigError("parameters.v0: must satisfy 0 < v0 < c")
         m_rel = M0 / math.sqrt(1.0 - (v0 / c) ** 2)
         T = quantize(m_rel, v0, c, h_in).T
-    m0 = float(pars["m0"]) if "m0" in pars else None
+    m0 = values.get("m0")
     try:
         params, kin = derive_kinematics(M0, v0, c, T, m0=m0)
     except ValueError as exc:
@@ -173,9 +183,13 @@ def resolve_config(cfg):
         raise ConfigError("simulation.mode: must be 'aggregate' or 'ensemble'")
     if int(sim["n_inertons"]) < 1:
         raise ConfigError("simulation.n_inertons: must be >= 1")
-    sim["dt"] = float(sim["dt"])
-    sim["t_end"] = float(sim["t_end"])
+    sim["dt"] = dt = float(sim["dt"])
+    sim["t_end"] = t_end = float(sim["t_end"])
     sim["n_inertons"] = int(sim["n_inertons"])
+    try:
+        step_count(params.T, t_end, dt)
+    except ValueError as exc:
+        raise ConfigError(f"simulation.dt: {exc}") from None
 
     outs = dict(cfg.get("outputs") or {})
     for key in outs:
@@ -258,7 +272,7 @@ def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
         if fmt == "json":
             arr = traj.as_arrays()
             jpath = os.path.join(out_dir, "trajectory.json")
-            _write_json(jpath, {k: list(v) for k, v in arr.items()})
+            _write_json(jpath, {k: v.tolist() for k, v in arr.items()})
             written.append(jpath)
         if fmt == "svg":
             for fname, fn in (("trajectory.svg", trajectory_svg), ("phase.svg", phase_plane_svg)):
@@ -284,7 +298,7 @@ def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
         "n_samples": len(traj.samples),
         "n_events": len(traj.events),
         "max_oracle_error": errs["max"],
-        "max_invariant_residual": max(abs(r) for r in traj.invariant_residuals),
+        "max_invariant_residual": float(np.max(np.abs(traj.invariant_residuals))),
         "integrator": traj.metadata,
     }
     meta_path = os.path.join(out_dir, "metadata.json")
@@ -433,7 +447,7 @@ def cmd_sweep(ns):
                 "lambda": params.lam,
             }
             print(f"sweep {axis}={value:g}: ok (max oracle error {row['max_oracle_error']:.3e})")
-        except (ConfigError, ValueError, DivergenceError) as exc:
+        except (ValueError, RuntimeError) as exc:
             n_failed += 1
             row = {name: math.nan for name in _SWEEP_METRICS}
             print(f"sweep {axis}={value:g}: FAILED ({exc})", file=sys.stderr)
@@ -506,7 +520,7 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DivergenceError as exc:
+    except RuntimeError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

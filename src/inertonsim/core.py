@@ -106,6 +106,9 @@ class AggregateState:
 
 
 def _validate_base(M0: float, v0: float, c: float, T: float) -> None:
+    for name, value in (("M0", M0), ("v0", v0), ("c", c), ("T", T)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
     if not (M0 > 0.0):
         raise ValueError(f"rest mass M0 must be positive, got {M0}")
     if not (T > 0.0):
@@ -140,10 +143,15 @@ def derive_kinematics(
 
     m0_derived = M0 * beta2
     if m0 is None:
+        if not (m0_derived > 0.0):
+            raise ValueError(
+                f"cloud rest mass m0 = M0 (v0/c)^2 underflows to {m0_derived} "
+                f"for M0={M0}, v0={v0}, c={c}"
+            )
         m0 = m0_derived
     else:
-        if not (m0 > 0.0):
-            raise ValueError(f"cloud rest mass m0 must be positive, got {m0}")
+        if not (math.isfinite(m0) and m0 > 0.0):
+            raise ValueError(f"cloud rest mass m0 must be positive and finite, got {m0}")
         if abs(m0 - m0_derived) > 1.0e-9 * m0_derived:
             warnings.warn(
                 f"explicit m0={m0!r} differs from the velocity-relation value "

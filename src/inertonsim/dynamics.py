@@ -13,11 +13,28 @@ integrator therefore treats ``x = 0`` as a guard surface (crossed from
 above, ``dx/dt < 0``) with the reset ``dx/dt -> -dx/dt``, i.e. an
 event-driven hybrid system.
 
+In the dimensionless units ``tau = t/T``, ``xi = X/lam``, ``V = dXdt/v0``,
+``chi = x/Lam`` and ``U = dxdt/c`` the system has no parameters at all:
+``y = (xi, V, chi, U, 1)`` obeys ``dy/dtau = A y`` with the fixed
+homogeneous generator `GENERATOR`. The integrator works in these units and
+scales to physical ones only when it packs the output columns.
+
 Stepping is classical fixed-step fourth-order Runge-Kutta on a uniform
 grid; adaptive schemes were deliberately avoided so that a run is a pure
-function of ``(params, t_end, dt)``. Events are located by bisecting the
-step length until ``|x| <= 1e-12 * Lam``, the remainder of the step is then
-taken from the reflected state so samples stay on the grid.
+function of ``(params, t_end, dt)``. On a linear constant-coefficient
+system one RK4 step of length ``h = dt/T`` is the fixed affine map
+``P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24``, the degree-4 Taylor
+polynomial of ``exp(hA)``. The integrator tabulates ``P^1..P^B`` once per
+run (``B <= BLOCK_STEPS``) and advances a whole block of samples from the
+block's start state with one pass over that table, so memory stays linear
+in the number of samples.
+
+A step that ends with ``x < 0`` from ``x >= 0`` contains a reflection. The
+partial step of length ``s`` is the quartic ``sum_k (A^k y) s^k / k!``, and
+Newton's method on its ``x`` component, started from the linear guess,
+locates the crossing to ``|x| <= 1e-12 * Lam``. The remainder of the step
+is then taken from the reflected state, so samples stay on the grid, and
+the next block starts from there.
 
 The exact motion is known in closed form and `closed_form` evaluates it,
 with the branch at contact instants ``t = n T`` resolved to the right
@@ -40,11 +57,12 @@ __all__ = [
     "InertonEntry",
     "InertonEnsembleState",
     "DivergenceError",
-    "rhs_aggregate",
+    "GENERATOR",
+    "SAMPLE_DTYPE",
     "rhs_inerton",
     "integrate",
+    "step_count",
     "closed_form",
-    "closed_form_arrays",
     "closed_form_trajectory",
     "invariant_residual",
     "oracle_errors",
@@ -54,7 +72,7 @@ __all__ = [
 ]
 
 # Guard and probe tolerances (see module docstring and integrate()).
-EVENT_X_TOL = 1.0e-12       # bisection target on |x|, in units of Lam
+EVENT_X_TOL = 1.0e-12       # Newton target on |x|, in units of Lam
 EVENT_SLACK = 1.0e-9        # samples may sit this far below x=0, in units of Lam
 # A crossing whose true time is exactly t_end can land slightly past it
 # numerically: the integrator's phase lag grows like dt**4 and reaches
@@ -63,6 +81,26 @@ EVENT_SLACK = 1.0e-9        # samples may sit this far below x=0, in units of La
 # same timing tolerance the event checks themselves use.
 PROBE_WINDOW = 1.0e-6       # accept a trailing event up to this far past t_end, in units of T
 DIVERGENCE_LIMIT = 1.0e-3   # hard cap on the first-integral residual
+# Length of the table of step-map powers: 1024 matrices of 5x5 doubles
+# (200 KB). A block never spans more steps than this.
+BLOCK_STEPS = 1024
+NEWTON_MAX_ITER = 100
+
+# dy/dtau = A y for y = (xi, V, chi, U, 1): xi' = V, V' = -pi U, chi' = U,
+# U' = pi (V - 1).
+GENERATOR = np.array(
+    [
+        [0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -math.pi, 0.0],
+        [0.0, 0.0, 0.0, 1.0, 0.0],
+        [0.0, math.pi, 0.0, 0.0, -math.pi],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+    ]
+)
+GENERATOR.flags.writeable = False
+
+SAMPLE_FIELDS = ("t", "X", "dXdt", "x", "dxdt")
+SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in SAMPLE_FIELDS])
 
 
 class DivergenceError(RuntimeError):
@@ -75,36 +113,42 @@ class ReflectionEvent:
     kind: str = "cloud_reflection"
 
 
+def _pack(t, X, dXdt, x, dxdt) -> np.ndarray:
+    """Physical columns into one structured array of `SAMPLE_DTYPE`."""
+    out = np.empty(len(t), dtype=SAMPLE_DTYPE)
+    for name, col in zip(SAMPLE_FIELDS, (t, X, dXdt, x, dxdt)):
+        out[name] = col
+    return out
+
+
 @dataclass
 class Trajectory:
     """Uniformly sampled run with its reflection events.
 
-    ``samples`` are ordered, strictly increasing in time, and satisfy
-    ``x >= -1e-9 * Lam``. ``invariant_residuals`` holds the first-integral
-    residual per sample. ``metadata`` records how the run was produced
-    (mode, stepping, ensemble schedule) and is emitted verbatim by the CLI.
+    ``samples`` is a structured array of `SAMPLE_DTYPE` with the columns
+    ``t, X, dXdt, x, dxdt`` (``samples["X"]`` is the particle coordinate
+    column, ``samples[i]`` the i-th sample), ordered by strictly increasing
+    time, with ``x >= -1e-9 * Lam``. ``invariant_residuals`` is the array of
+    first-integral residuals per sample. ``metadata`` records how the run
+    was produced (mode, stepping, ensemble schedule) and is emitted verbatim
+    by the CLI.
     """
 
     params: SystemParams
-    samples: list[AggregateState]
+    samples: np.ndarray
     events: list[ReflectionEvent]
-    invariant_residuals: list[float]
+    invariant_residuals: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     @property
     def dt(self) -> float:
-        return self.samples[1].t - self.samples[0].t
+        t = self.samples["t"]
+        return float(t[1] - t[0])
 
     def as_arrays(self) -> dict[str, np.ndarray]:
-        n = len(self.samples)
-        out = {k: np.empty(n) for k in ("t", "X", "dXdt", "x", "dxdt")}
-        for i, s in enumerate(self.samples):
-            out["t"][i] = s.t
-            out["X"][i] = s.X
-            out["dXdt"][i] = s.dXdt
-            out["x"][i] = s.x
-            out["dxdt"][i] = s.dxdt
-        out["invariant_residual"] = np.asarray(self.invariant_residuals)
+        """Views of the sample columns plus ``invariant_residual``."""
+        out = {name: self.samples[name] for name in SAMPLE_FIELDS}
+        out["invariant_residual"] = self.invariant_residuals
         return out
 
 
@@ -153,31 +197,14 @@ def make_ensemble(params: SystemParams, n_inertons: int) -> InertonEnsembleState
     return InertonEnsembleState(t=0.0, X=0.0, dXdt=params.v0, entries=entries)
 
 
-# ---------------------------------------------------------------------------
-# Right-hand sides
-# ---------------------------------------------------------------------------
-
-def rhs_aggregate(s: AggregateState, p: SystemParams) -> tuple[float, float, float, float]:
-    """First-order form of the coupled system.
-
-    Returns ``(dXdt, accel_X, dxdt, accel_x)``. The system is linear and
-    total, so there are no failure modes beyond parameter validity.
-    """
-    w = math.pi / p.T
-    accel_X = -w * (p.v0 / p.c) * s.dxdt
-    accel_x = w * (p.c / p.v0) * (s.dXdt - p.v0)
-    return (s.dXdt, accel_X, s.dxdt, accel_x)
-
-
 def rhs_inerton(
     entry: InertonEntry,
     particle: AggregateState,
     p: SystemParams,
 ) -> tuple[float, float, float, float]:
-    """Derivatives sourced by a single ensemble member.
-
-    Same structure as `rhs_aggregate` but with the member's own period and
-    emission speed. Only an active member may drive the particle.
+    """Derivatives ``(dXdt, accel_X, dxdt, accel_x)`` sourced by a single
+    ensemble member, with the member's own period and emission speed. Only
+    an active member may drive the particle.
     """
     if not entry.active:
         raise ValueError("rhs_inerton called on an inactive ensemble entry")
@@ -187,12 +214,12 @@ def rhs_inerton(
     return (particle.dXdt, accel_X, entry.dxdt, accel_x)
 
 
-def invariant_residual(s: AggregateState, p: SystemParams) -> float:
+def invariant_residual(s: AggregateState, p: SystemParams):
     """First integral of the coupled system, shifted to vanish on shell.
 
     The pair ``(1 - dXdt/v0, dxdt/c)`` rotates on the unit circle, so
     ``(1 - dXdt/v0)^2 + (dxdt/c)^2 - 1`` is conserved and equals zero on
-    exact solutions.
+    exact solutions. The fields of ``s`` may be scalars or arrays.
     """
     a = 1.0 - s.dXdt / p.v0
     b = s.dxdt / p.c
@@ -203,14 +230,8 @@ def invariant_residual(s: AggregateState, p: SystemParams) -> float:
 # Closed-form reference motion
 # ---------------------------------------------------------------------------
 
-def _branch(t: float, T: float) -> tuple[int, float]:
-    ratio = t / T
-    k = math.floor(ratio)
-    return int(k), ratio - k
-
-
-def closed_form(t: float, p: SystemParams) -> AggregateState:
-    """Exact state at time ``t >= 0``.
+def closed_form(t, p: SystemParams) -> AggregateState:
+    """Exact state at time ``t >= 0``, a scalar or an array of times.
 
     With ``k = floor(t/T)`` and ``frac = t/T - k`` the components are
 
@@ -221,39 +242,23 @@ def closed_form(t: float, p: SystemParams) -> AggregateState:
 
     which is algebraically identical to the textbook absolute-value form
     but free of cancellation, and lands on the post-reflection branch at
-    integer ``t/T`` because ``floor`` is right-continuous there.
+    integer ``t/T`` because ``floor`` is right-continuous there. For an
+    array ``t`` every field of the result is an array of the same shape.
     """
-    if t < 0.0:
-        raise ValueError(f"closed form is defined for t >= 0, got {t}")
-    k, frac = _branch(t, p.T)
-    s = math.sin(math.pi * frac)
-    co = math.cos(math.pi * frac)
-    return AggregateState(
-        t=t,
-        X=p.v0 * t + (p.lam / math.pi) * (co - 1.0 - 2.0 * k),
-        dXdt=p.v0 * (1.0 - s),
-        x=(p.Lam / math.pi) * s,
-        dxdt=p.c * co,
-    )
-
-
-def closed_form_arrays(t: np.ndarray, p: SystemParams) -> dict[str, np.ndarray]:
-    """Vectorized `closed_form` over an array of sample times."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("closed form is defined for t >= 0")
+    if np.any(np.asarray(t) < 0.0):
+        raise ValueError(f"closed form is defined for t >= 0, got {np.min(t)}")
     ratio = t / p.T
     k = np.floor(ratio)
     frac = ratio - k
     s = np.sin(np.pi * frac)
     co = np.cos(np.pi * frac)
-    return {
-        "t": t,
-        "X": p.v0 * t + (p.lam / np.pi) * (co - 1.0 - 2.0 * k),
-        "dXdt": p.v0 * (1.0 - s),
-        "x": (p.Lam / np.pi) * s,
-        "dxdt": p.c * co,
-    }
+    return AggregateState(
+        t=t,
+        X=p.v0 * t + (p.lam / np.pi) * (co - 1.0 - 2.0 * k),
+        dXdt=p.v0 * (1.0 - s),
+        x=(p.Lam / np.pi) * s,
+        dxdt=p.c * co,
+    )
 
 
 def closed_form_trajectory(p: SystemParams, t_end: float, n_per_period: int = 4000) -> Trajectory:
@@ -269,15 +274,13 @@ def closed_form_trajectory(p: SystemParams, t_end: float, n_per_period: int = 40
         raise ValueError(f"need at least 2 samples per period, got {n_per_period}")
     dt = p.T / n_per_period
     n = round(t_end / dt)
-    samples = [closed_form(i * dt, p) for i in range(n + 1)]
+    ref = closed_form(np.arange(n + 1) * dt, p)
     n_events = math.floor(t_end / p.T + 1e-12)
-    events = [ReflectionEvent(t=j * p.T) for j in range(1, n_events + 1)]
-    residuals = [invariant_residual(s, p) for s in samples]
     return Trajectory(
         params=p,
-        samples=samples,
-        events=events,
-        invariant_residuals=residuals,
+        samples=_pack(ref.t, ref.X, ref.dXdt, ref.x, ref.dxdt),
+        events=[ReflectionEvent(t=j * p.T) for j in range(1, n_events + 1)],
+        invariant_residuals=invariant_residual(ref, p),
         metadata={"mode": "closed_form", "dt": dt, "t_end": t_end},
     )
 
@@ -286,59 +289,111 @@ def closed_form_trajectory(p: SystemParams, t_end: float, n_per_period: int = 40
 # Fixed-step integration with event handling
 # ---------------------------------------------------------------------------
 
-def _rk4(y, h, a, b, v0):
-    """One Runge-Kutta step of the linear pair system.
+def _power_table(h: float, size: int) -> np.ndarray:
+    """Powers ``P^1..P^size`` of the RK4 step map for step ``h`` (in T).
 
-    ``y = (X, V, x, u)`` with derivatives ``(V, -a u, u, b (V - v0))``.
-    Scalar arithmetic on purpose: the system is four-dimensional and plain
-    floats beat array overhead by an order of magnitude here, which is what
-    keeps full acceptance runs under a second.
+    Laid out as ``(5, 4, size)``: entry ``[j, :, k-1]`` is column ``j`` of
+    ``P^k`` without its constant last row, so advancing a state is five
+    scaled row-slices summed (`_advance`).
     """
-    X, V, x, u = y
-    k1V = -a * u
-    k1u = b * (V - v0)
+    hA = h * GENERATOR
+    step = np.eye(5) + hA @ (np.eye(5) + hA @ (np.eye(5) + hA @ (np.eye(5) + hA / 4.0) / 3.0) / 2.0)
+    powers = np.empty((size, 5, 5))
+    powers[0] = step
+    done = 1
+    while done < size:
+        n = min(done, size - done)
+        powers[done:done + n] = powers[:n] @ powers[done - 1]  # P^(j+1) P^done
+        done += n
+    return np.ascontiguousarray(powers[:, :4, :].transpose(2, 1, 0))
 
-    V2 = V + 0.5 * h * k1V
-    u2 = u + 0.5 * h * k1u
-    k2V = -a * u2
-    k2u = b * (V2 - v0)
 
-    V3 = V + 0.5 * h * k2V
-    u3 = u + 0.5 * h * k2u
-    k3V = -a * u3
-    k3u = b * (V3 - v0)
-
-    V4 = V + h * k3V
-    u4 = u + h * k3u
-    k4V = -a * u4
-    k4u = b * (V4 - v0)
-
-    s = h / 6.0
+def _advance(table: np.ndarray, y, m: int) -> np.ndarray:
+    """States ``(xi, V, chi, U)`` after 1..m steps from ``y``, shape (4, m)."""
     return (
-        X + s * (V + 2.0 * V2 + 2.0 * V3 + V4),
-        V + s * (k1V + 2.0 * k2V + 2.0 * k3V + k4V),
-        x + s * (u + 2.0 * u2 + 2.0 * u3 + u4),
-        u + s * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+        table[0, :, :m] * y[0]
+        + table[1, :, :m] * y[1]
+        + table[2, :, :m] * y[2]
+        + table[3, :, :m] * y[3]
+        + table[4, :, :m]
     )
 
 
-def _locate_crossing(y, h, a, b, v0, x_tol):
-    """Bisect the step length until the x component sits within x_tol of 0.
+def _taylor(y) -> np.ndarray:
+    """Rows ``A^k y / k!``, k = 0..4: the partial RK4 step of length ``s``
+    from ``y`` is ``sum_k row_k s^k``."""
+    rows = np.empty((5, 5))
+    rows[0, :4] = y
+    rows[0, 4] = 1.0
+    for k in range(1, 5):
+        rows[k] = GENERATOR @ rows[k - 1] / k
+    return rows
 
-    The cloud approaches the guard at speed ~c, so the time uncertainty is
-    x_tol / c; 200 iterations is far more than the ~50 ever needed.
+
+def _partial(rows: np.ndarray, s: float) -> np.ndarray:
+    return (rows[0] + s * (rows[1] + s * (rows[2] + s * (rows[3] + s * rows[4]))))[:4]
+
+
+def _crossing(rows: np.ndarray, h: float) -> float:
+    """Partial step ``s`` in ``[0, h]`` at which the separation vanishes.
+
+    Newton on the quartic ``chi(s)`` from the linear guess, kept inside the
+    bracket ``chi(lo) >= 0 > chi(hi)`` by a bisection fallback, until
+    ``|chi| <= EVENT_X_TOL``.
     """
+    c0, c1, c2, c3, c4 = rows[:, 2].tolist()
+
+    def chi(s):
+        return c0 + s * (c1 + s * (c2 + s * (c3 + s * c4)))
+
     lo, hi = 0.0, h
-    mid = h
-    trial = _rk4(y, h, a, b, v0)
-    while abs(trial[2]) > x_tol and (hi - lo) > 1.0e-15 * h:
-        mid = 0.5 * (lo + hi)
-        trial = _rk4(y, mid, a, b, v0)
-        if trial[2] > 0.0:
-            lo = mid
+    at_end = chi(h)
+    s = h * c0 / (c0 - at_end) if c0 > at_end else h
+    for _ in range(NEWTON_MAX_ITER):
+        value = chi(s)
+        if abs(value) <= EVENT_X_TOL:
+            break
+        if value > 0.0:
+            lo = s
         else:
-            hi = mid
-    return mid, trial
+            hi = s
+        slope = c1 + s * (2.0 * c2 + s * (3.0 * c3 + s * 4.0 * c4))
+        nxt = s - value / slope if slope else lo
+        s = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    return s
+
+
+def _guard(residuals: np.ndarray, lo: int, hi: int, dt: float) -> None:
+    """Raise `DivergenceError` at the first sample in ``[lo, hi)`` whose
+    residual is not within the limit (NaN included)."""
+    bad = np.flatnonzero(~(np.abs(residuals[lo:hi]) <= DIVERGENCE_LIMIT))
+    if bad.size:
+        i = lo + int(bad[0])
+        raise DivergenceError(
+            f"first-integral residual {residuals[i]:.3e} at t={i * dt} exceeds "
+            f"{DIVERGENCE_LIMIT}; the run has diverged"
+        )
+
+
+def step_count(T: float, t_end: float, dt: float) -> int:
+    """Number of grid steps of a run, after checking its grid.
+
+    Raises ValueError unless ``0 < dt <= T/100`` and ``t_end`` is a finite,
+    whole number of steps (within 1e-9 relative).
+    """
+    if not (dt > 0.0):
+        raise ValueError(f"step size must be positive, got {dt}")
+    if dt > T / 100.0 * (1.0 + 1.0e-12):
+        raise ValueError(f"step size too large: dt={dt} exceeds T/100={T / 100.0}")
+    if not (0.0 < t_end < math.inf):
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    n_steps = round(t_end / dt)
+    if n_steps < 1 or abs(n_steps * dt - t_end) > 1.0e-9 * t_end:
+        raise ValueError(
+            f"t_end={t_end} is not a whole number of steps of dt={dt}; "
+            "pick t_end = n * dt"
+        )
+    return n_steps
 
 
 def integrate(
@@ -355,123 +410,85 @@ def integrate(
 
     In ``ensemble`` mode the cloud is replaced by ``n_inertons`` members
     emitted one at a time; each flies for two reflections and hands over to
-    the next, freshly emitted at the contact point. Only the homogeneous
-    schedule (every member sharing the run's ``T`` and ``v0``) is
-    integrated; heterogeneous members are supported by `rhs_inerton` for
-    direct evaluation but have no closed-form oracle to check against.
-    With ``n_inertons=1`` the handoff is a no-op and the result is
-    bitwise-identical to ``aggregate`` mode.
+    the next, freshly emitted at the contact point (``x=0, dxdt=c``). Only
+    the homogeneous schedule (every member sharing the run's ``T`` and
+    ``v0``) is integrated; heterogeneous members are supported by
+    `rhs_inerton` for direct evaluation but have no closed-form oracle to
+    check against. With ``n_inertons=1`` the handoff is a no-op and the
+    result is bitwise-identical to ``aggregate`` mode.
 
     Raises `DivergenceError` if the first-integral residual ever exceeds
-    1e-3, which signals an integration failure rather than physics.
+    1e-3 (or is not a number), which signals an integration failure rather
+    than physics, and `RuntimeError` if the separation stays negative
+    across a whole step.
     """
     if mode not in ("aggregate", "ensemble"):
         raise ValueError(f"mode must be 'aggregate' or 'ensemble', got {mode!r}")
-    if not (dt > 0.0):
-        raise ValueError(f"step size must be positive, got {dt}")
-    if dt > p.T / 100.0 * (1.0 + 1.0e-12):
-        raise ValueError(f"step size too large: dt={dt} exceeds T/100={p.T / 100.0}")
-    if not (t_end > 0.0):
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    n_steps = round(t_end / dt)
-    if n_steps < 1 or abs(n_steps * dt - t_end) > 1.0e-9 * t_end:
-        raise ValueError(
-            f"t_end={t_end} is not a whole number of steps of dt={dt}; "
-            "pick t_end = n * dt"
-        )
-
+    n_steps = step_count(p.T, t_end, dt)
     ensemble = mode == "ensemble"
-    if ensemble:
-        ens = make_ensemble(p, n_inertons)
-        for e in ens.entries:
-            same = (
-                abs(e.T_s - p.T) <= 1.0e-12 * p.T
-                and abs(e.v0_s - p.v0) <= 1.0e-12 * p.v0
-            )
-            if not same:
-                raise ValueError(
-                    "ensemble integration supports the homogeneous schedule only "
-                    "(every T_s = T and v0_s = v0)"
-                )
-        active = 0
-        reflections_this_window = 0
-    n_members = n_inertons if ensemble else 1
+    if ensemble and n_inertons < 1:
+        raise ValueError(f"need at least one inerton, got {n_inertons}")
+    fresh_emission = ensemble and n_inertons > 1
 
-    a = (math.pi / p.T) * (p.v0 / p.c)
-    b = (math.pi / p.T) * (p.c / p.v0)
-    x_tol = EVENT_X_TOL * p.Lam
+    h = dt / p.T
+    table = _power_table(h, min(BLOCK_STEPS, n_steps))
+    block = table.shape[2]
 
-    y = (0.0, p.v0, 0.0, p.c)
-    state0 = AggregateState(t=0.0, X=y[0], dXdt=y[1], x=y[2], dxdt=y[3])
-    samples = [state0]
-    residuals = [invariant_residual(state0, p)]
+    # Dimensionless state columns (xi, V, chi, U) and residuals per sample.
+    Y = np.empty((4, n_steps + 1))
+    Y[:, 0] = (0.0, 1.0, 0.0, 1.0)
+    residuals = np.empty(n_steps + 1)
+    residuals[0] = 0.0
     events: list[ReflectionEvent] = []
 
-    def handle_reflection(y_event):
-        """Reset the guard: flip the cloud velocity, advance the schedule."""
-        nonlocal active, reflections_this_window
-        y_new = (y_event[0], y_event[1], y_event[2], -y_event[3])
-        if ensemble:
-            reflections_this_window += 1
-            if reflections_this_window == 2:
-                reflections_this_window = 0
-                nxt = (active + 1) % n_members
-                if nxt != active:
-                    # Freeze the outgoing member, emit the next one fresh at
-                    # the contact point. For a single member this branch is
-                    # never taken, preserving bitwise agreement with
-                    # aggregate mode.
-                    ens.entries[active].x = y_new[2]
-                    ens.entries[active].dxdt = y_new[3]
-                    ens.entries[active].active = False
-                    active = nxt
-                    ens.entries[active].active = True
-                    y_new = (y_new[0], y_new[1], 0.0, p.c)
-        return y_new
+    def settle(lo, hi):
+        a = 1.0 - Y[1, lo:hi]
+        U = Y[3, lo:hi]
+        residuals[lo:hi] = a * a + U * U - 1.0
+        _guard(residuals, lo, hi, dt)
 
-    for i in range(n_steps):
-        t0 = i * dt
-        t1 = (i + 1) * dt
-        trial = _rk4(y, dt, a, b, v0=p.v0)
-        if trial[2] < 0.0:
-            if y[2] < 0.0:
-                raise RuntimeError(
-                    f"cloud separation stayed negative across step at t={t0}"
-                )
-            h_star, y_event = _locate_crossing(y, dt, a, b, p.v0, x_tol)
-            t_event = t0 + h_star
-            events.append(ReflectionEvent(t=t_event))
-            y = handle_reflection(y_event)
-            remainder = t1 - t_event
-            trial = _rk4(y, remainder, a, b, v0=p.v0)
-        y = trial
-        s = AggregateState(t=t1, X=y[0], dXdt=y[1], x=y[2], dxdt=y[3])
-        r = invariant_residual(s, p)
-        if abs(r) > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"first-integral residual {r:.3e} at t={t1} exceeds "
-                f"{DIVERGENCE_LIMIT}; the run has diverged"
-            )
-        samples.append(s)
-        residuals.append(r)
+    i = 0
+    while i < n_steps:
+        states = _advance(table, Y[:, i], min(block, n_steps - i))
+        below = np.flatnonzero(states[2] < 0.0)
+        k = int(below[0]) if below.size else states.shape[1]
+        Y[:, i + 1:i + 1 + k] = states[:, :k]
+        settle(i + 1, i + 1 + k)
+        i += k
+        if not below.size:
+            continue
+        # Step i -> i+1 crosses the guard.
+        if Y[2, i] < 0.0:
+            raise RuntimeError(f"cloud separation stayed negative across step at t={i * dt}")
+        rows = _taylor(Y[:, i])
+        s = _crossing(rows, h)
+        events.append(ReflectionEvent(t=i * dt + s * p.T))
+        y = _partial(rows, s)
+        y[3] = -y[3]
+        if fresh_emission and len(events) % 2 == 0:
+            y[2], y[3] = 0.0, 1.0
+        Y[:, i + 1] = _partial(_taylor(y), h - s)
+        settle(i + 1, i + 2)
+        i += 1
 
     # Trailing probe: the discretized crossing of the final period can land a
     # hair past t_end (fourth-order phase lag, ~1e-11 T over ten periods). One
     # probe step past the end recovers an event belonging to this run; only
     # events within PROBE_WINDOW * T of t_end are accepted and no samples are
     # added.
-    trial = _rk4(y, dt, a, b, v0=p.v0)
-    if trial[2] < 0.0 <= y[2]:
-        h_star, _ = _locate_crossing(y, dt, a, b, p.v0, x_tol)
-        if h_star <= PROBE_WINDOW * p.T:
-            events.append(ReflectionEvent(t=n_steps * dt + h_star))
+    last = Y[:, n_steps]
+    if _advance(table, last, 1)[2, 0] < 0.0 <= last[2]:
+        s = _crossing(_taylor(last), h)
+        if s <= PROBE_WINDOW:
+            events.append(ReflectionEvent(t=n_steps * dt + s * p.T))
 
+    samples = _pack(np.arange(n_steps + 1) * dt, Y[0] * p.lam, Y[1] * p.v0, Y[2] * p.Lam, Y[3] * p.c)
     meta = {
         "mode": mode,
         "dt": dt,
         "t_end": t_end,
         "n_steps": n_steps,
-        "event_x_tolerance": x_tol,
+        "event_x_tolerance": EVENT_X_TOL * p.Lam,
         "probe_window": PROBE_WINDOW * p.T,
     }
     if ensemble:
@@ -494,6 +511,20 @@ def integrate(
 # Diagnostics and serialization
 # ---------------------------------------------------------------------------
 
+def _near_events(t: np.ndarray, event_times, window: float) -> np.ndarray:
+    """Mask of the times within ``window`` of their nearest event.
+
+    The nearest event is one of the two neighbours `searchsorted` finds in
+    the sorted event times, so this is O(N log E) rather than the N x E
+    distance matrix.
+    """
+    ev = np.sort(np.asarray(event_times, dtype=float))
+    j = np.searchsorted(ev, t)
+    left = np.abs(t - ev[np.maximum(j - 1, 0)])
+    right = np.abs(t - ev[np.minimum(j, ev.size - 1)])
+    return np.minimum(left, right) <= window
+
+
 def oracle_errors(traj: Trajectory) -> dict[str, float]:
     """Componentwise max deviation from the closed form, each scaled by its
     natural magnitude (X by lam, dXdt by v0, x by Lam, dxdt by c).
@@ -506,27 +537,26 @@ def oracle_errors(traj: Trajectory) -> dict[str, float]:
     of the two one-sided values. Everywhere else both branches differ by
     ~2c and the relaxation is inert.
     """
-    arr = traj.as_arrays()
-    ref = closed_form_arrays(arr["t"], traj.params)
     p = traj.params
-    d_dxdt = np.abs(arr["dxdt"] - ref["dxdt"])
+    s = traj.samples
+    ref = closed_form(s["t"], p)
+    d_dxdt = np.abs(s["dxdt"] - ref.dxdt)
     if traj.events:
-        ev_t = np.array([ev.t for ev in traj.events])
-        near = np.min(np.abs(arr["t"][:, None] - ev_t[None, :]), axis=1) <= 1.0e-6 * p.T
-        other = np.abs(arr["dxdt"] + ref["dxdt"])
+        near = _near_events(s["t"], [ev.t for ev in traj.events], 1.0e-6 * p.T)
+        other = np.abs(s["dxdt"] + ref.dxdt)
         d_dxdt = np.where(near, np.minimum(d_dxdt, other), d_dxdt)
     out = {
-        "X": float(np.max(np.abs(arr["X"] - ref["X"])) / p.lam),
-        "dXdt": float(np.max(np.abs(arr["dXdt"] - ref["dXdt"])) / p.v0),
-        "x": float(np.max(np.abs(arr["x"] - ref["x"])) / p.Lam),
+        "X": float(np.max(np.abs(s["X"] - ref.X)) / p.lam),
+        "dXdt": float(np.max(np.abs(s["dXdt"] - ref.dXdt)) / p.v0),
+        "x": float(np.max(np.abs(s["x"] - ref.x)) / p.Lam),
         "dxdt": float(np.max(d_dxdt) / p.c),
     }
     out["max"] = max(out.values())
     return out
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
+_CSV_HEADER = "t,X,dXdt,x,dxdt,invariant_residual,event_flag"
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d"
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -536,22 +566,21 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     a reflection. Floats carry 17 significant digits so a file round-trips
     to the exact same doubles.
     """
-    flags = [0] * len(traj.samples)
-    dt = traj.dt if len(traj.samples) > 1 else 0.0
-    t0 = traj.samples[0].t
-    p = traj.params
-    for ev in traj.events:
-        if dt > 0.0:
+    s = traj.samples
+    flags = np.zeros(len(s), dtype=np.int64)
+    if len(s) > 1:
+        dt = traj.dt
+        t0 = s["t"][0]
+        for ev in traj.events:
             # an event localized within the 1e-6 T timing slack after a grid
             # point belongs to that sample, not the next interval
-            idx = math.ceil((ev.t - t0 - 1.0e-6 * p.T) / dt)
+            idx = math.ceil((ev.t - t0 - 1.0e-6 * traj.params.T) / dt)
             if 0 <= idx < len(flags):
                 flags[idx] = 1
-    lines = ["t,X,dXdt,x,dxdt,invariant_residual,event_flag"]
-    for s, r, f in zip(traj.samples, traj.invariant_residuals, flags):
-        lines.append(
-            ",".join((_fmt(s.t), _fmt(s.X), _fmt(s.dXdt), _fmt(s.x), _fmt(s.dxdt), _fmt(r), str(f)))
-        )
+    columns = [s[name].tolist() for name in SAMPLE_FIELDS]
+    rows = zip(*columns, np.asarray(traj.invariant_residuals).tolist(), flags.tolist())
+    lines = [_CSV_HEADER]
+    lines.extend([_CSV_ROW % row for row in rows])
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

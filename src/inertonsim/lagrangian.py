@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import AggregateState, SystemParams
-from .dynamics import Trajectory
+from .dynamics import SAMPLE_FIELDS, Trajectory
 
 __all__ = [
     "CanonicalState",
@@ -63,7 +63,7 @@ def eval_lagrangian_relativistic(v0: float, M0: float, c: float) -> float:
     return -M0 * c * c * math.sqrt(1.0 - (v0 / c) ** 2)
 
 
-def _bracket_aggregate(s: AggregateState, p: SystemParams) -> float:
+def _bracket_aggregate(s: AggregateState, p: SystemParams):
     """The coupling bracket inside the aggregate radicand."""
     w2 = 2.0 * math.pi / p.T
     root = math.sqrt(p.M0 * p.m0)
@@ -85,23 +85,27 @@ def _bracket_canonical(s: CanonicalState, p: SystemParams) -> float:
     )
 
 
-def _sqrt_form(bracket: float, p: SystemParams) -> float:
-    rest = p.M0 * p.c * p.c
-    radicand = 1.0 - bracket / rest
-    if radicand < 0.0:
+def _radicand(bracket, p: SystemParams):
+    radicand = 1.0 - bracket / (p.M0 * p.c * p.c)
+    if np.any(radicand < 0.0):
         raise ValueError(
-            f"Lagrangian radicand is negative ({radicand:.6e}); the state lies "
+            f"Lagrangian radicand is negative ({np.min(radicand):.6e}); the state lies "
             "outside the model's validity region"
         )
-    return -rest * math.sqrt(radicand)
+    return radicand
 
 
-def eval_lagrangian_aggregate(s: AggregateState, p: SystemParams) -> float:
-    """Aggregate pair Lagrangian, exact square-root form."""
+def _sqrt_form(bracket, p: SystemParams):
+    return -(p.M0 * p.c * p.c) * np.sqrt(_radicand(bracket, p))
+
+
+def eval_lagrangian_aggregate(s: AggregateState, p: SystemParams):
+    """Aggregate pair Lagrangian, exact square-root form. The fields of
+    ``s`` may be scalars or equal-length arrays."""
     return _sqrt_form(_bracket_aggregate(s, p), p)
 
 
-def eval_lagrangian_aggregate_shifted(s: AggregateState, p: SystemParams) -> float:
+def eval_lagrangian_aggregate_shifted(s: AggregateState, p: SystemParams):
     """Aggregate Lagrangian shifted by the rest energy: the same function
     plus ``M0 c^2``, computed as ``bracket / (1 + sqrt(radicand))``.
 
@@ -109,17 +113,11 @@ def eval_lagrangian_aggregate_shifted(s: AggregateState, p: SystemParams) -> flo
     evaluator has identical variational content. Numerically it matters: for
     nearly-free states the plain form is a tiny increment riding on
     ``-M0 c^2`` and finite differences lose most of their digits to
-    cancellation, while this rearrangement keeps full precision.
+    cancellation, while this rearrangement keeps full precision. The fields
+    of ``s`` may be scalars or equal-length arrays.
     """
     bracket = _bracket_aggregate(s, p)
-    rest = p.M0 * p.c * p.c
-    radicand = 1.0 - bracket / rest
-    if radicand < 0.0:
-        raise ValueError(
-            f"Lagrangian radicand is negative ({radicand:.6e}); the state lies "
-            "outside the model's validity region"
-        )
-    return bracket / (1.0 + math.sqrt(radicand))
+    return bracket / (1.0 + np.sqrt(_radicand(bracket, p)))
 
 
 def eval_lagrangian_canonical(s: CanonicalState, p: SystemParams) -> float:
@@ -184,11 +182,12 @@ def cloud_residual_scale(p: SystemParams) -> float:
 def el_residual(L, traj: Trajectory, coord: str, fd_step: float = 1.0e-6) -> ELResidualReport:
     """Euler-Lagrange residual of evaluator ``L`` along a trajectory.
 
-    ``L`` is any callable mapping an `AggregateState` to a scalar.
-    ``coord`` selects the varied channel, ``"particle"`` for ``(X, dXdt)``
-    or ``"cloud"`` for ``(x, dxdt)``. ``fd_step`` is relative: the actual
-    perturbation is ``fd_step`` times the channel's largest magnitude over
-    the trajectory.
+    ``L`` maps an `AggregateState` whose fields are equal-length arrays to
+    the array of Lagrangian values, elementwise (the evaluators in this
+    module do). ``coord`` selects the varied channel, ``"particle"`` for
+    ``(X, dXdt)`` or ``"cloud"`` for ``(x, dxdt)``. ``fd_step`` is
+    relative: the actual perturbation is ``fd_step`` times the channel's
+    largest magnitude over the trajectory.
 
     The trajectory must be uniformly sampled (1e-9 relative) with at least
     nine samples. Residuals are computed at every interior sample; samples
@@ -203,32 +202,26 @@ def el_residual(L, traj: Trajectory, coord: str, fd_step: float = 1.0e-6) -> ELR
     n = len(samples)
     if n < 9:
         raise ValueError(f"need at least 9 samples for the residual stencil, got {n}")
-    t = np.array([s.t for s in samples])
+    t = samples["t"]
     steps = np.diff(t)
     dt = steps[0]
     if np.max(np.abs(steps - dt)) > 1.0e-9 * dt:
         raise ValueError("trajectory sampling is not uniform to 1e-9 relative")
 
-    q_scale = max(abs(getattr(s, q_name)) for s in samples) or 1.0
-    qdot_scale = max(abs(getattr(s, qdot_name)) for s in samples) or 1.0
-    dq = fd_step * q_scale
-    dqdot = fd_step * qdot_scale
+    q, qdot = samples[q_name], samples[qdot_name]
+    dq = fd_step * (float(np.max(np.abs(q))) or 1.0)
+    dqdot = fd_step * (float(np.max(np.abs(qdot))) or 1.0)
 
     # Conjugate momentum dL/dqdot at every sample, force dL/dq at interior ones.
-    momenta = np.empty(n)
-    for i, s in enumerate(samples):
-        hi = L(replace(s, **{qdot_name: getattr(s, qdot_name) + dqdot}))
-        lo = L(replace(s, **{qdot_name: getattr(s, qdot_name) - dqdot}))
-        momenta[i] = (hi - lo) / (2.0 * dqdot)
-
-    residuals = np.empty(n - 2)
-    for i in range(1, n - 1):
-        s = samples[i]
-        hi = L(replace(s, **{q_name: getattr(s, q_name) + dq}))
-        lo = L(replace(s, **{q_name: getattr(s, q_name) - dq}))
-        force = (hi - lo) / (2.0 * dq)
-        dpdt = (momenta[i + 1] - momenta[i - 1]) / (2.0 * dt)
-        residuals[i - 1] = dpdt - force
+    state = AggregateState(**{name: samples[name] for name in SAMPLE_FIELDS})
+    momenta = (
+        L(replace(state, **{qdot_name: qdot + dqdot})) - L(replace(state, **{qdot_name: qdot - dqdot}))
+    ) / (2.0 * dqdot)
+    inner = AggregateState(**{name: samples[name][1:-1] for name in SAMPLE_FIELDS})
+    force = (
+        L(replace(inner, **{q_name: q[1:-1] + dq})) - L(replace(inner, **{q_name: q[1:-1] - dq}))
+    ) / (2.0 * dq)
+    residuals = (momenta[2:] - momenta[:-2]) / (2.0 * dt) - force
 
     times = t[1:-1]
     excluded = np.zeros(n - 2, dtype=bool)
@@ -266,22 +259,14 @@ def scale_channel(traj: Trajectory, coord: str, factor: float) -> Trajectory:
     """
     if coord not in _COORDS:
         raise ValueError(f"coord must be one of {sorted(_COORDS)}, got {coord!r}")
-    q_name, qdot_name = _COORDS[coord]
-    new_samples = [
-        replace(
-            s,
-            **{
-                q_name: factor * getattr(s, q_name),
-                qdot_name: factor * getattr(s, qdot_name),
-            },
-        )
-        for s in traj.samples
-    ]
+    samples = traj.samples.copy()
+    for name in _COORDS[coord]:
+        samples[name] *= factor
     return Trajectory(
         params=traj.params,
-        samples=new_samples,
+        samples=samples,
         events=list(traj.events),
-        invariant_residuals=list(traj.invariant_residuals),
+        invariant_residuals=traj.invariant_residuals.copy(),
         metadata={**traj.metadata, "corrupted": f"{coord} scaled by {factor}"},
     )
 

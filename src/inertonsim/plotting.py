@@ -79,7 +79,8 @@ def render_line_svg(
     # data
     for idx, (x, y, label) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
+        xy = zip(px(np.asarray(x, dtype=float)).tolist(), py(np.asarray(y, dtype=float)).tolist())
+        pts = " ".join(["%.2f,%.2f" % point for point in xy])
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         lx, ly = ml + pw - 130, mt + 16 + 16 * idx
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
@@ -91,13 +92,13 @@ def render_line_svg(
 
 def trajectory_svg(traj, path) -> None:
     """Dimensionless trajectory panel: X/lam and x/Lam against t/T."""
-    arr = traj.as_arrays()
+    s = traj.samples
     p = traj.params
     render_line_svg(
         path,
         [
-            (arr["t"] / p.T, arr["X"] / p.lam, "X / lambda"),
-            (arr["t"] / p.T, arr["x"] / p.Lam, "x / Lambda"),
+            (s["t"] / p.T, s["X"] / p.lam, "X / lambda"),
+            (s["t"] / p.T, s["x"] / p.Lam, "x / Lambda"),
         ],
         title="particle coordinate and cloud separation",
         xlabel="t / T",
@@ -108,11 +109,11 @@ def trajectory_svg(traj, path) -> None:
 def phase_plane_svg(traj, path) -> None:
     """Velocity-plane portrait: the pair traces the unit circle in the
     coordinates (1 - dXdt/v0, dxdt/c)."""
-    arr = traj.as_arrays()
+    s = traj.samples
     p = traj.params
     render_line_svg(
         path,
-        [(1.0 - arr["dXdt"] / p.v0, arr["dxdt"] / p.c, "velocity locus")],
+        [(1.0 - s["dXdt"] / p.v0, s["dxdt"] / p.c, "velocity locus")],
         title="velocity-plane portrait",
         xlabel="1 - (dX/dt) / v0",
         ylabel="(dx/dt) / c",

@@ -294,3 +294,57 @@ def test_version_flag_subprocess():
     )
     assert proc.returncode == 0
     assert "inertonsim" in proc.stdout
+
+
+# --------------------------------------------------------------- exit codes
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("M0", math.inf), ("v0", math.nan), ("c", math.inf), ("T", math.inf), ("T", math.nan), ("m0", math.inf)],
+)
+def test_non_finite_parameter_rejected(tmp_path, capsys, key, value):
+    pars = {"M0": 1.0, "v0": 1.0, "c": 10.0, "T": 1.0, key: value}
+    cfg = write_cfg(tmp_path / "c.json", {"parameters": pars})  # json writes Infinity / NaN
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 1
+    assert f"parameters.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_underflowing_cloud_mass_rejected(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.json", {"parameters": {"M0": 1.0, "v0": 1e-300, "c": 10.0, "T": 1.0}})
+    assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert "m0" in err and "underflows" in err
+
+
+def test_non_numeric_parameter_names_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.json", {"parameters": {"M0": [1], "v0": 1, "c": 10, "T": 1}})
+    assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+    assert "parameters.M0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sim", [{"dt": 0.05}, {"dt": 1e-3, "t_end": 1.0005}, {"t_end": math.inf}])
+def test_step_grid_checked_at_resolve(tmp_path, capsys, sim):
+    cfg = write_cfg(tmp_path / "c.json", {"simulation": sim})
+    assert run_cli("simulate", "--preset", "natural", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+    assert "error: simulation." in capsys.readouterr().err
+
+
+def test_plain_value_error_exits_1_with_message(tmp_path, capsys):
+    # run_checks raises a plain ValueError, not a ConfigError
+    assert run_cli("check", "--select", "bogus", "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown check name") and "Traceback" not in err
+
+
+def test_runtime_error_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
+    import inertonsim.cli as cli
+
+    def stuck(*args, **kwargs):
+        raise RuntimeError("cloud separation stayed negative across step at t=0.5")
+
+    monkeypatch.setattr(cli, "integrate", stuck)
+    assert run_cli("simulate", "--preset", "natural", "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: cloud separation stayed negative")

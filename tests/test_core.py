@@ -114,3 +114,17 @@ def test_mass_ratio_equals_speed_ratio_squared(M0, v0, T):
     params, _ = derive_kinematics(M0, v0, 1.0, T)
     assert params.m / params.M == pytest.approx(v0 * v0, rel=1e-12)
     assert params.m0 / params.M0 == pytest.approx(v0 * v0, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [dict(M0=math.inf), dict(v0=math.nan), dict(c=math.inf), dict(T=math.nan)])
+def test_validation_rejects_non_finite(bad):
+    args = {"M0": 1.0, "v0": 0.5, "c": 1.0, "T": 1.0, **bad}
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        derive_kinematics(**args)
+
+
+def test_validation_rejects_underflowing_cloud_mass():
+    with pytest.raises(ValueError, match="underflows"):
+        derive_kinematics(1.0, 1e-300, 1.0, 1.0)
+    with pytest.raises(ValueError, match="m0"):
+        derive_kinematics(1.0, 0.5, 1.0, 1.0, m0=math.inf)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -175,9 +176,8 @@ def test_el_event_windows_are_flagged(slow_regime):
 
 def test_el_requires_uniform_sampling(slow_regime):
     params, traj, L = slow_regime
-    import dataclasses
-    samples = list(traj.samples[:50])
-    samples[10] = dataclasses.replace(samples[10], t=samples[10].t + 1e-5)
+    samples = traj.samples[:50].copy()
+    samples["t"][10] += 1e-5
     bad = dataclasses.replace(traj, samples=samples, invariant_residuals=traj.invariant_residuals[:50])
     with pytest.raises(ValueError):
         el_residual(L, bad, "particle")
@@ -200,3 +200,24 @@ def test_el_csv_output(tmp_path, slow_regime):
     # flags round-trip
     flags = [int(line.rsplit(",", 1)[1]) for line in lines[1:]]
     assert sum(flags) == int(report.excluded.sum())
+
+
+def test_el_residual_matches_per_sample_loop(slow_regime):
+    # the scalar loop the array form replaced: one AggregateState per sample
+    params, traj, L = slow_regime
+    short = dataclasses.replace(traj, samples=traj.samples[:300], events=traj.events[:0])
+    rows = [AggregateState(*(float(v) for v in row)) for row in short.samples.tolist()]
+    dX = 1e-6 * max(abs(s.X) for s in rows)
+    dV = 1e-6 * max(abs(s.dXdt) for s in rows)
+    dt = rows[1].t - rows[0].t
+    momenta = [
+        (L(dataclasses.replace(s, dXdt=s.dXdt + dV)) - L(dataclasses.replace(s, dXdt=s.dXdt - dV))) / (2.0 * dV)
+        for s in rows
+    ]
+    expected = []
+    for i in range(1, len(rows) - 1):
+        s = rows[i]
+        force = (L(dataclasses.replace(s, X=s.X + dX)) - L(dataclasses.replace(s, X=s.X - dX))) / (2.0 * dX)
+        expected.append((momenta[i + 1] - momenta[i - 1]) / (2.0 * dt) - force)
+    report = el_residual(L, short, "particle")
+    assert report.residuals.tolist() == expected

@@ -98,3 +98,21 @@ def test_report_passed_property():
     good = CheckReport(name="x", status="pass", measured=0.1, tolerance=0.5, runtime_s=0.0)
     bad = CheckReport(name="x", status="fail", measured=0.9, tolerance=0.5, runtime_s=0.0)
     assert good.passed and not bad.passed
+
+
+def test_standard_run_is_integrated_once(monkeypatch):
+    from inertonsim import dynamics
+
+    calls = []
+    real = dynamics.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("dt"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate", counted)
+    reports = run_checks(
+        selection=["oracle_agreement", "invariant_conservation", "periodicity", "convergence_order"]
+    )
+    assert all(r.passed for r in reports)
+    assert len(calls) == 5  # one shared ten-period run plus the four convergence steps
