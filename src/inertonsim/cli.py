@@ -121,6 +121,34 @@ def merge_config(base, override):
     return out
 
 
+def _section(cfg, name):
+    """A config section as a fresh dict (empty when absent)."""
+    sec = cfg.get(name)
+    if sec is None:
+        return {}
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{name}: must be an object, got {sec!r}")
+    return dict(sec)
+
+
+def _number(key, val, integer=False):
+    """Coerce one config value to a finite float, or to an int when
+    ``integer``; failures raise a ConfigError that names ``key``."""
+    try:
+        num = float(val)
+    except OverflowError:
+        num = math.inf
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: must be a number, got {val!r}") from None
+    if not math.isfinite(num):
+        raise ConfigError(f"{key}: must be a finite number, got {num}")
+    if not integer:
+        return num
+    if not num.is_integer():
+        raise ConfigError(f"{key}: must be an integer, got {val!r}")
+    return val if isinstance(val, int) and not isinstance(val, bool) else int(num)
+
+
 def resolve_config(cfg):
     """Validate a merged config and compute the resolved parameter set.
 
@@ -145,14 +173,7 @@ def resolve_config(cfg):
     has_T, has_h = "T" in pars, "h" in pars
     if has_T == has_h:
         raise ConfigError("parameters: supply exactly one of T or h")
-    values = {}
-    for key, val in pars.items():
-        try:
-            values[key] = float(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"parameters.{key}: must be a number, got {val!r}") from None
-        if not math.isfinite(values[key]):
-            raise ConfigError(f"parameters.{key}: must be a finite number, got {val}")
+    values = {key: _number(f"parameters.{key}", val) for key, val in pars.items()}
     M0, v0, c = values["M0"], values["v0"], values["c"]
     if has_T:
         T = values["T"]
@@ -171,7 +192,7 @@ def resolve_config(cfg):
     except ValueError as exc:
         raise ConfigError(f"parameters: {exc}") from exc
 
-    sim = dict(cfg.get("simulation") or {})
+    sim = _section(cfg, "simulation")
     for key in sim:
         if key not in _SIM_KEYS:
             raise ConfigError(f"simulation.{key}: unknown key")
@@ -181,17 +202,17 @@ def resolve_config(cfg):
     sim.setdefault("n_inertons", 1)
     if sim["mode"] not in ("aggregate", "ensemble"):
         raise ConfigError("simulation.mode: must be 'aggregate' or 'ensemble'")
-    if int(sim["n_inertons"]) < 1:
+    sim["n_inertons"] = _number("simulation.n_inertons", sim["n_inertons"], integer=True)
+    if sim["n_inertons"] < 1:
         raise ConfigError("simulation.n_inertons: must be >= 1")
-    sim["dt"] = dt = float(sim["dt"])
-    sim["t_end"] = t_end = float(sim["t_end"])
-    sim["n_inertons"] = int(sim["n_inertons"])
+    sim["dt"] = dt = _number("simulation.dt", sim["dt"])
+    sim["t_end"] = t_end = _number("simulation.t_end", sim["t_end"])
     try:
         step_count(params.T, t_end, dt)
     except ValueError as exc:
         raise ConfigError(f"simulation.dt: {exc}") from None
 
-    outs = dict(cfg.get("outputs") or {})
+    outs = _section(cfg, "outputs")
     for key in outs:
         if key not in _OUT_KEYS:
             raise ConfigError(f"outputs.{key}: unknown key")
@@ -199,12 +220,18 @@ def resolve_config(cfg):
         outs.setdefault(key, key in ("trajectory", "events"))
         outs[key] = bool(outs[key])
 
-    obs = dict(cfg.get("observables") or {})
+    obs = _section(cfg, "observables")
     for key in obs:
         if key != "resonator_radius":
             raise ConfigError(f"observables.{key}: unknown key")
-    obs.setdefault("resonator_radius", EARTH_RADIUS)
-    obs["resonator_radius"] = float(obs["resonator_radius"])
+    radius = _number("observables.resonator_radius", obs.get("resonator_radius", EARTH_RADIUS))
+    if radius <= 0.0:
+        raise ConfigError(f"observables.resonator_radius: must be positive, got {radius}")
+    obs["resonator_radius"] = radius
+
+    seed = _number("seed", cfg.get("seed", 0), integer=True)
+    if seed < 0:
+        raise ConfigError(f"seed: must be non-negative, got {seed}")
 
     resolved = {
         "units": units,
@@ -212,7 +239,7 @@ def resolve_config(cfg):
         "simulation": sim,
         "outputs": outs,
         "observables": obs,
-        "seed": int(cfg.get("seed", 0)),
+        "seed": seed,
     }
     if m0 is not None:
         resolved["parameters"]["m0"] = m0
@@ -239,9 +266,10 @@ def _gather_config(ns):
 
 
 def _write_json(path, obj):
+    # serialise first: a NaN or infinity raises ValueError before the file opens
+    text = json.dumps(obj, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _metadata(resolved, command, extra=None):
@@ -418,6 +446,8 @@ def cmd_sweep(ns):
         raise ConfigError(f"--values: {exc}") from exc
     if not values:
         raise ConfigError("--values: at least one value required")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"--values: must be finite numbers, got {ns.values}")
 
     os.makedirs(ns.out, exist_ok=True)
     rows = []

@@ -85,6 +85,9 @@ DIVERGENCE_LIMIT = 1.0e-3   # hard cap on the first-integral residual
 # (200 KB). A block never spans more steps than this.
 BLOCK_STEPS = 1024
 NEWTON_MAX_ITER = 100
+# Largest admitted run. A run stores about 80 B per step (four state
+# columns, the sample array and the residuals), so this caps it near 1 GB.
+MAX_STEPS = 12_500_000
 
 # dy/dtau = A y for y = (xi, V, chi, U, 1): xi' = V, V' = -pi U, chi' = U,
 # U' = pi (V - 1).
@@ -378,8 +381,9 @@ def _guard(residuals: np.ndarray, lo: int, hi: int, dt: float) -> None:
 def step_count(T: float, t_end: float, dt: float) -> int:
     """Number of grid steps of a run, after checking its grid.
 
-    Raises ValueError unless ``0 < dt <= T/100`` and ``t_end`` is a finite,
-    whole number of steps (within 1e-9 relative).
+    Raises ValueError unless ``0 < dt <= T/100``, ``t_end`` is a finite,
+    whole number of steps (within 1e-9 relative) and the run fits in
+    `MAX_STEPS` steps.
     """
     if not (dt > 0.0):
         raise ValueError(f"step size must be positive, got {dt}")
@@ -387,6 +391,11 @@ def step_count(T: float, t_end: float, dt: float) -> int:
         raise ValueError(f"step size too large: dt={dt} exceeds T/100={T / 100.0}")
     if not (0.0 < t_end < math.inf):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if t_end / dt > MAX_STEPS + 0.5:
+        raise ValueError(
+            f"t_end/dt = {t_end / dt:.3g} steps exceeds the budget of {MAX_STEPS} "
+            "(about 80 B per step); raise dt or lower t_end"
+        )
     n_steps = round(t_end / dt)
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1.0e-9 * t_end:
         raise ValueError(

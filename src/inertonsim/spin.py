@@ -36,7 +36,6 @@ __all__ = [
     "pauli_matrices",
     "dirac_matrices",
     "dirac_hamiltonian",
-    "dirac_verification_report",
     "classify_inerton_wave",
 ]
 
@@ -199,23 +198,6 @@ def anticommutation_deviations() -> dict[str, float]:
         out[f"{{{ni},rho3}}"] = float(dev)
     out["rho3^2"] = float(np.max(np.abs(rho3 @ rho3 - eye)))
     return out
-
-
-def dirac_verification_report(op: DiracOperator) -> dict:
-    """JSON-ready summary: per-identity deviations, the squared-operator
-    deviation and the spectrum next to its expected branch energies."""
-    eigs = op.eigenvalues()
-    e_branch = op.expected_branch_energy()
-    return {
-        "representation": op.representation,
-        "p": list(op.p),
-        "M0": op.M0,
-        "c": op.c,
-        "anticommutation_max_deviation": anticommutation_deviations(),
-        "h_squared_max_deviation": op.square_deviation(),
-        "eigenvalues": [float(v) for v in eigs],
-        "expected_eigenvalues": [-e_branch, -e_branch, e_branch, e_branch],
-    }
 
 
 def classify_inerton_wave(E: float) -> str:

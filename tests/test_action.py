@@ -14,6 +14,7 @@ from inertonsim import (
     quantize,
     shortened_action,
 )
+from inertonsim.action import _composite_gauss
 from inertonsim.constants import LIGHT_SPEED, PLANCK
 
 
@@ -68,6 +69,31 @@ def test_shortened_action_is_odd_in_direction(nat_spec):
     up = shortened_action(0.4 * spec.amplitude, spec)
     assert up > 0.0
     assert shortened_action(0.0, spec) == pytest.approx(0.0, abs=1e-15)
+    for f in (0.1, 0.4, 0.9, 0.999):
+        X = f * spec.amplitude
+        assert shortened_action(-X, spec) == pytest.approx(-shortened_action(X, spec), rel=1e-15)
+
+
+def test_shortened_action_quarter_cycle_matches_cyclic_action():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        params, _ = derive_kinematics(
+            10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-2, math.log10(0.9)), 1.0,
+            10.0 ** rng.uniform(-1, 1),
+        )
+        spec = OscillatorSpec.from_params(params)
+        quarter = shortened_action((1.0 - 1.0e-12) * spec.amplitude, spec)
+        assert 4.0 * quarter == pytest.approx(cyclic_action(spec), rel=1e-12)
+
+
+def test_shortened_action_matches_quadrature(nat_spec):
+    # reference: the composite Gauss-Legendre rule on the integrand p(xi)
+    _, spec = nat_spec
+    mw2, two_me = (spec.M * spec.omega) ** 2, 2.0 * spec.M * spec.E
+    for f in (-0.9, -0.3, 0.25, 0.7, 0.95):
+        X = f * spec.amplitude
+        ref = _composite_gauss(lambda xi: np.sqrt(two_me - mw2 * xi * xi), 0.0, X, 64)
+        assert shortened_action(X, spec) == pytest.approx(ref, rel=1e-12)
 
 
 def test_cyclic_action_examples():

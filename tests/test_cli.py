@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from inertonsim.cli import builtin_presets, main, merge_config, resolve_config
+from inertonsim.cli import ConfigError, builtin_presets, main, merge_config, resolve_config
 from inertonsim.constants import ELECTRON_MASS, LIGHT_SPEED, PLANCK
 
 
@@ -296,6 +301,13 @@ def test_version_flag_subprocess():
     assert "inertonsim" in proc.stdout
 
 
+def test_cli_import_does_not_load_scipy():
+    code = "import inertonsim.cli, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # --------------------------------------------------------------- exit codes
 
 @pytest.mark.parametrize(
@@ -348,3 +360,114 @@ def test_runtime_error_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
     assert run_cli("simulate", "--preset", "natural", "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime failure: cloud separation stayed negative")
+
+
+# ------------------------------------------------------- config coercion
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"simulation": {"dt": [0.001]}}', "simulation.dt"),
+        ('{"simulation": {"n_inertons": [2]}}', "simulation.n_inertons"),
+        ('{"simulation": {"n_inertons": 1.5}}', "simulation.n_inertons"),
+        ('{"simulation": {"t_end": "long"}}', "simulation.t_end"),
+        ('{"seed": [1]}', "seed"),
+        ('{"seed": 1e400}', "seed"),
+        ('{"seed": -1}', "seed"),
+        ('{"observables": {"resonator_radius": "abc"}}', "observables.resonator_radius"),
+        ('{"observables": {"resonator_radius": 0}}', "observables.resonator_radius"),
+        ('{"simulation": [1, 2]}', "simulation"),
+        ('{"outputs": "all"}', "outputs"),
+    ],
+)
+def test_bad_config_value_names_key(tmp_path, capsys, text, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)  # raw text: 1e400 is not something json.dumps writes
+    out = tmp_path / "o"
+    assert run_cli("derive", "--preset", "natural", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_integral_values_are_coerced():
+    cfg = merge_config(
+        builtin_presets()["natural"], {"seed": 7.0, "simulation": {"n_inertons": "2"}}
+    )
+    _, _, resolved = resolve_config(cfg)
+    assert resolved["seed"] == 7 and isinstance(resolved["seed"], int)
+    assert resolved["simulation"]["n_inertons"] == 2
+
+
+def test_step_budget_rejects_huge_run_at_resolve():
+    from inertonsim.dynamics import MAX_STEPS, step_count
+
+    cfg = merge_config(builtin_presets()["natural"], {"simulation": {"dt": 1e-9, "t_end": 100.0}})
+    with pytest.raises(ConfigError, match=r"^simulation\.dt: .*t_end"):
+        resolve_config(cfg)
+    # the budget is inclusive and checked without allocating anything
+    assert step_count(1.0, MAX_STEPS * 1e-3, 1e-3) == MAX_STEPS
+    with pytest.raises(ValueError, match="budget"):
+        step_count(1.0, (MAX_STEPS + 1) * 1e-3, 1e-3)
+    with pytest.raises(ValueError, match="budget"):
+        step_count(1.0, 1e300, 1e-10)  # t_end/dt overflows to inf
+
+
+def test_sweep_rejects_non_finite_values(tmp_path, capsys):
+    assert run_cli(
+        "sweep", "--preset", "natural", "--axis", "dt", "--values", "1e-3,nan", "--out", str(tmp_path)
+    ) == 1
+    assert capsys.readouterr().err.startswith("error: --values:")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite constant {name} in JSON")
+
+
+_SCALARS = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers(min_value=-10**30, max_value=10**30)
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=5)
+    | st.sampled_from(["1", "0.001", "nan", "inf", "aggregate", "ensemble", "si"])
+)
+_VALUES = _SCALARS | st.lists(_SCALARS, max_size=2) | st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2)
+
+
+def _section_of(keys):
+    return st.dictionaries(st.sampled_from(keys), _VALUES, max_size=len(keys)) | _VALUES
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    cfg=st.fixed_dictionaries(
+        {},
+        optional={
+            "units": _VALUES,
+            "parameters": _section_of(["M0", "v0", "c", "T", "h", "m0", "zz"]),
+            "simulation": _section_of(["dt", "t_end", "mode", "n_inertons"]),
+            "outputs": _section_of(["trajectory", "events", "plots"]),
+            "observables": _section_of(["resonator_radius"]),
+            "seed": _VALUES,
+        },
+    ),
+    preset=st.booleans(),
+)
+def test_derive_config_fuzz(cfg, preset):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)  # NaN and Infinity are written as JSON extensions
+        out = os.path.join(tmp, "o")
+        args = ["derive", "--config", path, "--out", out] + (["--preset", "natural"] if preset else [])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        for name in ("metadata.json", "derived.json"):
+            fpath = os.path.join(out, name)
+            if os.path.exists(fpath):
+                with open(fpath) as fh:
+                    json.load(fh, parse_constant=_reject_constant)
