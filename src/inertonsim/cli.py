@@ -12,8 +12,8 @@ optional):
 
     units        "natural" or "si", a declarative label
     parameters   M0, v0, c, and exactly one of T or h (optional m0)
-    simulation   dt, t_end, mode ("aggregate" or "ensemble"), n_inertons
-    outputs      trajectory, events, el_residuals, plots (booleans)
+    simulation   dt, t_end
+    outputs      trajectory, events, el_residuals (true or false)
     observables  resonator_radius
     seed         integer, overridden by --seed
 
@@ -67,13 +67,8 @@ def _electron_preset(v0):
     return {
         "units": "si",
         "parameters": {"M0": ELECTRON_MASS, "v0": v0, "c": LIGHT_SPEED, "h": PLANCK},
-        "simulation": {
-            "dt": period / 1000.0,
-            "t_end": 10.0 * period,
-            "mode": "aggregate",
-            "n_inertons": 1,
-        },
-        "outputs": {"trajectory": True, "events": True, "el_residuals": False, "plots": False},
+        "simulation": {"dt": period / 1000.0, "t_end": 10.0 * period},
+        "outputs": {"trajectory": True, "events": True, "el_residuals": False},
         "observables": {"resonator_radius": EARTH_RADIUS},
         "seed": 0,
     }
@@ -84,8 +79,8 @@ def builtin_presets():
         "natural": {
             "units": "natural",
             "parameters": {"M0": 1.0, "v0": 1.0, "c": 10.0, "T": 1.0},
-            "simulation": {"dt": 1.0e-3, "t_end": 10.0, "mode": "aggregate", "n_inertons": 1},
-            "outputs": {"trajectory": True, "events": True, "el_residuals": False, "plots": False},
+            "simulation": {"dt": 1.0e-3, "t_end": 10.0},
+            "outputs": {"trajectory": True, "events": True, "el_residuals": False},
             "observables": {"resonator_radius": EARTH_RADIUS},
             "seed": 0,
         },
@@ -95,8 +90,26 @@ def builtin_presets():
 
 
 _PARAM_KEYS = {"M0", "v0", "c", "T", "h", "m0"}
-_SIM_KEYS = {"dt", "t_end", "mode", "n_inertons"}
-_OUT_KEYS = {"trajectory", "events", "el_residuals", "plots"}
+_SIM_KEYS = {"dt", "t_end"}
+_OUT_KEYS = {"trajectory", "events", "el_residuals"}
+# Keys of removed features, still present in older metadata.json files:
+# key -> (accepts, reason). A value that `accepts` selects what the program
+# does anyway and is dropped; any other value is a ConfigError.
+_RETIRED = {
+    "simulation": {
+        "mode": (lambda v: v == "aggregate", 'ensemble mode was removed; only "aggregate" is accepted'),
+        "n_inertons": (
+            lambda v: v == 1 and not isinstance(v, bool),
+            "ensemble mode was removed; only 1 is accepted",
+        ),
+    },
+    "outputs": {
+        "plots": (
+            lambda v: isinstance(v, bool),
+            "was removed (--format svg writes the plots); only true or false is accepted",
+        ),
+    },
+}
 
 
 def load_config(path):
@@ -122,18 +135,26 @@ def merge_config(base, override):
 
 
 def _section(cfg, name):
-    """A config section as a fresh dict (empty when absent)."""
+    """A config section as a fresh dict (empty when absent), with its
+    `_RETIRED` keys checked and dropped."""
     sec = cfg.get(name)
     if sec is None:
         return {}
     if not isinstance(sec, dict):
         raise ConfigError(f"{name}: must be an object, got {sec!r}")
-    return dict(sec)
+    sec = dict(sec)
+    for key, (unchanged, why) in _RETIRED.get(name, {}).items():
+        if key in sec and not unchanged(sec[key]):
+            raise ConfigError(f"{name}.{key}: {why}, got {sec[key]!r}")
+        sec.pop(key, None)
+    return sec
 
 
 def _number(key, val, integer=False):
     """Coerce one config value to a finite float, or to an int when
     ``integer``; failures raise a ConfigError that names ``key``."""
+    if isinstance(val, bool):
+        raise ConfigError(f"{key}: must be a number, got {val!r}")
     try:
         num = float(val)
     except OverflowError:
@@ -146,7 +167,7 @@ def _number(key, val, integer=False):
         return num
     if not num.is_integer():
         raise ConfigError(f"{key}: must be an integer, got {val!r}")
-    return val if isinstance(val, int) and not isinstance(val, bool) else int(num)
+    return val if isinstance(val, int) else int(num)
 
 
 def resolve_config(cfg):
@@ -198,13 +219,6 @@ def resolve_config(cfg):
             raise ConfigError(f"simulation.{key}: unknown key")
     sim.setdefault("dt", params.T / 1000.0)
     sim.setdefault("t_end", 10.0 * params.T)
-    sim.setdefault("mode", "aggregate")
-    sim.setdefault("n_inertons", 1)
-    if sim["mode"] not in ("aggregate", "ensemble"):
-        raise ConfigError("simulation.mode: must be 'aggregate' or 'ensemble'")
-    sim["n_inertons"] = _number("simulation.n_inertons", sim["n_inertons"], integer=True)
-    if sim["n_inertons"] < 1:
-        raise ConfigError("simulation.n_inertons: must be >= 1")
     sim["dt"] = dt = _number("simulation.dt", sim["dt"])
     sim["t_end"] = t_end = _number("simulation.t_end", sim["t_end"])
     try:
@@ -218,7 +232,8 @@ def resolve_config(cfg):
             raise ConfigError(f"outputs.{key}: unknown key")
     for key in _OUT_KEYS:
         outs.setdefault(key, key in ("trajectory", "events"))
-        outs[key] = bool(outs[key])
+        if not isinstance(outs[key], bool):
+            raise ConfigError(f"outputs.{key}: must be true or false, got {outs[key]!r}")
 
     obs = _section(cfg, "observables")
     for key in obs:
@@ -282,13 +297,7 @@ def _metadata(resolved, command, extra=None):
 
 def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
     sim = resolved["simulation"]
-    traj = integrate(
-        params,
-        t_end=sim["t_end"],
-        dt=sim["dt"],
-        mode=sim["mode"],
-        n_inertons=sim["n_inertons"],
-    )
+    traj = integrate(params, t_end=sim["t_end"], dt=sim["dt"])
     errs = oracle_errors(traj)
     os.makedirs(out_dir, exist_ok=True)
     outs = resolved["outputs"]
@@ -544,9 +553,6 @@ def main(argv=None):
     ns = parser.parse_args(argv)
     try:
         return ns.handler(ns)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -54,12 +54,9 @@ from .core import AggregateState, SystemParams
 __all__ = [
     "ReflectionEvent",
     "Trajectory",
-    "InertonEntry",
-    "InertonEnsembleState",
     "DivergenceError",
     "GENERATOR",
     "SAMPLE_DTYPE",
-    "rhs_inerton",
     "integrate",
     "step_count",
     "closed_form",
@@ -68,7 +65,6 @@ __all__ = [
     "oracle_errors",
     "write_trajectory_csv",
     "write_events_json",
-    "make_ensemble",
 ]
 
 # Guard and probe tolerances (see module docstring and integrate()).
@@ -133,8 +129,8 @@ class Trajectory:
     column, ``samples[i]`` the i-th sample), ordered by strictly increasing
     time, with ``x >= -1e-9 * Lam``. ``invariant_residuals`` is the array of
     first-integral residuals per sample. ``metadata`` records how the run
-    was produced (mode, stepping, ensemble schedule) and is emitted verbatim
-    by the CLI.
+    was produced (grid and event tolerances) and is emitted verbatim by the
+    CLI.
     """
 
     params: SystemParams
@@ -153,68 +149,6 @@ class Trajectory:
         out = {name: self.samples[name] for name in SAMPLE_FIELDS}
         out["invariant_residual"] = self.invariant_residuals
         return out
-
-
-@dataclass
-class InertonEntry:
-    """One member of the emission ensemble.
-
-    ``active_window`` is the nominal first activity window of this inerton,
-    ``[(s-1) * 2 T_s, s * 2 T_s)``; the schedule repeats round-robin with
-    the handoff pinned to the inerton's second reflection, so windows stay
-    aligned with the actual events rather than with wall-clock multiples.
-    """
-
-    x: float
-    dxdt: float
-    T_s: float
-    v0_s: float
-    active_window: tuple[float, float]
-    active: bool = False
-
-
-@dataclass
-class InertonEnsembleState:
-    t: float
-    X: float
-    dXdt: float
-    entries: list[InertonEntry]
-
-
-def make_ensemble(params: SystemParams, n_inertons: int) -> InertonEnsembleState:
-    """Build the initial ensemble: inerton 1 active at the contact point."""
-    if n_inertons < 1:
-        raise ValueError(f"need at least one inerton, got {n_inertons}")
-    entries = []
-    for s in range(1, n_inertons + 1):
-        entries.append(
-            InertonEntry(
-                x=0.0,
-                dxdt=params.c if s == 1 else 0.0,
-                T_s=params.T,
-                v0_s=params.v0,
-                active_window=((s - 1) * 2.0 * params.T, s * 2.0 * params.T),
-                active=(s == 1),
-            )
-        )
-    return InertonEnsembleState(t=0.0, X=0.0, dXdt=params.v0, entries=entries)
-
-
-def rhs_inerton(
-    entry: InertonEntry,
-    particle: AggregateState,
-    p: SystemParams,
-) -> tuple[float, float, float, float]:
-    """Derivatives ``(dXdt, accel_X, dxdt, accel_x)`` sourced by a single
-    ensemble member, with the member's own period and emission speed. Only
-    an active member may drive the particle.
-    """
-    if not entry.active:
-        raise ValueError("rhs_inerton called on an inactive ensemble entry")
-    w = math.pi / entry.T_s
-    accel_X = -w * (entry.v0_s / p.c) * entry.dxdt
-    accel_x = w * (p.c / entry.v0_s) * (particle.dXdt - entry.v0_s)
-    return (particle.dXdt, accel_X, entry.dxdt, accel_x)
 
 
 def invariant_residual(s: AggregateState, p: SystemParams):
@@ -405,39 +339,18 @@ def step_count(T: float, t_end: float, dt: float) -> int:
     return n_steps
 
 
-def integrate(
-    p: SystemParams,
-    t_end: float,
-    dt: float,
-    mode: str = "aggregate",
-    n_inertons: int = 1,
-) -> Trajectory:
+def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
     """Integrate the hybrid system on the grid ``t_i = i dt`` up to t_end.
 
     Requirements: ``0 < dt <= T/100`` and ``t_end`` a whole number of steps
     (within 1e-9 relative), so samples land exactly on the grid.
-
-    In ``ensemble`` mode the cloud is replaced by ``n_inertons`` members
-    emitted one at a time; each flies for two reflections and hands over to
-    the next, freshly emitted at the contact point (``x=0, dxdt=c``). Only
-    the homogeneous schedule (every member sharing the run's ``T`` and
-    ``v0``) is integrated; heterogeneous members are supported by
-    `rhs_inerton` for direct evaluation but have no closed-form oracle to
-    check against. With ``n_inertons=1`` the handoff is a no-op and the
-    result is bitwise-identical to ``aggregate`` mode.
 
     Raises `DivergenceError` if the first-integral residual ever exceeds
     1e-3 (or is not a number), which signals an integration failure rather
     than physics, and `RuntimeError` if the separation stays negative
     across a whole step.
     """
-    if mode not in ("aggregate", "ensemble"):
-        raise ValueError(f"mode must be 'aggregate' or 'ensemble', got {mode!r}")
     n_steps = step_count(p.T, t_end, dt)
-    ensemble = mode == "ensemble"
-    if ensemble and n_inertons < 1:
-        raise ValueError(f"need at least one inerton, got {n_inertons}")
-    fresh_emission = ensemble and n_inertons > 1
 
     h = dt / p.T
     table = _power_table(h, min(BLOCK_STEPS, n_steps))
@@ -474,8 +387,6 @@ def integrate(
         events.append(ReflectionEvent(t=i * dt + s * p.T))
         y = _partial(rows, s)
         y[3] = -y[3]
-        if fresh_emission and len(events) % 2 == 0:
-            y[2], y[3] = 0.0, 1.0
         Y[:, i + 1] = _partial(_taylor(y), h - s)
         settle(i + 1, i + 2)
         i += 1
@@ -493,20 +404,12 @@ def integrate(
 
     samples = _pack(np.arange(n_steps + 1) * dt, Y[0] * p.lam, Y[1] * p.v0, Y[2] * p.Lam, Y[3] * p.c)
     meta = {
-        "mode": mode,
         "dt": dt,
         "t_end": t_end,
         "n_steps": n_steps,
         "event_x_tolerance": EVENT_X_TOL * p.Lam,
         "probe_window": PROBE_WINDOW * p.T,
     }
-    if ensemble:
-        meta["n_inertons"] = n_inertons
-        meta["schedule"] = (
-            "sequential emission, one member active at a time, handoff after "
-            "its second reflection, round-robin; fresh emission at x=0 with "
-            "dxdt=c"
-        )
     return Trajectory(
         params=p,
         samples=samples,

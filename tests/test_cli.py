@@ -146,15 +146,6 @@ def test_simulate_el_residual_files(tmp_path):
         assert header == "t,residual,excluded_flag"
 
 
-def test_simulate_ensemble_config(tmp_path):
-    out = tmp_path / "run"
-    cfg = write_cfg(tmp_path / "c.json", {"simulation": {"mode": "ensemble", "n_inertons": 2}})
-    assert run_cli("simulate", "--preset", "natural", "--config", cfg, "--out", str(out)) == 0
-    meta = json.loads((out / "metadata.json").read_text())
-    assert meta["simulation"]["mode"] == "ensemble"
-    assert meta["derived"]["n_events"] == 10
-
-
 # ------------------------------------------------------------------- derive
 
 def test_derive_natural(tmp_path, capsys):
@@ -378,6 +369,12 @@ def test_runtime_error_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
         ('{"observables": {"resonator_radius": 0}}', "observables.resonator_radius"),
         ('{"simulation": [1, 2]}', "simulation"),
         ('{"outputs": "all"}', "outputs"),
+        ('{"outputs": {"trajectory": "false"}}', "outputs.trajectory"),
+        ('{"outputs": {"el_residuals": "no"}}', "outputs.el_residuals"),
+        ('{"outputs": {"events": 1}}', "outputs.events"),
+        ('{"outputs": {"plots": "yes"}}', "outputs.plots"),
+        ('{"seed": true}', "seed"),
+        ('{"parameters": {"M0": true}}', "parameters.M0"),
     ],
 )
 def test_bad_config_value_names_key(tmp_path, capsys, text, key):
@@ -391,12 +388,36 @@ def test_bad_config_value_names_key(tmp_path, capsys, text, key):
 
 
 def test_integral_values_are_coerced():
-    cfg = merge_config(
-        builtin_presets()["natural"], {"seed": 7.0, "simulation": {"n_inertons": "2"}}
-    )
+    cfg = merge_config(builtin_presets()["natural"], {"seed": 7.0})
     _, _, resolved = resolve_config(cfg)
     assert resolved["seed"] == 7 and isinstance(resolved["seed"], int)
-    assert resolved["simulation"]["n_inertons"] == 2
+
+
+def test_retired_keys_dropped_when_they_change_nothing(tmp_path, capsys):
+    # a metadata.json from before the ensemble mode and outputs.plots were
+    # removed still carries their keys
+    old = {
+        "units": "natural",
+        "parameters": {"M0": 1.0, "v0": 1.0, "c": 10.0, "T": 1.0},
+        "simulation": {"dt": 1.0e-3, "t_end": 10.0, "mode": "aggregate", "n_inertons": 1},
+        "outputs": {"trajectory": True, "events": True, "el_residuals": False, "plots": True},
+        "seed": 0,
+    }
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("simulate", "--preset", "natural", "--out", str(a)) == 0
+    assert run_cli("simulate", "--config", write_cfg(tmp_path / "old.json", old), "--out", str(b)) == 0
+    assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
+    meta = json.loads((b / "metadata.json").read_text())
+    assert set(meta["simulation"]) == {"dt", "t_end"}
+    assert set(meta["outputs"]) == {"trajectory", "events", "el_residuals"}
+    assert "mode" not in meta["derived"]["integrator"]
+    capsys.readouterr()
+    for sim, key in (({"mode": "ensemble"}, "simulation.mode"), ({"n_inertons": 2}, "simulation.n_inertons")):
+        cfg = write_cfg(tmp_path / "new.json", {"simulation": sim})
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--preset", "natural", "--config", cfg, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ensemble mode was removed")
+        assert not out.exists()
 
 
 def test_step_budget_rejects_huge_run_at_resolve():
@@ -471,3 +492,61 @@ def test_derive_config_fuzz(cfg, preset):
             if os.path.exists(fpath):
                 with open(fpath) as fh:
                     json.load(fh, parse_constant=_reject_constant)
+
+
+# Values that may replace a parameter: junk must end in exit 1, extremes in
+# any documented way.
+_JUNK = st.sampled_from([0.0, -1.0, math.nan, math.inf, True, "abc", None, [1.0], {}])
+_EXTREME = st.sampled_from([1e-300, 1e300])
+
+
+@st.composite
+def _simulate_case(draw):
+    """A parameter set from the `_sample_params` ranges, some of it
+    replaced by junk or extremes, and a grid of at most 3 T with dt from
+    T/2000 to T/50 (the coarse end is inadmissible)."""
+    pars = {
+        "M0": draw(st.floats(0.1, 10.0)),
+        "v0": draw(st.floats(0.01, 0.9)),
+        "c": 1.0,
+        "T": draw(st.floats(0.1, 10.0)),
+    }
+    divisor = draw(st.integers(50, 2000))
+    dt = pars["T"] / divisor
+    sim = {"dt": dt, "t_end": draw(st.integers(1, 3 * divisor)) * dt}
+    kinds = set()
+    for key in pars:
+        kind = draw(st.sampled_from(["good"] * 5 + ["junk", "extreme"]))
+        kinds.add(kind)
+        if kind != "good":
+            pars[key] = draw(_JUNK if kind == "junk" else _EXTREME)
+    return pars, sim, divisor, kinds
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=_simulate_case())
+def test_simulate_fuzz(case):
+    pars, sim, divisor, kinds = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump({"parameters": pars, "simulation": sim}, fh)
+        out = os.path.join(tmp, "o")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", path, "--out", out])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if "junk" in kinds:
+            assert code == 1, err.getvalue()
+        elif kinds == {"good"}:
+            assert code == (0 if divisor >= 100 else 1), err.getvalue()
+        meta_path = os.path.join(out, "metadata.json")
+        assert os.path.exists(meta_path) == (code == 0)
+        if code == 0:
+            with open(meta_path) as fh:
+                meta = json.load(fh, parse_constant=_reject_constant)
+            # a reflection at t_end itself belongs to the run
+            periods = meta["simulation"]["t_end"] / meta["parameters"]["T"]
+            assert meta["derived"]["n_events"] == math.floor(periods + 1e-9)
+            assert meta["derived"]["max_oracle_error"] < 1e-4

@@ -19,7 +19,7 @@ from inertonsim import (
     write_trajectory_csv,
 )
 from inertonsim import dynamics
-from inertonsim.dynamics import GENERATOR, closed_form_trajectory, make_ensemble, rhs_inerton
+from inertonsim.dynamics import GENERATOR, closed_form_trajectory
 from inertonsim.plotting import render_line_svg
 
 
@@ -190,35 +190,6 @@ def test_long_run_stays_on_the_invariant_circle(natural):
 
 def test_divergence_error_is_a_runtime_error():
     assert issubclass(DivergenceError, RuntimeError)
-
-
-# ----------------------------------------------------------------- ensemble
-
-def test_ensemble_single_matches_aggregate_bitwise(natural):
-    params, _ = natural
-    a = integrate(params, t_end=5.0, dt=1e-3)
-    b = integrate(params, t_end=5.0, dt=1e-3, mode="ensemble", n_inertons=1)
-    assert a.samples.tobytes() == b.samples.tobytes()
-    assert len(a.samples) == len(b.samples) == 5001
-    assert [e.t for e in a.events] == [e.t for e in b.events]
-
-
-def test_ensemble_three_members(natural):
-    params, _ = natural
-    traj = integrate(params, t_end=10.0, dt=1e-3, mode="ensemble", n_inertons=3)
-    assert len(traj.events) == 10
-    assert oracle_errors(traj)["max"] <= 1e-6
-    assert traj.metadata["n_inertons"] == 3
-
-
-def test_rhs_inerton_rejects_inactive(natural):
-    params, _ = natural
-    ens = make_ensemble(params, 2)
-    particle = AggregateState(t=0.0, X=0.0, dXdt=params.v0, x=0.0, dxdt=params.c)
-    entry = ens.entries[1]
-    assert not entry.active
-    with pytest.raises(ValueError):
-        rhs_inerton(entry, particle, params)
 
 
 # -------------------------------------------------------------- file output
