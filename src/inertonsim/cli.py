@@ -414,8 +414,10 @@ def cmd_check(ns):
     cfg = _gather_config(ns)
     params, _, resolved = resolve_config(cfg)
     selection = None
-    if ns.select:
+    if ns.select is not None:
         selection = [name.strip() for chunk in ns.select for name in chunk.split(",") if name.strip()]
+        if not selection:
+            raise ConfigError("--select: no check names given; omit --select to run all checks")
     reports = run_checks(selection=selection, params=params, seed=resolved["seed"])
     os.makedirs(ns.out, exist_ok=True)
     rpath = os.path.join(ns.out, "report.jsonl")

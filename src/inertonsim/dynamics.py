@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _text
 from .core import AggregateState, SystemParams
 
 __all__ = [
@@ -353,7 +354,10 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
     n_steps = step_count(p.T, t_end, dt)
 
     h = dt / p.T
-    table = _power_table(h, min(BLOCK_STEPS, n_steps))
+    # A block ends at the first reflection it contains, and the next
+    # reflection is at most ceil(1/h) + 1 steps away, so longer tables are
+    # never used: the blocks, and the samples, are those of a full table.
+    table = _power_table(h, min(BLOCK_STEPS, n_steps, math.ceil(1.0 / h) + 1))
     block = table.shape[2]
 
     # Dimensionless state columns (xi, V, chi, U) and residuals per sample.
@@ -468,18 +472,20 @@ def oracle_errors(traj: Trajectory) -> dict[str, float]:
 
 
 _CSV_HEADER = "t,X,dXdt,x,dxdt,invariant_residual,event_flag"
-_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d"
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write samples as CSV: ``t,X,dXdt,x,dxdt,invariant_residual,event_flag``.
 
     ``event_flag`` is 1 on a sample whose preceding grid interval contained
-    a reflection. Floats carry 17 significant digits so a file round-trips
-    to the exact same doubles.
+    a reflection. Floats carry 17 significant digits (``%.17g``) so a file
+    round-trips to the exact same doubles. Rows are rendered column-wise by
+    `_text.g17`, byte-identical to per-value formatting, and written in
+    chunks of `_text.CHUNK_ROWS` rows, so the writer's memory does not grow
+    with the run.
     """
     s = traj.samples
-    flags = np.zeros(len(s), dtype=np.int64)
+    flags = np.zeros(len(s), dtype=np.uint8)
     if len(s) > 1:
         dt = traj.dt
         t0 = s["t"][0]
@@ -489,12 +495,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             idx = math.ceil((ev.t - t0 - 1.0e-6 * traj.params.T) / dt)
             if 0 <= idx < len(flags):
                 flags[idx] = 1
-    columns = [s[name].tolist() for name in SAMPLE_FIELDS]
-    rows = zip(*columns, np.asarray(traj.invariant_residuals).tolist(), flags.tolist())
-    lines = [_CSV_HEADER]
-    lines.extend([_CSV_ROW % row for row in rows])
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = [s[name] for name in SAMPLE_FIELDS] + [traj.invariant_residuals]
+    _text.write_csv(path, _CSV_HEADER, columns, flags)
 
 
 def write_events_json(traj: Trajectory, path) -> None:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _text
 from .core import AggregateState, SystemParams
 from .dynamics import SAMPLE_FIELDS, Trajectory
 
@@ -272,9 +273,9 @@ def scale_channel(traj: Trajectory, coord: str, factor: float) -> Trajectory:
 
 
 def write_el_csv(report: ELResidualReport, path) -> None:
-    """Serialize a residual report: ``t,residual,excluded_flag`` rows."""
-    lines = ["t,residual,excluded_flag"]
-    for t, r, ex in zip(report.times, report.residuals, report.excluded):
-        lines.append(f"{t:.17g},{r:.17g},{1 if ex else 0}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Serialize a residual report: ``t,residual,excluded_flag`` rows.
+
+    Floats are ``%.17g`` (NaN as ``nan``), rendered column-wise by
+    `_text.g17` and written in chunks of `_text.CHUNK_ROWS` rows.
+    """
+    _text.write_csv(path, "t,residual,excluded_flag", [report.times, report.residuals], report.excluded)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _text
+
 _COLORS = ("#1a6fb5", "#c4443c", "#3d8d4e", "#8a5bb8")
 
 
@@ -18,6 +20,15 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     if hi == lo:
         hi = lo + 1.0
     return list(np.linspace(lo, hi, n))
+
+
+def _write_points(fh, x: np.ndarray, y: np.ndarray) -> None:
+    """Write polyline points ``x,y x,y ...`` at two decimals (``%.2f``),
+    rendered by `_text.f2` in chunks of `_text.CHUNK_ROWS` points."""
+    step = _text.CHUNK_ROWS
+    for i in range(0, len(x), step):
+        text = _text.rows([_text.f2(x[i:i + step]), _text.f2(y[i:i + step])], end=b" ")
+        fh.write(text if i + step < len(x) else text[:-1])
 
 
 def render_line_svg(
@@ -76,18 +87,20 @@ def render_line_svg(
         f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{ylabel}</text>'
     )
-    # data
-    for idx, (x, y, label) in enumerate(series):
-        color = _COLORS[idx % len(_COLORS)]
-        xy = zip(px(np.asarray(x, dtype=float)).tolist(), py(np.asarray(y, dtype=float)).tolist())
-        pts = " ".join(["%.2f,%.2f" % point for point in xy])
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        lx, ly = ml + pw - 130, mt + 16 + 16 * idx
-        parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{lx + 28}" y="{ly}">{label}</text>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    with open(path, "wb") as fh:
+        fh.write("".join(part + "\n" for part in parts).encode())
+        # data: the points go straight from the renderer to the file
+        for idx, (x, y, label) in enumerate(series):
+            color = _COLORS[idx % len(_COLORS)]
+            fh.write(b'<polyline points="')
+            _write_points(fh, px(np.asarray(x, dtype=float)), py(np.asarray(y, dtype=float)))
+            lx, ly = ml + pw - 130, mt + 16 + 16 * idx
+            fh.write(
+                f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
+                f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>\n'
+                f'<text x="{lx + 28}" y="{ly}">{label}</text>\n'.encode()
+            )
+        fh.write(b"</svg>\n")
 
 
 def trajectory_svg(traj, path) -> None:

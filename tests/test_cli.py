@@ -207,6 +207,14 @@ def test_check_unknown_name(tmp_path):
     assert run_cli("check", "--select", "bogus", "--out", str(tmp_path)) == 1
 
 
+@pytest.mark.parametrize("select", [",", "", " , ,"])
+def test_check_empty_selection_rejected(tmp_path, capsys, select):
+    out = tmp_path / "chk"
+    assert run_cli("check", "--select", select, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: --select:")
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_dt_convergence(tmp_path):
@@ -293,10 +301,15 @@ def test_version_flag_subprocess():
 
 
 def test_cli_import_does_not_load_scipy():
-    code = "import inertonsim.cli, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    # nor build the lazy tables of the text formatters: both would add to set-up
+    code = (
+        "import inertonsim.cli, sys; from inertonsim import _text; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'], "
+        "_text._pow10_table.cache_info().currsize, _text._layout_tables.cache_info().currsize)"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] 0 0"
 
 
 # --------------------------------------------------------------- exit codes

@@ -370,3 +370,39 @@ def test_step_map_is_rk4():
     table = dynamics._power_table(h, 3)
     assert np.allclose(dynamics._advance(table, y[:4], 1)[:, 0], rk4[:4], rtol=0, atol=1e-15)
     assert np.allclose(dynamics._partial(dynamics._taylor(y[:4]), h), rk4[:4], rtol=0, atol=1e-15)
+
+
+def test_power_table_of_one_period_keeps_the_blocks(natural, monkeypatch):
+    # after a reflection the next one is at most ceil(1/h) + 1 steps away, so
+    # the shorter table ends no block early: the samples are bitwise those of
+    # the full BLOCK_STEPS table
+    params, _ = natural
+    args = (params, 200.0 * params.T, params.T / 125.0)
+    short = integrate(*args)
+    sizes = []
+    full_table = dynamics._power_table
+
+    def full(h, size):
+        sizes.append(size)
+        return full_table(h, min(dynamics.BLOCK_STEPS, 200 * 125))
+
+    monkeypatch.setattr(dynamics, "_power_table", full)
+    full_run = integrate(*args)
+    assert sizes == [126]
+    assert short.samples.tobytes() == full_run.samples.tobytes()
+    assert short.invariant_residuals.tobytes() == full_run.invariant_residuals.tobytes()
+    assert [ev.t for ev in short.events] == [ev.t for ev in full_run.events]
+
+
+def test_trajectory_csv_writer_memory_does_not_grow_with_the_run(tmp_path, natural):
+    params, _ = natural
+    peaks = []
+    for periods in (10, 100):
+        traj = integrate(params, t_end=periods * params.T, dt=params.T / 1000.0)
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, tmp_path / f"run{periods}.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
