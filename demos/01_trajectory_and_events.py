@@ -21,8 +21,8 @@ traj = integrate(params, t_end=10.0 * params.T, dt=params.T / 1000.0)
 print(f"\nintegrated {len(traj.samples)} samples, {len(traj.events)} reflection events")
 
 print("\n   n   event time      offset from n*T")
-for n, ev in enumerate(traj.events, start=1):
-    print(f"  {n:2d}   {ev.t:.12f}   {ev.t - n * params.T:+.3e}")
+for n, t_ev in enumerate(traj.events, start=1):
+    print(f"  {n:2d}   {t_ev:.12f}   {t_ev - n * params.T:+.3e}")
 
 errs = oracle_errors(traj)
 print("\nagreement with the closed-form solution (scaled):")

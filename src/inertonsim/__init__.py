@@ -14,7 +14,6 @@ registry of verification checks.
 __version__ = "0.1.0"
 
 from .core import (
-    AggregateState,
     DerivedKinematics,
     SystemParams,
     coupling_coefficients,
@@ -25,7 +24,6 @@ from .core import (
 )
 from .dynamics import (
     DivergenceError,
-    ReflectionEvent,
     Trajectory,
     closed_form,
     closed_form_trajectory,
@@ -82,7 +80,6 @@ from .observables import (
 from .verification import CheckReport, registry_names, reports_to_json_lines, run_checks
 
 __all__ = [
-    "AggregateState",
     "CanonicalState",
     "CheckReport",
     "CrossSectionBounds",
@@ -92,7 +89,6 @@ __all__ = [
     "ELResidualReport",
     "OscillatorSpec",
     "QuantizedKinematics",
-    "ReflectionEvent",
     "ResonatorGeometry",
     "SPIN_DOWN",
     "SPIN_UP",

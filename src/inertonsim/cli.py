@@ -295,22 +295,34 @@ def _metadata(resolved, command, extra=None):
     return meta
 
 
+_NO_TRAJECTORY_JSON = (
+    "--format json: trajectory.json was removed; trajectory.csv holds the same columns at full precision"
+)
+
+
 def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
+    # compute everything before the first write: a ValueError or RuntimeError leaves out_dir untouched
     sim = resolved["simulation"]
+    outs = resolved["outputs"]
     traj = integrate(params, t_end=sim["t_end"], dt=sim["dt"])
     errs = oracle_errors(traj)
+    reports = []
+    if outs["el_residuals"]:
+        def lag(state):
+            return eval_lagrangian_aggregate_shifted(state, params)
+
+        try:
+            for coord, fname in (("particle", "el_particle.csv"), ("cloud", "el_cloud.csv")):
+                reports.append((el_residual(lag, traj, coord), fname))
+        except ValueError as exc:
+            raise ConfigError(f"outputs.el_residuals: {exc}") from None
+
     os.makedirs(out_dir, exist_ok=True)
-    outs = resolved["outputs"]
     written = []
     if outs["trajectory"]:
         csv_path = os.path.join(out_dir, "trajectory.csv")
         write_trajectory_csv(traj, csv_path)
         written.append(csv_path)
-        if fmt == "json":
-            arr = traj.as_arrays()
-            jpath = os.path.join(out_dir, "trajectory.json")
-            _write_json(jpath, {k: v.tolist() for k, v in arr.items()})
-            written.append(jpath)
         if fmt == "svg":
             for fname, fn in (("trajectory.svg", trajectory_svg), ("phase.svg", phase_plane_svg)):
                 spath = os.path.join(out_dir, fname)
@@ -320,15 +332,10 @@ def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
         epath = os.path.join(out_dir, "events.json")
         write_events_json(traj, epath)
         written.append(epath)
-    if outs["el_residuals"]:
-        def lag(state):
-            return eval_lagrangian_aggregate_shifted(state, params)
-
-        for coord, fname in (("particle", "el_particle.csv"), ("cloud", "el_cloud.csv")):
-            report = el_residual(lag, traj, coord)
-            rpath = os.path.join(out_dir, fname)
-            write_el_csv(report, rpath)
-            written.append(rpath)
+    for report, fname in reports:
+        rpath = os.path.join(out_dir, fname)
+        write_el_csv(report, rpath)
+        written.append(rpath)
 
     derived = {
         "system": params.to_dict(),
@@ -353,6 +360,8 @@ def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
 
 
 def cmd_simulate(ns):
+    if ns.format == "json":
+        raise ConfigError(_NO_TRAJECTORY_JSON)
     params, _, resolved = resolve_config(_gather_config(ns))
     _run_simulation(params, resolved, ns.out, ns.format)
     return 0
@@ -447,6 +456,8 @@ _SWEEP_METRICS = ("max_oracle_error", "max_invariant_residual", "cyclic_action",
 
 
 def cmd_sweep(ns):
+    if ns.format == "json":
+        raise ConfigError(_NO_TRAJECTORY_JSON)
     cfg = _gather_config(ns)
     axis = ns.axis
     if axis not in (_PARAM_KEYS | {"dt", "t_end"}) or axis == "m0":

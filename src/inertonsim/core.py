@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 __all__ = [
     "SystemParams",
     "DerivedKinematics",
-    "AggregateState",
     "derive_kinematics",
     "mass_from_deformation",
     "coupling_coefficients",
@@ -87,22 +86,6 @@ class DerivedKinematics:
             "p0": self.p0,
             "mean_drift": self.mean_drift,
         }
-
-
-@dataclass(frozen=True)
-class AggregateState:
-    """Instantaneous state of the pair: particle coordinate ``X`` and
-    velocity ``dXdt``, cloud separation ``x`` (a distance, so ``x >= 0``
-    up to event tolerance) and cloud velocity ``dxdt``."""
-
-    t: float
-    X: float
-    dXdt: float
-    x: float
-    dxdt: float
-
-    def with_(self, **kw) -> "AggregateState":
-        return replace(self, **kw)
 
 
 def _validate_base(M0: float, v0: float, c: float, T: float) -> None:

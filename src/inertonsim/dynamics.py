@@ -50,10 +50,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _text
-from .core import AggregateState, SystemParams
+from .core import SystemParams
 
 __all__ = [
-    "ReflectionEvent",
     "Trajectory",
     "DivergenceError",
     "GENERATOR",
@@ -99,18 +98,14 @@ GENERATOR = np.array(
 )
 GENERATOR.flags.writeable = False
 
+# A state is anything indexed by these names: a dict, a SAMPLE_DTYPE record
+# or array. The evaluators here and in `lagrangian` accept any of them.
 SAMPLE_FIELDS = ("t", "X", "dXdt", "x", "dxdt")
 SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in SAMPLE_FIELDS])
 
 
 class DivergenceError(RuntimeError):
     """Raised when the first-integral residual leaves the trust region."""
-
-
-@dataclass(frozen=True)
-class ReflectionEvent:
-    t: float
-    kind: str = "cloud_reflection"
 
 
 def _pack(t, X, dXdt, x, dxdt) -> np.ndarray:
@@ -128,15 +123,16 @@ class Trajectory:
     ``samples`` is a structured array of `SAMPLE_DTYPE` with the columns
     ``t, X, dXdt, x, dxdt`` (``samples["X"]`` is the particle coordinate
     column, ``samples[i]`` the i-th sample), ordered by strictly increasing
-    time, with ``x >= -1e-9 * Lam``. ``invariant_residuals`` is the array of
-    first-integral residuals per sample. ``metadata`` records how the run
-    was produced (grid and event tolerances) and is emitted verbatim by the
-    CLI.
+    time, with ``x >= -1e-9 * Lam``. ``events`` is the float64 array of
+    reflection times in increasing order. ``invariant_residuals`` is the
+    array of first-integral residuals per sample. ``metadata`` records how
+    the run was produced (grid and event tolerances) and is emitted
+    verbatim by the CLI.
     """
 
     params: SystemParams
     samples: np.ndarray
-    events: list[ReflectionEvent]
+    events: np.ndarray
     invariant_residuals: np.ndarray
     metadata: dict = field(default_factory=dict)
 
@@ -146,21 +142,22 @@ class Trajectory:
         return float(t[1] - t[0])
 
     def as_arrays(self) -> dict[str, np.ndarray]:
-        """Views of the sample columns plus ``invariant_residual``."""
+        """Views of the sample columns plus ``invariant_residual``.
+        Kept only because `bench/spans.py` patches it; goes with the tracer rewrite (ROADMAP item 4)."""
         out = {name: self.samples[name] for name in SAMPLE_FIELDS}
         out["invariant_residual"] = self.invariant_residuals
         return out
 
 
-def invariant_residual(s: AggregateState, p: SystemParams):
+def invariant_residual(s, p: SystemParams):
     """First integral of the coupled system, shifted to vanish on shell.
 
     The pair ``(1 - dXdt/v0, dxdt/c)`` rotates on the unit circle, so
     ``(1 - dXdt/v0)^2 + (dxdt/c)^2 - 1`` is conserved and equals zero on
     exact solutions. The fields of ``s`` may be scalars or arrays.
     """
-    a = 1.0 - s.dXdt / p.v0
-    b = s.dxdt / p.c
+    a = 1.0 - s["dXdt"] / p.v0
+    b = s["dxdt"] / p.c
     return a * a + b * b - 1.0
 
 
@@ -168,7 +165,7 @@ def invariant_residual(s: AggregateState, p: SystemParams):
 # Closed-form reference motion
 # ---------------------------------------------------------------------------
 
-def closed_form(t, p: SystemParams) -> AggregateState:
+def closed_form(t, p: SystemParams) -> dict:
     """Exact state at time ``t >= 0``, a scalar or an array of times.
 
     With ``k = floor(t/T)`` and ``frac = t/T - k`` the components are
@@ -180,8 +177,8 @@ def closed_form(t, p: SystemParams) -> AggregateState:
 
     which is algebraically identical to the textbook absolute-value form
     but free of cancellation, and lands on the post-reflection branch at
-    integer ``t/T`` because ``floor`` is right-continuous there. For an
-    array ``t`` every field of the result is an array of the same shape.
+    integer ``t/T`` because ``floor`` is right-continuous there. Returns a
+    state dict; for an array ``t`` every field is an array of its shape.
     """
     if np.any(np.asarray(t) < 0.0):
         raise ValueError(f"closed form is defined for t >= 0, got {np.min(t)}")
@@ -190,7 +187,7 @@ def closed_form(t, p: SystemParams) -> AggregateState:
     frac = ratio - k
     s = np.sin(np.pi * frac)
     co = np.cos(np.pi * frac)
-    return AggregateState(
+    return dict(
         t=t,
         X=p.v0 * t + (p.lam / np.pi) * (co - 1.0 - 2.0 * k),
         dXdt=p.v0 * (1.0 - s),
@@ -216,8 +213,8 @@ def closed_form_trajectory(p: SystemParams, t_end: float, n_per_period: int = 40
     n_events = math.floor(t_end / p.T + 1e-12)
     return Trajectory(
         params=p,
-        samples=_pack(ref.t, ref.X, ref.dXdt, ref.x, ref.dxdt),
-        events=[ReflectionEvent(t=j * p.T) for j in range(1, n_events + 1)],
+        samples=_pack(**ref),
+        events=np.arange(1, n_events + 1) * p.T,
         invariant_residuals=invariant_residual(ref, p),
         metadata={"mode": "closed_form", "dt": dt, "t_end": t_end},
     )
@@ -365,7 +362,7 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
     Y[:, 0] = (0.0, 1.0, 0.0, 1.0)
     residuals = np.empty(n_steps + 1)
     residuals[0] = 0.0
-    events: list[ReflectionEvent] = []
+    events = []
 
     def settle(lo, hi):
         a = 1.0 - Y[1, lo:hi]
@@ -388,7 +385,7 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
             raise RuntimeError(f"cloud separation stayed negative across step at t={i * dt}")
         rows = _taylor(Y[:, i])
         s = _crossing(rows, h)
-        events.append(ReflectionEvent(t=i * dt + s * p.T))
+        events.append(i * dt + s * p.T)
         y = _partial(rows, s)
         y[3] = -y[3]
         Y[:, i + 1] = _partial(_taylor(y), h - s)
@@ -404,7 +401,7 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
     if _advance(table, last, 1)[2, 0] < 0.0 <= last[2]:
         s = _crossing(_taylor(last), h)
         if s <= PROBE_WINDOW:
-            events.append(ReflectionEvent(t=n_steps * dt + s * p.T))
+            events.append(n_steps * dt + s * p.T)
 
     samples = _pack(np.arange(n_steps + 1) * dt, Y[0] * p.lam, Y[1] * p.v0, Y[2] * p.Lam, Y[3] * p.c)
     meta = {
@@ -417,7 +414,7 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
     return Trajectory(
         params=p,
         samples=samples,
-        events=events,
+        events=np.array(events, dtype=np.float64),
         invariant_residuals=residuals,
         metadata=meta,
     )
@@ -456,15 +453,15 @@ def oracle_errors(traj: Trajectory) -> dict[str, float]:
     p = traj.params
     s = traj.samples
     ref = closed_form(s["t"], p)
-    d_dxdt = np.abs(s["dxdt"] - ref.dxdt)
-    if traj.events:
-        near = _near_events(s["t"], [ev.t for ev in traj.events], 1.0e-6 * p.T)
-        other = np.abs(s["dxdt"] + ref.dxdt)
+    d_dxdt = np.abs(s["dxdt"] - ref["dxdt"])
+    if len(traj.events):
+        near = _near_events(s["t"], traj.events, 1.0e-6 * p.T)
+        other = np.abs(s["dxdt"] + ref["dxdt"])
         d_dxdt = np.where(near, np.minimum(d_dxdt, other), d_dxdt)
     out = {
-        "X": float(np.max(np.abs(s["X"] - ref.X)) / p.lam),
-        "dXdt": float(np.max(np.abs(s["dXdt"] - ref.dXdt)) / p.v0),
-        "x": float(np.max(np.abs(s["x"] - ref.x)) / p.Lam),
+        "X": float(np.max(np.abs(s["X"] - ref["X"])) / p.lam),
+        "dXdt": float(np.max(np.abs(s["dXdt"] - ref["dXdt"])) / p.v0),
+        "x": float(np.max(np.abs(s["x"] - ref["x"])) / p.Lam),
         "dxdt": float(np.max(d_dxdt) / p.c),
     }
     out["max"] = max(out.values())
@@ -489,10 +486,10 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     if len(s) > 1:
         dt = traj.dt
         t0 = s["t"][0]
-        for ev in traj.events:
+        for t_ev in traj.events:
             # an event localized within the 1e-6 T timing slack after a grid
             # point belongs to that sample, not the next interval
-            idx = math.ceil((ev.t - t0 - 1.0e-6 * traj.params.T) / dt)
+            idx = math.ceil((t_ev - t0 - 1.0e-6 * traj.params.T) / dt)
             if 0 <= idx < len(flags):
                 flags[idx] = 1
     columns = [s[name] for name in SAMPLE_FIELDS] + [traj.invariant_residuals]
@@ -500,8 +497,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def write_events_json(traj: Trajectory, path) -> None:
-    """Sidecar event list: ``{"events": [{"t": ..., "kind": ...}, ...]}``."""
-    doc = {"events": [{"t": ev.t, "kind": ev.kind} for ev in traj.events]}
+    """Sidecar event list: ``{"events": [{"t": ..., "kind": "cloud_reflection"}, ...]}``."""
+    doc = {"events": [{"t": t_ev, "kind": "cloud_reflection"} for t_ev in traj.events.tolist()]}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -20,12 +20,12 @@ excluded from the residual maximum and reported as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _text
-from .core import AggregateState, SystemParams
+from .core import SystemParams
 from .dynamics import SAMPLE_FIELDS, Trajectory
 
 __all__ = [
@@ -64,14 +64,14 @@ def eval_lagrangian_relativistic(v0: float, M0: float, c: float) -> float:
     return -M0 * c * c * math.sqrt(1.0 - (v0 / c) ** 2)
 
 
-def _bracket_aggregate(s: AggregateState, p: SystemParams):
+def _bracket_aggregate(s, p: SystemParams):
     """The coupling bracket inside the aggregate radicand."""
     w2 = 2.0 * math.pi / p.T
     root = math.sqrt(p.M0 * p.m0)
     return (
-        p.M0 * s.dXdt * s.dXdt
-        + p.m0 * s.dxdt * s.dxdt
-        - w2 * root * (s.X * s.dxdt + p.v0 * s.x)
+        p.M0 * s["dXdt"] * s["dXdt"]
+        + p.m0 * s["dxdt"] * s["dxdt"]
+        - w2 * root * (s["X"] * s["dxdt"] + p.v0 * s["x"])
     )
 
 
@@ -100,13 +100,13 @@ def _sqrt_form(bracket, p: SystemParams):
     return -(p.M0 * p.c * p.c) * np.sqrt(_radicand(bracket, p))
 
 
-def eval_lagrangian_aggregate(s: AggregateState, p: SystemParams):
+def eval_lagrangian_aggregate(s, p: SystemParams):
     """Aggregate pair Lagrangian, exact square-root form. The fields of
-    ``s`` may be scalars or equal-length arrays."""
+    state ``s`` may be scalars or equal-length arrays."""
     return _sqrt_form(_bracket_aggregate(s, p), p)
 
 
-def eval_lagrangian_aggregate_shifted(s: AggregateState, p: SystemParams):
+def eval_lagrangian_aggregate_shifted(s, p: SystemParams):
     """Aggregate Lagrangian shifted by the rest energy: the same function
     plus ``M0 c^2``, computed as ``bracket / (1 + sqrt(radicand))``.
 
@@ -127,20 +127,20 @@ def eval_lagrangian_canonical(s: CanonicalState, p: SystemParams) -> float:
     return _sqrt_form(_bracket_canonical(s, p), p)
 
 
-def kappa_transform(s: AggregateState, p: SystemParams) -> CanonicalState:
+def kappa_transform(s, p: SystemParams) -> CanonicalState:
     """Shift the cloud velocity by the particle coordinate term."""
     if p.m0 <= 0.0:
         raise ValueError(f"transform needs m0 > 0, got {p.m0}")
-    shift = (math.pi / p.T) * s.X * math.sqrt(p.M0 / p.m0)
-    return CanonicalState(t=s.t, X=s.X, dXdt=s.dXdt, kappa_rate=s.dxdt - shift, x=s.x)
+    shift = (math.pi / p.T) * s["X"] * math.sqrt(p.M0 / p.m0)
+    return CanonicalState(t=s["t"], X=s["X"], dXdt=s["dXdt"], kappa_rate=s["dxdt"] - shift, x=s["x"])
 
 
-def kappa_transform_inverse(s: CanonicalState, p: SystemParams) -> AggregateState:
-    """Undo `kappa_transform`."""
+def kappa_transform_inverse(s: CanonicalState, p: SystemParams) -> dict:
+    """Undo `kappa_transform`: the state as a dict of its five fields."""
     if p.m0 <= 0.0:
         raise ValueError(f"transform needs m0 > 0, got {p.m0}")
     shift = (math.pi / p.T) * s.X * math.sqrt(p.M0 / p.m0)
-    return AggregateState(t=s.t, X=s.X, dXdt=s.dXdt, x=s.x, dxdt=s.kappa_rate + shift)
+    return dict(t=s.t, X=s.X, dXdt=s.dXdt, x=s.x, dxdt=s.kappa_rate + shift)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +183,9 @@ def cloud_residual_scale(p: SystemParams) -> float:
 def el_residual(L, traj: Trajectory, coord: str, fd_step: float = 1.0e-6) -> ELResidualReport:
     """Euler-Lagrange residual of evaluator ``L`` along a trajectory.
 
-    ``L`` maps an `AggregateState` whose fields are equal-length arrays to
-    the array of Lagrangian values, elementwise (the evaluators in this
-    module do). ``coord`` selects the varied channel, ``"particle"`` for
+    ``L`` maps a state whose fields are equal-length arrays to the array
+    of Lagrangian values, elementwise (the evaluators in this module do).
+    ``coord`` selects the varied channel, ``"particle"`` for
     ``(X, dXdt)`` or ``"cloud"`` for ``(x, dxdt)``. ``fd_step`` is
     relative: the actual perturbation is ``fd_step`` times the channel's
     largest magnitude over the trajectory.
@@ -214,21 +214,17 @@ def el_residual(L, traj: Trajectory, coord: str, fd_step: float = 1.0e-6) -> ELR
     dqdot = fd_step * (float(np.max(np.abs(qdot))) or 1.0)
 
     # Conjugate momentum dL/dqdot at every sample, force dL/dq at interior ones.
-    state = AggregateState(**{name: samples[name] for name in SAMPLE_FIELDS})
-    momenta = (
-        L(replace(state, **{qdot_name: qdot + dqdot})) - L(replace(state, **{qdot_name: qdot - dqdot}))
-    ) / (2.0 * dqdot)
-    inner = AggregateState(**{name: samples[name][1:-1] for name in SAMPLE_FIELDS})
-    force = (
-        L(replace(inner, **{q_name: q[1:-1] + dq})) - L(replace(inner, **{q_name: q[1:-1] - dq}))
-    ) / (2.0 * dq)
+    cols = {name: samples[name] for name in SAMPLE_FIELDS}
+    momenta = (L({**cols, qdot_name: qdot + dqdot}) - L({**cols, qdot_name: qdot - dqdot})) / (2.0 * dqdot)
+    inner = {name: col[1:-1] for name, col in cols.items()}
+    force = (L({**inner, q_name: q[1:-1] + dq}) - L({**inner, q_name: q[1:-1] - dq})) / (2.0 * dq)
     residuals = (momenta[2:] - momenta[:-2]) / (2.0 * dt) - force
 
     times = t[1:-1]
     excluded = np.zeros(n - 2, dtype=bool)
     windows: list[tuple[float, float]] = []
-    for ev in traj.events:
-        j = int(round((ev.t - t[0]) / dt))
+    for t_ev in traj.events:
+        j = int(round((t_ev - t[0]) / dt))
         lo_idx = max(j - 5, 0)
         hi_idx = min(j + 5, n - 1)
         windows.append((t[lo_idx], t[hi_idx]))
@@ -266,7 +262,7 @@ def scale_channel(traj: Trajectory, coord: str, factor: float) -> Trajectory:
     return Trajectory(
         params=traj.params,
         samples=samples,
-        events=list(traj.events),
+        events=traj.events.copy(),
         invariant_residuals=traj.invariant_residuals.copy(),
         metadata={**traj.metadata, "corrupted": f"{coord} scaled by {factor}"},
     )

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import action as action_mod
 from . import dynamics, lagrangian, observables, spin
-from .core import AggregateState, SystemParams, derive_kinematics, natural_params
+from .core import SystemParams, derive_kinematics, natural_params
 
 __all__ = ["CheckReport", "run_checks", "registry_names", "reports_to_json_lines"]
 
@@ -150,7 +150,7 @@ def _check_transform_invariance(params, rng):
     p = params
     worst = 0.0
     for _ in range(200):
-        s = AggregateState(
+        s = dict(
             t=0.0,
             X=rng.uniform(-p.lam, p.lam),
             dXdt=rng.uniform(0.0, p.v0),

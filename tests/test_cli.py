@@ -129,12 +129,16 @@ def test_simulate_svg_format(tmp_path):
         assert body.startswith("<svg") and body.rstrip().endswith("</svg>")
 
 
-def test_simulate_json_format(tmp_path):
-    out = tmp_path / "run"
-    assert run_cli("simulate", "--preset", "natural", "--format", "json", "--out", str(out)) == 0
-    data = json.loads((out / "trajectory.json").read_text())
-    assert len(data["t"]) == 10001
-    assert data["dXdt"][0] == 1.0
+def test_simulate_json_format(tmp_path, capsys):
+    # the JSON trajectory file was removed; simulate and sweep refuse the format
+    # before they write anything
+    for argv in (("simulate",), ("sweep", "--axis", "dt", "--values", "0.001,0.002")):
+        out = tmp_path / argv[0]
+        assert run_cli(*argv, "--preset", "natural", "--format", "json", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --format json: trajectory.json was removed;"), err
+        assert "trajectory.csv holds the same columns at full precision" in err
+        assert not out.exists()
 
 
 def test_simulate_el_residual_files(tmp_path):
@@ -144,6 +148,20 @@ def test_simulate_el_residual_files(tmp_path):
     for name in ("el_particle.csv", "el_cloud.csv"):
         header = (out / name).read_text().splitlines()[0]
         assert header == "t,residual,excluded_flag"
+
+
+def test_simulate_el_residuals_past_validity_writes_nothing(tmp_path, capsys):
+    # the aggregate radicand turns negative near 43 T on the natural preset;
+    # the run is refused with the key named and no file in --out
+    out = tmp_path / "run"
+    cfg = write_cfg(
+        tmp_path / "c.json",
+        {"simulation": {"dt": 0.001, "t_end": 100.0}, "outputs": {"el_residuals": True}},
+    )
+    assert run_cli("simulate", "--preset", "natural", "--config", cfg, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: outputs.el_residuals: Lagrangian radicand is negative"), err
+    assert not out.exists() or not any(out.iterdir())
 
 
 # ------------------------------------------------------------------- derive

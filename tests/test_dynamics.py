@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from inertonsim import (
-    AggregateState,
     DivergenceError,
     closed_form,
     derive_kinematics,
@@ -28,26 +27,26 @@ from inertonsim.plotting import render_line_svg
 def test_closed_form_quarter_points(natural):
     params, _ = natural
     s = closed_form(0.5 * params.T, params)
-    assert s.dXdt == pytest.approx(0.0, abs=1e-15)
-    assert s.x == pytest.approx(params.Lam / math.pi, rel=1e-14)
-    assert s.dxdt == pytest.approx(0.0, abs=1e-14)
+    assert s["dXdt"] == pytest.approx(0.0, abs=1e-15)
+    assert s["x"] == pytest.approx(params.Lam / math.pi, rel=1e-14)
+    assert s["dxdt"] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_closed_form_one_period(natural):
     params, _ = natural
     s = closed_form(params.T, params)
-    assert s.X == pytest.approx(params.lam * (1.0 - 2.0 / math.pi), rel=1e-13)
-    assert s.X == pytest.approx(0.36338, rel=1e-4)
-    assert s.x == pytest.approx(0.0, abs=1e-12)
-    assert s.dXdt == pytest.approx(params.v0, rel=1e-13)
+    assert s["X"] == pytest.approx(params.lam * (1.0 - 2.0 / math.pi), rel=1e-13)
+    assert s["X"] == pytest.approx(0.36338, rel=1e-4)
+    assert s["x"] == pytest.approx(0.0, abs=1e-12)
+    assert s["dXdt"] == pytest.approx(params.v0, rel=1e-13)
 
 
 def test_closed_form_initial_conditions(natural):
     params, _ = natural
     s = closed_form(0.0, params)
-    assert (s.X, s.x) == (0.0, 0.0)
-    assert s.dXdt == params.v0
-    assert s.dxdt == params.c
+    assert (s["X"], s["x"]) == (0.0, 0.0)
+    assert s["dXdt"] == params.v0
+    assert s["dxdt"] == params.c
 
 
 def test_closed_form_rejects_negative_time(natural):
@@ -67,7 +66,7 @@ def test_mean_drift_matches_quadrature(natural):
     # brute-force quadrature of the closed-form velocity over one period
     params, kin = natural
     t = np.linspace(0.0, params.T, 20001)
-    v = np.array([closed_form(ti, params).dXdt for ti in t])
+    v = np.array([closed_form(ti, params)["dXdt"] for ti in t])
     drift = np.trapezoid(v, t)
     assert drift == pytest.approx(kin.mean_drift * params.T, rel=1e-8)
 
@@ -77,14 +76,14 @@ def test_mean_drift_matches_quadrature(natural):
 def _accelerations(s, p):
     """Physical (accel_X, accel_x) from the dimensionless generator: the
     velocity rows of A y, scaled by v0/T and c/T."""
-    y = np.array([s.X / p.lam, s.dXdt / p.v0, s.x / p.Lam, s.dxdt / p.c, 1.0])
+    y = np.array([s["X"] / p.lam, s["dXdt"] / p.v0, s["x"] / p.Lam, s["dxdt"] / p.c, 1.0])
     dy = GENERATOR @ y
     return dy[1] * p.v0 / p.T, dy[3] * p.c / p.T
 
 
 def test_rhs_at_start(natural):
     params, _ = natural
-    s = AggregateState(t=0.0, X=0.0, dXdt=params.v0, x=0.0, dxdt=params.c)
+    s = dict(t=0.0, X=0.0, dXdt=params.v0, x=0.0, dxdt=params.c)
     aX, ax = _accelerations(s, params)
     assert aX == pytest.approx(-math.pi * params.v0 / params.T, rel=1e-14)
     assert ax == pytest.approx(0.0, abs=1e-14)
@@ -92,7 +91,7 @@ def test_rhs_at_start(natural):
 
 def test_rhs_at_turning_point(natural):
     params, _ = natural
-    s = AggregateState(t=0.5, X=0.2, dXdt=0.0, x=params.Lam / math.pi, dxdt=0.0)
+    s = dict(t=0.5, X=0.2, dXdt=0.0, x=params.Lam / math.pi, dxdt=0.0)
     aX, ax = _accelerations(s, params)
     assert aX == pytest.approx(0.0, abs=1e-14)
     assert ax == pytest.approx(-math.pi * params.c / params.T, rel=1e-14)
@@ -108,10 +107,10 @@ def test_oracle_agreement_standard_run(natural, natural_traj):
 
 def test_ten_events_on_period_boundaries(natural, natural_traj):
     params, _ = natural
+    assert natural_traj.events.dtype == np.float64
     assert len(natural_traj.events) == 10
-    for n, ev in enumerate(natural_traj.events, start=1):
-        assert abs(ev.t - n * params.T) <= 1e-6 * params.T
-        assert ev.kind == "cloud_reflection"
+    for n, t_ev in enumerate(natural_traj.events, start=1):
+        assert abs(t_ev - n * params.T) <= 1e-6 * params.T
 
 
 def test_conservation_across_events(natural_traj):
@@ -166,8 +165,8 @@ def test_off_grid_events_still_found(natural):
     params, _ = natural
     traj = integrate(params, t_end=3.0 * params.T, dt=3.0 * params.T / 500.0)
     assert len(traj.events) == 3
-    for n, ev in enumerate(traj.events, start=1):
-        assert abs(ev.t - n * params.T) <= 1e-6 * params.T
+    for n, t_ev in enumerate(traj.events, start=1):
+        assert abs(t_ev - n * params.T) <= 1e-6 * params.T
 
 
 @settings(deadline=None, max_examples=15)
@@ -220,7 +219,7 @@ def test_events_json(tmp_path, natural):
     write_events_json(traj, path)
     data = json.loads(path.read_text())
     assert [e["kind"] for e in data["events"]] == ["cloud_reflection"] * 3
-    assert data["events"][0]["t"] == traj.events[0].t
+    assert [e["t"] for e in data["events"]] == traj.events.tolist()
 
 
 def test_closed_form_trajectory_marks_events(natural):
@@ -265,7 +264,7 @@ def test_trajectory_csv_matches_per_row_formatter(tmp_path, natural):
     traj = dynamics.Trajectory(
         params=params,
         samples=samples,
-        events=[dynamics.ReflectionEvent(t=0.25), dynamics.ReflectionEvent(t=0.4 + 1e-7)],
+        events=np.array([0.25, 0.4 + 1e-7]),
         invariant_residuals=residuals,
     )
     path = tmp_path / "cols.csv"
@@ -324,20 +323,20 @@ def test_oracle_errors_match_dense_definition(short_run, grid_events, free_event
     t = s["t"]
     times = [float(t[i]) + off for i, off in grid_events] + free_events
     if keep_own:
-        times += [ev.t for ev in short_run.events]
-    traj = dataclasses.replace(short_run, events=[dynamics.ReflectionEvent(t=v) for v in times])
+        times += short_run.events.tolist()
+    traj = dataclasses.replace(short_run, events=np.array(times, dtype=np.float64))
 
     ref = closed_form(t, p)
-    d_dxdt = np.abs(s["dxdt"] - ref.dxdt)
+    d_dxdt = np.abs(s["dxdt"] - ref["dxdt"])
     if times:
         ev = np.array(times)
         near = np.min(np.abs(t[:, None] - ev[None, :]), axis=1) <= 1.0e-6 * p.T
-        other = np.abs(s["dxdt"] + ref.dxdt)
+        other = np.abs(s["dxdt"] + ref["dxdt"])
         d_dxdt = np.where(near, np.minimum(d_dxdt, other), d_dxdt)
     dense = {
-        "X": float(np.max(np.abs(s["X"] - ref.X)) / p.lam),
-        "dXdt": float(np.max(np.abs(s["dXdt"] - ref.dXdt)) / p.v0),
-        "x": float(np.max(np.abs(s["x"] - ref.x)) / p.Lam),
+        "X": float(np.max(np.abs(s["X"] - ref["X"])) / p.lam),
+        "dXdt": float(np.max(np.abs(s["dXdt"] - ref["dXdt"])) / p.v0),
+        "x": float(np.max(np.abs(s["x"] - ref["x"])) / p.Lam),
         "dxdt": float(np.max(d_dxdt) / p.c),
     }
     dense["max"] = max(dense.values())
@@ -391,7 +390,7 @@ def test_power_table_of_one_period_keeps_the_blocks(natural, monkeypatch):
     assert sizes == [126]
     assert short.samples.tobytes() == full_run.samples.tobytes()
     assert short.invariant_residuals.tobytes() == full_run.invariant_residuals.tobytes()
-    assert [ev.t for ev in short.events] == [ev.t for ev in full_run.events]
+    assert short.events.tobytes() == full_run.events.tobytes()
 
 
 def test_trajectory_csv_writer_memory_does_not_grow_with_the_run(tmp_path, natural):

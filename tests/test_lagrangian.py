@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from inertonsim import (
-    AggregateState,
     closed_form,
     derive_kinematics,
     el_residual,
@@ -19,7 +18,7 @@ from inertonsim import (
     scale_channel,
     write_el_csv,
 )
-from inertonsim.dynamics import closed_form_trajectory
+from inertonsim.dynamics import SAMPLE_DTYPE, closed_form_trajectory, invariant_residual
 from inertonsim.lagrangian import cloud_residual_scale, particle_residual_scale
 
 
@@ -36,7 +35,7 @@ def test_relativistic_point_six():
 
 def test_aggregate_plug_in():
     params = _m0_override(1.0, 1.0, 10.0, 1.0, m0=0.01)
-    s = AggregateState(t=0.0, X=0.0, dXdt=1.0, x=0.0, dxdt=0.0)
+    s = dict(t=0.0, X=0.0, dXdt=1.0, x=0.0, dxdt=0.0)
     val = eval_lagrangian_aggregate(s, params)
     assert val == pytest.approx(-100.0 * math.sqrt(1.0 - 0.01), rel=1e-14)
 
@@ -52,7 +51,7 @@ def test_aggregate_at_contact(natural):
 
 def test_aggregate_all_zero_state(natural):
     params, _ = natural
-    s = AggregateState(t=0.0, X=0.0, dXdt=0.0, x=0.0, dxdt=0.0)
+    s = dict(t=0.0, X=0.0, dXdt=0.0, x=0.0, dxdt=0.0)
     assert eval_lagrangian_aggregate(s, params) == -params.M0 * params.c ** 2
 
 
@@ -71,7 +70,7 @@ def test_canonical_static_displacement(natural):
 
 def test_imaginary_radicand_rejected(natural):
     params, _ = natural
-    s = AggregateState(t=0.0, X=0.0, dXdt=10.5, x=0.0, dxdt=0.0)
+    s = dict(t=0.0, X=0.0, dXdt=10.5, x=0.0, dxdt=0.0)
     with pytest.raises(ValueError):
         eval_lagrangian_aggregate(s, params)
 
@@ -86,17 +85,37 @@ def test_shift_preserves_el_structure(natural):
 
 def test_kappa_rate_example():
     params = _m0_override(1.0, 0.5, 1.0, 1.0, m0=1.0)
-    s = AggregateState(t=0.0, X=1.0, dXdt=0.0, x=0.0, dxdt=5.0)
+    s = dict(t=0.0, X=1.0, dXdt=0.0, x=0.0, dxdt=5.0)
     cs = kappa_transform(s, params)
     assert cs.kappa_rate == pytest.approx(5.0 - math.pi, rel=1e-14)
 
 
 def test_kappa_roundtrip_bitwise(natural):
     params, _ = natural
-    s = AggregateState(t=0.2, X=0.11, dXdt=0.7, x=1.3, dxdt=-4.0)
+    s = dict(t=0.2, X=0.11, dXdt=0.7, x=1.3, dxdt=-4.0)
     back = kappa_transform_inverse(kappa_transform(s, params), params)
-    assert back.dxdt == s.dxdt
-    assert back.x == s.x
+    assert back["dxdt"] == s["dxdt"]
+    assert back["x"] == s["x"]
+
+
+def test_state_protocol_dict_record_and_row_agree(natural):
+    # a state is anything indexed by the five field names: a dict, a
+    # SAMPLE_DTYPE record or a one-row sample array give the same bits
+    params, _ = natural
+    fields = dict(t=0.2, X=0.11, dXdt=0.7, x=1.3, dxdt=-4.0)
+    row = np.empty(1, dtype=SAMPLE_DTYPE)
+    for name, value in fields.items():
+        row[name] = value
+    states = (fields, row[0], row)
+
+    def bits(value):
+        return np.asarray(value, dtype=np.float64).reshape(-1).tobytes()
+
+    for fn in (eval_lagrangian_aggregate_shifted, invariant_residual):
+        assert len({bits(fn(s, params)) for s in states}) == 1, fn.__name__
+    canon = [kappa_transform(s, params) for s in states]
+    for name in ("t", "X", "dXdt", "kappa_rate", "x"):
+        assert len({bits(getattr(cs, name)) for cs in canon}) == 1, name
 
 
 def test_transform_invariance_at_half_period(natural):
@@ -112,7 +131,7 @@ def test_transform_invariance_random_states(natural):
     rng = np.random.default_rng(11)
     checked = 0
     for _ in range(300):
-        s = AggregateState(
+        s = dict(
             t=0.0,
             X=rng.uniform(-params.lam, params.lam),
             dXdt=rng.uniform(0.0, params.v0),
@@ -203,21 +222,21 @@ def test_el_csv_output(tmp_path, slow_regime):
 
 
 def test_el_residual_matches_per_sample_loop(slow_regime):
-    # the scalar loop the array form replaced: one AggregateState per sample
+    # the scalar loop the array form replaced: one dict of floats per sample
     params, traj, L = slow_regime
     short = dataclasses.replace(traj, samples=traj.samples[:300], events=traj.events[:0])
-    rows = [AggregateState(*(float(v) for v in row)) for row in short.samples.tolist()]
-    dX = 1e-6 * max(abs(s.X) for s in rows)
-    dV = 1e-6 * max(abs(s.dXdt) for s in rows)
-    dt = rows[1].t - rows[0].t
+    rows = [dict(zip(short.samples.dtype.names, row)) for row in short.samples.tolist()]
+    dX = 1e-6 * max(abs(s["X"]) for s in rows)
+    dV = 1e-6 * max(abs(s["dXdt"]) for s in rows)
+    dt = rows[1]["t"] - rows[0]["t"]
     momenta = [
-        (L(dataclasses.replace(s, dXdt=s.dXdt + dV)) - L(dataclasses.replace(s, dXdt=s.dXdt - dV))) / (2.0 * dV)
+        (L({**s, "dXdt": s["dXdt"] + dV}) - L({**s, "dXdt": s["dXdt"] - dV})) / (2.0 * dV)
         for s in rows
     ]
     expected = []
     for i in range(1, len(rows) - 1):
         s = rows[i]
-        force = (L(dataclasses.replace(s, X=s.X + dX)) - L(dataclasses.replace(s, X=s.X - dX))) / (2.0 * dX)
+        force = (L({**s, "X": s["X"] + dX}) - L({**s, "X": s["X"] - dX})) / (2.0 * dX)
         expected.append((momenta[i + 1] - momenta[i - 1]) / (2.0 * dt) - force)
     report = el_residual(L, short, "particle")
     assert report.residuals.tolist() == expected
