@@ -323,11 +323,11 @@ def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
         csv_path = os.path.join(out_dir, "trajectory.csv")
         write_trajectory_csv(traj, csv_path)
         written.append(csv_path)
-        if fmt == "svg":
-            for fname, fn in (("trajectory.svg", trajectory_svg), ("phase.svg", phase_plane_svg)):
-                spath = os.path.join(out_dir, fname)
-                fn(traj, spath)
-                written.append(spath)
+    if fmt == "svg":
+        for fname, fn in (("trajectory.svg", trajectory_svg), ("phase.svg", phase_plane_svg)):
+            spath = os.path.join(out_dir, fname)
+            fn(traj, spath)
+            written.append(spath)
     if outs["events"]:
         epath = os.path.join(out_dir, "events.json")
         write_events_json(traj, epath)

@@ -34,7 +34,10 @@ partial step of length ``s`` is the quartic ``sum_k (A^k y) s^k / k!``, and
 Newton's method on its ``x`` component, started from the linear guess,
 locates the crossing to ``|x| <= 1e-12 * Lam``. The remainder of the step
 is then taken from the reflected state, so samples stay on the grid, and
-the next block starts from there.
+the next block starts from there. Event location and the reset run on
+Python floats, a handful of scalar operations per reflection, while the
+blocks stay vectorized; the first-integral residuals and the divergence
+guard on them are computed once per run, after the last block.
 
 The exact motion is known in closed form and `closed_form` evaluates it,
 with the branch at contact instants ``t = n T`` resolved to the right
@@ -43,7 +46,6 @@ with the branch at contact instants ``t = n T`` resolved to the right
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -72,7 +74,7 @@ EVENT_X_TOL = 1.0e-12       # Newton target on |x|, in units of Lam
 EVENT_SLACK = 1.0e-9        # samples may sit this far below x=0, in units of Lam
 # A crossing whose true time is exactly t_end can land slightly past it
 # numerically: the integrator's phase lag grows like dt**4 and reaches
-# ~2e-8 T per ten periods at the coarsest admissible step (T/100). The
+# about 8.1e-8 T per ten periods at the coarsest admissible step (T/100). The
 # trailing probe therefore accepts an event up to 1e-6 T past t_end, the
 # same timing tolerance the event checks themselves use.
 PROBE_WINDOW = 1.0e-6       # accept a trailing event up to this far past t_end, in units of T
@@ -254,29 +256,44 @@ def _advance(table: np.ndarray, y, m: int) -> np.ndarray:
     )
 
 
-def _taylor(y) -> np.ndarray:
-    """Rows ``A^k y / k!``, k = 0..4: the partial RK4 step of length ``s``
-    from ``y`` is ``sum_k row_k s^k``."""
-    rows = np.empty((5, 5))
-    rows[0, :4] = y
-    rows[0, 4] = 1.0
+def _taylor(y) -> tuple:
+    """Rows ``A^k y / k!``, k = 0..4, as tuples of five floats: the partial
+    RK4 step of length ``s`` from ``y`` is ``sum_k row_k s^k``.
+
+    Row k is ``GENERATOR @ row_{k-1} / k`` bit for bit, written out with the
+    generator's zero entries dropped. The matrix-vector product sums its
+    terms from +0.0, so each sum here starts from ``0.0 +`` as well: that
+    turns a -0.0 into +0.0 exactly where the product does.
+    """
+    row = (*y, 1.0)
+    rows = [row]
     for k in range(1, 5):
-        rows[k] = GENERATOR @ rows[k - 1] / k
-    return rows
+        _, a1, _, a3, a4 = row
+        row = (
+            (0.0 + a1) / k,
+            (0.0 + -math.pi * a3) / k,
+            (0.0 + a3) / k,
+            (0.0 + math.pi * a1 + -math.pi * a4) / k,
+            0.0,
+        )
+        rows.append(row)
+    return tuple(rows)
 
 
-def _partial(rows: np.ndarray, s: float) -> np.ndarray:
-    return (rows[0] + s * (rows[1] + s * (rows[2] + s * (rows[3] + s * rows[4]))))[:4]
+def _partial(rows: tuple, s: float) -> tuple:
+    """State ``(xi, V, chi, U)`` a partial step ``s`` on: the Horner sum of `_taylor` rows."""
+    r0, r1, r2, r3, r4 = rows
+    return tuple(r0[j] + s * (r1[j] + s * (r2[j] + s * (r3[j] + s * r4[j]))) for j in range(4))
 
 
-def _crossing(rows: np.ndarray, h: float) -> float:
+def _crossing(rows: tuple, h: float) -> float:
     """Partial step ``s`` in ``[0, h]`` at which the separation vanishes.
 
     Newton on the quartic ``chi(s)`` from the linear guess, kept inside the
     bracket ``chi(lo) >= 0 > chi(hi)`` by a bisection fallback, until
     ``|chi| <= EVENT_X_TOL``.
     """
-    c0, c1, c2, c3, c4 = rows[:, 2].tolist()
+    c0, c1, c2, c3, c4 = (row[2] for row in rows)
 
     def chi(s):
         return c0 + s * (c1 + s * (c2 + s * (c3 + s * c4)))
@@ -346,7 +363,8 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
     Raises `DivergenceError` if the first-integral residual ever exceeds
     1e-3 (or is not a number), which signals an integration failure rather
     than physics, and `RuntimeError` if the separation stays negative
-    across a whole step.
+    across a whole step. Both are raised only after the last block, from
+    the samples written, and a divergence is reported first.
     """
     n_steps = step_count(p.T, t_end, dt)
 
@@ -357,18 +375,10 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
     table = _power_table(h, min(BLOCK_STEPS, n_steps, math.ceil(1.0 / h) + 1))
     block = table.shape[2]
 
-    # Dimensionless state columns (xi, V, chi, U) and residuals per sample.
+    # Dimensionless state columns (xi, V, chi, U) per sample.
     Y = np.empty((4, n_steps + 1))
     Y[:, 0] = (0.0, 1.0, 0.0, 1.0)
-    residuals = np.empty(n_steps + 1)
-    residuals[0] = 0.0
     events = []
-
-    def settle(lo, hi):
-        a = 1.0 - Y[1, lo:hi]
-        U = Y[3, lo:hi]
-        residuals[lo:hi] = a * a + U * U - 1.0
-        _guard(residuals, lo, hi, dt)
 
     i = 0
     while i < n_steps:
@@ -376,21 +386,26 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
         below = np.flatnonzero(states[2] < 0.0)
         k = int(below[0]) if below.size else states.shape[1]
         Y[:, i + 1:i + 1 + k] = states[:, :k]
-        settle(i + 1, i + 1 + k)
         i += k
         if not below.size:
             continue
         # Step i -> i+1 crosses the guard.
         if Y[2, i] < 0.0:
-            raise RuntimeError(f"cloud separation stayed negative across step at t={i * dt}")
-        rows = _taylor(Y[:, i])
+            break
+        rows = _taylor(Y[:, i].tolist())
         s = _crossing(rows, h)
         events.append(i * dt + s * p.T)
-        y = _partial(rows, s)
-        y[3] = -y[3]
-        Y[:, i + 1] = _partial(_taylor(y), h - s)
-        settle(i + 1, i + 2)
+        xi, V, chi, U = _partial(rows, s)
+        Y[:, i + 1] = _partial(_taylor((xi, V, chi, -U)), h - s)
         i += 1
+
+    # Residuals of samples 0..i, where i < n_steps only after the break
+    # above; the one at t = 0 comes out exactly 0.0.
+    V, U = Y[1, :i + 1], Y[3, :i + 1]
+    residuals = (1.0 - V) ** 2 + U ** 2 - 1.0
+    _guard(residuals, 1, i + 1, dt)
+    if i < n_steps:
+        raise RuntimeError(f"cloud separation stayed negative across step at t={i * dt}")
 
     # Trailing probe: the discretized crossing of the final period can land a
     # hair past t_end (fourth-order phase lag, ~1e-11 T over ten periods). One
@@ -399,7 +414,7 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
     # added.
     last = Y[:, n_steps]
     if _advance(table, last, 1)[2, 0] < 0.0 <= last[2]:
-        s = _crossing(_taylor(last), h)
+        s = _crossing(_taylor(last.tolist()), h)
         if s <= PROBE_WINDOW:
             events.append(n_steps * dt + s * p.T)
 
@@ -497,8 +512,16 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def write_events_json(traj: Trajectory, path) -> None:
-    """Sidecar event list: ``{"events": [{"t": ..., "kind": "cloud_reflection"}, ...]}``."""
-    doc = {"events": [{"t": t_ev, "kind": "cloud_reflection"} for t_ev in traj.events.tolist()]}
+    """Sidecar event list: ``{"events": [{"t": ..., "kind": "cloud_reflection"}, ...]}``.
+
+    The text is that of ``json.dump(doc, fh, indent=2)`` plus a newline,
+    written out directly; event times are finite, and ``repr`` is how
+    `json` renders a finite float.
+    """
+    items = ",\n".join(
+        f'    {{\n      "t": {t_ev!r},\n      "kind": "cloud_reflection"\n    }}'
+        for t_ev in traj.events.tolist()
+    )
+    listing = f"[\n{items}\n  ]" if items else "[]"
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(f'{{\n  "events": {listing}\n}}\n')

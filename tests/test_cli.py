@@ -129,6 +129,18 @@ def test_simulate_svg_format(tmp_path):
         assert body.startswith("<svg") and body.rstrip().endswith("</svg>")
 
 
+def test_simulate_svg_format_without_trajectory_csv(tmp_path):
+    # outputs.trajectory gates trajectory.csv only; --format svg still plots
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path / "c.json", {"outputs": {"trajectory": False}})
+    argv = ("simulate", "--preset", "natural", "--config", cfg, "--format", "svg", "--out", str(out))
+    assert run_cli(*argv) == 0
+    for name in ("trajectory.svg", "phase.svg"):
+        body = (out / name).read_text()
+        assert body.startswith("<svg") and body.rstrip().endswith("</svg>")
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_simulate_json_format(tmp_path, capsys):
     # the JSON trajectory file was removed; simulate and sweep refuse the format
     # before they write anything

@@ -222,6 +222,25 @@ def test_events_json(tmp_path, natural):
     assert [e["t"] for e in data["events"]] == traj.events.tolist()
 
 
+@pytest.mark.parametrize(
+    "times",
+    [(), (123456789.123,), (5e-324, 1e-300, 0.1 + 0.2), (0.5, 1e16, 1e22)],
+)
+def test_events_json_bytes_match_json_dump(tmp_path, natural, times):
+    # every repr form: subnormal, tiny exponent, 17 digits, 1e16, plain decimal
+    params, _ = natural
+    traj = dynamics.Trajectory(
+        params=params,
+        samples=np.empty(0, dtype=dynamics.SAMPLE_DTYPE),
+        events=np.array(times, dtype=np.float64),
+        invariant_residuals=np.empty(0),
+    )
+    path = tmp_path / "events.json"
+    write_events_json(traj, path)
+    doc = {"events": [{"t": t, "kind": "cloud_reflection"} for t in times]}
+    assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+
+
 def test_closed_form_trajectory_marks_events(natural):
     params, _ = natural
     traj = closed_form_trajectory(params, t_end=2.0 * params.T, n_per_period=500)
@@ -369,6 +388,42 @@ def test_step_map_is_rk4():
     table = dynamics._power_table(h, 3)
     assert np.allclose(dynamics._advance(table, y[:4], 1)[:, 0], rk4[:4], rtol=0, atol=1e-15)
     assert np.allclose(dynamics._partial(dynamics._taylor(y[:4]), h), rk4[:4], rtol=0, atol=1e-15)
+
+
+def _taylor_reference(y):
+    rows = np.empty((5, 5))
+    rows[0, :4] = y
+    rows[0, 4] = 1.0
+    for k in range(1, 5):
+        rows[k] = GENERATOR @ rows[k - 1] / k
+    return rows
+
+
+_components = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    st.builds(
+        lambda sign, exponent: sign * 10.0 ** exponent,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(min_value=-300.0, max_value=300.0),
+    ),
+)
+
+
+@settings(max_examples=500)
+@given(y=st.lists(_components, min_size=4, max_size=4), s=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+@example(y=[-0.0, -0.0, -0.0, -0.0], s=0.0)
+@example(y=[0.0, -0.0, 0.0, -0.0], s=1e-2)
+@example(y=[-1.5, -0.0, 2.0, -0.0], s=0.5)
+def test_scalar_taylor_and_partial_match_numpy_bitwise(y, s):
+    # the scalar rows and Horner sum against the numpy product they replace,
+    # signed zeros included
+    ref = _taylor_reference(y)
+    rows = dynamics._taylor(y)
+    assert all(type(v) is float for row in rows for v in row)
+    assert np.array(rows).view(np.int64).tolist() == ref.view(np.int64).tolist()
+    partial = (ref[0] + s * (ref[1] + s * (ref[2] + s * (ref[3] + s * ref[4]))))[:4]
+    assert np.array(dynamics._partial(rows, s)).view(np.int64).tolist() == partial.view(np.int64).tolist()
 
 
 def test_power_table_of_one_period_keeps_the_blocks(natural, monkeypatch):
