@@ -23,6 +23,12 @@ top level is itself a valid config (unknown keys are ignored on load), so
 re-running with ``--config <out>/metadata.json`` reproduces the run exactly,
 bitwise identical CSV included.
 
+Every command computes and renders all of its files before it writes them
+through one helper, so an exit 1 (validation) or 2 (runtime failure) leaves
+--out untouched. A failed check or sweep row is a result, not an aborted run:
+``check`` and ``sweep`` still write their reports and exit 2. A malformed
+section that ``sweep --axis`` edits exits 1 before any case runs.
+
 Exit codes: 0 success, 1 validation error, 2 runtime or check failure,
 3 I/O error.
 """
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -116,7 +123,7 @@ def load_config(path):
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, bytes that are not UTF-8, deep nesting
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -280,11 +287,52 @@ def _gather_config(ns):
     return cfg
 
 
-def _write_json(path, obj):
-    # serialise first: a NaN or infinity raises ValueError before the file opens
-    text = json.dumps(obj, indent=2, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def _json(name, obj):
+    """``obj`` as indented JSON text; a NaN or infinity raises a ValueError
+    that names the file ``name`` and the value's path in ``obj``."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{name}: {_non_finite(obj) or exc}") from None
+
+
+def _non_finite(obj, path=""):
+    """``"<path> is <value>"`` for the first NaN or infinity in ``obj``."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else f"{path} is {obj}"
+    if isinstance(obj, (list, tuple)):
+        obj = dict(enumerate(obj))
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            found = _non_finite(val, f"{path}.{key}" if path else str(key))
+            if found:
+                return found
+    return None
+
+
+def _csv(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write_files(out_dir, files):
+    """Create ``out_dir`` and write the ``(name, content)`` pairs in order;
+    ``content`` is the file's text or a function that writes the path it is
+    given. Returns the written paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for name, content in files:
+        path = os.path.join(out_dir, name)
+        if callable(content):
+            content(path)
+        else:
+            with open(path, "w", newline="") as fh:
+                fh.write(content)
+        paths.append(path)
+    return paths
 
 
 def _metadata(resolved, command, extra=None):
@@ -301,41 +349,29 @@ _NO_TRAJECTORY_JSON = (
 
 
 def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
-    # compute everything before the first write: a ValueError or RuntimeError leaves out_dir untouched
+    # compute and render every file before the first write: a ValueError or RuntimeError leaves out_dir untouched
     sim = resolved["simulation"]
     outs = resolved["outputs"]
     traj = integrate(params, t_end=sim["t_end"], dt=sim["dt"])
     errs = oracle_errors(traj)
-    reports = []
+    files = []
+    if outs["trajectory"]:
+        files.append(("trajectory.csv", lambda path: write_trajectory_csv(traj, path)))
+    if fmt == "svg":
+        files.append(("trajectory.svg", lambda path: trajectory_svg(traj, path)))
+        files.append(("phase.svg", lambda path: phase_plane_svg(traj, path)))
+    if outs["events"]:
+        files.append(("events.json", lambda path: write_events_json(traj, path)))
     if outs["el_residuals"]:
         def lag(state):
             return eval_lagrangian_aggregate_shifted(state, params)
 
         try:
-            for coord, fname in (("particle", "el_particle.csv"), ("cloud", "el_cloud.csv")):
-                reports.append((el_residual(lag, traj, coord), fname))
+            for coord in ("particle", "cloud"):
+                report = el_residual(lag, traj, coord)
+                files.append((f"el_{coord}.csv", lambda path, report=report: write_el_csv(report, path)))
         except ValueError as exc:
             raise ConfigError(f"outputs.el_residuals: {exc}") from None
-
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if outs["trajectory"]:
-        csv_path = os.path.join(out_dir, "trajectory.csv")
-        write_trajectory_csv(traj, csv_path)
-        written.append(csv_path)
-    if fmt == "svg":
-        for fname, fn in (("trajectory.svg", trajectory_svg), ("phase.svg", phase_plane_svg)):
-            spath = os.path.join(out_dir, fname)
-            fn(traj, spath)
-            written.append(spath)
-    if outs["events"]:
-        epath = os.path.join(out_dir, "events.json")
-        write_events_json(traj, epath)
-        written.append(epath)
-    for report, fname in reports:
-        rpath = os.path.join(out_dir, fname)
-        write_el_csv(report, rpath)
-        written.append(rpath)
 
     derived = {
         "system": params.to_dict(),
@@ -345,9 +381,8 @@ def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
         "max_invariant_residual": float(np.max(np.abs(traj.invariant_residuals))),
         "integrator": traj.metadata,
     }
-    meta_path = os.path.join(out_dir, "metadata.json")
-    _write_json(meta_path, _metadata(resolved, "simulate", derived))
-    written.append(meta_path)
+    files.append(("metadata.json", _json("metadata.json", _metadata(resolved, "simulate", derived))))
+    written = _write_files(out_dir, files)
     if not quiet:
         print(
             f"simulate: {derived['n_samples']} samples, {derived['n_events']} events, "
@@ -397,18 +432,14 @@ def cmd_derive(ns):
             "ratio": geo.ratio,
         },
     }
-    os.makedirs(ns.out, exist_ok=True)
-    jpath = os.path.join(ns.out, "derived.json")
-    _write_json(jpath, payload)
-    _write_json(os.path.join(ns.out, "metadata.json"), _metadata(resolved, "derive"))
+    files = [
+        ("derived.json", _json("derived.json", payload)),
+        ("metadata.json", _json("metadata.json", _metadata(resolved, "derive"))),
+    ]
     if ns.format == "csv":
-        cpath = os.path.join(ns.out, "derived.csv")
-        with open(cpath, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["group", "name", "value"])
-            for group, block in payload.items():
-                for name, value in block.items():
-                    writer.writerow([group, name, f"{value:.17g}"])
+        rows = [[group, name, f"{value:.17g}"] for group, block in payload.items() for name, value in block.items()]
+        files.append(("derived.csv", _csv(["group", "name", "value"], rows)))
+    jpath = _write_files(ns.out, files)[0]
     print(
         f"derive: lambda={quant.lambda_dB:.6e}  Lambda={quant.Lambda:.6e}  "
         f"T={quant.T:.6e}  nu={quant.nu:.6e}"
@@ -428,23 +459,16 @@ def cmd_check(ns):
         if not selection:
             raise ConfigError("--select: no check names given; omit --select to run all checks")
     reports = run_checks(selection=selection, params=params, seed=resolved["seed"])
-    os.makedirs(ns.out, exist_ok=True)
-    rpath = os.path.join(ns.out, "report.jsonl")
-    with open(rpath, "w") as fh:
-        fh.write(reports_to_json_lines(reports))
+    files = [("report.jsonl", reports_to_json_lines(reports))]
     if ns.format == "csv":
-        cpath = os.path.join(ns.out, "report.csv")
-        with open(cpath, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["name", "status", "measured", "tolerance", "runtime_s"])
-            for rep in reports:
-                writer.writerow(
-                    [rep.name, rep.status, f"{rep.measured:.17g}", f"{rep.tolerance:.17g}", f"{rep.runtime_s:.3f}"]
-                )
-    _write_json(
-        os.path.join(ns.out, "metadata.json"),
-        _metadata(resolved, "check", {"selection": selection or list(registry_names())}),
-    )
+        rows = [
+            [rep.name, rep.status, f"{rep.measured:.17g}", f"{rep.tolerance:.17g}", f"{rep.runtime_s:.3f}"]
+            for rep in reports
+        ]
+        files.append(("report.csv", _csv(["name", "status", "measured", "tolerance", "runtime_s"], rows)))
+    meta = _metadata(resolved, "check", {"selection": selection or list(registry_names())})
+    files.append(("metadata.json", _json("metadata.json", meta)))
+    rpath = _write_files(ns.out, files)[0]
     for rep in reports:
         print(f"{rep.status:4s}  {rep.name:24s}  measured={rep.measured:.3e}  tol={rep.tolerance:.3e}")
     n_fail = sum(1 for rep in reports if not rep.passed)
@@ -460,7 +484,7 @@ def cmd_sweep(ns):
         raise ConfigError(_NO_TRAJECTORY_JSON)
     cfg = _gather_config(ns)
     axis = ns.axis
-    if axis not in (_PARAM_KEYS | {"dt", "t_end"}) or axis == "m0":
+    if axis not in (_PARAM_KEYS | _SIM_KEYS) - {"m0"}:
         raise ConfigError(f"--axis {axis}: must be one of M0, v0, c, T, h, dt, t_end")
     try:
         values = [float(v) for v in ns.values.split(",") if v.strip()]
@@ -471,22 +495,14 @@ def cmd_sweep(ns):
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"--values: must be finite numbers, got {ns.values}")
 
-    os.makedirs(ns.out, exist_ok=True)
+    section = "simulation" if axis in _SIM_KEYS else "parameters"
+    base = _section(cfg, section)
+    base.pop({"T": "h", "h": "T"}.get(axis), None)
+    _json("metadata.json", cfg)  # a config that metadata.json cannot hold is refused before any case runs
     rows = []
     n_failed = 0
     for i, value in enumerate(values):
-        case = merge_config(cfg, {})
-        if axis in ("dt", "t_end"):
-            case.setdefault("simulation", {})
-            case = merge_config(case, {"simulation": {axis: value}})
-        else:
-            pars = dict(case.get("parameters") or {})
-            pars[axis] = value
-            if axis == "T":
-                pars.pop("h", None)
-            if axis == "h":
-                pars.pop("T", None)
-            case["parameters"] = pars
+        case = {**cfg, section: {**base, axis: value}}
         sub = os.path.join(ns.out, f"{axis}_{i}")
         try:
             params, _, resolved = resolve_config(case)
@@ -503,18 +519,11 @@ def cmd_sweep(ns):
             n_failed += 1
             row = {name: math.nan for name in _SWEEP_METRICS}
             print(f"sweep {axis}={value:g}: FAILED ({exc})", file=sys.stderr)
-        rows.append((value, row))
+        rows.append([f"{value:.17g}", *(f"{row[m]:.17g}" for m in _SWEEP_METRICS)])
 
-    spath = os.path.join(ns.out, "summary.csv")
-    with open(spath, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([axis, *_SWEEP_METRICS])
-        for value, row in rows:
-            writer.writerow([f"{value:.17g}", *(f"{row[m]:.17g}" for m in _SWEEP_METRICS)])
-    _write_json(
-        os.path.join(ns.out, "metadata.json"),
-        _metadata(merge_config(cfg, {}), "sweep", {"axis": axis, "values": values, "failed": n_failed}),
-    )
+    meta = _metadata(cfg, "sweep", {"axis": axis, "values": values, "failed": n_failed})
+    files = [("summary.csv", _csv([axis, *_SWEEP_METRICS], rows)), ("metadata.json", _json("metadata.json", meta))]
+    spath = _write_files(ns.out, files)[0]
     print(f"sweep: {len(values) - n_failed}/{len(values)} runs ok; summary in {spath}")
     return 0 if n_failed == 0 else 2
 

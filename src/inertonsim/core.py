@@ -114,7 +114,8 @@ def derive_kinematics(
     ``m0`` normally follows from the masses' velocity relation,
     ``m0 = M0 v0^2 / c^2``. An explicit ``m0`` overrides the derived value;
     if it disagrees by more than 1e-9 relative, a warning is issued (the
-    override is honoured either way).
+    override is honoured either way). A scale that overflows (any field of
+    the two results that is not finite) raises a ValueError naming it.
 
     Pure and deterministic: identical inputs give bitwise-identical outputs.
     """
@@ -154,6 +155,9 @@ def derive_kinematics(
         p0=M * v0,
         mean_drift=v0 * (1.0 - 2.0 / math.pi),
     )
+    for name, value in (*vars(params).items(), *vars(kin).items()):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} = {value} is not finite for M0={M0}, v0={v0}, c={c}, T={T}")
     return params, kin
 
 

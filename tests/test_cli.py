@@ -58,10 +58,17 @@ def test_missing_config_file_is_io_error(tmp_path):
     assert run_cli("simulate", "--config", str(tmp_path / "nope.json")) == 3
 
 
-def test_malformed_json_is_validation_error(tmp_path):
+@pytest.mark.parametrize(
+    "data", [b"{not json", b"\xff\xfe{}", b"[" * 100_000], ids=["syntax", "not-utf8", "deep-nesting"]
+)
+def test_malformed_json_is_validation_error(tmp_path, capsys, data):
     p = tmp_path / "c.json"
-    p.write_text("{not json")
-    assert run_cli("simulate", "--config", str(p)) == 1
+    p.write_bytes(data)
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", str(p), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: not valid JSON (") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_unknown_preset(tmp_path):
@@ -357,11 +364,32 @@ def test_non_finite_parameter_rejected(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
-def test_underflowing_cloud_mass_rejected(tmp_path, capsys):
-    cfg = write_cfg(tmp_path / "c.json", {"parameters": {"M0": 1.0, "v0": 1e-300, "c": 10.0, "T": 1.0}})
-    assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+@pytest.mark.parametrize(
+    "pars, words",
+    [
+        ({"M0": 1.0, "v0": 1e-300, "c": 10.0, "T": 1.0}, ["m0", "underflows"]),
+        ({"M0": 1e308, "v0": 0.9, "c": 1.0, "T": 1.0}, ["parameters: M = inf"]),
+        ({"M0": 1.0, "v0": 1e150, "c": 1e160, "T": 1e160}, ["parameters: lam = inf"]),
+        ({"M0": 1.0, "v0": 1.0, "c": 10.0, "T": 1e-310}, ["parameters: nu = inf"]),
+    ],
+    ids=["m0-underflows", "M-overflows", "lam-overflows", "nu-overflows"],
+)
+@pytest.mark.parametrize("command", ["simulate", "derive"])
+def test_underflowing_cloud_mass_rejected(tmp_path, capsys, command, pars, words):
+    cfg = write_cfg(tmp_path / "c.json", {"parameters": pars})
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert "m0" in err and "underflows" in err
+    assert all(word in err for word in words), err
+    assert not out.exists()
+
+
+def test_derive_overflowing_resonator_writes_nothing(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.json", {"observables": {"resonator_radius": 1e308}})
+    out = tmp_path / "o"
+    assert run_cli("derive", "--preset", "natural", "--config", cfg, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: derived.json: resonator.L1 is inf")
+    assert not out.exists()
 
 
 def test_non_numeric_parameter_names_key(tmp_path, capsys):
@@ -484,6 +512,28 @@ def test_sweep_rejects_non_finite_values(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: --values:")
 
 
+@pytest.mark.parametrize(
+    "cfg, axis, key",
+    [
+        ({"parameters": 5}, "M0", "parameters"),
+        ({"parameters": [1, 2]}, "M0", "parameters"),
+        ({"simulation": 5}, "dt", "simulation"),
+        ({"simulation": {"mode": "ensemble"}}, "dt", "simulation.mode"),
+        ({"note": math.nan}, "dt", "metadata.json"),
+    ],
+)
+def test_sweep_bad_config_writes_nothing(tmp_path, capsys, cfg, axis, key):
+    path = write_cfg(tmp_path / "c.json", cfg)
+    out = tmp_path / "sw"
+    code = run_cli(
+        "sweep", "--preset", "natural", "--config", path, "--axis", axis, "--values", "0.001", "--out", str(out)
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite constant {name} in JSON")
 
@@ -540,7 +590,7 @@ def test_derive_config_fuzz(cfg, preset):
 # Values that may replace a parameter: junk must end in exit 1, extremes in
 # any documented way.
 _JUNK = st.sampled_from([0.0, -1.0, math.nan, math.inf, True, "abc", None, [1.0], {}])
-_EXTREME = st.sampled_from([1e-300, 1e300])
+_EXTREME = st.sampled_from([1e-300, 1e160, 1e300])
 
 
 @st.composite
@@ -586,6 +636,7 @@ def test_simulate_fuzz(case):
             assert code == (0 if divisor >= 100 else 1), err.getvalue()
         meta_path = os.path.join(out, "metadata.json")
         assert os.path.exists(meta_path) == (code == 0)
+        assert os.path.exists(out) == (code == 0)
         if code == 0:
             with open(meta_path) as fh:
                 meta = json.load(fh, parse_constant=_reject_constant)
