@@ -48,7 +48,7 @@ import numpy as np
 from . import __version__
 from .action import OscillatorSpec, cyclic_action, quantize
 from .constants import ELECTRON_MASS, LIGHT_SPEED, PLANCK
-from .core import derive_kinematics
+from .core import _square, derive_kinematics
 from .dynamics import (
     integrate,
     oracle_errors,
@@ -411,7 +411,7 @@ def cmd_derive(ns):
     if h_val is None:
         # no h supplied: the cyclic action increment over one period plays
         # that role, so the quantized block is exactly self-consistent
-        h_val = params.M * params.v0 ** 2 * params.T
+        h_val = params.M * _square(params.v0, "v0") * params.T
     quant = quantize(params.M, params.v0, params.c, h_val)
     bounds = cross_section_bounds(params)
     geo = resonator_dimensions(resolved["observables"]["resonator_radius"])

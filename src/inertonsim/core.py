@@ -161,6 +161,15 @@ def derive_kinematics(
     return params, kin
 
 
+def _square(value: float, name: str) -> float:
+    """``value ** 2``; a square that overflows a float raises a ValueError
+    naming ``name`` instead of an OverflowError."""
+    try:
+        return value ** 2
+    except OverflowError:
+        raise ValueError(f"{name}**2 overflows a float ({name} = {value:.6g})") from None
+
+
 def mass_from_deformation(constant: float, cell_volume: float, particle_volume: float) -> float:
     """Mass induced by volumetric deformation of a substrate cell.
 

@@ -17,27 +17,34 @@ In the dimensionless units ``tau = t/T``, ``xi = X/lam``, ``V = dXdt/v0``,
 ``chi = x/Lam`` and ``U = dxdt/c`` the system has no parameters at all:
 ``y = (xi, V, chi, U, 1)`` obeys ``dy/dtau = A y`` with the fixed
 homogeneous generator `GENERATOR`. The integrator works in these units and
-scales to physical ones only when it packs the output columns.
+scales to physical ones only when it packs the output columns. Its state is
+``w = (1 - V) + iU``, which obeys ``dw/dtau = -i pi w`` and so turns on the
+unit circle at pi per T. ``1 - V - pi chi`` and ``U - pi xi + pi tau`` are
+linear invariants, so ``chi = Re(w)/pi`` and ``xi = tau + (U - u)/pi``,
+where ``u`` starts at 1.
 
 Stepping is classical fixed-step fourth-order Runge-Kutta on a uniform
 grid; adaptive schemes were deliberately avoided so that a run is a pure
-function of ``(params, t_end, dt)``. On a linear constant-coefficient
-system one RK4 step of length ``h = dt/T`` is the fixed affine map
-``P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24``, the degree-4 Taylor
-polynomial of ``exp(hA)``. The integrator tabulates ``P^1..P^B`` once per
-run (``B <= BLOCK_STEPS``) and advances a whole block of samples from the
-block's start state with one pass over that table, so memory stays linear
-in the number of samples.
+function of ``(params, t_end, dt)``. One RK4 step of length ``s`` (in T)
+multiplies ``w`` by the stability function ``R(-i pi s)``, the degree-4
+Taylor polynomial of ``exp(-i pi s)`` (Hairer & Wanner, *Solving ODEs II*,
+IV.2), and RK4 keeps linear invariants exactly (Hairer, Lubich & Wanner,
+*Geometric Numerical Integration*, Thm. IV.1.5): this is RK4 on all of
+``y``. The integrator tabulates ``R^1..R^B`` once per run
+(``B <= BLOCK_STEPS``) and advances a whole block of samples from the
+block's start state with one multiplication, so memory stays linear in the
+number of samples.
 
-A step that ends with ``x < 0`` from ``x >= 0`` contains a reflection. The
-partial step of length ``s`` is the quartic ``sum_k (A^k y) s^k / k!``, and
-Newton's method on its ``x`` component, started from the linear guess,
-locates the crossing to ``|x| <= 1e-12 * Lam``. The remainder of the step
-is then taken from the reflected state, so samples stay on the grid, and
-the next block starts from there. Event location and the reset run on
-Python floats, a handful of scalar operations per reflection, while the
-blocks stay vectorized; the first-integral residuals and the divergence
-guard on them are computed once per run, after the last block.
+A step that ends with ``x < 0`` from ``x >= 0`` contains a reflection.
+Newton's method on ``Re(R(-i pi s) w)``, started from the linear guess,
+locates the partial step ``s`` of the crossing to ``|x| <= 1e-12 * Lam``.
+The reset ``dx/dt -> -dx/dt`` turns ``w`` into its conjugate and lowers
+``u`` by twice the ``U`` at impact; the rest of the step is taken from the
+reflected state, so samples stay on the grid, and the next block starts
+from there. Event location and the reset run on Python complex scalars,
+while the blocks stay vectorized; the first-integral residuals
+``|w|^2 - 1`` and the divergence guard on them are computed once per run,
+after the last block.
 
 The exact motion is known in closed form and `closed_form` evaluates it,
 with the branch at contact instants ``t = n T`` resolved to the right
@@ -46,6 +53,7 @@ with the branch at contact instants ``t = n T`` resolved to the right
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -71,7 +79,6 @@ __all__ = [
 
 # Guard and probe tolerances (see module docstring and integrate()).
 EVENT_X_TOL = 1.0e-12       # Newton target on |x|, in units of Lam
-EVENT_SLACK = 1.0e-9        # samples may sit this far below x=0, in units of Lam
 # A crossing whose true time is exactly t_end can land slightly past it
 # numerically: the integrator's phase lag grows like dt**4 and reaches
 # about 8.1e-8 T per ten periods at the coarsest admissible step (T/100). The
@@ -79,12 +86,12 @@ EVENT_SLACK = 1.0e-9        # samples may sit this far below x=0, in units of La
 # same timing tolerance the event checks themselves use.
 PROBE_WINDOW = 1.0e-6       # accept a trailing event up to this far past t_end, in units of T
 DIVERGENCE_LIMIT = 1.0e-3   # hard cap on the first-integral residual
-# Length of the table of step-map powers: 1024 matrices of 5x5 doubles
-# (200 KB). A block never spans more steps than this.
+# Length of the table of step-factor powers: 1024 complex doubles (16 KB).
+# A block never spans more steps than this.
 BLOCK_STEPS = 1024
 NEWTON_MAX_ITER = 100
-# Largest admitted run. A run stores about 80 B per step (four state
-# columns, the sample array and the residuals), so this caps it near 1 GB.
+# Largest admitted run. A run stores about 80 B per step (the columns w and
+# du of `integrate`, the sample array and the residuals): near 1 GB.
 MAX_STEPS = 12_500_000
 
 # dy/dtau = A y for y = (xi, V, chi, U, 1): xi' = V, V' = -pi U, chi' = U,
@@ -99,6 +106,9 @@ GENERATOR = np.array(
     ]
 )
 GENERATOR.flags.writeable = False
+
+# Coefficients of R(-i pi s) in s, (-i pi)^k / k!, k = 0..4 (`_step_factor`).
+_STEP_COEFFS = tuple((-1j * math.pi) ** k / math.factorial(k) for k in range(5))
 
 # A state is anything indexed by these names: a dict, a SAMPLE_DTYPE record
 # or array. The evaluators here and in `lagrangian` accept any of them.
@@ -125,7 +135,8 @@ class Trajectory:
     ``samples`` is a structured array of `SAMPLE_DTYPE` with the columns
     ``t, X, dXdt, x, dxdt`` (``samples["X"]`` is the particle coordinate
     column, ``samples[i]`` the i-th sample), ordered by strictly increasing
-    time, with ``x >= -1e-9 * Lam``. ``events`` is the float64 array of
+    time, with ``x >= -EVENT_X_TOL * Lam`` to rounding (only a sample just
+    after a reflection sits below zero). ``events`` is the float64 array of
     reflection times in increasing order. ``invariant_residuals`` is the
     array of first-integral residuals per sample. ``metadata`` records how
     the run was produced (grid and event tolerances) and is emitted
@@ -226,91 +237,46 @@ def closed_form_trajectory(p: SystemParams, t_end: float, n_per_period: int = 40
 # Fixed-step integration with event handling
 # ---------------------------------------------------------------------------
 
-def _power_table(h: float, size: int) -> np.ndarray:
-    """Powers ``P^1..P^size`` of the RK4 step map for step ``h`` (in T).
+def _step_factor(s: float) -> complex:
+    """``R(-i pi s)``, the factor by which one RK4 step of length ``s`` (in
+    T) multiplies ``w``: the degree-4 Taylor polynomial of ``exp(-i pi s)``."""
+    c0, c1, c2, c3, c4 = _STEP_COEFFS
+    return c0 + s * (c1 + s * (c2 + s * (c3 + s * c4)))
 
-    Laid out as ``(5, 4, size)``: entry ``[j, :, k-1]`` is column ``j`` of
-    ``P^k`` without its constant last row, so advancing a state is five
-    scaled row-slices summed (`_advance`).
+
+def _step_powers(h: float, size: int) -> np.ndarray:
+    """``R^1..R^size`` for the step ``h``, written as ``rho^k e^{-ik theta}``.
+
+    ``-theta`` is the argument of ``R(-i pi h)`` and ``rho^2 = 1 - z^6/72 +
+    z^8/576`` (``z = pi h``) its squared modulus, taken through ``log1p``
+    because ``1 - rho`` falls below 1e-16 at T/1000. Every power is computed
+    directly, so none inherits the rounding of the one before it.
     """
-    hA = h * GENERATOR
-    step = np.eye(5) + hA @ (np.eye(5) + hA @ (np.eye(5) + hA @ (np.eye(5) + hA / 4.0) / 3.0) / 2.0)
-    powers = np.empty((size, 5, 5))
-    powers[0] = step
-    done = 1
-    while done < size:
-        n = min(done, size - done)
-        powers[done:done + n] = powers[:n] @ powers[done - 1]  # P^(j+1) P^done
-        done += n
-    return np.ascontiguousarray(powers[:, :4, :].transpose(2, 1, 0))
+    z = math.pi * h
+    log_rho = 0.5 * math.log1p(z ** 8 / 576.0 - z ** 6 / 72.0)
+    return np.exp(np.arange(1, size + 1) * complex(log_rho, cmath.phase(_step_factor(h))))
 
 
-def _advance(table: np.ndarray, y, m: int) -> np.ndarray:
-    """States ``(xi, V, chi, U)`` after 1..m steps from ``y``, shape (4, m)."""
-    return (
-        table[0, :, :m] * y[0]
-        + table[1, :, :m] * y[1]
-        + table[2, :, :m] * y[2]
-        + table[3, :, :m] * y[3]
-        + table[4, :, :m]
-    )
-
-
-def _taylor(y) -> tuple:
-    """Rows ``A^k y / k!``, k = 0..4, as tuples of five floats: the partial
-    RK4 step of length ``s`` from ``y`` is ``sum_k row_k s^k``.
-
-    Row k is ``GENERATOR @ row_{k-1} / k`` bit for bit, written out with the
-    generator's zero entries dropped. The matrix-vector product sums its
-    terms from +0.0, so each sum here starts from ``0.0 +`` as well: that
-    turns a -0.0 into +0.0 exactly where the product does.
-    """
-    row = (*y, 1.0)
-    rows = [row]
-    for k in range(1, 5):
-        _, a1, _, a3, a4 = row
-        row = (
-            (0.0 + a1) / k,
-            (0.0 + -math.pi * a3) / k,
-            (0.0 + a3) / k,
-            (0.0 + math.pi * a1 + -math.pi * a4) / k,
-            0.0,
-        )
-        rows.append(row)
-    return tuple(rows)
-
-
-def _partial(rows: tuple, s: float) -> tuple:
-    """State ``(xi, V, chi, U)`` a partial step ``s`` on: the Horner sum of `_taylor` rows."""
-    r0, r1, r2, r3, r4 = rows
-    return tuple(r0[j] + s * (r1[j] + s * (r2[j] + s * (r3[j] + s * r4[j]))) for j in range(4))
-
-
-def _crossing(rows: tuple, h: float) -> float:
+def _crossing(w: complex, h: float) -> float:
     """Partial step ``s`` in ``[0, h]`` at which the separation vanishes.
 
-    Newton on the quartic ``chi(s)`` from the linear guess, kept inside the
-    bracket ``chi(lo) >= 0 > chi(hi)`` by a bisection fallback, until
-    ``|chi| <= EVENT_X_TOL``.
+    Newton on ``chi(s) = Re(R(-i pi s) w) / pi`` from the linear guess, with
+    the flow's slope ``U`` (the quartic's to a relative ``(pi s)^4/24``),
+    kept in the bracket ``chi(lo) >= 0 > chi(hi)`` by a bisection fallback,
+    until ``|chi| <= EVENT_X_TOL``.
     """
-    c0, c1, c2, c3, c4 = (row[2] for row in rows)
-
-    def chi(s):
-        return c0 + s * (c1 + s * (c2 + s * (c3 + s * c4)))
-
     lo, hi = 0.0, h
-    at_end = chi(h)
-    s = h * c0 / (c0 - at_end) if c0 > at_end else h
+    at_start, at_end = w.real, (_step_factor(h) * w).real
+    s = h * at_start / (at_start - at_end) if at_start > at_end else h
     for _ in range(NEWTON_MAX_ITER):
-        value = chi(s)
-        if abs(value) <= EVENT_X_TOL:
+        ws = _step_factor(s) * w
+        if abs(ws.real) <= math.pi * EVENT_X_TOL:
             break
-        if value > 0.0:
+        if ws.real > 0.0:
             lo = s
         else:
             hi = s
-        slope = c1 + s * (2.0 * c2 + s * (3.0 * c3 + s * 4.0 * c4))
-        nxt = s - value / slope if slope else lo
+        nxt = s - ws.real / (math.pi * ws.imag) if ws.imag else lo
         s = nxt if lo < nxt < hi else 0.5 * (lo + hi)
     return s
 
@@ -372,53 +338,57 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
     # A block ends at the first reflection it contains, and the next
     # reflection is at most ceil(1/h) + 1 steps away, so longer tables are
     # never used: the blocks, and the samples, are those of a full table.
-    table = _power_table(h, min(BLOCK_STEPS, n_steps, math.ceil(1.0 / h) + 1))
-    block = table.shape[2]
+    table = _step_powers(h, min(BLOCK_STEPS, n_steps, math.ceil(1.0 / h) + 1))
 
-    # Dimensionless state columns (xi, V, chi, U) per sample.
-    Y = np.empty((4, n_steps + 1))
-    Y[:, 0] = (0.0, 1.0, 0.0, 1.0)
+    # w = (1 - V) + iU per sample, and the jumps of u: 1 at the start, then
+    # -2 U_ev on the first sample after each reflection.
+    w = np.empty(n_steps + 1, dtype=np.complex128)
+    w[0] = 1j
+    du = np.zeros(n_steps + 1)
+    du[0] = 1.0
     events = []
 
     i = 0
     while i < n_steps:
-        states = _advance(table, Y[:, i], min(block, n_steps - i))
-        below = np.flatnonzero(states[2] < 0.0)
-        k = int(below[0]) if below.size else states.shape[1]
-        Y[:, i + 1:i + 1 + k] = states[:, :k]
+        states = table[:n_steps - i] * w[i]
+        below = np.flatnonzero(states.real < 0.0)
+        k = int(below[0]) if below.size else states.size
+        w[i + 1:i + 1 + k] = states[:k]
         i += k
         if not below.size:
             continue
         # Step i -> i+1 crosses the guard.
-        if Y[2, i] < 0.0:
+        if w[i].real < 0.0:
             break
-        rows = _taylor(Y[:, i].tolist())
-        s = _crossing(rows, h)
+        start = complex(w[i])
+        s = _crossing(start, h)
         events.append(i * dt + s * p.T)
-        xi, V, chi, U = _partial(rows, s)
-        Y[:, i + 1] = _partial(_taylor((xi, V, chi, -U)), h - s)
+        hit = _step_factor(s) * start
+        du[i + 1] = -2.0 * hit.imag
+        w[i + 1] = _step_factor(h - s) * hit.conjugate()
         i += 1
 
     # Residuals of samples 0..i, where i < n_steps only after the break
     # above; the one at t = 0 comes out exactly 0.0.
-    V, U = Y[1, :i + 1], Y[3, :i + 1]
-    residuals = (1.0 - V) ** 2 + U ** 2 - 1.0
+    residuals = w.real[:i + 1] ** 2 + w.imag[:i + 1] ** 2 - 1.0
     _guard(residuals, 1, i + 1, dt)
     if i < n_steps:
         raise RuntimeError(f"cloud separation stayed negative across step at t={i * dt}")
 
     # Trailing probe: the discretized crossing of the final period can land a
-    # hair past t_end (fourth-order phase lag, ~1e-11 T over ten periods). One
-    # probe step past the end recovers an event belonging to this run; only
-    # events within PROBE_WINDOW * T of t_end are accepted and no samples are
-    # added.
-    last = Y[:, n_steps]
-    if _advance(table, last, 1)[2, 0] < 0.0 <= last[2]:
-        s = _crossing(_taylor(last.tolist()), h)
+    # hair past t_end (the phase lag of PROBE_WINDOW's comment). One probe
+    # step past the end recovers an event belonging to this run; only events
+    # within PROBE_WINDOW * T of t_end are accepted and no samples are added.
+    last = complex(w[n_steps])
+    if (_step_factor(h) * last).real < 0.0 <= last.real:
+        s = _crossing(last, h)
         if s <= PROBE_WINDOW:
             events.append(n_steps * dt + s * p.T)
 
-    samples = _pack(np.arange(n_steps + 1) * dt, Y[0] * p.lam, Y[1] * p.v0, Y[2] * p.Lam, Y[3] * p.c)
+    # chi and xi from the two linear invariants, which RK4 keeps exactly.
+    t = np.arange(n_steps + 1) * dt
+    xi = t / p.T + (w.imag - np.cumsum(du, out=du)) / math.pi
+    samples = _pack(t, xi * p.lam, (1.0 - w.real) * p.v0, w.real / math.pi * p.Lam, w.imag * p.c)
     meta = {
         "dt": dt,
         "t_end": t_end,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import M2_TO_CM2
-from .core import SystemParams
+from .core import SystemParams, _square
 
 __all__ = [
     "CrossSectionBounds",
@@ -44,8 +44,9 @@ class ResonatorGeometry:
 
 
 def cross_section_bounds(params: SystemParams) -> CrossSectionBounds:
-    """Bracket the dressed-particle cross-section by ``(lam^2, Lam^2)``."""
-    return CrossSectionBounds(lower=params.lam ** 2, upper=params.Lam ** 2)
+    """Bracket the dressed-particle cross-section by ``(lam^2, Lam^2)``; a
+    square that overflows a float raises a ValueError naming its length."""
+    return CrossSectionBounds(lower=_square(params.lam, "lam"), upper=_square(params.Lam, "Lam"))
 
 
 def resonator_dimensions(R: float) -> ResonatorGeometry:

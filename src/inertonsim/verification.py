@@ -38,7 +38,7 @@ import numpy as np
 
 from . import action as action_mod
 from . import dynamics, lagrangian, observables, spin
-from .core import SystemParams, derive_kinematics, natural_params
+from .core import SystemParams, _square, derive_kinematics, natural_params
 
 __all__ = ["CheckReport", "run_checks", "registry_names", "reports_to_json_lines"]
 
@@ -77,9 +77,13 @@ def _sample_params(rng: np.random.Generator) -> SystemParams:
 
 # --- individual checks ------------------------------------------------------
 
+# Steps per period of `_standard_run`; `_check_periodicity` indexes by it.
+_STANDARD_STEPS = 1000
+
+
 def _standard_run(params):
-    """The ten-period run at dt = T/1000 that three checks measure."""
-    return dynamics.integrate(params, t_end=10.0 * params.T, dt=params.T / 1000.0)
+    """The ten-period run at dt = T/_STANDARD_STEPS that three checks measure."""
+    return dynamics.integrate(params, t_end=10.0 * params.T, dt=params.T / _STANDARD_STEPS)
 
 
 def _check_oracle_agreement(traj):
@@ -106,7 +110,7 @@ def _check_periodicity(traj):
     s0 = traj.samples[1]
     worst = 0.0
     for n in range(1, 5):
-        s = traj.samples[2 * n * 1000 + 1]
+        s = traj.samples[2 * n * _STANDARD_STEPS + 1]
         drift = 2.0 * n * p.lam * (1.0 - 2.0 / math.pi)
         worst = max(
             worst,
@@ -240,7 +244,7 @@ def _check_sigma_scaling(params, rng):
     worst = 0.0
     for p in candidates:
         bounds = observables.cross_section_bounds(p)
-        expected = (p.c / p.v0) ** 2
+        expected = _square(p.c / p.v0, "(c/v0)")
         worst = max(worst, abs(bounds.upper / bounds.lower - expected) / expected)
     return worst, 1.0e-12
 

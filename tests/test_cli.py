@@ -384,6 +384,26 @@ def test_underflowing_cloud_mass_rejected(tmp_path, capsys, command, pars, words
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, pars, word",
+    [
+        ("derive", {"M0": 1.0, "v0": 1e150, "c": 1e160, "T": 1e10}, "lam**2"),
+        ("check", {"M0": 1.0, "v0": 1e150, "c": 1e160, "T": 1e10}, "lam**2"),
+        ("derive", {"M0": 1e-100, "v0": 1e160, "c": 1e170, "T": 1e-170}, "v0**2"),
+        ("check", {"M0": 1.0, "v0": 1e-155, "c": 1.0, "T": 1.0}, "(c/v0)**2"),
+    ],
+    ids=["derive-lam", "check-lam", "derive-v0", "check-c-over-v0"],
+)
+def test_overflowing_square_names_the_quantity(tmp_path, capsys, command, pars, word):
+    # float ** raises OverflowError where * gives inf
+    cfg = write_cfg(tmp_path / "c.json", {"parameters": pars})
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and word in err and "overflows" in err, err
+    assert not out.exists()
+
+
 def test_derive_overflowing_resonator_writes_nothing(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "c.json", {"observables": {"resonator_radius": 1e308}})
     out = tmp_path / "o"
@@ -644,3 +664,7 @@ def test_simulate_fuzz(case):
             periods = meta["simulation"]["t_end"] / meta["parameters"]["T"]
             assert meta["derived"]["n_events"] == math.floor(periods + 1e-9)
             assert meta["derived"]["max_oracle_error"] < 1e-4
+            # only a sample just after a reflection sits below x = 0, by at
+            # most the crossing tolerance (to rounding)
+            x = np.loadtxt(os.path.join(out, "trajectory.csv"), delimiter=",", skiprows=1, usecols=3)
+            assert x.min() >= -(1.0 + 1e-12) * meta["derived"]["integrator"]["event_x_tolerance"]

@@ -376,54 +376,28 @@ def test_integrate_memory_is_linear_in_samples(natural):
     assert peak <= 4 * output
 
 
+def _read_off(y, w, s):
+    """``(xi, V, chi, U)`` a step ``s`` on from ``y``, with ``w`` the new
+    ``(1 - V) + iU``: chi and xi come from the linear invariants
+    ``1 - V - pi chi`` and ``U - pi xi + pi tau``."""
+    chi = y[2] + (w.real - (1.0 - y[1])) / math.pi
+    xi = y[0] + s + (w.imag - y[3]) / math.pi
+    return np.array([xi, 1.0 - w.real, chi, w.imag])
+
+
 def test_step_map_is_rk4():
-    # one table step equals a classical RK4 step written out stage by stage
+    # one table step and one partial step equal a classical RK4 step on
+    # GENERATOR, written out stage by stage
     h = 1e-2
     y = np.array([0.3, 0.8, 0.05, -0.6, 1.0])
-    k1 = GENERATOR @ y
-    k2 = GENERATOR @ (y + 0.5 * h * k1)
-    k3 = GENERATOR @ (y + 0.5 * h * k2)
-    k4 = GENERATOR @ (y + h * k3)
-    rk4 = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    table = dynamics._power_table(h, 3)
-    assert np.allclose(dynamics._advance(table, y[:4], 1)[:, 0], rk4[:4], rtol=0, atol=1e-15)
-    assert np.allclose(dynamics._partial(dynamics._taylor(y[:4]), h), rk4[:4], rtol=0, atol=1e-15)
-
-
-def _taylor_reference(y):
-    rows = np.empty((5, 5))
-    rows[0, :4] = y
-    rows[0, 4] = 1.0
-    for k in range(1, 5):
-        rows[k] = GENERATOR @ rows[k - 1] / k
-    return rows
-
-
-_components = st.one_of(
-    st.sampled_from([0.0, -0.0]),
-    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
-    st.builds(
-        lambda sign, exponent: sign * 10.0 ** exponent,
-        st.sampled_from([1.0, -1.0]),
-        st.floats(min_value=-300.0, max_value=300.0),
-    ),
-)
-
-
-@settings(max_examples=500)
-@given(y=st.lists(_components, min_size=4, max_size=4), s=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
-@example(y=[-0.0, -0.0, -0.0, -0.0], s=0.0)
-@example(y=[0.0, -0.0, 0.0, -0.0], s=1e-2)
-@example(y=[-1.5, -0.0, 2.0, -0.0], s=0.5)
-def test_scalar_taylor_and_partial_match_numpy_bitwise(y, s):
-    # the scalar rows and Horner sum against the numpy product they replace,
-    # signed zeros included
-    ref = _taylor_reference(y)
-    rows = dynamics._taylor(y)
-    assert all(type(v) is float for row in rows for v in row)
-    assert np.array(rows).view(np.int64).tolist() == ref.view(np.int64).tolist()
-    partial = (ref[0] + s * (ref[1] + s * (ref[2] + s * (ref[3] + s * ref[4]))))[:4]
-    assert np.array(dynamics._partial(rows, s)).view(np.int64).tolist() == partial.view(np.int64).tolist()
+    w = complex(1.0 - y[1], y[3])
+    for s, factor in ((h, dynamics._step_powers(h, 3)[0]), (0.37 * h, dynamics._step_factor(0.37 * h))):
+        k1 = GENERATOR @ y
+        k2 = GENERATOR @ (y + 0.5 * s * k1)
+        k3 = GENERATOR @ (y + 0.5 * s * k2)
+        k4 = GENERATOR @ (y + s * k3)
+        rk4 = y + s / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.allclose(_read_off(y, factor * w, s), rk4[:4], rtol=0, atol=1e-15)
 
 
 def test_power_table_of_one_period_keeps_the_blocks(natural, monkeypatch):
@@ -434,18 +408,37 @@ def test_power_table_of_one_period_keeps_the_blocks(natural, monkeypatch):
     args = (params, 200.0 * params.T, params.T / 125.0)
     short = integrate(*args)
     sizes = []
-    full_table = dynamics._power_table
+    full_table = dynamics._step_powers
 
     def full(h, size):
         sizes.append(size)
         return full_table(h, min(dynamics.BLOCK_STEPS, 200 * 125))
 
-    monkeypatch.setattr(dynamics, "_power_table", full)
+    monkeypatch.setattr(dynamics, "_step_powers", full)
     full_run = integrate(*args)
     assert sizes == [126]
     assert short.samples.tobytes() == full_run.samples.tobytes()
     assert short.invariant_residuals.tobytes() == full_run.invariant_residuals.tobytes()
     assert short.events.tobytes() == full_run.events.tobytes()
+
+
+@pytest.mark.parametrize("divisor, periods", [(100, 120), (125, 200), (250, 200), (800, 50), (1000, 100)])
+@pytest.mark.parametrize(
+    "pars", [(1.0, 1.0, 10.0, 1.0), (2.3, 0.37, 1.0, 1.7)], ids=["natural", "M0-2.3-v0-0.37-T-1.7"]
+)
+def test_integrator_matches_rk4_error_model(pars, divisor, periods):
+    # With z = pi h, each RK4 step turns w by theta instead of z and scales
+    # |w|^2 by 1 - z^6/72 + z^8/576, so the n-th event lags nT by
+    # n (z/theta - 1) T and the invariant residual after N steps is
+    # (1 - z^6/72 + z^8/576)^N - 1.
+    params, _ = derive_kinematics(*pars)
+    traj = integrate(params, t_end=periods * params.T, dt=params.T / divisor)
+    z = math.pi / divisor
+    theta = math.atan2(z - z ** 3 / 6.0, 1.0 - z ** 2 / 2.0 + z ** 4 / 24.0)
+    residual = math.expm1(periods * divisor * math.log1p(z ** 8 / 576.0 - z ** 6 / 72.0))
+    n = len(traj.events)
+    assert traj.invariant_residuals[-1] == pytest.approx(residual, rel=0.02)
+    assert traj.events[-1] - n * params.T == pytest.approx(n * (z / theta - 1.0) * params.T, rel=0.01)
 
 
 def test_trajectory_csv_writer_memory_does_not_grow_with_the_run(tmp_path, natural):
