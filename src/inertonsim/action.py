@@ -147,15 +147,32 @@ def hj_residual(X: float, spec: OscillatorSpec, fd_step: float = 1.0e-5) -> floa
     return s1_prime ** 2 / (2.0 * spec.M) + 0.5 * spec.M * spec.omega ** 2 * X * X - spec.E
 
 
-def _composite_gauss(f, t_lo: float, t_hi: float, n_panels: int) -> float:
-    """Composite 8-point Gauss-Legendre rule with n_panels equal panels."""
-    edges = np.linspace(t_lo, t_hi, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])           # (n_panels,)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    # nodes: (n_panels, 8)
-    ts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f(ts)
-    return float(np.sum(half[:, None] * _GL_WEIGHTS[None, :] * vals))
+def _composite_gauss(f, t_lo: float, t_hi, n_panels: int):
+    """Composite 8-point Gauss-Legendre rule with n_panels equal panels.
+
+    ``t_hi`` may be an array of upper limits: ``f`` then sees nodes of shape
+    ``t_hi.shape + (n_panels, 8)``, and the array of integrals equals the
+    scalar calls on each limit bit for bit. A scalar limit gives a float.
+    """
+    # C order keeps each entry's nodes contiguous, so it is summed pairwise
+    # in the order of a scalar call.
+    edges = np.ascontiguousarray(np.linspace(t_lo, t_hi, n_panels + 1, axis=-1))
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])   # (..., n_panels)
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    ts = mid[..., None] + half[..., None] * _GL_NODES  # (..., n_panels, 8)
+    total = np.sum(half[..., None] * _GL_WEIGHTS * f(ts), axis=(-2, -1))
+    return float(total) if np.ndim(t_hi) == 0 else total
+
+
+def _loop_integrand(p_max, amplitude, omega):
+    """``p dX/dt`` on the orbit at time t; the spec fields may be scalars or
+    (batch, 1, 1) arrays."""
+
+    def integrand(t):
+        c = np.cos(omega * t)
+        return p_max * c * amplitude * omega * c
+
+    return integrand
 
 
 def cyclic_action(spec: OscillatorSpec, n_quadrature: int = 64) -> float:
@@ -169,12 +186,23 @@ def cyclic_action(spec: OscillatorSpec, n_quadrature: int = 64) -> float:
     if n_quadrature < 64:
         raise ValueError(f"n_quadrature must be at least 64, got {n_quadrature}")
     period = 2.0 * math.pi / spec.omega  # = 2T
-
-    def integrand(t):
-        c = np.cos(spec.omega * t)
-        return spec.p_max * c * spec.amplitude * spec.omega * c
-
+    integrand = _loop_integrand(spec.p_max, spec.amplitude, spec.omega)
     return _composite_gauss(integrand, 0.0, period, n_quadrature)
+
+
+_LOOP_BATCH = 16  # specs per array pass: each temporary stays near 64 KB
+
+
+def _cyclic_actions(specs: list[OscillatorSpec], n_quadrature: int = 64) -> list[float]:
+    """`cyclic_action` of each spec, bit for bit, in array passes of
+    `_LOOP_BATCH` specs."""
+    out: list[float] = []
+    for i in range(0, len(specs), _LOOP_BATCH):
+        fields = np.array([(s.p_max, s.amplitude, s.omega) for s in specs[i:i + _LOOP_BATCH]])
+        integrand = _loop_integrand(*fields.T[:, :, None, None])
+        periods = 2.0 * math.pi / fields[:, 2]
+        out += _composite_gauss(integrand, 0.0, periods, n_quadrature).tolist()
+    return out
 
 
 def lab_frame_action(params: SystemParams, n_quadrature: int = 64) -> float:

@@ -87,17 +87,35 @@ def _bracket_canonical(s: CanonicalState, p: SystemParams) -> float:
 
 
 def _radicand(bracket, p: SystemParams):
-    radicand = 1.0 - bracket / (p.M0 * p.c * p.c)
-    if np.any(radicand < 0.0):
+    return 1.0 - bracket / (p.M0 * p.c * p.c)
+
+
+def _refused(radicand):
+    """The validity test: a negative radicand lies outside the model."""
+    return radicand < 0.0
+
+
+def _root(bracket, p: SystemParams):
+    """Square root of the radicand; raises if any entry is refused."""
+    radicand = _radicand(bracket, p)
+    if np.any(_refused(radicand)):
         raise ValueError(
             f"Lagrangian radicand is negative ({np.min(radicand):.6e}); the state lies "
             "outside the model's validity region"
         )
-    return radicand
+    return np.sqrt(radicand)
 
 
 def _sqrt_form(bracket, p: SystemParams):
-    return -(p.M0 * p.c * p.c) * np.sqrt(_radicand(bracket, p))
+    return -(p.M0 * p.c * p.c) * _root(bracket, p)
+
+
+def _admitted(s, p: SystemParams) -> np.ndarray:
+    """Mask of the states ``s`` (fields are arrays) that both
+    `eval_lagrangian_aggregate` and, after `kappa_transform`,
+    `eval_lagrangian_canonical` evaluate rather than refuse."""
+    brackets = (_bracket_aggregate(s, p), _bracket_canonical(kappa_transform(s, p), p))
+    return ~(_refused(_radicand(brackets[0], p)) | _refused(_radicand(brackets[1], p)))
 
 
 def eval_lagrangian_aggregate(s, p: SystemParams):
@@ -118,7 +136,7 @@ def eval_lagrangian_aggregate_shifted(s, p: SystemParams):
     of ``s`` may be scalars or equal-length arrays.
     """
     bracket = _bracket_aggregate(s, p)
-    return bracket / (1.0 + np.sqrt(_radicand(bracket, p)))
+    return bracket / (1.0 + _root(bracket, p))
 
 
 def eval_lagrangian_canonical(s: CanonicalState, p: SystemParams) -> float:

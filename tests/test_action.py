@@ -14,7 +14,7 @@ from inertonsim import (
     quantize,
     shortened_action,
 )
-from inertonsim.action import _composite_gauss
+from inertonsim.action import _GL_NODES, _GL_WEIGHTS, _LOOP_BATCH, _composite_gauss, _cyclic_actions
 from inertonsim.constants import LIGHT_SPEED, PLANCK
 
 
@@ -183,3 +183,56 @@ def test_quantize_validation():
         quantize(0.0, 1.0, 10.0, 1.0)
     with pytest.raises(ValueError):
         quantize(1.0, 1.0, 10.0, -1.0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _reference_composite_gauss(f, t_lo, t_hi, n_panels):
+    """The scalar rule on one 1-D grid: the reference for array limits."""
+    edges = np.linspace(t_lo, t_hi, n_panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    ts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    return float(np.sum(half[:, None] * _GL_WEIGHTS[None, :] * f(ts)))
+
+
+def test_composite_gauss_array_limits_match_scalar_calls_bitwise():
+    rng = np.random.default_rng(23)
+    limits = np.concatenate([rng.uniform(-40.0, 40.0, 37), [0.0, 1e-300, 6.5]])
+
+    def f(t):
+        return np.sqrt(np.abs(np.sin(3.0 * t))) * np.exp(-0.01 * t * t) + t
+
+    for n_panels in (64, 65, 200):
+        batched = _composite_gauss(f, 0.25, limits, n_panels)
+        assert batched.shape == limits.shape
+        scalar = [_composite_gauss(f, 0.25, float(hi), n_panels) for hi in limits]
+        reference = [_reference_composite_gauss(f, 0.25, float(hi), n_panels) for hi in limits]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(_bits(batched), _bits(scalar))
+        assert np.array_equal(_bits(scalar), _bits(reference))
+
+
+def _reference_cyclic_action(spec, n_quadrature=64):
+    """One loop integral from float spec fields: the reference for `_cyclic_actions`."""
+    period = 2.0 * math.pi / spec.omega
+
+    def integrand(t):
+        c = np.cos(spec.omega * t)
+        return spec.p_max * c * spec.amplitude * spec.omega * c
+
+    return _reference_composite_gauss(integrand, 0.0, period, n_quadrature)
+
+
+@pytest.mark.parametrize("n_quadrature", [64, 97])
+def test_cyclic_actions_match_scalar_loop_integrals_bitwise(n_quadrature):
+    rng = np.random.default_rng(29)
+    specs = [
+        OscillatorSpec.from_motion(*(10.0 ** rng.uniform(-2.0, 2.0, 3)).tolist())
+        for _ in range(2 * _LOOP_BATCH + 5)  # two full batches and a partial one
+    ]
+    reference = [_reference_cyclic_action(spec, n_quadrature) for spec in specs]
+    assert np.array_equal(_bits(_cyclic_actions(specs, n_quadrature)), _bits(reference))
+    assert np.array_equal(_bits([cyclic_action(s, n_quadrature) for s in specs]), _bits(reference))

@@ -19,7 +19,7 @@ from inertonsim import (
     write_el_csv,
 )
 from inertonsim.dynamics import SAMPLE_DTYPE, closed_form_trajectory, invariant_residual
-from inertonsim.lagrangian import cloud_residual_scale, particle_residual_scale
+from inertonsim.lagrangian import _admitted, cloud_residual_scale, particle_residual_scale
 
 
 def _m0_override(M0, v0, c, T, m0):
@@ -73,6 +73,28 @@ def test_imaginary_radicand_rejected(natural):
     s = dict(t=0.0, X=0.0, dXdt=10.5, x=0.0, dxdt=0.0)
     with pytest.raises(ValueError):
         eval_lagrangian_aggregate(s, params)
+
+
+def test_admitted_is_exactly_where_both_evaluators_accept():
+    # v0/c = 0.999 puts some uniform draws outside either radicand; a NaN
+    # state is not refused (its radicand is not negative) and must count.
+    params, _ = derive_kinematics(1.0, 0.999, 1.0, 1.0)
+    rng = np.random.default_rng(31)
+    cols = rng.uniform([-params.lam, 0.0, 0.0, -params.c], [params.lam, params.v0, params.Lam, params.c], (400, 4))
+    cols[7, 1] = np.nan
+    s = dict(zip(("X", "dXdt", "x", "dxdt"), cols.T), t=np.zeros(len(cols)))
+    accepted = []
+    for k in range(len(cols)):
+        state = {name: float(col[k]) for name, col in s.items()}
+        try:
+            eval_lagrangian_aggregate(state, params)
+            eval_lagrangian_canonical(kappa_transform(state, params), params)
+        except ValueError:
+            accepted.append(False)
+        else:
+            accepted.append(True)
+    assert 0 < sum(accepted) < len(cols) and accepted[7]
+    assert _admitted(s, params).tolist() == accepted
 
 
 def test_shift_preserves_el_structure(natural):

@@ -18,6 +18,12 @@ from inertonsim import (
     total_hamiltonian,
 )
 from inertonsim.constants import ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR
+from inertonsim.spin import _dirac_stack, _square_deviations
+
+
+def _bits(a):
+    """The int64 bit patterns of a float or complex array (or scalar)."""
+    return np.ascontiguousarray(a).view(np.int64)
 
 
 def test_eigenvalue_plug_in():
@@ -140,3 +146,50 @@ def test_wave_classification():
     assert classify_inerton_wave(-0.2) == "incoming"
     with pytest.raises(ValueError):
         classify_inerton_wave(0.0)
+
+
+def test_dirac_matrices_are_fresh_writable_copies():
+    p, M0, c = (0.3, -1.2, 0.7), 1.4, 2.0
+    matrix = dirac_hamiltonian(p, M0, c).matrix
+    devs = anticommutation_deviations()
+    for g in dirac_matrices():
+        g[...] = 7.0  # writable, and owned by the caller
+    assert np.array_equal(_bits(dirac_hamiltonian(p, M0, c).matrix), _bits(matrix))
+    assert anticommutation_deviations() == devs
+    assert np.array_equal(dirac_matrices()[3], np.diag([1.0, 1.0, -1.0, -1.0]))
+
+
+def _reference_matrix(p, M0, c):
+    """One operator from float components: the reference for `_dirac_stack`."""
+    ax, ay, az, rho3 = dirac_matrices()
+    px, py, pz = (float(v) for v in p)
+    return c * (ax * px + ay * py + az * pz) + rho3 * (M0 * c * c)
+
+
+def _reference_square_deviation(op):
+    """One deviation with a float ``e ** 2``: the reference for `_square_deviations`."""
+    target = op.expected_branch_energy() ** 2 * np.eye(4)
+    return float(np.max(np.abs(op.matrix @ op.matrix - target)))
+
+
+def test_dirac_stack_matches_single_operators_bitwise():
+    rng = np.random.default_rng(17)
+    p = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(300, 1))
+    M0 = rng.uniform(0.01, 10.0, size=300)
+    # At rest and c = 1 the branch energy is M0 itself; these masses square differently
+    # under float ** and numpy's x*x, so a numpy square would show.
+    masses = [m for m in rng.uniform(0.1, 10.0, 40000).tolist() if m ** 2 != m * m][:20]
+    p = np.vstack([p, np.zeros((len(masses), 3))])
+    M0 = np.concatenate([M0, masses])
+    for c in (1.0, 2.5):
+        H = _dirac_stack(p, M0, c)
+        eigs, squares = np.linalg.eigvalsh(H), H @ H
+        ops = [dirac_hamiltonian(pk, mk, c) for pk, mk in zip(p, M0.tolist())]
+        deviations = _square_deviations(H, [op.expected_branch_energy() for op in ops])
+        for k, op in enumerate(ops):
+            assert np.array_equal(_bits(H[k]), _bits(op.matrix))
+            assert np.array_equal(_bits(H[k]), _bits(_reference_matrix(p[k], M0[k], c)))
+            assert np.array_equal(_bits(eigs[k]), _bits(op.eigenvalues()))
+            assert np.array_equal(_bits(squares[k]), _bits(op.matrix @ op.matrix))
+            assert _bits(deviations[k]) == _bits(_reference_square_deviation(op))
+            assert _bits(op.square_deviation()) == _bits(_reference_square_deviation(op))
