@@ -96,7 +96,7 @@ def builtin_presets():
     }
 
 
-_PARAM_KEYS = {"M0", "v0", "c", "T", "h", "m0"}
+_PARAM_KEYS = ("M0", "v0", "c", "T", "h", "m0")  # in the order metadata.json lists them
 _SIM_KEYS = {"dt", "t_end"}
 _OUT_KEYS = {"trajectory", "events", "el_residuals"}
 # Keys of removed features, still present in older metadata.json files:
@@ -181,9 +181,10 @@ def resolve_config(cfg):
     """Validate a merged config and compute the resolved parameter set.
 
     Returns (params, kin, resolved) where resolved is the config dict with
-    the collision period made explicit.  Unknown top-level keys are ignored
-    so a metadata.json can be fed straight back in; unknown keys inside the
-    known sections are rejected to catch typos.
+    its defaults made explicit. The parameters stay as given (T or h), so a
+    replay resolves the period by the same arithmetic.  Unknown top-level
+    keys are ignored so a metadata.json can be fed straight back in; unknown
+    keys inside the known sections are rejected to catch typos.
     """
     units = cfg.get("units", "natural")
     if units not in ("natural", "si"):
@@ -205,7 +206,6 @@ def resolve_config(cfg):
     M0, v0, c = values["M0"], values["v0"], values["c"]
     if has_T:
         T = values["T"]
-        h_in = None
     else:
         h_in = values["h"]
         if h_in <= 0.0:
@@ -257,16 +257,12 @@ def resolve_config(cfg):
 
     resolved = {
         "units": units,
-        "parameters": {"M0": M0, "v0": v0, "c": c, "T": params.T},
+        "parameters": {key: values[key] for key in _PARAM_KEYS if key in values},
         "simulation": sim,
         "outputs": outs,
         "observables": obs,
         "seed": seed,
     }
-    if m0 is not None:
-        resolved["parameters"]["m0"] = m0
-    if h_in is not None:
-        resolved["input_h"] = h_in
     return params, kin, resolved
 
 
@@ -407,7 +403,7 @@ def cmd_derive(ns):
         raise ConfigError("--format svg: not available for derive")
     cfg = _gather_config(ns)
     params, kin, resolved = resolve_config(cfg)
-    h_val = resolved.get("input_h")
+    h_val = resolved["parameters"].get("h")
     if h_val is None:
         # no h supplied: the cyclic action increment over one period plays
         # that role, so the quantized block is exactly self-consistent
@@ -461,11 +457,13 @@ def cmd_check(ns):
     reports = run_checks(selection=selection, params=params, seed=resolved["seed"])
     files = [("report.jsonl", reports_to_json_lines(reports))]
     if ns.format == "csv":
+        header = ["name", "status", "measured", "tolerance", "runtime_s", "cases", "non_finite"]
         rows = [
-            [rep.name, rep.status, f"{rep.measured:.17g}", f"{rep.tolerance:.17g}", f"{rep.runtime_s:.3f}"]
+            [rep.name, rep.status, f"{rep.measured:.17g}", f"{rep.tolerance:.17g}", f"{rep.runtime_s:.3f}",
+             rep.cases, rep.non_finite]
             for rep in reports
         ]
-        files.append(("report.csv", _csv(["name", "status", "measured", "tolerance", "runtime_s"], rows)))
+        files.append(("report.csv", _csv(header, rows)))
     meta = _metadata(resolved, "check", {"selection": selection or list(registry_names())})
     files.append(("metadata.json", _json("metadata.json", meta)))
     rpath = _write_files(ns.out, files)[0]
@@ -484,7 +482,7 @@ def cmd_sweep(ns):
         raise ConfigError(_NO_TRAJECTORY_JSON)
     cfg = _gather_config(ns)
     axis = ns.axis
-    if axis not in (_PARAM_KEYS | _SIM_KEYS) - {"m0"}:
+    if axis not in {*_PARAM_KEYS, *_SIM_KEYS} - {"m0"}:
         raise ConfigError(f"--axis {axis}: must be one of M0, v0, c, T, h, dt, t_end")
     try:
         values = [float(v) for v in ns.values.split(",") if v.strip()]

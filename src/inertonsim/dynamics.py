@@ -15,8 +15,9 @@ event-driven hybrid system.
 
 In the dimensionless units ``tau = t/T``, ``xi = X/lam``, ``V = dXdt/v0``,
 ``chi = x/Lam`` and ``U = dxdt/c`` the system has no parameters at all:
-``y = (xi, V, chi, U, 1)`` obeys ``dy/dtau = A y`` with the fixed
-homogeneous generator `GENERATOR`. The integrator works in these units and
+``y = (xi, V, chi, U, 1)`` obeys ``dy/dtau = A y`` with a fixed
+homogeneous generator: ``xi' = V``, ``V' = -pi U``, ``chi' = U``,
+``U' = pi (V - 1)``. The integrator works in these units and
 scales to physical ones only when it packs the output columns. Its state is
 ``w = (1 - V) + iU``, which obeys ``dw/dtau = -i pi w`` and so turns on the
 unit circle at pi per T. ``1 - V - pi chi`` and ``U - pi xi + pi tau`` are
@@ -65,7 +66,6 @@ from .core import SystemParams
 __all__ = [
     "Trajectory",
     "DivergenceError",
-    "GENERATOR",
     "SAMPLE_DTYPE",
     "integrate",
     "step_count",
@@ -93,19 +93,6 @@ NEWTON_MAX_ITER = 100
 # Largest admitted run. A run stores about 80 B per step (the columns w and
 # du of `integrate`, the sample array and the residuals): near 1 GB.
 MAX_STEPS = 12_500_000
-
-# dy/dtau = A y for y = (xi, V, chi, U, 1): xi' = V, V' = -pi U, chi' = U,
-# U' = pi (V - 1).
-GENERATOR = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, -math.pi, 0.0],
-        [0.0, 0.0, 0.0, 1.0, 0.0],
-        [0.0, math.pi, 0.0, 0.0, -math.pi],
-        [0.0, 0.0, 0.0, 0.0, 0.0],
-    ]
-)
-GENERATOR.flags.writeable = False
 
 # Coefficients of R(-i pi s) in s, (-i pi)^k / k!, k = 0..4 (`_step_factor`).
 _STEP_COEFFS = tuple((-1j * math.pi) ** k / math.factorial(k) for k in range(5))

@@ -1,9 +1,13 @@
 """Named, runnable checks bundling every cross-module invariant.
 
-Each check measures one number and compares it against a fixed tolerance;
-a report passes iff ``measured <= tolerance``. Checks draw any randomness
-from a generator seeded by ``(seed, name)``, so a selection runs the same
-no matter which other checks accompany it, and two runs with the same seed
+Each check returns its per-case values (one per draw, grid point or
+component) and a fixed tolerance; `run_checks` alone turns them into a
+report. ``measured`` is the largest finite value (0.0 if there is none),
+``cases`` counts the values and ``non_finite`` the NaN and infinite ones;
+a report passes iff it has a case, every case is finite and ``measured <=
+tolerance``, so it never holds NaN. Checks draw any randomness from a
+generator seeded by ``(seed, name)``, so a selection runs the same no
+matter which other checks accompany it, and two runs with the same seed
 and parameters agree except for wall-clock timings. The sampled checks
 (``transform_invariance``, the two action checks and the two Dirac checks)
 draw their cases in the same order as one draw at a time, then evaluate
@@ -35,7 +39,7 @@ import json
 import math
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,19 +57,12 @@ class CheckReport:
     measured: float
     tolerance: float
     runtime_s: float
+    cases: int        # values the check returned
+    non_finite: int   # of those, NaN or infinite
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "runtime_s": self.runtime_s,
-        }
 
 
 def _sample_params(rng: np.random.Generator) -> SystemParams:
@@ -90,11 +87,12 @@ def _standard_run(params):
 
 
 def _check_oracle_agreement(traj):
-    return dynamics.oracle_errors(traj)["max"], 1.0e-6
+    errs = dynamics.oracle_errors(traj)
+    return [errs[k] for k in ("X", "dXdt", "x", "dxdt")], 1.0e-6
 
 
 def _check_invariant_conservation(traj):
-    return float(np.max(np.abs(traj.invariant_residuals))), 1.0e-8
+    return np.abs(traj.invariant_residuals), 1.0e-8
 
 
 def _check_periodicity(traj):
@@ -111,29 +109,28 @@ def _check_periodicity(traj):
     """
     p = traj.params
     s0 = traj.samples[1]
-    worst = 0.0
+    values = []
     for n in range(1, 5):
         s = traj.samples[2 * n * _STANDARD_STEPS + 1]
         drift = 2.0 * n * p.lam * (1.0 - 2.0 / math.pi)
-        worst = max(
-            worst,
+        values += [
             abs(s["dXdt"] - s0["dXdt"]) / p.v0,
             abs(s["x"] - s0["x"]) / p.Lam,
             abs(s["dxdt"] - s0["dxdt"]) / p.c,
             abs((s["X"] - s0["X"]) - drift) / p.lam,
-        )
-    return worst, 1.0e-6
+        ]
+    return values, 1.0e-6
 
 
 def _check_convergence_order(params, rng):
-    """Halving dt must cut the oracle error at least 8x per halving; the
-    measured value is 8 / (worst observed ratio), so <= 1 passes."""
+    """Halving dt must cut the oracle error at least 8x per halving; each
+    halving gives the value 8 / (observed ratio), so <= 1 passes."""
     errors = []
     for divisor in (100, 200, 400, 800):
         traj = dynamics.integrate(params, t_end=10.0 * params.T, dt=params.T / divisor)
         errors.append(dynamics.oracle_errors(traj)["max"])
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
-    return 8.0 / min(ratios), 1.0
+    return [8.0 / r for r in ratios], 1.0
 
 
 def _check_el_residual_aggregate(params, rng):
@@ -150,13 +147,13 @@ def _check_el_residual_aggregate(params, rng):
         return lagrangian.eval_lagrangian_aggregate_shifted(s, p_ref)
 
     report = lagrangian.el_residual(L, traj, "particle")
-    return report.max_abs_residual / lagrangian.particle_residual_scale(p_ref), 1.0e-5
+    return [report.max_abs_residual / lagrangian.particle_residual_scale(p_ref)], 1.0e-5
 
 
 def _check_transform_invariance(params, rng):
     """Canonical vs aggregate Lagrangian on 200 uniform state draws. Draws
-    that either Lagrangian refuses (a negative radicand) are skipped, not
-    replaced, so fewer than 200 may count; none counting measures 0."""
+    that either Lagrangian refuses (a negative radicand) are left out, not
+    replaced, so fewer than 200 may count; with none, the check fails."""
     p = params
     draws = rng.uniform([-p.lam, 0.0, 0.0, -p.c], [p.lam, p.v0, p.Lam, p.c], size=(200, 4))
     s = dict(zip(("X", "dXdt", "x", "dxdt"), draws.T), t=np.zeros(200))
@@ -164,25 +161,19 @@ def _check_transform_invariance(params, rng):
         s = {k: v[lagrangian._admitted(s, p)] for k, v in s.items()}
         la = lagrangian.eval_lagrangian_aggregate(s, p)
         lc = lagrangian.eval_lagrangian_canonical(lagrangian.kappa_transform(s, p), p)
-        rel = np.abs(lc - la) / np.abs(la)
-    return float(np.fmax.reduce(rel, initial=0.0)), 1.0e-9  # skips NaN, as max(worst, nan) does
+        return np.abs(lc - la) / np.abs(la), 1.0e-9
 
 
 def _check_action_triple_identity(params, rng):
     draws = [_sample_params(rng) for _ in range(100)]
     specs = [action_mod.OscillatorSpec.from_params(p) for p in draws]
-    worst = 0.0
+    values = []
     for p, spec, loop in zip(draws, specs, action_mod._cyclic_actions(specs)):
         e2t = spec.E * 2.0 * p.T
         p0lam = p.M * p.v0 * p.lam
         scale = abs(e2t)
-        worst = max(
-            worst,
-            abs(loop - e2t) / scale,
-            abs(loop - p0lam) / scale,
-            abs(e2t - p0lam) / scale,
-        )
-    return worst, 1.0e-9
+        values += [abs(loop - e2t) / scale, abs(loop - p0lam) / scale, abs(e2t - p0lam) / scale]
+    return values, 1.0e-9
 
 
 def _check_quantize_roundtrip(params, rng):
@@ -193,22 +184,18 @@ def _check_quantize_roundtrip(params, rng):
         qk = action_mod.quantize(p.M, p.v0, p.c, h)
         quanta.append(h)
         specs.append(action_mod.OscillatorSpec.from_motion(p.M, p.v0, qk.T))
-    worst = 0.0
-    for h, loop in zip(quanta, action_mod._cyclic_actions(specs)):
-        worst = max(worst, abs(loop - h) / h)
-    return worst, 1.0e-9
+    return [abs(loop - h) / h for h, loop in zip(quanta, action_mod._cyclic_actions(specs))], 1.0e-9
 
 
 def _check_hj_grid(params, rng):
     # Per point: an array hj_residual moves about 1 value in 1,000 (18 of
     # 20,000 grid points), as (mw xi)**2 is libm pow on a float, x*x on an array.
-    worst = 0.0
+    values = []
     for _ in range(10):
-        p = _sample_params(rng)
-        spec = action_mod.OscillatorSpec.from_params(p)
-        for X in np.linspace(-0.99 * spec.amplitude, 0.99 * spec.amplitude, 50):
-            worst = max(worst, abs(action_mod.hj_residual(float(X), spec)) / spec.E)
-    return worst, 1.0e-7
+        spec = action_mod.OscillatorSpec.from_params(_sample_params(rng))
+        grid = np.linspace(-0.99 * spec.amplitude, 0.99 * spec.amplitude, 50)
+        values += [abs(action_mod.hj_residual(float(X), spec)) / spec.E for X in grid]
+    return values, 1.0e-7
 
 
 def _dirac_draws(rng):
@@ -224,44 +211,39 @@ def _dirac_draws(rng):
 
 def _check_dirac_algebra(params, rng):
     H, energies = _dirac_draws(rng)
-    worst = max(spin.anticommutation_deviations().values())
-    return max(worst, float(np.max(spin._square_deviations(H, energies)))), 1.0e-12
+    return [*spin.anticommutation_deviations().values(), *spin._square_deviations(H, energies)], 1.0e-12
 
 
 def _check_dirac_spectrum(params, rng):
     H, energies = _dirac_draws(rng)
     e = np.array(energies)
     expected = e[:, None] * np.array([-1.0, -1.0, 1.0, 1.0])
-    return float(np.max(np.max(np.abs(np.linalg.eigvalsh(H) - expected), axis=1) / e)), 1.0e-10
+    return np.max(np.abs(np.linalg.eigvalsh(H) - expected), axis=1) / e, 1.0e-10
 
 
 def _check_channel_antisymmetry(params, rng):
-    worst = 0.0
+    values = []
     for _ in range(50):
         e, b, m = rng.normal(), rng.normal(), abs(rng.normal()) + 0.1
         up = spin.spin_eigenvalue(spin.SpinContext(channel=+1, e=e, B_z=b, M=m))
         dn = spin.spin_eigenvalue(spin.SpinContext(channel=-1, e=e, B_z=b, M=m))
-        worst = max(worst, abs(up + dn))
-    return worst, 0.0
+        values.append(abs(up + dn))
+    return values, 0.0
 
 
 def _check_sigma_scaling(params, rng):
     candidates = [params] + [_sample_params(rng) for _ in range(50)]
-    worst = 0.0
+    values = []
     for p in candidates:
         bounds = observables.cross_section_bounds(p)
         expected = _square(p.c / p.v0, "(c/v0)")
-        worst = max(worst, abs(bounds.upper / bounds.lower - expected) / expected)
-    return worst, 1.0e-12
+        values.append(abs(bounds.upper / bounds.lower - expected) / expected)
+    return values, 1.0e-12
 
 
 def _check_resonator_ratio(params, rng):
-    worst = 0.0
-    for _ in range(10):
-        R = math.exp(rng.uniform(math.log(1.0), math.log(1.0e8)))
-        geo = observables.resonator_dimensions(R)
-        worst = max(worst, abs(geo.ratio - math.pi / 2.0))
-    return worst, 1.0e-15
+    radii = (math.exp(rng.uniform(math.log(1.0), math.log(1.0e8))) for _ in range(10))
+    return [abs(observables.resonator_dimensions(R).ratio - math.pi / 2.0) for R in radii], 1.0e-15
 
 
 # Checks that measure the shared `_standard_run`; they take the trajectory
@@ -322,21 +304,27 @@ def run_checks(
         if name in _ON_STANDARD_RUN:
             if standard_run is None:
                 standard_run = _standard_run(params)
-            measured, tolerance = _REGISTRY[name](standard_run)
+            values, tolerance = _REGISTRY[name](standard_run)
         else:
-            measured, tolerance = _REGISTRY[name](params, rng)
+            values, tolerance = _REGISTRY[name](params, rng)
         elapsed = time.perf_counter() - started
+        values = np.asarray(values, dtype=float)
+        finite = values[np.isfinite(values)]
+        measured = float(np.max(finite, initial=0.0))
+        passed = values.size > 0 and finite.size == values.size and measured <= tolerance
         reports.append(
             CheckReport(
                 name=name,
-                status="pass" if measured <= tolerance else "fail",
-                measured=float(measured),
+                status="pass" if passed else "fail",
+                measured=measured,
                 tolerance=float(tolerance),
                 runtime_s=elapsed,
+                cases=values.size,
+                non_finite=values.size - finite.size,
             )
         )
     return reports
 
 
 def reports_to_json_lines(reports: list[CheckReport]) -> str:
-    return "\n".join(json.dumps(r.to_json_dict()) for r in reports) + "\n"
+    return "\n".join(json.dumps(asdict(r), allow_nan=False) for r in reports) + "\n"

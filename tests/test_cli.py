@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -29,7 +30,9 @@ def write_cfg(path, cfg):
 def test_presets_resolve():
     for name, cfg in builtin_presets().items():
         params, kin, resolved = resolve_config(cfg)
-        assert resolved["parameters"]["T"] == params.T, name
+        assert resolved["parameters"] == cfg["parameters"], name  # kept as given: T or h
+        if "T" in cfg["parameters"]:
+            assert resolved["parameters"]["T"] == params.T, name
 
 
 def test_both_T_and_h_rejected(tmp_path):
@@ -88,8 +91,8 @@ def test_h_resolves_period():
     params, _, resolved = resolve_config(cfg)
     M = 1.0 / math.sqrt(1.0 - 0.01)
     assert params.T == pytest.approx(2.0 / M, rel=1e-14)
-    assert resolved["input_h"] == 2.0
-    assert "h" not in resolved["parameters"]
+    assert resolved["parameters"] == {"M0": 1.0, "v0": 1.0, "c": 10.0, "h": 2.0}
+    assert "input_h" not in resolved
 
 
 # ----------------------------------------------------------------- simulate
@@ -240,6 +243,20 @@ def test_check_selection(tmp_path):
     assert [json.loads(x)["name"] for x in lines] == ["dirac_algebra", "resonator_ratio"]
 
 
+def test_check_with_non_finite_draws_fails_without_writing_nan(tmp_path):
+    # every transform_invariance draw overflows to a NaN Lagrangian pair
+    cfg = write_cfg(tmp_path / "c.json", {"parameters": {"M0": 1, "v0": 1e150, "c": 1e160, "T": 1e10}})
+    out = tmp_path / "chk"
+    code = run_cli("check", "--config", cfg, "--select", "transform_invariance", "--format", "csv", "--out", str(out))
+    assert code == 2
+    (line,) = (out / "report.jsonl").read_text().splitlines()
+    report = json.loads(line, parse_constant=_reject_constant)
+    assert (report["status"], report["measured"], report["cases"], report["non_finite"]) == ("fail", 0.0, 200, 200)
+    header, row = (out / "report.csv").read_text().splitlines()
+    assert header == "name,status,measured,tolerance,runtime_s,cases,non_finite"
+    assert row.startswith("transform_invariance,fail,0,1.0000000000000001e-09,") and row.endswith(",200,200")
+
+
 def test_check_unknown_name(tmp_path):
     assert run_cli("check", "--select", "bogus", "--out", str(tmp_path)) == 1
 
@@ -311,7 +328,50 @@ def test_sweep_h_axis_drops_T(tmp_path):
     assert code == 0
     meta = json.loads((out / "h_0" / "metadata.json").read_text())
     M = 1.0 / math.sqrt(1.0 - 0.01)
-    assert meta["parameters"]["T"] == pytest.approx(1.0 / M, rel=1e-12)
+    assert meta["parameters"]["h"] == 1.0 and "T" not in meta["parameters"]
+    assert meta["derived"]["system"]["T"] == pytest.approx(1.0 / M, rel=1e-12)
+
+
+# ------------------------------------------------------------------ replay
+
+def _tree(root):
+    """Every file under ``root`` by relative path, with the wall-clock
+    ``runtime_s`` of the check reports left out."""
+    files = {}
+    for d, _, names in os.walk(root):
+        for name in names:
+            with open(os.path.join(d, name), "rb") as fh:
+                body = fh.read()
+            if name == "report.jsonl":
+                body = [{k: v for k, v in json.loads(line).items() if k != "runtime_s"} for line in body.splitlines()]
+            elif name == "report.csv":
+                body = [row[:4] + row[5:] for row in csv.reader(io.StringIO(body.decode()))]
+            files[os.path.relpath(os.path.join(d, name), root)] = body
+    return files
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["derive", "--preset", "natural", "--format", "csv"],
+        ["derive", "--preset", "electron-1e6", "--format", "csv"],
+        ["simulate", "--preset", "natural"],
+        ["simulate", "--preset", "electron-1e6"],
+        ["check", "--preset", "electron-atomic", "--format", "csv"],
+        ["sweep", "--preset", "natural", "--axis", "h", "--values", "1.0,2.5"],
+    ],
+    ids=lambda args: "-".join(args[:3:2]) + ("-h" if "--axis" in args else ""),
+)
+def test_metadata_replays_the_run_exactly(tmp_path, args):
+    # a run, its replay from metadata.json and the replay of the replay write the same bytes
+    command, extra = args[0], args[3:]
+    assert run_cli(*args, "--out", str(tmp_path / "a")) == 0
+    first = _tree(tmp_path / "a")
+    previous = tmp_path / "a"
+    for name in ("b", "c"):
+        assert run_cli(command, "--config", str(previous / "metadata.json"), *extra, "--out", str(tmp_path / name)) == 0
+        assert _tree(tmp_path / name) == first, name
+        previous = tmp_path / name
 
 
 # --------------------------------------------------------------- subprocess

@@ -18,8 +18,21 @@ from inertonsim import (
     write_trajectory_csv,
 )
 from inertonsim import dynamics
-from inertonsim.dynamics import GENERATOR, closed_form_trajectory
+from inertonsim.dynamics import closed_form_trajectory
 from inertonsim.plotting import render_line_svg
+
+# The generator of the dimensionless system, written out independently of
+# the program: dy/dtau = A y for y = (xi, V, chi, U, 1), with xi' = V,
+# V' = -pi U, chi' = U and U' = pi (V - 1).
+GENERATOR = np.array(
+    [
+        [0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -math.pi, 0.0],
+        [0.0, 0.0, 0.0, 1.0, 0.0],
+        [0.0, math.pi, 0.0, 0.0, -math.pi],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+    ]
+)
 
 
 # ---------------------------------------------------------------- closed form

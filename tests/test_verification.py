@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import zlib
@@ -22,8 +23,9 @@ from inertonsim import (
     run_checks,
     total_hamiltonian,
 )
+from inertonsim import dynamics, lagrangian, observables, spin, verification
 from inertonsim.cli import builtin_presets, resolve_config
-from inertonsim.verification import _dirac_draws, _sample_params
+from inertonsim.verification import _STANDARD_STEPS, _dirac_draws, _sample_params
 
 EXPECTED_ORDER = [
     "oracle_agreement",
@@ -107,12 +109,96 @@ def test_json_lines_roundtrip(full_run):
         assert obj["status"] in ("pass", "fail")
         assert obj["measured"] == rep.measured
         assert obj["tolerance"] == rep.tolerance
+        assert list(obj)[-2:] == ["cases", "non_finite"]
+        assert (obj["cases"], obj["non_finite"]) == (rep.cases, 0)
 
 
 def test_report_passed_property():
-    good = CheckReport(name="x", status="pass", measured=0.1, tolerance=0.5, runtime_s=0.0)
-    bad = CheckReport(name="x", status="fail", measured=0.9, tolerance=0.5, runtime_s=0.0)
+    good = CheckReport(name="x", status="pass", measured=0.1, tolerance=0.5, runtime_s=0.0, cases=1, non_finite=0)
+    bad = CheckReport(name="x", status="fail", measured=0.9, tolerance=0.5, runtime_s=0.0, cases=1, non_finite=0)
     assert good.passed and not bad.passed
+
+
+# --- the one pass rule ------------------------------------------------------
+
+def _poison_call(monkeypatch, owner, attr, call, poison):
+    """Wrap ``owner.attr`` so that its ``call``-th call returns
+    ``poison(result)`` instead of ``result``."""
+    real = getattr(owner, attr)
+    calls = []
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(None)
+        return poison(out) if len(calls) == call else out
+
+    monkeypatch.setattr(owner, attr, patched)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name}")
+
+
+def _nan_last(values):
+    out = np.array(values, dtype=float)
+    out[-1] = math.nan
+    return out
+
+
+def _nan_periodicity_sample(traj):
+    samples = traj.samples.copy()
+    samples["X"][8 * _STANDARD_STEPS + 1] = math.nan  # X of the fourth recurrence, the last case
+    return dataclasses.replace(traj, samples=samples)
+
+
+# For each check, the inner evaluator whose last call (or last value) turns NaN.
+_LAST_CASE_NAN = {
+    "oracle_agreement": (dynamics, "oracle_errors", 1, lambda e: {**e, "dxdt": math.nan}),
+    "invariant_conservation": (
+        verification, "_standard_run", 1,
+        lambda t: dataclasses.replace(t, invariant_residuals=_nan_last(t.invariant_residuals)),
+    ),
+    "periodicity": (verification, "_standard_run", 1, _nan_periodicity_sample),
+    "convergence_order": (dynamics, "oracle_errors", 4, lambda e: {**e, "max": math.nan}),
+    "el_residual_aggregate": (
+        lagrangian, "el_residual", 1, lambda r: dataclasses.replace(r, max_abs_residual=math.nan)
+    ),
+    "transform_invariance": (lagrangian, "eval_lagrangian_canonical", 1, _nan_last),
+    "action_triple_identity": (action, "_cyclic_actions", 1, _nan_last),
+    "quantize_roundtrip": (action, "_cyclic_actions", 1, _nan_last),
+    "hj_grid": (action, "hj_residual", 500, lambda r: math.nan),
+    "dirac_algebra": (spin, "total_hamiltonian", 100, lambda e: math.nan),
+    "dirac_spectrum": (spin, "total_hamiltonian", 100, lambda e: math.nan),
+    "channel_antisymmetry": (spin, "spin_eigenvalue", 100, lambda e: math.nan),
+    "sigma_scaling": (observables, "cross_section_bounds", 51, lambda b: dataclasses.replace(b, upper=math.nan)),
+    "resonator_ratio": (
+        observables, "resonator_dimensions", 10, lambda g: dataclasses.replace(g, ratio=math.nan)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EXPECTED_ORDER)
+def test_a_non_finite_last_case_fails_the_check(monkeypatch, full_run, name):
+    clean = {r.name: r for r in full_run}[name]
+    assert clean.passed and clean.non_finite == 0
+    owner, attr, call, poison = _LAST_CASE_NAN[name]
+    _poison_call(monkeypatch, owner, attr, call, poison)
+    (report,) = run_checks(selection=[name], seed=42)
+    assert report.status == "fail"
+    assert report.cases == clean.cases
+    assert report.non_finite >= 1
+    # the finite cases still pass, so the NaN alone fails the check
+    assert math.isfinite(report.measured) and report.measured <= report.tolerance
+    json.loads(reports_to_json_lines([report]), parse_constant=_reject_constant)
+
+
+def test_transform_invariance_without_a_counted_draw_fails():
+    # a cloud mass far above M0 v0^2/c^2 puts every draw outside the validity region
+    with pytest.warns(UserWarning, match="m0"):
+        params, _ = derive_kinematics(1.0, 0.5, 1.0, 1.0, m0=1e20)
+    for seed in (0, 42, 1001):
+        (report,) = run_checks(selection=["transform_invariance"], params=params, seed=seed)
+        assert (report.status, report.measured, report.cases, report.non_finite) == ("fail", 0.0, 0, 0)
 
 
 def test_standard_run_is_integrated_once(monkeypatch):
