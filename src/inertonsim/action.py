@@ -148,14 +148,10 @@ def hj_residual(X: float, spec: OscillatorSpec, fd_step: float = 1.0e-5) -> floa
 
 
 def _composite_gauss(f, t_lo: float, t_hi, n_panels: int):
-    """Composite 8-point Gauss-Legendre rule with n_panels equal panels.
-
-    ``t_hi`` may be an array of upper limits: ``f`` then sees nodes of shape
-    ``t_hi.shape + (n_panels, 8)``, and the array of integrals equals the
-    scalar calls on each limit bit for bit. A scalar limit gives a float.
-    """
-    # C order keeps each entry's nodes contiguous, so it is summed pairwise
-    # in the order of a scalar call.
+    """Composite 8-point Gauss-Legendre rule with n_panels equal panels, one
+    integral per entry of an array ``t_hi`` (see
+    test_composite_gauss_array_limits_match_scalar_calls_bitwise)."""
+    # C order: each entry's nodes are summed in the order of a scalar call
     edges = np.ascontiguousarray(np.linspace(t_lo, t_hi, n_panels + 1, axis=-1))
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])   # (..., n_panels)
     mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
@@ -194,8 +190,8 @@ _LOOP_BATCH = 16  # specs per array pass: each temporary stays near 64 KB
 
 
 def _cyclic_actions(specs: list[OscillatorSpec], n_quadrature: int = 64) -> list[float]:
-    """`cyclic_action` of each spec, bit for bit, in array passes of
-    `_LOOP_BATCH` specs."""
+    """`cyclic_action` of each spec, in array passes of `_LOOP_BATCH` specs
+    (see test_cyclic_actions_match_scalar_loop_integrals_bitwise)."""
     out: list[float] = []
     for i in range(0, len(specs), _LOOP_BATCH):
         fields = np.array([(s.p_max, s.amplitude, s.omega) for s in specs[i:i + _LOOP_BATCH]])

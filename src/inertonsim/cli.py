@@ -29,8 +29,8 @@ through one helper, so an exit 1 (validation) or 2 (runtime failure) leaves
 ``check`` and ``sweep`` still write their reports and exit 2. A malformed
 section that ``sweep --axis`` edits exits 1 before any case runs.
 
-Exit codes: 0 success, 1 validation error, 2 runtime or check failure,
-3 I/O error.
+Exit codes: 0 success, 1 validation or usage error, 2 runtime or check
+failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -96,9 +96,13 @@ def builtin_presets():
     }
 
 
-_PARAM_KEYS = ("M0", "v0", "c", "T", "h", "m0")  # in the order metadata.json lists them
-_SIM_KEYS = {"dt", "t_end"}
-_OUT_KEYS = {"trajectory", "events", "el_residuals"}
+# The keys of each config section, in the order metadata.json lists them.
+_KEYS = {
+    "parameters": ("M0", "v0", "c", "T", "h", "m0"),
+    "simulation": ("dt", "t_end"),
+    "outputs": ("trajectory", "events", "el_residuals"),
+    "observables": ("resonator_radius",),
+}
 # Keys of removed features, still present in older metadata.json files:
 # key -> (accepts, reason). A value that `accepts` selects what the program
 # does anyway and is dropped; any other value is a ConfigError.
@@ -143,7 +147,8 @@ def merge_config(base, override):
 
 def _section(cfg, name):
     """A config section as a fresh dict (empty when absent), with its
-    `_RETIRED` keys checked and dropped."""
+    `_RETIRED` keys checked and dropped and any other key not in `_KEYS`
+    refused."""
     sec = cfg.get(name)
     if sec is None:
         return {}
@@ -154,6 +159,9 @@ def _section(cfg, name):
         if key in sec and not unchanged(sec[key]):
             raise ConfigError(f"{name}.{key}: {why}, got {sec[key]!r}")
         sec.pop(key, None)
+    for key in sec:
+        if key not in _KEYS[name]:
+            raise ConfigError(f"{name}.{key}: unknown key")
     return sec
 
 
@@ -190,12 +198,7 @@ def resolve_config(cfg):
     if units not in ("natural", "si"):
         raise ConfigError("units: must be 'natural' or 'si'")
 
-    pars = cfg.get("parameters")
-    if not isinstance(pars, dict):
-        raise ConfigError("parameters: section is required")
-    for key in pars:
-        if key not in _PARAM_KEYS:
-            raise ConfigError(f"parameters.{key}: unknown key")
+    pars = _section(cfg, "parameters")
     for key in ("M0", "v0", "c"):
         if key not in pars:
             raise ConfigError(f"parameters.{key}: required")
@@ -207,13 +210,13 @@ def resolve_config(cfg):
     if has_T:
         T = values["T"]
     else:
-        h_in = values["h"]
-        if h_in <= 0.0:
-            raise ConfigError("parameters.h: must be positive")
+        for key in ("M0", "h"):
+            if not values[key] > 0.0:
+                raise ConfigError(f"parameters.{key}: must be positive, got {values[key]}")
         if not 0.0 < v0 < c:
             raise ConfigError("parameters.v0: must satisfy 0 < v0 < c")
         m_rel = M0 / math.sqrt(1.0 - (v0 / c) ** 2)
-        T = quantize(m_rel, v0, c, h_in).T
+        T = quantize(m_rel, v0, c, values["h"]).T
     m0 = values.get("m0")
     try:
         params, kin = derive_kinematics(M0, v0, c, T, m0=m0)
@@ -221,9 +224,6 @@ def resolve_config(cfg):
         raise ConfigError(f"parameters: {exc}") from exc
 
     sim = _section(cfg, "simulation")
-    for key in sim:
-        if key not in _SIM_KEYS:
-            raise ConfigError(f"simulation.{key}: unknown key")
     sim.setdefault("dt", params.T / 1000.0)
     sim.setdefault("t_end", 10.0 * params.T)
     sim["dt"] = dt = _number("simulation.dt", sim["dt"])
@@ -234,18 +234,12 @@ def resolve_config(cfg):
         raise ConfigError(f"simulation.dt: {exc}") from None
 
     outs = _section(cfg, "outputs")
-    for key in outs:
-        if key not in _OUT_KEYS:
-            raise ConfigError(f"outputs.{key}: unknown key")
-    for key in _OUT_KEYS:
+    for key in _KEYS["outputs"]:
         outs.setdefault(key, key in ("trajectory", "events"))
         if not isinstance(outs[key], bool):
             raise ConfigError(f"outputs.{key}: must be true or false, got {outs[key]!r}")
 
     obs = _section(cfg, "observables")
-    for key in obs:
-        if key != "resonator_radius":
-            raise ConfigError(f"observables.{key}: unknown key")
     radius = _number("observables.resonator_radius", obs.get("resonator_radius", EARTH_RADIUS))
     if radius <= 0.0:
         raise ConfigError(f"observables.resonator_radius: must be positive, got {radius}")
@@ -257,7 +251,7 @@ def resolve_config(cfg):
 
     resolved = {
         "units": units,
-        "parameters": {key: values[key] for key in _PARAM_KEYS if key in values},
+        "parameters": {key: values[key] for key in _KEYS["parameters"] if key in values},
         "simulation": sim,
         "outputs": outs,
         "observables": obs,
@@ -468,7 +462,12 @@ def cmd_check(ns):
     files.append(("metadata.json", _json("metadata.json", meta)))
     rpath = _write_files(ns.out, files)[0]
     for rep in reports:
-        print(f"{rep.status:4s}  {rep.name:24s}  measured={rep.measured:.3e}  tol={rep.tolerance:.3e}")
+        why = ""  # why a check failed when its measured value alone does not say
+        if rep.non_finite:
+            why = f"  non_finite={rep.non_finite}/{rep.cases}"
+        elif rep.cases == 0:
+            why = "  cases=0"
+        print(f"{rep.status:4s}  {rep.name:24s}  measured={rep.measured:.3e}  tol={rep.tolerance:.3e}{why}")
     n_fail = sum(1 for rep in reports if not rep.passed)
     print(f"check: {len(reports) - n_fail}/{len(reports)} passed; report in {rpath}")
     return 0 if n_fail == 0 else 2
@@ -482,8 +481,9 @@ def cmd_sweep(ns):
         raise ConfigError(_NO_TRAJECTORY_JSON)
     cfg = _gather_config(ns)
     axis = ns.axis
-    if axis not in {*_PARAM_KEYS, *_SIM_KEYS} - {"m0"}:
-        raise ConfigError(f"--axis {axis}: must be one of M0, v0, c, T, h, dt, t_end")
+    axes = [key for key in _KEYS["parameters"] + _KEYS["simulation"] if key != "m0"]
+    if axis not in axes:
+        raise ConfigError(f"--axis {axis}: must be one of {', '.join(axes)}")
     try:
         values = [float(v) for v in ns.values.split(",") if v.strip()]
     except ValueError as exc:
@@ -493,7 +493,7 @@ def cmd_sweep(ns):
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"--values: must be finite numbers, got {ns.values}")
 
-    section = "simulation" if axis in _SIM_KEYS else "parameters"
+    section = "simulation" if axis in _KEYS["simulation"] else "parameters"
     base = _section(cfg, section)
     base.pop({"T": "h", "h": "T"}.get(axis), None)
     _json("metadata.json", cfg)  # a config that metadata.json cannot hold is refused before any case runs
@@ -569,8 +569,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    try:
+        ns = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help or --version
+        return 1 if exc.code else 0
     try:
         return ns.handler(ns)
     except ValueError as exc:

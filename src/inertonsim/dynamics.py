@@ -83,7 +83,8 @@ EVENT_X_TOL = 1.0e-12       # Newton target on |x|, in units of Lam
 # numerically: the integrator's phase lag grows like dt**4 and reaches
 # about 8.1e-8 T per ten periods at the coarsest admissible step (T/100). The
 # trailing probe therefore accepts an event up to 1e-6 T past t_end, the
-# same timing tolerance the event checks themselves use.
+# same timing tolerance the event checks themselves use, and `step_count`
+# refuses a run whose last event would lag by more.
 PROBE_WINDOW = 1.0e-6       # accept a trailing event up to this far past t_end, in units of T
 DIVERGENCE_LIMIT = 1.0e-3   # hard cap on the first-integral residual
 # Length of the table of step-factor powers: 1024 complex doubles (16 KB).
@@ -284,8 +285,10 @@ def step_count(T: float, t_end: float, dt: float) -> int:
     """Number of grid steps of a run, after checking its grid.
 
     Raises ValueError unless ``0 < dt <= T/100``, ``t_end`` is a finite,
-    whole number of steps (within 1e-9 relative) and the run fits in
-    `MAX_STEPS` steps.
+    whole number of steps (within 1e-9 relative), the run fits in
+    `MAX_STEPS` steps and its events stay within `PROBE_WINDOW` of ``nT``:
+    one step turns ``w`` by ``theta`` instead of ``pi h`` (``h = dt/T``),
+    so the events lag ``pi h / theta - 1`` T per period.
     """
     if not (dt > 0.0):
         raise ValueError(f"step size must be positive, got {dt}")
@@ -304,14 +307,21 @@ def step_count(T: float, t_end: float, dt: float) -> int:
             f"t_end={t_end} is not a whole number of steps of dt={dt}; "
             "pick t_end = n * dt"
         )
+    h = dt / T
+    lag = math.pi * h / -cmath.phase(_step_factor(h)) - 1.0  # per period, in T
+    if lag * t_end / T > PROBE_WINDOW:
+        raise ValueError(
+            f"t_end={t_end / T:.6g} T is too long for dt=T/{1.0 / h:.6g}: the events lag {lag:.3g} T "
+            f"per period, so the longest admissible t_end is {PROBE_WINDOW / lag:.1f} T; lower dt or t_end"
+        )
     return n_steps
 
 
 def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
     """Integrate the hybrid system on the grid ``t_i = i dt`` up to t_end.
 
-    Requirements: ``0 < dt <= T/100`` and ``t_end`` a whole number of steps
-    (within 1e-9 relative), so samples land exactly on the grid.
+    Requirements: those of `step_count`, among them ``0 < dt <= T/100`` and
+    ``t_end`` a whole number of steps, so samples land exactly on the grid.
 
     Raises `DivergenceError` if the first-integral residual ever exceeds
     1e-3 (or is not a number), which signals an integration failure rather

@@ -111,9 +111,8 @@ def _sqrt_form(bracket, p: SystemParams):
 
 
 def _admitted(s, p: SystemParams) -> np.ndarray:
-    """Mask of the states ``s`` (fields are arrays) that both
-    `eval_lagrangian_aggregate` and, after `kappa_transform`,
-    `eval_lagrangian_canonical` evaluate rather than refuse."""
+    """Mask of the states both Lagrangians evaluate (see
+    test_admitted_is_exactly_where_both_evaluators_accept)."""
     brackets = (_bracket_aggregate(s, p), _bracket_canonical(kappa_transform(s, p), p))
     return ~(_refused(_radicand(brackets[0], p)) | _refused(_radicand(brackets[1], p)))
 

@@ -36,6 +36,7 @@ __all__ = [
     "pauli_matrices",
     "dirac_matrices",
     "dirac_hamiltonian",
+    "anticommutation_deviations",
     "classify_inerton_wave",
 ]
 
@@ -154,10 +155,8 @@ def _dirac_stack(p, M0, c: float) -> ArrayC:
 
 
 def _square_deviations(H: ArrayC, energies) -> np.ndarray:
-    """Max elementwise deviation of ``H @ H`` from ``e^2 I``, for each matrix
-    of the (n, 4, 4) stack ``H`` and its branch energy ``e``. Each ``e`` is
-    squared as a float: numpy's square differs from ``**`` on about 1
-    double in 1,200."""
+    """Max elementwise deviation of ``H @ H`` from ``e^2 I`` per matrix of
+    the stack ``H`` (see test_dirac_stack_matches_single_operators_bitwise)."""
     target = np.array([e ** 2 for e in energies])[:, None, None] * np.eye(4)
     return np.max(np.abs(H @ H - target), axis=(1, 2))
 

@@ -9,9 +9,8 @@ tolerance``, so it never holds NaN. Checks draw any randomness from a
 generator seeded by ``(seed, name)``, so a selection runs the same no
 matter which other checks accompany it, and two runs with the same seed
 and parameters agree except for wall-clock timings. The sampled checks
-(``transform_invariance``, the two action checks and the two Dirac checks)
-draw their cases in the same order as one draw at a time, then evaluate
-them in one array pass whose values equal the per-draw ones bit for bit.
+evaluate their draws in one array pass (see
+test_sampled_checks_match_per_draw_loops_bitwise).
 
 Most checks respect the supplied `SystemParams`; the ones whose tolerances
 are calibrated to a specific regime pin their own configuration and say so
@@ -200,9 +199,7 @@ def _check_hj_grid(params, rng):
 
 def _dirac_draws(rng):
     """100 operators ``c alpha.p + rho3 M0 c^2`` at c = 1, stacked, and
-    their branch energies as floats. Each row of one standard-normal draw
-    is ``p`` then ``z``, with ``M0 = |z| + 0.1``: the stream of
-    ``normal(size=3)`` then ``normal()`` per operator."""
+    their branch energies (see test_dirac_draws_follow_the_per_draw_stream)."""
     z = rng.standard_normal((100, 4))
     p, M0 = z[:, :3], np.abs(z[:, 3]) + 0.1
     energies = [spin.total_hamiltonian(pk, 0.0, mk, 1.0) for pk, mk in zip(p, M0.tolist())]

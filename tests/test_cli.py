@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from inertonsim.cli import ConfigError, builtin_presets, main, merge_config, resolve_config
 from inertonsim.constants import ELECTRON_MASS, LIGHT_SPEED, PLANCK
+from inertonsim.verification import _sample_params
 
 
 def run_cli(*args):
@@ -93,6 +94,44 @@ def test_h_resolves_period():
     assert params.T == pytest.approx(2.0 / M, rel=1e-14)
     assert resolved["parameters"] == {"M0": 1.0, "v0": 1.0, "c": 10.0, "h": 2.0}
     assert "input_h" not in resolved
+
+
+@pytest.mark.parametrize("M0", [-1, 0])
+def test_h_path_names_a_non_positive_M0(tmp_path, capsys, M0):
+    # the period resolved from h divides by the mass: a bad M0 is named before that
+    cfg = write_cfg(tmp_path / "c.json", {"parameters": {"M0": M0, "v0": 0.5, "c": 1, "h": 1}})
+    out = tmp_path / "o"
+    assert run_cli("derive", "--config", cfg, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: parameters.M0: must be positive, got {float(M0)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, flag", [(["simulate", "--bogus", "1"], "--bogus"), (["check", "--seed", "abc"], "--seed")])
+def test_usage_error_exits_1(capsys, args, flag):
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    assert run_cli(flag) == 0
+    assert "inertonsim" in capsys.readouterr().out
+
+
+def test_metadata_does_not_depend_on_the_hash_seed(tmp_path):
+    # the outputs keys a config omits are filled in one fixed order
+    cfg = write_cfg(tmp_path / "c.json", {"parameters": {"M0": 1, "v0": 1, "c": 10, "T": 1}})
+    metas = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "inertonsim.cli", "derive", "--config", cfg, "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        metas.append((out / "metadata.json").read_bytes())
+    assert metas[0] == metas[1]
 
 
 # ----------------------------------------------------------------- simulate
@@ -243,18 +282,29 @@ def test_check_selection(tmp_path):
     assert [json.loads(x)["name"] for x in lines] == ["dirac_algebra", "resonator_ratio"]
 
 
-def test_check_with_non_finite_draws_fails_without_writing_nan(tmp_path):
+def test_check_with_non_finite_draws_fails_without_writing_nan(tmp_path, capsys):
     # every transform_invariance draw overflows to a NaN Lagrangian pair
     cfg = write_cfg(tmp_path / "c.json", {"parameters": {"M0": 1, "v0": 1e150, "c": 1e160, "T": 1e10}})
     out = tmp_path / "chk"
     code = run_cli("check", "--config", cfg, "--select", "transform_invariance", "--format", "csv", "--out", str(out))
     assert code == 2
+    assert capsys.readouterr().out.splitlines()[0].endswith("tol=1.000e-09  non_finite=200/200")
     (line,) = (out / "report.jsonl").read_text().splitlines()
     report = json.loads(line, parse_constant=_reject_constant)
     assert (report["status"], report["measured"], report["cases"], report["non_finite"]) == ("fail", 0.0, 200, 200)
     header, row = (out / "report.csv").read_text().splitlines()
     assert header == "name,status,measured,tolerance,runtime_s,cases,non_finite"
     assert row.startswith("transform_invariance,fail,0,1.0000000000000001e-09,") and row.endswith(",200,200")
+
+
+def test_check_without_a_counted_draw_says_so(tmp_path, capsys):
+    # a cloud mass far above M0 v0^2/c^2 puts every draw outside the validity region
+    pars = {"M0": 1, "v0": 0.5, "c": 1, "T": 1, "m0": 1e20}
+    cfg = write_cfg(tmp_path / "c.json", {"parameters": pars})
+    with pytest.warns(UserWarning, match="m0"):
+        code = run_cli("check", "--config", cfg, "--select", "transform_invariance", "--out", str(tmp_path / "chk"))
+    assert code == 2
+    assert capsys.readouterr().out.splitlines()[0].endswith("tol=1.000e-09  cases=0")
 
 
 def test_check_unknown_name(tmp_path):
@@ -314,6 +364,24 @@ def test_sweep_failed_row_marked(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().err
 
 
+def test_sweep_refuses_a_step_whose_events_leave_the_probe_window(tmp_path, capsys):
+    # at T/100 the events lag 8.1e-9 T per period, so over 200 T the last
+    # one would land 1.6e-6 T late, outside dynamics.PROBE_WINDOW
+    cfg = {"parameters": {"M0": 2.3, "v0": 0.37, "c": 1, "T": 1.7}, "simulation": {"t_end": 340}}
+    out = tmp_path / "sw"
+    code = run_cli(
+        "sweep", "--config", write_cfg(tmp_path / "c.json", cfg), "--axis", "dt", "--values", "0.017,0.0136",
+        "--out", str(out),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sweep dt=0.017: FAILED (simulation.dt: t_end=200 T is too long for dt=T/100: ")
+    assert "the longest admissible t_end is 123.2 T" in err
+    refused, admitted = ((out / "summary.csv").read_text().splitlines()[1:])
+    assert math.isnan(float(refused.split(",")[1])) and float(admitted.split(",")[1]) < 1e-4
+    assert not (out / "dt_0").exists()
+
+
 def test_sweep_axis_validation(tmp_path):
     assert run_cli(
         "sweep", "--preset", "natural", "--axis", "flux", "--values", "1", "--out", str(tmp_path)
@@ -350,28 +418,44 @@ def _tree(root):
     return files
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["derive", "--preset", "natural", "--format", "csv"],
-        ["derive", "--preset", "electron-1e6", "--format", "csv"],
-        ["simulate", "--preset", "natural"],
-        ["simulate", "--preset", "electron-1e6"],
-        ["check", "--preset", "electron-atomic", "--format", "csv"],
-        ["sweep", "--preset", "natural", "--axis", "h", "--values", "1.0,2.5"],
-    ],
-    ids=lambda args: "-".join(args[:3:2]) + ("-h" if "--axis" in args else ""),
-)
-def test_metadata_replays_the_run_exactly(tmp_path, args):
+def _draw(seed):
+    p = _sample_params(np.random.default_rng(seed))
+    return {"parameters": {"M0": p.M0, "v0": p.v0, "c": p.c, "T": p.T}}
+
+
+_FORMATS = {"derive": ("csv", "json"), "simulate": ("csv", "svg"), "check": ("csv", "json"), "sweep": ("csv", "svg")}
+_REPLAY_INPUTS = [*builtin_presets(), *(f"draw{seed}" for seed in range(5))]  # a draw is a config file
+
+
+def _replay_cases():
+    """Each command with each --format it allows, on each preset and on five
+    `_sample_params` draws (a sweep along M0), and a sweep along h."""
+    for command, formats in _FORMATS.items():
+        for fmt in formats:
+            for name in _REPLAY_INPUTS:
+                suffix = "" if fmt == "csv" else f"-{fmt}"
+                yield pytest.param(command, name, ["--format", fmt], id=f"{command}-{name}{suffix}")
+    yield pytest.param("sweep", "natural", ["--axis", "h", "--values", "1.0,2.5"], id="sweep-natural-h")
+
+
+@pytest.mark.parametrize("command, name, extra", _replay_cases())
+def test_metadata_replays_the_run_exactly(tmp_path, command, name, extra):
     # a run, its replay from metadata.json and the replay of the replay write the same bytes
-    command, extra = args[0], args[3:]
-    assert run_cli(*args, "--out", str(tmp_path / "a")) == 0
+    if name in builtin_presets():
+        source, cfg = ["--preset", name], builtin_presets()[name]
+    else:
+        cfg = _draw(int(name[len("draw"):]))
+        source = ["--config", write_cfg(tmp_path / "cfg.json", cfg)]
+    if command == "sweep" and "--axis" not in extra:
+        M0 = cfg["parameters"]["M0"]
+        extra = [*extra, "--axis", "M0", "--values", f"{M0!r},{2.0 * M0!r}"]
+    assert run_cli(command, *source, *extra, "--out", str(tmp_path / "a")) == 0
     first = _tree(tmp_path / "a")
     previous = tmp_path / "a"
-    for name in ("b", "c"):
-        assert run_cli(command, "--config", str(previous / "metadata.json"), *extra, "--out", str(tmp_path / name)) == 0
-        assert _tree(tmp_path / name) == first, name
-        previous = tmp_path / name
+    for out in ("b", "c"):
+        assert run_cli(command, "--config", str(previous / "metadata.json"), *extra, "--out", str(tmp_path / out)) == 0
+        assert _tree(tmp_path / out) == first, out
+        previous = tmp_path / out
 
 
 # --------------------------------------------------------------- subprocess
@@ -386,6 +470,15 @@ def test_console_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "10 events" in proc.stdout
     assert (out / "trajectory.csv").exists()
+
+
+def test_usage_error_exits_1_subprocess():
+    proc = subprocess.run(
+        [sys.executable, "-m", "inertonsim.cli", "simulate", "--bogus", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "error: unrecognized arguments: --bogus 1" in proc.stderr
 
 
 def test_version_flag_subprocess():

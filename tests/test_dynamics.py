@@ -454,6 +454,18 @@ def test_integrator_matches_rk4_error_model(pars, divisor, periods):
     assert traj.events[-1] - n * params.T == pytest.approx(n * (z / theta - 1.0) * params.T, rel=0.01)
 
 
+def test_step_count_refuses_a_run_whose_events_leave_the_probe_window():
+    # by the lag model above, at T/100 the n-th event lags nT by n 8.1e-9 T,
+    # which reaches PROBE_WINDOW at n = 123.2
+    assert dynamics.step_count(1.7, 123.0 * 1.7, 0.017) == 12300
+    with pytest.raises(ValueError, match=r"the longest admissible t_end is 123\.2 T"):
+        dynamics.step_count(1.7, 124.0 * 1.7, 0.017)
+    assert dynamics.step_count(1.7, 200.0 * 1.7, 1.7 / 125.0) == 25000  # T/125 lags 6.6e-7 T by 200 T
+    params, _ = derive_kinematics(2.3, 0.37, 1.0, 1.7)
+    traj = integrate(params, t_end=123.0 * params.T, dt=params.T / 100.0)
+    assert len(traj.events) == 123
+
+
 def test_trajectory_csv_writer_memory_does_not_grow_with_the_run(tmp_path, natural):
     params, _ = natural
     peaks = []
