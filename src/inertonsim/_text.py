@@ -280,10 +280,11 @@ def rows(columns, sep: bytes = b",", end: bytes = b"\n") -> bytes:
 
 
 def write_csv(path, header: str, columns, flag_col) -> None:
-    """Write ``header`` and one ``%.17g,...,%d`` row per sample: the float
-    columns, then the 0/1 flags, streamed `CHUNK_ROWS` rows at a time."""
+    """Write ``header`` and one ``%.17g,...,%d`` row per flag: the float
+    columns that ``columns(chunk)`` returns for a slice of rows, then the 0/1
+    flags, streamed `CHUNK_ROWS` rows at a time."""
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for lo in range(0, len(flag_col), CHUNK_ROWS):
             chunk = slice(lo, lo + CHUNK_ROWS)
-            fh.write(rows([g17(col[chunk]) for col in columns] + [flags(flag_col[chunk])]))
+            fh.write(rows([g17(col) for col in columns(chunk)] + [flags(flag_col[chunk])]))

@@ -217,6 +217,8 @@ def resolve_config(cfg):
             raise ConfigError("parameters.v0: must satisfy 0 < v0 < c")
         m_rel = M0 / math.sqrt(1.0 - (v0 / c) ** 2)
         T = quantize(m_rel, v0, c, values["h"]).T
+        if not 0.0 < T < math.inf:
+            raise ConfigError(f"parameters.h: the period h / (M v0^2) must be positive and finite, got T={T}")
     m0 = values.get("m0")
     try:
         params, kin = derive_kinematics(M0, v0, c, T, m0=m0)
@@ -365,7 +367,7 @@ def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
 
     derived = {
         "system": params.to_dict(),
-        "n_samples": len(traj.samples),
+        "n_samples": len(traj.xi),
         "n_events": len(traj.events),
         "max_oracle_error": errs["max"],
         "max_invariant_residual": float(np.max(np.abs(traj.invariant_residuals))),

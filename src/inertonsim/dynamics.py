@@ -17,8 +17,9 @@ In the dimensionless units ``tau = t/T``, ``xi = X/lam``, ``V = dXdt/v0``,
 ``chi = x/Lam`` and ``U = dxdt/c`` the system has no parameters at all:
 ``y = (xi, V, chi, U, 1)`` obeys ``dy/dtau = A y`` with a fixed
 homogeneous generator: ``xi' = V``, ``V' = -pi U``, ``chi' = U``,
-``U' = pi (V - 1)``. The integrator works in these units and
-scales to physical ones only when it packs the output columns. Its state is
+``U' = pi (V - 1)``. The integrator and `Trajectory` work in these
+units; the physical ones are applied only at the edges, by
+`Trajectory.columns` and `closed_form`. The integrator's state is
 ``w = (1 - V) + iU``, which obeys ``dw/dtau = -i pi w`` and so turns on the
 unit circle at pi per T. ``1 - V - pi chi`` and ``U - pi xi + pi tau`` are
 linear invariants, so ``chi = Re(w)/pi`` and ``xi = tau + (U - u)/pi``,
@@ -47,9 +48,10 @@ while the blocks stay vectorized; the first-integral residuals
 ``|w|^2 - 1`` and the divergence guard on them are computed once per run,
 after the last block.
 
-The exact motion is known in closed form and `closed_form` evaluates it,
-with the branch at contact instants ``t = n T`` resolved to the right
-(post-reflection) side so the state is right-continuous there.
+The exact motion is known in closed form: `_exact` evaluates it in these
+units, with the branch at contact instants ``t = n T`` resolved to the right
+(post-reflection) side so the state is right-continuous there, and
+`closed_form`, `closed_form_trajectory` and `oracle_errors` share it.
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ DIVERGENCE_LIMIT = 1.0e-3   # hard cap on the first-integral residual
 # A block never spans more steps than this.
 BLOCK_STEPS = 1024
 NEWTON_MAX_ITER = 100
-# Largest admitted run. A run stores about 80 B per step (the columns w and
-# du of `integrate`, the sample array and the residuals): near 1 GB.
+# Largest admitted run. `integrate` peaks at 80 B per step (tracemalloc: w,
+# du, the residuals, the (4, n) column block and its temporaries): 1 GB.
 MAX_STEPS = 12_500_000
 
 # Coefficients of R(-i pi s) in s, (-i pi)^k / k!, k = 0..4 (`_step_factor`).
@@ -108,23 +110,20 @@ class DivergenceError(RuntimeError):
     """Raised when the first-integral residual leaves the trust region."""
 
 
-def _pack(t, X, dXdt, x, dxdt) -> np.ndarray:
-    """Physical columns into one structured array of `SAMPLE_DTYPE`."""
-    out = np.empty(len(t), dtype=SAMPLE_DTYPE)
-    for name, col in zip(SAMPLE_FIELDS, (t, X, dXdt, x, dxdt)):
-        out[name] = col
-    return out
+def _units(p: SystemParams, t, xi, V, chi, U) -> dict:
+    """The state at times ``t`` in physical units, from its dimensionless
+    columns: ``X = xi lam``, ``dXdt = V v0``, ``x = chi Lam``, ``dxdt = U c``."""
+    return dict(t=t, X=xi * p.lam, dXdt=V * p.v0, x=chi * p.Lam, dxdt=U * p.c)
 
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled run with its reflection events.
+    """Uniformly sampled run with its reflection events, in the integrator's units.
 
-    ``samples`` is a structured array of `SAMPLE_DTYPE` with the columns
-    ``t, X, dXdt, x, dxdt`` (``samples["X"]`` is the particle coordinate
-    column, ``samples[i]`` the i-th sample), ordered by strictly increasing
-    time, with ``x >= -EVENT_X_TOL * Lam`` to rounding (only a sample just
-    after a reflection sits below zero). ``events`` is the float64 array of
+    Sample ``i`` is at ``t = i dt``; its columns ``xi, V, chi, U`` are
+    ``X/lam, dXdt/v0, x/Lam, dxdt/c``, with ``chi >= -EVENT_X_TOL`` to
+    rounding (only a sample just after a reflection sits below zero), and
+    `columns` applies the units. ``events`` is the float64 array of
     reflection times in increasing order. ``invariant_residuals`` is the
     array of first-integral residuals per sample. ``metadata`` records how
     the run was produced (grid and event tolerances) and is emitted
@@ -132,22 +131,35 @@ class Trajectory:
     """
 
     params: SystemParams
-    samples: np.ndarray
+    dt: float
+    xi: np.ndarray
+    V: np.ndarray
+    chi: np.ndarray
+    U: np.ndarray
     events: np.ndarray
     invariant_residuals: np.ndarray
     metadata: dict = field(default_factory=dict)
 
+    def columns(self, rows: slice = slice(None)) -> dict[str, np.ndarray]:
+        """The rows ``rows`` (a slice) in physical units: a state whose
+        fields, those of `SAMPLE_FIELDS`, are arrays."""
+        t = np.arange(*rows.indices(len(self.xi))) * self.dt
+        return _units(self.params, t, self.xi[rows], self.V[rows], self.chi[rows], self.U[rows])
+
     @property
-    def dt(self) -> float:
-        t = self.samples["t"]
-        return float(t[1] - t[0])
+    def samples(self) -> np.ndarray:
+        """Every row packed into a structured array of `SAMPLE_DTYPE`
+        (``samples["X"]`` the particle coordinate column, ``samples[i]``
+        the i-th sample), built anew on each access."""
+        out = np.empty(len(self.xi), dtype=SAMPLE_DTYPE)
+        for name, col in self.columns().items():
+            out[name] = col
+        return out
 
     def as_arrays(self) -> dict[str, np.ndarray]:
-        """Views of the sample columns plus ``invariant_residual``.
+        """The physical columns plus ``invariant_residual``.
         Kept only because `bench/spans.py` patches it; goes with the tracer rewrite (ROADMAP item 4)."""
-        out = {name: self.samples[name] for name in SAMPLE_FIELDS}
-        out["invariant_residual"] = self.invariant_residuals
-        return out
+        return {**self.columns(), "invariant_residual": self.invariant_residuals}
 
 
 def invariant_residual(s, p: SystemParams):
@@ -166,35 +178,33 @@ def invariant_residual(s, p: SystemParams):
 # Closed-form reference motion
 # ---------------------------------------------------------------------------
 
-def closed_form(t, p: SystemParams) -> dict:
-    """Exact state at time ``t >= 0``, a scalar or an array of times.
+def _exact(tau):
+    """Exact ``(xi, V, chi, U)`` at ``tau = t/T``, a scalar or an array.
 
-    With ``k = floor(t/T)`` and ``frac = t/T - k`` the components are
+    With ``k = floor(tau)`` and ``frac = tau - k`` the columns are
 
-        dXdt = v0 (1 - sin(pi frac))
-        X    = v0 t + (lam/pi) (cos(pi frac) - 1 - 2 k)
-        x    = (Lam/pi) sin(pi frac)
-        dxdt = c cos(pi frac)
+        xi  = tau + (cos(pi frac) - 1 - 2 k) / pi
+        V   = 1 - sin(pi frac)
+        chi = sin(pi frac) / pi
+        U   = cos(pi frac)
 
     which is algebraically identical to the textbook absolute-value form
     but free of cancellation, and lands on the post-reflection branch at
-    integer ``t/T`` because ``floor`` is right-continuous there. Returns a
-    state dict; for an array ``t`` every field is an array of its shape.
+    integer ``tau`` because ``floor`` is right-continuous there.
     """
-    if np.any(np.asarray(t) < 0.0):
-        raise ValueError(f"closed form is defined for t >= 0, got {np.min(t)}")
-    ratio = t / p.T
-    k = np.floor(ratio)
-    frac = ratio - k
+    k = np.floor(tau)
+    frac = tau - k
     s = np.sin(np.pi * frac)
     co = np.cos(np.pi * frac)
-    return dict(
-        t=t,
-        X=p.v0 * t + (p.lam / np.pi) * (co - 1.0 - 2.0 * k),
-        dXdt=p.v0 * (1.0 - s),
-        x=(p.Lam / np.pi) * s,
-        dxdt=p.c * co,
-    )
+    return tau + (co - 1.0 - 2.0 * k) / np.pi, 1.0 - s, s / np.pi, co
+
+
+def closed_form(t, p: SystemParams) -> dict:
+    """Exact state at time ``t >= 0``, a scalar or an array of times: the
+    state dict of `_exact` at ``t/T``, in physical units."""
+    if np.any(np.asarray(t) < 0.0):
+        raise ValueError(f"closed form is defined for t >= 0, got {np.min(t)}")
+    return _units(p, t, *_exact(t / p.T))
 
 
 def closed_form_trajectory(p: SystemParams, t_end: float, n_per_period: int = 4000) -> Trajectory:
@@ -210,13 +220,12 @@ def closed_form_trajectory(p: SystemParams, t_end: float, n_per_period: int = 40
         raise ValueError(f"need at least 2 samples per period, got {n_per_period}")
     dt = p.T / n_per_period
     n = round(t_end / dt)
-    ref = closed_form(np.arange(n + 1) * dt, p)
+    xi, V, chi, U = _exact(np.arange(n + 1) * dt / p.T)
     n_events = math.floor(t_end / p.T + 1e-12)
     return Trajectory(
-        params=p,
-        samples=_pack(**ref),
+        p, dt, xi, V, chi, U,
         events=np.arange(1, n_events + 1) * p.T,
-        invariant_residuals=invariant_residual(ref, p),
+        invariant_residuals=(1.0 - V) ** 2 + U ** 2 - 1.0,
         metadata={"mode": "closed_form", "dt": dt, "t_end": t_end},
     )
 
@@ -299,7 +308,7 @@ def step_count(T: float, t_end: float, dt: float) -> int:
     if t_end / dt > MAX_STEPS + 0.5:
         raise ValueError(
             f"t_end/dt = {t_end / dt:.3g} steps exceeds the budget of {MAX_STEPS} "
-            "(about 80 B per step); raise dt or lower t_end"
+            "(integrate peaks at 80 B per step); raise dt or lower t_end"
         )
     n_steps = round(t_end / dt)
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1.0e-9 * t_end:
@@ -382,10 +391,14 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
         if s <= PROBE_WINDOW:
             events.append(n_steps * dt + s * p.T)
 
-    # chi and xi from the two linear invariants, which RK4 keeps exactly.
-    t = np.arange(n_steps + 1) * dt
-    xi = t / p.T + (w.imag - np.cumsum(du, out=du)) / math.pi
-    samples = _pack(t, xi * p.lam, (1.0 - w.real) * p.v0, w.real / math.pi * p.Lam, w.imag * p.c)
+    # chi and xi from the two linear invariants, which RK4 keeps exactly. One
+    # block, not four arrays: freeing it raises glibc's mmap threshold past the
+    # CSV writer's chunk buffers, which would otherwise fault in every chunk.
+    cols = np.empty((4, n_steps + 1))
+    cols[0] = np.arange(n_steps + 1) * dt / p.T + (w.imag - np.cumsum(du, out=du)) / math.pi
+    cols[1] = 1.0 - w.real
+    cols[2] = w.real / math.pi
+    cols[3] = w.imag
     meta = {
         "dt": dt,
         "t_end": t_end,
@@ -393,13 +406,7 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
         "event_x_tolerance": EVENT_X_TOL * p.Lam,
         "probe_window": PROBE_WINDOW * p.T,
     }
-    return Trajectory(
-        params=p,
-        samples=samples,
-        events=np.array(events, dtype=np.float64),
-        invariant_residuals=residuals,
-        metadata=meta,
-    )
+    return Trajectory(p, dt, *cols, np.array(events, dtype=np.float64), residuals, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -421,30 +428,29 @@ def _near_events(t: np.ndarray, event_times, window: float) -> np.ndarray:
 
 
 def oracle_errors(traj: Trajectory) -> dict[str, float]:
-    """Componentwise max deviation from the closed form, each scaled by its
-    natural magnitude (X by lam, dXdt by v0, x by Lam, dxdt by c).
+    """Componentwise max deviation from the closed form, in the trajectory's
+    units (X by lam, dXdt by v0, x by Lam, dxdt by c).
 
     The cloud velocity is discontinuous at a reflection, and an integrated
     event may sit a localization slack (~1e-12 T) on either side of the
     closed form's branch switch. A sample landing inside that sliver would
     otherwise register a full 2c jump that says nothing about accuracy, so
-    within 1e-6 T of a recorded event the dxdt comparison accepts the nearer
-    of the two one-sided values. Everywhere else both branches differ by
-    ~2c and the relaxation is inert.
+    within `PROBE_WINDOW` T of a recorded event the dxdt comparison accepts
+    the nearer of the two one-sided values. Everywhere else both branches
+    differ by ~2c and the relaxation is inert.
     """
     p = traj.params
-    s = traj.samples
-    ref = closed_form(s["t"], p)
-    d_dxdt = np.abs(s["dxdt"] - ref["dxdt"])
+    t = np.arange(len(traj.xi)) * traj.dt
+    xi, V, chi, U = _exact(t / p.T)
+    d_U = np.abs(traj.U - U)
     if len(traj.events):
-        near = _near_events(s["t"], traj.events, 1.0e-6 * p.T)
-        other = np.abs(s["dxdt"] + ref["dxdt"])
-        d_dxdt = np.where(near, np.minimum(d_dxdt, other), d_dxdt)
+        near = _near_events(t, traj.events, PROBE_WINDOW * p.T)
+        d_U = np.where(near, np.minimum(d_U, np.abs(traj.U + U)), d_U)
     out = {
-        "X": float(np.max(np.abs(s["X"] - ref["X"])) / p.lam),
-        "dXdt": float(np.max(np.abs(s["dXdt"] - ref["dXdt"])) / p.v0),
-        "x": float(np.max(np.abs(s["x"] - ref["x"])) / p.Lam),
-        "dxdt": float(np.max(d_dxdt) / p.c),
+        "X": float(np.max(np.abs(traj.xi - xi))),
+        "dXdt": float(np.max(np.abs(traj.V - V))),
+        "x": float(np.max(np.abs(traj.chi - chi))),
+        "dxdt": float(np.max(d_U)),
     }
     out["max"] = max(out.values())
     return out
@@ -458,24 +464,21 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
     ``event_flag`` is 1 on a sample whose preceding grid interval contained
     a reflection. Floats carry 17 significant digits (``%.17g``) so a file
-    round-trips to the exact same doubles. Rows are rendered column-wise by
-    `_text.g17`, byte-identical to per-value formatting, and written in
-    chunks of `_text.CHUNK_ROWS` rows, so the writer's memory does not grow
-    with the run.
+    round-trips to the exact same doubles. Each chunk of `_text.CHUNK_ROWS`
+    rows is put into physical units, rendered column-wise by `_text.g17`
+    (byte-identical to per-value formatting) and written, so the writer's
+    memory does not grow with the run.
     """
-    s = traj.samples
-    flags = np.zeros(len(s), dtype=np.uint8)
-    if len(s) > 1:
-        dt = traj.dt
-        t0 = s["t"][0]
-        for t_ev in traj.events:
-            # an event localized within the 1e-6 T timing slack after a grid
-            # point belongs to that sample, not the next interval
-            idx = math.ceil((t_ev - t0 - 1.0e-6 * traj.params.T) / dt)
-            if 0 <= idx < len(flags):
-                flags[idx] = 1
-    columns = [s[name] for name in SAMPLE_FIELDS] + [traj.invariant_residuals]
-    _text.write_csv(path, _CSV_HEADER, columns, flags)
+    flags = np.zeros(len(traj.xi), dtype=np.uint8)
+    for t_ev in traj.events:
+        # an event localized within the timing tolerance after a grid point
+        # belongs to that sample, not the next interval
+        idx = math.ceil((t_ev - PROBE_WINDOW * traj.params.T) / traj.dt)
+        if 0 <= idx < len(flags):
+            flags[idx] = 1
+    _text.write_csv(
+        path, _CSV_HEADER, lambda rows: [*traj.columns(rows).values(), traj.invariant_residuals[rows]], flags
+    )
 
 
 def write_events_json(traj: Trajectory, path) -> None:

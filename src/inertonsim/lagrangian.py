@@ -20,13 +20,13 @@ excluded from the residual maximum and reported as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _text
 from .core import SystemParams
-from .dynamics import SAMPLE_FIELDS, Trajectory
+from .dynamics import Trajectory
 
 __all__ = [
     "CanonicalState",
@@ -168,6 +168,8 @@ _COORDS = {
     "particle": ("X", "dXdt"),
     "cloud": ("x", "dxdt"),
 }
+# The same channels among the dimensionless columns of a `Trajectory`.
+_COLUMNS = {"particle": ("xi", "V"), "cloud": ("chi", "U")}
 
 
 @dataclass
@@ -207,31 +209,24 @@ def el_residual(L, traj: Trajectory, coord: str, fd_step: float = 1.0e-6) -> ELR
     relative: the actual perturbation is ``fd_step`` times the channel's
     largest magnitude over the trajectory.
 
-    The trajectory must be uniformly sampled (1e-9 relative) with at least
-    nine samples. Residuals are computed at every interior sample; samples
-    within five grid points of a reflection event are flagged and left out
-    of ``max_abs_residual``.
+    The trajectory must have at least nine samples. Residuals are computed
+    at every interior sample; samples within five grid points of a
+    reflection event are flagged and left out of ``max_abs_residual``.
     """
     if coord not in _COORDS:
         raise ValueError(f"coord must be one of {sorted(_COORDS)}, got {coord!r}")
     q_name, qdot_name = _COORDS[coord]
 
-    samples = traj.samples
-    n = len(samples)
+    n = len(traj.xi)
     if n < 9:
         raise ValueError(f"need at least 9 samples for the residual stencil, got {n}")
-    t = samples["t"]
-    steps = np.diff(t)
-    dt = steps[0]
-    if np.max(np.abs(steps - dt)) > 1.0e-9 * dt:
-        raise ValueError("trajectory sampling is not uniform to 1e-9 relative")
-
-    q, qdot = samples[q_name], samples[qdot_name]
+    cols = traj.columns()
+    t, dt = cols["t"], traj.dt
+    q, qdot = cols[q_name], cols[qdot_name]
     dq = fd_step * (float(np.max(np.abs(q))) or 1.0)
     dqdot = fd_step * (float(np.max(np.abs(qdot))) or 1.0)
 
     # Conjugate momentum dL/dqdot at every sample, force dL/dq at interior ones.
-    cols = {name: samples[name] for name in SAMPLE_FIELDS}
     momenta = (L({**cols, qdot_name: qdot + dqdot}) - L({**cols, qdot_name: qdot - dqdot})) / (2.0 * dqdot)
     inner = {name: col[1:-1] for name, col in cols.items()}
     force = (L({**inner, q_name: q[1:-1] + dq}) - L({**inner, q_name: q[1:-1] - dq})) / (2.0 * dq)
@@ -241,7 +236,7 @@ def el_residual(L, traj: Trajectory, coord: str, fd_step: float = 1.0e-6) -> ELR
     excluded = np.zeros(n - 2, dtype=bool)
     windows: list[tuple[float, float]] = []
     for t_ev in traj.events:
-        j = int(round((t_ev - t[0]) / dt))
+        j = round(t_ev / dt)
         lo_idx = max(j - 5, 0)
         hi_idx = min(j + 5, n - 1)
         windows.append((t[lo_idx], t[hi_idx]))
@@ -273,14 +268,9 @@ def scale_channel(traj: Trajectory, coord: str, factor: float) -> Trajectory:
     """
     if coord not in _COORDS:
         raise ValueError(f"coord must be one of {sorted(_COORDS)}, got {coord!r}")
-    samples = traj.samples.copy()
-    for name in _COORDS[coord]:
-        samples[name] *= factor
-    return Trajectory(
-        params=traj.params,
-        samples=samples,
-        events=traj.events.copy(),
-        invariant_residuals=traj.invariant_residuals.copy(),
+    return replace(
+        traj,
+        **{name: getattr(traj, name) * factor for name in _COLUMNS[coord]},
         metadata={**traj.metadata, "corrupted": f"{coord} scaled by {factor}"},
     )
 
@@ -291,4 +281,6 @@ def write_el_csv(report: ELResidualReport, path) -> None:
     Floats are ``%.17g`` (NaN as ``nan``), rendered column-wise by
     `_text.g17` and written in chunks of `_text.CHUNK_ROWS` rows.
     """
-    _text.write_csv(path, "t,residual,excluded_flag", [report.times, report.residuals], report.excluded)
+    _text.write_csv(
+        path, "t,residual,excluded_flag", lambda rows: [report.times[rows], report.residuals[rows]], report.excluded
+    )

@@ -16,12 +16,6 @@ from . import _text
 _COLORS = ("#1a6fb5", "#c4443c", "#3d8d4e", "#8a5bb8")
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi == lo:
-        hi = lo + 1.0
-    return list(np.linspace(lo, hi, n))
-
-
 def _write_points(fh, x: np.ndarray, y: np.ndarray) -> None:
     """Write polyline points ``x,y x,y ...`` at two decimals (``%.2f``),
     rendered by `_text.f2` in chunks of `_text.CHUNK_ROWS` points."""
@@ -72,11 +66,11 @@ def render_line_svg(
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="#444" stroke-width="1"/>'
     )
-    for tx in _ticks(x_lo, x_hi):
+    for tx in np.linspace(x_lo, x_hi, 5):
         X = px(tx)
         parts.append(f'<line x1="{X:.1f}" y1="{mt + ph}" x2="{X:.1f}" y2="{mt + ph + 5}" stroke="#444"/>')
         parts.append(f'<text x="{X:.1f}" y="{mt + ph + 18}" text-anchor="middle">{tx:.3g}</text>')
-    for ty in _ticks(y_lo, y_hi):
+    for ty in np.linspace(y_lo, y_hi, 5):
         Y = py(ty)
         parts.append(f'<line x1="{ml - 5}" y1="{Y:.1f}" x2="{ml}" y2="{Y:.1f}" stroke="#444"/>')
         parts.append(f'<text x="{ml - 8}" y="{Y + 4:.1f}" text-anchor="end">{ty:.3g}</text>')
@@ -105,14 +99,10 @@ def render_line_svg(
 
 def trajectory_svg(traj, path) -> None:
     """Dimensionless trajectory panel: X/lam and x/Lam against t/T."""
-    s = traj.samples
-    p = traj.params
+    tau = np.arange(len(traj.xi)) * traj.dt / traj.params.T
     render_line_svg(
         path,
-        [
-            (s["t"] / p.T, s["X"] / p.lam, "X / lambda"),
-            (s["t"] / p.T, s["x"] / p.Lam, "x / Lambda"),
-        ],
+        [(tau, traj.xi, "X / lambda"), (tau, traj.chi, "x / Lambda")],
         title="particle coordinate and cloud separation",
         xlabel="t / T",
         ylabel="dimensionless position",
@@ -122,11 +112,9 @@ def trajectory_svg(traj, path) -> None:
 def phase_plane_svg(traj, path) -> None:
     """Velocity-plane portrait: the pair traces the unit circle in the
     coordinates (1 - dXdt/v0, dxdt/c)."""
-    s = traj.samples
-    p = traj.params
     render_line_svg(
         path,
-        [(1.0 - s["dXdt"] / p.v0, s["dxdt"] / p.c, "velocity locus")],
+        [(1.0 - traj.V, traj.U, "velocity locus")],
         title="velocity-plane portrait",
         xlabel="1 - (dX/dt) / v0",
         ylabel="(dx/dt) / c",

@@ -95,9 +95,9 @@ def _check_invariant_conservation(traj):
 
 
 def _check_periodicity(traj):
-    """State recurrence over two periods: the velocity pair and separation
-    at t = 2nT + dt match the t = dt state while X advances by
-    2n lam (1 - 2/pi).
+    """State recurrence over two periods, in the trajectory's units: the
+    velocity pair and separation at t = 2nT + dt match the t = dt state
+    while X advances by 2n lam (1 - 2/pi).
 
     The comparison point sits one step past the period boundary because the
     cloud velocity is discontinuous exactly at 2nT: the integrated event can
@@ -106,17 +106,14 @@ def _check_periodicity(traj):
     spurious 2c mismatch. One step in, both states are unambiguous and the
     recurrence statement is unchanged.
     """
-    p = traj.params
-    s0 = traj.samples[1]
     values = []
     for n in range(1, 5):
-        s = traj.samples[2 * n * _STANDARD_STEPS + 1]
-        drift = 2.0 * n * p.lam * (1.0 - 2.0 / math.pi)
+        i = 2 * n * _STANDARD_STEPS + 1
         values += [
-            abs(s["dXdt"] - s0["dXdt"]) / p.v0,
-            abs(s["x"] - s0["x"]) / p.Lam,
-            abs(s["dxdt"] - s0["dxdt"]) / p.c,
-            abs((s["X"] - s0["X"]) - drift) / p.lam,
+            abs(traj.V[i] - traj.V[1]),
+            abs(traj.chi[i] - traj.chi[1]),
+            abs(traj.U[i] - traj.U[1]),
+            abs((traj.xi[i] - traj.xi[1]) - 2.0 * n * (1.0 - 2.0 / math.pi)),
         ]
     return values, 1.0e-6
 

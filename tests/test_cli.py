@@ -106,6 +106,22 @@ def test_h_path_names_a_non_positive_M0(tmp_path, capsys, M0):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "pars, period",
+    [({"M0": 1e-300, "v0": 1e-10, "c": 1, "h": 1}, "inf"), ({"M0": 1e300, "v0": 0.5, "c": 1, "h": 1e-300}, "0.0")],
+    ids=["overflow", "underflow"],
+)
+def test_h_path_names_h_when_the_period_is_unusable(tmp_path, capsys, pars, period):
+    # the period h / (M v0^2) overflows or underflows: the message names h, the key the config holds
+    cfg = write_cfg(tmp_path / "c.json", {"parameters": pars})
+    out = tmp_path / "o"
+    for cmd in ("derive", "simulate"):
+        assert run_cli(cmd, "--config", cfg, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: parameters.h: ") and err.endswith(f"got T={period}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, flag", [(["simulate", "--bogus", "1"], "--bogus"), (["check", "--seed", "abc"], "--seed")])
 def test_usage_error_exits_1(capsys, args, flag):
     assert run_cli(*args) == 1

@@ -17,7 +17,7 @@ from inertonsim import (
     write_events_json,
     write_trajectory_csv,
 )
-from inertonsim import dynamics
+from inertonsim import SystemParams, dynamics
 from inertonsim.dynamics import closed_form_trajectory
 from inertonsim.plotting import render_line_svg
 
@@ -224,6 +224,28 @@ def test_trajectory_csv_roundtrip(tmp_path, natural):
     flagged = np.nonzero(raw["event_flag"])[0]
     assert len(flagged) == 2
 
+    # the units map: with lam, v0, Lam and c all different, written rows
+    # match the physical closed form, written out here, within 1e-6 scaled
+    params, _ = derive_kinematics(2.3, 0.37, 1.0, 1.7)
+    v0, c, T, lam, Lam = params.v0, params.c, params.T, params.lam, params.Lam
+    assert len({v0, c, lam, Lam}) == 4
+    traj = integrate(params, t_end=2.0 * T, dt=T / 1000.0)
+    write_trajectory_csv(traj, path)
+    raw = np.genfromtxt(path, delimiter=",", names=True)
+    for i in (0, 250, 777, 1001, 1750):
+        t = float(raw["t"][i])
+        assert t == i * traj.dt
+        k = math.floor(t / T)
+        frac = t / T - k
+        exact = {
+            "X": (v0 * t + (lam / math.pi) * (math.cos(math.pi * frac) - 1.0 - 2.0 * k), lam),
+            "dXdt": (v0 * (1.0 - math.sin(math.pi * frac)), v0),
+            "x": ((Lam / math.pi) * math.sin(math.pi * frac), Lam),
+            "dxdt": (c * math.cos(math.pi * frac), c),
+        }
+        for name, (value, scale) in exact.items():
+            assert abs(raw[name][i] - value) <= 1e-6 * scale, (i, name)
+
 
 def test_events_json(tmp_path, natural):
     params, _ = natural
@@ -242,11 +264,16 @@ def test_events_json(tmp_path, natural):
 def test_events_json_bytes_match_json_dump(tmp_path, natural, times):
     # every repr form: subnormal, tiny exponent, 17 digits, 1e16, plain decimal
     params, _ = natural
+    empty = np.empty(0)
     traj = dynamics.Trajectory(
         params=params,
-        samples=np.empty(0, dtype=dynamics.SAMPLE_DTYPE),
+        dt=1.0,
+        xi=empty,
+        V=empty,
+        chi=empty,
+        U=empty,
         events=np.array(times, dtype=np.float64),
-        invariant_residuals=np.empty(0),
+        invariant_residuals=empty,
     )
     path = tmp_path / "events.json"
     write_events_json(traj, path)
@@ -279,8 +306,9 @@ def test_divergence_guard_catches_nan():
         dynamics._guard(residuals, 0, 4, 0.1)
 
 
-def test_trajectory_csv_matches_per_row_formatter(tmp_path, natural):
-    params, _ = natural
+def test_trajectory_csv_matches_per_row_formatter(tmp_path):
+    # unit scales, so that the columns reach the writer unchanged
+    params = SystemParams(M0=1.0, m0=1.0, v0=1.0, c=1.0, T=1.0, lam=1.0, Lam=1.0, M=1.0, m=1.0)
     t = np.arange(6) * 0.1
     cols = {
         "t": t,
@@ -290,12 +318,13 @@ def test_trajectory_csv_matches_per_row_formatter(tmp_path, natural):
         "dxdt": np.array([10.0, -10.0, 0.5, -0.125, 6.02214076e23, -math.e]),
     }
     residuals = np.array([0.0, -1.1e-16, 2.2e-16, 3.3e-14, -4.4e-12, 5.5e-10])
-    samples = np.empty(6, dtype=dynamics.SAMPLE_DTYPE)
-    for name, col in cols.items():
-        samples[name] = col
     traj = dynamics.Trajectory(
         params=params,
-        samples=samples,
+        dt=0.1,
+        xi=cols["X"],
+        V=cols["dXdt"],
+        chi=cols["x"],
+        U=cols["dxdt"],
         events=np.array([0.25, 0.4 + 1e-7]),
         invariant_residuals=residuals,
     )
@@ -349,27 +378,27 @@ def short_run():
 # the sample at t = T sits on the wrong branch; only an event just before it relaxes it
 @example(grid_events=[(1000, -5e-7)], free_events=[], keep_own=False)
 def test_oracle_errors_match_dense_definition(short_run, grid_events, free_events, keep_own):
-    # the samples x events distance matrix the searchsorted lookup replaces
+    # the samples x events distance matrix the searchsorted lookup replaces,
+    # in the trajectory's units
     p = short_run.params
-    s = short_run.samples
-    t = s["t"]
+    t = np.arange(len(short_run.xi)) * short_run.dt
     times = [float(t[i]) + off for i, off in grid_events] + free_events
     if keep_own:
         times += short_run.events.tolist()
     traj = dataclasses.replace(short_run, events=np.array(times, dtype=np.float64))
 
-    ref = closed_form(t, p)
-    d_dxdt = np.abs(s["dxdt"] - ref["dxdt"])
+    xi, V, chi, U = dynamics._exact(t / p.T)
+    d_dxdt = np.abs(short_run.U - U)
     if times:
         ev = np.array(times)
         near = np.min(np.abs(t[:, None] - ev[None, :]), axis=1) <= 1.0e-6 * p.T
-        other = np.abs(s["dxdt"] + ref["dxdt"])
+        other = np.abs(short_run.U + U)
         d_dxdt = np.where(near, np.minimum(d_dxdt, other), d_dxdt)
     dense = {
-        "X": float(np.max(np.abs(s["X"] - ref["X"])) / p.lam),
-        "dXdt": float(np.max(np.abs(s["dXdt"] - ref["dXdt"])) / p.v0),
-        "x": float(np.max(np.abs(s["x"] - ref["x"])) / p.Lam),
-        "dxdt": float(np.max(d_dxdt) / p.c),
+        "X": float(np.max(np.abs(short_run.xi - xi))),
+        "dXdt": float(np.max(np.abs(short_run.V - V))),
+        "x": float(np.max(np.abs(short_run.chi - chi))),
+        "dxdt": float(np.max(d_dxdt)),
     }
     dense["max"] = max(dense.values())
     assert oracle_errors(traj) == dense

@@ -215,15 +215,6 @@ def test_el_event_windows_are_flagged(slow_regime):
         assert t_hi - t_lo <= 11.0 * traj.dt
 
 
-def test_el_requires_uniform_sampling(slow_regime):
-    params, traj, L = slow_regime
-    samples = traj.samples[:50].copy()
-    samples["t"][10] += 1e-5
-    bad = dataclasses.replace(traj, samples=samples, invariant_residuals=traj.invariant_residuals[:50])
-    with pytest.raises(ValueError):
-        el_residual(L, bad, "particle")
-
-
 def test_el_rejects_unknown_coordinate(slow_regime):
     _, traj, L = slow_regime
     with pytest.raises(ValueError):
@@ -246,7 +237,9 @@ def test_el_csv_output(tmp_path, slow_regime):
 def test_el_residual_matches_per_sample_loop(slow_regime):
     # the scalar loop the array form replaced: one dict of floats per sample
     params, traj, L = slow_regime
-    short = dataclasses.replace(traj, samples=traj.samples[:300], events=traj.events[:0])
+    short = dataclasses.replace(
+        traj, xi=traj.xi[:300], V=traj.V[:300], chi=traj.chi[:300], U=traj.U[:300], events=traj.events[:0]
+    )
     rows = [dict(zip(short.samples.dtype.names, row)) for row in short.samples.tolist()]
     dX = 1e-6 * max(abs(s["X"]) for s in rows)
     dV = 1e-6 * max(abs(s["dXdt"]) for s in rows)

@@ -146,9 +146,9 @@ def _nan_last(values):
 
 
 def _nan_periodicity_sample(traj):
-    samples = traj.samples.copy()
-    samples["X"][8 * _STANDARD_STEPS + 1] = math.nan  # X of the fourth recurrence, the last case
-    return dataclasses.replace(traj, samples=samples)
+    xi = traj.xi.copy()
+    xi[8 * _STANDARD_STEPS + 1] = math.nan  # X of the fourth recurrence, the last case
+    return dataclasses.replace(traj, xi=xi)
 
 
 # For each check, the inner evaluator whose last call (or last value) turns NaN.
