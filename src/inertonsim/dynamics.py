@@ -34,8 +34,8 @@ IV.2), and RK4 keeps linear invariants exactly (Hairer, Lubich & Wanner,
 *Geometric Numerical Integration*, Thm. IV.1.5): this is RK4 on all of
 ``y``. The integrator tabulates ``R^1..R^B`` once per run
 (``B <= BLOCK_STEPS``) and advances a whole block of samples from the
-block's start state with one multiplication, so memory stays linear in the
-number of samples.
+block's start state with one multiplication into the sample array, so
+memory stays linear in the number of samples.
 
 A step that ends with ``x < 0`` from ``x >= 0`` contains a reflection.
 Newton's method on ``Re(R(-i pi s) w)``, started from the linear guess,
@@ -93,8 +93,9 @@ DIVERGENCE_LIMIT = 1.0e-3   # hard cap on the first-integral residual
 # A block never spans more steps than this.
 BLOCK_STEPS = 1024
 NEWTON_MAX_ITER = 100
-# Largest admitted run. `integrate` peaks at 80 B per step (tracemalloc: w,
-# du, the residuals, the (4, n) column block and its temporaries): 1 GB.
+# Largest admitted run. A whole `simulate` run peaks at 80 B per step, about
+# 1 GB (tracemalloc, csv and svg alike): in `oracle_errors`, the trajectory's
+# 40 B per sample and the 40 B of the exact columns and their times.
 MAX_STEPS = 12_500_000
 
 # Coefficients of R(-i pi s) in s, (-i pi)^k / k!, k = 0..4 (`_step_factor`).
@@ -190,13 +191,24 @@ def _exact(tau):
 
     which is algebraically identical to the textbook absolute-value form
     but free of cancellation, and lands on the post-reflection branch at
-    integer ``tau`` because ``floor`` is right-continuous there.
+    integer ``tau`` because ``floor`` is right-continuous there. The four
+    columns are computed in place, as rows of one ``(4, ...)`` block.
     """
-    k = np.floor(tau)
-    frac = tau - k
-    s = np.sin(np.pi * frac)
-    co = np.cos(np.pi * frac)
-    return tau + (co - 1.0 - 2.0 * k) / np.pi, 1.0 - s, s / np.pi, co
+    tau = np.asarray(tau, dtype=float)
+    out = np.empty((4, *tau.shape))
+    xi, V, chi, U = (out[j, ...] for j in range(4))
+    k = np.floor(tau, out=V)
+    arg = np.multiply(np.subtract(tau, k, out=U), np.pi, out=U)
+    np.sin(arg, out=chi)
+    co = np.cos(arg, out=U)
+    k *= 2.0
+    np.subtract(co, 1.0, out=xi)
+    xi -= k
+    xi /= np.pi
+    xi += tau
+    np.subtract(1.0, chi, out=V)
+    chi /= np.pi
+    return tuple(out)
 
 
 def closed_form(t, p: SystemParams) -> dict:
@@ -281,9 +293,9 @@ def _crossing(w: complex, h: float) -> float:
 def _guard(residuals: np.ndarray, lo: int, hi: int, dt: float) -> None:
     """Raise `DivergenceError` at the first sample in ``[lo, hi)`` whose
     residual is not within the limit (NaN included)."""
-    bad = np.flatnonzero(~(np.abs(residuals[lo:hi]) <= DIVERGENCE_LIMIT))
-    if bad.size:
-        i = lo + int(bad[0])
+    mag = np.abs(residuals[lo:hi])
+    if not mag.max(initial=0.0) <= DIVERGENCE_LIMIT:
+        i = lo + int(np.argmax(~(mag <= DIVERGENCE_LIMIT)))
         raise DivergenceError(
             f"first-integral residual {residuals[i]:.3e} at t={i * dt} exceeds "
             f"{DIVERGENCE_LIMIT}; the run has diverged"
@@ -308,7 +320,7 @@ def step_count(T: float, t_end: float, dt: float) -> int:
     if t_end / dt > MAX_STEPS + 0.5:
         raise ValueError(
             f"t_end/dt = {t_end / dt:.3g} steps exceeds the budget of {MAX_STEPS} "
-            "(integrate peaks at 80 B per step); raise dt or lower t_end"
+            "(a run peaks at 80 B per step); raise dt or lower t_end"
         )
     n_steps = round(t_end / dt)
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1.0e-9 * t_end:
@@ -346,23 +358,24 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
     # never used: the blocks, and the samples, are those of a full table.
     table = _step_powers(h, min(BLOCK_STEPS, n_steps, math.ceil(1.0 / h) + 1))
 
-    # w = (1 - V) + iU per sample, and the jumps of u: 1 at the start, then
-    # -2 U_ev on the first sample after each reflection.
+    # w = (1 - V) + iU per sample, and the jumps of u as (sample, jump): 1 at
+    # the start, then -2 U_ev on the first sample after each reflection.
     w = np.empty(n_steps + 1, dtype=np.complex128)
     w[0] = 1j
-    du = np.zeros(n_steps + 1)
-    du[0] = 1.0
+    jumps = [(0, 1.0)]
     events = []
 
     i = 0
     while i < n_steps:
-        states = table[:n_steps - i] * w[i]
-        below = np.flatnonzero(states.real < 0.0)
-        k = int(below[0]) if below.size else states.size
-        w[i + 1:i + 1 + k] = states[:k]
-        i += k
-        if not below.size:
+        # The whole block goes straight into w; the samples past a crossing
+        # are overwritten by the reflected step and the next block.
+        m = min(table.size, n_steps - i)
+        below = np.multiply(table[:m], w[i], out=w[i + 1:i + 1 + m]).real < 0.0
+        k = int(below.argmax())
+        if not below[k]:
+            i += m
             continue
+        i += k
         # Step i -> i+1 crosses the guard.
         if w[i].real < 0.0:
             break
@@ -370,13 +383,15 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
         s = _crossing(start, h)
         events.append(i * dt + s * p.T)
         hit = _step_factor(s) * start
-        du[i + 1] = -2.0 * hit.imag
+        jumps.append((i + 1, -2.0 * hit.imag))
         w[i + 1] = _step_factor(h - s) * hit.conjugate()
         i += 1
 
     # Residuals of samples 0..i, where i < n_steps only after the break
     # above; the one at t = 0 comes out exactly 0.0.
-    residuals = w.real[:i + 1] ** 2 + w.imag[:i + 1] ** 2 - 1.0
+    residuals = np.square(w.real[:i + 1])
+    residuals += np.square(w.imag[:i + 1])
+    residuals -= 1.0
     _guard(residuals, 1, i + 1, dt)
     if i < n_steps:
         raise RuntimeError(f"cloud separation stayed negative across step at t={i * dt}")
@@ -391,14 +406,26 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
         if s <= PROBE_WINDOW:
             events.append(n_steps * dt + s * p.T)
 
-    # chi and xi from the two linear invariants, which RK4 keeps exactly. One
-    # block, not four arrays: freeing it raises glibc's mmap threshold past the
-    # CSV writer's chunk buffers, which would otherwise fault in every chunk.
+    # chi and xi from the two linear invariants, which RK4 keeps exactly, each
+    # column computed in place. One block, not four arrays: freeing it raises
+    # glibc's mmap threshold past the CSV writer's chunk buffers, which would
+    # otherwise fault in every chunk.
     cols = np.empty((4, n_steps + 1))
-    cols[0] = np.arange(n_steps + 1) * dt / p.T + (w.imag - np.cumsum(du, out=du)) / math.pi
-    cols[1] = 1.0 - w.real
-    cols[2] = w.real / math.pi
-    cols[3] = w.imag
+    xi, V, chi, U = cols
+    # u, the running sum of the jumps, is constant between them; V holds
+    # (U - u) / pi until xi is done
+    u = 0.0
+    for (a, jump), (b, _) in zip(jumps, jumps[1:] + [(n_steps + 1, 0.0)]):
+        u += jump
+        V[a:b] = u
+    np.subtract(w.imag, V, out=V)
+    V /= math.pi
+    np.multiply(np.arange(n_steps + 1), dt, out=xi)
+    xi /= p.T
+    xi += V
+    np.subtract(1.0, w.real, out=V)
+    np.divide(w.real, math.pi, out=chi)
+    U[:] = w.imag
     meta = {
         "dt": dt,
         "t_end": t_end,
@@ -413,20 +440,6 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
 # Diagnostics and serialization
 # ---------------------------------------------------------------------------
 
-def _near_events(t: np.ndarray, event_times, window: float) -> np.ndarray:
-    """Mask of the times within ``window`` of their nearest event.
-
-    The nearest event is one of the two neighbours `searchsorted` finds in
-    the sorted event times, so this is O(N log E) rather than the N x E
-    distance matrix.
-    """
-    ev = np.sort(np.asarray(event_times, dtype=float))
-    j = np.searchsorted(ev, t)
-    left = np.abs(t - ev[np.maximum(j - 1, 0)])
-    right = np.abs(t - ev[np.minimum(j, ev.size - 1)])
-    return np.minimum(left, right) <= window
-
-
 def oracle_errors(traj: Trajectory) -> dict[str, float]:
     """Componentwise max deviation from the closed form, in the trajectory's
     units (X by lam, dXdt by v0, x by Lam, dxdt by c).
@@ -435,23 +448,28 @@ def oracle_errors(traj: Trajectory) -> dict[str, float]:
     event may sit a localization slack (~1e-12 T) on either side of the
     closed form's branch switch. A sample landing inside that sliver would
     otherwise register a full 2c jump that says nothing about accuracy, so
-    within `PROBE_WINDOW` T of a recorded event the dxdt comparison accepts
-    the nearer of the two one-sided values. Everywhere else both branches
-    differ by ~2c and the relaxation is inert.
+    at a sample ``i`` with ``|i dt - t_ev| <= PROBE_WINDOW T`` for a
+    recorded event ``t_ev`` the dxdt comparison accepts the nearer of the
+    two one-sided values. Those samples are found by grid index, a few per
+    event, and the exact columns and deviations are computed in place.
     """
-    p = traj.params
-    t = np.arange(len(traj.xi)) * traj.dt
-    xi, V, chi, U = _exact(t / p.T)
-    d_U = np.abs(traj.U - U)
-    if len(traj.events):
-        near = _near_events(t, traj.events, PROBE_WINDOW * p.T)
-        d_U = np.where(near, np.minimum(d_U, np.abs(traj.U + U)), d_U)
-    out = {
-        "X": float(np.max(np.abs(traj.xi - xi))),
-        "dXdt": float(np.max(np.abs(traj.V - V))),
-        "x": float(np.max(np.abs(traj.chi - chi))),
-        "dxdt": float(np.max(d_U)),
+    p, dt, n = traj.params, traj.dt, len(traj.xi)
+    window = PROBE_WINDOW * p.T
+    tau = np.arange(n, dtype=np.float64)
+    tau *= dt
+    tau /= p.T
+    exact = _exact(tau)
+    # candidate grid indices around each event, then the exact window test
+    ev = np.asarray(traj.events, dtype=np.float64)[:, None]
+    j = np.floor((ev - window) / dt) - 1.0 + np.arange(math.ceil(2.0 * window / dt) + 4)
+    near = j[(j >= 0.0) & (j < n) & (np.abs(j * dt - ev) <= window)].astype(np.intp)
+    other = np.abs(traj.U[near] + exact[3][near])
+    devs = {
+        name: np.abs(np.subtract(col, ref, out=ref), out=ref)
+        for name, col, ref in zip(("X", "dXdt", "x", "dxdt"), (traj.xi, traj.V, traj.chi, traj.U), exact)
     }
+    devs["dxdt"][near] = np.minimum(devs["dxdt"][near], other)
+    out = {name: float(np.max(dev)) for name, dev in devs.items()}
     out["max"] = max(out.values())
     return out
 

@@ -38,10 +38,9 @@ def render_line_svg(
     ml, mr, mt, mb = 64, 16, 34, 46
     pw, ph = width - ml - mr, height - mt - mb
 
-    xs = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
-    ys = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
+    # ranges from each series' extremes; a NaN propagates
+    x_lo, x_hi = (float(f([f(x) for x, _, _ in series])) for f in (np.min, np.max))
+    y_lo, y_hi = (float(f([f(y) for _, y, _ in series])) for f in (np.min, np.max))
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:

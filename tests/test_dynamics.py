@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,7 @@ from inertonsim import (
 )
 from inertonsim import SystemParams, dynamics
 from inertonsim.dynamics import closed_form_trajectory
-from inertonsim.plotting import render_line_svg
+from inertonsim.plotting import phase_plane_svg, render_line_svg, trajectory_svg
 
 # The generator of the dimensionless system, written out independently of
 # the program: dy/dtau = A y for y = (xi, V, chi, U, 1), with xi' = V,
@@ -300,6 +302,84 @@ def test_divergence_guard_stops_at_first_offending_sample(natural, monkeypatch):
         integrate(params, t_end=1.0, dt=1e-3)
 
 
+def _reference_integrate(p, t_end, dt):
+    """`integrate` with the block loop it had before blocks were stepped in
+    place: a fresh product per block, `flatnonzero` and a copy up to the
+    crossing, the jumps of u in a full-length array summed by `cumsum`.
+    Kept, like the per-row formatters, to pin the program's bits. Returns
+    ``(xi, V, chi, U, events, residuals)``, or raises `DivergenceError`."""
+    n_steps = dynamics.step_count(p.T, t_end, dt)
+    h = dt / p.T
+    table = dynamics._step_powers(h, min(dynamics.BLOCK_STEPS, n_steps, math.ceil(1.0 / h) + 1))
+    w = np.empty(n_steps + 1, dtype=np.complex128)
+    w[0] = 1j
+    du = np.zeros(n_steps + 1)
+    du[0] = 1.0
+    events = []
+    i = 0
+    while i < n_steps:
+        states = table[:n_steps - i] * w[i]
+        below = np.flatnonzero(states.real < 0.0)
+        k = int(below[0]) if below.size else states.size
+        w[i + 1:i + 1 + k] = states[:k]
+        i += k
+        if not below.size:
+            continue
+        assert w[i].real >= 0.0
+        start = complex(w[i])
+        s = dynamics._crossing(start, h)
+        events.append(i * dt + s * p.T)
+        hit = dynamics._step_factor(s) * start
+        du[i + 1] = -2.0 * hit.imag
+        w[i + 1] = dynamics._step_factor(h - s) * hit.conjugate()
+        i += 1
+    residuals = w.real ** 2 + w.imag ** 2 - 1.0
+    bad = np.flatnonzero(~(np.abs(residuals[1:]) <= dynamics.DIVERGENCE_LIMIT))
+    if bad.size:
+        raise DivergenceError(f"at t={(1 + int(bad[0])) * dt}")
+    last = complex(w[n_steps])
+    if (dynamics._step_factor(h) * last).real < 0.0 <= last.real:
+        s = dynamics._crossing(last, h)
+        if s <= dynamics.PROBE_WINDOW:
+            events.append(n_steps * dt + s * p.T)
+    xi = np.arange(n_steps + 1) * dt / p.T + (w.imag - np.cumsum(du)) / math.pi
+    return xi, 1.0 - w.real, w.real / math.pi, w.imag, np.array(events, dtype=np.float64), residuals
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    M0=st.floats(0.1, 10.0),
+    v0=st.floats(0.01, 0.9),
+    T=st.floats(0.1, 10.0),
+    divisor=st.floats(100.0, 1000.0),
+    periods=st.integers(1, 120),
+    cut=st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_block_loop_matches_the_reference_loop_bitwise(M0, v0, T, divisor, periods, cut):
+    # `_sample_params` ranges; half of the runs end at a random step. The
+    # blocks are multiplied into views of w that need not be aligned, so a
+    # numpy build that rounds those differently fails here.
+    params, _ = derive_kinematics(M0, v0, 1.0, T)
+    dt = params.T / divisor
+    n_steps = max(1, round(periods * divisor * (1.0 if cut is None else cut)))
+    ref = _reference_integrate(params, n_steps * dt, dt)
+    traj = integrate(params, n_steps * dt, dt)
+    got = (traj.xi, traj.V, traj.chi, traj.U, traj.events, traj.invariant_residuals)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # the divergence guard stops both at the same sample (a run too short to
+    # leave the circle has nothing to stop)
+    worst = float(np.max(np.abs(ref[-1])))
+    if worst == 0.0:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "DIVERGENCE_LIMIT", 0.5 * worst)
+        with pytest.raises(DivergenceError) as expected:
+            _reference_integrate(params, n_steps * dt, dt)
+        with pytest.raises(DivergenceError, match=re.escape(str(expected.value)) + " exceeds"):
+            integrate(params, n_steps * dt, dt)
+
+
 def test_divergence_guard_catches_nan():
     residuals = np.array([0.0, 1e-12, math.nan, 0.0])
     with pytest.raises(DivergenceError, match="at t=0.2"):
@@ -363,45 +443,114 @@ def short_run():
     return integrate(params, t_end=3.0, dt=1e-3)
 
 
-@settings(deadline=None, max_examples=40)
+@pytest.fixture(scope="module")
+def fine_run():
+    # a grid finer than the relaxation window: dt = 0.4 PROBE_WINDOW T, so
+    # one event relaxes up to five samples
+    params, _ = derive_kinematics(1.0, 1.0, 10.0, 1.0)
+    return integrate(params, t_end=3000 * 4e-7, dt=4e-7)
+
+
+@settings(deadline=None, max_examples=60)
 @given(
+    fine=st.booleans(),
     grid_events=st.lists(
         st.tuples(
-            st.one_of(st.sampled_from([999, 1000, 1001, 2000, 3000]), st.integers(0, 3000)),
-            st.floats(min_value=-2e-6, max_value=2e-6),
+            st.one_of(st.sampled_from([0, 999, 1000, 1001, 2000, 3000]), st.integers(0, 3000)),
+            # +-1e-6 puts an event exactly PROBE_WINDOW T from sample 0
+            st.one_of(st.floats(min_value=-2e-6, max_value=2e-6), st.sampled_from([-1e-6, 1e-6])),
         ),
         max_size=8,
     ),
-    free_events=st.lists(st.floats(min_value=0.0, max_value=3.5), max_size=4),
+    free_events=st.lists(st.floats(min_value=-0.5, max_value=3.5), max_size=4),
     keep_own=st.booleans(),
+    flips=st.lists(st.integers(0, 3000), max_size=4),
+    repeat=st.booleans(),
+    order=st.randoms(use_true_random=False),
 )
 # the sample at t = T sits on the wrong branch; only an event just before it relaxes it
-@example(grid_events=[(1000, -5e-7)], free_events=[], keep_own=False)
-def test_oracle_errors_match_dense_definition(short_run, grid_events, free_events, keep_own):
-    # the samples x events distance matrix the searchsorted lookup replaces,
-    # in the trajectory's units
-    p = short_run.params
-    t = np.arange(len(short_run.xi)) * short_run.dt
+@example(
+    fine=False, grid_events=[(1000, -5e-7)], free_events=[], keep_own=False, flips=[], repeat=False,
+    order=random.Random(0),
+)
+# an event exactly PROBE_WINDOW T before or after the wrong-branch sample 0 relaxes it
+@example(
+    fine=True, grid_events=[(0, -1e-6)], free_events=[], keep_own=False, flips=[0], repeat=False,
+    order=random.Random(0),
+)
+@example(
+    fine=False, grid_events=[(0, 1e-6)], free_events=[], keep_own=False, flips=[0], repeat=False,
+    order=random.Random(0),
+)
+# one event relaxes several samples; repeated, unsorted, past the last sample
+@example(
+    fine=True, grid_events=[(2, 0.0), (3000, 1e-6), (1, 3e-7)], free_events=[5.0, -0.25], keep_own=False,
+    flips=[0, 1, 2, 3, 4], repeat=True, order=random.Random(1),
+)
+def test_oracle_errors_match_dense_definition(
+    short_run, fine_run, fine, grid_events, free_events, keep_own, flips, repeat, order
+):
+    # the samples x events distance matrix that the lookup by grid index
+    # replaces, in the trajectory's units; flipped samples sit on the wrong
+    # branch, and the events come unsorted, repeated, before t = 0 and past
+    # the last sample
+    run = fine_run if fine else short_run
+    p = run.params
+    t = np.arange(len(run.xi)) * run.dt
     times = [float(t[i]) + off for i, off in grid_events] + free_events
     if keep_own:
-        times += short_run.events.tolist()
-    traj = dataclasses.replace(short_run, events=np.array(times, dtype=np.float64))
+        times += run.events.tolist()
+    times *= 1 + repeat
+    order.shuffle(times)
+    U = run.U.copy()
+    U[flips] = -U[flips]
+    traj = dataclasses.replace(run, U=U, events=np.array(times, dtype=np.float64))
 
     xi, V, chi, U = dynamics._exact(t / p.T)
-    d_dxdt = np.abs(short_run.U - U)
+    d_dxdt = np.abs(traj.U - U)
     if times:
         ev = np.array(times)
         near = np.min(np.abs(t[:, None] - ev[None, :]), axis=1) <= 1.0e-6 * p.T
-        other = np.abs(short_run.U + U)
+        other = np.abs(traj.U + U)
         d_dxdt = np.where(near, np.minimum(d_dxdt, other), d_dxdt)
     dense = {
-        "X": float(np.max(np.abs(short_run.xi - xi))),
-        "dXdt": float(np.max(np.abs(short_run.V - V))),
-        "x": float(np.max(np.abs(short_run.chi - chi))),
+        "X": float(np.max(np.abs(run.xi - xi))),
+        "dXdt": float(np.max(np.abs(run.V - V))),
+        "x": float(np.max(np.abs(run.chi - chi))),
         "dxdt": float(np.max(d_dxdt)),
     }
     dense["max"] = max(dense.values())
     assert oracle_errors(traj) == dense
+
+
+@pytest.fixture(scope="module")
+def natural_long(natural):
+    params, _ = natural
+    return integrate(params, t_end=100.0 * params.T, dt=params.T / 1000.0)
+
+
+def _traced_peak(fn, *args):
+    """Peak traced allocation of ``fn(*args)``, after one warm-up call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_errors_memory_per_sample(natural_long):
+    # the exact columns and their times, 40 B per sample, and nothing more
+    # of full length
+    assert _traced_peak(oracle_errors, natural_long) <= 48 * len(natural_long.xi)
+
+
+@pytest.mark.parametrize("panel", [trajectory_svg, phase_plane_svg], ids=["trajectory", "phase"])
+def test_svg_panel_memory_per_sample(natural_long, panel, tmp_path):
+    # the pixel coordinates of one series and their temporaries; the ranges
+    # concatenate nothing
+    assert _traced_peak(panel, natural_long, tmp_path / "panel.svg") <= 40 * len(natural_long.xi)
 
 
 def test_integrate_memory_is_linear_in_samples(natural):
