@@ -25,7 +25,7 @@ os.makedirs(OUT, exist_ok=True)
 # slow drift regime: the aggregate Lagrangian is stationary on the true
 # motion up to terms of order (v0/c)^2, so pick v0 small to see it cleanly
 params, kin = derive_kinematics(M0=1.0, v0=1.0e-4, c=1.0, T=1.0)
-traj = closed_form_trajectory(params, t_end=2.0 * params.T, n_per_period=4000)
+traj = closed_form_trajectory(params, t_end=2.0 * params.T)
 
 
 def lag(state):

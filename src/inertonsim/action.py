@@ -21,7 +21,7 @@ integral for the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,13 +80,7 @@ class QuantizedKinematics:
     Lambda: float     # lambda_dB * c / v0
 
     def to_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "lambda_dB": self.lambda_dB,
-            "nu": self.nu,
-            "T": self.T,
-            "Lambda": self.Lambda,
-        }
+        return asdict(self)
 
 
 def effective_hamiltonian(p: float, X: float, spec: OscillatorSpec) -> float:
@@ -122,10 +116,13 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_RULE = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))  # floats: no per-call arrays
 
 
-def hj_residual(X: float, spec: OscillatorSpec, fd_step: float = 1.0e-5) -> float:
+HJ_FD_STEP = 1.0e-5  # central-difference step of `hj_residual`, in units of the amplitude
+
+
+def hj_residual(X: float, spec: OscillatorSpec) -> float:
     """Hamilton-Jacobi residual ``S1'(X)^2/(2M) + M omega^2 X^2/2 - E``.
 
-    ``S1'`` is a central difference with step ``d = fd_step * amplitude``.
+    ``S1'`` is a central difference with step ``d = HJ_FD_STEP * amplitude``.
     ``S1(X+d) - S1(X-d)`` is one short integral of ``p`` over ``[X-d, X+d]``,
     a single 8-point Gauss-Legendre panel, rather than two long ones, which
     removes the cancellation that would otherwise dominate the error. Inside
@@ -136,12 +133,9 @@ def hj_residual(X: float, spec: OscillatorSpec, fd_step: float = 1.0e-5) -> floa
     A = spec.amplitude
     if abs(X) >= A:
         raise ValueError(f"|X|={abs(X)} is outside the classically allowed region (A={A})")
-    d = fd_step * A
+    d = HJ_FD_STEP * A
     if abs(X) + d >= A:
-        raise ValueError(
-            f"|X|+fd_step*A = {abs(X) + d} reaches the turning point; "
-            "reduce fd_step or move X inward"
-        )
+        raise ValueError(f"|X|+HJ_FD_STEP*A = {abs(X) + d} reaches the turning point; move X inward")
     p_of = _momentum_of(spec)
     s1_prime = 0.5 * sum(w * p_of(X + d * t) for t, w in _GL_RULE)  # window integral / (2d)
     return s1_prime ** 2 / (2.0 * spec.M) + 0.5 * spec.M * spec.omega ** 2 * X * X - spec.E
@@ -160,65 +154,53 @@ def _composite_gauss(f, t_lo: float, t_hi, n_panels: int):
     return float(total) if np.ndim(t_hi) == 0 else total
 
 
-def _loop_integrand(p_max, amplitude, omega):
-    """``p dX/dt`` on the orbit at time t; the spec fields may be scalars or
-    (batch, 1, 1) arrays."""
-
-    def integrand(t):
-        c = np.cos(omega * t)
-        return p_max * c * amplitude * omega * c
-
-    return integrand
+QUADRATURE_PANELS = 64  # panels of `cyclic_action` and `lab_frame_action`; even, see the latter
+_LOOP_BATCH = 16  # specs per array pass: each temporary stays near 64 KB
 
 
-def cyclic_action(spec: OscillatorSpec, n_quadrature: int = 64) -> float:
+def cyclic_action(spec: OscillatorSpec) -> float:
     """Loop integral of ``p dX`` over one oscillator cycle.
 
     Parametrized as ``X = A sin(omega t)``, ``p = p_max cos(omega t)`` over
     ``t`` in ``[0, 2T]`` and evaluated by composite Gauss-Legendre
-    quadrature. Equals ``E * 2T = p0 * lam = M v0^2 T`` to 1e-9 relative or
-    better.
+    quadrature on ``QUADRATURE_PANELS`` panels. Equals
+    ``E * 2T = p0 * lam = M v0^2 T`` to 1e-9 relative or better.
     """
-    if n_quadrature < 64:
-        raise ValueError(f"n_quadrature must be at least 64, got {n_quadrature}")
-    period = 2.0 * math.pi / spec.omega  # = 2T
-    integrand = _loop_integrand(spec.p_max, spec.amplitude, spec.omega)
-    return _composite_gauss(integrand, 0.0, period, n_quadrature)
+    return _cyclic_actions([spec])[0]
 
 
-_LOOP_BATCH = 16  # specs per array pass: each temporary stays near 64 KB
-
-
-def _cyclic_actions(specs: list[OscillatorSpec], n_quadrature: int = 64) -> list[float]:
+def _cyclic_actions(specs: list[OscillatorSpec]) -> list[float]:
     """`cyclic_action` of each spec, in array passes of `_LOOP_BATCH` specs
     (see test_cyclic_actions_match_scalar_loop_integrals_bitwise)."""
     out: list[float] = []
     for i in range(0, len(specs), _LOOP_BATCH):
         fields = np.array([(s.p_max, s.amplitude, s.omega) for s in specs[i:i + _LOOP_BATCH]])
-        integrand = _loop_integrand(*fields.T[:, :, None, None])
+        p_max, amplitude, omega = fields.T[:, :, None, None]
         periods = 2.0 * math.pi / fields[:, 2]
-        out += _composite_gauss(integrand, 0.0, periods, n_quadrature).tolist()
+
+        def integrand(t):  # p dX/dt on the orbit at time t
+            c = np.cos(omega * t)
+            return p_max * c * amplitude * omega * c
+
+        out += _composite_gauss(integrand, 0.0, periods, QUADRATURE_PANELS).tolist()
     return out
 
 
-def lab_frame_action(params: SystemParams, n_quadrature: int = 64) -> float:
+def lab_frame_action(params: SystemParams) -> float:
     """Diagnostic: ``integral of p dX`` along the lab-frame path over one
     cycle ``[0, 2T]``, i.e. ``M integral of (dX/dt)^2 dt``.
 
     Evaluates to ``M v0^2 T (3 - 8/pi)``, which is not the cyclic action;
     the loop integral lives on the oscillator orbit, not the lab path. The
-    integrand has a kink at ``t = T``, so an even panel count is used to put
-    a panel edge exactly on it.
+    integrand has a kink at ``t = T``, which the even panel count puts on a
+    panel edge.
     """
-    if n_quadrature < 64:
-        raise ValueError(f"n_quadrature must be at least 64, got {n_quadrature}")
-    n_panels = n_quadrature + (n_quadrature % 2)
 
     def integrand(t):
         speed = params.v0 * (1.0 - np.abs(np.sin(np.pi * t / params.T)))
         return params.M * speed * speed
 
-    return _composite_gauss(integrand, 0.0, 2.0 * params.T, n_panels)
+    return _composite_gauss(integrand, 0.0, 2.0 * params.T, QUADRATURE_PANELS)
 
 
 def quantize(M: float, v0: float, c: float, h: float) -> QuantizedKinematics:

@@ -15,7 +15,13 @@ optional):
     simulation   dt, t_end
     outputs      trajectory, events, el_residuals (true or false)
     observables  resonator_radius
-    seed         integer, overridden by --seed
+    seed         integer, overridden by ``check --seed``
+
+Every command takes --config, --preset, --out and --format; ``simulate``
+and ``sweep`` write csv or svg, ``derive`` and ``check`` csv or json (the
+first is the default). ``check`` adds --seed and --select, ``sweep`` adds
+--axis and --values. A flag or value a command does not take is a usage
+error that names the flag.
 
 A preset supplies a complete base config; a --config file is merged over the
 preset and CLI flags win over both.  Every run writes a metadata.json whose
@@ -26,8 +32,9 @@ bitwise identical CSV included.
 Every command computes and renders all of its files before it writes them
 through one helper, so an exit 1 (validation) or 2 (runtime failure) leaves
 --out untouched. A failed check or sweep row is a result, not an aborted run:
-``check`` and ``sweep`` still write their reports and exit 2. A malformed
-section that ``sweep --axis`` edits exits 1 before any case runs.
+``check`` and ``sweep`` still write their reports and exit 2. A config
+fault that no value of ``sweep --axis`` can change exits 1 before any case
+runs.
 
 Exit codes: 0 success, 1 validation or usage error, 2 runtime or check
 failure, 3 I/O error.
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -185,6 +193,32 @@ def _number(key, val, integer=False):
     return val if isinstance(val, int) else int(num)
 
 
+def _settings(cfg):
+    """The units, outputs, observables and seed of ``cfg``, validated and
+    with their defaults made explicit: the part of a config that no sweep
+    axis changes."""
+    units = cfg.get("units", "natural")
+    if units not in ("natural", "si"):
+        raise ConfigError("units: must be 'natural' or 'si'")
+
+    outs = _section(cfg, "outputs")
+    for key in _KEYS["outputs"]:
+        outs.setdefault(key, key in ("trajectory", "events"))
+        if not isinstance(outs[key], bool):
+            raise ConfigError(f"outputs.{key}: must be true or false, got {outs[key]!r}")
+
+    obs = _section(cfg, "observables")
+    radius = _number("observables.resonator_radius", obs.get("resonator_radius", EARTH_RADIUS))
+    if radius <= 0.0:
+        raise ConfigError(f"observables.resonator_radius: must be positive, got {radius}")
+    obs["resonator_radius"] = radius
+
+    seed = _number("seed", cfg.get("seed", 0), integer=True)
+    if seed < 0:
+        raise ConfigError(f"seed: must be non-negative, got {seed}")
+    return units, outs, obs, seed
+
+
 def resolve_config(cfg):
     """Validate a merged config and compute the resolved parameter set.
 
@@ -194,10 +228,7 @@ def resolve_config(cfg):
     keys are ignored so a metadata.json can be fed straight back in; unknown
     keys inside the known sections are rejected to catch typos.
     """
-    units = cfg.get("units", "natural")
-    if units not in ("natural", "si"):
-        raise ConfigError("units: must be 'natural' or 'si'")
-
+    units, outs, obs, seed = _settings(cfg)
     pars = _section(cfg, "parameters")
     for key in ("M0", "v0", "c"):
         if key not in pars:
@@ -235,22 +266,6 @@ def resolve_config(cfg):
     except ValueError as exc:
         raise ConfigError(f"simulation.dt: {exc}") from None
 
-    outs = _section(cfg, "outputs")
-    for key in _KEYS["outputs"]:
-        outs.setdefault(key, key in ("trajectory", "events"))
-        if not isinstance(outs[key], bool):
-            raise ConfigError(f"outputs.{key}: must be true or false, got {outs[key]!r}")
-
-    obs = _section(cfg, "observables")
-    radius = _number("observables.resonator_radius", obs.get("resonator_radius", EARTH_RADIUS))
-    if radius <= 0.0:
-        raise ConfigError(f"observables.resonator_radius: must be positive, got {radius}")
-    obs["resonator_radius"] = radius
-
-    seed = _number("seed", cfg.get("seed", 0), integer=True)
-    if seed < 0:
-        raise ConfigError(f"seed: must be non-negative, got {seed}")
-
     resolved = {
         "units": units,
         "parameters": {key: values[key] for key in _KEYS["parameters"] if key in values},
@@ -263,19 +278,13 @@ def resolve_config(cfg):
 
 
 def _gather_config(ns):
-    presets = builtin_presets()
-    name = ns.preset or ("natural" if not ns.config else None)
+    """The preset (``natural`` when neither --preset nor --config is given)
+    with the --config file merged over it."""
     cfg = {}
-    if name is not None:
-        if name not in presets:
-            raise ConfigError(
-                f"--preset {name}: unknown (choose from {', '.join(sorted(presets))})"
-            )
-        cfg = presets[name]
+    if ns.preset or not ns.config:
+        cfg = builtin_presets()[ns.preset or "natural"]
     if ns.config:
         cfg = merge_config(cfg, load_config(ns.config))
-    if ns.seed is not None:
-        cfg = merge_config(cfg, {"seed": ns.seed})
     return cfg
 
 
@@ -335,11 +344,6 @@ def _metadata(resolved, command, extra=None):
     return meta
 
 
-_NO_TRAJECTORY_JSON = (
-    "--format json: trajectory.json was removed; trajectory.csv holds the same columns at full precision"
-)
-
-
 def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
     # compute and render every file before the first write: a ValueError or RuntimeError leaves out_dir untouched
     sim = resolved["simulation"]
@@ -387,18 +391,13 @@ def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
 
 
 def cmd_simulate(ns):
-    if ns.format == "json":
-        raise ConfigError(_NO_TRAJECTORY_JSON)
     params, _, resolved = resolve_config(_gather_config(ns))
     _run_simulation(params, resolved, ns.out, ns.format)
     return 0
 
 
 def cmd_derive(ns):
-    if ns.format == "svg":
-        raise ConfigError("--format svg: not available for derive")
-    cfg = _gather_config(ns)
-    params, kin, resolved = resolve_config(cfg)
+    params, kin, resolved = resolve_config(_gather_config(ns))
     h_val = resolved["parameters"].get("h")
     if h_val is None:
         # no h supplied: the cyclic action increment over one period plays
@@ -441,9 +440,9 @@ def cmd_derive(ns):
 
 
 def cmd_check(ns):
-    if ns.format == "svg":
-        raise ConfigError("--format svg: not available for check")
     cfg = _gather_config(ns)
+    if ns.seed is not None:
+        cfg = merge_config(cfg, {"seed": ns.seed})
     params, _, resolved = resolve_config(cfg)
     selection = None
     if ns.select is not None:
@@ -476,16 +475,12 @@ def cmd_check(ns):
 
 
 _SWEEP_METRICS = ("max_oracle_error", "max_invariant_residual", "cyclic_action", "lambda")
+_SWEEP_AXES = tuple(key for key in _KEYS["parameters"] + _KEYS["simulation"] if key != "m0")
 
 
 def cmd_sweep(ns):
-    if ns.format == "json":
-        raise ConfigError(_NO_TRAJECTORY_JSON)
     cfg = _gather_config(ns)
     axis = ns.axis
-    axes = [key for key in _KEYS["parameters"] + _KEYS["simulation"] if key != "m0"]
-    if axis not in axes:
-        raise ConfigError(f"--axis {axis}: must be one of {', '.join(axes)}")
     try:
         values = [float(v) for v in ns.values.split(",") if v.strip()]
     except ValueError as exc:
@@ -495,10 +490,13 @@ def cmd_sweep(ns):
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"--values: must be finite numbers, got {ns.values}")
 
+    # a fault that no value of the axis changes is refused before any case runs
     section = "simulation" if axis in _KEYS["simulation"] else "parameters"
     base = _section(cfg, section)
     base.pop({"T": "h", "h": "T"}.get(axis), None)
-    _json("metadata.json", cfg)  # a config that metadata.json cannot hold is refused before any case runs
+    _section(cfg, "parameters" if section == "simulation" else "simulation")
+    _settings(cfg)
+    _json("metadata.json", cfg)
     rows = []
     n_failed = 0
     for i, value in enumerate(values):
@@ -528,45 +526,44 @@ def cmd_sweep(ns):
     return 0 if n_failed == 0 else 2
 
 
+# Each command: its handler, its help line and the --format values it
+# accepts, the first being the default.
+_COMMANDS = {
+    "simulate": (cmd_simulate, "integrate the motion and write trajectory files", ("csv", "svg")),
+    "derive": (cmd_derive, "emit derived kinematics, quantized scales, observables", ("csv", "json")),
+    "check": (cmd_check, "run the verification suite", ("csv", "json")),
+    "sweep": (cmd_sweep, "run a simulation per value along one axis", ("csv", "svg")),
+}
+
+
+@functools.cache
 def build_parser():
+    """The argument parser of every command, built on first use and shared
+    by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="inertonsim",
         description="deterministic particle / inerton-cloud simulator and verifier",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    commands = {}
+    for name, (_, help_text, formats) in _COMMANDS.items():
+        sp = commands[name] = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON config file (merged over the preset)")
-        sp.add_argument("--preset", help="built-in config: natural, electron-1e6, electron-atomic")
+        sp.add_argument(
+            "--preset", choices=tuple(builtin_presets()), help="built-in config (default: natural without --config)"
+        )
         sp.add_argument("--out", default=".", help="output directory (default: current)")
-        sp.add_argument("--seed", type=int, default=None, help="RNG seed (check subcommand)")
-        sp.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-
-    sp = sub.add_parser("simulate", help="integrate the motion and write trajectory files")
-    common(sp)
-    sp.set_defaults(handler=cmd_simulate)
-
-    sp = sub.add_parser("derive", help="emit derived kinematics, quantized scales, observables")
-    common(sp)
-    sp.set_defaults(handler=cmd_derive)
-
-    sp = sub.add_parser("check", help="run the verification suite")
-    common(sp)
-    sp.add_argument(
+        sp.add_argument("--format", choices=formats, default=formats[0], help="output format (default: %(default)s)")
+    commands["check"].add_argument("--seed", type=int, help="RNG seed of the sampled checks (overrides the config's)")
+    commands["check"].add_argument(
         "--select",
         action="append",
-        default=None,
         metavar="NAMES",
         help="comma-separated check names (repeatable); default: all",
     )
-    sp.set_defaults(handler=cmd_check)
-
-    sp = sub.add_parser("sweep", help="run a simulation per value along one axis")
-    common(sp)
-    sp.add_argument("--axis", required=True, help="parameter to vary: M0, v0, c, T, h, dt, t_end")
-    sp.add_argument("--values", required=True, help="comma-separated numeric values")
-    sp.set_defaults(handler=cmd_sweep)
+    commands["sweep"].add_argument("--axis", required=True, choices=_SWEEP_AXES, help="parameter to vary")
+    commands["sweep"].add_argument("--values", required=True, help="comma-separated numeric values")
     return parser
 
 
@@ -576,7 +573,7 @@ def main(argv=None):
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help or --version
         return 1 if exc.code else 0
     try:
-        return ns.handler(ns)
+        return _COMMANDS[ns.command][0](ns)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 __all__ = [
@@ -35,6 +35,9 @@ __all__ = [
     "coupling_from_speeds",
     "natural_params",
 ]
+
+
+_EXTERNAL_KEYS = {"lam": "lambda", "Lam": "Lambda"}
 
 
 @dataclass(frozen=True)
@@ -57,17 +60,8 @@ class SystemParams:
     m: float    # relativistic cloud mass
 
     def to_dict(self) -> dict:
-        return {
-            "M0": self.M0,
-            "m0": self.m0,
-            "v0": self.v0,
-            "c": self.c,
-            "T": self.T,
-            "lambda": self.lam,
-            "Lambda": self.Lam,
-            "M": self.M,
-            "m": self.m,
-        }
+        """The fields in order, with ``lam`` and ``Lam`` under their external keys."""
+        return {_EXTERNAL_KEYS.get(key, key): value for key, value in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -79,13 +73,7 @@ class DerivedKinematics:
     mean_drift: float     # cycle-averaged particle velocity, v0 (1 - 2/pi)
 
     def to_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "collision_rate": self.collision_rate,
-            "E": self.E,
-            "p0": self.p0,
-            "mean_drift": self.mean_drift,
-        }
+        return asdict(self)
 
 
 def _validate_base(M0: float, v0: float, c: float, T: float) -> None:

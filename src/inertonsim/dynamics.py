@@ -97,6 +97,7 @@ NEWTON_MAX_ITER = 100
 # 1 GB (tracemalloc, csv and svg alike): in `oracle_errors`, the trajectory's
 # 40 B per sample and the 40 B of the exact columns and their times.
 MAX_STEPS = 12_500_000
+CLOSED_FORM_STEPS = 4000    # samples per period of `closed_form_trajectory`
 
 # Coefficients of R(-i pi s) in s, (-i pi)^k / k!, k = 0..4 (`_step_factor`).
 _STEP_COEFFS = tuple((-1j * math.pi) ** k / math.factorial(k) for k in range(5))
@@ -219,8 +220,9 @@ def closed_form(t, p: SystemParams) -> dict:
     return _units(p, t, *_exact(t / p.T))
 
 
-def closed_form_trajectory(p: SystemParams, t_end: float, n_per_period: int = 4000) -> Trajectory:
-    """Sample the exact motion on a uniform grid, with its exact events.
+def closed_form_trajectory(p: SystemParams, t_end: float) -> Trajectory:
+    """Sample the exact motion at ``CLOSED_FORM_STEPS`` samples per period,
+    with its exact events.
 
     Handy as an oracle input for residual studies: the returned object has
     the same shape as an integrated `Trajectory`, with reflection events at
@@ -228,9 +230,7 @@ def closed_form_trajectory(p: SystemParams, t_end: float, n_per_period: int = 40
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    if n_per_period < 2:
-        raise ValueError(f"need at least 2 samples per period, got {n_per_period}")
-    dt = p.T / n_per_period
+    dt = p.T / CLOSED_FORM_STEPS
     n = round(t_end / dt)
     xi, V, chi, U = _exact(np.arange(n + 1) * dt / p.T)
     n_events = math.floor(t_end / p.T + 1e-12)

@@ -170,6 +170,8 @@ _COORDS = {
 }
 # The same channels among the dimensionless columns of a `Trajectory`.
 _COLUMNS = {"particle": ("xi", "V"), "cloud": ("chi", "U")}
+# Finite-difference step of `el_residual`, relative to each channel's largest magnitude.
+EL_FD_STEP = 1.0e-6
 
 
 @dataclass
@@ -199,15 +201,14 @@ def cloud_residual_scale(p: SystemParams) -> float:
     return p.m0 * p.c * math.pi / p.T
 
 
-def el_residual(L, traj: Trajectory, coord: str, fd_step: float = 1.0e-6) -> ELResidualReport:
+def el_residual(L, traj: Trajectory, coord: str) -> ELResidualReport:
     """Euler-Lagrange residual of evaluator ``L`` along a trajectory.
 
     ``L`` maps a state whose fields are equal-length arrays to the array
     of Lagrangian values, elementwise (the evaluators in this module do).
     ``coord`` selects the varied channel, ``"particle"`` for
-    ``(X, dXdt)`` or ``"cloud"`` for ``(x, dxdt)``. ``fd_step`` is
-    relative: the actual perturbation is ``fd_step`` times the channel's
-    largest magnitude over the trajectory.
+    ``(X, dXdt)`` or ``"cloud"`` for ``(x, dxdt)``. Each perturbation is
+    ``EL_FD_STEP`` times the channel's largest magnitude over the trajectory.
 
     The trajectory must have at least nine samples. Residuals are computed
     at every interior sample; samples within five grid points of a
@@ -223,8 +224,8 @@ def el_residual(L, traj: Trajectory, coord: str, fd_step: float = 1.0e-6) -> ELR
     cols = traj.columns()
     t, dt = cols["t"], traj.dt
     q, qdot = cols[q_name], cols[qdot_name]
-    dq = fd_step * (float(np.max(np.abs(q))) or 1.0)
-    dqdot = fd_step * (float(np.max(np.abs(qdot))) or 1.0)
+    dq = EL_FD_STEP * (float(np.max(np.abs(q))) or 1.0)
+    dqdot = EL_FD_STEP * (float(np.max(np.abs(qdot))) or 1.0)
 
     # Conjugate momentum dL/dqdot at every sample, force dL/dq at interior ones.
     momenta = (L({**cols, qdot_name: qdot + dqdot}) - L({**cols, qdot_name: qdot - dqdot})) / (2.0 * dqdot)

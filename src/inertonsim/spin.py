@@ -172,7 +172,6 @@ class DiracOperator:
     p: tuple[float, float, float]
     M0: float
     c: float
-    representation: str = "standard"
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)

@@ -137,7 +137,7 @@ def _check_el_residual_aggregate(params, rng):
     differences out of cancellation. Normalization is M0 v0 pi / T.
     """
     p_ref, _ = derive_kinematics(M0=1.0, v0=1.0e-4, c=1.0, T=1.0)
-    traj = dynamics.closed_form_trajectory(p_ref, t_end=2.0 * p_ref.T, n_per_period=4000)
+    traj = dynamics.closed_form_trajectory(p_ref, t_end=2.0 * p_ref.T)
 
     def L(s):
         return lagrangian.eval_lagrangian_aggregate_shifted(s, p_ref)

@@ -121,7 +121,7 @@ def test_criterion_05_el_residual():
     # variational equations hold on the closed forms; see the residual
     # discussion in the README
     params, _ = derive_kinematics(1.0, 1.0e-4, 1.0, 1.0)
-    traj = closed_form_trajectory(params, t_end=2.0 * params.T, n_per_period=4000)
+    traj = closed_form_trajectory(params, t_end=2.0 * params.T)
 
     def L(s):
         return eval_lagrangian_aggregate_shifted(s, params)

@@ -14,7 +14,9 @@ from inertonsim import (
     quantize,
     shortened_action,
 )
-from inertonsim.action import _GL_NODES, _GL_WEIGHTS, _LOOP_BATCH, _composite_gauss, _cyclic_actions
+from inertonsim.action import (
+    _GL_NODES, _GL_WEIGHTS, _LOOP_BATCH, QUADRATURE_PANELS, _composite_gauss, _cyclic_actions,
+)
 from inertonsim.constants import LIGHT_SPEED, PLANCK
 
 
@@ -107,12 +109,6 @@ def test_cyclic_action_matches_ellipse_area(nat_spec):
     _, spec = nat_spec
     area = math.pi * spec.p_max * spec.amplitude
     assert cyclic_action(spec) == pytest.approx(area, rel=1e-12)
-
-
-def test_cyclic_action_minimum_panels(nat_spec):
-    _, spec = nat_spec
-    with pytest.raises(ValueError):
-        cyclic_action(spec, n_quadrature=32)
 
 
 def test_action_triple_identity_randomized():
@@ -215,7 +211,7 @@ def test_composite_gauss_array_limits_match_scalar_calls_bitwise():
         assert np.array_equal(_bits(scalar), _bits(reference))
 
 
-def _reference_cyclic_action(spec, n_quadrature=64):
+def _reference_cyclic_action(spec):
     """One loop integral from float spec fields: the reference for `_cyclic_actions`."""
     period = 2.0 * math.pi / spec.omega
 
@@ -223,16 +219,15 @@ def _reference_cyclic_action(spec, n_quadrature=64):
         c = np.cos(spec.omega * t)
         return spec.p_max * c * spec.amplitude * spec.omega * c
 
-    return _reference_composite_gauss(integrand, 0.0, period, n_quadrature)
+    return _reference_composite_gauss(integrand, 0.0, period, QUADRATURE_PANELS)
 
 
-@pytest.mark.parametrize("n_quadrature", [64, 97])
-def test_cyclic_actions_match_scalar_loop_integrals_bitwise(n_quadrature):
+def test_cyclic_actions_match_scalar_loop_integrals_bitwise():
     rng = np.random.default_rng(29)
     specs = [
         OscillatorSpec.from_motion(*(10.0 ** rng.uniform(-2.0, 2.0, 3)).tolist())
         for _ in range(2 * _LOOP_BATCH + 5)  # two full batches and a partial one
     ]
-    reference = [_reference_cyclic_action(spec, n_quadrature) for spec in specs]
-    assert np.array_equal(_bits(_cyclic_actions(specs, n_quadrature)), _bits(reference))
-    assert np.array_equal(_bits([cyclic_action(s, n_quadrature) for s in specs]), _bits(reference))
+    reference = [_reference_cyclic_action(spec) for spec in specs]
+    assert np.array_equal(_bits(_cyclic_actions(specs)), _bits(reference))
+    assert np.array_equal(_bits([cyclic_action(s) for s in specs]), _bits(reference))

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inertonsim.cli import ConfigError, builtin_presets, main, merge_config, resolve_config
+from inertonsim import cli
+from inertonsim.cli import ConfigError, build_parser, builtin_presets, main, merge_config, resolve_config
 from inertonsim.constants import ELECTRON_MASS, LIGHT_SPEED, PLANCK
 from inertonsim.verification import _sample_params
 
@@ -122,11 +123,31 @@ def test_h_path_names_h_when_the_period_is_unusable(tmp_path, capsys, pars, peri
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args, flag", [(["simulate", "--bogus", "1"], "--bogus"), (["check", "--seed", "abc"], "--seed")])
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["simulate", "--bogus", "1"], "--bogus"),
+        (["check", "--seed", "abc"], "--seed"),
+        (["derive", "--format", "svg"], "--format"),
+        (["check", "--format", "svg"], "--format"),
+        (["simulate", "--seed", "3"], "--seed"),  # only check draws
+        (["derive", "--preset", "warpdrive"], "--preset"),
+        (["sweep", "--axis", "flux", "--values", "1"], "--axis"),
+    ],
+)
 def test_usage_error_exits_1(capsys, args, flag):
     assert run_cli(*args) == 1
     err = capsys.readouterr().err
     assert "error: " in err and flag in err and "Traceback" not in err
+
+
+def test_parser_is_built_once_and_calls_share_no_state(monkeypatch):
+    assert build_parser() is build_parser()
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "check", (lambda ns: seen.append(ns) or 0, *cli._COMMANDS["check"][1:]))
+    assert run_cli("check", "--select", "a", "--select", "b", "--seed", "3") == 0
+    assert run_cli("check") == 0
+    assert [(ns.select, ns.seed, ns.format) for ns in seen] == [(["a", "b"], 3, "csv"), (None, None, "csv")]
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
@@ -207,14 +228,13 @@ def test_simulate_svg_format_without_trajectory_csv(tmp_path):
 
 
 def test_simulate_json_format(tmp_path, capsys):
-    # the JSON trajectory file was removed; simulate and sweep refuse the format
-    # before they write anything
+    # simulate and sweep write no JSON trajectory: argparse refuses the format
+    # before anything is written
     for argv in (("simulate",), ("sweep", "--axis", "dt", "--values", "0.001,0.002")):
         out = tmp_path / argv[0]
         assert run_cli(*argv, "--preset", "natural", "--format", "json", "--out", str(out)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: --format json: trajectory.json was removed;"), err
-        assert "trajectory.csv holds the same columns at full precision" in err
+        assert "argument --format: invalid choice: 'json'" in err, err
         assert not out.exists()
 
 
@@ -709,6 +729,13 @@ def test_sweep_rejects_non_finite_values(tmp_path, capsys):
         ({"simulation": 5}, "dt", "simulation"),
         ({"simulation": {"mode": "ensemble"}}, "dt", "simulation.mode"),
         ({"note": math.nan}, "dt", "metadata.json"),
+        # faults in the sections no axis edits: once every row printed FAILED and the sweep exited 2
+        ({"outputs": {"bogus": True}}, "dt", "outputs.bogus"),
+        ({"observables": {"resonator_radius": -1}}, "dt", "observables.resonator_radius"),
+        ({"units": "cgs"}, "v0", "units"),
+        ({"seed": -1}, "t_end", "seed"),
+        ({"parameters": {"zz": 1}}, "dt", "parameters.zz"),
+        ({"simulation": 5}, "M0", "simulation"),
     ],
 )
 def test_sweep_bad_config_writes_nothing(tmp_path, capsys, cfg, axis, key):

@@ -285,9 +285,9 @@ def test_events_json_bytes_match_json_dump(tmp_path, natural, times):
 
 def test_closed_form_trajectory_marks_events(natural):
     params, _ = natural
-    traj = closed_form_trajectory(params, t_end=2.0 * params.T, n_per_period=500)
+    traj = closed_form_trajectory(params, t_end=2.0 * params.T)
     assert len(traj.events) == 2
-    assert len(traj.samples) == 1001
+    assert len(traj.samples) == 8001
 
 
 # ------------------------------------------------------- column pipeline

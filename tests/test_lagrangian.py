@@ -177,7 +177,7 @@ def slow_regime():
     """Drift speed far below the cloud speed, where the closed forms satisfy
     the variational equations to high accuracy."""
     params, _ = derive_kinematics(1.0, 1.0e-4, 1.0, 1.0)
-    traj = closed_form_trajectory(params, t_end=2.0 * params.T, n_per_period=4000)
+    traj = closed_form_trajectory(params, t_end=2.0 * params.T)
 
     def L(s):
         return eval_lagrangian_aggregate_shifted(s, params)

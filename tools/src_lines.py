@@ -1,20 +1,25 @@
 """Count the lines of ``src/`` by kind: code, docstring, comment and blank.
 
-    python tools/src_lines.py [ROOT]
+    python tools/src_lines.py [ROOT] [--against REV]
 
 Standard library only. A docstring line is any line of a module, class or
 function docstring (found with `ast`); a comment line holds nothing but a
 comment (found with `tokenize`); a blank line is empty or whitespace, also
 inside a docstring; every other line is code, including a line of code with
 a trailing comment. Prints one row per ``.py`` file under ROOT
-(default: ``src`` next to this script's directory) and the total.
+(default: ``src`` next to this script's directory) and the total. With
+``--against REV`` each count is printed as the count of the files committed
+at git revision REV (read with ``git show``), the current count and the
+difference; a file missing on one side counts as zero lines there.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import pathlib
+import subprocess
 import sys
 import tokenize
 
@@ -57,17 +62,45 @@ def count(source: str) -> dict[str, int]:
     return counts
 
 
+def counts_at(root: pathlib.Path, rev: str) -> dict[str, dict[str, int]]:
+    """Lines by kind of each ``.py`` file under ``root`` as committed at ``rev``."""
+
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", str(root), *args], check=True, capture_output=True, text=True).stdout
+
+    names = git("ls-tree", "-r", "--name-only", rev, "--", ".").splitlines()  # relative to root
+    return {name: count(git("show", f"{rev}:./{name}")) for name in names if name.endswith(".py")}
+
+
 def main(argv: list[str]) -> int:
-    root = pathlib.Path(argv[0]) if argv else pathlib.Path(__file__).resolve().parent.parent / "src"
-    total = dict.fromkeys(KINDS, 0)
-    print(f"{'file':<40} {'lines':>6} " + " ".join(f"{k:>9}" for k in KINDS))
-    for path in sorted(root.rglob("*.py")):
-        counts = count(path.read_text())
-        for kind in KINDS:
-            total[kind] += counts[kind]
-        name = path.relative_to(root).as_posix()
-        print(f"{name:<40} {sum(counts.values()):>6} " + " ".join(f"{counts[k]:>9}" for k in KINDS))
-    print(f"{'total':<40} {sum(total.values()):>6} " + " ".join(f"{total[k]:>9}" for k in KINDS))
+    ap = argparse.ArgumentParser(description="Count the lines of src/ by kind.")
+    ap.add_argument("root", nargs="?", type=pathlib.Path,
+                    default=pathlib.Path(__file__).resolve().parent.parent / "src")
+    ap.add_argument("--against", metavar="REV", help="also print the counts at git revision REV and the difference")
+    ns = ap.parse_args(argv)
+    now = {path.relative_to(ns.root).as_posix(): count(path.read_text()) for path in ns.root.rglob("*.py")}
+    try:
+        sides = [counts_at(ns.root, ns.against), now] if ns.against else [now]
+    except subprocess.CalledProcessError as exc:
+        print(f"src_lines: {' '.join(exc.cmd)} failed: {exc.stderr.strip()}", file=sys.stderr)
+        return 2
+    names = sorted(set().union(*sides))
+    empty = dict.fromkeys(KINDS, 0)
+    # per file and side: the line total, then each kind
+    table = {name: [[sum(c.values()), *c.values()] for c in (side.get(name, empty) for side in sides)] for name in names}
+    table["total"] = [[sum(column) for column in zip(*(table[name][i] for name in names))] for i in range(len(sides))]
+    columns = ("lines", *KINDS)
+    if ns.against:
+        print(f"{'':<40} " + " ".join(f"{k:^20}" for k in columns))
+        print(f"{'file':<40} " + " ".join(f"{ns.against[:6]:>6} {'now':>6} {'delta':>6}" for _ in columns))
+    else:
+        print(f"{'file':<40} " + " ".join(f"{k:>9}" for k in columns))
+    for name in (*names, "total"):
+        if ns.against:
+            cells = (f"{a:>6} {b:>6} {b - a:>+6}" for a, b in zip(*table[name]))
+        else:
+            cells = (f"{v:>9}" for v in table[name][0])
+        print(f"{name:<40} " + " ".join(cells))
     return 0
 
 
