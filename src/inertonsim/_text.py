@@ -269,12 +269,12 @@ def flags(col) -> np.ndarray:
     return np.stack([digit, np.zeros_like(digit)], axis=1)
 
 
-def rows(columns, sep: bytes = b",", end: bytes = b"\n") -> bytes:
-    """Join rendered columns of equal length: the one-byte ``sep`` between
-    fields and ``end`` after each row."""
+def rows(columns, end: bytes = b"\n") -> bytes:
+    """Join rendered columns of equal length: a comma between fields and
+    the one-byte ``end`` after each row."""
     text = np.concatenate(columns, axis=1)
     stops = np.cumsum([c.shape[1] for c in columns]) - 1
-    text[:, stops[:-1]] = ord(sep)
+    text[:, stops[:-1]] = ord(",")
     text[:, stops[-1]] = ord(end)
     return text.tobytes().translate(None, b"\0")
 

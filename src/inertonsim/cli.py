@@ -23,18 +23,19 @@ first is the default). ``check`` adds --seed and --select, ``sweep`` adds
 --axis and --values. A flag or value a command does not take is a usage
 error that names the flag.
 
-A preset supplies a complete base config; a --config file is merged over the
-preset and CLI flags win over both.  Every run writes a metadata.json whose
-top level is itself a valid config (unknown keys are ignored on load), so
-re-running with ``--config <out>/metadata.json`` reproduces the run exactly,
-bitwise identical CSV included.
+A preset is its units and parameters, with every other section at its
+defaults; a --config file is merged over the resolved preset and CLI flags
+win over both. Every run writes a metadata.json whose top level is itself a
+valid config (unknown keys are ignored on load), so re-running with
+``--config <out>/metadata.json`` reproduces the run exactly, bitwise
+identical CSV included.
 
 Every command computes and renders all of its files before it writes them
 through one helper, so an exit 1 (validation) or 2 (runtime failure) leaves
 --out untouched. A failed check or sweep row is a result, not an aborted run:
-``check`` and ``sweep`` still write their reports and exit 2. A config
-fault that no value of ``sweep --axis`` can change exits 1 before any case
-runs.
+``check`` and ``sweep`` still write their reports and exit 2. ``sweep``
+resolves every case before it runs any, and a sweep none of whose values
+gives a valid config exits 1 and writes nothing.
 
 Exit codes: 0 success, 1 validation or usage error, 2 runtime or check
 failure, 3 I/O error.
@@ -76,32 +77,24 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration; message names the bad key."""
 
 
-def _electron_preset(v0):
-    m_rel = ELECTRON_MASS / math.sqrt(1.0 - (v0 / LIGHT_SPEED) ** 2)
-    period = PLANCK / (m_rel * v0 * v0)
-    return {
+# Each preset is its units and parameters; every other section takes the
+# defaults that resolve_config fills in.
+_PRESETS = {
+    "natural": {"units": "natural", "parameters": {"M0": 1.0, "v0": 1.0, "c": 10.0, "T": 1.0}},
+    "electron-1e6": {
         "units": "si",
-        "parameters": {"M0": ELECTRON_MASS, "v0": v0, "c": LIGHT_SPEED, "h": PLANCK},
-        "simulation": {"dt": period / 1000.0, "t_end": 10.0 * period},
-        "outputs": {"trajectory": True, "events": True, "el_residuals": False},
-        "observables": {"resonator_radius": EARTH_RADIUS},
-        "seed": 0,
-    }
+        "parameters": {"M0": ELECTRON_MASS, "v0": 1.0e6, "c": LIGHT_SPEED, "h": PLANCK},
+    },
+    "electron-atomic": {
+        "units": "si",
+        "parameters": {"M0": ELECTRON_MASS, "v0": LIGHT_SPEED / 100.0, "c": LIGHT_SPEED, "h": PLANCK},
+    },
+}
 
 
 def builtin_presets():
-    return {
-        "natural": {
-            "units": "natural",
-            "parameters": {"M0": 1.0, "v0": 1.0, "c": 10.0, "T": 1.0},
-            "simulation": {"dt": 1.0e-3, "t_end": 10.0},
-            "outputs": {"trajectory": True, "events": True, "el_residuals": False},
-            "observables": {"resonator_radius": EARTH_RADIUS},
-            "seed": 0,
-        },
-        "electron-1e6": _electron_preset(1.0e6),
-        "electron-atomic": _electron_preset(LIGHT_SPEED / 100.0),
-    }
+    """Each preset as a complete config, with its defaults made explicit."""
+    return {name: resolve_config(cfg)[2] for name, cfg in _PRESETS.items()}
 
 
 # The keys of each config section, in the order metadata.json lists them.
@@ -193,10 +186,15 @@ def _number(key, val, integer=False):
     return val if isinstance(val, int) else int(num)
 
 
-def _settings(cfg):
-    """The units, outputs, observables and seed of ``cfg``, validated and
-    with their defaults made explicit: the part of a config that no sweep
-    axis changes."""
+def resolve_config(cfg):
+    """Validate a merged config and compute the resolved parameter set.
+
+    Returns (params, kin, resolved) where resolved is the config dict with
+    its defaults made explicit. The parameters stay as given (T or h), so a
+    replay resolves the period by the same arithmetic.  Unknown top-level
+    keys are ignored so a metadata.json can be fed straight back in; unknown
+    keys inside the known sections are rejected to catch typos.
+    """
     units = cfg.get("units", "natural")
     if units not in ("natural", "si"):
         raise ConfigError("units: must be 'natural' or 'si'")
@@ -216,19 +214,7 @@ def _settings(cfg):
     seed = _number("seed", cfg.get("seed", 0), integer=True)
     if seed < 0:
         raise ConfigError(f"seed: must be non-negative, got {seed}")
-    return units, outs, obs, seed
 
-
-def resolve_config(cfg):
-    """Validate a merged config and compute the resolved parameter set.
-
-    Returns (params, kin, resolved) where resolved is the config dict with
-    its defaults made explicit. The parameters stay as given (T or h), so a
-    replay resolves the period by the same arithmetic.  Unknown top-level
-    keys are ignored so a metadata.json can be fed straight back in; unknown
-    keys inside the known sections are rejected to catch typos.
-    """
-    units, outs, obs, seed = _settings(cfg)
     pars = _section(cfg, "parameters")
     for key in ("M0", "v0", "c"):
         if key not in pars:
@@ -282,7 +268,7 @@ def _gather_config(ns):
     with the --config file merged over it."""
     cfg = {}
     if ns.preset or not ns.config:
-        cfg = builtin_presets()[ns.preset or "natural"]
+        cfg = resolve_config(_PRESETS[ns.preset or "natural"])[2]
     if ns.config:
         cfg = merge_config(cfg, load_config(ns.config))
     return cfg
@@ -490,20 +476,28 @@ def cmd_sweep(ns):
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"--values: must be finite numbers, got {ns.values}")
 
-    # a fault that no value of the axis changes is refused before any case runs
     section = "simulation" if axis in _KEYS["simulation"] else "parameters"
     base = _section(cfg, section)
     base.pop({"T": "h", "h": "T"}.get(axis), None)
-    _section(cfg, "parameters" if section == "simulation" else "simulation")
-    _settings(cfg)
+    # every case is resolved before any runs: when none resolves the sweep
+    # is a config error; otherwise a case that does not is a failed row
+    cases = []
+    for value in values:
+        try:
+            cases.append(resolve_config({**cfg, section: {**base, axis: value}}))
+        except ValueError as exc:
+            cases.append(exc)
+    if all(isinstance(case, ValueError) for case in cases):
+        raise cases[0]
     _json("metadata.json", cfg)
     rows = []
     n_failed = 0
-    for i, value in enumerate(values):
-        case = {**cfg, section: {**base, axis: value}}
+    for i, (value, case) in enumerate(zip(values, cases)):
         sub = os.path.join(ns.out, f"{axis}_{i}")
         try:
-            params, _, resolved = resolve_config(case)
+            if isinstance(case, ValueError):
+                raise case
+            params, _, resolved = case
             _, derived = _run_simulation(params, resolved, sub, ns.format, quiet=True)
             spec_osc = OscillatorSpec.from_params(params)
             row = {
@@ -551,7 +545,7 @@ def build_parser():
         sp = commands[name] = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON config file (merged over the preset)")
         sp.add_argument(
-            "--preset", choices=tuple(builtin_presets()), help="built-in config (default: natural without --config)"
+            "--preset", choices=tuple(_PRESETS), help="built-in config (default: natural without --config)"
         )
         sp.add_argument("--out", default=".", help="output directory (default: current)")
         sp.add_argument("--format", choices=formats, default=formats[0], help="output format (default: %(default)s)")

@@ -37,6 +37,38 @@ def test_presets_resolve():
             assert resolved["parameters"]["T"] == params.T, name
 
 
+def _preset(units, parameters, dt, t_end):
+    return {
+        "units": units,
+        "parameters": parameters,
+        "simulation": {"dt": dt, "t_end": t_end},
+        "outputs": {"trajectory": True, "events": True, "el_residuals": False},
+        "observables": {"resonator_radius": 6371000.0},
+        "seed": 0,
+    }
+
+
+def test_presets_keep_their_written_out_text():
+    # the presets are resolved from their units and parameters, so a changed
+    # default moves these bytes and has to be made here on purpose
+    expected = {
+        "natural": _preset("natural", {"M0": 1.0, "v0": 1.0, "c": 10.0, "T": 1.0}, 0.001, 10.0),
+        "electron-1e6": _preset(
+            "si",
+            {"M0": 9.1093837015e-31, "v0": 1000000.0, "c": 299792458.0, "h": 6.62607015e-34},
+            7.273854636642173e-19,
+            7.273854636642173e-15,
+        ),
+        "electron-atomic": _preset(
+            "si",
+            {"M0": 9.1093837015e-31, "v0": 2997924.58, "c": 299792458.0, "h": 6.62607015e-34},
+            8.09289511925653e-20,
+            8.09289511925653e-16,
+        ),
+    }
+    assert json.dumps(builtin_presets(), indent=2) == json.dumps(expected, indent=2)
+
+
 def test_both_T_and_h_rejected(tmp_path):
     cfg = write_cfg(tmp_path / "c.json", {"parameters": {"M0": 1, "v0": 1, "c": 10, "T": 1, "h": 2}})
     assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 1
@@ -736,17 +768,31 @@ def test_sweep_rejects_non_finite_values(tmp_path, capsys):
         ({"seed": -1}, "t_end", "seed"),
         ({"parameters": {"zz": 1}}, "dt", "parameters.zz"),
         ({"simulation": 5}, "M0", "simulation"),
+        # a parameters fault that no value of a simulation axis can mend: once every row printed FAILED
+        ({"parameters": {"M0": 1, "v0": 20, "c": 10, "T": 1}}, "dt", "parameters"),
+        ({"parameters": {"M0": 1, "v0": 20, "c": 10, "T": 1}}, "t_end", "parameters"),
+        ({"parameters": {"M0": 1, "v0": 20, "c": 10, "T": 1}}, "M0", "parameters"),
     ],
 )
 def test_sweep_bad_config_writes_nothing(tmp_path, capsys, cfg, axis, key):
     path = write_cfg(tmp_path / "c.json", cfg)
     out = tmp_path / "sw"
     code = run_cli(
-        "sweep", "--preset", "natural", "--config", path, "--axis", axis, "--values", "0.001", "--out", str(out)
+        "sweep", "--preset", "natural", "--config", path, "--axis", axis, "--values", "0.001,0.002", "--out", str(out)
     )
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_with_no_valid_value_writes_nothing(tmp_path, capsys):
+    # every value is itself invalid: the sweep is refused like simulate, not run as all-nan rows
+    out = tmp_path / "sw"
+    code = run_cli("sweep", "--preset", "natural", "--axis", "v0", "--values", "20,30", "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameters: ") and "v0=20.0" in err and "FAILED" not in err
     assert not out.exists()
 
 
