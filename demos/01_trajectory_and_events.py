@@ -18,7 +18,7 @@ print("cloud amplitude Lambda =", params.Lam)
 print("oscillation frequency nu =", kin.nu)
 
 traj = integrate(params, t_end=10.0 * params.T, dt=params.T / 1000.0)
-print(f"\nintegrated {len(traj.samples)} samples, {len(traj.events)} reflection events")
+print(f"\nintegrated {len(traj.xi)} samples, {len(traj.events)} reflection events")
 
 print("\n   n   event time      offset from n*T")
 for n, t_ev in enumerate(traj.events, start=1):

@@ -57,7 +57,7 @@ import numpy as np
 from . import __version__
 from .action import OscillatorSpec, cyclic_action, quantize
 from .constants import ELECTRON_MASS, LIGHT_SPEED, PLANCK
-from .core import _square, derive_kinematics
+from .core import _moving_mass, _square, derive_kinematics
 from .dynamics import (
     integrate,
     oracle_errors,
@@ -232,8 +232,7 @@ def resolve_config(cfg):
                 raise ConfigError(f"parameters.{key}: must be positive, got {values[key]}")
         if not 0.0 < v0 < c:
             raise ConfigError("parameters.v0: must satisfy 0 < v0 < c")
-        m_rel = M0 / math.sqrt(1.0 - (v0 / c) ** 2)
-        T = quantize(m_rel, v0, c, values["h"]).T
+        T = quantize(_moving_mass(M0, v0, c), v0, c, values["h"]).T
         if not 0.0 < T < math.inf:
             raise ConfigError(f"parameters.h: the period h / (M v0^2) must be positive and finite, got T={T}")
     m0 = values.get("m0")

@@ -109,11 +109,8 @@ def derive_kinematics(
     """
     _validate_base(M0, v0, c, T)
 
-    beta2 = (v0 / c) ** 2
-    gamma = 1.0 / math.sqrt(1.0 - beta2)
-    M = M0 * gamma
-
-    m0_derived = M0 * beta2
+    M = _moving_mass(M0, v0, c)
+    m0_derived = M0 * (v0 / c) ** 2
     if m0 is None:
         if not (m0_derived > 0.0):
             raise ValueError(
@@ -130,7 +127,7 @@ def derive_kinematics(
                 f"{m0_derived!r} by more than 1e-9 relative; keeping the override",
                 stacklevel=2,
             )
-    m = m0 * gamma
+    m = _moving_mass(m0, v0, c)
 
     params = SystemParams(
         M0=M0, m0=m0, v0=v0, c=c, T=T,
@@ -147,6 +144,13 @@ def derive_kinematics(
         if not math.isfinite(value):
             raise ValueError(f"{name} = {value} is not finite for M0={M0}, v0={v0}, c={c}, T={T}")
     return params, kin
+
+
+def _moving_mass(rest: float, v0: float, c: float) -> float:
+    """The relativistic mass ``rest / sqrt(1 - (v0/c)^2)``, rounded as
+    ``rest * (1 / sqrt(...))``. Every mass at speed ``v0``, and the period
+    of an ``h``-given config, is taken with this one rounding."""
+    return rest * (1.0 / math.sqrt(1.0 - (v0 / c) ** 2))
 
 
 def _square(value: float, name: str) -> float:

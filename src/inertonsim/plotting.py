@@ -5,6 +5,14 @@ stack, so this writes plain SVG by hand: axes, a handful of ticks, one
 polyline per series and a small legend. The trajectory CSVs remain the
 canonical data (and load directly into gnuplot); these files are just the
 glanceable rendering.
+
+``trajectory.svg`` keeps, of each series, the M4 points of each of its 680
+pixel columns: the first, last, lowest and highest point (Jugel, Jerzak,
+Hackenbroich & Markl, "M4: A Visualization-Oriented Time Series Data
+Aggregation", PVLDB 7(10), 2014). So it costs O(pixel columns), not
+O(samples). It is pixel-exact at its native 760x420 size for a 1-px line;
+the 1.5-px stroke and zoomed views are approximations. ``phase.svg`` has
+no increasing axis and draws every sample.
 """
 
 from __future__ import annotations
@@ -14,6 +22,11 @@ import numpy as np
 from . import _text
 
 _COLORS = ("#1a6fb5", "#c4443c", "#3d8d4e", "#8a5bb8")
+# panel margins around the plot box in px: left, right, top, bottom
+_MARGINS = (64, 16, 34, 46)
+# render_line_svg's default width, and the pixel columns of its plot box
+_WIDTH = 760
+_COLUMNS = _WIDTH - _MARGINS[0] - _MARGINS[1]
 
 
 def _write_points(fh, x: np.ndarray, y: np.ndarray) -> None:
@@ -31,11 +44,11 @@ def render_line_svg(
     title: str,
     xlabel: str,
     ylabel: str,
-    width: int = 760,
+    width: int = _WIDTH,
     height: int = 420,
 ) -> None:
     """Write one SVG panel. ``series`` holds ``(x, y, label)`` triples."""
-    ml, mr, mt, mb = 64, 16, 34, 46
+    ml, mr, mt, mb = _MARGINS
     pw, ph = width - ml - mr, height - mt - mb
 
     # ranges from each series' extremes; a NaN propagates
@@ -96,12 +109,48 @@ def render_line_svg(
         fh.write(b"</svg>\n")
 
 
+def _m4(x: np.ndarray, y: np.ndarray, columns: int):
+    """Index of the M4 points of the line through ``(x, y)``, ``x``
+    non-decreasing: in each of ``columns`` pixel columns, the first, last,
+    lowest and highest point, in order. A point's column is
+    ``floor((x - x_lo) / (x_hi - x_lo) * columns)`` over the range that
+    `render_line_svg` gives ``x``; ``x == x_hi`` goes in the last column.
+    The kept points hold each column's extremes and both ends of the line,
+    so they set the same axis ranges. A series with a non-finite value
+    keeps every point (``slice(None)``)."""
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return slice(None)
+    x_lo, x_hi = float(np.min(x)), float(np.max(x))
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    # a point's position across the plot box, in px, is non-decreasing: so
+    # column k starts at the first point with pos >= k, and a column that no
+    # point reaches "starts" at the next column's start or at len(x)
+    pos = (x - x_lo) / (x_hi - x_lo) * columns
+    keep = np.zeros(len(x) + 1, dtype=bool)
+    keep[np.searchsorted(pos, np.arange(columns))] = True
+    del pos
+    starts = np.flatnonzero(keep[:-1])
+    counts = np.diff(starts, append=len(x))
+    keep[starts + counts - 1] = True
+    for ufunc in (np.minimum, np.maximum):
+        # the first point of each column at the column's extreme
+        hit = np.flatnonzero(y == np.repeat(ufunc.reduceat(y, starts), counts))
+        keep[hit[np.searchsorted(hit, starts)]] = True
+    return np.flatnonzero(keep[:-1])
+
+
 def trajectory_svg(traj, path) -> None:
-    """Dimensionless trajectory panel: X/lam and x/Lam against t/T."""
+    """Dimensionless trajectory panel: X/lam and x/Lam against t/T, each
+    series cut to its M4 points (`_m4`) before rendering."""
     tau = np.arange(len(traj.xi)) * traj.dt / traj.params.T
+    series = []
+    for y, label in ((traj.xi, "X / lambda"), (traj.chi, "x / Lambda")):
+        keep = _m4(tau, y, _COLUMNS)
+        series.append((tau[keep], y[keep], label))
     render_line_svg(
         path,
-        [(tau, traj.xi, "X / lambda"), (tau, traj.chi, "x / Lambda")],
+        series,
         title="particle coordinate and cloud separation",
         xlabel="t / T",
         ylabel="dimensionless position",

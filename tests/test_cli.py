@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from inertonsim import cli
+from inertonsim.action import quantize
 from inertonsim.cli import ConfigError, build_parser, builtin_presets, main, merge_config, resolve_config
 from inertonsim.constants import ELECTRON_MASS, LIGHT_SPEED, PLANCK
 from inertonsim.verification import _sample_params
@@ -56,14 +58,14 @@ def test_presets_keep_their_written_out_text():
         "electron-1e6": _preset(
             "si",
             {"M0": 9.1093837015e-31, "v0": 1000000.0, "c": 299792458.0, "h": 6.62607015e-34},
-            7.273854636642173e-19,
-            7.273854636642173e-15,
+            7.273854636642174e-19,
+            7.273854636642175e-15,
         ),
         "electron-atomic": _preset(
             "si",
             {"M0": 9.1093837015e-31, "v0": 2997924.58, "c": 299792458.0, "h": 6.62607015e-34},
-            8.09289511925653e-20,
-            8.09289511925653e-16,
+            8.092895119256529e-20,
+            8.092895119256529e-16,
         ),
     }
     assert json.dumps(builtin_presets(), indent=2) == json.dumps(expected, indent=2)
@@ -311,6 +313,30 @@ def test_derive_electron_preset(tmp_path):
     d = json.loads((out / "derived.json").read_text())
     assert d["quantized"]["lambda_dB"] == pytest.approx(7.274e-10, rel=1e-3)
     assert d["quantized"]["T"] == pytest.approx(7.274e-16, rel=1e-3)
+
+
+@pytest.mark.parametrize("preset", ["electron-1e6", "electron-atomic"])
+def test_derive_h_given_period_matches_quantized(preset, tmp_path):
+    # system.T is resolved from h, quantized.T is quantized from system.M;
+    # both take the moving mass with one rounding
+    out = tmp_path / "d"
+    assert run_cli("derive", "--preset", preset, "--format", "json", "--out", str(out)) == 0
+    d = json.loads((out / "derived.json").read_text())
+    assert d["system"]["T"].hex() == d["quantized"]["T"].hex()
+
+
+def test_h_given_period_matches_quantized_on_random_configs():
+    # log-uniform c, M0 and h / (M0 v0^2), v0/c uniform in [1e-4, 0.99]; the
+    # calls cmd_derive makes for system.T and quantized.T
+    rng = random.Random(0)
+    for _ in range(250):
+        c = 10.0 ** rng.uniform(-3.0, 9.0)
+        M0 = 10.0 ** rng.uniform(-31.0, 3.0)
+        v0 = rng.uniform(1e-4, 0.99) * c
+        h = 10.0 ** rng.uniform(-20.0, 3.0) * M0 * v0 * v0
+        params, _, _ = resolve_config({"parameters": {"M0": M0, "v0": v0, "c": c, "h": h}})
+        quant = quantize(params.M, params.v0, params.c, h)
+        assert params.T.hex() == quant.T.hex(), (M0, v0, c, h)
 
 
 def test_derive_csv_format(tmp_path):

@@ -21,6 +21,7 @@ from inertonsim import (
 )
 from inertonsim import SystemParams, dynamics
 from inertonsim.dynamics import closed_form_trajectory
+from inertonsim import plotting
 from inertonsim.plotting import phase_plane_svg, render_line_svg, trajectory_svg
 
 # The generator of the dimensionless system, written out independently of
@@ -437,6 +438,52 @@ def test_svg_polyline_matches_per_point_formatter(tmp_path):
     assert f'<polyline points="{" ".join(points)}"' in path.read_text()
 
 
+def _pixel_columns(x, columns):
+    # the pixel column of each point, as defined for the trajectory panel
+    x_lo, x_hi = min(x), max(x)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    return [min(math.floor((v - x_lo) / (x_hi - x_lo) * columns), columns - 1) for v in x]
+
+
+@st.composite
+def _lines(draw):
+    n = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        x = np.arange(n) * draw(st.floats(1e-6, 10.0))
+    else:
+        x = np.sort(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    finite = draw(st.booleans())
+    values = st.floats(allow_nan=not finite, allow_infinity=not finite)
+    if draw(st.booleans()):
+        y = np.full(n, draw(values))
+    else:
+        y = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    return x, y
+
+
+@settings(max_examples=200)
+@given(line=_lines(), columns=st.sampled_from([1, 2, 7, 680]))
+@example(line=(np.zeros(1), np.ones(1)), columns=680)
+@example(line=(np.array([0.0, 1.0]), np.array([2.0, -3.0])), columns=680)
+@example(line=(np.arange(1000.0), np.full(1000, 0.5)), columns=680)
+@example(line=(np.arange(50.0), np.where(np.arange(50) == 7, np.nan, 1.0)), columns=680)
+@example(line=(np.arange(50.0), np.where(np.arange(50) == 7, -np.inf, 1.0)), columns=7)
+def test_m4_keeps_each_pixel_column_extremes(line, columns):
+    x, y = line
+    keep = np.arange(len(x))[plotting._m4(x, y, columns)]
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        assert keep.tolist() == list(range(len(x)))  # drawn point for point
+        return
+    assert (np.diff(keep) > 0).all()  # a subsequence, in order
+    col = np.array(_pixel_columns(x.tolist(), columns))
+    for c in np.unique(col):
+        every, kept = np.flatnonzero(col == c), keep[col[keep] == c]
+        assert 1 <= len(kept) <= 4
+        assert (kept[0], kept[-1]) == (every[0], every[-1])
+        assert y[kept].min() == y[every].min() and y[kept].max() == y[every].max()
+
+
 @pytest.fixture(scope="module")
 def short_run():
     params, _ = derive_kinematics(1.0, 1.0, 10.0, 1.0)
@@ -527,6 +574,46 @@ def test_oracle_errors_match_dense_definition(
 def natural_long(natural):
     params, _ = natural
     return integrate(params, t_end=100.0 * params.T, dt=params.T / 1000.0)
+
+
+_POINTS = re.compile(rb'points="([^"]*)"')
+
+
+def test_svg_panels_against_every_point(natural_long, tmp_path):
+    # trajectory.svg is the full-point rendering with each points list cut
+    # to a subsequence; phase.svg is the full-point rendering
+    traj = natural_long
+    tau = np.arange(len(traj.xi)) * traj.dt / traj.params.T
+    full = tmp_path / "full.svg"
+    render_line_svg(
+        full,
+        [(tau, traj.xi, "X / lambda"), (tau, traj.chi, "x / Lambda")],
+        title="particle coordinate and cloud separation",
+        xlabel="t / T",
+        ylabel="dimensionless position",
+    )
+    trajectory_svg(traj, tmp_path / "trajectory.svg")
+    full, cut = full.read_bytes(), (tmp_path / "trajectory.svg").read_bytes()
+    assert _POINTS.sub(b"", cut) == _POINTS.sub(b"", full)
+    for every, kept in zip(_POINTS.findall(full), _POINTS.findall(cut), strict=True):
+        every, kept = every.split(b" "), kept.split(b" ")
+        assert len(every) == len(traj.xi) and len(kept) < len(every) // 20
+        assert (kept[0], kept[-1]) == (every[0], every[-1])
+        rest = iter(every)
+        assert all(point in rest for point in kept)
+
+    full = tmp_path / "phase_full.svg"
+    render_line_svg(
+        full,
+        [(1.0 - traj.V, traj.U, "velocity locus")],
+        title="velocity-plane portrait",
+        xlabel="1 - (dX/dt) / v0",
+        ylabel="(dx/dt) / c",
+        width=480,
+        height=480,
+    )
+    phase_plane_svg(traj, tmp_path / "phase.svg")
+    assert (tmp_path / "phase.svg").read_bytes() == full.read_bytes()
 
 
 def _traced_peak(fn, *args):
