@@ -56,13 +56,18 @@ class OscillatorSpec:
     def from_motion(cls, M: float, v0: float, T: float) -> "OscillatorSpec":
         if not (M > 0.0 and v0 > 0.0 and T > 0.0):
             raise ValueError(f"need M, v0, T > 0, got M={M}, v0={v0}, T={T}")
-        omega = math.pi / T
-        return cls(M=M, omega=omega, E=0.5 * M * v0 * v0,
-                   amplitude=v0 / omega, p_max=M * v0)
+        return cls(M, *_oscillator(M, v0, T))
 
     @classmethod
     def from_params(cls, params: SystemParams) -> "OscillatorSpec":
         return cls.from_motion(params.M, params.v0, params.T)
+
+
+def _oscillator(M, v0, T):
+    """``omega, E, amplitude, p_max`` of `OscillatorSpec` from floats or from
+    arrays of ``M, v0, T``; each is rounded alike in both."""
+    omega = math.pi / T
+    return omega, 0.5 * M * v0 * v0, v0 / omega, M * v0
 
 
 @dataclass(frozen=True)
@@ -88,17 +93,6 @@ def effective_hamiltonian(p: float, X: float, spec: OscillatorSpec) -> float:
     return p * p / (2.0 * spec.M) + 0.5 * spec.M * spec.omega ** 2 * X * X
 
 
-def _momentum_of(spec: OscillatorSpec):
-    two_me = 2.0 * spec.M * spec.E
-    mw = spec.M * spec.omega
-
-    def p_of(xi: float) -> float:
-        # max() guards the last-ulp rounding right at the turning point
-        return math.sqrt(max(two_me - (mw * xi) ** 2, 0.0))
-
-    return p_of
-
-
 def shortened_action(X: float, spec: OscillatorSpec) -> float:
     """Abbreviated action ``S1(X) = integral of p`` from 0 to X, as the exact
     antiderivative ``p_max A (r sqrt(1 - r^2) + asin r) / 2`` with ``r = X/A``.
@@ -112,15 +106,24 @@ def shortened_action(X: float, spec: OscillatorSpec) -> float:
     return 0.5 * spec.p_max * spec.amplitude * (r * math.sqrt((1.0 - r) * (1.0 + r)) + math.asin(r))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_GL_RULE = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))  # floats: no per-call arrays
+# `numpy.polynomial.legendre.leggauss(8)` written out, so that importing this
+# module does not load `numpy.polynomial` (see test_gauss_legendre_literals_equal_leggauss).
+_GL_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+])
+_GL_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+])
 
 
 HJ_FD_STEP = 1.0e-5  # central-difference step of `hj_residual`, in units of the amplitude
 
 
-def hj_residual(X: float, spec: OscillatorSpec) -> float:
-    """Hamilton-Jacobi residual ``S1'(X)^2/(2M) + M omega^2 X^2/2 - E``.
+def hj_residual(X, spec: OscillatorSpec):
+    """Hamilton-Jacobi residual ``S1'(X)^2/(2M) + M omega^2 X^2/2 - E`` at a
+    float ``X`` (a float back) or at each entry of an array (an array back).
 
     ``S1'`` is a central difference with step ``d = HJ_FD_STEP * amplitude``.
     ``S1(X+d) - S1(X-d)`` is one short integral of ``p`` over ``[X-d, X+d]``,
@@ -128,17 +131,33 @@ def hj_residual(X: float, spec: OscillatorSpec) -> float:
     removes the cancellation that would otherwise dominate the error. Inside
     ``|X| <= 0.99 A`` the residual stays below ``1e-7 E``; approaching the
     turning point the integrand steepens and accuracy degrades gracefully
-    (still below ``1e-4 E`` at ``0.999 A``).
+    (still below ``1e-4 E`` at ``0.999 A``). The first point with ``|X| + d
+    >= A`` raises a ValueError.
+
+    Each value has the bits of the per-point formula: squares are Python
+    float ``** 2`` per value, and the 8 panel terms are summed left to right
+    (see test_sampled_checks_match_per_draw_loops_bitwise).
     """
     A = spec.amplitude
-    if abs(X) >= A:
-        raise ValueError(f"|X|={abs(X)} is outside the classically allowed region (A={A})")
     d = HJ_FD_STEP * A
-    if abs(X) + d >= A:
-        raise ValueError(f"|X|+HJ_FD_STEP*A = {abs(X) + d} reaches the turning point; move X inward")
-    p_of = _momentum_of(spec)
-    s1_prime = 0.5 * sum(w * p_of(X + d * t) for t, w in _GL_RULE)  # window integral / (2d)
-    return s1_prime ** 2 / (2.0 * spec.M) + 0.5 * spec.M * spec.omega ** 2 * X * X - spec.E
+    xs = np.atleast_1d(np.asarray(X, dtype=float))
+    reach = np.abs(xs)
+    refused = reach + d >= A
+    if refused.any():
+        r = float(reach[np.argmax(refused)])
+        if r >= A:
+            raise ValueError(f"|X|={r} is outside the classically allowed region (A={A})")
+        raise ValueError(f"|X|+HJ_FD_STEP*A = {r + d} reaches the turning point; move X inward")
+    mw_xi = spec.M * spec.omega * (xs[:, None] + d * _GL_NODES)  # (points, nodes)
+    mw_xi_sq = np.array([v ** 2 for v in mw_xi.ravel().tolist()]).reshape(mw_xi.shape)
+    # max() guards the last-ulp rounding right at the turning point
+    terms = _GL_WEIGHTS * np.sqrt(np.maximum(2.0 * spec.M * spec.E - mw_xi_sq, 0.0))
+    window = 0.0
+    for term in terms.T:
+        window = window + term
+    s1_prime_sq = np.array([(0.5 * v) ** 2 for v in window.tolist()])  # window integral / (2d)
+    residual = s1_prime_sq / (2.0 * spec.M) + 0.5 * spec.M * spec.omega ** 2 * xs * xs - spec.E
+    return float(residual[0]) if np.ndim(X) == 0 else residual
 
 
 def _composite_gauss(f, t_lo: float, t_hi, n_panels: int):
@@ -166,24 +185,25 @@ def cyclic_action(spec: OscillatorSpec) -> float:
     quadrature on ``QUADRATURE_PANELS`` panels. Equals
     ``E * 2T = p0 * lam = M v0^2 T`` to 1e-9 relative or better.
     """
-    return _cyclic_actions([spec])[0]
+    return float(_cyclic_actions([spec.p_max], [spec.amplitude], [spec.omega])[0])
 
 
-def _cyclic_actions(specs: list[OscillatorSpec]) -> list[float]:
-    """`cyclic_action` of each spec, in array passes of `_LOOP_BATCH` specs
-    (see test_cyclic_actions_match_scalar_loop_integrals_bitwise)."""
-    out: list[float] = []
-    for i in range(0, len(specs), _LOOP_BATCH):
-        fields = np.array([(s.p_max, s.amplitude, s.omega) for s in specs[i:i + _LOOP_BATCH]])
-        p_max, amplitude, omega = fields.T[:, :, None, None]
-        periods = 2.0 * math.pi / fields[:, 2]
+def _cyclic_actions(p_max, amplitude, omega) -> np.ndarray:
+    """`cyclic_action` of each entry of the arrays ``p_max, amplitude, omega``,
+    in array passes of `_LOOP_BATCH` entries (see
+    test_cyclic_actions_match_scalar_loop_integrals_bitwise)."""
+    fields = np.array([p_max, amplitude, omega], dtype=float)
+    out = []
+    for i in range(0, fields.shape[1], _LOOP_BATCH):
+        batch = fields[:, i:i + _LOOP_BATCH]
+        p, a, w = batch[:, :, None, None]
 
         def integrand(t):  # p dX/dt on the orbit at time t
-            c = np.cos(omega * t)
-            return p_max * c * amplitude * omega * c
+            c = np.cos(w * t)
+            return p * c * a * w * c
 
-        out += _composite_gauss(integrand, 0.0, periods, QUADRATURE_PANELS).tolist()
-    return out
+        out.append(_composite_gauss(integrand, 0.0, 2.0 * math.pi / batch[2], QUADRATURE_PANELS))
+    return np.concatenate(out)
 
 
 def lab_frame_action(params: SystemParams) -> float:

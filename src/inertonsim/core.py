@@ -25,6 +25,8 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 
 __all__ = [
     "SystemParams",
@@ -133,24 +135,52 @@ def derive_kinematics(
         M0=M0, m0=m0, v0=v0, c=c, T=T,
         lam=v0 * T, Lam=c * T, M=M, m=m,
     )
-    kin = DerivedKinematics(
-        nu=1.0 / (2.0 * T),
-        collision_rate=1.0 / T,
-        E=0.5 * M * v0 * v0,
-        p0=M * v0,
-        mean_drift=v0 * (1.0 - 2.0 / math.pi),
-    )
+    kin = DerivedKinematics(*_kinematics(M, v0, T))
     for name, value in (*vars(params).items(), *vars(kin).items()):
         if not math.isfinite(value):
             raise ValueError(f"{name} = {value} is not finite for M0={M0}, v0={v0}, c={c}, T={T}")
     return params, kin
 
 
+def _kinematics(M, v0, T):
+    """The `DerivedKinematics` fields from floats or from arrays of
+    ``M, v0, T``; each is rounded alike in both."""
+    return 1.0 / (2.0 * T), 1.0 / T, 0.5 * M * v0 * v0, M * v0, v0 * (1.0 - 2.0 / math.pi)
+
+
 def _moving_mass(rest: float, v0: float, c: float) -> float:
     """The relativistic mass ``rest / sqrt(1 - (v0/c)^2)``, rounded as
     ``rest * (1 / sqrt(...))``. Every mass at speed ``v0``, and the period
-    of an ``h``-given config, is taken with this one rounding."""
+    of an ``h``-given config, is taken with this one rounding; `_derive_batch`
+    writes it out for arrays."""
     return rest * (1.0 / math.sqrt(1.0 - (v0 / c) ** 2))
+
+
+def _derive_batch(M0: np.ndarray, v0: np.ndarray, c: float, T: np.ndarray) -> dict[str, np.ndarray]:
+    """`derive_kinematics` without an ``m0`` override, over arrays of ``M0,
+    v0, T`` at one ``c``: the `SystemParams` fields as arrays, in field order.
+
+    Each value has the bits of the per-draw call, and the first draw that the
+    call refuses raises its ValueError (see
+    test_derive_batch_equals_derive_kinematics_bitwise). ``(v0/c) ** 2`` stays a
+    Python float ``**`` per value, as in `_moving_mass`: that is libm ``pow``,
+    which is not always ``x*x``.
+    """
+    beta2 = np.array([(v / c) ** 2 for v in v0.tolist()])
+    with np.errstate(all="ignore"):  # the refused draws are found below
+        gamma = 1.0 / np.sqrt(1.0 - beta2)
+        m0 = M0 * beta2
+        M = M0 * gamma
+        fields = dict(M0=M0, m0=m0, v0=v0, c=np.full(len(v0), c), T=T, lam=v0 * T, Lam=c * T, M=M, m=m0 * gamma)
+        kinematics = _kinematics(M, v0, T)
+    # the conditions of `_validate_base`, the m0 underflow and the finiteness loop
+    valid = (M0 > 0.0) & (T > 0.0) & (0.0 < v0) & (v0 < c) & (m0 > 0.0)
+    for value in (*fields.values(), *kinematics):
+        valid &= np.isfinite(value)
+    if not valid.all():
+        i = int(np.argmin(valid))
+        derive_kinematics(M0=float(M0[i]), v0=float(v0[i]), c=c, T=float(T[i]))
+    return fields
 
 
 def _square(value: float, name: str) -> float:

@@ -9,7 +9,8 @@ tolerance``, so it never holds NaN. Checks draw any randomness from a
 generator seeded by ``(seed, name)``, so a selection runs the same no
 matter which other checks accompany it, and two runs with the same seed
 and parameters agree except for wall-clock timings. The sampled checks
-evaluate their draws in one array pass (see
+evaluate their draws in one array pass: one generator call draws all of a
+check's cases, which then keep the bits of a loop over single draws (see
 test_sampled_checks_match_per_draw_loops_bitwise).
 
 Most checks respect the supplied `SystemParams`; the ones whose tolerances
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import action as action_mod
 from . import dynamics, lagrangian, observables, spin
-from .core import SystemParams, _square, derive_kinematics, natural_params
+from .core import SystemParams, _derive_batch, _square, derive_kinematics, natural_params
 
 __all__ = ["CheckReport", "run_checks", "registry_names", "reports_to_json_lines"]
 
@@ -64,14 +65,26 @@ class CheckReport:
         return self.status == "pass"
 
 
-def _sample_params(rng: np.random.Generator) -> SystemParams:
-    """Draw natural-unit parameters log-uniformly: v0/c in [0.01, 0.9],
-    T in [0.1, 10], M0 in [0.1, 10], with c = 1."""
-    v0 = math.exp(rng.uniform(math.log(0.01), math.log(0.9)))
-    T = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-    M0 = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-    params, _ = derive_kinematics(M0=M0, v0=v0, c=1.0, T=T)
-    return params
+# Log bounds of a sampled draw, in column order: v0/c in [0.01, 0.9], T in
+# [0.1, 10] and M0 in [0.1, 10], with c = 1.
+_LOG_BOUNDS = (
+    (math.log(0.01), math.log(0.9)), (math.log(0.1), math.log(10.0)), (math.log(0.1), math.log(10.0)),
+)
+_LOG_H = (math.log(0.1), math.log(10.0))  # the action quantum of `quantize_roundtrip`
+
+
+def _draw_params(rng: np.random.Generator, n: int, extra=()):
+    """``n`` natural-unit parameter sets drawn log-uniformly, with any
+    ``extra`` log bounds as further columns, in one generator call.
+
+    Returns the `SystemParams` fields of the draws as arrays, from
+    `core._derive_batch`, and one array per extra column. ``math.exp`` stays
+    per value (see test_draw_params_follow_the_per_draw_stream).
+    """
+    lo, hi = zip(*_LOG_BOUNDS, *extra)
+    logs = rng.uniform(lo, hi, size=(n, len(lo)))
+    v0, T, M0, *rest = np.array([math.exp(u) for u in logs.ravel().tolist()]).reshape(n, -1).T
+    return _derive_batch(M0, v0, 1.0, T), rest
 
 
 # --- individual checks ------------------------------------------------------
@@ -161,37 +174,36 @@ def _check_transform_invariance(params, rng):
 
 
 def _check_action_triple_identity(params, rng):
-    draws = [_sample_params(rng) for _ in range(100)]
-    specs = [action_mod.OscillatorSpec.from_params(p) for p in draws]
-    values = []
-    for p, spec, loop in zip(draws, specs, action_mod._cyclic_actions(specs)):
-        e2t = spec.E * 2.0 * p.T
-        p0lam = p.M * p.v0 * p.lam
-        scale = abs(e2t)
-        values += [abs(loop - e2t) / scale, abs(loop - p0lam) / scale, abs(e2t - p0lam) / scale]
-    return values, 1.0e-9
+    draws, _ = _draw_params(rng, 100)
+    M, v0, T = draws["M"], draws["v0"], draws["T"]
+    omega, E, amplitude, p_max = action_mod._oscillator(M, v0, T)
+    loop = action_mod._cyclic_actions(p_max, amplitude, omega)
+    e2t = E * 2.0 * T
+    p0lam = M * v0 * draws["lam"]
+    deviations = np.stack([np.abs(loop - e2t), np.abs(loop - p0lam), np.abs(e2t - p0lam)], axis=1)
+    return (deviations / np.abs(e2t)[:, None]).ravel(), 1.0e-9
 
 
 def _check_quantize_roundtrip(params, rng):
-    quanta, specs = [], []
-    for _ in range(100):
-        p = _sample_params(rng)
-        h = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-        qk = action_mod.quantize(p.M, p.v0, p.c, h)
-        quanta.append(h)
-        specs.append(action_mod.OscillatorSpec.from_motion(p.M, p.v0, qk.T))
-    return [abs(loop - h) / h for h, loop in zip(quanta, action_mod._cyclic_actions(specs))], 1.0e-9
+    draws, (h,) = _draw_params(rng, 100, extra=[_LOG_H])
+    M, v0, c = draws["M"], draws["v0"], draws["c"]
+    inputs = zip(M.tolist(), v0.tolist(), c.tolist(), h.tolist())
+    T = np.array([action_mod.quantize(*args).T for args in inputs])
+    omega, _, amplitude, p_max = action_mod._oscillator(M, v0, T)
+    return np.abs(action_mod._cyclic_actions(p_max, amplitude, omega) - h) / h, 1.0e-9
 
 
 def _check_hj_grid(params, rng):
-    # Per point: an array hj_residual moves about 1 value in 1,000 (18 of
-    # 20,000 grid points), as (mw xi)**2 is libm pow on a float, x*x on an array.
+    # One array hj_residual per draw. It keeps the per-point bits only
+    # because each square stays a Python float ** 2 per value: that is libm
+    # pow, and numpy's x*x on the array moved 18 of 20,000 grid points.
+    draws, _ = _draw_params(rng, 10)
     values = []
-    for _ in range(10):
-        spec = action_mod.OscillatorSpec.from_params(_sample_params(rng))
+    for motion in zip(*(draws[k].tolist() for k in ("M", "v0", "T"))):
+        spec = action_mod.OscillatorSpec.from_motion(*motion)
         grid = np.linspace(-0.99 * spec.amplitude, 0.99 * spec.amplitude, 50)
-        values += [abs(action_mod.hj_residual(float(X), spec)) / spec.E for X in grid]
-    return values, 1.0e-7
+        values.append(np.abs(action_mod.hj_residual(grid, spec)) / spec.E)
+    return np.concatenate(values), 1.0e-7
 
 
 def _dirac_draws(rng):
@@ -226,7 +238,8 @@ def _check_channel_antisymmetry(params, rng):
 
 
 def _check_sigma_scaling(params, rng):
-    candidates = [params] + [_sample_params(rng) for _ in range(50)]
+    draws, _ = _draw_params(rng, 50)
+    candidates = [params] + [SystemParams(*row) for row in zip(*(v.tolist() for v in draws.values()))]
     values = []
     for p in candidates:
         bounds = observables.cross_section_bounds(p)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from inertonsim import (
     shortened_action,
 )
 from inertonsim.action import (
-    _GL_NODES, _GL_WEIGHTS, _LOOP_BATCH, QUADRATURE_PANELS, _composite_gauss, _cyclic_actions,
+    _GL_NODES, _GL_WEIGHTS, _LOOP_BATCH, HJ_FD_STEP, QUADRATURE_PANELS, _composite_gauss, _cyclic_actions,
 )
 from inertonsim.constants import LIGHT_SPEED, PLANCK
 
@@ -64,6 +65,29 @@ def test_hj_rejects_beyond_amplitude(nat_spec):
     _, spec = nat_spec
     with pytest.raises(ValueError):
         hj_residual(1.01 * spec.amplitude, spec)
+
+
+def test_hj_residual_on_an_array_equals_each_point(nat_spec):
+    _, spec = nat_spec
+    grid = np.linspace(-0.99, 0.99, 50) * spec.amplitude
+    values = hj_residual(grid, spec)
+    assert values.shape == grid.shape
+    scalar = [hj_residual(float(X), spec) for X in grid]
+    assert all(type(v) is float for v in scalar)
+    assert np.array_equal(_bits(values), _bits(scalar))
+
+
+def test_hj_residual_refuses_the_first_array_point_at_the_turning_point(nat_spec):
+    _, spec = nat_spec
+    A = spec.amplitude
+    d = HJ_FD_STEP * A
+    near = -(A - 0.5 * d)  # inside d of the turning point, but inside the amplitude
+    expected = f"|X|+HJ_FD_STEP*A = {abs(near) + d} reaches the turning point; move X inward"
+    for X in (near, np.array([0.0, 0.5 * A, near, 0.3 * A, 2.0 * A])):
+        with pytest.raises(ValueError, match="^" + re.escape(expected) + "$"):
+            hj_residual(X, spec)
+    with pytest.raises(ValueError, match=re.escape(f"|X|={2.0 * A} is outside the classically allowed region")):
+        hj_residual(np.array([0.0, -2.0 * A, near]), spec)
 
 
 def test_shortened_action_is_odd_in_direction(nat_spec):
@@ -194,6 +218,12 @@ def _reference_composite_gauss(f, t_lo, t_hi, n_panels):
     return float(np.sum(half[:, None] * _GL_WEIGHTS[None, :] * f(ts)))
 
 
+def test_gauss_legendre_literals_equal_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(_bits(_GL_NODES), _bits(nodes))
+    assert np.array_equal(_bits(_GL_WEIGHTS), _bits(weights))
+
+
 def test_composite_gauss_array_limits_match_scalar_calls_bitwise():
     rng = np.random.default_rng(23)
     limits = np.concatenate([rng.uniform(-40.0, 40.0, 37), [0.0, 1e-300, 6.5]])
@@ -229,5 +259,6 @@ def test_cyclic_actions_match_scalar_loop_integrals_bitwise():
         for _ in range(2 * _LOOP_BATCH + 5)  # two full batches and a partial one
     ]
     reference = [_reference_cyclic_action(spec) for spec in specs]
-    assert np.array_equal(_bits(_cyclic_actions(specs)), _bits(reference))
+    fields = np.array([(s.p_max, s.amplitude, s.omega) for s in specs]).T
+    assert np.array_equal(_bits(_cyclic_actions(*fields)), _bits(reference))
     assert np.array_equal(_bits([cyclic_action(s) for s in specs]), _bits(reference))

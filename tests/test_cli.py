@@ -17,7 +17,7 @@ from inertonsim import cli
 from inertonsim.action import quantize
 from inertonsim.cli import ConfigError, build_parser, builtin_presets, main, merge_config, resolve_config
 from inertonsim.constants import ELECTRON_MASS, LIGHT_SPEED, PLANCK
-from inertonsim.verification import _sample_params
+from per_draw import sample_params
 
 
 def run_cli(*args):
@@ -513,7 +513,7 @@ def _tree(root):
 
 
 def _draw(seed):
-    p = _sample_params(np.random.default_rng(seed))
+    p = sample_params(np.random.default_rng(seed))
     return {"parameters": {"M0": p.M0, "v0": p.v0, "c": p.c, "T": p.T}}
 
 
@@ -523,7 +523,7 @@ _REPLAY_INPUTS = [*builtin_presets(), *(f"draw{seed}" for seed in range(5))]  # 
 
 def _replay_cases():
     """Each command with each --format it allows, on each preset and on five
-    `_sample_params` draws (a sweep along M0), and a sweep along h."""
+    `sample_params` draws (a sweep along M0), and a sweep along h."""
     for command, formats in _FORMATS.items():
         for fmt in formats:
             for name in _REPLAY_INPUTS:
@@ -594,6 +594,19 @@ def test_cli_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[] 0 0"
+
+
+def test_cli_import_does_not_load_numpy_polynomial():
+    # `action` writes its Gauss-Legendre table out; numpy 1.x loads the
+    # module itself, so the test asks only that the program adds nothing
+    code = (
+        "import sys, numpy; numpy_alone = 'numpy.polynomial' in sys.modules; import inertonsim.cli; "
+        "print(numpy_alone, 'numpy.polynomial' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    numpy_alone, with_cli = proc.stdout.split()
+    assert with_cli == numpy_alone
 
 
 # --------------------------------------------------------------- exit codes
@@ -883,7 +896,7 @@ _EXTREME = st.sampled_from([1e-300, 1e160, 1e300])
 
 @st.composite
 def _simulate_case(draw):
-    """A parameter set from the `_sample_params` ranges, some of it
+    """A parameter set from the `sample_params` ranges, some of it
     replaced by junk or extremes, and a grid of at most 3 T with dt from
     T/2000 to T/50 (the coarse end is inadmissible)."""
     pars = {

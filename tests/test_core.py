@@ -1,15 +1,19 @@
 import math
+import re
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from inertonsim import (
+    SystemParams,
     coupling_coefficients,
     coupling_from_speeds,
     derive_kinematics,
     mass_from_deformation,
 )
+from inertonsim.core import _derive_batch
 
 
 def test_natural_units_scales(natural):
@@ -128,3 +132,31 @@ def test_validation_rejects_underflowing_cloud_mass():
         derive_kinematics(1.0, 1e-300, 1.0, 1.0)
     with pytest.raises(ValueError, match="m0"):
         derive_kinematics(1.0, 0.5, 1.0, 1.0, m0=math.inf)
+
+
+# Rows are (M0, v0, T). v0 = 0.36163162043859115 is one where glibc's pow gives v0 ** 2 != v0 * v0
+_GOOD_DRAWS = [(1.0, 0.5, 1.0), (0.1, 0.01, 10.0), (7.3, 0.9, 0.2), (2.0, 0.999, 3.0), (1.0, 0.36163162043859115, 1.0)]
+
+
+def test_derive_batch_equals_derive_kinematics_bitwise():
+    M0, v0, T = (np.array(column) for column in zip(*_GOOD_DRAWS))
+    fields = _derive_batch(M0, v0, 1.0, T)
+    assert list(fields) == list(SystemParams.__dataclass_fields__)
+    for k, (M0_k, v0_k, T_k) in enumerate(_GOOD_DRAWS):
+        params, _ = derive_kinematics(M0=M0_k, v0=v0_k, c=1.0, T=T_k)
+        for name, values in fields.items():
+            assert values[k].hex() == getattr(params, name).hex(), name
+
+
+@pytest.mark.parametrize("bad", [
+    (math.inf, 0.5, 1.0), (1.0, math.nan, 1.0), (-1.0, 0.5, 1.0), (1.0, 1.0, 1.0), (1.0, -0.5, 1.0),
+    (1.0, 0.5, 0.0), (1.0, 1e-300, 1.0), (1e308, 0.9, 1.0), (1.0, 0.5, 1e-310),
+], ids=["M0-inf", "v0-nan", "M0-negative", "v0-at-c", "v0-negative", "T-zero", "m0-underflow",
+        "M-overflow", "nu-overflow"])
+def test_derive_batch_refuses_the_first_draw_derive_kinematics_refuses(bad):
+    with pytest.raises(ValueError) as first:
+        derive_kinematics(M0=bad[0], v0=bad[1], c=1.0, T=bad[2])
+    draws = [_GOOD_DRAWS[0], bad, (1.0, 2.0, 1.0)]  # the last is refused too, but later
+    M0, v0, T = (np.array(column) for column in zip(*draws))
+    with pytest.raises(ValueError, match="^" + re.escape(str(first.value)) + "$"):
+        _derive_batch(M0, v0, 1.0, T)

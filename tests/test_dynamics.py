@@ -357,7 +357,7 @@ def _reference_integrate(p, t_end, dt):
     cut=st.one_of(st.none(), st.floats(0.0, 1.0)),
 )
 def test_block_loop_matches_the_reference_loop_bitwise(M0, v0, T, divisor, periods, cut):
-    # `_sample_params` ranges; half of the runs end at a random step. The
+    # `per_draw.sample_params` ranges; half of the runs end at a random step. The
     # blocks are multiplied into views of w that need not be aligned, so a
     # numpy build that rounds those differently fails here.
     params, _ = derive_kinematics(M0, v0, 1.0, T)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import zlib
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from inertonsim import (
     CheckReport,
+    SystemParams,
     action,
     anticommutation_deviations,
     derive_kinematics,
@@ -25,7 +27,8 @@ from inertonsim import (
 )
 from inertonsim import dynamics, lagrangian, observables, spin, verification
 from inertonsim.cli import builtin_presets, resolve_config
-from inertonsim.verification import _STANDARD_STEPS, _dirac_draws, _sample_params
+from inertonsim.verification import _STANDARD_STEPS, _dirac_draws
+from per_draw import sample_params
 
 EXPECTED_ORDER = [
     "oracle_agreement",
@@ -166,7 +169,7 @@ _LAST_CASE_NAN = {
     "transform_invariance": (lagrangian, "eval_lagrangian_canonical", 1, _nan_last),
     "action_triple_identity": (action, "_cyclic_actions", 1, _nan_last),
     "quantize_roundtrip": (action, "_cyclic_actions", 1, _nan_last),
-    "hj_grid": (action, "hj_residual", 500, lambda r: math.nan),
+    "hj_grid": (action, "hj_residual", 10, _nan_last),
     "dirac_algebra": (spin, "total_hamiltonian", 100, lambda e: math.nan),
     "dirac_spectrum": (spin, "total_hamiltonian", 100, lambda e: math.nan),
     "channel_antisymmetry": (spin, "spin_eigenvalue", 100, lambda e: math.nan),
@@ -268,7 +271,7 @@ def _per_draw_dirac_operator(rng, c=1.0):
 
 
 def _per_draw_transform_invariance(p, rng):
-    worst = 0.0
+    values = []
     for _ in range(200):
         s = dict(
             t=0.0,
@@ -282,68 +285,145 @@ def _per_draw_transform_invariance(p, rng):
             lc = eval_lagrangian_canonical(kappa_transform(s, p), p)
         except ValueError:
             continue
-        worst = max(worst, abs(lc - la) / abs(la))
-    return worst
+        values.append(abs(lc - la) / abs(la))
+    return values
 
 
 def _per_draw_action_triple_identity(p, rng):
-    worst = 0.0
+    values = []
     for _ in range(100):
-        q = _sample_params(rng)
+        q = sample_params(rng)
         spec = action.OscillatorSpec.from_params(q)
         loop = _per_draw_cyclic_action(spec)
         e2t = spec.E * 2.0 * q.T
         p0lam = q.M * q.v0 * q.lam
         scale = abs(e2t)
-        worst = max(worst, abs(loop - e2t) / scale, abs(loop - p0lam) / scale, abs(e2t - p0lam) / scale)
-    return worst
+        values += [abs(loop - e2t) / scale, abs(loop - p0lam) / scale, abs(e2t - p0lam) / scale]
+    return values
 
 
 def _per_draw_quantize_roundtrip(p, rng):
-    worst = 0.0
+    values = []
     for _ in range(100):
-        q = _sample_params(rng)
+        q = sample_params(rng)
         h = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
         qk = action.quantize(q.M, q.v0, q.c, h)
         spec = action.OscillatorSpec.from_motion(q.M, q.v0, qk.T)
-        worst = max(worst, abs(_per_draw_cyclic_action(spec) - h) / h)
-    return worst
+        values.append(abs(_per_draw_cyclic_action(spec) - h) / h)
+    return values
+
+
+_GL_RULE = tuple(zip(*(a.tolist() for a in np.polynomial.legendre.leggauss(8))))
+
+
+def _per_draw_hj_residual(X, spec):
+    """`action.hj_residual` at one float point, one node at a time."""
+    d = action.HJ_FD_STEP * spec.amplitude
+    two_me = 2.0 * spec.M * spec.E
+    mw = spec.M * spec.omega
+    window = 0.0
+    for t, w in _GL_RULE:  # left to right: sum() of floats is compensated from Python 3.12
+        window += w * math.sqrt(max(two_me - (mw * (X + d * t)) ** 2, 0.0))
+    s1_prime = 0.5 * window
+    return s1_prime ** 2 / (2.0 * spec.M) + 0.5 * spec.M * spec.omega ** 2 * X * X - spec.E
+
+
+def _per_draw_hj_grid(p, rng):
+    values = []
+    for _ in range(10):
+        spec = action.OscillatorSpec.from_params(sample_params(rng))
+        grid = np.linspace(-0.99 * spec.amplitude, 0.99 * spec.amplitude, 50)
+        values += [abs(_per_draw_hj_residual(float(X), spec)) / spec.E for X in grid]
+    return values
 
 
 def _per_draw_dirac_algebra(p, rng):
-    worst = max(anticommutation_deviations().values())
+    values = list(anticommutation_deviations().values())
     for _ in range(100):
         matrix, e = _per_draw_dirac_operator(rng)
-        worst = max(worst, float(np.max(np.abs(matrix @ matrix - e ** 2 * np.eye(4)))))
-    return worst
+        values.append(float(np.max(np.abs(matrix @ matrix - e ** 2 * np.eye(4)))))
+    return values
 
 
 def _per_draw_dirac_spectrum(p, rng):
-    worst = 0.0
+    values = []
     for _ in range(100):
         matrix, e = _per_draw_dirac_operator(rng)
         expected = np.array([-e, -e, e, e])
-        worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(matrix) - expected)) / e))
-    return worst
+        values.append(float(np.max(np.abs(np.linalg.eigvalsh(matrix) - expected)) / e))
+    return values
+
+
+def _per_draw_sigma_scaling(p, rng):
+    values = []
+    for q in [p] + [sample_params(rng) for _ in range(50)]:
+        bounds = observables.cross_section_bounds(q)
+        expected = (q.c / q.v0) ** 2
+        values.append(abs(bounds.upper / bounds.lower - expected) / expected)
+    return values
 
 
 # Each check as a loop over single draws from the same per-check generator:
-# the reference for the array pass, which must measure the same bits.
+# the reference for the array pass, which must return the same case values,
+# bit for bit, and leave the generator at the same place.
 _PER_DRAW_CHECKS = {
     "transform_invariance": _per_draw_transform_invariance,
     "action_triple_identity": _per_draw_action_triple_identity,
     "quantize_roundtrip": _per_draw_quantize_roundtrip,
+    "hj_grid": _per_draw_hj_grid,
     "dirac_algebra": _per_draw_dirac_algebra,
     "dirac_spectrum": _per_draw_dirac_spectrum,
+    "sigma_scaling": _per_draw_sigma_scaling,
 }
 
 
 def _assert_matches_per_draw(params, seed):
-    reports = run_checks(selection=list(_PER_DRAW_CHECKS), params=params, seed=seed)
-    assert [r.name for r in reports] == list(_PER_DRAW_CHECKS)
-    for r in reports:
-        rng = np.random.default_rng([seed, zlib.crc32(r.name.encode())])
-        assert _bits(r.measured) == _bits(_PER_DRAW_CHECKS[r.name](params, rng)), r.name
+    for name, per_draw in _PER_DRAW_CHECKS.items():
+        batched = np.random.default_rng([seed, zlib.crc32(name.encode())])
+        rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
+        with np.errstate(all="ignore"):  # overflowing draws give inf and NaN quietly, as floats do
+            try:
+                reference = per_draw(params, rng)
+            except ValueError as refusal:  # both refuse the same way
+                with pytest.raises(ValueError, match=re.escape(str(refusal))):
+                    verification._REGISTRY[name](params, batched)
+                continue
+        values, _ = verification._REGISTRY[name](params, batched)
+        assert np.array_equal(_bits(values), _bits(reference)), name
+        assert _bits(batched.random()) == _bits(rng.random()), name  # same stream position
+
+
+def test_draw_params_follow_the_per_draw_stream():
+    # enough draws that some square (v0/c)**2 is one where libm pow and x*x differ
+    batched = np.random.default_rng(11)
+    fields, (h,) = verification._draw_params(batched, 4000, extra=[verification._LOG_H])
+    rng = np.random.default_rng(11)
+    rows = [(sample_params(rng), math.exp(rng.uniform(math.log(0.1), math.log(10.0)))) for _ in range(4000)]
+    assert list(fields) == [f.name for f in dataclasses.fields(SystemParams)]
+    for name, values in fields.items():
+        assert np.array_equal(_bits(values), _bits([getattr(q, name) for q, _ in rows])), name
+    assert np.array_equal(_bits(h), _bits([hk for _, hk in rows]))
+    assert _bits(batched.random()) == _bits(rng.random())  # same stream position
+
+
+@pytest.mark.parametrize(
+    "v0_range, refusal",
+    [((0.5, 2.0), "0 < v0 < c"), ((1e-200, 1e-170), "underflows")],
+    ids=["v0-above-c", "m0-underflow"],
+)
+def test_an_invalid_draw_is_refused_as_derive_kinematics_refuses_it(monkeypatch, v0_range, refusal):
+    bounds = (tuple(math.log(v) for v in v0_range), *verification._LOG_BOUNDS[1:])
+    monkeypatch.setattr(verification, "_LOG_BOUNDS", bounds)
+    logs = np.random.default_rng(7).uniform(*zip(*bounds), size=(20, 3))
+    for u_v0, u_T, u_M0 in logs.tolist():
+        try:
+            derive_kinematics(M0=math.exp(u_M0), v0=math.exp(u_v0), c=1.0, T=math.exp(u_T))
+        except ValueError as first:
+            expected = str(first)
+            break
+    assert refusal in expected
+    with pytest.raises(ValueError, match="^" + re.escape(expected) + "$"):
+        verification._draw_params(np.random.default_rng(7), 20)
 
 
 def _electron_atomic_params():
