@@ -11,7 +11,7 @@ Configuration is a JSON file with four sections (all except ``parameters``
 optional):
 
     units        "natural" or "si", a declarative label
-    parameters   M0, v0, c, and exactly one of T or h (optional m0)
+    parameters   M0, v0, c, and exactly one of T or h
     simulation   dt, t_end
     outputs      trajectory, events, el_residuals (true or false)
     observables  resonator_radius
@@ -57,7 +57,7 @@ import numpy as np
 from . import __version__
 from .action import OscillatorSpec, cyclic_action, quantize
 from .constants import ELECTRON_MASS, LIGHT_SPEED, PLANCK
-from .core import _moving_mass, _square, derive_kinematics
+from .core import _beta2, _moving_mass, _square, derive_kinematics
 from .dynamics import (
     integrate,
     oracle_errors,
@@ -99,7 +99,7 @@ def builtin_presets():
 
 # The keys of each config section, in the order metadata.json lists them.
 _KEYS = {
-    "parameters": ("M0", "v0", "c", "T", "h", "m0"),
+    "parameters": ("M0", "v0", "c", "T", "h"),
     "simulation": ("dt", "t_end"),
     "outputs": ("trajectory", "events", "el_residuals"),
     "observables": ("resonator_radius",),
@@ -232,12 +232,11 @@ def resolve_config(cfg):
                 raise ConfigError(f"parameters.{key}: must be positive, got {values[key]}")
         if not 0.0 < v0 < c:
             raise ConfigError("parameters.v0: must satisfy 0 < v0 < c")
-        T = quantize(_moving_mass(M0, v0, c), v0, c, values["h"]).T
+        T = quantize(_moving_mass(M0, _beta2(v0, c)), v0, c, values["h"]).T
         if not 0.0 < T < math.inf:
             raise ConfigError(f"parameters.h: the period h / (M v0^2) must be positive and finite, got T={T}")
-    m0 = values.get("m0")
     try:
-        params, kin = derive_kinematics(M0, v0, c, T, m0=m0)
+        params, kin = derive_kinematics(M0, v0, c, T)
     except ValueError as exc:
         raise ConfigError(f"parameters: {exc}") from exc
 
@@ -350,6 +349,9 @@ def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
         try:
             for coord in ("particle", "cloud"):
                 report = el_residual(lag, traj, coord)
+                bad = ~np.isfinite(report.residuals)
+                if bad.any():
+                    raise ValueError(f"{coord} residual is not finite at t={report.times[bad][0]:.6g}")
                 files.append((f"el_{coord}.csv", lambda path, report=report: write_el_csv(report, path)))
         except ValueError as exc:
             raise ConfigError(f"outputs.el_residuals: {exc}") from None
@@ -460,7 +462,7 @@ def cmd_check(ns):
 
 
 _SWEEP_METRICS = ("max_oracle_error", "max_invariant_residual", "cyclic_action", "lambda")
-_SWEEP_AXES = tuple(key for key in _KEYS["parameters"] + _KEYS["simulation"] if key != "m0")
+_SWEEP_AXES = _KEYS["parameters"] + _KEYS["simulation"]
 
 
 def cmd_sweep(ns):

@@ -15,14 +15,13 @@ Masses are relativistic where it matters: ``M = M0 / sqrt(1 - v0^2/c^2)``
 and the cloud mass satisfies ``m = M v0^2 / c^2``, which makes the two
 rest masses obey ``m0 = M0 v0^2 / c^2``.
 
-Everything here is immutable and pure, so values can be shared freely
-between threads or worker processes.
+Everything here is pure, and the results of a float call are immutable,
+so they can be shared freely between threads or worker processes.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -49,6 +48,8 @@ class SystemParams:
     Fields ``lam`` and ``Lam`` are the spatial period ``v0*T`` and the cloud
     amplitude ``c*T``; they are spelled out because ``lambda`` is reserved in
     Python. External JSON/CSV interfaces use the keys ``lambda``/``Lambda``.
+    The fields are floats, or equal-length arrays from an array call of
+    `derive_kinematics`.
     """
 
     M0: float   # particle rest mass
@@ -92,51 +93,45 @@ def _validate_base(M0: float, v0: float, c: float, T: float) -> None:
         raise ValueError(f"initial speed must satisfy 0 < v0 < c, got v0={v0}, c={c}")
 
 
-def derive_kinematics(
-    M0: float,
-    v0: float,
-    c: float,
-    T: float,
-    m0: float | None = None,
-) -> tuple[SystemParams, DerivedKinematics]:
+def derive_kinematics(M0, v0, c, T) -> tuple[SystemParams, DerivedKinematics]:
     """Populate all kinematic scales from the four base inputs.
 
-    ``m0`` normally follows from the masses' velocity relation,
-    ``m0 = M0 v0^2 / c^2``. An explicit ``m0`` overrides the derived value;
-    if it disagrees by more than 1e-9 relative, a warning is issued (the
-    override is honoured either way). A scale that overflows (any field of
-    the two results that is not finite) raises a ValueError naming it.
+    Takes floats, or equal-length arrays of ``M0, v0, T`` at one float ``c``;
+    then every field of the two results is an array whose entries have the
+    bits of the float call on that draw. The cloud rest mass follows from the
+    masses' velocity relation, ``m0 = M0 v0^2 / c^2``. A refused input, a
+    cloud mass that underflows to 0 or a scale that overflows (any field that
+    is not finite, named) raises a ValueError; an array call raises the float
+    call's error for its first refused draw.
 
     Pure and deterministic: identical inputs give bitwise-identical outputs.
     """
-    _validate_base(M0, v0, c, T)
-
-    M = _moving_mass(M0, v0, c)
-    m0_derived = M0 * (v0 / c) ** 2
-    if m0 is None:
-        if not (m0_derived > 0.0):
-            raise ValueError(
-                f"cloud rest mass m0 = M0 (v0/c)^2 underflows to {m0_derived} "
-                f"for M0={M0}, v0={v0}, c={c}"
-            )
-        m0 = m0_derived
+    draws = isinstance(v0, np.ndarray)
+    if draws:
+        c = np.full(len(v0), c)
     else:
-        if not (math.isfinite(m0) and m0 > 0.0):
-            raise ValueError(f"cloud rest mass m0 must be positive and finite, got {m0}")
-        if abs(m0 - m0_derived) > 1.0e-9 * m0_derived:
-            warnings.warn(
-                f"explicit m0={m0!r} differs from the velocity-relation value "
-                f"{m0_derived!r} by more than 1e-9 relative; keeping the override",
-                stacklevel=2,
-            )
-    m = _moving_mass(m0, v0, c)
-
-    params = SystemParams(
-        M0=M0, m0=m0, v0=v0, c=c, T=T,
-        lam=v0 * T, Lam=c * T, M=M, m=m,
-    )
-    kin = DerivedKinematics(*_kinematics(M, v0, T))
-    for name, value in (*vars(params).items(), *vars(kin).items()):
+        _validate_base(M0, v0, c, T)  # float arithmetic raises on some refused inputs
+    with np.errstate(all="ignore"):  # arrays give inf and NaN quietly, as floats do
+        beta2 = _beta2(v0, c)
+        m0 = M0 * beta2
+        params = SystemParams(
+            M0=M0, m0=m0, v0=v0, c=c, T=T,
+            lam=v0 * T, Lam=c * T, M=_moving_mass(M0, beta2), m=_moving_mass(m0, beta2),
+        )
+        kin = DerivedKinematics(*_kinematics(params.M, v0, T))
+    fields = {**vars(params), **vars(kin)}
+    if draws:
+        # the conditions of `_validate_base`, the m0 underflow and the finiteness loop
+        valid = (M0 > 0.0) & (T > 0.0) & (0.0 < v0) & (v0 < c) & (m0 > 0.0)
+        for value in fields.values():
+            valid &= np.isfinite(value)
+        if not valid.all():
+            i = int(np.argmin(valid))
+            derive_kinematics(float(M0[i]), float(v0[i]), float(c[i]), float(T[i]))
+        return params, kin
+    if not (m0 > 0.0):
+        raise ValueError(f"cloud rest mass m0 = M0 (v0/c)^2 underflows to {m0} for M0={M0}, v0={v0}, c={c}")
+    for name, value in fields.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} = {value} is not finite for M0={M0}, v0={v0}, c={c}, T={T}")
     return params, kin
@@ -148,39 +143,23 @@ def _kinematics(M, v0, T):
     return 1.0 / (2.0 * T), 1.0 / T, 0.5 * M * v0 * v0, M * v0, v0 * (1.0 - 2.0 / math.pi)
 
 
-def _moving_mass(rest: float, v0: float, c: float) -> float:
-    """The relativistic mass ``rest / sqrt(1 - (v0/c)^2)``, rounded as
-    ``rest * (1 / sqrt(...))``. Every mass at speed ``v0``, and the period
-    of an ``h``-given config, is taken with this one rounding; `_derive_batch`
-    writes it out for arrays."""
-    return rest * (1.0 / math.sqrt(1.0 - (v0 / c) ** 2))
+def _beta2(v0, c):
+    """``(v0/c)^2`` from floats or arrays, as a Python float ``**`` per
+    value: that is libm ``pow``, which is not always ``x*x``. An entry whose
+    square overflows a float (a refused draw) is inf instead of an
+    OverflowError."""
+    if not isinstance(v0, np.ndarray):
+        return (v0 / c) ** 2
+    return np.array([r ** 2 if abs(r) < 1.0e154 else math.inf for r in (v0 / c).tolist()])
 
 
-def _derive_batch(M0: np.ndarray, v0: np.ndarray, c: float, T: np.ndarray) -> dict[str, np.ndarray]:
-    """`derive_kinematics` without an ``m0`` override, over arrays of ``M0,
-    v0, T`` at one ``c``: the `SystemParams` fields as arrays, in field order.
-
-    Each value has the bits of the per-draw call, and the first draw that the
-    call refuses raises its ValueError (see
-    test_derive_batch_equals_derive_kinematics_bitwise). ``(v0/c) ** 2`` stays a
-    Python float ``**`` per value, as in `_moving_mass`: that is libm ``pow``,
-    which is not always ``x*x``.
-    """
-    beta2 = np.array([(v / c) ** 2 for v in v0.tolist()])
-    with np.errstate(all="ignore"):  # the refused draws are found below
-        gamma = 1.0 / np.sqrt(1.0 - beta2)
-        m0 = M0 * beta2
-        M = M0 * gamma
-        fields = dict(M0=M0, m0=m0, v0=v0, c=np.full(len(v0), c), T=T, lam=v0 * T, Lam=c * T, M=M, m=m0 * gamma)
-        kinematics = _kinematics(M, v0, T)
-    # the conditions of `_validate_base`, the m0 underflow and the finiteness loop
-    valid = (M0 > 0.0) & (T > 0.0) & (0.0 < v0) & (v0 < c) & (m0 > 0.0)
-    for value in (*fields.values(), *kinematics):
-        valid &= np.isfinite(value)
-    if not valid.all():
-        i = int(np.argmin(valid))
-        derive_kinematics(M0=float(M0[i]), v0=float(v0[i]), c=c, T=float(T[i]))
-    return fields
+def _moving_mass(rest, beta2):
+    """The relativistic mass ``rest / sqrt(1 - beta2)`` at ``beta2 =
+    (v0/c)^2``, from floats or arrays, rounded as ``rest * (1 / sqrt(...))``.
+    Every mass at speed ``v0``, and the period of an ``h``-given config, is
+    taken with this one rounding."""
+    sqrt = np.sqrt if isinstance(beta2, np.ndarray) else math.sqrt
+    return rest * (1.0 / sqrt(1.0 - beta2))
 
 
 def _square(value: float, name: str) -> float:

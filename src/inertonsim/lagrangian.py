@@ -29,7 +29,6 @@ from .core import SystemParams
 from .dynamics import Trajectory
 
 __all__ = [
-    "CanonicalState",
     "ELResidualReport",
     "eval_lagrangian_relativistic",
     "eval_lagrangian_aggregate",
@@ -43,18 +42,6 @@ __all__ = [
     "scale_channel",
     "write_el_csv",
 ]
-
-
-@dataclass(frozen=True)
-class CanonicalState:
-    """State in the transformed variables: ``kappa_rate`` replaces the raw
-    cloud velocity, ``kappa_rate = dxdt - (pi/T) X sqrt(M0/m0)``."""
-
-    t: float
-    X: float
-    dXdt: float
-    kappa_rate: float
-    x: float
 
 
 def eval_lagrangian_relativistic(v0: float, M0: float, c: float) -> float:
@@ -75,14 +62,14 @@ def _bracket_aggregate(s, p: SystemParams):
     )
 
 
-def _bracket_canonical(s: CanonicalState, p: SystemParams) -> float:
+def _bracket_canonical(s, p: SystemParams):
     w = math.pi / p.T
     root = math.sqrt(p.M0 * p.m0)
     return (
-        p.M0 * s.dXdt * s.dXdt
-        - p.M0 * w * w * s.X * s.X
-        + p.m0 * s.kappa_rate * s.kappa_rate
-        - 2.0 * w * root * p.v0 * s.x
+        p.M0 * s["dXdt"] * s["dXdt"]
+        - p.M0 * w * w * s["X"] * s["X"]
+        + p.m0 * s["kappa_rate"] * s["kappa_rate"]
+        - 2.0 * w * root * p.v0 * s["x"]
     )
 
 
@@ -98,9 +85,11 @@ def _refused(radicand):
 def _root(bracket, p: SystemParams):
     """Square root of the radicand; raises if any entry is refused."""
     radicand = _radicand(bracket, p)
-    if np.any(_refused(radicand)):
+    refused = _refused(radicand)
+    if np.any(refused):
+        least = np.min(radicand, initial=np.inf, where=refused)  # NaN entries are not refused
         raise ValueError(
-            f"Lagrangian radicand is negative ({np.min(radicand):.6e}); the state lies "
+            f"Lagrangian radicand is negative ({least:.6e}); the state lies "
             "outside the model's validity region"
         )
     return np.sqrt(radicand)
@@ -138,26 +127,29 @@ def eval_lagrangian_aggregate_shifted(s, p: SystemParams):
     return bracket / (1.0 + _root(bracket, p))
 
 
-def eval_lagrangian_canonical(s: CanonicalState, p: SystemParams) -> float:
-    """Canonical-variable Lagrangian; equals the aggregate value on
-    transformed states (exact algebraic identity)."""
+def eval_lagrangian_canonical(s, p: SystemParams):
+    """Canonical-variable Lagrangian of a state in the transformed variables
+    (see `kappa_transform`); equals the aggregate value on transformed states
+    (exact algebraic identity)."""
     return _sqrt_form(_bracket_canonical(s, p), p)
 
 
-def kappa_transform(s, p: SystemParams) -> CanonicalState:
-    """Shift the cloud velocity by the particle coordinate term."""
+def kappa_transform(s, p: SystemParams) -> dict:
+    """Shift the cloud velocity by the particle coordinate term: the state
+    as a dict with the keys ``t, X, dXdt, kappa_rate, x``, where
+    ``kappa_rate = dxdt - (pi/T) X sqrt(M0/m0)`` replaces ``dxdt``."""
     if p.m0 <= 0.0:
         raise ValueError(f"transform needs m0 > 0, got {p.m0}")
     shift = (math.pi / p.T) * s["X"] * math.sqrt(p.M0 / p.m0)
-    return CanonicalState(t=s["t"], X=s["X"], dXdt=s["dXdt"], kappa_rate=s["dxdt"] - shift, x=s["x"])
+    return dict(t=s["t"], X=s["X"], dXdt=s["dXdt"], kappa_rate=s["dxdt"] - shift, x=s["x"])
 
 
-def kappa_transform_inverse(s: CanonicalState, p: SystemParams) -> dict:
+def kappa_transform_inverse(s, p: SystemParams) -> dict:
     """Undo `kappa_transform`: the state as a dict of its five fields."""
     if p.m0 <= 0.0:
         raise ValueError(f"transform needs m0 > 0, got {p.m0}")
-    shift = (math.pi / p.T) * s.X * math.sqrt(p.M0 / p.m0)
-    return dict(t=s.t, X=s.X, dXdt=s.dXdt, x=s.x, dxdt=s.kappa_rate + shift)
+    shift = (math.pi / p.T) * s["X"] * math.sqrt(p.M0 / p.m0)
+    return dict(t=s["t"], X=s["X"], dXdt=s["dXdt"], x=s["x"], dxdt=s["kappa_rate"] + shift)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +220,11 @@ def el_residual(L, traj: Trajectory, coord: str) -> ELResidualReport:
     dqdot = EL_FD_STEP * (float(np.max(np.abs(qdot))) or 1.0)
 
     # Conjugate momentum dL/dqdot at every sample, force dL/dq at interior ones.
-    momenta = (L({**cols, qdot_name: qdot + dqdot}) - L({**cols, qdot_name: qdot - dqdot})) / (2.0 * dqdot)
     inner = {name: col[1:-1] for name, col in cols.items()}
-    force = (L({**inner, q_name: q[1:-1] + dq}) - L({**inner, q_name: q[1:-1] - dq})) / (2.0 * dq)
-    residuals = (momenta[2:] - momenta[:-2]) / (2.0 * dt) - force
+    with np.errstate(all="ignore"):  # a residual that overflows is inf or NaN, for the caller to judge
+        momenta = (L({**cols, qdot_name: qdot + dqdot}) - L({**cols, qdot_name: qdot - dqdot})) / (2.0 * dqdot)
+        force = (L({**inner, q_name: q[1:-1] + dq}) - L({**inner, q_name: q[1:-1] - dq})) / (2.0 * dq)
+        residuals = (momenta[2:] - momenta[:-2]) / (2.0 * dt) - force
 
     times = t[1:-1]
     excluded = np.zeros(n - 2, dtype=bool)

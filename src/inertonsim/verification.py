@@ -45,7 +45,7 @@ import numpy as np
 
 from . import action as action_mod
 from . import dynamics, lagrangian, observables, spin
-from .core import SystemParams, _derive_batch, _square, derive_kinematics, natural_params
+from .core import SystemParams, _square, derive_kinematics, natural_params
 
 __all__ = ["CheckReport", "run_checks", "registry_names", "reports_to_json_lines"]
 
@@ -77,14 +77,14 @@ def _draw_params(rng: np.random.Generator, n: int, extra=()):
     """``n`` natural-unit parameter sets drawn log-uniformly, with any
     ``extra`` log bounds as further columns, in one generator call.
 
-    Returns the `SystemParams` fields of the draws as arrays, from
-    `core._derive_batch`, and one array per extra column. ``math.exp`` stays
-    per value (see test_draw_params_follow_the_per_draw_stream).
+    Returns one `SystemParams` of arrays, from `derive_kinematics`, and one
+    array per extra column. ``math.exp`` stays per value (see
+    test_draw_params_follow_the_per_draw_stream).
     """
     lo, hi = zip(*_LOG_BOUNDS, *extra)
     logs = rng.uniform(lo, hi, size=(n, len(lo)))
     v0, T, M0, *rest = np.array([math.exp(u) for u in logs.ravel().tolist()]).reshape(n, -1).T
-    return _derive_batch(M0, v0, 1.0, T), rest
+    return derive_kinematics(M0, v0, 1.0, T)[0], rest
 
 
 # --- individual checks ------------------------------------------------------
@@ -175,21 +175,19 @@ def _check_transform_invariance(params, rng):
 
 def _check_action_triple_identity(params, rng):
     draws, _ = _draw_params(rng, 100)
-    M, v0, T = draws["M"], draws["v0"], draws["T"]
-    omega, E, amplitude, p_max = action_mod._oscillator(M, v0, T)
+    omega, E, amplitude, p_max = action_mod._oscillator(draws.M, draws.v0, draws.T)
     loop = action_mod._cyclic_actions(p_max, amplitude, omega)
-    e2t = E * 2.0 * T
-    p0lam = M * v0 * draws["lam"]
+    e2t = E * 2.0 * draws.T
+    p0lam = draws.M * draws.v0 * draws.lam
     deviations = np.stack([np.abs(loop - e2t), np.abs(loop - p0lam), np.abs(e2t - p0lam)], axis=1)
     return (deviations / np.abs(e2t)[:, None]).ravel(), 1.0e-9
 
 
 def _check_quantize_roundtrip(params, rng):
     draws, (h,) = _draw_params(rng, 100, extra=[_LOG_H])
-    M, v0, c = draws["M"], draws["v0"], draws["c"]
-    inputs = zip(M.tolist(), v0.tolist(), c.tolist(), h.tolist())
+    inputs = zip(draws.M.tolist(), draws.v0.tolist(), draws.c.tolist(), h.tolist())
     T = np.array([action_mod.quantize(*args).T for args in inputs])
-    omega, _, amplitude, p_max = action_mod._oscillator(M, v0, T)
+    omega, _, amplitude, p_max = action_mod._oscillator(draws.M, draws.v0, T)
     return np.abs(action_mod._cyclic_actions(p_max, amplitude, omega) - h) / h, 1.0e-9
 
 
@@ -199,7 +197,7 @@ def _check_hj_grid(params, rng):
     # pow, and numpy's x*x on the array moved 18 of 20,000 grid points.
     draws, _ = _draw_params(rng, 10)
     values = []
-    for motion in zip(*(draws[k].tolist() for k in ("M", "v0", "T"))):
+    for motion in zip(draws.M.tolist(), draws.v0.tolist(), draws.T.tolist()):
         spec = action_mod.OscillatorSpec.from_motion(*motion)
         grid = np.linspace(-0.99 * spec.amplitude, 0.99 * spec.amplitude, 50)
         values.append(np.abs(action_mod.hj_residual(grid, spec)) / spec.E)
@@ -239,7 +237,7 @@ def _check_channel_antisymmetry(params, rng):
 
 def _check_sigma_scaling(params, rng):
     draws, _ = _draw_params(rng, 50)
-    candidates = [params] + [SystemParams(*row) for row in zip(*(v.tolist() for v in draws.values()))]
+    candidates = [params] + [SystemParams(*row) for row in zip(*(v.tolist() for v in vars(draws).values()))]
     values = []
     for p in candidates:
         bounds = observables.cross_section_bounds(p)

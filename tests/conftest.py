@@ -3,6 +3,11 @@ import pytest
 from inertonsim import derive_kinematics, integrate
 
 
+def pytest_configure(config):
+    # a numpy RuntimeWarning (overflow, invalid value) is a test failure
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
+
 @pytest.fixture(scope="session")
 def natural():
     """Natural test units: M0=1, v0=1, c=10, T=1."""

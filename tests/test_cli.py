@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inertonsim import cli
+from inertonsim import cli, lagrangian
 from inertonsim.action import quantize
 from inertonsim.cli import ConfigError, build_parser, builtin_presets, main, merge_config, resolve_config
 from inertonsim.constants import ELECTRON_MASS, LIGHT_SPEED, PLANCK
@@ -86,11 +86,13 @@ def test_superluminal_rejected(tmp_path):
     assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 1
 
 
-def test_unknown_parameter_key_rejected(tmp_path):
-    cfg = write_cfg(
-        tmp_path / "c.json", {"parameters": {"M0": 1, "v0": 1, "c": 10, "T": 1, "zz": 3}}
-    )
-    assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+def test_unknown_parameter_key_rejected(tmp_path, capsys):
+    # m0 follows from the velocity relation m0 = M0 v0^2/c^2; it is not an input
+    for key in ("zz", "m0"):
+        cfg = write_cfg(tmp_path / "c.json", {"parameters": {"M0": 1, "v0": 1, "c": 10, "T": 1, key: 3}})
+        assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"error: parameters.{key}: unknown key\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_config_file_is_io_error(tmp_path):
@@ -295,6 +297,37 @@ def test_simulate_el_residuals_past_validity_writes_nothing(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "pars, simulation, message",
+    [
+        # M0 c^2 underflows to 0, so each radicand is 0/0
+        (
+            {"M0": 4.7187774686765e-175, "v0": 1.3144628655763465e-89, "c": 4.409108309932158e-86,
+             "T": 5.276301826469854e111},
+            {},
+            "particle residual is not finite at t=",
+        ),
+        # some brackets overflow to NaN; the message gives the least refused radicand
+        ({"M0": 1e300, "v0": 0.5, "c": 1, "T": 1}, {"t_end": 1}, "Lagrangian radicand is negative (-inf)"),
+    ],
+    ids=["rest-energy-underflows", "bracket-overflows"],
+)
+def test_simulate_el_residuals_that_are_not_numbers_write_nothing(tmp_path, pars, simulation, message):
+    # a subprocess, so that any numpy warning would reach stderr
+    cfg = write_cfg(
+        tmp_path / "c.json", {"parameters": pars, "simulation": simulation, "outputs": {"el_residuals": True}}
+    )
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "inertonsim.cli", "simulate", "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: outputs.el_residuals: " + message), line
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- derive
 
 def test_derive_natural(tmp_path, capsys):
@@ -391,12 +424,12 @@ def test_check_with_non_finite_draws_fails_without_writing_nan(tmp_path, capsys)
     assert row.startswith("transform_invariance,fail,0,1.0000000000000001e-09,") and row.endswith(",200,200")
 
 
-def test_check_without_a_counted_draw_says_so(tmp_path, capsys):
-    # a cloud mass far above M0 v0^2/c^2 puts every draw outside the validity region
-    pars = {"M0": 1, "v0": 0.5, "c": 1, "T": 1, "m0": 1e20}
+def test_check_without_a_counted_draw_says_so(tmp_path, capsys, monkeypatch):
+    # every draw refused, as if all lay outside the validity region
+    monkeypatch.setattr(lagrangian, "_admitted", lambda s, p: np.zeros(len(s["t"]), dtype=bool))
+    pars = {"M0": 1, "v0": 0.5, "c": 1, "T": 1}
     cfg = write_cfg(tmp_path / "c.json", {"parameters": pars})
-    with pytest.warns(UserWarning, match="m0"):
-        code = run_cli("check", "--config", cfg, "--select", "transform_invariance", "--out", str(tmp_path / "chk"))
+    code = run_cli("check", "--config", cfg, "--select", "transform_invariance", "--out", str(tmp_path / "chk"))
     assert code == 2
     assert capsys.readouterr().out.splitlines()[0].endswith("tol=1.000e-09  cases=0")
 

@@ -1,19 +1,16 @@
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from inertonsim import (
-    SystemParams,
     coupling_coefficients,
     coupling_from_speeds,
     derive_kinematics,
     mass_from_deformation,
 )
-from inertonsim.core import _derive_batch
 
 
 def test_natural_units_scales(natural):
@@ -94,21 +91,6 @@ def test_validation_rejects_nonpositive():
             derive_kinematics(*bad)
 
 
-def test_m0_override_consistent_silent():
-    expected = 1.0 * (1.0 / 10.0) ** 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        params, _ = derive_kinematics(1.0, 1.0, 10.0, 1.0, m0=expected)
-    assert params.m0 == expected
-
-
-def test_m0_override_inconsistent_warns():
-    with pytest.warns(UserWarning):
-        params, _ = derive_kinematics(1.0, 1.0, 10.0, 1.0, m0=0.5)
-    # the explicit value wins
-    assert params.m0 == 0.5
-
-
 @given(
     M0=st.floats(min_value=0.1, max_value=10.0),
     v0=st.floats(min_value=0.01, max_value=0.9),
@@ -130,33 +112,68 @@ def test_validation_rejects_non_finite(bad):
 def test_validation_rejects_underflowing_cloud_mass():
     with pytest.raises(ValueError, match="underflows"):
         derive_kinematics(1.0, 1e-300, 1.0, 1.0)
-    with pytest.raises(ValueError, match="m0"):
-        derive_kinematics(1.0, 0.5, 1.0, 1.0, m0=math.inf)
 
 
 # Rows are (M0, v0, T). v0 = 0.36163162043859115 is one where glibc's pow gives v0 ** 2 != v0 * v0
 _GOOD_DRAWS = [(1.0, 0.5, 1.0), (0.1, 0.01, 10.0), (7.3, 0.9, 0.2), (2.0, 0.999, 3.0), (1.0, 0.36163162043859115, 1.0)]
 
 
+def _columns(draws):
+    return [np.array(column) for column in zip(*draws)]
+
+
+# An array call of derive_kinematics derives a batch of draws at once.
 def test_derive_batch_equals_derive_kinematics_bitwise():
-    M0, v0, T = (np.array(column) for column in zip(*_GOOD_DRAWS))
-    fields = _derive_batch(M0, v0, 1.0, T)
-    assert list(fields) == list(SystemParams.__dataclass_fields__)
+    M0, v0, T = _columns(_GOOD_DRAWS)
+    params, kin = derive_kinematics(M0, v0, 1.0, T)
     for k, (M0_k, v0_k, T_k) in enumerate(_GOOD_DRAWS):
-        params, _ = derive_kinematics(M0=M0_k, v0=v0_k, c=1.0, T=T_k)
-        for name, values in fields.items():
-            assert values[k].hex() == getattr(params, name).hex(), name
+        expected = derive_kinematics(M0=M0_k, v0=v0_k, c=1.0, T=T_k)
+        for batch, single in zip((params, kin), expected):
+            for name, values in vars(batch).items():
+                assert values[k].hex() == getattr(single, name).hex(), name
 
 
-@pytest.mark.parametrize("bad", [
-    (math.inf, 0.5, 1.0), (1.0, math.nan, 1.0), (-1.0, 0.5, 1.0), (1.0, 1.0, 1.0), (1.0, -0.5, 1.0),
-    (1.0, 0.5, 0.0), (1.0, 1e-300, 1.0), (1e308, 0.9, 1.0), (1.0, 0.5, 1e-310),
-], ids=["M0-inf", "v0-nan", "M0-negative", "v0-at-c", "v0-negative", "T-zero", "m0-underflow",
-        "M-overflow", "nu-overflow"])
+# Rows the float call refuses, one per way of refusing: a base input out of
+# range, the m0 underflow, an overflowing scale, and a v0/c whose Python
+# square would raise an OverflowError.
+_REFUSED = {
+    "M0-inf": (math.inf, 0.5, 1.0), "v0-nan": (1.0, math.nan, 1.0), "M0-negative": (-1.0, 0.5, 1.0),
+    "v0-at-c": (1.0, 1.0, 1.0), "v0-negative": (1.0, -0.5, 1.0), "T-zero": (1.0, 0.5, 0.0),
+    "m0-underflow": (1.0, 1e-300, 1.0), "M-overflow": (1e308, 0.9, 1.0), "nu-overflow": (1.0, 0.5, 1e-310),
+    "v0-square-overflows": (1.0, 1e155, 1.0), "v0-negative-square-overflows": (1.0, -1e155, 1.0),
+}
+
+
+@pytest.mark.parametrize("bad", list(_REFUSED.values()), ids=list(_REFUSED))
 def test_derive_batch_refuses_the_first_draw_derive_kinematics_refuses(bad):
     with pytest.raises(ValueError) as first:
         derive_kinematics(M0=bad[0], v0=bad[1], c=1.0, T=bad[2])
-    draws = [_GOOD_DRAWS[0], bad, (1.0, 2.0, 1.0)]  # the last is refused too, but later
-    M0, v0, T = (np.array(column) for column in zip(*draws))
+    M0, v0, T = _columns([_GOOD_DRAWS[0], bad, (1.0, 2.0, 1.0)])  # the last is refused too, but later
     with pytest.raises(ValueError, match="^" + re.escape(str(first.value)) + "$"):
-        _derive_batch(M0, v0, 1.0, T)
+        derive_kinematics(M0, v0, 1.0, T)
+
+
+_DRAW = st.one_of(
+    st.tuples(st.floats(0.1, 10.0), st.floats(0.01, 0.9), st.floats(0.1, 10.0)),
+    st.sampled_from(_GOOD_DRAWS),
+    st.sampled_from(list(_REFUSED.values())),
+    st.tuples(st.floats(), st.floats(), st.floats()),
+)
+
+
+@given(draws=st.lists(_DRAW, min_size=1, max_size=8), c=st.sampled_from([1.0, 2.5]))
+@example(draws=_GOOD_DRAWS, c=1.0)
+@example(draws=[_GOOD_DRAWS[4], _REFUSED["v0-square-overflows"], _REFUSED["v0-at-c"]], c=1.0)
+def test_array_call_is_the_float_call_per_draw_or_its_first_refusal(draws, c):
+    M0, v0, T = _columns(draws)
+    singles = []
+    for M0_k, v0_k, T_k in draws:
+        try:
+            singles.append(derive_kinematics(M0_k, v0_k, c, T_k))
+        except ValueError as refusal:
+            with pytest.raises(ValueError, match="^" + re.escape(str(refusal)) + "$"):
+                derive_kinematics(M0, v0, c, T)
+            return
+    for part, batch in enumerate(derive_kinematics(M0, v0, c, T)):
+        for name, values in vars(batch).items():
+            assert [v.hex() for v in values.tolist()] == [getattr(s[part], name).hex() for s in singles], name

@@ -43,4 +43,5 @@ def test_package_exports_each_module_all():
     assert set(inertonsim.__all__) - set(_EXPORTED_BEFORE) == {
         "SAMPLE_DTYPE", "step_count", "particle_residual_scale", "cloud_residual_scale"
     }
-    assert set(_EXPORTED_BEFORE) <= set(inertonsim.__all__)
+    # the canonical state became a plain mapping, like every other state
+    assert set(_EXPORTED_BEFORE) - set(inertonsim.__all__) == {"CanonicalState"}
