@@ -173,17 +173,19 @@ def _composite_gauss(f, t_lo: float, t_hi, n_panels: int):
     return float(total) if np.ndim(t_hi) == 0 else total
 
 
-QUADRATURE_PANELS = 64  # panels of `cyclic_action` and `lab_frame_action`; even, see the latter
-_LOOP_BATCH = 16  # specs per array pass: each temporary stays near 64 KB
+QUADRATURE_PANELS = 64  # panels of one full cycle; a multiple of 4, see `cyclic_action` and `lab_frame_action`
+_LOOP_BATCH = 64  # specs per array pass: each temporary stays near 64 KB
 
 
 def cyclic_action(spec: OscillatorSpec) -> float:
     """Loop integral of ``p dX`` over one oscillator cycle.
 
-    Parametrized as ``X = A sin(omega t)``, ``p = p_max cos(omega t)`` over
-    ``t`` in ``[0, 2T]`` and evaluated by composite Gauss-Legendre
-    quadrature on ``QUADRATURE_PANELS`` panels. Equals
-    ``E * 2T = p0 * lam = M v0^2 T`` to 1e-9 relative or better.
+    Parametrized as ``X = A sin(omega t)``, ``p = p_max cos(omega t)``, the
+    integrand ``p_max A omega cos^2(omega t)`` is the same on each quarter
+    of the cycle ``[0, 2T]``. So the loop integral is 4 times the integral
+    over ``[0, T/2]``, by composite Gauss-Legendre quadrature on
+    ``QUADRATURE_PANELS // 4`` panels, each as wide as a full-cycle panel.
+    Equals ``E * 2T = p0 * lam = M v0^2 T`` to 1e-9 relative or better.
     """
     return float(_cyclic_actions([spec.p_max], [spec.amplitude], [spec.omega])[0])
 
@@ -202,7 +204,7 @@ def _cyclic_actions(p_max, amplitude, omega) -> np.ndarray:
             c = np.cos(w * t)
             return p * c * a * w * c
 
-        out.append(_composite_gauss(integrand, 0.0, 2.0 * math.pi / batch[2], QUADRATURE_PANELS))
+        out.append(4.0 * _composite_gauss(integrand, 0.0, 0.5 * math.pi / batch[2], QUADRATURE_PANELS // 4))
     return np.concatenate(out)
 
 
@@ -212,8 +214,9 @@ def lab_frame_action(params: SystemParams) -> float:
 
     Evaluates to ``M v0^2 T (3 - 8/pi)``, which is not the cyclic action;
     the loop integral lives on the oscillator orbit, not the lab path. The
-    integrand has a kink at ``t = T``, which the even panel count puts on a
-    panel edge.
+    integrand has a kink at ``t = T``, so the rule spans the whole cycle on
+    ``QUADRATURE_PANELS`` panels, whose even count puts the kink on a panel
+    edge.
     """
 
     def integrand(t):

@@ -459,10 +459,10 @@ def oracle_errors(traj: Trajectory) -> dict[str, float]:
     tau *= dt
     tau /= p.T
     exact = _exact(tau)
-    # candidate grid indices around each event, then the exact window test
+    # candidate grid indices around each event, inside [0, n), then the exact window test
     ev = np.asarray(traj.events, dtype=np.float64)[:, None]
-    j = np.floor((ev - window) / dt) - 1.0 + np.arange(math.ceil(2.0 * window / dt) + 4)
-    near = j[(j >= 0.0) & (j < n) & (np.abs(j * dt - ev) <= window)].astype(np.intp)
+    j = np.maximum(np.floor((ev - window) / dt) - 1.0, 0.0) + np.arange(min(math.ceil(2.0 * window / dt) + 4, n))
+    near = j[(j < n) & (np.abs(j * dt - ev) <= window)].astype(np.intp)
     other = np.abs(traj.U[near] + exact[3][near])
     devs = {
         name: np.abs(np.subtract(col, ref, out=ref), out=ref)

@@ -66,10 +66,13 @@ class SpinContext:
             raise ValueError(f"channel must be +1 or -1, got {self.channel}")
 
 
-def spin_eigenvalue(ctx: SpinContext) -> float:
-    """Channel energy ``e_alpha * e * hbar * B_z / (2 M)``."""
-    if not (ctx.M > 0.0):
-        raise ValueError(f"mass must be positive, got {ctx.M}")
+def spin_eigenvalue(ctx: SpinContext):
+    """Channel energy ``e_alpha * e * hbar * B_z / (2 M)``, a float, or an
+    array when ``e``, ``B_z`` or ``M`` are arrays; every mass must be positive."""
+    masses = np.ravel(ctx.M)
+    refused = ~(masses > 0.0)
+    if refused.any():
+        raise ValueError(f"mass must be positive, got {masses[refused][0]}")
     return ctx.channel * ctx.e * ctx.hbar * ctx.B_z / (2.0 * ctx.M)
 
 
@@ -104,18 +107,28 @@ def spin_projection(channel: int, hbar: float = HBAR) -> tuple[float, float, flo
     return (channel * hbar / 2.0, 0.0, 0.0)
 
 
-def _sumsq(v) -> float:
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    return float(np.dot(arr, arr))
+def _sumsq(v):
+    """``v * v`` of a magnitude, or the squares of the components on the last
+    axis summed left to right, so that no BLAS ``dot`` decides the bits."""
+    total = 0.0
+    for component in np.moveaxis(np.atleast_1d(np.asarray(v, dtype=float)), -1, 0):
+        total = total + component * component
+    return total
 
 
-def total_hamiltonian(p, pi, M0: float, c: float) -> float:
+def total_hamiltonian(p, pi, M0, c: float):
     """Full energy ``c sqrt(p^2 + pi^2 + M0^2 c^2)``.
 
-    ``p`` and ``pi`` may be scalars (magnitudes) or component sequences.
+    ``p`` and ``pi`` may be scalars (magnitudes), component sequences or
+    stacks whose last axis holds the components, and ``M0`` a float or an
+    array; the result is a float or, for stacks, an array. Each value has
+    the bits of the one-momentum call: ``(M0 c) ** 2`` stays a Python float
+    ``**`` per value (see test_total_hamiltonian_stack_matches_single_calls_bitwise).
     Monotone nondecreasing in both magnitudes.
     """
-    return c * math.sqrt(_sumsq(p) + _sumsq(pi) + (M0 * c) ** 2)
+    mass_sq = np.reshape([v ** 2 for v in np.ravel(np.multiply(M0, c)).tolist()], np.shape(M0))
+    energy = c * np.sqrt(_sumsq(p) + _sumsq(pi) + mass_sq)
+    return energy if np.ndim(energy) else float(energy)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +170,7 @@ def _dirac_stack(p, M0, c: float) -> ArrayC:
 def _square_deviations(H: ArrayC, energies) -> np.ndarray:
     """Max elementwise deviation of ``H @ H`` from ``e^2 I`` per matrix of
     the stack ``H`` (see test_dirac_stack_matches_single_operators_bitwise)."""
-    target = np.array([e ** 2 for e in energies])[:, None, None] * np.eye(4)
+    target = np.array([e ** 2 for e in np.ravel(energies).tolist()])[:, None, None] * np.eye(4)
     return np.max(np.abs(H @ H - target), axis=(1, 2))
 
 

@@ -39,7 +39,7 @@ import json
 import math
 import time
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,8 +209,7 @@ def _dirac_draws(rng):
     their branch energies (see test_dirac_draws_follow_the_per_draw_stream)."""
     z = rng.standard_normal((100, 4))
     p, M0 = z[:, :3], np.abs(z[:, 3]) + 0.1
-    energies = [spin.total_hamiltonian(pk, 0.0, mk, 1.0) for pk, mk in zip(p, M0.tolist())]
-    return spin._dirac_stack(p, M0, 1.0), energies
+    return spin._dirac_stack(p, M0, 1.0), spin.total_hamiltonian(p, 0.0, M0, 1.0)
 
 
 def _check_dirac_algebra(params, rng):
@@ -219,20 +218,15 @@ def _check_dirac_algebra(params, rng):
 
 
 def _check_dirac_spectrum(params, rng):
-    H, energies = _dirac_draws(rng)
-    e = np.array(energies)
+    H, e = _dirac_draws(rng)
     expected = e[:, None] * np.array([-1.0, -1.0, 1.0, 1.0])
     return np.max(np.abs(np.linalg.eigvalsh(H) - expected), axis=1) / e, 1.0e-10
 
 
 def _check_channel_antisymmetry(params, rng):
-    values = []
-    for _ in range(50):
-        e, b, m = rng.normal(), rng.normal(), abs(rng.normal()) + 0.1
-        up = spin.spin_eigenvalue(spin.SpinContext(channel=+1, e=e, B_z=b, M=m))
-        dn = spin.spin_eigenvalue(spin.SpinContext(channel=-1, e=e, B_z=b, M=m))
-        values.append(abs(up + dn))
-    return values, 0.0
+    e, b, m = rng.normal(size=(50, 3)).T
+    up, dn = (spin.spin_eigenvalue(spin.SpinContext(channel=s, e=e, B_z=b, M=np.abs(m) + 0.1)) for s in (+1, -1))
+    return np.abs(up + dn), 0.0
 
 
 def _check_sigma_scaling(params, rng):
@@ -332,4 +326,4 @@ def run_checks(
 
 
 def reports_to_json_lines(reports: list[CheckReport]) -> str:
-    return "\n".join(json.dumps(asdict(r), allow_nan=False) for r in reports) + "\n"
+    return "\n".join(json.dumps(vars(r), allow_nan=False) for r in reports) + "\n"

@@ -465,6 +465,17 @@ def test_sweep_dt_convergence(tmp_path):
         assert (out / f"dt_{i}" / "metadata.json").exists()
 
 
+def test_sweep_with_a_probe_window_of_many_steps_runs(tmp_path):
+    # v0 = 0.1 m/s stretches the h-given T until PROBE_WINDOW T is about 1e11
+    # steps of the preset's dt, against 10,001 samples; the oracle must not
+    # reserve a candidate index for each of those steps
+    out = tmp_path / "sw"
+    assert run_cli("sweep", "--preset", "electron-1e6", "--axis", "v0", "--values", "0.1", "--out", str(out)) == 0
+    with open(out / "summary.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["v0"]) == 0.1 and math.isfinite(float(row["max_oracle_error"]))
+
+
 def test_sweep_v0_wavelength_linearity(tmp_path):
     out = tmp_path / "sw"
     code = run_cli(

@@ -552,22 +552,40 @@ def test_oracle_errors_match_dense_definition(
     U = run.U.copy()
     U[flips] = -U[flips]
     traj = dataclasses.replace(run, U=U, events=np.array(times, dtype=np.float64))
+    assert oracle_errors(traj) == _dense_oracle_errors(traj)
 
+
+def _dense_oracle_errors(traj):
+    """`oracle_errors` from the full samples x events distance matrix that the
+    lookup by grid index replaces, in the trajectory's units."""
+    p = traj.params
+    t = np.arange(len(traj.xi)) * traj.dt
     xi, V, chi, U = dynamics._exact(t / p.T)
     d_dxdt = np.abs(traj.U - U)
-    if times:
-        ev = np.array(times)
-        near = np.min(np.abs(t[:, None] - ev[None, :]), axis=1) <= 1.0e-6 * p.T
+    if len(traj.events):
+        near = np.min(np.abs(t[:, None] - traj.events[None, :]), axis=1) <= 1.0e-6 * p.T
         other = np.abs(traj.U + U)
         d_dxdt = np.where(near, np.minimum(d_dxdt, other), d_dxdt)
     dense = {
-        "X": float(np.max(np.abs(run.xi - xi))),
-        "dXdt": float(np.max(np.abs(run.V - V))),
-        "x": float(np.max(np.abs(run.chi - chi))),
+        "X": float(np.max(np.abs(traj.xi - xi))),
+        "dXdt": float(np.max(np.abs(traj.V - V))),
+        "x": float(np.max(np.abs(traj.chi - chi))),
         "dxdt": float(np.max(d_dxdt)),
     }
     dense["max"] = max(dense.values())
-    assert oracle_errors(traj) == dense
+    return dense
+
+
+@pytest.mark.parametrize("events", [[], [1.0e-7], [-5.0e-7, 0.0, 2.5e-7, 9.0e-7], [1.5e-6, -2.0e-6]])
+def test_oracle_errors_match_dense_definition_when_the_window_spans_the_run(events):
+    # 201 samples at dt = 1e-9 T: PROBE_WINDOW T covers the whole run from any
+    # event within it, and the candidate indices stay inside the run
+    params, _ = derive_kinematics(1.0, 1.0, 10.0, 1.0)
+    run = integrate(params, t_end=200 * 1.0e-9, dt=1.0e-9)
+    U = run.U.copy()
+    U[::7] = -U[::7]  # samples on the wrong branch, relaxed only near an event
+    traj = dataclasses.replace(run, U=U, events=np.array(events, dtype=np.float64))
+    assert oracle_errors(traj) == _dense_oracle_errors(traj)
 
 
 @pytest.fixture(scope="module")

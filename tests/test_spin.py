@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inertonsim import (
     SPIN_DOWN,
@@ -86,6 +88,70 @@ def test_total_hamiltonian_pythagorean():
 def test_total_hamiltonian_with_mass():
     val = total_hamiltonian(0.0, 0.0, 2.0, 3.0)
     assert val == pytest.approx(2.0 * 9.0, rel=1e-15)
+
+
+def test_spin_eigenvalue_on_arrays_equals_each_entry():
+    rng = np.random.default_rng(9)
+    e, B, M = rng.normal(size=(3, 40))
+    M = np.abs(M) + 0.1
+    for channel in (SPIN_UP, SPIN_DOWN):
+        values = spin_eigenvalue(SpinContext(channel=channel, e=e, B_z=B, M=M))
+        singles = [spin_eigenvalue(SpinContext(channel=channel, e=a, B_z=b, M=m))
+                   for a, b, m in zip(e.tolist(), B.tolist(), M.tolist())]
+        assert all(type(v) is float for v in singles)
+        assert np.array_equal(_bits(values), _bits(singles))
+
+
+@pytest.mark.parametrize("bad", [0.0, -2.5, math.nan])
+def test_spin_eigenvalue_refuses_the_first_nonpositive_mass_of_an_array(bad):
+    message = f"mass must be positive, got {bad}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        spin_eigenvalue(SpinContext(channel=SPIN_UP, e=1.0, B_z=1.0, M=bad))
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        spin_eigenvalue(SpinContext(channel=SPIN_UP, e=1.0, B_z=1.0, M=np.array([1.0, bad, 3.0, -7.0])))
+
+
+def _reference_total_hamiltonian(p, pi, M0, c):
+    """One energy from floats, each of ``p`` and ``pi`` a magnitude or a list
+    of components whose squares are summed left to right: the reference for
+    `total_hamiltonian`."""
+
+    def sumsq(v):
+        return v * v if isinstance(v, float) else sum((x * x for x in v), 0.0)
+
+    return c * math.sqrt(sumsq(p) + sumsq(pi) + (M0 * c) ** 2)
+
+
+_RNG = np.random.default_rng(13)
+# masses whose float ** 2 is not x * x, and momenta whose np.dot is not the
+# left-to-right sum of squares: a numpy square or a BLAS dot would show on them
+# (here 10 of each; how many exist depends on the libm and the BLAS)
+_POW_MASSES = [m for m in _RNG.uniform(0.1, 10.0, 40000).tolist() if m ** 2 != m * m][:10]
+_DOT_MOMENTA = [
+    v.tolist() for v in _RNG.normal(size=(2000, 3)) if np.dot(v, v) != v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+][:10]
+_finite = st.floats(min_value=-1.0e6, max_value=1.0e6)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    rows=st.lists(st.tuples(_finite, _finite, _finite, st.floats(min_value=0.0, max_value=1.0e3)), max_size=30),
+    c=st.sampled_from([1.0, 2.5, 0.3]),
+)
+def test_total_hamiltonian_stack_matches_single_calls_bitwise(rows, c):
+    momenta = [list(r[:3]) for r in rows] + [[0.0, 0.0, 0.0]] * len(_POW_MASSES) + _DOT_MOMENTA
+    masses = [r[3] for r in rows] + _POW_MASSES + [1.0] * len(_DOT_MOMENTA)
+    p, M0 = np.array(momenta).reshape(-1, 3), np.array(masses)
+    intrinsic = momenta[::-1]
+    for pi, pi_rows in ((0.5 * np.array(intrinsic).reshape(-1, 3), [[0.5 * x for x in v] for v in intrinsic]),
+                        (0.0, [0.0] * len(masses))):  # a stack, then one magnitude for all
+        energies = total_hamiltonian(p, pi, M0, c)
+        assert energies.shape == M0.shape
+        singles = [total_hamiltonian(*args, c) for args in zip(momenta, pi_rows, masses)]
+        reference = [_reference_total_hamiltonian(*args, c) for args in zip(momenta, pi_rows, masses)]
+        assert all(type(e) is float for e in singles)
+        assert np.array_equal(_bits(energies), _bits(singles))
+        assert np.array_equal(_bits(singles), _bits(reference))
 
 
 # ------------------------------------------------------------ matrix algebra
