@@ -1,17 +1,19 @@
-"""Byte-exact decimal text for float64 columns, rendered a whole column at a time.
+"""Byte-exact decimal text for float64 values, rendered a whole block at a time.
 
 `g17` renders each value with the bytes of ``format(v, ".17g")`` and `f2`
-with those of ``"%.2f" % v``; `rows` joins rendered columns into lines, and
-`write_csv` streams a CSV through them in chunks of `CHUNK_ROWS` rows.
+with those of ``"%.2f" % v``; `rows` renders a ``(rows, k)`` block in
+row-major order into lines, and `write_csv` streams a CSV through it in
+chunks of about `CHUNK_ROWS` values.
 
-A rendered column is an ``(n, width)`` uint8 array. Row ``i`` holds the
+A rendered array is an ``(n, width)`` uint8 array. Row ``i`` holds the
 text of value ``i`` in fixed slots (sign, ``0.000`` prefix, digits, point,
 exponent) with NUL in every slot the text does not use, and its last byte
-is a NUL that `rows` overwrites with the field separator. Joining columns
-is one copy into a row buffer and one deletion of the NULs, with no Python
-loop per value. The slots are filled eight bytes at a time as uint64
-words, and digits are made eight at a time in a word's byte lanes
-(`_swar8`).
+is a NUL that `rows` overwrites with the field separator. Rendered in
+row-major order, a block's text reshaped to ``(rows, k width)`` already has
+the row layout, so joining is one strided assignment of the separators and
+one deletion of the NULs, with no Python loop per value. The slots are
+filled eight bytes at a time as uint64 words, and digits are made eight at
+a time in a word's byte lanes (`_swar8`).
 
 The digits come from wide arithmetic. ``%.17g`` needs ``round(|v| 10^k)``
 for the ``k`` that puts it in ``[1e16, 1e17)``; the product is formed in
@@ -35,9 +37,9 @@ import numpy as np
 
 __all__ = ["CHUNK_ROWS", "g17", "f2", "flags", "rows", "write_csv"]
 
-# Rows rendered per chunk by `write_csv`: enough to amortise the per-call
-# cost of the numpy passes, few enough that a chunk's temporaries stay a
-# few MB however long the run.
+# Values rendered per chunk by `write_csv` (``CHUNK_ROWS // k`` rows of
+# ``k`` columns): enough to amortise the per-call cost of the numpy passes,
+# few enough that a chunk's temporaries stay a few MB however long the run.
 CHUNK_ROWS = 8192
 
 _EPS = np.finfo(np.float64).eps          # 2u, u the unit roundoff of float64
@@ -269,22 +271,31 @@ def flags(col) -> np.ndarray:
     return np.stack([digit, np.zeros_like(digit)], axis=1)
 
 
-def rows(columns, end: bytes = b"\n") -> bytes:
-    """Join rendered columns of equal length: a comma between fields and
-    the one-byte ``end`` after each row."""
-    text = np.concatenate(columns, axis=1)
-    stops = np.cumsum([c.shape[1] for c in columns]) - 1
-    text[:, stops[:-1]] = ord(",")
-    text[:, stops[-1]] = ord(end)
+def rows(render, block: np.ndarray, end: bytes = b"\n", tail=None) -> bytes:
+    """The ``(rows, k)`` float block ``block`` as text lines: each row's
+    values rendered by ``render`` (`g17` or `f2`), a comma between fields,
+    then, if ``tail`` is given, the row's 0/1 flag from ``tail`` (`flags`),
+    and the one-byte ``end`` after each row."""
+    n, k = block.shape
+    text = render(block.ravel())                     # row-major: row i is values i k .. i k + k - 1
+    width = text.shape[1]
+    text = text.reshape(n, k * width)
+    if tail is not None:
+        text = np.concatenate([text, flags(tail)], axis=1)
+    text[:, width - 1:k * width:width] = ord(",")
+    text[:, -1] = ord(end)
     return text.tobytes().translate(None, b"\0")
 
 
 def write_csv(path, header: str, columns, flag_col) -> None:
-    """Write ``header`` and one ``%.17g,...,%d`` row per flag: the float
-    columns that ``columns(chunk)`` returns for a slice of rows, then the 0/1
-    flags, streamed `CHUNK_ROWS` rows at a time."""
+    """Write ``header`` and one ``%.17g,...,%d`` row per flag: the ``k``
+    float columns that ``columns(chunk)`` returns for a slice of rows (``k``
+    is the header's field count less the flag's), then the 0/1 flags,
+    streamed ``CHUNK_ROWS // k`` rows at a time, each chunk stacked into one
+    block for `rows`."""
+    step = CHUNK_ROWS // header.count(",")
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for lo in range(0, len(flag_col), CHUNK_ROWS):
-            chunk = slice(lo, lo + CHUNK_ROWS)
-            fh.write(rows([g17(col) for col in columns(chunk)] + [flags(flag_col[chunk])]))
+        for lo in range(0, len(flag_col), step):
+            chunk = slice(lo, lo + step)
+            fh.write(rows(g17, np.stack(columns(chunk), axis=1), tail=flag_col[chunk]))

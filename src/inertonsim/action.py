@@ -124,6 +124,8 @@ HJ_FD_STEP = 1.0e-5  # central-difference step of `hj_residual`, in units of the
 def hj_residual(X, spec: OscillatorSpec):
     """Hamilton-Jacobi residual ``S1'(X)^2/(2M) + M omega^2 X^2/2 - E`` at a
     float ``X`` (a float back) or at each entry of an array (an array back).
+    A spec whose fields are arrays of ``draws`` oscillators takes ``X`` of
+    shape ``(draws, points)``, row ``i`` on oscillator ``i``.
 
     ``S1'`` is a central difference with step ``d = HJ_FD_STEP * amplitude``.
     ``S1(X+d) - S1(X-d)`` is one short integral of ``p`` over ``[X-d, X+d]``,
@@ -134,29 +136,30 @@ def hj_residual(X, spec: OscillatorSpec):
     (still below ``1e-4 E`` at ``0.999 A``). The first point with ``|X| + d
     >= A`` raises a ValueError.
 
-    Each value has the bits of the per-point formula: squares are Python
-    float ``** 2`` per value, and the 8 panel terms are summed left to right
-    (see test_sampled_checks_match_per_draw_loops_bitwise).
+    Each value has the bits of the per-point formula: every square is a
+    product ``x * x``, and the 8 panel terms are summed left to right (see
+    test_sampled_checks_match_per_draw_loops_bitwise).
     """
-    A = spec.amplitude
+    # each field with a trailing axis, along the points of its oscillator
+    M, omega, E, A = (np.asarray(v, dtype=float)[..., None] for v in (spec.M, spec.omega, spec.E, spec.amplitude))
     d = HJ_FD_STEP * A
     xs = np.atleast_1d(np.asarray(X, dtype=float))
     reach = np.abs(xs)
     refused = reach + d >= A
     if refused.any():
-        r = float(reach[np.argmax(refused)])
-        if r >= A:
-            raise ValueError(f"|X|={r} is outside the classically allowed region (A={A})")
-        raise ValueError(f"|X|+HJ_FD_STEP*A = {r + d} reaches the turning point; move X inward")
-    mw_xi = spec.M * spec.omega * (xs[:, None] + d * _GL_NODES)  # (points, nodes)
-    mw_xi_sq = np.array([v ** 2 for v in mw_xi.ravel().tolist()]).reshape(mw_xi.shape)
+        first = np.argmax(refused)
+        r, a = float(reach.flat[first]), float(np.broadcast_to(A, xs.shape).flat[first])
+        if r >= a:
+            raise ValueError(f"|X|={r} is outside the classically allowed region (A={a})")
+        raise ValueError(f"|X|+HJ_FD_STEP*A = {r + HJ_FD_STEP * a} reaches the turning point; move X inward")
+    mw_xi = (M * omega)[..., None] * (xs[..., None] + d[..., None] * _GL_NODES)  # (..., points, nodes)
     # max() guards the last-ulp rounding right at the turning point
-    terms = _GL_WEIGHTS * np.sqrt(np.maximum(2.0 * spec.M * spec.E - mw_xi_sq, 0.0))
+    terms = _GL_WEIGHTS * np.sqrt(np.maximum((2.0 * M * E)[..., None] - mw_xi * mw_xi, 0.0))
     window = 0.0
-    for term in terms.T:
-        window = window + term
-    s1_prime_sq = np.array([(0.5 * v) ** 2 for v in window.tolist()])  # window integral / (2d)
-    residual = s1_prime_sq / (2.0 * spec.M) + 0.5 * spec.M * spec.omega ** 2 * xs * xs - spec.E
+    for k in range(len(_GL_WEIGHTS)):
+        window = window + terms[..., k]
+    s1_prime = 0.5 * window  # window integral / (2d)
+    residual = s1_prime * s1_prime / (2.0 * M) + 0.5 * M * (omega * omega) * xs * xs - E
     return float(residual[0]) if np.ndim(X) == 0 else residual
 
 
@@ -226,17 +229,19 @@ def lab_frame_action(params: SystemParams) -> float:
     return _composite_gauss(integrand, 0.0, 2.0 * params.T, QUADRATURE_PANELS)
 
 
-def quantize(M: float, v0: float, c: float, h: float) -> QuantizedKinematics:
+def quantize(M, v0, c, h) -> QuantizedKinematics:
     """Impose a unit of cyclic action and read off the wave kinematics.
 
     From ``M v0^2 T = h``: wavelength ``h/(M v0)``, period ``h/(M v0^2)``,
-    frequency ``M v0^2/(2h)`` and cloud amplitude ``lambda c / v0``.
+    frequency ``M v0^2/(2h)`` and cloud amplitude ``lambda c / v0``. Takes
+    floats or arrays; every entry of an array field has the bits of the
+    float call on that entry, and an array call is refused if any entry is.
     """
-    if not (M > 0.0):
+    if not np.all(M > 0.0):
         raise ValueError(f"mass must be positive, got {M}")
-    if not (h > 0.0):
+    if not np.all(h > 0.0):
         raise ValueError(f"action quantum must be positive, got {h}")
-    if not (0.0 < v0 < c):
+    if not np.all((0.0 < v0) & (v0 < c)):
         raise ValueError(f"speeds must satisfy 0 < v0 < c, got v0={v0}, c={c}")
     lam = h / (M * v0)
     return QuantizedKinematics(

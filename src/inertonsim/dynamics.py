@@ -93,10 +93,15 @@ DIVERGENCE_LIMIT = 1.0e-3   # hard cap on the first-integral residual
 # A block never spans more steps than this.
 BLOCK_STEPS = 1024
 NEWTON_MAX_ITER = 100
-# Largest admitted run. A whole `simulate` run peaks at 80 B per step, about
-# 1 GB (tracemalloc, csv and svg alike): in `oracle_errors`, the trajectory's
-# 40 B per sample and the 40 B of the exact columns and their times.
+# Largest admitted run. A whole `simulate` run peaks at 58 B per step, about
+# 0.73 GB, plus about 2 MB of fixed-size blocks (tracemalloc): with `--format
+# svg` in the trajectory panel, the trajectory's 40 B per sample plus the
+# panel's time axis and pixel-column positions; otherwise at 56 B in
+# `integrate`, the columns and residuals plus the state `w`.
 MAX_STEPS = 12_500_000
+# Samples per block of `oracle_errors`: the block's exact columns and their
+# times take 40 B per sample, 655 KB, however long the run.
+ORACLE_BLOCK = 16384
 CLOSED_FORM_STEPS = 4000    # samples per period of `closed_form_trajectory`
 
 # Coefficients of R(-i pi s) in s, (-i pi)^k / k!, k = 0..4 (`_step_factor`).
@@ -193,7 +198,8 @@ def _exact(tau):
     which is algebraically identical to the textbook absolute-value form
     but free of cancellation, and lands on the post-reflection branch at
     integer ``tau`` because ``floor`` is right-continuous there. The four
-    columns are computed in place, as rows of one ``(4, ...)`` block.
+    columns are computed in place, as the rows of the one ``(4, ...)``
+    block returned.
     """
     tau = np.asarray(tau, dtype=float)
     out = np.empty((4, *tau.shape))
@@ -209,7 +215,7 @@ def _exact(tau):
     xi += tau
     np.subtract(1.0, chi, out=V)
     chi /= np.pi
-    return tuple(out)
+    return out
 
 
 def closed_form(t, p: SystemParams) -> dict:
@@ -320,7 +326,7 @@ def step_count(T: float, t_end: float, dt: float) -> int:
     if t_end / dt > MAX_STEPS + 0.5:
         raise ValueError(
             f"t_end/dt = {t_end / dt:.3g} steps exceeds the budget of {MAX_STEPS} "
-            "(a run peaks at 80 B per step); raise dt or lower t_end"
+            "(a run peaks at 58 B per step, in the trajectory panel); raise dt or lower t_end"
         )
     n_steps = round(t_end / dt)
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1.0e-9 * t_end:
@@ -412,20 +418,22 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
     # otherwise fault in every chunk.
     cols = np.empty((4, n_steps + 1))
     xi, V, chi, U = cols
-    # u, the running sum of the jumps, is constant between them; V holds
-    # (U - u) / pi until xi is done
+    # u, the running sum of the jumps, is constant between them; xi holds
+    # (U - u) / pi until w is released, then gains the time axis i dt / T
     u = 0.0
     for (a, jump), (b, _) in zip(jumps, jumps[1:] + [(n_steps + 1, 0.0)]):
         u += jump
-        V[a:b] = u
-    np.subtract(w.imag, V, out=V)
-    V /= math.pi
-    np.multiply(np.arange(n_steps + 1), dt, out=xi)
-    xi /= p.T
-    xi += V
+        xi[a:b] = u
+    np.subtract(w.imag, xi, out=xi)
+    xi /= math.pi
     np.subtract(1.0, w.real, out=V)
     np.divide(w.real, math.pi, out=chi)
     U[:] = w.imag
+    del w
+    tau = np.arange(n_steps + 1, dtype=np.float64)
+    tau *= dt
+    tau /= p.T
+    xi += tau
     meta = {
         "dt": dt,
         "t_end": t_end,
@@ -440,6 +448,23 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
 # Diagnostics and serialization
 # ---------------------------------------------------------------------------
 
+def _deviations(traj: Trajectory, lo: int, hi: int, near: np.ndarray) -> np.ndarray:
+    """Max deviation of each of the four columns from the closed form over
+    samples ``lo`` to ``hi - 1``, with ``near`` the samples whose dxdt
+    comparison accepts either branch (see `oracle_errors`)."""
+    tau = np.arange(lo, hi, dtype=np.float64)
+    tau *= traj.dt
+    tau /= traj.params.T
+    dev = _exact(tau)
+    # this block's samples near an event, and their dxdt against the other branch
+    here = near[(near >= lo) & (near < hi)] - lo
+    other = np.abs(traj.U[lo:hi][here] + dev[3][here])
+    for col, ref in zip((traj.xi, traj.V, traj.chi, traj.U), dev):
+        np.abs(np.subtract(col[lo:hi], ref, out=ref), out=ref)
+    dev[3][here] = np.minimum(dev[3][here], other)
+    return dev.max(axis=1)
+
+
 def oracle_errors(traj: Trajectory) -> dict[str, float]:
     """Componentwise max deviation from the closed form, in the trajectory's
     units (X by lam, dXdt by v0, x by Lam, dxdt by c).
@@ -451,25 +476,23 @@ def oracle_errors(traj: Trajectory) -> dict[str, float]:
     at a sample ``i`` with ``|i dt - t_ev| <= PROBE_WINDOW T`` for a
     recorded event ``t_ev`` the dxdt comparison accepts the nearer of the
     two one-sided values. Those samples are found by grid index, a few per
-    event, and the exact columns and deviations are computed in place.
+    event. The exact columns and the deviations are computed in place, one
+    block of `ORACLE_BLOCK` samples at a time, and each block is reduced to
+    its four maxima (a NaN deviation propagates), so the memory beyond the
+    trajectory does not grow with the run.
     """
     p, dt, n = traj.params, traj.dt, len(traj.xi)
     window = PROBE_WINDOW * p.T
-    tau = np.arange(n, dtype=np.float64)
-    tau *= dt
-    tau /= p.T
-    exact = _exact(tau)
     # candidate grid indices around each event, inside [0, n), then the exact window test
     ev = np.asarray(traj.events, dtype=np.float64)[:, None]
     j = np.maximum(np.floor((ev - window) / dt) - 1.0, 0.0) + np.arange(min(math.ceil(2.0 * window / dt) + 4, n))
     near = j[(j < n) & (np.abs(j * dt - ev) <= window)].astype(np.intp)
-    other = np.abs(traj.U[near] + exact[3][near])
-    devs = {
-        name: np.abs(np.subtract(col, ref, out=ref), out=ref)
-        for name, col, ref in zip(("X", "dXdt", "x", "dxdt"), (traj.xi, traj.V, traj.chi, traj.U), exact)
-    }
-    devs["dxdt"][near] = np.minimum(devs["dxdt"][near], other)
-    out = {name: float(np.max(dev)) for name, dev in devs.items()}
+    # one call per block, so that a block's arrays are freed before the next
+    # block's are made; a NaN deviation propagates through both maxima
+    worst = np.max(
+        [_deviations(traj, lo, min(lo + ORACLE_BLOCK, n), near) for lo in range(0, n, ORACLE_BLOCK)], axis=0
+    )
+    out = dict(zip(("X", "dXdt", "x", "dxdt"), worst.tolist()))
     out["max"] = max(out.values())
     return out
 
@@ -480,12 +503,16 @@ _CSV_HEADER = "t,X,dXdt,x,dxdt,invariant_residual,event_flag"
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write samples as CSV: ``t,X,dXdt,x,dxdt,invariant_residual,event_flag``.
 
-    ``event_flag`` is 1 on a sample whose preceding grid interval contained
-    a reflection. Floats carry 17 significant digits (``%.17g``) so a file
-    round-trips to the exact same doubles. Each chunk of `_text.CHUNK_ROWS`
-    rows is put into physical units, rendered column-wise by `_text.g17`
-    (byte-identical to per-value formatting) and written, so the writer's
-    memory does not grow with the run.
+    ``event_flag`` is 1, for each reflection at ``t_ev``, on the first
+    sample at or after ``t_ev - PROBE_WINDOW T``. That is the last sample
+    before the reflection when the reflection lies within ``PROBE_WINDOW T``
+    after it, as at every reflection of a run whose grid holds the multiples
+    of T (``dt = T/1000``, ``T/250``), and otherwise the first sample after
+    it. Floats carry 17 significant digits (``%.17g``) so a file round-trips
+    to the exact same doubles. Each chunk of rows is put into physical
+    units, rendered as one row-major block by `_text.rows` (byte-identical
+    to per-value formatting) and written, so the writer's memory does not
+    grow with the run.
     """
     flags = np.zeros(len(traj.xi), dtype=np.uint8)
     for t_ev in traj.events:

@@ -29,12 +29,15 @@ _WIDTH = 760
 _COLUMNS = _WIDTH - _MARGINS[0] - _MARGINS[1]
 
 
-def _write_points(fh, x: np.ndarray, y: np.ndarray) -> None:
-    """Write polyline points ``x,y x,y ...`` at two decimals (``%.2f``),
-    rendered by `_text.f2` in chunks of `_text.CHUNK_ROWS` points."""
-    step = _text.CHUNK_ROWS
+def _write_points(fh, x: np.ndarray, y: np.ndarray, px, py) -> None:
+    """Write polyline points ``px(x),py(y) px(x),py(y) ...`` at two
+    decimals (``%.2f``): ``px`` and ``py`` are applied one chunk at a time,
+    and each chunk's x and y are rendered as one block by `_text.rows`, in
+    chunks of ``_text.CHUNK_ROWS // 2`` points."""
+    step = _text.CHUNK_ROWS // 2
     for i in range(0, len(x), step):
-        text = _text.rows([_text.f2(x[i:i + step]), _text.f2(y[i:i + step])], end=b" ")
+        block = np.stack([px(x[i:i + step]), py(y[i:i + step])], axis=1)
+        text = _text.rows(_text.f2, block, end=b" ")
         fh.write(text if i + step < len(x) else text[:-1])
 
 
@@ -99,7 +102,7 @@ def render_line_svg(
         for idx, (x, y, label) in enumerate(series):
             color = _COLORS[idx % len(_COLORS)]
             fh.write(b'<polyline points="')
-            _write_points(fh, px(np.asarray(x, dtype=float)), py(np.asarray(y, dtype=float)))
+            _write_points(fh, np.asarray(x, dtype=float), np.asarray(y, dtype=float), px, py)
             lx, ly = ml + pw - 130, mt + 16 + 16 * idx
             fh.write(
                 f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'

@@ -185,23 +185,16 @@ def _check_action_triple_identity(params, rng):
 
 def _check_quantize_roundtrip(params, rng):
     draws, (h,) = _draw_params(rng, 100, extra=[_LOG_H])
-    inputs = zip(draws.M.tolist(), draws.v0.tolist(), draws.c.tolist(), h.tolist())
-    T = np.array([action_mod.quantize(*args).T for args in inputs])
+    T = action_mod.quantize(draws.M, draws.v0, draws.c, h).T
     omega, _, amplitude, p_max = action_mod._oscillator(draws.M, draws.v0, T)
     return np.abs(action_mod._cyclic_actions(p_max, amplitude, omega) - h) / h, 1.0e-9
 
 
 def _check_hj_grid(params, rng):
-    # One array hj_residual per draw. It keeps the per-point bits only
-    # because each square stays a Python float ** 2 per value: that is libm
-    # pow, and numpy's x*x on the array moved 18 of 20,000 grid points.
     draws, _ = _draw_params(rng, 10)
-    values = []
-    for motion in zip(draws.M.tolist(), draws.v0.tolist(), draws.T.tolist()):
-        spec = action_mod.OscillatorSpec.from_motion(*motion)
-        grid = np.linspace(-0.99 * spec.amplitude, 0.99 * spec.amplitude, 50)
-        values.append(np.abs(action_mod.hj_residual(grid, spec)) / spec.E)
-    return np.concatenate(values), 1.0e-7
+    spec = action_mod.OscillatorSpec(draws.M, *action_mod._oscillator(draws.M, draws.v0, draws.T))
+    grid = np.linspace(-0.99 * spec.amplitude, 0.99 * spec.amplitude, 50, axis=-1)  # (draws, points)
+    return (np.abs(action_mod.hj_residual(grid, spec)) / spec.E[:, None]).ravel(), 1.0e-7
 
 
 def _dirac_draws(rng):

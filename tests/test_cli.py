@@ -829,6 +829,28 @@ def test_step_budget_rejects_huge_run_at_resolve():
         step_count(1.0, 1e300, 1e-10)  # t_end/dt overflows to inf
 
 
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_simulate_peak_memory_per_step(tmp_path, fmt):
+    # a whole run peaks at 58 B per step plus about 2 MB of fixed-size blocks
+    # (dynamics.MAX_STEPS), traced after a warm-up run; at 100,000 steps the
+    # per-column CSV writer and the full-length oracle took it to 105 B
+    import tracemalloc
+
+    pars = {"M0": 1.0, "v0": 1.0, "c": 10.0, "T": 1.0}
+    argv = ["simulate", "--format", fmt, "--config"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        warm = write_cfg(tmp_path / "warm.json", {"parameters": pars, "simulation": {"dt": 1e-3, "t_end": 1.0}})
+        assert main(argv + [warm, "--out", str(tmp_path / "warm")]) == 0
+        cfg = write_cfg(tmp_path / "cfg.json", {"parameters": pars, "simulation": {"dt": 1e-3, "t_end": 100.0}})
+        tracemalloc.start()
+        try:
+            assert main(argv + [cfg, "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 58 * 100_000 + 2 * 2**20
+
+
 def test_sweep_rejects_non_finite_values(tmp_path, capsys):
     assert run_cli(
         "sweep", "--preset", "natural", "--axis", "dt", "--values", "1e-3,nan", "--out", str(tmp_path)

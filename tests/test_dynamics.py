@@ -588,6 +588,36 @@ def test_oracle_errors_match_dense_definition_when_the_window_spans_the_run(even
     assert oracle_errors(traj) == _dense_oracle_errors(traj)
 
 
+def _hex(errors):
+    return {name: value.hex() for name, value in errors.items()}
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+def test_oracle_errors_in_blocks_match_dense_definition_bitwise(extra):
+    # runs of ORACLE_BLOCK - 1, ORACLE_BLOCK and ORACLE_BLOCK + 1 samples at
+    # dt = 1e-7 T, so PROBE_WINDOW T spans ten samples each side of an event:
+    # one event's window straddles the edge of the first block, one lies
+    # inside it and one ends the run. Only the samples inside a window are on
+    # the wrong branch, so a sample relaxed in the wrong block reads ~2.
+    params, _ = derive_kinematics(1.0, 1.0, 10.0, 1.0)
+    n, dt = dynamics.ORACLE_BLOCK + extra, 1.0e-7
+    run = integrate(params, t_end=(n - 1) * dt, dt=dt)
+    events = np.array([(dynamics.ORACLE_BLOCK - 0.5) * dt, 0.5 * n * dt, (n - 1) * dt])
+    t = np.arange(n) * dt
+    wrong = np.min(np.abs(t[:, None] - events), axis=1) <= dynamics.PROBE_WINDOW * params.T
+    assert wrong[dynamics.ORACLE_BLOCK - 10] and wrong[min(dynamics.ORACLE_BLOCK + 9, n - 1)]
+    U = np.where(wrong, -run.U, run.U)
+    traj = dataclasses.replace(run, U=U, events=events)
+    errors = oracle_errors(traj)
+    assert errors["dxdt"] < 1e-3
+    assert _hex(errors) == _hex(_dense_oracle_errors(traj))
+    # a NaN in the last block propagates to its column and to the maximum
+    xi = traj.xi.copy()
+    xi[-1] = math.nan
+    nan_run = dataclasses.replace(traj, xi=xi)
+    assert math.isnan(oracle_errors(nan_run)["X"]) and math.isnan(_dense_oracle_errors(nan_run)["X"])
+
+
 @pytest.fixture(scope="module")
 def natural_long(natural):
     params, _ = natural
@@ -645,10 +675,16 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_oracle_errors_memory_per_sample(natural_long):
-    # the exact columns and their times, 40 B per sample, and nothing more
-    # of full length
-    assert _traced_peak(oracle_errors, natural_long) <= 48 * len(natural_long.xi)
+def test_oracle_errors_memory_per_sample(natural):
+    # one block of exact columns and their times at a time: the memory does
+    # not grow with the run
+    params, _ = natural
+    peaks = []
+    for periods in (20, 200):
+        traj = integrate(params, t_end=periods * params.T, dt=params.T / 1000.0)
+        assert len(traj.xi) > dynamics.ORACLE_BLOCK
+        peaks.append(_traced_peak(oracle_errors, traj))
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 @pytest.mark.parametrize("panel", [trajectory_svg, phase_plane_svg], ids=["trajectory", "phase"])
@@ -747,6 +783,26 @@ def test_step_count_refuses_a_run_whose_events_leave_the_probe_window():
     params, _ = derive_kinematics(2.3, 0.37, 1.0, 1.7)
     traj = integrate(params, t_end=123.0 * params.T, dt=params.T / 100.0)
     assert len(traj.events) == 123
+
+
+@pytest.mark.parametrize("divisor, before", [(1000, 10), (250, 10), (999.5, 5)])
+def test_event_flag_marks_the_first_sample_from_a_probe_window_before_each_reflection(
+    natural, tmp_path, divisor, before
+):
+    # the flagged sample is the last one before a reflection that lies within
+    # PROBE_WINDOW T after it (every reflection, on a grid that holds the
+    # multiples of T), and otherwise the first one after the reflection
+    params, _ = natural
+    traj = integrate(params, t_end=10.0 * params.T, dt=params.T / divisor)
+    write_trajectory_csv(traj, tmp_path / "run.csv")
+    flags = np.loadtxt(tmp_path / "run.csv", delimiter=",", skiprows=1, usecols=6)
+    t = np.flatnonzero(flags) * traj.dt
+    assert len(t) == len(traj.events) == 10
+    at_or_before = t <= traj.events
+    assert at_or_before.sum() == before
+    assert np.all(traj.events[at_or_before] - t[at_or_before] <= dynamics.PROBE_WINDOW * params.T)
+    after = ~at_or_before
+    assert np.all(t[after] - traj.dt < traj.events[after])
 
 
 def test_trajectory_csv_writer_memory_does_not_grow_with_the_run(tmp_path, natural):

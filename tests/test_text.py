@@ -1,6 +1,8 @@
 """The column formatters of `inertonsim._text` against Python's own, byte for byte."""
 
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,7 @@ from inertonsim.lagrangian import ELResidualReport, write_el_csv
 
 
 def rendered(render, values) -> bytes:
-    return _text.rows([render(np.asarray(values, dtype=np.float64))], end=b"\n")
+    return _text.rows(render, np.asarray(values, dtype=np.float64)[:, None])
 
 
 def reference(fmt, values) -> bytes:
@@ -96,12 +98,55 @@ def test_f2_matches_percent_format(values):
 
 
 def test_rows_joins_fields():
-    x = np.array([1.0, -2.5, 0.1])
-    y = np.array([3.0, math.nan, 1e-7])
-    flags = np.array([0, 1, 0])
-    text = _text.rows([_text.g17(x), _text.g17(y), _text.flags(flags)])
+    block = np.array([[1.0, 3.0], [-2.5, math.nan], [0.1, 1e-7]])
+    text = _text.rows(_text.g17, block, tail=np.array([0, 1, 0]))
     assert text == b"1,3,0\n-2.5,nan,1\n0.10000000000000001,9.9999999999999995e-08,0\n"
-    assert _text.rows([_text.f2(x), _text.f2(y)], end=b" ") == b"1.00,3.00 -2.50,nan 0.10,0.00 "
+    assert _text.rows(_text.f2, block, end=b" ") == b"1.00,3.00 -2.50,nan 0.10,0.00 "
+    assert _text.rows(_text.g17, block[:, :1]) == b"1\n-2.5\n0.10000000000000001\n"
+
+
+def test_f2_block_whose_fallback_widens_every_row():
+    # values past 1e6 and exact ties go to Python's formatter; 1e22 and -1e300
+    # need more bytes than the kernel's slots, so every row of the block widens
+    block = np.array([[0.125, 1.5e6], [2.675, -0.005], [1e22, 3.0], [-0.0, 999999.995], [-1e300, 0.375]])
+    assert _text.f2(block.ravel()).shape[1] > _text.f2(np.zeros(1)).shape[1]
+    expected = b"".join(b"%.2f,%.2f " % tuple(row) for row in block.tolist())
+    assert _text.rows(_text.f2, block, end=b" ") == expected
+
+
+# values a CSV block is drawn from besides hypothesis' own: zeros, infinities,
+# NaN, exact ties at 17 digits and at two decimals, subnormals
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 2.0**-25, 0.125, 2.675, 5e-324, -1e-310, 1.5e-300]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    k=st.integers(1, 7),
+    length=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]),
+    pool=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=7, length=(2, 1), pool=[], seed=0)
+@example(k=1, length=(1, 1), pool=[], seed=1)
+def test_write_csv_matches_per_value_format(k, length, pool, seed):
+    # 1, step - 1, step, step + 1 and 2 step + 1 rows of k columns, with
+    # step = CHUNK_ROWS // k the rows of one chunk
+    chunks, extra = length
+    n = chunks * (_text.CHUNK_ROWS // k) + extra
+    rng = np.random.default_rng(seed)
+    values = np.array(pool + _SPECIAL, dtype=np.float64)
+    block = values[rng.integers(0, len(values), (n, k))]
+    flag_col = rng.integers(0, 2, n).astype(np.uint8)
+    header = ",".join(f"c{j}" for j in range(k)) + ",flag"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "block.csv")
+        _text.write_csv(path, header, lambda rows: list(block[rows].T), flag_col)
+        with open(path, "rb") as fh:
+            written = fh.read()
+    lines = [header] + [
+        ",".join(format(v, ".17g") for v in row) + f",{flag}" for row, flag in zip(block.tolist(), flag_col.tolist())
+    ]
+    assert written == ("\n".join(lines) + "\n").encode()
 
 
 def test_write_el_csv_matches_per_row_formatter(tmp_path):

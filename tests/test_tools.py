@@ -1,8 +1,10 @@
 import os
+import shutil
 import subprocess
 import sys
 
-SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "src_lines.py")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(REPO, "tools", "src_lines.py")
 
 
 def _git(root, *args):
@@ -32,3 +34,27 @@ def test_src_lines_against_a_revision(tmp_path):
     assert rows["a.py"] == [3, 5, 2, 1, 2, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0]
     assert rows["b.py"] == [0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]
     assert rows["total"] == [3, 6, 3, 1, 3, 2, 1, 1, 0, 0, 1, 1, 1, 1, 0]
+
+
+def test_peak_per_step_against_a_revision(tmp_path):
+    # a committed copy of the tree measured against itself: both sides run the
+    # same 100,000-step op, whose trajectory alone is 40 B per step
+    shutil.copytree(os.path.join(REPO, "src", "inertonsim"), tmp_path / "src" / "inertonsim",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    for part in ("bench/workloads.py", "tools/peak_per_step.py"):
+        (tmp_path / part).parent.mkdir(exist_ok=True)
+        shutil.copy(os.path.join(REPO, part), tmp_path / part)
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "one")
+    proc = subprocess.run([sys.executable, str(tmp_path / "tools" / "peak_per_step.py"), "--against", "HEAD"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()[1:]}
+    assert list(rows) == ["HEAD", "now", "delta"]
+    for name in ("HEAD", "now"):
+        peak, steps, per_step = rows[name]
+        assert int(steps) == 100_000
+        assert round(int(peak.replace(",", "")) / 100_000, 1) == float(per_step)
+        assert 40.0 < float(per_step) <= 60.0
+    assert abs(float(rows["delta"][1])) < 1.0
