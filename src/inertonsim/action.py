@@ -177,7 +177,6 @@ def _composite_gauss(f, t_lo: float, t_hi, n_panels: int):
 
 
 QUADRATURE_PANELS = 64  # panels of one full cycle; a multiple of 4, see `cyclic_action` and `lab_frame_action`
-_LOOP_BATCH = 64  # specs per array pass: each temporary stays near 64 KB
 
 
 def cyclic_action(spec: OscillatorSpec) -> float:
@@ -195,20 +194,14 @@ def cyclic_action(spec: OscillatorSpec) -> float:
 
 def _cyclic_actions(p_max, amplitude, omega) -> np.ndarray:
     """`cyclic_action` of each entry of the arrays ``p_max, amplitude, omega``,
-    in array passes of `_LOOP_BATCH` entries (see
-    test_cyclic_actions_match_scalar_loop_integrals_bitwise)."""
-    fields = np.array([p_max, amplitude, omega], dtype=float)
-    out = []
-    for i in range(0, fields.shape[1], _LOOP_BATCH):
-        batch = fields[:, i:i + _LOOP_BATCH]
-        p, a, w = batch[:, :, None, None]
+    in one array pass (see test_cyclic_actions_match_scalar_loop_integrals_bitwise)."""
+    p, a, w = np.array([p_max, amplitude, omega], dtype=float)[:, :, None, None]
 
-        def integrand(t):  # p dX/dt on the orbit at time t
-            c = np.cos(w * t)
-            return p * c * a * w * c
+    def integrand(t):  # p dX/dt on the orbit at time t
+        c = np.cos(w * t)
+        return p * c * a * w * c
 
-        out.append(4.0 * _composite_gauss(integrand, 0.0, 0.5 * math.pi / batch[2], QUADRATURE_PANELS // 4))
-    return np.concatenate(out)
+    return 4.0 * _composite_gauss(integrand, 0.0, 0.5 * math.pi / w[:, 0, 0], QUADRATURE_PANELS // 4)
 
 
 def lab_frame_action(params: SystemParams) -> float:

@@ -104,24 +104,6 @@ _KEYS = {
     "outputs": ("trajectory", "events", "el_residuals"),
     "observables": ("resonator_radius",),
 }
-# Keys of removed features, still present in older metadata.json files:
-# key -> (accepts, reason). A value that `accepts` selects what the program
-# does anyway and is dropped; any other value is a ConfigError.
-_RETIRED = {
-    "simulation": {
-        "mode": (lambda v: v == "aggregate", 'ensemble mode was removed; only "aggregate" is accepted'),
-        "n_inertons": (
-            lambda v: v == 1 and not isinstance(v, bool),
-            "ensemble mode was removed; only 1 is accepted",
-        ),
-    },
-    "outputs": {
-        "plots": (
-            lambda v: isinstance(v, bool),
-            "was removed (--format svg writes the plots); only true or false is accepted",
-        ),
-    },
-}
 
 
 def load_config(path):
@@ -147,19 +129,17 @@ def merge_config(base, override):
 
 
 def _section(cfg, name):
-    """A config section as a fresh dict (empty when absent), with its
-    `_RETIRED` keys checked and dropped and any other key not in `_KEYS`
-    refused."""
+    """A config section as a fresh dict (empty when absent), with any key
+    not in `_KEYS` refused. A true or false ``outputs.plots``, which older
+    configs send, is dropped: ``--format svg`` writes the plots."""
     sec = cfg.get(name)
     if sec is None:
         return {}
     if not isinstance(sec, dict):
         raise ConfigError(f"{name}: must be an object, got {sec!r}")
     sec = dict(sec)
-    for key, (unchanged, why) in _RETIRED.get(name, {}).items():
-        if key in sec and not unchanged(sec[key]):
-            raise ConfigError(f"{name}.{key}: {why}, got {sec[key]!r}")
-        sec.pop(key, None)
+    if name == "outputs" and isinstance(sec.get("plots"), bool):
+        del sec["plots"]
     for key in sec:
         if key not in _KEYS[name]:
             raise ConfigError(f"{name}.{key}: unknown key")
@@ -167,16 +147,15 @@ def _section(cfg, name):
 
 
 def _number(key, val, integer=False):
-    """Coerce one config value to a finite float, or to an int when
-    ``integer``; failures raise a ConfigError that names ``key``."""
-    if isinstance(val, bool):
+    """One config value, a JSON number (an int or a float, not a bool or a
+    string), as a finite float, or as an int when ``integer``; failures
+    raise a ConfigError that names ``key``."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{key}: must be a number, got {val!r}")
     try:
         num = float(val)
     except OverflowError:
         num = math.inf
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: must be a number, got {val!r}") from None
     if not math.isfinite(num):
         raise ConfigError(f"{key}: must be a finite number, got {num}")
     if not integer:
@@ -390,6 +369,9 @@ def cmd_derive(ns):
         # no h supplied: the cyclic action increment over one period plays
         # that role, so the quantized block is exactly self-consistent
         h_val = params.M * _square(params.v0, "v0") * params.T
+        if h_val == 0.0:
+            raise ValueError(f"the cyclic action M v0^2 T underflows a float (M = {params.M:.6g}, "
+                             f"v0 = {params.v0:.6g}, T = {params.T:.6g})")
     quant = quantize(params.M, params.v0, params.c, h_val)
     bounds = cross_section_bounds(params)
     geo = resonator_dimensions(resolved["observables"]["resonator_radius"])

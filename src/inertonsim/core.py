@@ -163,12 +163,15 @@ def _moving_mass(rest, beta2):
 
 
 def _square(value: float, name: str) -> float:
-    """``value ** 2``; a square that overflows a float raises a ValueError
-    naming ``name`` instead of an OverflowError."""
+    """``value ** 2``; a square that overflows a float, or that underflows
+    to 0.0 from a nonzero ``value``, raises a ValueError naming ``name``."""
     try:
-        return value ** 2
+        square = value ** 2
     except OverflowError:
         raise ValueError(f"{name}**2 overflows a float ({name} = {value:.6g})") from None
+    if square == 0.0 and value != 0.0:
+        raise ValueError(f"{name}**2 underflows a float ({name} = {value:.6g})")
+    return square
 
 
 def mass_from_deformation(constant: float, cell_volume: float, particle_volume: float) -> float:

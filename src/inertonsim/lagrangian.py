@@ -134,22 +134,23 @@ def eval_lagrangian_canonical(s, p: SystemParams):
     return _sqrt_form(_bracket_canonical(s, p), p)
 
 
+def _kappa_shift(s, p: SystemParams):
+    """The particle coordinate term ``(pi/T) X sqrt(M0/m0)`` of both transforms."""
+    if p.m0 <= 0.0:
+        raise ValueError(f"transform needs m0 > 0, got {p.m0}")
+    return (math.pi / p.T) * s["X"] * math.sqrt(p.M0 / p.m0)
+
+
 def kappa_transform(s, p: SystemParams) -> dict:
     """Shift the cloud velocity by the particle coordinate term: the state
     as a dict with the keys ``t, X, dXdt, kappa_rate, x``, where
     ``kappa_rate = dxdt - (pi/T) X sqrt(M0/m0)`` replaces ``dxdt``."""
-    if p.m0 <= 0.0:
-        raise ValueError(f"transform needs m0 > 0, got {p.m0}")
-    shift = (math.pi / p.T) * s["X"] * math.sqrt(p.M0 / p.m0)
-    return dict(t=s["t"], X=s["X"], dXdt=s["dXdt"], kappa_rate=s["dxdt"] - shift, x=s["x"])
+    return dict(t=s["t"], X=s["X"], dXdt=s["dXdt"], kappa_rate=s["dxdt"] - _kappa_shift(s, p), x=s["x"])
 
 
 def kappa_transform_inverse(s, p: SystemParams) -> dict:
     """Undo `kappa_transform`: the state as a dict of its five fields."""
-    if p.m0 <= 0.0:
-        raise ValueError(f"transform needs m0 > 0, got {p.m0}")
-    shift = (math.pi / p.T) * s["X"] * math.sqrt(p.M0 / p.m0)
-    return dict(t=s["t"], X=s["X"], dXdt=s["dXdt"], x=s["x"], dxdt=s["kappa_rate"] + shift)
+    return dict(t=s["t"], X=s["X"], dXdt=s["dXdt"], x=s["x"], dxdt=s["kappa_rate"] + _kappa_shift(s, p))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from inertonsim import (
     shortened_action,
 )
 from inertonsim.action import (
-    _GL_NODES, _GL_WEIGHTS, _LOOP_BATCH, HJ_FD_STEP, QUADRATURE_PANELS, _composite_gauss, _cyclic_actions,
+    _GL_NODES, _GL_WEIGHTS, HJ_FD_STEP, QUADRATURE_PANELS, _composite_gauss, _cyclic_actions,
 )
 from inertonsim.cli import builtin_presets, resolve_config
 from inertonsim.constants import LIGHT_SPEED, PLANCK
@@ -267,7 +267,7 @@ def test_cyclic_actions_match_scalar_loop_integrals_bitwise():
     rng = np.random.default_rng(29)
     specs = [
         OscillatorSpec.from_motion(*(10.0 ** rng.uniform(-2.0, 2.0, 3)).tolist())
-        for _ in range(2 * _LOOP_BATCH + 5)  # two full batches and a partial one
+        for _ in range(133)  # more than the 100 specs of either sampled check
     ]
     reference = [_reference_cyclic_action(spec) for spec in specs]
     fields = np.array([(s.p_max, s.amplitude, s.omega) for s in specs]).T

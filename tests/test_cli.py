@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from inertonsim import cli, lagrangian
 from inertonsim.action import quantize
@@ -691,20 +691,26 @@ def test_underflowing_cloud_mass_rejected(tmp_path, capsys, command, pars, words
 @pytest.mark.parametrize(
     "command, pars, word",
     [
-        ("derive", {"M0": 1.0, "v0": 1e150, "c": 1e160, "T": 1e10}, "lam**2"),
-        ("check", {"M0": 1.0, "v0": 1e150, "c": 1e160, "T": 1e10}, "lam**2"),
-        ("derive", {"M0": 1e-100, "v0": 1e160, "c": 1e170, "T": 1e-170}, "v0**2"),
-        ("check", {"M0": 1.0, "v0": 1e-155, "c": 1.0, "T": 1.0}, "(c/v0)**2"),
+        ("derive", {"M0": 1.0, "v0": 1e150, "c": 1e160, "T": 1e10}, "lam**2 overflows a float"),
+        ("check", {"M0": 1.0, "v0": 1e150, "c": 1e160, "T": 1e10}, "lam**2 overflows a float"),
+        ("derive", {"M0": 1e-100, "v0": 1e160, "c": 1e170, "T": 1e-170}, "v0**2 overflows a float"),
+        ("check", {"M0": 1.0, "v0": 1e-155, "c": 1.0, "T": 1.0}, "(c/v0)**2 overflows a float"),
+        ("check", {"M0": 1, "v0": 0.5, "c": 1, "T": 1e-300}, "lam**2 underflows a float (lam = 5e-301)"),
+        ("derive", {"M0": 1, "v0": 0.5, "c": 1, "T": 1e-300}, "lam**2 underflows a float (lam = 5e-301)"),
+        ("derive", {"M0": 1, "v0": 1e-170, "c": 1e-169, "T": 1}, "v0**2 underflows a float (v0 = 1e-170)"),
+        ("derive", {"M0": 1e-300, "v0": 0.5, "c": 1, "T": 1e-300}, "the cyclic action M v0^2 T underflows a float"),
     ],
-    ids=["derive-lam", "check-lam", "derive-v0", "check-c-over-v0"],
+    ids=["derive-lam", "check-lam", "derive-v0", "check-c-over-v0",
+         "check-lam-underflows", "derive-lam-underflows", "derive-v0-underflows", "derive-cyclic-action-underflows"],
 )
 def test_overflowing_square_names_the_quantity(tmp_path, capsys, command, pars, word):
-    # float ** raises OverflowError where * gives inf
+    # float ** raises OverflowError where * gives inf, and gives 0.0 without
+    # a word below the smallest subnormal
     cfg = write_cfg(tmp_path / "c.json", {"parameters": pars})
     out = tmp_path / "o"
     assert run_cli(command, "--config", cfg, "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and word in err and "overflows" in err, err
+    assert err.startswith("error: ") and word in err, err
     assert not out.exists()
 
 
@@ -770,6 +776,15 @@ def test_runtime_error_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
         ('{"outputs": {"plots": "yes"}}', "outputs.plots"),
         ('{"seed": true}', "seed"),
         ('{"parameters": {"M0": true}}', "parameters.M0"),
+        # a string is not a number, even one that float() would parse
+        ('{"parameters": {"M0": "1_0"}}', "parameters.M0"),
+        ('{"parameters": {"v0": "1.0"}}', "parameters.v0"),
+        ('{"parameters": {"c": " 10 "}}', "parameters.c"),
+        ('{"parameters": {"T": "1"}}', "parameters.T"),
+        ('{"seed": "3"}', "seed"),
+        ('{"parameters": {"M0": "1_0", "v0": "1.0", "c": " 10 ", "T": "1"}, "seed": "3"}', "seed"),
+        ('{"simulation": {"dt": "0.001"}}', "simulation.dt"),
+        ('{"observables": {"resonator_radius": "6.4e6"}}', "observables.resonator_radius"),
     ],
 )
 def test_bad_config_value_names_key(tmp_path, capsys, text, key):
@@ -788,30 +803,26 @@ def test_integral_values_are_coerced():
     assert resolved["seed"] == 7 and isinstance(resolved["seed"], int)
 
 
-def test_retired_keys_dropped_when_they_change_nothing(tmp_path, capsys):
-    # a metadata.json from before the ensemble mode and outputs.plots were
-    # removed still carries their keys
-    old = {
-        "units": "natural",
-        "parameters": {"M0": 1.0, "v0": 1.0, "c": 10.0, "T": 1.0},
-        "simulation": {"dt": 1.0e-3, "t_end": 10.0, "mode": "aggregate", "n_inertons": 1},
-        "outputs": {"trajectory": True, "events": True, "el_residuals": False, "plots": True},
-        "seed": 0,
-    }
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run_cli("simulate", "--preset", "natural", "--out", str(a)) == 0
-    assert run_cli("simulate", "--config", write_cfg(tmp_path / "old.json", old), "--out", str(b)) == 0
-    assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
-    meta = json.loads((b / "metadata.json").read_text())
-    assert set(meta["simulation"]) == {"dt", "t_end"}
-    assert set(meta["outputs"]) == {"trajectory", "events", "el_residuals"}
-    assert "mode" not in meta["derived"]["integrator"]
+def test_plots_key_dropped_and_ensemble_keys_refused(tmp_path, capsys):
+    # configs written for older versions send outputs.plots; --format svg
+    # writes the plots, so a true or false there changes no byte
+    base = tmp_path / "base"
+    assert run_cli("simulate", "--preset", "natural", "--format", "svg", "--out", str(base)) == 0
+    for plots in (True, False):
+        cfg = write_cfg(tmp_path / "plots.json", {"outputs": {"plots": plots}})
+        out = tmp_path / f"plots-{plots}"
+        assert run_cli("simulate", "--preset", "natural", "--config", cfg, "--format", "svg", "--out", str(out)) == 0
+        assert sorted(os.listdir(out)) == sorted(os.listdir(base))
+        for name in os.listdir(base):
+            assert (out / name).read_bytes() == (base / name).read_bytes(), name
+        assert "plots" not in json.loads((out / "metadata.json").read_text())["outputs"]
     capsys.readouterr()
-    for sim, key in (({"mode": "ensemble"}, "simulation.mode"), ({"n_inertons": 2}, "simulation.n_inertons")):
-        cfg = write_cfg(tmp_path / "new.json", {"simulation": sim})
+    # the ensemble mode's keys, even at the values the aggregate run had
+    for sim, key in (({"mode": "aggregate"}, "simulation.mode"), ({"n_inertons": 1}, "simulation.n_inertons")):
+        cfg = write_cfg(tmp_path / "old.json", {"simulation": sim})
         out = tmp_path / "o"
         assert run_cli("simulate", "--preset", "natural", "--config", cfg, "--out", str(out)) == 1
-        assert capsys.readouterr().err.startswith(f"error: {key}: ensemble mode was removed")
+        assert capsys.readouterr().err == f"error: {key}: unknown key\n"
         assert not out.exists()
 
 
@@ -1015,3 +1026,33 @@ def test_simulate_fuzz(case):
             # most the crossing tolerance (to rounding)
             x = np.loadtxt(os.path.join(out, "trajectory.csv"), delimiter=",", skiprows=1, usecols=3)
             assert x.min() >= -(1.0 + 1e-12) * meta["derived"]["integrator"]["event_x_tolerance"]
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=_simulate_case())
+# the two underflows that once ended in a ZeroDivisionError traceback and in
+# a message that named no quantity
+@example(case=({"M0": 1, "v0": 0.5, "c": 1, "T": 1e-300}, {"dt": 1e-303, "t_end": 1e-300}, 1000, {"extreme"}))
+@example(case=({"M0": 1e-300, "v0": 0.5, "c": 1, "T": 1e-300}, {"dt": 1e-303, "t_end": 1e-300}, 1000, {"extreme"}))
+def test_check_fuzz(case):
+    pars, sim, divisor, kinds = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump({"parameters": pars, "simulation": sim}, fh)
+        out = os.path.join(tmp, "o")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["check", "--config", path, "--out", out])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if "junk" in kinds:
+            assert code == 1, err.getvalue()
+        elif kinds == {"good"}:
+            assert code == (0 if divisor >= 100 else 1), err.getvalue()
+        # a refused config writes nothing; a failed check still writes its
+        # report, while a runtime failure (also exit 2) writes nothing
+        assert os.path.exists(out) == (code == 0) or code == 2
+        if os.path.exists(out):
+            with open(os.path.join(out, "report.jsonl")) as fh:
+                assert len([json.loads(line, parse_constant=_reject_constant) for line in fh]) == 14
