@@ -53,21 +53,18 @@ class OscillatorSpec:
     p_max: float      # M v0
 
     @classmethod
-    def from_motion(cls, M: float, v0: float, T: float) -> "OscillatorSpec":
-        if not (M > 0.0 and v0 > 0.0 and T > 0.0):
+    def from_motion(cls, M, v0, T) -> "OscillatorSpec":
+        """The oscillator of floats ``M, v0, T``, or of equal-length arrays,
+        each entry with the bits of the float call on that entry; an array
+        call is refused if any entry is."""
+        if not np.all((M > 0.0) & (v0 > 0.0) & (T > 0.0)):
             raise ValueError(f"need M, v0, T > 0, got M={M}, v0={v0}, T={T}")
-        return cls(M, *_oscillator(M, v0, T))
+        omega = math.pi / T
+        return cls(M, omega, 0.5 * M * v0 * v0, v0 / omega, M * v0)
 
     @classmethod
     def from_params(cls, params: SystemParams) -> "OscillatorSpec":
         return cls.from_motion(params.M, params.v0, params.T)
-
-
-def _oscillator(M, v0, T):
-    """``omega, E, amplitude, p_max`` of `OscillatorSpec` from floats or from
-    arrays of ``M, v0, T``; each is rounded alike in both."""
-    omega = math.pi / T
-    return omega, 0.5 * M * v0 * v0, v0 / omega, M * v0
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,7 @@ class QuantizedKinematics:
 
 def effective_hamiltonian(p: float, X: float, spec: OscillatorSpec) -> float:
     """Oscillator energy function ``p^2/(2M) + M omega^2 X^2 / 2``."""
-    return p * p / (2.0 * spec.M) + 0.5 * spec.M * spec.omega ** 2 * X * X
+    return p * p / (2.0 * spec.M) + 0.5 * spec.M * (spec.omega * spec.omega) * X * X
 
 
 def shortened_action(X: float, spec: OscillatorSpec) -> float:
@@ -179,8 +176,11 @@ def _composite_gauss(f, t_lo: float, t_hi, n_panels: int):
 QUADRATURE_PANELS = 64  # panels of one full cycle; a multiple of 4, see `cyclic_action` and `lab_frame_action`
 
 
-def cyclic_action(spec: OscillatorSpec) -> float:
-    """Loop integral of ``p dX`` over one oscillator cycle.
+def cyclic_action(spec: OscillatorSpec):
+    """Loop integral of ``p dX`` over one oscillator cycle: a float, or an
+    array for a spec of arrays, each entry with the bits of the float call
+    (see test_cyclic_actions_match_scalar_loop_integrals_bitwise). An
+    action that overflows is inf, with no numpy warning, as a float is.
 
     Parametrized as ``X = A sin(omega t)``, ``p = p_max cos(omega t)``, the
     integrand ``p_max A omega cos^2(omega t)`` is the same on each quarter
@@ -189,19 +189,15 @@ def cyclic_action(spec: OscillatorSpec) -> float:
     ``QUADRATURE_PANELS // 4`` panels, each as wide as a full-cycle panel.
     Equals ``E * 2T = p0 * lam = M v0^2 T`` to 1e-9 relative or better.
     """
-    return float(_cyclic_actions([spec.p_max], [spec.amplitude], [spec.omega])[0])
-
-
-def _cyclic_actions(p_max, amplitude, omega) -> np.ndarray:
-    """`cyclic_action` of each entry of the arrays ``p_max, amplitude, omega``,
-    in one array pass (see test_cyclic_actions_match_scalar_loop_integrals_bitwise)."""
-    p, a, w = np.array([p_max, amplitude, omega], dtype=float)[:, :, None, None]
+    # each field with two trailing axes, the panels and the nodes of its integral
+    p, a, w = (np.asarray(v, dtype=float)[..., None, None] for v in (spec.p_max, spec.amplitude, spec.omega))
 
     def integrand(t):  # p dX/dt on the orbit at time t
         c = np.cos(w * t)
         return p * c * a * w * c
 
-    return 4.0 * _composite_gauss(integrand, 0.0, 0.5 * math.pi / w[:, 0, 0], QUADRATURE_PANELS // 4)
+    with np.errstate(over="ignore"):
+        return 4.0 * _composite_gauss(integrand, 0.0, 0.5 * math.pi / w[..., 0, 0], QUADRATURE_PANELS // 4)
 
 
 def lab_frame_action(params: SystemParams) -> float:
@@ -229,6 +225,7 @@ def quantize(M, v0, c, h) -> QuantizedKinematics:
     frequency ``M v0^2/(2h)`` and cloud amplitude ``lambda c / v0``. Takes
     floats or arrays; every entry of an array field has the bits of the
     float call on that entry, and an array call is refused if any entry is.
+    An ``M v0^2`` that underflows to 0.0 is refused too.
     """
     if not np.all(M > 0.0):
         raise ValueError(f"mass must be positive, got {M}")
@@ -236,6 +233,8 @@ def quantize(M, v0, c, h) -> QuantizedKinematics:
         raise ValueError(f"action quantum must be positive, got {h}")
     if not np.all((0.0 < v0) & (v0 < c)):
         raise ValueError(f"speeds must satisfy 0 < v0 < c, got v0={v0}, c={c}")
+    if not np.all(M * v0 * v0 > 0.0):
+        raise ValueError(f"M v0^2 underflows a float (M = {M}, v0 = {v0})")
     lam = h / (M * v0)
     return QuantizedKinematics(
         h=h,

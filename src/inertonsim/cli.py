@@ -211,7 +211,10 @@ def resolve_config(cfg):
                 raise ConfigError(f"parameters.{key}: must be positive, got {values[key]}")
         if not 0.0 < v0 < c:
             raise ConfigError("parameters.v0: must satisfy 0 < v0 < c")
-        T = quantize(_moving_mass(M0, _beta2(v0, c)), v0, c, values["h"]).T
+        try:
+            T = quantize(_moving_mass(M0, _beta2(v0, c)), v0, c, values["h"]).T
+        except ValueError as exc:
+            raise ConfigError(f"parameters.h: {exc}") from None
         if not 0.0 < T < math.inf:
             raise ConfigError(f"parameters.h: the period h / (M v0^2) must be positive and finite, got T={T}")
     try:
@@ -481,12 +484,15 @@ def cmd_sweep(ns):
             if isinstance(case, ValueError):
                 raise case
             params, _, resolved = case
+            action = cyclic_action(OscillatorSpec.from_params(params))
+            if action == math.inf:
+                raise ValueError(f"the cyclic action M v0^2 T overflows a float (M = {params.M:.6g}, "
+                                 f"v0 = {params.v0:.6g}, T = {params.T:.6g})")
             _, derived = _run_simulation(params, resolved, sub, ns.format, quiet=True)
-            spec_osc = OscillatorSpec.from_params(params)
             row = {
                 "max_oracle_error": derived["max_oracle_error"],
                 "max_invariant_residual": derived["max_invariant_residual"],
-                "cyclic_action": cyclic_action(spec_osc),
+                "cyclic_action": action,
                 "lambda": params.lam,
             }
             print(f"sweep {axis}={value:g}: ok (max oracle error {row['max_oracle_error']:.3e})")

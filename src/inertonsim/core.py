@@ -22,6 +22,7 @@ so they can be shared freely between threads or worker processes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
 
 
 _EXTERNAL_KEYS = {"lam": "lambda", "Lam": "Lambda"}
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,9 @@ def derive_kinematics(M0, v0, c, T) -> tuple[SystemParams, DerivedKinematics]:
     then every field of the two results is an array whose entries have the
     bits of the float call on that draw. The cloud rest mass follows from the
     masses' velocity relation, ``m0 = M0 v0^2 / c^2``. A refused input, a
-    cloud mass that underflows to 0 or a scale that overflows (any field that
-    is not finite, named) raises a ValueError; an array call raises the float
+    cloud mass or length scale below the smallest normal float (``m0``,
+    ``lam`` or ``Lam``) or a scale that overflows (any field that is not
+    finite), named, raises a ValueError; an array call raises the float
     call's error for its first refused draw.
 
     Pure and deterministic: identical inputs give bitwise-identical outputs.
@@ -121,16 +124,18 @@ def derive_kinematics(M0, v0, c, T) -> tuple[SystemParams, DerivedKinematics]:
         kin = DerivedKinematics(*_kinematics(params.M, v0, T))
     fields = {**vars(params), **vars(kin)}
     if draws:
-        # the conditions of `_validate_base`, the m0 underflow and the finiteness loop
-        valid = (M0 > 0.0) & (T > 0.0) & (0.0 < v0) & (v0 < c) & (m0 > 0.0)
+        # the conditions of `_validate_base`, the underflow loop and the finiteness loop
+        valid = (M0 > 0.0) & (T > 0.0) & (0.0 < v0) & (v0 < c)
+        valid &= (m0 >= _TINY) & (params.lam >= _TINY) & (params.Lam >= _TINY)
         for value in fields.values():
             valid &= np.isfinite(value)
         if not valid.all():
             i = int(np.argmin(valid))
             derive_kinematics(float(M0[i]), float(v0[i]), float(c[i]), float(T[i]))
         return params, kin
-    if not (m0 > 0.0):
-        raise ValueError(f"cloud rest mass m0 = M0 (v0/c)^2 underflows to {m0} for M0={M0}, v0={v0}, c={c}")
+    for name in ("m0", "lam", "Lam"):
+        if fields[name] < _TINY:
+            raise ValueError(f"{name} = {fields[name]} underflows a float for M0={M0}, v0={v0}, c={c}, T={T}")
     for name, value in fields.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} = {value} is not finite for M0={M0}, v0={v0}, c={c}, T={T}")
@@ -144,13 +149,12 @@ def _kinematics(M, v0, T):
 
 
 def _beta2(v0, c):
-    """``(v0/c)^2`` from floats or arrays, as a Python float ``**`` per
-    value: that is libm ``pow``, which is not always ``x*x``. An entry whose
-    square overflows a float (a refused draw) is inf instead of an
-    OverflowError."""
-    if not isinstance(v0, np.ndarray):
-        return (v0 / c) ** 2
-    return np.array([r ** 2 if abs(r) < 1.0e154 else math.inf for r in (v0 / c).tolist()])
+    """``(v0/c)^2`` from floats or arrays, as the product ``r * r`` of ``r =
+    v0/c``. Every square in this package is such a product, which IEEE 754
+    rounds correctly on any platform, where a float ``**`` is the C
+    library's ``pow``."""
+    r = v0 / c
+    return r * r
 
 
 def _moving_mass(rest, beta2):
@@ -162,15 +166,17 @@ def _moving_mass(rest, beta2):
     return rest * (1.0 / sqrt(1.0 - beta2))
 
 
-def _square(value: float, name: str) -> float:
-    """``value ** 2``; a square that overflows a float, or that underflows
-    to 0.0 from a nonzero ``value``, raises a ValueError naming ``name``."""
-    try:
-        square = value ** 2
-    except OverflowError:
-        raise ValueError(f"{name}**2 overflows a float ({name} = {value:.6g})") from None
-    if square == 0.0 and value != 0.0:
-        raise ValueError(f"{name}**2 underflows a float ({name} = {value:.6g})")
+def _square(value, name: str):
+    """``value * value`` of a float or of each entry of an array; a square
+    that overflows a float, or that falls below the smallest normal float
+    from a nonzero ``value``, raises a ValueError naming ``name`` and the
+    first refused value."""
+    with np.errstate(over="ignore"):
+        square = value * value
+    refused = np.ravel((square == math.inf) | ((square < _TINY) & (value != 0.0)))
+    if refused.any():
+        first = float(np.ravel(value)[np.argmax(refused)])
+        raise ValueError(f"{name}**2 {'under' if abs(first) < 1.0 else 'over'}flows a float ({name} = {first:.6g})")
     return square
 
 

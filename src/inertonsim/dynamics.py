@@ -243,7 +243,7 @@ def closed_form_trajectory(p: SystemParams, t_end: float) -> Trajectory:
     return Trajectory(
         p, dt, xi, V, chi, U,
         events=np.arange(1, n_events + 1) * p.T,
-        invariant_residuals=(1.0 - V) ** 2 + U ** 2 - 1.0,
+        invariant_residuals=np.square(1.0 - V) + np.square(U) - 1.0,
         metadata={"mode": "closed_form", "dt": dt, "t_end": t_end},
     )
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _text
-from .core import SystemParams
+from .core import SystemParams, _beta2
 from .dynamics import Trajectory
 
 __all__ = [
@@ -48,13 +48,13 @@ def eval_lagrangian_relativistic(v0: float, M0: float, c: float) -> float:
     """Free-particle value ``-M0 c^2 sqrt(1 - v0^2/c^2)``."""
     if abs(v0) >= c:
         raise ValueError(f"speed must satisfy |v0| < c, got v0={v0}, c={c}")
-    return -M0 * c * c * math.sqrt(1.0 - (v0 / c) ** 2)
+    return -M0 * c * c * math.sqrt(1.0 - _beta2(v0, c))
 
 
 def _bracket_aggregate(s, p: SystemParams):
     """The coupling bracket inside the aggregate radicand."""
     w2 = 2.0 * math.pi / p.T
-    root = math.sqrt(p.M0 * p.m0)
+    root = p.M0 * (p.v0 / p.c)  # sqrt(M0 m0) from m0 = M0 (v0/c)^2; the product M0 m0 underflows for a tiny M0
     return (
         p.M0 * s["dXdt"] * s["dXdt"]
         + p.m0 * s["dxdt"] * s["dxdt"]
@@ -64,7 +64,7 @@ def _bracket_aggregate(s, p: SystemParams):
 
 def _bracket_canonical(s, p: SystemParams):
     w = math.pi / p.T
-    root = math.sqrt(p.M0 * p.m0)
+    root = p.M0 * (p.v0 / p.c)  # sqrt(M0 m0), as in `_bracket_aggregate`
     return (
         p.M0 * s["dXdt"] * s["dXdt"]
         - p.M0 * w * w * s["X"] * s["X"]

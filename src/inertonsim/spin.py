@@ -122,12 +122,11 @@ def total_hamiltonian(p, pi, M0, c: float):
     ``p`` and ``pi`` may be scalars (magnitudes), component sequences or
     stacks whose last axis holds the components, and ``M0`` a float or an
     array; the result is a float or, for stacks, an array. Each value has
-    the bits of the one-momentum call: ``(M0 c) ** 2`` stays a Python float
-    ``**`` per value (see test_total_hamiltonian_stack_matches_single_calls_bitwise).
-    Monotone nondecreasing in both magnitudes.
+    the bits of the one-momentum call, every square being a product (see
+    test_total_hamiltonian_stack_matches_single_calls_bitwise). Monotone
+    nondecreasing in both magnitudes.
     """
-    mass_sq = np.reshape([v ** 2 for v in np.ravel(np.multiply(M0, c)).tolist()], np.shape(M0))
-    energy = c * np.sqrt(_sumsq(p) + _sumsq(pi) + mass_sq)
+    energy = c * np.sqrt(_sumsq(p) + _sumsq(pi) + np.square(np.multiply(M0, c)))
     return energy if np.ndim(energy) else float(energy)
 
 
@@ -170,7 +169,7 @@ def _dirac_stack(p, M0, c: float) -> ArrayC:
 def _square_deviations(H: ArrayC, energies) -> np.ndarray:
     """Max elementwise deviation of ``H @ H`` from ``e^2 I`` per matrix of
     the stack ``H`` (see test_dirac_stack_matches_single_operators_bitwise)."""
-    target = np.array([e ** 2 for e in np.ravel(energies).tolist()])[:, None, None] * np.eye(4)
+    target = np.square(np.ravel(energies))[:, None, None] * np.eye(4)
     return np.max(np.abs(H @ H - target), axis=(1, 2))
 
 

@@ -13,9 +13,13 @@ evaluate their draws in one array pass: one generator call draws all of a
 check's cases, which then keep the bits of a loop over single draws (see
 test_sampled_checks_match_per_draw_loops_bitwise).
 
-Most checks respect the supplied `SystemParams`; the ones whose tolerances
-are calibrated to a specific regime pin their own configuration and say so
-in their docstrings. Registry:
+The four integrator checks (``oracle_agreement`` to ``convergence_order``)
+run at fixed fractions of ``T``, so they depend on the supplied
+`SystemParams` only through ``dt/T``: every config gives them the same
+dimensionless run, up to the last bits of its time axis.
+``transform_invariance`` and ``sigma_scaling`` read the config; the checks
+calibrated to a specific regime pin their own configuration and say so in
+their docstrings, and the other sampled checks draw their own. Registry:
 
     oracle_agreement       integrated run vs closed form, scaled, 1e-6
     invariant_conservation first-integral residual along a run, 1e-8
@@ -175,9 +179,9 @@ def _check_transform_invariance(params, rng):
 
 def _check_action_triple_identity(params, rng):
     draws, _ = _draw_params(rng, 100)
-    omega, E, amplitude, p_max = action_mod._oscillator(draws.M, draws.v0, draws.T)
-    loop = action_mod._cyclic_actions(p_max, amplitude, omega)
-    e2t = E * 2.0 * draws.T
+    spec = action_mod.OscillatorSpec.from_params(draws)
+    loop = action_mod.cyclic_action(spec)
+    e2t = spec.E * 2.0 * draws.T
     p0lam = draws.M * draws.v0 * draws.lam
     deviations = np.stack([np.abs(loop - e2t), np.abs(loop - p0lam), np.abs(e2t - p0lam)], axis=1)
     return (deviations / np.abs(e2t)[:, None]).ravel(), 1.0e-9
@@ -186,13 +190,13 @@ def _check_action_triple_identity(params, rng):
 def _check_quantize_roundtrip(params, rng):
     draws, (h,) = _draw_params(rng, 100, extra=[_LOG_H])
     T = action_mod.quantize(draws.M, draws.v0, draws.c, h).T
-    omega, _, amplitude, p_max = action_mod._oscillator(draws.M, draws.v0, T)
-    return np.abs(action_mod._cyclic_actions(p_max, amplitude, omega) - h) / h, 1.0e-9
+    spec = action_mod.OscillatorSpec.from_motion(draws.M, draws.v0, T)
+    return np.abs(action_mod.cyclic_action(spec) - h) / h, 1.0e-9
 
 
 def _check_hj_grid(params, rng):
     draws, _ = _draw_params(rng, 10)
-    spec = action_mod.OscillatorSpec(draws.M, *action_mod._oscillator(draws.M, draws.v0, draws.T))
+    spec = action_mod.OscillatorSpec.from_params(draws)
     grid = np.linspace(-0.99 * spec.amplitude, 0.99 * spec.amplitude, 50, axis=-1)  # (draws, points)
     return (np.abs(action_mod.hj_residual(grid, spec)) / spec.E[:, None]).ravel(), 1.0e-7
 
@@ -223,19 +227,20 @@ def _check_channel_antisymmetry(params, rng):
 
 
 def _check_sigma_scaling(params, rng):
+    """The config, then its 50 draws in one array call."""
     draws, _ = _draw_params(rng, 50)
-    candidates = [params] + [SystemParams(*row) for row in zip(*(v.tolist() for v in vars(draws).values()))]
     values = []
-    for p in candidates:
+    for p in (params, draws):
         bounds = observables.cross_section_bounds(p)
         expected = _square(p.c / p.v0, "(c/v0)")
-        values.append(abs(bounds.upper / bounds.lower - expected) / expected)
+        values = np.append(values, np.abs(bounds.upper / bounds.lower - expected) / expected)
     return values, 1.0e-12
 
 
 def _check_resonator_ratio(params, rng):
-    radii = (math.exp(rng.uniform(math.log(1.0), math.log(1.0e8))) for _ in range(10))
-    return [abs(observables.resonator_dimensions(R).ratio - math.pi / 2.0) for R in radii], 1.0e-15
+    # one generator call; `math.exp` per value, which numpy's `exp` does not always round alike
+    radii = np.array([math.exp(u) for u in rng.uniform(math.log(1.0), math.log(1.0e8), size=10).tolist()])
+    return np.abs(observables.resonator_dimensions(radii).ratio - math.pi / 2.0), 1.0e-15
 
 
 # Checks that measure the shared `_standard_run`; they take the trajectory

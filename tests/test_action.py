@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -16,7 +17,7 @@ from inertonsim import (
     shortened_action,
 )
 from inertonsim.action import (
-    _GL_NODES, _GL_WEIGHTS, HJ_FD_STEP, QUADRATURE_PANELS, _composite_gauss, _cyclic_actions,
+    _GL_NODES, _GL_WEIGHTS, HJ_FD_STEP, QUADRATURE_PANELS, _composite_gauss,
 )
 from inertonsim.cli import builtin_presets, resolve_config
 from inertonsim.constants import LIGHT_SPEED, PLANCK
@@ -206,6 +207,14 @@ def test_quantize_validation():
         quantize(1.0, 1.0, 10.0, -1.0)
 
 
+def test_quantize_refuses_an_underflowing_m_v0_squared():
+    # M v0 = 1e-330 underflows to 0.0, where h / (M v0) once divided by zero
+    with pytest.raises(ValueError, match=re.escape("M v0^2 underflows a float (M = 1e-160, v0 = 1e-170)")):
+        quantize(1e-160, 1e-170, 1.0, 2.0)
+    with pytest.raises(ValueError, match="M v0\\^2 underflows a float"):  # M v0 is 1e-300, M v0^2 is 0.0
+        quantize(np.array([1.0, 1e-150]), np.array([0.5, 1e-150]), 1.0, 2.0)
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
@@ -252,7 +261,7 @@ def _loop_integrand(spec):
 
 def _reference_cyclic_action(spec):
     """One quarter-cycle loop integral from float spec fields: the reference
-    for `_cyclic_actions`."""
+    for `cyclic_action`."""
     quarter_cycle = 0.5 * math.pi / spec.omega
     return 4.0 * _reference_composite_gauss(_loop_integrand(spec), 0.0, quarter_cycle, QUADRATURE_PANELS // 4)
 
@@ -265,14 +274,16 @@ def _full_cycle_action(spec):
 
 def test_cyclic_actions_match_scalar_loop_integrals_bitwise():
     rng = np.random.default_rng(29)
-    specs = [
-        OscillatorSpec.from_motion(*(10.0 ** rng.uniform(-2.0, 2.0, 3)).tolist())
-        for _ in range(133)  # more than the 100 specs of either sampled check
-    ]
+    motions = 10.0 ** rng.uniform(-2.0, 2.0, (133, 3))  # more than the 100 specs of either sampled check
+    specs = [OscillatorSpec.from_motion(*row) for row in motions.tolist()]
+    batch = OscillatorSpec.from_motion(*motions.T)
+    for name, values in vars(batch).items():
+        assert np.array_equal(_bits(values), _bits([getattr(s, name) for s in specs])), name
     reference = [_reference_cyclic_action(spec) for spec in specs]
-    fields = np.array([(s.p_max, s.amplitude, s.omega) for s in specs]).T
-    assert np.array_equal(_bits(_cyclic_actions(*fields)), _bits(reference))
-    assert np.array_equal(_bits([cyclic_action(s) for s in specs]), _bits(reference))
+    assert np.array_equal(_bits(cyclic_action(batch)), _bits(reference))
+    singles = [cyclic_action(s) for s in specs]
+    assert all(type(v) is float for v in singles)
+    assert np.array_equal(_bits(singles), _bits(reference))
 
 
 # Largest distance, in units in the last place of the full-cycle value, between
@@ -286,7 +297,7 @@ def test_quarter_cycle_rule_stays_within_ulps_of_the_full_cycle_rule():
     rng = np.random.default_rng(31)
     specs = [OscillatorSpec.from_motion(*(10.0 ** rng.uniform(-3.0, 3.0, 3)).tolist()) for _ in range(1200)]
     specs += [OscillatorSpec.from_params(resolve_config(cfg)[0]) for cfg in builtin_presets().values()]
-    fields = np.array([(s.p_max, s.amplitude, s.omega) for s in specs]).T
-    for quarter, spec in zip(_cyclic_actions(*fields).tolist(), specs):
+    fields = np.array([dataclasses.astuple(s) for s in specs]).T
+    for quarter, spec in zip(cyclic_action(OscillatorSpec(*fields)).tolist(), specs):
         full = _full_cycle_action(spec)
         assert abs(quarter - full) <= _QUARTER_RULE_ULPS * math.ulp(full), (quarter.hex(), full.hex())

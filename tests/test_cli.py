@@ -160,6 +160,20 @@ def test_h_path_names_h_when_the_period_is_unusable(tmp_path, capsys, pars, peri
 
 
 @pytest.mark.parametrize(
+    "args",
+    [["derive"], ["simulate"], ["check"], ["sweep", "--axis", "h", "--values", "1,2"]],
+    ids=["derive", "simulate", "check", "sweep-h"],
+)
+def test_h_path_refuses_an_underflowing_m_v0_squared(tmp_path, capsys, args):
+    # M v0 underflows to 0.0, where quantize once divided by zero
+    cfg = write_cfg(tmp_path / "c.json", {"parameters": {"M0": 1e-160, "v0": 1e-170, "c": 1.0, "h": 2}})
+    out = tmp_path / "o"
+    assert run_cli(*args, "--config", cfg, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: parameters.h: M v0^2 underflows a float (M = 1e-160, v0 = 1e-170)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "args, flag",
     [
         (["simulate", "--bogus", "1"], "--bogus"),
@@ -308,7 +322,7 @@ def test_simulate_el_residuals_past_validity_writes_nothing(tmp_path, capsys):
             "particle residual is not finite at t=",
         ),
         # some brackets overflow to NaN; the message gives the least refused radicand
-        ({"M0": 1e300, "v0": 0.5, "c": 1, "T": 1}, {"t_end": 1}, "Lagrangian radicand is negative (-inf)"),
+        ({"M0": 1e308, "v0": 0.5, "c": 1, "T": 1}, {"t_end": 1}, "Lagrangian radicand is negative (-inf)"),
     ],
     ids=["rest-energy-underflows", "bracket-overflows"],
 )
@@ -674,11 +688,14 @@ def test_non_finite_parameter_rejected(tmp_path, capsys, key, value):
         ({"M0": 1.0, "v0": 1e-300, "c": 10.0, "T": 1.0}, ["m0", "underflows"]),
         ({"M0": 1e308, "v0": 0.9, "c": 1.0, "T": 1.0}, ["parameters: M = inf"]),
         ({"M0": 1.0, "v0": 1e150, "c": 1e160, "T": 1e160}, ["parameters: lam = inf"]),
-        ({"M0": 1.0, "v0": 1.0, "c": 10.0, "T": 1e-310}, ["parameters: nu = inf"]),
+        ({"M0": 1.0, "v0": 1e10, "c": 1e11, "T": 1e-310}, ["parameters: nu = inf"]),
+        # lam and Lam underflow to 0.0; once, simulate wrote X = x = 0 and check divided by zero
+        ({"M0": 1e100, "v0": 1e-170, "c": 1e-160, "T": 1e-200}, ["parameters: lam = 0.0 underflows a float"]),
+        ({"M0": 1e-300, "v0": 1e-5, "c": 1.0, "T": 1.0}, ["parameters: m0 = 1e-310 underflows a float"]),
     ],
-    ids=["m0-underflows", "M-overflows", "lam-overflows", "nu-overflows"],
+    ids=["m0-underflows", "M-overflows", "lam-overflows", "nu-overflows", "lam-underflows", "m0-subnormal"],
 )
-@pytest.mark.parametrize("command", ["simulate", "derive"])
+@pytest.mark.parametrize("command", ["simulate", "derive", "check"])
 def test_underflowing_cloud_mass_rejected(tmp_path, capsys, command, pars, words):
     cfg = write_cfg(tmp_path / "c.json", {"parameters": pars})
     out = tmp_path / "o"
@@ -694,18 +711,22 @@ def test_underflowing_cloud_mass_rejected(tmp_path, capsys, command, pars, words
         ("derive", {"M0": 1.0, "v0": 1e150, "c": 1e160, "T": 1e10}, "lam**2 overflows a float"),
         ("check", {"M0": 1.0, "v0": 1e150, "c": 1e160, "T": 1e10}, "lam**2 overflows a float"),
         ("derive", {"M0": 1e-100, "v0": 1e160, "c": 1e170, "T": 1e-170}, "v0**2 overflows a float"),
-        ("check", {"M0": 1.0, "v0": 1e-155, "c": 1.0, "T": 1.0}, "(c/v0)**2 overflows a float"),
+        ("check", {"M0": 1e10, "v0": 1e-155, "c": 1.0, "T": 1e10}, "(c/v0)**2 overflows a float"),
         ("check", {"M0": 1, "v0": 0.5, "c": 1, "T": 1e-300}, "lam**2 underflows a float (lam = 5e-301)"),
         ("derive", {"M0": 1, "v0": 0.5, "c": 1, "T": 1e-300}, "lam**2 underflows a float (lam = 5e-301)"),
         ("derive", {"M0": 1, "v0": 1e-170, "c": 1e-169, "T": 1}, "v0**2 underflows a float (v0 = 1e-170)"),
         ("derive", {"M0": 1e-300, "v0": 0.5, "c": 1, "T": 1e-300}, "the cyclic action M v0^2 T underflows a float"),
+        # lam**2 = 1e-320 is subnormal; once, derive wrote it and check failed sigma_scaling
+        ("derive", {"M0": 1e150, "v0": 1.0, "c": 10.0, "T": 1e-160}, "lam**2 underflows a float (lam = 1e-160)"),
+        ("check", {"M0": 1e150, "v0": 1.0, "c": 10.0, "T": 1e-160}, "lam**2 underflows a float (lam = 1e-160)"),
     ],
     ids=["derive-lam", "check-lam", "derive-v0", "check-c-over-v0",
-         "check-lam-underflows", "derive-lam-underflows", "derive-v0-underflows", "derive-cyclic-action-underflows"],
+         "check-lam-underflows", "derive-lam-underflows", "derive-v0-underflows", "derive-cyclic-action-underflows",
+         "derive-lam-subnormal", "check-lam-subnormal"],
 )
 def test_overflowing_square_names_the_quantity(tmp_path, capsys, command, pars, word):
-    # float ** raises OverflowError where * gives inf, and gives 0.0 without
-    # a word below the smallest subnormal
+    # a square that overflows, or that falls below the smallest normal float,
+    # is refused with its quantity named
     cfg = write_cfg(tmp_path / "c.json", {"parameters": pars})
     out = tmp_path / "o"
     assert run_cli(command, "--config", cfg, "--out", str(out)) == 1
@@ -968,14 +989,15 @@ def test_derive_config_fuzz(cfg, preset):
 # Values that may replace a parameter: junk must end in exit 1, extremes in
 # any documented way.
 _JUNK = st.sampled_from([0.0, -1.0, math.nan, math.inf, True, "abc", None, [1.0], {}])
-_EXTREME = st.sampled_from([1e-300, 1e160, 1e300])
+_EXTREME = st.sampled_from([1e-300, 1e-160, 1e160, 1e300])
 
 
 @st.composite
 def _simulate_case(draw):
     """A parameter set from the `sample_params` ranges, some of it
     replaced by junk or extremes, and a grid of at most 3 T with dt from
-    T/2000 to T/50 (the coarse end is inadmissible)."""
+    T/2000 to T/50 (the coarse end is inadmissible). One case in four gives
+    ``h`` in [0.1, 10] in place of ``T``, on the default grid of T/1000."""
     pars = {
         "M0": draw(st.floats(0.1, 10.0)),
         "v0": draw(st.floats(0.01, 0.9)),
@@ -985,6 +1007,9 @@ def _simulate_case(draw):
     divisor = draw(st.integers(50, 2000))
     dt = pars["T"] / divisor
     sim = {"dt": dt, "t_end": draw(st.integers(1, 3 * divisor)) * dt}
+    if draw(st.integers(0, 3)) == 0:
+        pars["h"] = pars.pop("T")
+        divisor, sim = 1000, {}
     kinds = set()
     for key in pars:
         kind = draw(st.sampled_from(["good"] * 5 + ["junk", "extreme"]))
@@ -996,6 +1021,8 @@ def _simulate_case(draw):
 
 @settings(deadline=None, max_examples=60)
 @given(case=_simulate_case())
+# the h-given config whose M v0 underflows, once a ZeroDivisionError in quantize
+@example(case=({"M0": 1e-160, "v0": 1e-170, "c": 1.0, "h": 2.0}, {}, 1000, {"extreme"}))
 def test_simulate_fuzz(case):
     pars, sim, divisor, kinds = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -1019,7 +1046,7 @@ def test_simulate_fuzz(case):
             with open(meta_path) as fh:
                 meta = json.load(fh, parse_constant=_reject_constant)
             # a reflection at t_end itself belongs to the run
-            periods = meta["simulation"]["t_end"] / meta["parameters"]["T"]
+            periods = meta["simulation"]["t_end"] / meta["derived"]["system"]["T"]
             assert meta["derived"]["n_events"] == math.floor(periods + 1e-9)
             assert meta["derived"]["max_oracle_error"] < 1e-4
             # only a sample just after a reflection sits below x = 0, by at
@@ -1034,6 +1061,8 @@ def test_simulate_fuzz(case):
 # a message that named no quantity
 @example(case=({"M0": 1, "v0": 0.5, "c": 1, "T": 1e-300}, {"dt": 1e-303, "t_end": 1e-300}, 1000, {"extreme"}))
 @example(case=({"M0": 1e-300, "v0": 0.5, "c": 1, "T": 1e-300}, {"dt": 1e-303, "t_end": 1e-300}, 1000, {"extreme"}))
+# the h-given config whose M v0 underflows, once a ZeroDivisionError in quantize
+@example(case=({"M0": 1e-160, "v0": 1e-170, "c": 1.0, "h": 2.0}, {}, 1000, {"extreme"}))
 def test_check_fuzz(case):
     pars, sim, divisor, kinds = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -1056,3 +1085,36 @@ def test_check_fuzz(case):
         if os.path.exists(out):
             with open(os.path.join(out, "report.jsonl")) as fh:
                 assert len([json.loads(line, parse_constant=_reject_constant) for line in fh]) == 14
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    case=_simulate_case(),
+    axis=st.sampled_from(["M0", "v0", "c", "T", "h", "dt", "t_end"]),
+    values=st.lists(st.floats(0.01, 10.0) | _EXTREME, min_size=1, max_size=3),
+)
+# the h sweep whose M v0 underflows, once a ZeroDivisionError in quantize
+@example(case=({"M0": 1e-160, "v0": 1e-170, "c": 1.0, "h": 2.0}, {}, 1000, {"extreme"}), axis="h", values=[1.0, 2.0])
+def test_sweep_fuzz(case, axis, values):
+    pars, sim, _, _ = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump({"parameters": pars, "simulation": sim}, fh)
+        out = os.path.join(tmp, "o")
+        err = io.StringIO()
+        argv = ["sweep", "--axis", axis, "--values", ",".join(map(repr, values)), "--config", path, "--out", out]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        # a sweep none of whose cases resolves writes nothing; otherwise every
+        # value has a row, of finite metrics on exit 0 and a nan row per failure
+        assert os.path.exists(out) == (code != 1)
+        if code in (0, 2):
+            with open(os.path.join(out, "summary.csv")) as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert [float(row[0]) for row in rows] == values
+            failed = [row for row in rows if all(math.isnan(float(v)) for v in row[1:])]
+            assert all(math.isfinite(float(v)) for row in rows if row not in failed for v in row[1:])
+            assert bool(failed) == (code == 2)

@@ -134,12 +134,13 @@ def test_derive_batch_equals_derive_kinematics_bitwise():
 
 
 # Rows the float call refuses, one per way of refusing: a base input out of
-# range, the m0 underflow, an overflowing scale, and a v0/c whose Python
-# square would raise an OverflowError.
+# range, an m0 or lam below the smallest normal float, an overflowing scale,
+# and a v0/c whose square overflows a float.
 _REFUSED = {
     "M0-inf": (math.inf, 0.5, 1.0), "v0-nan": (1.0, math.nan, 1.0), "M0-negative": (-1.0, 0.5, 1.0),
     "v0-at-c": (1.0, 1.0, 1.0), "v0-negative": (1.0, -0.5, 1.0), "T-zero": (1.0, 0.5, 0.0),
-    "m0-underflow": (1.0, 1e-300, 1.0), "M-overflow": (1e308, 0.9, 1.0), "nu-overflow": (1.0, 0.5, 1e-310),
+    "m0-underflow": (1.0, 1e-300, 1.0), "m0-subnormal": (1e-300, 1e-5, 1.0), "lam-subnormal": (1.0, 0.5, 1e-308),
+    "M-overflow": (1e308, 0.9, 1.0), "nu-overflow": (1.0, 0.5, 1e-310),  # at c = 1, lam = 5e-311 is refused first
     "v0-square-overflows": (1.0, 1e155, 1.0), "v0-negative-square-overflows": (1.0, -1e155, 1.0),
 }
 

@@ -119,12 +119,12 @@ def _reference_total_hamiltonian(p, pi, M0, c):
     def sumsq(v):
         return v * v if isinstance(v, float) else sum((x * x for x in v), 0.0)
 
-    return c * math.sqrt(sumsq(p) + sumsq(pi) + (M0 * c) ** 2)
+    return c * math.sqrt(sumsq(p) + sumsq(pi) + (M0 * c) * (M0 * c))
 
 
 _RNG = np.random.default_rng(13)
-# masses whose float ** 2 is not x * x, and momenta whose np.dot is not the
-# left-to-right sum of squares: a numpy square or a BLAS dot would show on them
+# masses whose float ** 2 (libm pow) is not x * x, and momenta whose np.dot is
+# not the left-to-right sum of squares: a float ** or a BLAS dot would show on them
 # (here 10 of each; how many exist depends on the libm and the BLAS)
 _POW_MASSES = [m for m in _RNG.uniform(0.1, 10.0, 40000).tolist() if m ** 2 != m * m][:10]
 _DOT_MOMENTA = [
@@ -233,8 +233,9 @@ def _reference_matrix(p, M0, c):
 
 
 def _reference_square_deviation(op):
-    """One deviation with a float ``e ** 2``: the reference for `_square_deviations`."""
-    target = op.expected_branch_energy() ** 2 * np.eye(4)
+    """One deviation with a float ``e * e``: the reference for `_square_deviations`."""
+    e = op.expected_branch_energy()
+    target = e * e * np.eye(4)
     return float(np.max(np.abs(op.matrix @ op.matrix - target)))
 
 
@@ -243,7 +244,7 @@ def test_dirac_stack_matches_single_operators_bitwise():
     p = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(300, 1))
     M0 = rng.uniform(0.01, 10.0, size=300)
     # At rest and c = 1 the branch energy is M0 itself; these masses square differently
-    # under float ** and numpy's x*x, so a numpy square would show.
+    # under float ** (libm pow) and x*x, so a float ** would show.
     masses = [m for m in rng.uniform(0.1, 10.0, 40000).tolist() if m ** 2 != m * m][:20]
     p = np.vstack([p, np.zeros((len(masses), 3))])
     M0 = np.concatenate([M0, masses])

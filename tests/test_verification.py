@@ -167,15 +167,17 @@ _LAST_CASE_NAN = {
         lagrangian, "el_residual", 1, lambda r: dataclasses.replace(r, max_abs_residual=math.nan)
     ),
     "transform_invariance": (lagrangian, "eval_lagrangian_canonical", 1, _nan_last),
-    "action_triple_identity": (action, "_cyclic_actions", 1, _nan_last),
-    "quantize_roundtrip": (action, "_cyclic_actions", 1, _nan_last),
+    "action_triple_identity": (action, "cyclic_action", 1, _nan_last),
+    "quantize_roundtrip": (action, "cyclic_action", 1, _nan_last),
     "hj_grid": (action, "hj_residual", 1, _nan_last),
     "dirac_algebra": (spin, "total_hamiltonian", 1, _nan_last),
     "dirac_spectrum": (spin, "total_hamiltonian", 1, _nan_last),
     "channel_antisymmetry": (spin, "spin_eigenvalue", 2, _nan_last),
-    "sigma_scaling": (observables, "cross_section_bounds", 51, lambda b: dataclasses.replace(b, upper=math.nan)),
+    "sigma_scaling": (
+        observables, "cross_section_bounds", 2, lambda b: dataclasses.replace(b, upper=_nan_last(b.upper))
+    ),
     "resonator_ratio": (
-        observables, "resonator_dimensions", 10, lambda g: dataclasses.replace(g, ratio=math.nan)
+        observables, "resonator_dimensions", 1, lambda g: dataclasses.replace(g, ratio=_nan_last(g.ratio))
     ),
 }
 
@@ -202,6 +204,14 @@ def test_transform_invariance_without_a_counted_draw_fails(monkeypatch):
     for seed in (0, 42, 1001):
         (report,) = run_checks(selection=["transform_invariance"], params=params, seed=seed)
         assert (report.status, report.measured, report.cases, report.non_finite) == ("fail", 0.0, 0, 0)
+
+
+@pytest.mark.parametrize("M0", [1e-160, 1e-200, 1e-300])
+def test_transform_invariance_passes_for_a_tiny_rest_mass(M0):
+    # sqrt(M0 m0) is formed as M0 v0/c: the product M0 m0 underflows here
+    params, _ = derive_kinematics(M0, 0.3, 1.0, 2.0)
+    (report,) = run_checks(selection=["transform_invariance"], params=params)
+    assert report.passed and report.cases > 100, report
 
 
 def test_standard_run_is_integrated_once(monkeypatch):
@@ -343,7 +353,7 @@ def _per_draw_dirac_algebra(p, rng):
     values = list(anticommutation_deviations().values())
     for _ in range(100):
         matrix, e = _per_draw_dirac_operator(rng)
-        values.append(float(np.max(np.abs(matrix @ matrix - e ** 2 * np.eye(4)))))
+        values.append(float(np.max(np.abs(matrix @ matrix - e * e * np.eye(4)))))
     return values
 
 
@@ -370,9 +380,14 @@ def _per_draw_sigma_scaling(p, rng):
     values = []
     for q in [p] + [sample_params(rng) for _ in range(50)]:
         bounds = observables.cross_section_bounds(q)
-        expected = (q.c / q.v0) ** 2
+        expected = (q.c / q.v0) * (q.c / q.v0)
         values.append(abs(bounds.upper / bounds.lower - expected) / expected)
     return values
+
+
+def _per_draw_resonator_ratio(p, rng):
+    radii = [math.exp(rng.uniform(math.log(1.0), math.log(1.0e8))) for _ in range(10)]
+    return [abs(observables.resonator_dimensions(R).ratio - math.pi / 2.0) for R in radii]
 
 
 # Each check as a loop over single draws from the same per-check generator:
@@ -387,6 +402,7 @@ _PER_DRAW_CHECKS = {
     "dirac_spectrum": _per_draw_dirac_spectrum,
     "channel_antisymmetry": _per_draw_channel_antisymmetry,
     "sigma_scaling": _per_draw_sigma_scaling,
+    "resonator_ratio": _per_draw_resonator_ratio,
 }
 
 
@@ -407,7 +423,7 @@ def _assert_matches_per_draw(params, seed):
 
 
 def test_draw_params_follow_the_per_draw_stream():
-    # enough draws that some square (v0/c)**2 is one where libm pow and x*x differ
+    # enough draws that some (v0/c)**2 is one where libm pow and x*x differ, so a float ** would show
     batched = np.random.default_rng(11)
     draws, (h,) = verification._draw_params(batched, 4000, extra=[verification._LOG_H])
     fields = vars(draws)

@@ -5,8 +5,10 @@
 Runs one fixed case matrix on the files committed at git revision REV
 (``git archive`` unpacked into a temporary directory) and on the worktree:
 
-- ``simulate`` (csv and svg), ``derive``, ``check`` and a ``dt`` sweep at
-  T/1000, T/500 and T/250, on each of the three presets;
+- ``simulate`` (csv, svg, and csv with ``outputs.el_residuals``),
+  ``derive``, ``check``, a ``dt`` sweep at T/1000, T/500 and T/250 and a
+  ``v0`` sweep at 0.5, 1 and 2 times the preset's ``v0``, on each of the
+  three presets;
 - the config of each benchmark workload (``bench/workloads.py``) at seeds
   1, 2 and 3.
 
@@ -53,14 +55,21 @@ import workloads
 from inertonsim import cli
 
 root = sys.argv[1]
+el_config = root + ".el.json"  # beside root, so that only outputs are compared
+with open(el_config, "w") as fh:
+    json.dump({"outputs": {"el_residuals": True}}, fh)
 cases = []
 for preset in ("natural", "electron-1e6", "electron-atomic"):
-    dt = cli.builtin_presets()[preset]["simulation"]["dt"]  # T/1000
+    config = cli.builtin_presets()[preset]
+    dt = config["simulation"]["dt"]  # T/1000
     steps = ",".join(repr(k * dt) for k in (1, 2, 4))
+    speeds = ",".join(repr(k * config["parameters"]["v0"]) for k in (0.5, 1, 2))
     for name, argv in (("simulate-csv", ["simulate", "--format", "csv"]),
                        ("simulate-svg", ["simulate", "--format", "svg"]),
+                       ("simulate-el", ["simulate", "--config", el_config]),
                        ("derive", ["derive"]), ("check", ["check"]),
-                       ("sweep-dt", ["sweep", "--axis", "dt", "--values", steps])):
+                       ("sweep-dt", ["sweep", "--axis", "dt", "--values", steps]),
+                       ("sweep-v0", ["sweep", "--axis", "v0", "--values", speeds])):
         out = os.path.join(root, f"{preset}.{name}")
         cases.append((f"{preset}.{name}", [*argv, "--preset", preset, "--out", out]))
 for workload in workloads.WORKLOADS:
