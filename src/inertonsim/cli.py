@@ -340,10 +340,10 @@ def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
 
     derived = {
         "system": params.to_dict(),
-        "n_samples": len(traj.xi),
+        "n_samples": len(traj.w),
         "n_events": len(traj.events),
         "max_oracle_error": errs["max"],
-        "max_invariant_residual": float(np.max(np.abs(traj.invariant_residuals))),
+        "max_invariant_residual": traj.max_abs_residual(),
         "integrator": traj.metadata,
     }
     files.append(("metadata.json", _json("metadata.json", _metadata(resolved, "simulate", derived))))

@@ -34,19 +34,23 @@ IV.2), and RK4 keeps linear invariants exactly (Hairer, Lubich & Wanner,
 *Geometric Numerical Integration*, Thm. IV.1.5): this is RK4 on all of
 ``y``. The integrator tabulates ``R^1..R^B`` once per run
 (``B <= BLOCK_STEPS``) and advances a whole block of samples from the
-block's start state with one multiplication into the sample array, so
-memory stays linear in the number of samples.
+block's start state with one multiplication into the state array, so
+memory is the state's 16 B per sample.
 
 A step that ends with ``x < 0`` from ``x >= 0`` contains a reflection.
 Newton's method on ``Re(R(-i pi s) w)``, started from the linear guess,
-locates the partial step ``s`` of the crossing to ``|x| <= 1e-12 * Lam``.
-The reset ``dx/dt -> -dx/dt`` turns ``w`` into its conjugate and lowers
-``u`` by twice the ``U`` at impact; the rest of the step is taken from the
-reflected state, so samples stay on the grid, and the next block starts
-from there. Event location and the reset run on Python complex scalars,
-while the blocks stay vectorized; the first-integral residuals
-``|w|^2 - 1`` and the divergence guard on them are computed once per run,
-after the last block.
+locates the partial step ``s`` of the crossing to ``|x| <= 1e-12 * Lam``;
+a crossing still farther after `NEWTON_MAX_ITER` steps ends the run with
+a RuntimeError. The reset ``dx/dt -> -dx/dt`` turns ``w`` into its
+conjugate and lowers ``u`` by twice the ``U`` at impact; the rest of the
+step is taken from the reflected state, so samples stay on the grid, and
+the next block starts from there. Event location and the reset run on
+Python complex scalars, while the blocks stay vectorized. The run is ``w``
+and the jumps of ``u``: no column is stored. After the last block the
+first-integral residuals ``|w|^2 - 1``, and the divergence guard on them,
+are computed one block of `ROW_BLOCK` samples at a time, and
+`Trajectory.rows` derives the columns and residuals of any slice the same
+way.
 
 The exact motion is known in closed form: `_exact` evaluates it in these
 units, with the branch at contact instants ``t = n T`` resolved to the right
@@ -59,6 +63,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,15 +98,16 @@ DIVERGENCE_LIMIT = 1.0e-3   # hard cap on the first-integral residual
 # A block never spans more steps than this.
 BLOCK_STEPS = 1024
 NEWTON_MAX_ITER = 100
-# Largest admitted run. A whole `simulate` run peaks at 58 B per step, about
-# 0.73 GB, plus about 2 MB of fixed-size blocks (tracemalloc): with `--format
-# svg` in the trajectory panel, the trajectory's 40 B per sample plus the
-# panel's time axis and pixel-column positions; otherwise at 56 B in
-# `integrate`, the columns and residuals plus the state `w`.
+# Largest admitted run. A whole `simulate` run peaks at 17 B per step, about
+# 0.21 GB, plus about 2 MB of fixed-size blocks (tracemalloc): the state `w`
+# (16 B per sample) and, in the CSV writer, its event flags (1 B). With
+# `outputs.el_residuals`, the full-length columns of `el_residual` take it to
+# about 123 B per step.
 MAX_STEPS = 12_500_000
-# Samples per block of `oracle_errors`: the block's exact columns and their
-# times take 40 B per sample, 655 KB, however long the run.
-ORACLE_BLOCK = 16384
+# Samples per block of a reader that derives rows of `w` (the divergence
+# guard, `oracle_errors`, the trajectory panel, the CLI's residual maximum):
+# 8 B per sample per row, 128 KB, however long the run.
+ROW_BLOCK = 16384
 CLOSED_FORM_STEPS = 4000    # samples per period of `closed_form_trajectory`
 
 # Coefficients of R(-i pi s) in s, (-i pi)^k / k!, k = 0..4 (`_step_factor`).
@@ -111,6 +117,9 @@ _STEP_COEFFS = tuple((-1j * math.pi) ** k / math.factorial(k) for k in range(5))
 # or array. The evaluators here and in `lagrangian` accept any of them.
 SAMPLE_FIELDS = ("t", "X", "dXdt", "x", "dxdt")
 SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in SAMPLE_FIELDS])
+# The rows that `Trajectory.rows` derives from ``w``: the dimensionless
+# columns, then the first-integral residual.
+ROWS = ("xi", "V", "chi", "U", "residual")
 
 
 class DivergenceError(RuntimeError):
@@ -123,48 +132,118 @@ def _units(p: SystemParams, t, xi, V, chi, U) -> dict:
     return dict(t=t, X=xi * p.lam, dXdt=V * p.v0, x=chi * p.Lam, dxdt=U * p.c)
 
 
+def _tau(lo: int, hi: int, dt: float, T: float) -> np.ndarray:
+    """``i dt / T`` for the samples ``i`` from ``lo`` to ``hi - 1``."""
+    tau = np.arange(lo, hi, dtype=np.float64)
+    tau *= dt
+    tau /= T
+    return tau
+
+
+def _residual(w: np.ndarray, out=None) -> np.ndarray:
+    """``(Re w)^2 + (Im w)^2 - 1`` per sample of ``w``, into ``out`` if given."""
+    out = np.square(w.real, out=out)
+    out += np.square(w.imag)
+    out -= 1.0
+    return out
+
+
+def _whole(name: str) -> property:
+    """The row ``name`` of every sample, derived anew on each access."""
+    return property(lambda self: self.rows(0, len(self.w), (name,))[0])
+
+
 @dataclass
 class Trajectory:
-    """Uniformly sampled run with its reflection events, in the integrator's units.
+    """Uniformly sampled run with its reflection events: the integrator's state.
 
-    Sample ``i`` is at ``t = i dt``; its columns ``xi, V, chi, U`` are
-    ``X/lam, dXdt/v0, x/Lam, dxdt/c``, with ``chi >= -EVENT_X_TOL`` to
-    rounding (only a sample just after a reflection sits below zero), and
-    `columns` applies the units. ``events`` is the float64 array of
-    reflection times in increasing order. ``invariant_residuals`` is the
-    array of first-integral residuals per sample. ``metadata`` records how
-    the run was produced (grid and event tolerances) and is emitted
-    verbatim by the CLI.
+    Sample ``i`` is at ``t = i dt``; ``w`` holds its state ``(1 - V) + iU``
+    (16 B per sample), and ``jumps`` the jumps of ``u`` as ``(sample,
+    jump)`` pairs in sample order, the first ``(0, 1.0)``. `rows` derives the
+    columns ``xi, V, chi, U`` (``X/lam, dXdt/v0, x/Lam, dxdt/c``) and the
+    first-integral residual of any slice, and `columns` applies the units.
+    ``chi >= -EVENT_X_TOL`` to rounding (only a sample just after a
+    reflection sits below zero). ``events`` is the float64 array of
+    reflection times in increasing order. ``metadata`` records how the run
+    was produced (grid and event tolerances) and is emitted verbatim by the
+    CLI. The properties ``xi``, ``V``, ``chi``, ``U``,
+    ``invariant_residuals`` and `samples` derive every sample anew on each
+    access; they serve the tests, the demos and the benchmark's counters,
+    while the program reads by block.
     """
 
     params: SystemParams
     dt: float
-    xi: np.ndarray
-    V: np.ndarray
-    chi: np.ndarray
-    U: np.ndarray
+    w: np.ndarray
+    jumps: list[tuple[int, float]]
     events: np.ndarray
-    invariant_residuals: np.ndarray
     metadata: dict = field(default_factory=dict)
+
+    xi, V, chi, U, invariant_residuals = map(_whole, ROWS)
+
+    @cached_property
+    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """The samples at which ``u`` jumps, then ``len(w)``; and ``u``
+        from each, the running sum of the jumps."""
+        starts, jumps = zip(*self.jumps)
+        return np.array([*starts, len(self.w)]), np.cumsum(jumps)
+
+    def rows(self, lo: int, hi: int, names=ROWS, out=None) -> np.ndarray:
+        """The rows ``names`` (of `ROWS`) of samples ``lo`` to ``hi - 1``,
+        derived from ``w`` as the rows of one block, ``out`` if given:
+
+            xi = (Im w - u) / pi + i dt / T    V = 1 - Re w    chi = Re w / pi
+            U = Im w                             residual = (Re w)^2 + (Im w)^2 - 1
+
+        Each is computed in this order, so a value keeps its bits whatever
+        the slice; ``u`` comes from the jumps by `np.repeat`.
+        """
+        w = self.w[lo:hi]
+        hi = lo + len(w)
+        out = np.empty((len(names), len(w))) if out is None else out
+        for name, row in zip(names, out):
+            if name == "xi":
+                starts, u = self._segments
+                edges = np.minimum(np.maximum(starts, lo), hi)  # each segment's samples in the slice
+                row[:] = np.repeat(u, edges[1:] - edges[:-1])
+                np.subtract(w.imag, row, out=row)
+                row /= math.pi
+                row += _tau(lo, hi, self.dt, self.params.T)
+            elif name == "V":
+                np.subtract(1.0, w.real, out=row)
+            elif name == "chi":
+                np.divide(w.real, math.pi, out=row)
+            elif name == "U":
+                row[:] = w.imag
+            else:
+                _residual(w, out=row)
+        return out
+
+    def max_abs_residual(self) -> float:
+        """The largest ``|residual|``, one block of `ROW_BLOCK` samples at a
+        time; a NaN propagates."""
+        blocks = range(0, len(self.w), ROW_BLOCK)
+        return float(np.max([np.max(np.abs(self.rows(lo, lo + ROW_BLOCK, ("residual",)))) for lo in blocks]))
 
     def columns(self, rows: slice = slice(None)) -> dict[str, np.ndarray]:
         """The rows ``rows`` (a slice) in physical units: a state whose
         fields, those of `SAMPLE_FIELDS`, are arrays."""
-        t = np.arange(*rows.indices(len(self.xi))) * self.dt
-        return _units(self.params, t, self.xi[rows], self.V[rows], self.chi[rows], self.U[rows])
+        lo, hi, _ = rows.indices(len(self.w))
+        return _units(self.params, np.arange(lo, hi) * self.dt, *self.rows(lo, hi, ROWS[:4]))
 
     @property
     def samples(self) -> np.ndarray:
         """Every row packed into a structured array of `SAMPLE_DTYPE`
         (``samples["X"]`` the particle coordinate column, ``samples[i]``
         the i-th sample), built anew on each access."""
-        out = np.empty(len(self.xi), dtype=SAMPLE_DTYPE)
+        out = np.empty(len(self.w), dtype=SAMPLE_DTYPE)
         for name, col in self.columns().items():
             out[name] = col
         return out
 
     def as_arrays(self) -> dict[str, np.ndarray]:
-        """The physical columns plus ``invariant_residual``.
+        """The physical columns plus ``invariant_residual``, each derived at
+        full length.
         Kept only because `bench/spans.py` patches it; goes with the tracer rewrite (ROADMAP item 4)."""
         return {**self.columns(), "invariant_residual": self.invariant_residuals}
 
@@ -185,7 +264,7 @@ def invariant_residual(s, p: SystemParams):
 # Closed-form reference motion
 # ---------------------------------------------------------------------------
 
-def _exact(tau):
+def _exact(tau, out=None):
     """Exact ``(xi, V, chi, U)`` at ``tau = t/T``, a scalar or an array.
 
     With ``k = floor(tau)`` and ``frac = tau - k`` the columns are
@@ -199,10 +278,10 @@ def _exact(tau):
     but free of cancellation, and lands on the post-reflection branch at
     integer ``tau`` because ``floor`` is right-continuous there. The four
     columns are computed in place, as the rows of the one ``(4, ...)``
-    block returned.
+    block returned, ``out`` if given.
     """
     tau = np.asarray(tau, dtype=float)
-    out = np.empty((4, *tau.shape))
+    out = np.empty((4, *tau.shape)) if out is None else out
     xi, V, chi, U = (out[j, ...] for j in range(4))
     k = np.floor(tau, out=V)
     arg = np.multiply(np.subtract(tau, k, out=U), np.pi, out=U)
@@ -238,12 +317,17 @@ def closed_form_trajectory(p: SystemParams, t_end: float) -> Trajectory:
         raise ValueError(f"t_end must be positive, got {t_end}")
     dt = p.T / CLOSED_FORM_STEPS
     n = round(t_end / dt)
-    xi, V, chi, U = _exact(np.arange(n + 1) * dt / p.T)
+    # the state of `_exact`, w = sin(pi frac) + i cos(pi frac), and u = 1 + 2k
+    tau = np.arange(n + 1) * dt / p.T
+    k = np.floor(tau)
+    arg = (tau - k) * np.pi
+    w = np.empty(n + 1, dtype=np.complex128)
+    w.real, w.imag = np.sin(arg), np.cos(arg)
+    jumps = [(0, 1.0)] + [(i, 2.0) for i in (np.flatnonzero(np.diff(k)) + 1).tolist()]
     n_events = math.floor(t_end / p.T + 1e-12)
     return Trajectory(
-        p, dt, xi, V, chi, U,
+        p, dt, w, jumps,
         events=np.arange(1, n_events + 1) * p.T,
-        invariant_residuals=np.square(1.0 - V) + np.square(U) - 1.0,
         metadata={"mode": "closed_form", "dt": dt, "t_end": t_end},
     )
 
@@ -272,13 +356,15 @@ def _step_powers(h: float, size: int) -> np.ndarray:
     return np.exp(np.arange(1, size + 1) * complex(log_rho, cmath.phase(_step_factor(h))))
 
 
-def _crossing(w: complex, h: float) -> float:
-    """Partial step ``s`` in ``[0, h]`` at which the separation vanishes.
+def _crossing(w: complex, h: float, t: float) -> float:
+    """Partial step ``s`` in ``[0, h]`` at which the separation vanishes, in
+    the step that starts at time ``t``.
 
     Newton on ``chi(s) = Re(R(-i pi s) w) / pi`` from the linear guess, with
     the flow's slope ``U`` (the quartic's to a relative ``(pi s)^4/24``),
     kept in the bracket ``chi(lo) >= 0 > chi(hi)`` by a bisection fallback,
-    until ``|chi| <= EVENT_X_TOL``.
+    until ``|chi| <= EVENT_X_TOL``. Raises RuntimeError, naming ``t``, if
+    ``|chi|`` is still above that after `NEWTON_MAX_ITER` steps.
     """
     lo, hi = 0.0, h
     at_start, at_end = w.real, (_step_factor(h) * w).real
@@ -286,24 +372,30 @@ def _crossing(w: complex, h: float) -> float:
     for _ in range(NEWTON_MAX_ITER):
         ws = _step_factor(s) * w
         if abs(ws.real) <= math.pi * EVENT_X_TOL:
-            break
+            return s
         if ws.real > 0.0:
             lo = s
         else:
             hi = s
         nxt = s - ws.real / (math.pi * ws.imag) if ws.imag else lo
         s = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    miss = abs((_step_factor(s) * w).real) / math.pi
+    if not miss <= EVENT_X_TOL:
+        raise RuntimeError(
+            f"event location in the step at t={t} stopped at |x| = {miss:.3e} Lam after "
+            f"{NEWTON_MAX_ITER} Newton steps, above {EVENT_X_TOL} Lam"
+        )
     return s
 
 
-def _guard(residuals: np.ndarray, lo: int, hi: int, dt: float) -> None:
-    """Raise `DivergenceError` at the first sample in ``[lo, hi)`` whose
-    residual is not within the limit (NaN included)."""
-    mag = np.abs(residuals[lo:hi])
+def _guard(residuals: np.ndarray, lo: int, dt: float) -> None:
+    """Raise `DivergenceError` at the first of ``residuals``, those of the
+    samples from ``lo`` on, that is not within the limit (NaN included)."""
+    mag = np.abs(residuals)
     if not mag.max(initial=0.0) <= DIVERGENCE_LIMIT:
-        i = lo + int(np.argmax(~(mag <= DIVERGENCE_LIMIT)))
+        k = int(np.argmax(~(mag <= DIVERGENCE_LIMIT)))
         raise DivergenceError(
-            f"first-integral residual {residuals[i]:.3e} at t={i * dt} exceeds "
+            f"first-integral residual {residuals[k]:.3e} at t={(lo + k) * dt} exceeds "
             f"{DIVERGENCE_LIMIT}; the run has diverged"
         )
 
@@ -326,7 +418,8 @@ def step_count(T: float, t_end: float, dt: float) -> int:
     if t_end / dt > MAX_STEPS + 0.5:
         raise ValueError(
             f"t_end/dt = {t_end / dt:.3g} steps exceeds the budget of {MAX_STEPS} "
-            "(a run peaks at 58 B per step, in the trajectory panel); raise dt or lower t_end"
+            "(a run peaks at 17 B per step, the state w and the CSV's event flags, and at about 123 B "
+            "with outputs.el_residuals); raise dt or lower t_end"
         )
     n_steps = round(t_end / dt)
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1.0e-9 * t_end:
@@ -386,19 +479,17 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
         if w[i].real < 0.0:
             break
         start = complex(w[i])
-        s = _crossing(start, h)
+        s = _crossing(start, h, i * dt)
         events.append(i * dt + s * p.T)
         hit = _step_factor(s) * start
         jumps.append((i + 1, -2.0 * hit.imag))
         w[i + 1] = _step_factor(h - s) * hit.conjugate()
         i += 1
 
-    # Residuals of samples 0..i, where i < n_steps only after the break
-    # above; the one at t = 0 comes out exactly 0.0.
-    residuals = np.square(w.real[:i + 1])
-    residuals += np.square(w.imag[:i + 1])
-    residuals -= 1.0
-    _guard(residuals, 1, i + 1, dt)
+    # The guard on the residuals of samples 1..i, one block at a time, where
+    # i < n_steps only after the break above; the one at t = 0 is exactly 0.0.
+    for lo in range(1, i + 1, ROW_BLOCK):
+        _guard(_residual(w[lo:min(lo + ROW_BLOCK, i + 1)]), lo, dt)
     if i < n_steps:
         raise RuntimeError(f"cloud separation stayed negative across step at t={i * dt}")
 
@@ -408,32 +499,9 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
     # within PROBE_WINDOW * T of t_end are accepted and no samples are added.
     last = complex(w[n_steps])
     if (_step_factor(h) * last).real < 0.0 <= last.real:
-        s = _crossing(last, h)
+        s = _crossing(last, h, n_steps * dt)
         if s <= PROBE_WINDOW:
             events.append(n_steps * dt + s * p.T)
-
-    # chi and xi from the two linear invariants, which RK4 keeps exactly, each
-    # column computed in place. One block, not four arrays: freeing it raises
-    # glibc's mmap threshold past the CSV writer's chunk buffers, which would
-    # otherwise fault in every chunk.
-    cols = np.empty((4, n_steps + 1))
-    xi, V, chi, U = cols
-    # u, the running sum of the jumps, is constant between them; xi holds
-    # (U - u) / pi until w is released, then gains the time axis i dt / T
-    u = 0.0
-    for (a, jump), (b, _) in zip(jumps, jumps[1:] + [(n_steps + 1, 0.0)]):
-        u += jump
-        xi[a:b] = u
-    np.subtract(w.imag, xi, out=xi)
-    xi /= math.pi
-    np.subtract(1.0, w.real, out=V)
-    np.divide(w.real, math.pi, out=chi)
-    U[:] = w.imag
-    del w
-    tau = np.arange(n_steps + 1, dtype=np.float64)
-    tau *= dt
-    tau /= p.T
-    xi += tau
     meta = {
         "dt": dt,
         "t_end": t_end,
@@ -441,26 +509,27 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
         "event_x_tolerance": EVENT_X_TOL * p.Lam,
         "probe_window": PROBE_WINDOW * p.T,
     }
-    return Trajectory(p, dt, *cols, np.array(events, dtype=np.float64), residuals, meta)
+    return Trajectory(p, dt, w, jumps, np.array(events, dtype=np.float64), meta)
 
 
 # ---------------------------------------------------------------------------
 # Diagnostics and serialization
 # ---------------------------------------------------------------------------
 
-def _deviations(traj: Trajectory, lo: int, hi: int, near: np.ndarray) -> np.ndarray:
+def _deviations(traj: Trajectory, lo: int, hi: int, near: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Max deviation of each of the four columns from the closed form over
     samples ``lo`` to ``hi - 1``, with ``near`` the samples whose dxdt
-    comparison accepts either branch (see `oracle_errors`)."""
-    tau = np.arange(lo, hi, dtype=np.float64)
-    tau *= traj.dt
-    tau /= traj.params.T
-    dev = _exact(tau)
+    comparison accepts either branch (see `oracle_errors`). ``work``, of
+    shape ``(5, >= hi - lo)``, takes the exact columns and, in turn, each
+    column of the trajectory."""
+    dev, row = work[:4, :hi - lo], work[4:, :hi - lo]
+    _exact(_tau(lo, hi, traj.dt, traj.params.T), out=dev)
     # this block's samples near an event, and their dxdt against the other branch
     here = near[(near >= lo) & (near < hi)] - lo
-    other = np.abs(traj.U[lo:hi][here] + dev[3][here])
-    for col, ref in zip((traj.xi, traj.V, traj.chi, traj.U), dev):
-        np.abs(np.subtract(col[lo:hi], ref, out=ref), out=ref)
+    other = np.abs(traj.w.imag[lo:hi][here] + dev[3][here])
+    for name, ref in zip(ROWS[:4], dev):
+        (col,) = traj.rows(lo, hi, (name,), out=row)
+        np.abs(np.subtract(col, ref, out=ref), out=ref)
     dev[3][here] = np.minimum(dev[3][here], other)
     return dev.max(axis=1)
 
@@ -476,21 +545,24 @@ def oracle_errors(traj: Trajectory) -> dict[str, float]:
     at a sample ``i`` with ``|i dt - t_ev| <= PROBE_WINDOW T`` for a
     recorded event ``t_ev`` the dxdt comparison accepts the nearer of the
     two one-sided values. Those samples are found by grid index, a few per
-    event. The exact columns and the deviations are computed in place, one
-    block of `ORACLE_BLOCK` samples at a time, and each block is reduced to
-    its four maxima (a NaN deviation propagates), so the memory beyond the
-    trajectory does not grow with the run.
+    event. The exact columns, the trajectory's and the deviations are
+    computed in place, one block of `ROW_BLOCK` samples at a time, and each
+    block is reduced to its four maxima (a NaN deviation propagates), so the
+    memory beyond the trajectory does not grow with the run.
     """
-    p, dt, n = traj.params, traj.dt, len(traj.xi)
+    p, dt, n = traj.params, traj.dt, len(traj.w)
     window = PROBE_WINDOW * p.T
     # candidate grid indices around each event, inside [0, n), then the exact window test
     ev = np.asarray(traj.events, dtype=np.float64)[:, None]
     j = np.maximum(np.floor((ev - window) / dt) - 1.0, 0.0) + np.arange(min(math.ceil(2.0 * window / dt) + 4, n))
     near = j[(j < n) & (np.abs(j * dt - ev) <= window)].astype(np.intp)
-    # one call per block, so that a block's arrays are freed before the next
-    # block's are made; a NaN deviation propagates through both maxima
+    # one call per block, each into the same work rows; a NaN deviation
+    # propagates through both maxima. The rows are one block, 640 KB at full
+    # size: freeing it raises glibc's mmap threshold past the CSV writer's
+    # chunk buffers, which would otherwise fault in every chunk.
+    work = np.empty((5, min(ROW_BLOCK, n)))
     worst = np.max(
-        [_deviations(traj, lo, min(lo + ORACLE_BLOCK, n), near) for lo in range(0, n, ORACLE_BLOCK)], axis=0
+        [_deviations(traj, lo, min(lo + ROW_BLOCK, n), near, work) for lo in range(0, n, ROW_BLOCK)], axis=0
     )
     out = dict(zip(("X", "dXdt", "x", "dxdt"), worst.tolist()))
     out["max"] = max(out.values())
@@ -509,21 +581,24 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     after it, as at every reflection of a run whose grid holds the multiples
     of T (``dt = T/1000``, ``T/250``), and otherwise the first sample after
     it. Floats carry 17 significant digits (``%.17g``) so a file round-trips
-    to the exact same doubles. Each chunk of rows is put into physical
-    units, rendered as one row-major block by `_text.rows` (byte-identical
-    to per-value formatting) and written, so the writer's memory does not
-    grow with the run.
+    to the exact same doubles. Each chunk of rows is derived from ``w``, put
+    into physical units, rendered as one row-major block by `_text.rows`
+    (byte-identical to per-value formatting) and written, so the writer's
+    memory beyond its flags does not grow with the run.
     """
-    flags = np.zeros(len(traj.xi), dtype=np.uint8)
+    flags = np.zeros(len(traj.w), dtype=np.uint8)
     for t_ev in traj.events:
         # an event localized within the timing tolerance after a grid point
         # belongs to that sample, not the next interval
         idx = math.ceil((t_ev - PROBE_WINDOW * traj.params.T) / traj.dt)
         if 0 <= idx < len(flags):
             flags[idx] = 1
-    _text.write_csv(
-        path, _CSV_HEADER, lambda rows: [*traj.columns(rows).values(), traj.invariant_residuals[rows]], flags
-    )
+
+    def chunk(rows: slice) -> list[np.ndarray]:
+        lo, hi, _ = rows.indices(len(flags))
+        return [*traj.columns(rows).values(), *traj.rows(lo, hi, ("residual",))]
+
+    _text.write_csv(path, _CSV_HEADER, chunk, flags)
 
 
 def write_events_json(traj: Trajectory, path) -> None:

@@ -161,8 +161,8 @@ _COORDS = {
     "particle": ("X", "dXdt"),
     "cloud": ("x", "dxdt"),
 }
-# The same channels among the dimensionless columns of a `Trajectory`.
-_COLUMNS = {"particle": ("xi", "V"), "cloud": ("chi", "U")}
+# The units of each channel's coordinate and velocity, fields of `SystemParams`.
+_UNITS = {"particle": ("lam", "v0"), "cloud": ("Lam", "c")}
 # Finite-difference step of `el_residual`, relative to each channel's largest magnitude.
 EL_FD_STEP = 1.0e-6
 
@@ -211,7 +211,7 @@ def el_residual(L, traj: Trajectory, coord: str) -> ELResidualReport:
         raise ValueError(f"coord must be one of {sorted(_COORDS)}, got {coord!r}")
     q_name, qdot_name = _COORDS[coord]
 
-    n = len(traj.xi)
+    n = len(traj.w)
     if n < 9:
         raise ValueError(f"need at least 9 samples for the residual stencil, got {n}")
     cols = traj.columns()
@@ -257,15 +257,20 @@ def scale_channel(traj: Trajectory, coord: str, factor: float) -> Trajectory:
     """Corrupt one channel of a trajectory by a multiplicative factor.
 
     Scaling a path scales its time derivative with it, so both the
-    coordinate and its velocity are multiplied. Used in sensitivity studies:
-    a valid trajectory stops satisfying the Euler-Lagrange equations once a
-    channel is rescaled, and the residual should say so loudly.
+    coordinate and its velocity are multiplied. A scaled channel is no
+    rotation state, so the trajectory keeps its ``w`` and the channel's
+    units in its ``params`` are scaled (``lam`` and ``v0``, or ``Lam`` and
+    ``c``): `Trajectory.columns`, what `el_residual` reads, gives the scaled
+    path. Used in sensitivity studies: a valid trajectory stops satisfying
+    the Euler-Lagrange equations once a channel is rescaled, and the
+    residual should say so loudly.
     """
     if coord not in _COORDS:
         raise ValueError(f"coord must be one of {sorted(_COORDS)}, got {coord!r}")
+    p = traj.params
     return replace(
         traj,
-        **{name: getattr(traj, name) * factor for name in _COLUMNS[coord]},
+        params=replace(p, **{name: getattr(p, name) * factor for name in _UNITS[coord]}),
         metadata={**traj.metadata, "corrupted": f"{coord} scaled by {factor}"},
     )
 

@@ -10,9 +10,10 @@ glanceable rendering.
 pixel columns: the first, last, lowest and highest point (Jugel, Jerzak,
 Hackenbroich & Markl, "M4: A Visualization-Oriented Time Series Data
 Aggregation", PVLDB 7(10), 2014). So it costs O(pixel columns), not
-O(samples). It is pixel-exact at its native 760x420 size for a 1-px line;
-the 1.5-px stroke and zoomed views are approximations. ``phase.svg`` has
-no increasing axis and draws every sample.
+O(samples), and it takes them one block of rows at a time. It is
+pixel-exact at its native 760x420 size for a 1-px line; the 1.5-px stroke
+and zoomed views are approximations. ``phase.svg`` has no increasing axis
+and draws every sample, one chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _text
+from .dynamics import ROW_BLOCK
 
 _COLORS = ("#1a6fb5", "#c4443c", "#3d8d4e", "#8a5bb8")
 # panel margins around the plot box in px: left, right, top, bottom
@@ -29,16 +31,23 @@ _WIDTH = 760
 _COLUMNS = _WIDTH - _MARGINS[0] - _MARGINS[1]
 
 
-def _write_points(fh, x: np.ndarray, y: np.ndarray, px, py) -> None:
+# Points per chunk of the polyline writer and of the phase panel.
+_CHUNK = _text.CHUNK_ROWS // 2
+
+
+def _write_points(fh, chunks, px, py) -> None:
     """Write polyline points ``px(x),py(y) px(x),py(y) ...`` at two
-    decimals (``%.2f``): ``px`` and ``py`` are applied one chunk at a time,
-    and each chunk's x and y are rendered as one block by `_text.rows`, in
-    chunks of ``_text.CHUNK_ROWS // 2`` points."""
-    step = _text.CHUNK_ROWS // 2
-    for i in range(0, len(x), step):
-        block = np.stack([px(x[i:i + step]), py(y[i:i + step])], axis=1)
-        text = _text.rows(_text.f2, block, end=b" ")
-        fh.write(text if i + step < len(x) else text[:-1])
+    decimals (``%.2f``) for the ``(x, y)`` pairs of arrays ``chunks``:
+    ``px`` and ``py`` are applied one chunk at a time, and each chunk's x
+    and y are rendered as one block by `_text.rows`, in chunks of `_CHUNK`
+    points."""
+    sep = b""
+    for x, y in chunks:
+        for i in range(0, len(x), _CHUNK):
+            block = np.stack([px(x[i:i + _CHUNK]), py(y[i:i + _CHUNK])], axis=1)
+            fh.write(sep)
+            fh.write(memoryview(_text.rows(_text.f2, block, end=b" "))[:-1])
+            sep = b" "
 
 
 def render_line_svg(
@@ -51,12 +60,22 @@ def render_line_svg(
     height: int = 420,
 ) -> None:
     """Write one SVG panel. ``series`` holds ``(x, y, label)`` triples."""
+    whole = [(lambda x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float): [(x, y)], label)
+             for x, y, label in series]
+    _panel(path, whole, title, xlabel, ylabel, width, height)
+
+
+def _panel(path, series, title: str, xlabel: str, ylabel: str, width: int, height: int) -> None:
+    """`render_line_svg` for ``(chunks, label)`` series: ``chunks()``
+    returns the series' points as ``(x, y)`` pairs of arrays, and is called
+    once for the ranges and once for the points."""
     ml, mr, mt, mb = _MARGINS
     pw, ph = width - ml - mr, height - mt - mb
 
-    # ranges from each series' extremes; a NaN propagates
-    x_lo, x_hi = (float(f([f(x) for x, _, _ in series])) for f in (np.min, np.max))
-    y_lo, y_hi = (float(f([f(y) for _, y, _ in series])) for f in (np.min, np.max))
+    # ranges from each chunk's extremes; a NaN propagates
+    ends = np.array([[f(v) for v in (x, y) for f in (np.min, np.max)] for chunks, _ in series for x, y in chunks()])
+    x_lo, y_lo = np.min(ends[:, ::2], axis=0).tolist()
+    x_hi, y_hi = np.max(ends[:, 1::2], axis=0).tolist()
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -99,10 +118,10 @@ def render_line_svg(
     with open(path, "wb") as fh:
         fh.write("".join(part + "\n" for part in parts).encode())
         # data: the points go straight from the renderer to the file
-        for idx, (x, y, label) in enumerate(series):
+        for idx, (chunks, label) in enumerate(series):
             color = _COLORS[idx % len(_COLORS)]
             fh.write(b'<polyline points="')
-            _write_points(fh, np.asarray(x, dtype=float), np.asarray(y, dtype=float), px, py)
+            _write_points(fh, chunks(), px, py)
             lx, ly = ml + pw - 130, mt + 16 + 16 * idx
             fh.write(
                 f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
@@ -112,18 +131,20 @@ def render_line_svg(
         fh.write(b"</svg>\n")
 
 
-def _m4(x: np.ndarray, y: np.ndarray, columns: int):
+def _m4(x: np.ndarray, y: np.ndarray, columns: int, span=None):
     """Index of the M4 points of the line through ``(x, y)``, ``x``
     non-decreasing: in each of ``columns`` pixel columns, the first, last,
     lowest and highest point, in order. A point's column is
-    ``floor((x - x_lo) / (x_hi - x_lo) * columns)`` over the range that
-    `render_line_svg` gives ``x``; ``x == x_hi`` goes in the last column.
-    The kept points hold each column's extremes and both ends of the line,
-    so they set the same axis ranges. A series with a non-finite value
-    keeps every point (``slice(None)``)."""
+    ``floor((x - x_lo) / (x_hi - x_lo) * columns)`` over the range ``span``
+    of the whole line, by default that of ``x``, which `render_line_svg`
+    gives it; ``x == x_hi`` goes in the last column. The kept points hold
+    each column's extremes and both ends of the line, so they set the same
+    axis ranges; on a piece of the line, they hold those of each column's
+    part in it. A series with a non-finite value keeps every point
+    (``slice(None)``)."""
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         return slice(None)
-    x_lo, x_hi = float(np.min(x)), float(np.max(x))
+    x_lo, x_hi = span or (float(np.min(x)), float(np.max(x)))
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     # a point's position across the plot box, in px, is non-decreasing: so
@@ -145,12 +166,26 @@ def _m4(x: np.ndarray, y: np.ndarray, columns: int):
 
 def trajectory_svg(traj, path) -> None:
     """Dimensionless trajectory panel: X/lam and x/Lam against t/T, each
-    series cut to its M4 points (`_m4`) before rendering."""
-    tau = np.arange(len(traj.xi)) * traj.dt / traj.params.T
+    series cut to its M4 points (`_m4`) before rendering. The rows are
+    derived one block of `ROW_BLOCK` samples at a time, each block is cut to
+    the M4 points of its part of each pixel column, over the whole run's
+    range (``t/T`` is increasing, so that range is its first and last
+    sample's), and the points kept from every block are cut once more: they
+    hold the extremes and ends of each whole column. A block with a
+    non-finite value keeps all its points."""
+    n, T = len(traj.w), traj.params.T
+    span = (0.0, (n - 1) * traj.dt / T)
+    kept = [[], []]
+    for lo in range(0, n, ROW_BLOCK):
+        tau = np.arange(lo, min(lo + ROW_BLOCK, n)) * traj.dt / T
+        for parts, y in zip(kept, traj.rows(lo, lo + ROW_BLOCK, ("xi", "chi"))):
+            keep = _m4(tau, y, _COLUMNS, span)
+            parts.append((tau[keep], y[keep]))
     series = []
-    for y, label in ((traj.xi, "X / lambda"), (traj.chi, "x / Lambda")):
-        keep = _m4(tau, y, _COLUMNS)
-        series.append((tau[keep], y[keep], label))
+    for parts, label in zip(kept, ("X / lambda", "x / Lambda")):
+        x, y = (np.concatenate(v) for v in zip(*parts))
+        keep = _m4(x, y, _COLUMNS, span)
+        series.append((x[keep], y[keep], label))
     render_line_svg(
         path,
         series,
@@ -162,10 +197,18 @@ def trajectory_svg(traj, path) -> None:
 
 def phase_plane_svg(traj, path) -> None:
     """Velocity-plane portrait: the pair traces the unit circle in the
-    coordinates (1 - dXdt/v0, dxdt/c)."""
-    render_line_svg(
+    coordinates (1 - dXdt/v0, dxdt/c), derived one chunk of `_CHUNK` samples
+    at a time. The abscissa is ``1 - V`` with ``V = 1 - Re w``, not ``Re w``,
+    whose bits can differ."""
+
+    def chunks():
+        for lo in range(0, len(traj.w), _CHUNK):
+            (V,) = traj.rows(lo, lo + _CHUNK, ("V",))
+            yield np.subtract(1.0, V, out=V), traj.w.imag[lo:lo + _CHUNK]
+
+    _panel(
         path,
-        [(1.0 - traj.V, traj.U, "velocity locus")],
+        [(chunks, "velocity locus")],
         title="velocity-plane portrait",
         xlabel="1 - (dX/dt) / v0",
         ylabel="(dx/dt) / c",

@@ -108,7 +108,7 @@ def _check_oracle_agreement(traj):
 
 
 def _check_invariant_conservation(traj):
-    return np.abs(traj.invariant_residuals), 1.0e-8
+    return np.abs(traj.rows(0, len(traj.w), ("residual",))[0]), 1.0e-8
 
 
 def _check_periodicity(traj):
@@ -123,15 +123,14 @@ def _check_periodicity(traj):
     spurious 2c mismatch. One step in, both states are unambiguous and the
     recurrence statement is unchanged.
     """
+    def state(i):
+        return traj.rows(i, i + 1, dynamics.ROWS[:4])[:, 0]
+
     values = []
+    xi1, V1, chi1, U1 = state(1)
     for n in range(1, 5):
-        i = 2 * n * _STANDARD_STEPS + 1
-        values += [
-            abs(traj.V[i] - traj.V[1]),
-            abs(traj.chi[i] - traj.chi[1]),
-            abs(traj.U[i] - traj.U[1]),
-            abs((traj.xi[i] - traj.xi[1]) - 2.0 * n * (1.0 - 2.0 / math.pi)),
-        ]
+        xi, V, chi, U = state(2 * n * _STANDARD_STEPS + 1)
+        values += [abs(V - V1), abs(chi - chi1), abs(U - U1), abs((xi - xi1) - 2.0 * n * (1.0 - 2.0 / math.pi))]
     return values, 1.0e-6
 
 

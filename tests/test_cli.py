@@ -863,9 +863,10 @@ def test_step_budget_rejects_huge_run_at_resolve():
 
 @pytest.mark.parametrize("fmt", ["csv", "svg"])
 def test_simulate_peak_memory_per_step(tmp_path, fmt):
-    # a whole run peaks at 58 B per step plus about 2 MB of fixed-size blocks
+    # a whole run peaks at 17 B per step plus about 2 MB of fixed-size blocks
     # (dynamics.MAX_STEPS), traced after a warm-up run; at 100,000 steps the
-    # per-column CSV writer and the full-length oracle took it to 105 B
+    # per-column CSV writer and the full-length oracle took it to 105 B, and
+    # the stored columns and full-length panel axes to 58 B
     import tracemalloc
 
     pars = {"M0": 1.0, "v0": 1.0, "c": 10.0, "T": 1.0}
@@ -880,7 +881,7 @@ def test_simulate_peak_memory_per_step(tmp_path, fmt):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak <= 58 * 100_000 + 2 * 2**20
+    assert peak <= 17 * 100_000 + 2 * 2**20
 
 
 def test_sweep_rejects_non_finite_values(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from inertonsim import (
     write_events_json,
     write_trajectory_csv,
 )
-from inertonsim import SystemParams, dynamics
+from inertonsim import SystemParams, cli, dynamics
 from inertonsim.dynamics import closed_form_trajectory
 from inertonsim import plotting
 from inertonsim.plotting import phase_plane_svg, render_line_svg, trajectory_svg
@@ -267,16 +268,12 @@ def test_events_json(tmp_path, natural):
 def test_events_json_bytes_match_json_dump(tmp_path, natural, times):
     # every repr form: subnormal, tiny exponent, 17 digits, 1e16, plain decimal
     params, _ = natural
-    empty = np.empty(0)
     traj = dynamics.Trajectory(
         params=params,
         dt=1.0,
-        xi=empty,
-        V=empty,
-        chi=empty,
-        U=empty,
+        w=np.empty(0, dtype=np.complex128),
+        jumps=[(0, 1.0)],
         events=np.array(times, dtype=np.float64),
-        invariant_residuals=empty,
     )
     path = tmp_path / "events.json"
     write_events_json(traj, path)
@@ -328,7 +325,7 @@ def _reference_integrate(p, t_end, dt):
             continue
         assert w[i].real >= 0.0
         start = complex(w[i])
-        s = dynamics._crossing(start, h)
+        s = dynamics._crossing(start, h, i * dt)
         events.append(i * dt + s * p.T)
         hit = dynamics._step_factor(s) * start
         du[i + 1] = -2.0 * hit.imag
@@ -340,7 +337,7 @@ def _reference_integrate(p, t_end, dt):
         raise DivergenceError(f"at t={(1 + int(bad[0])) * dt}")
     last = complex(w[n_steps])
     if (dynamics._step_factor(h) * last).real < 0.0 <= last.real:
-        s = dynamics._crossing(last, h)
+        s = dynamics._crossing(last, h, n_steps * dt)
         if s <= dynamics.PROBE_WINDOW:
             events.append(n_steps * dt + s * p.T)
     xi = np.arange(n_steps + 1) * dt / p.T + (w.imag - np.cumsum(du)) / math.pi
@@ -381,41 +378,86 @@ def test_block_loop_matches_the_reference_loop_bitwise(M0, v0, T, divisor, perio
             integrate(params, n_steps * dt, dt)
 
 
+def _post_loop_fill(traj):
+    """The rows ``xi, V, chi, U`` and the residuals of the whole run, as
+    `integrate` filled them after its last block before every reader
+    derived them per block from ``w``. Kept to pin `Trajectory.rows` bit for
+    bit. Returns one ``(5, n)`` block, in the order of `dynamics.ROWS`."""
+    w, n = traj.w, len(traj.w)
+    residuals = np.square(w.real)
+    residuals += np.square(w.imag)
+    residuals -= 1.0
+    cols = np.empty((4, n))
+    xi, V, chi, U = cols
+    u = 0.0
+    for (a, jump), (b, _) in zip(traj.jumps, traj.jumps[1:] + [(n, 0.0)]):
+        u += jump
+        xi[a:b] = u
+    np.subtract(w.imag, xi, out=xi)
+    xi /= math.pi
+    np.subtract(1.0, w.real, out=V)
+    np.divide(w.real, math.pi, out=chi)
+    U[:] = w.imag
+    tau = np.arange(n, dtype=np.float64)
+    tau *= traj.dt
+    tau /= traj.params.T
+    xi += tau
+    return np.vstack([cols, residuals])
+
+
+def _rows_case(case):
+    if case in cli.builtin_presets():
+        params = cli.resolve_config(cli.builtin_presets()[case])[0]
+        return integrate(params, t_end=10.0 * params.T, dt=params.T / 1000.0)
+    params, _ = derive_kinematics(2.3, 0.37, 1.0, 1.7)
+    if case == "dense-T/100":
+        return integrate(params, t_end=120.0 * params.T, dt=params.T / 100.0)
+    return closed_form_trajectory(params, t_end=3.0 * params.T)
+
+
+@pytest.mark.parametrize("case", ["natural", "electron-1e6", "electron-atomic", "dense-T/100", "closed-form"])
+def test_rows_match_the_post_loop_fill_bitwise(case):
+    # whole blocks, blocks that cut through each reflection, single rows, one
+    # slice past the end, and a selection of rows into a given buffer
+    traj = _rows_case(case)
+    n = len(traj.w)
+    ref = _post_loop_fill(traj)
+    cuts = [(0, n), (n - 5, n + 5)] + [(lo, lo + dynamics.ROW_BLOCK) for lo in range(0, n, dynamics.ROW_BLOCK)]
+    for a, _ in traj.jumps[1:]:
+        cuts += [(a - 3, a + 4), (a - 1, a), (a, a + 1), (a - 1, a + 1)]
+    assert len(traj.jumps) >= 4  # a trailing event found by the probe has no jump
+    for lo, hi in cuts:
+        assert traj.rows(lo, hi).tobytes() == ref[:, lo:hi].tobytes(), (lo, hi)
+    lo = traj.jumps[2][0] - 3
+    out = np.empty((2, 7))
+    assert traj.rows(lo, lo + 7, ("residual", "xi"), out=out) is out
+    assert out.tobytes() == ref[[4, 0], lo:lo + 7].tobytes()
+
+
 def test_divergence_guard_catches_nan():
     residuals = np.array([0.0, 1e-12, math.nan, 0.0])
     with pytest.raises(DivergenceError, match="at t=0.2"):
-        dynamics._guard(residuals, 0, 4, 0.1)
+        dynamics._guard(residuals, 0, 0.1)
 
 
 def test_trajectory_csv_matches_per_row_formatter(tmp_path):
-    # unit scales, so that the columns reach the writer unchanged
+    # unit scales, so that the derived columns reach the writer unchanged; the
+    # states give signed zeros, a subnormal, huge and 17-digit values, and u
+    # jumps at sample 3
     params = SystemParams(M0=1.0, m0=1.0, v0=1.0, c=1.0, T=1.0, lam=1.0, Lam=1.0, M=1.0, m=1.0)
-    t = np.arange(6) * 0.1
-    cols = {
-        "t": t,
-        "X": np.array([0.0, -0.0, 1.0 / 3.0, 1e-300, 1.5e17, 0.1 + 0.2]),
-        "dXdt": np.array([1.0, 0.9999999999999999, -2.5, 7e-8, 123456.789, math.pi]),
-        "x": np.array([0.0, 5e-324, 2.0 ** -30, 9.87654321e10, 1e-9, -1e-13]),
-        "dxdt": np.array([10.0, -10.0, 0.5, -0.125, 6.02214076e23, -math.e]),
-    }
-    residuals = np.array([0.0, -1.1e-16, 2.2e-16, 3.3e-14, -4.4e-12, 5.5e-10])
+    w = np.array([1j, complex(-0.0, 0.9999999999999999), complex(2.0 ** -30, -2.5), complex(1.5e-323, 7e-8),
+                  complex(1.5e17, 6.02214076e23), complex(0.1 + 0.2, -math.e)])
     traj = dynamics.Trajectory(
-        params=params,
-        dt=0.1,
-        xi=cols["X"],
-        V=cols["dXdt"],
-        chi=cols["x"],
-        U=cols["dxdt"],
-        events=np.array([0.25, 0.4 + 1e-7]),
-        invariant_residuals=residuals,
+        params=params, dt=0.1, w=w, jumps=[(0, 1.0), (3, -2.0)], events=np.array([0.25, 0.4 + 1e-7])
     )
+    cols = traj.as_arrays()
+    assert cols["x"][1] == 0.0 and math.copysign(1.0, cols["x"][1]) == -1.0 and 0.0 < cols["x"][3] < 1e-320
     path = tmp_path / "cols.csv"
     write_trajectory_csv(traj, path)
     flags = [0, 0, 0, 1, 1, 0]
     expected = ["t,X,dXdt,x,dxdt,invariant_residual,event_flag"]
     for i in range(6):
-        values = [float(cols[name][i]) for name in ("t", "X", "dXdt", "x", "dxdt")]
-        values.append(float(residuals[i]))
+        values = [float(cols[name][i]) for name in ("t", "X", "dXdt", "x", "dxdt", "invariant_residual")]
         expected.append(",".join([format(v, ".17g") for v in values] + [str(flags[i])]))
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
@@ -538,9 +580,9 @@ def test_oracle_errors_match_dense_definition(
     short_run, fine_run, fine, grid_events, free_events, keep_own, flips, repeat, order
 ):
     # the samples x events distance matrix that the lookup by grid index
-    # replaces, in the trajectory's units; flipped samples sit on the wrong
-    # branch, and the events come unsorted, repeated, before t = 0 and past
-    # the last sample
+    # replaces, in the trajectory's units; flipped samples (w conjugated, so
+    # U flips) sit on the wrong branch, and the events come unsorted,
+    # repeated, before t = 0 and past the last sample
     run = fine_run if fine else short_run
     p = run.params
     t = np.arange(len(run.xi)) * run.dt
@@ -549,9 +591,9 @@ def test_oracle_errors_match_dense_definition(
         times += run.events.tolist()
     times *= 1 + repeat
     order.shuffle(times)
-    U = run.U.copy()
-    U[flips] = -U[flips]
-    traj = dataclasses.replace(run, U=U, events=np.array(times, dtype=np.float64))
+    w = run.w.copy()
+    w[flips] = w[flips].conj()
+    traj = dataclasses.replace(run, w=w, events=np.array(times, dtype=np.float64))
     assert oracle_errors(traj) == _dense_oracle_errors(traj)
 
 
@@ -582,9 +624,9 @@ def test_oracle_errors_match_dense_definition_when_the_window_spans_the_run(even
     # event within it, and the candidate indices stay inside the run
     params, _ = derive_kinematics(1.0, 1.0, 10.0, 1.0)
     run = integrate(params, t_end=200 * 1.0e-9, dt=1.0e-9)
-    U = run.U.copy()
-    U[::7] = -U[::7]  # samples on the wrong branch, relaxed only near an event
-    traj = dataclasses.replace(run, U=U, events=np.array(events, dtype=np.float64))
+    w = run.w.copy()
+    w[::7] = w[::7].conj()  # samples on the wrong branch, relaxed only near an event
+    traj = dataclasses.replace(run, w=w, events=np.array(events, dtype=np.float64))
     assert oracle_errors(traj) == _dense_oracle_errors(traj)
 
 
@@ -594,27 +636,26 @@ def _hex(errors):
 
 @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["block-1", "block", "block+1"])
 def test_oracle_errors_in_blocks_match_dense_definition_bitwise(extra):
-    # runs of ORACLE_BLOCK - 1, ORACLE_BLOCK and ORACLE_BLOCK + 1 samples at
+    # runs of ROW_BLOCK - 1, ROW_BLOCK and ROW_BLOCK + 1 samples at
     # dt = 1e-7 T, so PROBE_WINDOW T spans ten samples each side of an event:
     # one event's window straddles the edge of the first block, one lies
     # inside it and one ends the run. Only the samples inside a window are on
     # the wrong branch, so a sample relaxed in the wrong block reads ~2.
     params, _ = derive_kinematics(1.0, 1.0, 10.0, 1.0)
-    n, dt = dynamics.ORACLE_BLOCK + extra, 1.0e-7
+    n, dt = dynamics.ROW_BLOCK + extra, 1.0e-7
     run = integrate(params, t_end=(n - 1) * dt, dt=dt)
-    events = np.array([(dynamics.ORACLE_BLOCK - 0.5) * dt, 0.5 * n * dt, (n - 1) * dt])
+    events = np.array([(dynamics.ROW_BLOCK - 0.5) * dt, 0.5 * n * dt, (n - 1) * dt])
     t = np.arange(n) * dt
     wrong = np.min(np.abs(t[:, None] - events), axis=1) <= dynamics.PROBE_WINDOW * params.T
-    assert wrong[dynamics.ORACLE_BLOCK - 10] and wrong[min(dynamics.ORACLE_BLOCK + 9, n - 1)]
-    U = np.where(wrong, -run.U, run.U)
-    traj = dataclasses.replace(run, U=U, events=events)
+    assert wrong[dynamics.ROW_BLOCK - 10] and wrong[min(dynamics.ROW_BLOCK + 9, n - 1)]
+    traj = dataclasses.replace(run, w=np.where(wrong, run.w.conj(), run.w), events=events)
     errors = oracle_errors(traj)
     assert errors["dxdt"] < 1e-3
     assert _hex(errors) == _hex(_dense_oracle_errors(traj))
     # a NaN in the last block propagates to its column and to the maximum
-    xi = traj.xi.copy()
-    xi[-1] = math.nan
-    nan_run = dataclasses.replace(traj, xi=xi)
+    w = traj.w.copy()
+    w[-1] = complex(w[-1].real, math.nan)
+    nan_run = dataclasses.replace(traj, w=w)
     assert math.isnan(oracle_errors(nan_run)["X"]) and math.isnan(_dense_oracle_errors(nan_run)["X"])
 
 
@@ -682,7 +723,7 @@ def test_oracle_errors_memory_per_sample(natural):
     peaks = []
     for periods in (20, 200):
         traj = integrate(params, t_end=periods * params.T, dt=params.T / 1000.0)
-        assert len(traj.xi) > dynamics.ORACLE_BLOCK
+        assert len(traj.xi) > dynamics.ROW_BLOCK
         peaks.append(_traced_peak(oracle_errors, traj))
     assert peaks[1] <= 1.5 * peaks[0]
 
@@ -730,6 +771,73 @@ def test_step_map_is_rk4():
         k4 = GENERATOR @ (y + s * k3)
         rk4 = y + s / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert np.allclose(_read_off(y, factor * w, s), rk4[:4], rtol=0, atol=1e-15)
+
+
+# pi as the double math.pi, exactly
+_PI = Fraction(math.pi)
+
+
+def _ulps(value: float, exact: Fraction) -> Fraction:
+    """``|value - exact|`` in units in the last place of the double nearest ``exact``."""
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact)))
+
+
+def test_step_coefficients_and_factor_are_exact_to_an_ulp():
+    # each part of (-i pi)^k / k!, and R(-i pi s) = 1 - z^2/2 + z^4/24 + i(z^3/6 - z)
+    # with z = pi s, against exact rationals; the steps are the grid steps
+    # T/100 to T/1e6 and partial ones. (Over 5,000 uniform s in [0, 0.01],
+    # 9 imaginary parts lay 1.01 to 1.06 ulp away: Horner's bound is not one
+    # ulp everywhere.)
+    exact = [(1, 0), (0, -_PI), (-_PI ** 2 / 2, 0), (0, _PI ** 3 / 6), (_PI ** 4 / 24, 0)]
+    for c, (re_part, im_part) in zip(dynamics._STEP_COEFFS, exact, strict=True):
+        assert _ulps(c.real, re_part) <= 1 and _ulps(c.imag, im_part) <= 1
+    steps = [1.0 / d for d in (100, 125, 200, 250, 400, 500, 800, 999.5, 1000, 4000, 1e4, 1e6)]
+    for s in steps + [0.37 / 100.0, 3.0 / 500.0, 0.5e-3, 1e-7]:
+        z = _PI * Fraction(s)
+        factor = dynamics._step_factor(s)
+        assert _ulps(factor.real, 1 - z ** 2 / 2 + z ** 4 / 24) <= 1, s
+        assert _ulps(factor.imag, z ** 3 / 6 - z) <= 1, s
+
+
+def test_crossing_that_misses_the_target_is_refused(natural, monkeypatch, tmp_path):
+    # with no Newton step, the linear guess of the first crossing of this
+    # off-grid run stops 2.6e-8 Lam from the guard
+    params, _ = natural
+    monkeypatch.setattr(dynamics, "NEWTON_MAX_ITER", 0)
+    with pytest.raises(RuntimeError, match=r"^event location in the step at t=0\.996 stopped at \|x\| = 2\.6"):
+        integrate(params, t_end=3.0, dt=3.0 / 500.0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"simulation": {"dt": 3.0 / 500.0, "t_end": 3.0}}))
+    argv = ["simulate", "--preset", "natural", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    v0=st.floats(0.01, 0.9),
+    T=st.floats(0.1, 10.0),
+    divisor=st.floats(100.0, 1000.0),
+    periods=st.integers(1, 40),
+)
+def test_every_located_event_meets_the_target(v0, T, divisor, periods):
+    params, _ = derive_kinematics(1.0, v0, 1.0, T)
+    dt = params.T / divisor
+    located = []
+    crossing = dynamics._crossing
+
+    def record(w, h, t):
+        s = crossing(w, h, t)
+        located.append((w, h, s))
+        return s
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_crossing", record)
+        traj = integrate(params, round(periods * divisor) * dt, dt)
+    assert len(located) >= len(traj.events) >= periods - 1
+    for w, h, s in located:
+        assert 0.0 <= s <= h
+        assert abs((dynamics._step_factor(s) * w).real) <= math.pi * dynamics.EVENT_X_TOL
 
 
 def test_power_table_of_one_period_keeps_the_blocks(natural, monkeypatch):

@@ -227,9 +227,7 @@ def test_el_csv_output(tmp_path, slow_regime):
 def test_el_residual_matches_per_sample_loop(slow_regime):
     # the scalar loop the array form replaced: one dict of floats per sample
     params, traj, L = slow_regime
-    short = dataclasses.replace(
-        traj, xi=traj.xi[:300], V=traj.V[:300], chi=traj.chi[:300], U=traj.U[:300], events=traj.events[:0]
-    )
+    short = dataclasses.replace(traj, w=traj.w[:300], events=traj.events[:0])
     rows = [dict(zip(short.samples.dtype.names, row)) for row in short.samples.tolist()]
     dX = 1e-6 * max(abs(s["X"]) for s in rows)
     dV = 1e-6 * max(abs(s["dXdt"]) for s in rows)

@@ -39,7 +39,7 @@ def test_src_lines_against_a_revision(tmp_path):
 
 def test_peak_per_step_against_a_revision(tmp_path):
     # a committed copy of the tree measured against itself: both sides run the
-    # same 100,000-step op, whose trajectory alone is 40 B per step
+    # same 100,000-step op, whose state w alone is 16 B per step
     shutil.copytree(os.path.join(REPO, "src", "inertonsim"), tmp_path / "src" / "inertonsim",
                     ignore=shutil.ignore_patterns("__pycache__"))
     for part in ("bench/workloads.py", "tools/peak_per_step.py"):
@@ -54,11 +54,15 @@ def test_peak_per_step_against_a_revision(tmp_path):
     rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()[1:]}
     assert list(rows) == ["HEAD", "now", "delta"]
     for name in ("HEAD", "now"):
-        peak, steps, per_step = rows[name]
+        peak, steps, per_step, faults = rows[name]
         assert int(steps) == 100_000
         assert round(int(peak.replace(",", "")) / 100_000, 1) == float(per_step)
-        assert 40.0 < float(per_step) <= 60.0
+        assert 16.0 < float(per_step) <= 34.0
+        assert int(faults.replace(",", "")) >= 0
     assert abs(float(rows["delta"][1])) < 1.0
+    assert int(rows["delta"][2].replace(",", "")) == int(rows["now"][3].replace(",", "")) - int(
+        rows["HEAD"][3].replace(",", "")
+    )
 
 
 def _committed_copy(root):

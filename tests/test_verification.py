@@ -148,10 +148,10 @@ def _nan_last(values):
     return out
 
 
-def _nan_periodicity_sample(traj):
-    xi = traj.xi.copy()
-    xi[8 * _STANDARD_STEPS + 1] = math.nan  # X of the fourth recurrence, the last case
-    return dataclasses.replace(traj, xi=xi)
+def _nan_state(traj, i):
+    w = traj.w.copy()
+    w[i] = complex(w[i].real, math.nan)  # U and X of sample i
+    return dataclasses.replace(traj, w=w)
 
 
 # For each check, the inner evaluator whose last call (or last value) turns NaN.
@@ -159,9 +159,10 @@ _LAST_CASE_NAN = {
     "oracle_agreement": (dynamics, "oracle_errors", 1, lambda e: {**e, "dxdt": math.nan}),
     "invariant_conservation": (
         verification, "_standard_run", 1,
-        lambda t: dataclasses.replace(t, invariant_residuals=_nan_last(t.invariant_residuals)),
+        lambda t: _nan_state(t, -1),
     ),
-    "periodicity": (verification, "_standard_run", 1, _nan_periodicity_sample),
+    # the fourth recurrence, the last cases
+    "periodicity": (verification, "_standard_run", 1, lambda t: _nan_state(t, 8 * _STANDARD_STEPS + 1)),
     "convergence_order": (dynamics, "oracle_errors", 4, lambda e: {**e, "max": math.nan}),
     "el_residual_aggregate": (
         lagrangian, "el_residual", 1, lambda r: dataclasses.replace(r, max_abs_residual=math.nan)

@@ -5,8 +5,11 @@
 Runs the config of the benchmark's `simulate-long` workload at seed 1 (see
 ``bench/workloads.py``: `simulate --format svg` over 100 T at dt = T/1000,
 with the trajectory CSV) in a child process, once untraced to warm the
-caches and once under `tracemalloc`, and prints the traced peak of the
-second op and that peak per integration step. With ``--against REV`` it
+caches, once untraced to count its minor page faults (``ru_minflt``: a
+buffer that the allocator hands back to the kernel and faults in again on
+each use shows here) and once under `tracemalloc`, and prints the traced
+peak of the last op, that peak per integration step and the faults. With
+``--against REV`` it
 first does the same on the files committed at git revision REV (``git
 archive`` unpacked into a temporary directory) and prints the difference.
 tracemalloc counts every numpy buffer, so this shows memory changes far
@@ -28,7 +31,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKLOAD, SEED = "simulate-long", 1
 
 CHILD = f"""
-import contextlib, io, json, sys, tempfile, tracemalloc
+import contextlib, io, json, resource, sys, tempfile, tracemalloc
 import workloads
 from inertonsim import cli
 
@@ -37,26 +40,31 @@ def op(traced):
         argv, expect = workloads.make_op({WORKLOAD!r}, {SEED}, work_dir)
         if traced:
             tracemalloc.start()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         code = cli.main(argv)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     if code != 0:
         sys.exit(f"simulate exited {{code}}")
-    return peak, sum(case["n_steps"] for case in expect["cases"])
+    return peak, sum(case["n_steps"] for case in expect["cases"]), faults
 
 op(False)
-print(json.dumps(op(True)))
+faults = op(False)[2]
+peak, steps, _ = op(True)
+print(json.dumps([peak, steps, faults]))
 """
 
 
-def measure(tree: pathlib.Path) -> tuple[int, int]:
-    """Traced peak in bytes and step count of one op on the tree at ``tree``."""
+def measure(tree: pathlib.Path) -> tuple[int, int, int]:
+    """Traced peak in bytes, step count and minor faults untraced of one op
+    on the tree at ``tree``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(tree / "bench")]), "PYTHONHASHSEED": "0"}
     proc = subprocess.run([sys.executable, "-c", CHILD], cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"op on {tree} failed: {proc.stderr.strip()}")
-    peak, steps = json.loads(proc.stdout.splitlines()[-1])
-    return peak, steps
+    peak, steps, faults = json.loads(proc.stdout.splitlines()[-1])
+    return peak, steps, faults
 
 
 def main(argv: list[str]) -> int:
@@ -78,12 +86,13 @@ def main(argv: list[str]) -> int:
     except RuntimeError as exc:
         print(f"peak_per_step: {exc}", file=sys.stderr)
         return 2
-    print(f"{'tree':<8} {'traced peak (B)':>16} {'steps':>9} {'B per step':>11}")
-    for name, peak, steps in rows:
-        print(f"{name:<8} {peak:>16,} {steps:>9} {peak / steps:>11.1f}")
+    print(f"{'tree':<8} {'traced peak (B)':>16} {'steps':>9} {'B per step':>11} {'minor faults':>13}")
+    for name, peak, steps, faults in rows:
+        print(f"{name:<8} {peak:>16,} {steps:>9} {peak / steps:>11.1f} {faults:>13,}")
     if ns.against:
-        (_, before, steps), (_, now, _) = rows
-        print(f"{'delta':<8} {now - before:>+16,} {'':>9} {(now - before) / steps:>+11.1f}")
+        (_, before, steps, faults_before), (_, now, _, faults_now) = rows
+        print(f"{'delta':<8} {now - before:>+16,} {'':>9} {(now - before) / steps:>+11.1f} "
+              f"{faults_now - faults_before:>+13,}")
     return 0
 
 
