@@ -14,7 +14,7 @@ params, kin = derive_kinematics(M0=1.0, v0=1.0, c=10.0, T=1.0)
 t_end = 10.0 * params.T
 
 traj = integrate(params, t_end=t_end, dt=params.T / 1000.0)
-res = np.asarray(traj.invariant_residuals)
+(res,) = traj.rows(0, len(traj), ("residual",))
 print("conserved-quantity residual over ten periods:")
 print("  max |residual| =", np.max(np.abs(res)))
 print("  events crossed =", len(traj.events))

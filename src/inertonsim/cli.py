@@ -227,6 +227,8 @@ def resolve_config(cfg):
     sim.setdefault("t_end", 10.0 * params.T)
     sim["dt"] = dt = _number("simulation.dt", sim["dt"])
     sim["t_end"] = t_end = _number("simulation.t_end", sim["t_end"])
+    if not t_end > 0.0:
+        raise ConfigError(f"simulation.t_end: must be positive, got {t_end}")
     try:
         step_count(params.T, t_end, dt)
     except ValueError as exc:
@@ -340,7 +342,7 @@ def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
 
     derived = {
         "system": params.to_dict(),
-        "n_samples": len(traj.w),
+        "n_samples": len(traj),
         "n_events": len(traj.events),
         "max_oracle_error": errs["max"],
         "max_invariant_residual": traj.max_abs_residual(),

@@ -52,10 +52,12 @@ are computed one block of `ROW_BLOCK` samples at a time, and
 `Trajectory.rows` derives the columns and residuals of any slice the same
 way.
 
-The exact motion is known in closed form: `_exact` evaluates it in these
-units, with the branch at contact instants ``t = n T`` resolved to the right
-(post-reflection) side so the state is right-continuous there, and
-`closed_form`, `closed_form_trajectory` and `oracle_errors` share it.
+The exact motion is known in closed form: `_exact_state` gives its state
+``(w, u)`` in these units, with the branch at contact instants ``t = n T``
+resolved to the right (post-reflection) side so the state is
+right-continuous there. `closed_form`, `closed_form_trajectory` and
+`oracle_errors` all take it from there, and `_rows` derives the columns of
+the exact state as it does those of a run.
 """
 
 from __future__ import annotations
@@ -140,17 +142,35 @@ def _tau(lo: int, hi: int, dt: float, T: float) -> np.ndarray:
     return tau
 
 
-def _residual(w: np.ndarray, out=None) -> np.ndarray:
-    """``(Re w)^2 + (Im w)^2 - 1`` per sample of ``w``, into ``out`` if given."""
-    out = np.square(w.real, out=out)
-    out += np.square(w.imag)
-    out -= 1.0
+def _rows(w, u, tau, names, out=None) -> np.ndarray:
+    """The rows ``names`` (of `ROWS`) of the state ``w``, with ``u`` and
+    ``tau = t/T`` per sample (read only for ``xi``), into ``out`` if given:
+
+        xi = (Im w - u) / pi + tau    V = 1 - Re w    chi = Re w / pi
+        U = Im w                      residual = (Re w)^2 + (Im w)^2 - 1
+
+    Each is computed in this order, so a value keeps its bits whatever the
+    slice. The state may be 0-d, with ``out`` of shape ``(len(names),)``.
+    ``u`` may be the row of ``xi`` itself.
+    """
+    out = np.empty((len(names), *w.shape)) if out is None else out
+    for j, name in enumerate(names):
+        row = out[j, ...]
+        if name == "xi":
+            np.subtract(w.imag, u, out=row)
+            row /= math.pi
+            row += tau
+        elif name == "V":
+            np.subtract(1.0, w.real, out=row)
+        elif name == "chi":
+            np.divide(w.real, math.pi, out=row)
+        elif name == "U":
+            row[...] = w.imag
+        else:
+            np.square(w.real, out=row)
+            row += np.square(w.imag)
+            row -= 1.0
     return out
-
-
-def _whole(name: str) -> property:
-    """The row ``name`` of every sample, derived anew on each access."""
-    return property(lambda self: self.rows(0, len(self.w), (name,))[0])
 
 
 @dataclass
@@ -166,10 +186,10 @@ class Trajectory:
     reflection sits below zero). ``events`` is the float64 array of
     reflection times in increasing order. ``metadata`` records how the run
     was produced (grid and event tolerances) and is emitted verbatim by the
-    CLI. The properties ``xi``, ``V``, ``chi``, ``U``,
-    ``invariant_residuals`` and `samples` derive every sample anew on each
-    access; they serve the tests, the demos and the benchmark's counters,
-    while the program reads by block.
+    CLI. ``len(traj)`` is the number of samples. No module but this one
+    reads ``w``: the program reads by block, through `rows` and `columns`,
+    and `samples` and `as_arrays` derive every sample anew on each access
+    for the tests and the benchmark's counters.
     """
 
     params: SystemParams
@@ -179,56 +199,43 @@ class Trajectory:
     events: np.ndarray
     metadata: dict = field(default_factory=dict)
 
-    xi, V, chi, U, invariant_residuals = map(_whole, ROWS)
+    def __len__(self) -> int:
+        return len(self.w)
 
     @cached_property
     def _segments(self) -> tuple[np.ndarray, np.ndarray]:
         """The samples at which ``u`` jumps, then ``len(w)``; and ``u``
         from each, the running sum of the jumps."""
         starts, jumps = zip(*self.jumps)
-        return np.array([*starts, len(self.w)]), np.cumsum(jumps)
+        return np.array([*starts, len(self)]), np.cumsum(jumps)
 
     def rows(self, lo: int, hi: int, names=ROWS, out=None) -> np.ndarray:
         """The rows ``names`` (of `ROWS`) of samples ``lo`` to ``hi - 1``,
-        derived from ``w`` as the rows of one block, ``out`` if given:
-
-            xi = (Im w - u) / pi + i dt / T    V = 1 - Re w    chi = Re w / pi
-            U = Im w                             residual = (Re w)^2 + (Im w)^2 - 1
-
-        Each is computed in this order, so a value keeps its bits whatever
-        the slice; ``u`` comes from the jumps by `np.repeat`.
-        """
+        derived from ``w`` by `_rows`, into ``out`` if given. Only for
+        ``xi`` are ``tau`` and ``u`` built, ``u`` from the jumps by
+        `np.repeat` and into the row of ``xi``, so that no block holds both
+        as temporaries."""
         w = self.w[lo:hi]
         hi = lo + len(w)
+        if "xi" not in names:
+            return _rows(w, None, None, names, out)
         out = np.empty((len(names), len(w))) if out is None else out
-        for name, row in zip(names, out):
-            if name == "xi":
-                starts, u = self._segments
-                edges = np.minimum(np.maximum(starts, lo), hi)  # each segment's samples in the slice
-                row[:] = np.repeat(u, edges[1:] - edges[:-1])
-                np.subtract(w.imag, row, out=row)
-                row /= math.pi
-                row += _tau(lo, hi, self.dt, self.params.T)
-            elif name == "V":
-                np.subtract(1.0, w.real, out=row)
-            elif name == "chi":
-                np.divide(w.real, math.pi, out=row)
-            elif name == "U":
-                row[:] = w.imag
-            else:
-                _residual(w, out=row)
-        return out
+        starts, cum = self._segments
+        edges = np.minimum(np.maximum(starts, lo), hi)  # each segment's samples in the slice
+        u = out[names.index("xi")]  # `_rows` turns this row into xi in place
+        u[...] = np.repeat(cum, edges[1:] - edges[:-1])
+        return _rows(w, u, _tau(lo, hi, self.dt, self.params.T), names, out)
 
     def max_abs_residual(self) -> float:
         """The largest ``|residual|``, one block of `ROW_BLOCK` samples at a
         time; a NaN propagates."""
-        blocks = range(0, len(self.w), ROW_BLOCK)
+        blocks = range(0, len(self), ROW_BLOCK)
         return float(np.max([np.max(np.abs(self.rows(lo, lo + ROW_BLOCK, ("residual",)))) for lo in blocks]))
 
     def columns(self, rows: slice = slice(None)) -> dict[str, np.ndarray]:
         """The rows ``rows`` (a slice) in physical units: a state whose
         fields, those of `SAMPLE_FIELDS`, are arrays."""
-        lo, hi, _ = rows.indices(len(self.w))
+        lo, hi, _ = rows.indices(len(self))
         return _units(self.params, np.arange(lo, hi) * self.dt, *self.rows(lo, hi, ROWS[:4]))
 
     @property
@@ -236,16 +243,16 @@ class Trajectory:
         """Every row packed into a structured array of `SAMPLE_DTYPE`
         (``samples["X"]`` the particle coordinate column, ``samples[i]``
         the i-th sample), built anew on each access."""
-        out = np.empty(len(self.w), dtype=SAMPLE_DTYPE)
+        out = np.empty(len(self), dtype=SAMPLE_DTYPE)
         for name, col in self.columns().items():
             out[name] = col
         return out
 
     def as_arrays(self) -> dict[str, np.ndarray]:
         """The physical columns plus ``invariant_residual``, each derived at
-        full length.
+        full length by `columns` and `rows`.
         Kept only because `bench/spans.py` patches it; goes with the tracer rewrite (ROADMAP item 4)."""
-        return {**self.columns(), "invariant_residual": self.invariant_residuals}
+        return {**self.columns(), "invariant_residual": self.rows(0, len(self), ("residual",))[0]}
 
 
 def invariant_residual(s, p: SystemParams):
@@ -264,45 +271,37 @@ def invariant_residual(s, p: SystemParams):
 # Closed-form reference motion
 # ---------------------------------------------------------------------------
 
-def _exact(tau, out=None):
-    """Exact ``(xi, V, chi, U)`` at ``tau = t/T``, a scalar or an array.
+def _exact_state(tau, w, u=None):
+    """Exact state ``(w, u)`` at ``tau = t/T``, a scalar or an array, with
+    ``w`` written into the caller's complex buffer ``w`` and ``u`` into
+    ``u`` if given.
 
-    With ``k = floor(tau)`` and ``frac = tau - k`` the columns are
+    With ``k = floor(tau)`` the pair turns on the velocity circle and ``u``
+    steps by 2 at each reflection:
 
-        xi  = tau + (cos(pi frac) - 1 - 2 k) / pi
-        V   = 1 - sin(pi frac)
-        chi = sin(pi frac) / pi
-        U   = cos(pi frac)
+        w = sin(pi (tau - k)) + i cos(pi (tau - k))    u = 2 k + 1
 
-    which is algebraically identical to the textbook absolute-value form
-    but free of cancellation, and lands on the post-reflection branch at
-    integer ``tau`` because ``floor`` is right-continuous there. The four
-    columns are computed in place, as the rows of the one ``(4, ...)``
-    block returned, ``out`` if given.
+    `_rows` derives the columns from them. ``floor`` is right-continuous,
+    so at integer ``tau`` this is the post-reflection branch. ``tau`` is a
+    float array, 0-d for a scalar; the argument ``pi (tau - k)`` is formed
+    in ``Im w``, so nothing else is allocated.
     """
-    tau = np.asarray(tau, dtype=float)
-    out = np.empty((4, *tau.shape)) if out is None else out
-    xi, V, chi, U = (out[j, ...] for j in range(4))
-    k = np.floor(tau, out=V)
-    arg = np.multiply(np.subtract(tau, k, out=U), np.pi, out=U)
-    np.sin(arg, out=chi)
-    co = np.cos(arg, out=U)
-    k *= 2.0
-    np.subtract(co, 1.0, out=xi)
-    xi -= k
-    xi /= np.pi
-    xi += tau
-    np.subtract(1.0, chi, out=V)
-    chi /= np.pi
-    return out
+    u = np.floor(tau, out=u)
+    arg = np.multiply(np.subtract(tau, u, out=w.imag), np.pi, out=w.imag)
+    np.sin(arg, out=w.real)
+    np.cos(arg, out=arg)
+    u *= 2.0
+    u += 1.0
+    return w, u
 
 
 def closed_form(t, p: SystemParams) -> dict:
     """Exact state at time ``t >= 0``, a scalar or an array of times: the
-    state dict of `_exact` at ``t/T``, in physical units."""
+    columns of `_exact_state` at ``t/T``, in physical units."""
     if np.any(np.asarray(t) < 0.0):
         raise ValueError(f"closed form is defined for t >= 0, got {np.min(t)}")
-    return _units(p, t, *_exact(t / p.T))
+    tau = np.asarray(t / p.T, dtype=float)
+    return _units(p, t, *_rows(*_exact_state(tau, np.empty(tau.shape, dtype=np.complex128)), tau, ROWS[:4]))
 
 
 def closed_form_trajectory(p: SystemParams, t_end: float) -> Trajectory:
@@ -317,13 +316,8 @@ def closed_form_trajectory(p: SystemParams, t_end: float) -> Trajectory:
         raise ValueError(f"t_end must be positive, got {t_end}")
     dt = p.T / CLOSED_FORM_STEPS
     n = round(t_end / dt)
-    # the state of `_exact`, w = sin(pi frac) + i cos(pi frac), and u = 1 + 2k
-    tau = np.arange(n + 1) * dt / p.T
-    k = np.floor(tau)
-    arg = (tau - k) * np.pi
-    w = np.empty(n + 1, dtype=np.complex128)
-    w.real, w.imag = np.sin(arg), np.cos(arg)
-    jumps = [(0, 1.0)] + [(i, 2.0) for i in (np.flatnonzero(np.diff(k)) + 1).tolist()]
+    w, u = _exact_state(_tau(0, n + 1, dt, p.T), np.empty(n + 1, dtype=np.complex128))
+    jumps = [(0, 1.0)] + [(i, 2.0) for i in (np.flatnonzero(np.diff(u)) + 1).tolist()]
     n_events = math.floor(t_end / p.T + 1e-12)
     return Trajectory(
         p, dt, w, jumps,
@@ -489,7 +483,7 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
     # The guard on the residuals of samples 1..i, one block at a time, where
     # i < n_steps only after the break above; the one at t = 0 is exactly 0.0.
     for lo in range(1, i + 1, ROW_BLOCK):
-        _guard(_residual(w[lo:min(lo + ROW_BLOCK, i + 1)]), lo, dt)
+        _guard(_rows(w[lo:min(lo + ROW_BLOCK, i + 1)], None, None, ("residual",))[0], lo, dt)
     if i < n_steps:
         raise RuntimeError(f"cloud separation stayed negative across step at t={i * dt}")
 
@@ -520,10 +514,17 @@ def _deviations(traj: Trajectory, lo: int, hi: int, near: np.ndarray, work: np.n
     """Max deviation of each of the four columns from the closed form over
     samples ``lo`` to ``hi - 1``, with ``near`` the samples whose dxdt
     comparison accepts either branch (see `oracle_errors`). ``work``, of
-    shape ``(5, >= hi - lo)``, takes the exact columns and, in turn, each
-    column of the trajectory."""
+    shape ``(5, >= hi - lo)``, takes the exact state: ``w`` in the memory of
+    its last two rows, viewed as one complex buffer, and ``u`` in the first.
+    `_rows`
+    turns them into the exact columns in the first four rows (``U``,
+    written last, overlaps ``w``, and numpy buffers that copy), and then
+    each column of the trajectory goes, in turn, into the last row."""
     dev, row = work[:4, :hi - lo], work[4:, :hi - lo]
-    _exact(_tau(lo, hi, traj.dt, traj.params.T), out=dev)
+    tau = _tau(lo, hi, traj.dt, traj.params.T)
+    exact = work[3:].reshape(-1).view(np.complex128)[:hi - lo]
+    _rows(*_exact_state(tau, exact, dev[0]), tau, ROWS[:4], dev)
+    del tau  # freed before the trajectory's rows build their own
     # this block's samples near an event, and their dxdt against the other branch
     here = near[(near >= lo) & (near < hi)] - lo
     other = np.abs(traj.w.imag[lo:hi][here] + dev[3][here])
@@ -550,17 +551,22 @@ def oracle_errors(traj: Trajectory) -> dict[str, float]:
     block is reduced to its four maxima (a NaN deviation propagates), so the
     memory beyond the trajectory does not grow with the run.
     """
-    p, dt, n = traj.params, traj.dt, len(traj.w)
+    p, dt, n = traj.params, traj.dt, len(traj)
     window = PROBE_WINDOW * p.T
     # candidate grid indices around each event, inside [0, n), then the exact window test
     ev = np.asarray(traj.events, dtype=np.float64)[:, None]
     j = np.maximum(np.floor((ev - window) / dt) - 1.0, 0.0) + np.arange(min(math.ceil(2.0 * window / dt) + 4, n))
     near = j[(j < n) & (np.abs(j * dt - ev) <= window)].astype(np.intp)
     # one call per block, each into the same work rows; a NaN deviation
-    # propagates through both maxima. The rows are one block, 640 KB at full
-    # size: freeing it raises glibc's mmap threshold past the CSV writer's
-    # chunk buffers, which would otherwise fault in every chunk.
-    work = np.empty((5, min(ROW_BLOCK, n)))
+    # propagates through both maxima. The rows are one block of 640 KB,
+    # however short the run: freeing it raises glibc's mmap threshold, and
+    # with it the heap's trim threshold, past the CSV writer's chunk buffers
+    # and a `check` op's temporaries, which would otherwise be faulted in
+    # again on every chunk or op. The exact state is written into these
+    # rows and a block frees its times before the trajectory's rows are
+    # derived, so a block allocates one more row at a time: with two, glibc
+    # trimmed the heap of every `sweep` op.
+    work = np.empty((5, ROW_BLOCK))
     worst = np.max(
         [_deviations(traj, lo, min(lo + ROW_BLOCK, n), near, work) for lo in range(0, n, ROW_BLOCK)], axis=0
     )
@@ -586,7 +592,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     (byte-identical to per-value formatting) and written, so the writer's
     memory beyond its flags does not grow with the run.
     """
-    flags = np.zeros(len(traj.w), dtype=np.uint8)
+    flags = np.zeros(len(traj), dtype=np.uint8)
     for t_ev in traj.events:
         # an event localized within the timing tolerance after a grid point
         # belongs to that sample, not the next interval

@@ -211,7 +211,7 @@ def el_residual(L, traj: Trajectory, coord: str) -> ELResidualReport:
         raise ValueError(f"coord must be one of {sorted(_COORDS)}, got {coord!r}")
     q_name, qdot_name = _COORDS[coord]
 
-    n = len(traj.w)
+    n = len(traj)
     if n < 9:
         raise ValueError(f"need at least 9 samples for the residual stencil, got {n}")
     cols = traj.columns()

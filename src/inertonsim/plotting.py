@@ -52,23 +52,16 @@ def _write_points(fh, chunks, px, py) -> None:
 
 def render_line_svg(
     path,
-    series: list[tuple[np.ndarray, np.ndarray, str]],
+    series,
     title: str,
     xlabel: str,
     ylabel: str,
     width: int = _WIDTH,
     height: int = 420,
 ) -> None:
-    """Write one SVG panel. ``series`` holds ``(x, y, label)`` triples."""
-    whole = [(lambda x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float): [(x, y)], label)
-             for x, y, label in series]
-    _panel(path, whole, title, xlabel, ylabel, width, height)
-
-
-def _panel(path, series, title: str, xlabel: str, ylabel: str, width: int, height: int) -> None:
-    """`render_line_svg` for ``(chunks, label)`` series: ``chunks()``
-    returns the series' points as ``(x, y)`` pairs of arrays, and is called
-    once for the ranges and once for the points."""
+    """Write one SVG panel. ``series`` holds ``(chunks, label)`` pairs:
+    ``chunks()`` returns the series' points as ``(x, y)`` pairs of float
+    arrays, and is called once for the ranges and once for the points."""
     ml, mr, mt, mb = _MARGINS
     pw, ph = width - ml - mr, height - mt - mb
 
@@ -131,20 +124,19 @@ def _panel(path, series, title: str, xlabel: str, ylabel: str, width: int, heigh
         fh.write(b"</svg>\n")
 
 
-def _m4(x: np.ndarray, y: np.ndarray, columns: int, span=None):
+def _m4(x: np.ndarray, y: np.ndarray, columns: int, span: tuple[float, float]):
     """Index of the M4 points of the line through ``(x, y)``, ``x``
     non-decreasing: in each of ``columns`` pixel columns, the first, last,
     lowest and highest point, in order. A point's column is
-    ``floor((x - x_lo) / (x_hi - x_lo) * columns)`` over the range ``span``
-    of the whole line, by default that of ``x``, which `render_line_svg`
-    gives it; ``x == x_hi`` goes in the last column. The kept points hold
-    each column's extremes and both ends of the line, so they set the same
-    axis ranges; on a piece of the line, they hold those of each column's
-    part in it. A series with a non-finite value keeps every point
-    (``slice(None)``)."""
+    ``floor((x - x_lo) / (x_hi - x_lo) * columns)`` over the range ``span
+    = (x_lo, x_hi)`` of the whole line; ``x == x_hi`` goes in the last
+    column. The kept points hold each column's extremes and both ends of
+    the line, so they set the same axis ranges; on a piece of the line,
+    they hold those of each column's part in it. A series with a non-finite
+    value keeps every point (``slice(None)``)."""
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         return slice(None)
-    x_lo, x_hi = span or (float(np.min(x)), float(np.max(x)))
+    x_lo, x_hi = span
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     # a point's position across the plot box, in px, is non-decreasing: so
@@ -173,7 +165,7 @@ def trajectory_svg(traj, path) -> None:
     sample's), and the points kept from every block are cut once more: they
     hold the extremes and ends of each whole column. A block with a
     non-finite value keeps all its points."""
-    n, T = len(traj.w), traj.params.T
+    n, T = len(traj), traj.params.T
     span = (0.0, (n - 1) * traj.dt / T)
     kept = [[], []]
     for lo in range(0, n, ROW_BLOCK):
@@ -185,7 +177,7 @@ def trajectory_svg(traj, path) -> None:
     for parts, label in zip(kept, ("X / lambda", "x / Lambda")):
         x, y = (np.concatenate(v) for v in zip(*parts))
         keep = _m4(x, y, _COLUMNS, span)
-        series.append((x[keep], y[keep], label))
+        series.append((lambda points=[(x[keep], y[keep])]: points, label))
     render_line_svg(
         path,
         series,
@@ -198,15 +190,15 @@ def trajectory_svg(traj, path) -> None:
 def phase_plane_svg(traj, path) -> None:
     """Velocity-plane portrait: the pair traces the unit circle in the
     coordinates (1 - dXdt/v0, dxdt/c), derived one chunk of `_CHUNK` samples
-    at a time. The abscissa is ``1 - V`` with ``V = 1 - Re w``, not ``Re w``,
-    whose bits can differ."""
+    at a time. The abscissa is ``1 - V``, which can differ from ``Re w`` in
+    the last bit."""
 
     def chunks():
-        for lo in range(0, len(traj.w), _CHUNK):
-            (V,) = traj.rows(lo, lo + _CHUNK, ("V",))
-            yield np.subtract(1.0, V, out=V), traj.w.imag[lo:lo + _CHUNK]
+        for lo in range(0, len(traj), _CHUNK):
+            V, U = traj.rows(lo, lo + _CHUNK, ("V", "U"))
+            yield np.subtract(1.0, V, out=V), U
 
-    _panel(
+    render_line_svg(
         path,
         [(chunks, "velocity locus")],
         title="velocity-plane portrait",

@@ -108,7 +108,7 @@ def _check_oracle_agreement(traj):
 
 
 def _check_invariant_conservation(traj):
-    return np.abs(traj.rows(0, len(traj.w), ("residual",))[0]), 1.0e-8
+    return np.abs(traj.rows(0, len(traj), ("residual",))[0]), 1.0e-8
 
 
 def _check_periodicity(traj):

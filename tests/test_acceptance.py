@@ -70,7 +70,7 @@ def test_criterion_01_oracle_agreement():
 
 def test_criterion_02_conservation():
     _, traj, _ = _standard_run()
-    worst = max(abs(r) for r in traj.invariant_residuals)
+    worst = max(abs(r) for r in traj.rows(0, len(traj), ("residual",))[0])
     n_events = len(traj.events)
     ok = worst <= 1e-8 and n_events == 10
     assert verdict(

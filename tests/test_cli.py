@@ -534,6 +534,14 @@ def test_sweep_refuses_a_step_whose_events_leave_the_probe_window(tmp_path, caps
     assert not (out / "dt_0").exists()
 
 
+def test_sweep_names_t_end_in_a_failed_row(tmp_path, capsys):
+    out = tmp_path / "sw"
+    assert run_cli("sweep", "--preset", "natural", "--axis", "t_end", "--values=-1,1", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "sweep t_end=-1: FAILED (simulation.t_end: must be positive, got -1.0)\n"
+    refused, admitted = (out / "summary.csv").read_text().splitlines()[1:]
+    assert math.isnan(float(refused.split(",")[1])) and float(admitted.split(",")[1]) < 1e-6
+
+
 def test_sweep_axis_validation(tmp_path):
     assert run_cli(
         "sweep", "--preset", "natural", "--axis", "flux", "--values", "1", "--out", str(tmp_path)
@@ -784,6 +792,8 @@ def test_runtime_error_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
         ('{"simulation": {"n_inertons": [2]}}', "simulation.n_inertons"),
         ('{"simulation": {"n_inertons": 1.5}}', "simulation.n_inertons"),
         ('{"simulation": {"t_end": "long"}}', "simulation.t_end"),
+        ('{"simulation": {"t_end": -1}}', "simulation.t_end"),
+        ('{"simulation": {"t_end": 0}}', "simulation.t_end"),
         ('{"seed": [1]}', "seed"),
         ('{"seed": 1e400}', "seed"),
         ('{"seed": -1}', "seed"),

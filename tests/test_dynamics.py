@@ -28,6 +28,11 @@ from inertonsim.plotting import phase_plane_svg, render_line_svg, trajectory_svg
 # The generator of the dimensionless system, written out independently of
 # the program: dy/dtau = A y for y = (xi, V, chi, U, 1), with xi' = V,
 # V' = -pi U, chi' = U and U' = pi (V - 1).
+def _row(traj, name):
+    """The row ``name`` (of `dynamics.ROWS`) of every sample of ``traj``."""
+    return traj.rows(0, len(traj), (name,))[0]
+
+
 GENERATOR = np.array(
     [
         [0.0, 1.0, 0.0, 0.0, 0.0],
@@ -131,7 +136,7 @@ def test_ten_events_on_period_boundaries(natural, natural_traj):
 
 
 def test_conservation_across_events(natural_traj):
-    worst = max(abs(r) for r in natural_traj.invariant_residuals)
+    worst = max(abs(r) for r in _row(natural_traj, "residual"))
     assert worst <= 1e-8
 
 
@@ -194,14 +199,14 @@ def test_off_grid_events_still_found(natural):
 def test_conservation_property(v0, T):
     params, _ = derive_kinematics(1.0, v0, 1.0, T)
     traj = integrate(params, t_end=2.0 * T, dt=T / 250.0)
-    assert max(abs(r) for r in traj.invariant_residuals) <= 1e-8
+    assert max(abs(r) for r in _row(traj, "residual")) <= 1e-8
 
 
 def test_long_run_stays_on_the_invariant_circle(natural):
     params, _ = natural
     traj = integrate(params, t_end=20.0 * params.T, dt=params.T / 500.0)
     assert len(traj.events) == 20
-    assert max(abs(r) for r in traj.invariant_residuals) <= 1e-8
+    assert max(abs(r) for r in _row(traj, "residual")) <= 1e-8
 
 
 def test_divergence_error_is_a_runtime_error():
@@ -288,13 +293,31 @@ def test_closed_form_trajectory_marks_events(natural):
     assert len(traj.samples) == 8001
 
 
+@pytest.mark.parametrize(
+    "pars", [(1.0, 1.0, 10.0, 1.0), (2.3, 0.37, 1.0, 1.7), (1.0, 1.0e-4, 1.0, 1.0)],
+    ids=["natural", "M0-2.3-v0-0.37-T-1.7", "v0-c-1e-4"],
+)
+def test_closed_form_agrees_with_itself(pars):
+    # one exact state and one row formula: the sampled closed form is its own
+    # oracle to the bit, and the scalar, array and sampled forms agree
+    params, _ = derive_kinematics(*pars)
+    traj = closed_form_trajectory(params, t_end=2.0 * params.T)
+    assert oracle_errors(traj) == {"X": 0.0, "dXdt": 0.0, "x": 0.0, "dxdt": 0.0, "max": 0.0}
+    cols = traj.columns()
+    array = closed_form(cols["t"], params)
+    scalar = [closed_form(t, params) for t in cols["t"].tolist()]
+    for name in ("X", "dXdt", "x", "dxdt"):
+        assert array[name].tobytes() == cols[name].tobytes(), name
+        assert np.array([s[name] for s in scalar]).tobytes() == cols[name].tobytes(), name
+
+
 # ------------------------------------------------------- column pipeline
 
 def test_divergence_guard_stops_at_first_offending_sample(natural, monkeypatch):
     params, _ = natural
     ref = integrate(params, t_end=1.0, dt=1e-3)
-    limit = 0.5 * float(np.max(np.abs(ref.invariant_residuals)))
-    first = int(np.argmax(np.abs(ref.invariant_residuals) > limit))
+    limit = 0.5 * float(np.max(np.abs(_row(ref, "residual"))))
+    first = int(np.argmax(np.abs(_row(ref, "residual")) > limit))
     monkeypatch.setattr(dynamics, "DIVERGENCE_LIMIT", limit)
     with pytest.raises(DivergenceError, match=f"at t={first * 1e-3}"):
         integrate(params, t_end=1.0, dt=1e-3)
@@ -362,7 +385,7 @@ def test_block_loop_matches_the_reference_loop_bitwise(M0, v0, T, divisor, perio
     n_steps = max(1, round(periods * divisor * (1.0 if cut is None else cut)))
     ref = _reference_integrate(params, n_steps * dt, dt)
     traj = integrate(params, n_steps * dt, dt)
-    got = (traj.xi, traj.V, traj.chi, traj.U, traj.events, traj.invariant_residuals)
+    got = (*(_row(traj, name) for name in dynamics.ROWS[:4]), traj.events, _row(traj, "residual"))
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     # the divergence guard stops both at the same sample (a run too short to
@@ -466,7 +489,7 @@ def test_svg_polyline_matches_per_point_formatter(tmp_path):
     x = np.array([0.0, 0.125, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0])
     y = np.array([-1.0, 0.3, 2.675, -0.005, 1e-9, 0.0])
     path = tmp_path / "line.svg"
-    render_line_svg(path, [(x, y, "series")], title="t", xlabel="x", ylabel="y")
+    render_line_svg(path, [(lambda: [(x, y)], "series")], title="t", xlabel="x", ylabel="y")
     # layout of render_line_svg at its default 760 x 420 size
     ml, mt, pw, ph = 64, 34, 760 - 64 - 16, 420 - 34 - 46
     x_lo, x_hi = 0.0, 1.0
@@ -513,7 +536,7 @@ def _lines(draw):
 @example(line=(np.arange(50.0), np.where(np.arange(50) == 7, -np.inf, 1.0)), columns=7)
 def test_m4_keeps_each_pixel_column_extremes(line, columns):
     x, y = line
-    keep = np.arange(len(x))[plotting._m4(x, y, columns)]
+    keep = np.arange(len(x))[plotting._m4(x, y, columns, (float(np.min(x)), float(np.max(x))))]
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         assert keep.tolist() == list(range(len(x)))  # drawn point for point
         return
@@ -585,7 +608,7 @@ def test_oracle_errors_match_dense_definition(
     # repeated, before t = 0 and past the last sample
     run = fine_run if fine else short_run
     p = run.params
-    t = np.arange(len(run.xi)) * run.dt
+    t = np.arange(len(run)) * run.dt
     times = [float(t[i]) + off for i, off in grid_events] + free_events
     if keep_own:
         times += run.events.tolist()
@@ -601,17 +624,19 @@ def _dense_oracle_errors(traj):
     """`oracle_errors` from the full samples x events distance matrix that the
     lookup by grid index replaces, in the trajectory's units."""
     p = traj.params
-    t = np.arange(len(traj.xi)) * traj.dt
-    xi, V, chi, U = dynamics._exact(t / p.T)
-    d_dxdt = np.abs(traj.U - U)
+    t = np.arange(len(traj)) * traj.dt
+    tau = t / p.T
+    state = dynamics._exact_state(tau, np.empty(len(t), dtype=np.complex128))
+    xi, V, chi, U = dynamics._rows(*state, tau, dynamics.ROWS[:4])
+    d_dxdt = np.abs(_row(traj, "U") - U)
     if len(traj.events):
         near = np.min(np.abs(t[:, None] - traj.events[None, :]), axis=1) <= 1.0e-6 * p.T
-        other = np.abs(traj.U + U)
+        other = np.abs(_row(traj, "U") + U)
         d_dxdt = np.where(near, np.minimum(d_dxdt, other), d_dxdt)
     dense = {
-        "X": float(np.max(np.abs(traj.xi - xi))),
-        "dXdt": float(np.max(np.abs(traj.V - V))),
-        "x": float(np.max(np.abs(traj.chi - chi))),
+        "X": float(np.max(np.abs(_row(traj, "xi") - xi))),
+        "dXdt": float(np.max(np.abs(_row(traj, "V") - V))),
+        "x": float(np.max(np.abs(_row(traj, "chi") - chi))),
         "dxdt": float(np.max(d_dxdt)),
     }
     dense["max"] = max(dense.values())
@@ -672,11 +697,12 @@ def test_svg_panels_against_every_point(natural_long, tmp_path):
     # trajectory.svg is the full-point rendering with each points list cut
     # to a subsequence; phase.svg is the full-point rendering
     traj = natural_long
-    tau = np.arange(len(traj.xi)) * traj.dt / traj.params.T
+    tau = np.arange(len(traj)) * traj.dt / traj.params.T
+    xi, V, chi, U = traj.rows(0, len(traj), dynamics.ROWS[:4])
     full = tmp_path / "full.svg"
     render_line_svg(
         full,
-        [(tau, traj.xi, "X / lambda"), (tau, traj.chi, "x / Lambda")],
+        [(lambda: [(tau, xi)], "X / lambda"), (lambda: [(tau, chi)], "x / Lambda")],
         title="particle coordinate and cloud separation",
         xlabel="t / T",
         ylabel="dimensionless position",
@@ -686,7 +712,7 @@ def test_svg_panels_against_every_point(natural_long, tmp_path):
     assert _POINTS.sub(b"", cut) == _POINTS.sub(b"", full)
     for every, kept in zip(_POINTS.findall(full), _POINTS.findall(cut), strict=True):
         every, kept = every.split(b" "), kept.split(b" ")
-        assert len(every) == len(traj.xi) and len(kept) < len(every) // 20
+        assert len(every) == len(traj) and len(kept) < len(every) // 20
         assert (kept[0], kept[-1]) == (every[0], every[-1])
         rest = iter(every)
         assert all(point in rest for point in kept)
@@ -694,7 +720,7 @@ def test_svg_panels_against_every_point(natural_long, tmp_path):
     full = tmp_path / "phase_full.svg"
     render_line_svg(
         full,
-        [(1.0 - traj.V, traj.U, "velocity locus")],
+        [(lambda: [(1.0 - V, U)], "velocity locus")],
         title="velocity-plane portrait",
         xlabel="1 - (dX/dt) / v0",
         ylabel="(dx/dt) / c",
@@ -723,7 +749,7 @@ def test_oracle_errors_memory_per_sample(natural):
     peaks = []
     for periods in (20, 200):
         traj = integrate(params, t_end=periods * params.T, dt=params.T / 1000.0)
-        assert len(traj.xi) > dynamics.ROW_BLOCK
+        assert len(traj) > dynamics.ROW_BLOCK
         peaks.append(_traced_peak(oracle_errors, traj))
     assert peaks[1] <= 1.5 * peaks[0]
 
@@ -732,7 +758,7 @@ def test_oracle_errors_memory_per_sample(natural):
 def test_svg_panel_memory_per_sample(natural_long, panel, tmp_path):
     # the pixel coordinates of one series and their temporaries; the ranges
     # concatenate nothing
-    assert _traced_peak(panel, natural_long, tmp_path / "panel.svg") <= 40 * len(natural_long.xi)
+    assert _traced_peak(panel, natural_long, tmp_path / "panel.svg") <= 40 * len(natural_long)
 
 
 def test_integrate_memory_is_linear_in_samples(natural):
@@ -744,7 +770,7 @@ def test_integrate_memory_is_linear_in_samples(natural):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    output = traj.samples.nbytes + traj.invariant_residuals.nbytes
+    output = traj.samples.nbytes + _row(traj, "residual").nbytes
     assert len(traj.samples) == 100001
     assert peak <= 4 * output
 
@@ -858,7 +884,7 @@ def test_power_table_of_one_period_keeps_the_blocks(natural, monkeypatch):
     full_run = integrate(*args)
     assert sizes == [126]
     assert short.samples.tobytes() == full_run.samples.tobytes()
-    assert short.invariant_residuals.tobytes() == full_run.invariant_residuals.tobytes()
+    assert _row(short, "residual").tobytes() == _row(full_run, "residual").tobytes()
     assert short.events.tobytes() == full_run.events.tobytes()
 
 
@@ -877,7 +903,7 @@ def test_integrator_matches_rk4_error_model(pars, divisor, periods):
     theta = math.atan2(z - z ** 3 / 6.0, 1.0 - z ** 2 / 2.0 + z ** 4 / 24.0)
     residual = math.expm1(periods * divisor * math.log1p(z ** 8 / 576.0 - z ** 6 / 72.0))
     n = len(traj.events)
-    assert traj.invariant_residuals[-1] == pytest.approx(residual, rel=0.02)
+    assert _row(traj, "residual")[-1] == pytest.approx(residual, rel=0.02)
     assert traj.events[-1] - n * params.T == pytest.approx(n * (z / theta - 1.0) * params.T, rel=0.01)
 
 
