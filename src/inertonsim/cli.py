@@ -59,6 +59,8 @@ from .action import OscillatorSpec, cyclic_action, quantize
 from .constants import ELECTRON_MASS, LIGHT_SPEED, PLANCK
 from .core import _beta2, _moving_mass, _square, derive_kinematics
 from .dynamics import (
+    EVENT_X_TOL,
+    PROBE_WINDOW,
     integrate,
     oracle_errors,
     step_count,
@@ -304,9 +306,12 @@ def _write_files(out_dir, files):
     return paths
 
 
-def _metadata(resolved, command, extra=None):
+def _metadata(config, command, extra=None):
+    """The document of ``metadata.json``: the tool, the command, the
+    config's own top-level keys (those of a resolved config, in the order of
+    ``config``) and ``extra`` as ``derived``."""
     meta = {"tool": "inertonsim", "version": __version__, "command": command}
-    meta.update(resolved)
+    meta.update((key, val) for key, val in config.items() if key in ("units", *_KEYS, "seed"))
     if extra:
         meta["derived"] = extra
     return meta
@@ -346,7 +351,13 @@ def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
         "n_events": len(traj.events),
         "max_oracle_error": errs["max"],
         "max_invariant_residual": traj.max_abs_residual(),
-        "integrator": traj.metadata,
+        "integrator": {
+            "dt": sim["dt"],
+            "t_end": sim["t_end"],
+            "n_steps": len(traj) - 1,
+            "event_x_tolerance": EVENT_X_TOL * params.Lam,
+            "probe_window": PROBE_WINDOW * params.T,
+        },
     }
     files.append(("metadata.json", _json("metadata.json", _metadata(resolved, "simulate", derived))))
     written = _write_files(out_dir, files)

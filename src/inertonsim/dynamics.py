@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -181,15 +181,14 @@ class Trajectory:
     (16 B per sample), and ``jumps`` the jumps of ``u`` as ``(sample,
     jump)`` pairs in sample order, the first ``(0, 1.0)``. `rows` derives the
     columns ``xi, V, chi, U`` (``X/lam, dXdt/v0, x/Lam, dxdt/c``) and the
-    first-integral residual of any slice, and `columns` applies the units.
+    first-integral residual of any slice, `columns` applies the units, and
+    `as_arrays` gives a slice's columns of the trajectory CSV.
     ``chi >= -EVENT_X_TOL`` to rounding (only a sample just after a
     reflection sits below zero). ``events`` is the float64 array of
-    reflection times in increasing order. ``metadata`` records how the run
-    was produced (grid and event tolerances) and is emitted verbatim by the
-    CLI. ``len(traj)`` is the number of samples. No module but this one
-    reads ``w``: the program reads by block, through `rows` and `columns`,
-    and `samples` and `as_arrays` derive every sample anew on each access
-    for the tests and the benchmark's counters.
+    reflection times in increasing order. ``len(traj)`` is the number of
+    samples. No module but this one reads ``w``: the program reads by block,
+    through `rows`, `columns` and `as_arrays`, and `samples` derives every
+    sample anew on each access, for the tests and the benchmark's counters.
     """
 
     params: SystemParams
@@ -197,7 +196,6 @@ class Trajectory:
     w: np.ndarray
     jumps: list[tuple[int, float]]
     events: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.w)
@@ -248,11 +246,13 @@ class Trajectory:
             out[name] = col
         return out
 
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        """The physical columns plus ``invariant_residual``, each derived at
-        full length by `columns` and `rows`.
-        Kept only because `bench/spans.py` patches it; goes with the tracer rewrite (ROADMAP item 4)."""
-        return {**self.columns(), "invariant_residual": self.rows(0, len(self), ("residual",))[0]}
+    def as_arrays(self, rows: slice = slice(None)) -> dict[str, np.ndarray]:
+        """The columns ``t, X, dXdt, x, dxdt, invariant_residual`` of the
+        trajectory CSV for the rows ``rows`` (a slice), derived by one `rows`
+        call."""
+        lo, hi, _ = rows.indices(len(self))
+        xi, V, chi, U, residual = self.rows(lo, hi)
+        return {**_units(self.params, np.arange(lo, hi) * self.dt, xi, V, chi, U), "invariant_residual": residual}
 
 
 def invariant_residual(s, p: SystemParams):
@@ -319,11 +319,7 @@ def closed_form_trajectory(p: SystemParams, t_end: float) -> Trajectory:
     w, u = _exact_state(_tau(0, n + 1, dt, p.T), np.empty(n + 1, dtype=np.complex128))
     jumps = [(0, 1.0)] + [(i, 2.0) for i in (np.flatnonzero(np.diff(u)) + 1).tolist()]
     n_events = math.floor(t_end / p.T + 1e-12)
-    return Trajectory(
-        p, dt, w, jumps,
-        events=np.arange(1, n_events + 1) * p.T,
-        metadata={"mode": "closed_form", "dt": dt, "t_end": t_end},
-    )
+    return Trajectory(p, dt, w, jumps, events=np.arange(1, n_events + 1) * p.T)
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +492,7 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
         s = _crossing(last, h, n_steps * dt)
         if s <= PROBE_WINDOW:
             events.append(n_steps * dt + s * p.T)
-    meta = {
-        "dt": dt,
-        "t_end": t_end,
-        "n_steps": n_steps,
-        "event_x_tolerance": EVENT_X_TOL * p.Lam,
-        "probe_window": PROBE_WINDOW * p.T,
-    }
-    return Trajectory(p, dt, w, jumps, np.array(events, dtype=np.float64), meta)
+    return Trajectory(p, dt, w, jumps, np.array(events, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +576,10 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     after it, as at every reflection of a run whose grid holds the multiples
     of T (``dt = T/1000``, ``T/250``), and otherwise the first sample after
     it. Floats carry 17 significant digits (``%.17g``) so a file round-trips
-    to the exact same doubles. Each chunk of rows is derived from ``w``, put
-    into physical units, rendered as one row-major block by `_text.rows`
-    (byte-identical to per-value formatting) and written, so the writer's
-    memory beyond its flags does not grow with the run.
+    to the exact same doubles. Each chunk's columns come from one
+    `Trajectory.as_arrays` call, are rendered as one row-major block by
+    `_text.rows` (byte-identical to per-value formatting) and written, so the
+    writer's memory beyond its flags does not grow with the run.
     """
     flags = np.zeros(len(traj), dtype=np.uint8)
     for t_ev in traj.events:
@@ -599,12 +588,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         idx = math.ceil((t_ev - PROBE_WINDOW * traj.params.T) / traj.dt)
         if 0 <= idx < len(flags):
             flags[idx] = 1
-
-    def chunk(rows: slice) -> list[np.ndarray]:
-        lo, hi, _ = rows.indices(len(flags))
-        return [*traj.columns(rows).values(), *traj.rows(lo, hi, ("residual",))]
-
-    _text.write_csv(path, _CSV_HEADER, chunk, flags)
+    _text.write_csv(path, _CSV_HEADER, lambda rows: [*traj.as_arrays(rows).values()], flags)
 
 
 def write_events_json(traj: Trajectory, path) -> None:

@@ -268,18 +268,16 @@ def scale_channel(traj: Trajectory, coord: str, factor: float) -> Trajectory:
     if coord not in _COORDS:
         raise ValueError(f"coord must be one of {sorted(_COORDS)}, got {coord!r}")
     p = traj.params
-    return replace(
-        traj,
-        params=replace(p, **{name: getattr(p, name) * factor for name in _UNITS[coord]}),
-        metadata={**traj.metadata, "corrupted": f"{coord} scaled by {factor}"},
-    )
+    return replace(traj, params=replace(p, **{name: getattr(p, name) * factor for name in _UNITS[coord]}))
 
 
 def write_el_csv(report: ELResidualReport, path) -> None:
     """Serialize a residual report: ``t,residual,excluded_flag`` rows.
 
-    Floats are ``%.17g`` (NaN as ``nan``), rendered column-wise by
-    `_text.g17` and written in chunks of `_text.CHUNK_ROWS` rows.
+    Floats are ``%.17g`` (NaN as ``nan``), rendered by `_text.g17` and
+    written by `_text.write_csv` in chunks of ``_text.CHUNK_ROWS // 2`` =
+    4,096 rows, the rows whose two float columns make `_text.CHUNK_ROWS`
+    values.
     """
     _text.write_csv(
         path, "t,residual,excluded_flag", lambda rows: [report.times[rows], report.residuals[rows]], report.excluded

@@ -55,6 +55,7 @@ def test_traced_commands_fill_the_layer_counters(tmp_path, capsys):
     for op, metric in [
         (0, "dynamics.integrate.steps"),
         (0, "dynamics.write_trajectory_csv.bytes"),
+        (0, "dynamics.as_arrays.calls"),
         (0, "plotting.svg.bytes"),
         (0, "lagrangian.el_residual.samples"),
         (1, "dynamics.integrate.steps"),

@@ -560,6 +560,24 @@ def test_sweep_h_axis_drops_T(tmp_path):
     assert meta["derived"]["system"]["T"] == pytest.approx(1.0 / M, rel=1e-12)
 
 
+def test_sweep_metadata_keeps_only_the_config_keys(tmp_path):
+    # a sweep's metadata.json once copied every top-level key of its config
+    # file: the "command" of a simulate run's metadata.json, or any other key
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--preset", "natural", "--config", write_cfg(tmp_path / "t.json", {
+        "simulation": {"t_end": 1.0}}), "--out", str(sim)) == 0
+    extra = write_cfg(tmp_path / "extra.json", {"command": "bogus", "note": "x", "simulation": {"t_end": 1.0}})
+    for i, config in enumerate((str(sim / "metadata.json"), extra)):
+        out = tmp_path / f"sw{i}"
+        assert run_cli("sweep", "--preset", "natural", "--config", config, "--axis", "dt", "--values", "0.002,0.001",
+                       "--out", str(out)) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert list(meta) == ["tool", "version", "command", "units", "parameters", "simulation", "outputs",
+                              "observables", "seed", "derived"]
+        assert meta["command"] == "sweep"
+        assert meta["derived"] == {"axis": "dt", "values": [0.002, 0.001], "failed": 0}
+
+
 # ------------------------------------------------------------------ replay
 
 def _tree(root):

@@ -81,6 +81,73 @@ def test_g17_near_ties_go_to_python():
     assert rendered(_text.g17, values) == reference(".17g", values)
 
 
+def _first_multiple(a, n, lo, hi):
+    """The smallest ``x >= 0`` with ``lo <= a x mod n <= hi`` (``0 <= lo <=
+    hi < n``), or None. Euclid's algorithm on the modulus, as in the
+    continued-fraction search for hard decimal conversions of V. Paxson, "A
+    Program for Testing IEEE Decimal-Binary Conversion" (1991): when no
+    multiple of ``a`` lies in ``[lo, hi]``, ``a x - n y`` lands there for the
+    fewest wraps ``y``, which solve the same problem modulo ``a``."""
+    if lo == 0:
+        return 0
+    a %= n
+    if a == 0:
+        return None
+    x = -(-lo // a)
+    if a * x <= hi:
+        return x
+    y = _first_multiple(n % a, a, -hi % a, -lo % a)
+    return None if y is None else -(-(lo + n * y) // a)
+
+
+# 2^-45, about 2.8e-14 of a unit in the 17th digit: less than half of the
+# error window that `_text._round17` states (about 7.1e-14), so the wide
+# product of a value this near a tie lies within the window
+NEAR = Fraction(1, 2**45)
+
+
+def near_ties_in_window():
+    """For each decade ``e`` and binary exponent ``q`` whose doubles ``v = m
+    2^q`` (``m`` in ``[2^52, 2^53)``) fall in ``[10^e, 10^(e+1))``, the
+    smallest ``m`` whose scaled value ``v 10^(16-e) = m 5^(16-e) / 2^d`` lies
+    within `NEAR` below a rounding tie, and the smallest above it, but not on
+    it. The residues ``m 5^(16-e) mod 2^d`` near ``2^(d-1)`` come from
+    `_first_multiple`. Only where ``2^-d <= NEAR`` (``d >= 45``: ``v <
+    1e-3``) does such an ``m`` exist; for ``v`` in ``[1, 2)`` the scaled
+    values are multiples of ``2^-36``."""
+    out = []
+    for e in range(-307, 17):
+        for q in range(math.floor((e - 1) * math.log2(10)) - 53, math.ceil((e + 1) * math.log2(10)) - 51):
+            d = e - 16 - q
+            half = math.floor(NEAR * 2**d)
+            lo = max(2**52, math.ceil(Fraction(10) ** e / Fraction(2) ** q))
+            hi = min(2**53, math.ceil(Fraction(10) ** (e + 1) / Fraction(2) ** q))
+            if half < 1 or lo >= hi:
+                continue
+            n, tie, a = 2**d, 2 ** (d - 1), 5 ** (16 - e)
+            start = a * lo % n
+            for below, above in ((tie - half, tie - 1), (tie + 1, tie + half)):
+                # a (lo + x) mod n in [below, above], split where it wraps past n
+                first, last = (below - start) % n, (above - start) % n
+                spans = [(first, last)] if first <= last else [(first, n - 1), (0, last)]
+                hits = [x for x in (_first_multiple(a, n, *span) for span in spans) if x is not None]
+                if hits and lo + min(hits) < hi:
+                    out.append(math.ldexp(lo + min(hits), q))
+    return out
+
+
+def test_g17_sends_near_ties_within_its_window_to_python():
+    values = near_ties_in_window()
+    assert len(values) > 2000
+    for v in values[::50]:
+        e = math.floor(math.log10(v))
+        scaled = Fraction(v) * Fraction(10) ** (16 - e)
+        off = scaled - math.floor(scaled) - Fraction(1, 2)
+        assert 10**16 <= scaled < 10**17 and 0 < abs(off) <= NEAR, v
+    assert not _text._round17(np.array(values))[2].any()
+    assert rendered(_text.g17, values) == reference(".17g", values)
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=40))
 @example([2.0**-25, -0.0, 5e-324, 1e-310, 1.5e-300, math.nan, -math.inf])

@@ -37,34 +37,6 @@ def test_src_lines_against_a_revision(tmp_path):
     assert rows["total"] == [3, 6, 3, 1, 3, 2, 1, 1, 0, 0, 1, 1, 1, 1, 0]
 
 
-def test_peak_per_step_against_a_revision(tmp_path):
-    # a committed copy of the tree measured against itself: both sides run the
-    # same 100,000-step op, whose state w alone is 16 B per step
-    shutil.copytree(os.path.join(REPO, "src", "inertonsim"), tmp_path / "src" / "inertonsim",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    for part in ("bench/workloads.py", "tools/peak_per_step.py"):
-        (tmp_path / part).parent.mkdir(exist_ok=True)
-        shutil.copy(os.path.join(REPO, part), tmp_path / part)
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "add", "-A")
-    _git(tmp_path, "commit", "-q", "-m", "one")
-    proc = subprocess.run([sys.executable, str(tmp_path / "tools" / "peak_per_step.py"), "--against", "HEAD"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()[1:]}
-    assert list(rows) == ["HEAD", "now", "delta"]
-    for name in ("HEAD", "now"):
-        peak, steps, per_step, faults = rows[name]
-        assert int(steps) == 100_000
-        assert round(int(peak.replace(",", "")) / 100_000, 1) == float(per_step)
-        assert 16.0 < float(per_step) <= 34.0
-        assert int(faults.replace(",", "")) >= 0
-    assert abs(float(rows["delta"][1])) < 1.0
-    assert int(rows["delta"][2].replace(",", "")) == int(rows["now"][3].replace(",", "")) - int(
-        rows["HEAD"][3].replace(",", "")
-    )
-
-
 def _committed_copy(root):
     """A git repository at ``root`` holding a committed copy of `src/`,
     ``bench/workloads.py`` and ``tools/out_diff.py``."""
@@ -83,12 +55,13 @@ def _out_diff(root):
                           capture_output=True, text=True)
     assert proc.returncode in (0, 1), proc.stderr
     codes, files = proc.stdout.split("\n\nfile")
-    return proc.returncode, codes.splitlines()[1:], files.split("\n\n")[0].splitlines()[1:]
+    files, peaks = files.split("\n\n")[:2]
+    return proc.returncode, codes.splitlines()[1:], files.splitlines()[1:], peaks.splitlines()[1:]
 
 
 def test_out_diff_identical_trees(tmp_path):
     _committed_copy(tmp_path)
-    returncode, codes, files = _out_diff(tmp_path)
+    returncode, codes, files, peaks = _out_diff(tmp_path)
     assert returncode == 0
     # 3 presets x 7 commands and 3 workloads x 3 seeds, each exiting 0 on both sides
     assert len(codes) == 30 and all(line.split()[1:] == ["0", "0"] for line in codes)
@@ -98,6 +71,16 @@ def test_out_diff_identical_trees(tmp_path):
         # check timings differ from run to run, though at %.3f they may not
         timed = name.endswith(("report.csv", "report.jsonl"))
         assert verdict in (("identical", "identical outside runtime_s") if timed else ("identical",)), name
+    # both sides run the same 100,000-step simulate-long op, whose state w alone is 16 B per step;
+    # the bytes of the delta may read about 100 B off 0, in the interpreter's small objects
+    rows = {line.split()[0]: line.split()[1:] for line in peaks}
+    assert list(rows) == ["HEAD", "now", "delta"]
+    for name in ("HEAD", "now"):
+        peak, steps, per_step = rows[name]
+        assert int(steps) == 100_000
+        assert round(int(peak.replace(",", "")) / 100_000, 1) == float(per_step)
+        assert 16.0 < float(per_step) <= 34.0
+    assert float(rows["delta"][1]) == 0.0
 
 
 def test_out_diff_reports_a_value_moved_by_one_ulp(tmp_path):
@@ -107,7 +90,7 @@ def test_out_diff_reports_a_value_moved_by_one_ulp(tmp_path):
     drift = "v0 * (1.0 - 2.0 / math.pi)"
     assert text.count(drift) == 1
     core.write_text(text.replace(drift, f"np.nextafter({drift}, math.inf)"))
-    returncode, codes, files = _out_diff(tmp_path)
+    returncode, codes, files, _ = _out_diff(tmp_path)
     assert returncode == 1
     assert all(line.split()[1:] == ["0", "0"] for line in codes)
     moved = {}

@@ -22,8 +22,19 @@ relative movement and the largest movement in units in the last place
 code of every case is compared too, with its last stderr line when the
 codes differ.
 
+After its cases, each tree's child runs the ``simulate-long`` workload's op
+at seed 1 (``simulate --format svg`` over 100 T at dt = T/1000, with the
+trajectory CSV) once more under `tracemalloc`, so with warm caches, and the
+traced peak of that op is printed per tree, in bytes and per integration
+step, with the difference between the trees. tracemalloc counts every
+numpy buffer, so this shows memory changes far below the resolution of a
+process's peak RSS. It also counts the interpreter's own small objects,
+and with the random name of the temporary directory, a tree's peak moves
+by about 100 B from one run to the next (0.0 B per step).
+
 Exit status: 0 when every file and exit code is the same, 1 when anything
-differs, 2 when a tree could not be run. Compare two trees on one machine
+differs, 2 when a tree could not be run. The traced peak is a report and
+does not change the exit status. Compare two trees on one machine
 only: numpy's ``sin``, ``cos`` and ``log`` may round differently on another
 CPU or numpy version. Standard library only in this process.
 """
@@ -50,7 +61,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXCLUDED = {"report.jsonl": {"runtime_s"}, "report.csv": {"runtime_s"}}
 
 CHILD = """
-import contextlib, io, json, os, sys
+import contextlib, io, json, os, shutil, sys, tracemalloc
 import workloads
 from inertonsim import cli
 
@@ -85,16 +96,26 @@ for name, argv in cases:
         except Exception as exc:
             code, err = "traceback", io.StringIO(repr(exc))
     codes[name] = [code, (err.getvalue().strip().splitlines() or [""])[-1]]
-print(json.dumps(codes))
+argv, expect = workloads.make_op("simulate-long", 1, sys.argv[2])
+with contextlib.redirect_stdout(io.StringIO()):
+    tracemalloc.start()
+    cli.main(argv)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+shutil.rmtree(sys.argv[2])
+print(json.dumps([codes, peak, sum(case["n_steps"] for case in expect["cases"])]))
 """
 
 
-def run_cases(tree: pathlib.Path, out: pathlib.Path) -> dict[str, list]:
+def run_cases(tree: pathlib.Path, out: pathlib.Path) -> tuple[dict[str, list], int, int]:
     """Run the case matrix on the tree at ``tree``, writing under ``out``;
-    returns each case's exit code and last stderr line."""
+    returns each case's exit code and last stderr line, then the traced
+    peak in bytes and the step count of the ``simulate-long`` op, which runs
+    in ``peak`` beside ``out``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(tree / "bench")]),
            "PYTHONHASHSEED": "0"}
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(out)], cwd=tree, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(out), str(out.parent / "peak")], cwd=tree, env=env,
+                          capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"cases on {tree} failed: {proc.stderr.strip()}")
     return json.loads(proc.stdout.splitlines()[-1])
@@ -215,13 +236,14 @@ def main(argv: list[str]) -> int:
                                      check=True, capture_output=True).stdout
             tree.mkdir()
             subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True, capture_output=True)
-            codes = {label: run_cases(tree, outs[label]), "now": run_cases(ROOT, outs["now"])}
+            runs = {label: run_cases(tree, outs[label]), "now": run_cases(ROOT, outs["now"])}
         except subprocess.CalledProcessError as exc:
             print(f"out_diff: {' '.join(exc.cmd)} failed: {exc.stderr.decode().strip()}", file=sys.stderr)
             return 2
         except RuntimeError as exc:
             print(f"out_diff: {exc}", file=sys.stderr)
             return 2
+        codes = {side: run[0] for side, run in runs.items()}
         differs = 0
         print(f"{'exit codes':<36} {label:>9} {'now':>9}")
         for case in sorted(set(codes[label]) | set(codes["now"])):
@@ -240,6 +262,11 @@ def main(argv: list[str]) -> int:
                 verdict, lines = compare(before, now)
             differs += not verdict.startswith("identical")
             print(f"{name:<60} {verdict}", *lines, sep="\n")
+    print(f"\n{'traced peak of one simulate-long op':<36} {'bytes':>12} {'steps':>9} {'B per step':>11}")
+    for side, (_, peak, steps) in runs.items():
+        print(f"{side:<36} {peak:>12,} {steps:>9} {peak / steps:>11.1f}")
+    delta = runs["now"][1] - runs[label][1]
+    print(f"{'delta':<36} {delta:>+12,} {'':>9} {delta / steps:>+11.1f}")
     print(f"\n{len(names)} files, {len(codes['now'])} cases; {differs} files or exit codes differ")
     return 1 if differs else 0
 
