@@ -488,7 +488,7 @@ def cmd_sweep(ns):
             cases.append(exc)
     if all(isinstance(case, ValueError) for case in cases):
         raise cases[0]
-    _json("metadata.json", cfg)
+    _json("metadata.json", _metadata(cfg, "sweep"))  # the keys it will write, refused before any run
     rows = []
     n_failed = 0
     for i, (value, case) in enumerate(zip(values, cases)):

@@ -37,11 +37,12 @@ IV.2), and RK4 keeps linear invariants exactly (Hairer, Lubich & Wanner,
 block's start state with one multiplication into the state array, so
 memory is the state's 16 B per sample.
 
-A step that ends with ``x < 0`` from ``x >= 0`` contains a reflection.
-Newton's method on ``Re(R(-i pi s) w)``, started from the linear guess,
-locates the partial step ``s`` of the crossing to ``|x| <= 1e-12 * Lam``;
-a crossing still farther after `NEWTON_MAX_ITER` steps ends the run with
-a RuntimeError. The reset ``dx/dt -> -dx/dt`` turns ``w`` into its
+A step that ends with ``x < 0`` contains a reflection. Newton's method on
+``Re(R(-i pi s) w)``, started from the linear guess, locates the partial
+step ``s`` of the crossing to ``|x| <= 1e-12 * Lam``; on the grids a run
+admits, one Newton step does. A crossing not located within the step, as
+in a step that starts below the guard, ends the run with a RuntimeError
+that names the step. The reset ``dx/dt -> -dx/dt`` turns ``w`` into its
 conjugate and lowers ``u`` by twice the ``U`` at impact; the rest of the
 step is taken from the reflected state, so samples stay on the grid, and
 the next block starts from there. Event location and the reset run on
@@ -348,32 +349,29 @@ def _step_powers(h: float, size: int) -> np.ndarray:
 
 def _crossing(w: complex, h: float, t: float) -> float:
     """Partial step ``s`` in ``[0, h]`` at which the separation vanishes, in
-    the step that starts at time ``t``.
+    the step that starts at time ``t`` from ``w`` and ends below the guard.
 
     Newton on ``chi(s) = Re(R(-i pi s) w) / pi`` from the linear guess, with
     the flow's slope ``U`` (the quartic's to a relative ``(pi s)^4/24``),
-    kept in the bracket ``chi(lo) >= 0 > chi(hi)`` by a bisection fallback,
-    until ``|chi| <= EVENT_X_TOL``. Raises RuntimeError, naming ``t``, if
-    ``|chi|`` is still above that after `NEWTON_MAX_ITER` steps.
+    until ``|chi| <= EVENT_X_TOL``, ``U = 0`` or `NEWTON_MAX_ITER` steps. On
+    the grids that `step_count` admits one step is enough
+    (`test_one_newton_step_locates_every_admitted_crossing`). Raises
+    RuntimeError, naming ``t``, unless then ``|chi| <= EVENT_X_TOL`` and
+    ``0 <= s <= h``: so also for a step that starts below the guard, which
+    has no root in it.
     """
-    lo, hi = 0.0, h
-    at_start, at_end = w.real, (_step_factor(h) * w).real
-    s = h * at_start / (at_start - at_end) if at_start > at_end else h
+    s = h * w.real / (w.real - (_step_factor(h) * w).real)
+    ws = _step_factor(s) * w
     for _ in range(NEWTON_MAX_ITER):
+        if abs(ws.real) <= math.pi * EVENT_X_TOL or not ws.imag:
+            break
+        s -= ws.real / (math.pi * ws.imag)
         ws = _step_factor(s) * w
-        if abs(ws.real) <= math.pi * EVENT_X_TOL:
-            return s
-        if ws.real > 0.0:
-            lo = s
-        else:
-            hi = s
-        nxt = s - ws.real / (math.pi * ws.imag) if ws.imag else lo
-        s = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-    miss = abs((_step_factor(s) * w).real) / math.pi
-    if not miss <= EVENT_X_TOL:
+    miss = abs(ws.real) / math.pi
+    if not (miss <= EVENT_X_TOL and 0.0 <= s <= h):
         raise RuntimeError(
-            f"event location in the step at t={t} stopped at |x| = {miss:.3e} Lam after "
-            f"{NEWTON_MAX_ITER} Newton steps, above {EVENT_X_TOL} Lam"
+            f"event location in the step at t={t} stopped at |x| = {miss:.3e} Lam, s = {s / h:.6g} h, "
+            f"within {NEWTON_MAX_ITER} Newton steps; the target is |x| <= {EVENT_X_TOL} Lam with 0 <= s <= h"
         )
     return s
 
@@ -433,11 +431,11 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
     Requirements: those of `step_count`, among them ``0 < dt <= T/100`` and
     ``t_end`` a whole number of steps, so samples land exactly on the grid.
 
-    Raises `DivergenceError` if the first-integral residual ever exceeds
-    1e-3 (or is not a number), which signals an integration failure rather
-    than physics, and `RuntimeError` if the separation stays negative
-    across a whole step. Both are raised only after the last block, from
-    the samples written, and a divergence is reported first.
+    Raises `RuntimeError`, from `_crossing` and naming the step, as soon as
+    a step that ends below the guard holds no located crossing, and
+    `DivergenceError` after the last block if the first-integral residual of
+    a sample exceeds 1e-3 (or is not a number), which signals an integration
+    failure rather than physics.
     """
     n_steps = step_count(p.T, t_end, dt)
 
@@ -466,8 +464,6 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
             continue
         i += k
         # Step i -> i+1 crosses the guard.
-        if w[i].real < 0.0:
-            break
         start = complex(w[i])
         s = _crossing(start, h, i * dt)
         events.append(i * dt + s * p.T)
@@ -476,12 +472,10 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
         w[i + 1] = _step_factor(h - s) * hit.conjugate()
         i += 1
 
-    # The guard on the residuals of samples 1..i, one block at a time, where
-    # i < n_steps only after the break above; the one at t = 0 is exactly 0.0.
-    for lo in range(1, i + 1, ROW_BLOCK):
-        _guard(_rows(w[lo:min(lo + ROW_BLOCK, i + 1)], None, None, ("residual",))[0], lo, dt)
-    if i < n_steps:
-        raise RuntimeError(f"cloud separation stayed negative across step at t={i * dt}")
+    # The guard on the residuals of samples 1..n_steps, one block at a time;
+    # the one at t = 0 is exactly 0.0.
+    for lo in range(1, n_steps + 1, ROW_BLOCK):
+        _guard(_rows(w[lo:lo + ROW_BLOCK], None, None, ("residual",))[0], lo, dt)
 
     # Trailing probe: the discretized crossing of the final period can land a
     # hair past t_end (the phase lag of PROBE_WINDOW's comment). One probe

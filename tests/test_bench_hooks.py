@@ -1,32 +1,47 @@
-"""The benchmark tracer patches program names by attribute; keep them there.
+"""The benchmark drives the program through its CLI and patches program
+names by attribute; keep both working.
 
 `bench/spans.py` wraps ``cli.integrate``, ``Trajectory.as_arrays`` and the
 other public functions at the place the program looks them up, and its
 counters read their arguments and results (``traj.samples``, a writer's
 path, ``el_residual``'s trajectory). A change in ``src/`` that removes or
 renames one of those names, or reorders those arguments, breaks every traced
-benchmark run, and these tests catch it in the tier-1 suite.
+benchmark run, and these tests catch it in the tier-1 suite. So does one op
+of each workload of `bench/workloads.py`, judged by the benchmark's own
+output check.
 """
 
 import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from inertonsim import cli, dynamics
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+WORKLOADS = _load("workloads")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+def test_one_op_of_each_workload_passes_the_benchmark_check(workload, tmp_path):
+    argv, expect = WORKLOADS.make_op(workload, 1, str(tmp_path))
+    attempted, problems = WORKLOADS.check_op(workload, cli.main(argv), expect)
+    assert attempted > 0 and problems == []
+
+
 def test_tracer_install_and_uninstall_restore_the_program():
     integrate, as_arrays = cli.integrate, dynamics.Trajectory.as_arrays
-    tracer = _load_spans().Tracer()
+    tracer = _load("spans").Tracer()
     tracer.install()
     try:
         assert cli.integrate is not integrate
@@ -40,7 +55,7 @@ def test_tracer_install_and_uninstall_restore_the_program():
 def test_traced_commands_fill_the_layer_counters(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"simulation": {"t_end": 1.0}, "outputs": {"el_residuals": True}}))
-    tracer = _load_spans().Tracer()
+    tracer = _load("spans").Tracer()
     tracer.install()
     try:
         simulate = cli.main(["simulate", "--preset", "natural", "--config", str(cfg), "--format", "svg",

@@ -793,12 +793,12 @@ def test_runtime_error_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
     import inertonsim.cli as cli
 
     def stuck(*args, **kwargs):
-        raise RuntimeError("cloud separation stayed negative across step at t=0.5")
+        raise RuntimeError("event location in the step at t=0.5 stopped at |x| = 1.000e-03 Lam")
 
     monkeypatch.setattr(cli, "integrate", stuck)
     assert run_cli("simulate", "--preset", "natural", "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
-    assert err.startswith("runtime failure: cloud separation stayed negative")
+    assert err.startswith("runtime failure: event location in the step at t=0.5")
 
 
 # ------------------------------------------------------- config coercion
@@ -926,7 +926,8 @@ def test_sweep_rejects_non_finite_values(tmp_path, capsys):
         ({"parameters": [1, 2]}, "M0", "parameters"),
         ({"simulation": 5}, "dt", "simulation"),
         ({"simulation": {"mode": "ensemble"}}, "dt", "simulation.mode"),
-        ({"note": math.nan}, "dt", "metadata.json"),
+        # a NaN the axis replaces in every run, but metadata.json would still record
+        ({"simulation": {"dt": math.nan}}, "dt", "metadata.json"),
         # faults in the sections no axis edits: once every row printed FAILED and the sweep exited 2
         ({"outputs": {"bogus": True}}, "dt", "outputs.bogus"),
         ({"observables": {"resonator_radius": -1}}, "dt", "observables.resonator_radius"),
@@ -950,6 +951,24 @@ def test_sweep_bad_config_writes_nothing(tmp_path, capsys, cfg, axis, key):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_sweep_refuses_a_nan_it_would_write_before_any_run(tmp_path, capsys):
+    path = write_cfg(tmp_path / "c.json", {"parameters": {"T": math.nan}})
+    out = tmp_path / "sw"
+    argv = ["sweep", "--preset", "natural", "--config", path, "--axis", "T", "--values", "1,2", "--out", str(out)]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == "error: metadata.json: parameters.T is nan\n"
+    assert not out.exists()
+
+
+def test_sweep_ignores_a_nan_in_a_key_it_does_not_write(tmp_path):
+    # as simulate does: metadata.json keeps only the config's known top-level keys
+    path = write_cfg(tmp_path / "c.json", {"note": math.nan})
+    out = tmp_path / "sw"
+    argv = ["sweep", "--preset", "natural", "--config", path, "--axis", "T", "--values", "1,2", "--out", str(out)]
+    assert run_cli(*argv) == 0
+    assert "note" not in json.loads((out / "metadata.json").read_text())
 
 
 def test_sweep_with_no_valid_value_writes_nothing(tmp_path, capsys):

@@ -839,6 +839,42 @@ def test_crossing_that_misses_the_target_is_refused(natural, monkeypatch, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("h", [0.01 * (1.0 + 1e-12), 1.0 / 123.4, 1.0 / 250.0, 1.0 / 999.5, 1.0 / 1000.0, 1e-5])
+def test_one_newton_step_locates_every_admitted_crossing(h, monkeypatch):
+    # Steps that `step_count` admits, from the coarsest (T/100 and its
+    # 1e-12 slack) to a fine one, at crossing phases drawn over the step and
+    # at the radius |w| = 1 of the start and 1 - 2e-4, far inside that of
+    # any admitted run (whose |w| shrinks by at most 8.3e-8). With the
+    # target made 100 times tighter, one Newton step from the linear guess
+    # still meets it: the worst measured is 3.2e-15 Lam.
+    target = dynamics.EVENT_X_TOL / 100.0
+    monkeypatch.setattr(dynamics, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(dynamics, "EVENT_X_TOL", target)
+    rng = np.random.default_rng(1)
+    factor = dynamics._step_factor(h)
+    for radius in (1.0, 1.0 - 2e-4):
+        # the state a fraction f of the step before it would reach the guard from above
+        for f in rng.uniform(0.0, 1.0, 2000).tolist():
+            w = radius * complex(math.sin(math.pi * f * h), -math.cos(math.pi * f * h))
+            assert w.real >= 0.0 > (factor * w).real
+            s = dynamics._crossing(w, h, 0.0)
+            assert 0.0 <= s <= h
+            assert abs((dynamics._step_factor(s) * w).real) / math.pi <= target
+
+
+def test_crossing_refuses_a_step_that_starts_below_the_guard():
+    # its root lies before the step, so no s in [0, h] is located
+    with pytest.raises(RuntimeError, match=r"^event location in the step at t=0\.5 stopped at .*, s = -"):
+        dynamics._crossing(complex(-1e-3, -1.0), 1e-3, 0.5)
+
+
+def test_crossing_with_a_flat_iterate_is_refused(monkeypatch):
+    # an iterate with U = 0 has no Newton step: the location ends, refused
+    monkeypatch.setattr(dynamics, "_step_factor", lambda s: complex(1.0 - 200.0 * s - 1.0e4 * s * s, 0.0))
+    with pytest.raises(RuntimeError, match=r"^event location in the step at t=0\.25 stopped at \|x\| = 3\.5"):
+        dynamics._crossing(0.5 + 0j, 0.01, 0.25)
+
+
 @settings(deadline=None, max_examples=30)
 @given(
     v0=st.floats(0.01, 0.9),
