@@ -12,8 +12,17 @@ Hackenbroich & Markl, "M4: A Visualization-Oriented Time Series Data
 Aggregation", PVLDB 7(10), 2014). So it costs O(pixel columns), not
 O(samples), and it takes them one block of rows at a time. It is
 pixel-exact at its native 760x420 size for a 1-px line; the 1.5-px stroke
-and zoomed views are approximations. ``phase.svg`` has no increasing axis
-and draws every sample, one chunk of rows at a time.
+and zoomed views are approximations. ``phase.svg`` has no increasing axis,
+but every period of the pair runs the same half circle and the same
+reflection chord. So it draws one period and the tail after the last
+reflection when they lie within ``B <= 0.005`` px of every sample, half the
+``%.2f`` quantum of its points, and every sample otherwise. ``B`` is the sum
+of a radius term (the spread of the first-integral residual), an arc term
+(twice the linear-interpolation bound of the circle between samples) and a
+reflection-chord term (how far each reflection's pair of samples lies from
+the first one's); see `_period_bound`. Its axis ranges come from every
+sample, one block of rows at a time, so all but its points are the bytes of
+the full rendering.
 """
 
 from __future__ import annotations
@@ -33,6 +42,10 @@ _COLUMNS = _WIDTH - _MARGINS[0] - _MARGINS[1]
 
 # Points per chunk of the polyline writer and of the phase panel.
 _CHUNK = _text.CHUNK_ROWS // 2
+# The phase panel's width and height in px, and how far in px its reduced
+# polyline may lie from the full one: half the %.2f quantum of its points.
+_PHASE_SIZE = 480
+_PHASE_SLACK = 0.005
 
 
 def _write_points(fh, chunks, px, py) -> None:
@@ -50,6 +63,26 @@ def _write_points(fh, chunks, px, py) -> None:
             sep = b" "
 
 
+def _ends(x: np.ndarray, y: np.ndarray) -> list:
+    """``[x min, x max, y min, y max]`` of one chunk; a NaN propagates."""
+    return [f(v) for v in (x, y) for f in (np.min, np.max)]
+
+
+def _axes(ends) -> tuple[float, float, float, float]:
+    """The axis ranges ``(x_lo, x_hi, y_lo, y_hi)`` of a panel from the
+    `_ends` of each of its chunks: a flat range is widened to 1, and y is
+    padded by 4 % of its range at each end. A NaN propagates."""
+    ends = np.asarray(ends)
+    x_lo, y_lo = np.min(ends[:, ::2], axis=0).tolist()
+    x_hi, y_hi = np.max(ends[:, 1::2], axis=0).tolist()
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.04 * (y_hi - y_lo)
+    return x_lo, x_hi, y_lo - pad, y_hi + pad
+
+
 def render_line_svg(
     path,
     series,
@@ -58,23 +91,18 @@ def render_line_svg(
     ylabel: str,
     width: int = _WIDTH,
     height: int = 420,
+    axes=None,
 ) -> None:
     """Write one SVG panel. ``series`` holds ``(chunks, label)`` pairs:
     ``chunks()`` returns the series' points as ``(x, y)`` pairs of float
-    arrays, and is called once for the ranges and once for the points."""
+    arrays, and is called once for the ranges and once for the points. A
+    caller that took the ranges already passes them as ``axes`` (those of
+    `_axes`), and ``chunks()`` is then called for the points alone."""
     ml, mr, mt, mb = _MARGINS
     pw, ph = width - ml - mr, height - mt - mb
-
-    # ranges from each chunk's extremes; a NaN propagates
-    ends = np.array([[f(v) for v in (x, y) for f in (np.min, np.max)] for chunks, _ in series for x, y in chunks()])
-    x_lo, y_lo = np.min(ends[:, ::2], axis=0).tolist()
-    x_hi, y_hi = np.max(ends[:, 1::2], axis=0).tolist()
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.04 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    if axes is None:
+        axes = _axes([_ends(x, y) for chunks, _ in series for x, y in chunks()])
+    x_lo, x_hi, y_lo, y_hi = axes
 
     def px(v):
         return ml + (v - x_lo) / (x_hi - x_lo) * pw
@@ -187,16 +215,76 @@ def trajectory_svg(traj, path) -> None:
     )
 
 
+def _period_bound(axes, h: float, residual: tuple[float, float], pairs: np.ndarray) -> float:
+    """``B``: how far, in px, the phase panel's polyline through every
+    sample can lie from the one through its first period and its tail.
+
+    With ``a`` and ``b`` the panel's px per unit on x and y over ``axes``
+    and ``s = max(a, b)``, ``B`` is the sum of
+    - the radius term ``s (max - min of the residual) / 2``, with
+      ``residual = (min, max)``: every sample lies that close to one circle;
+    - the arc term ``s (pi h)^2 / 4``, for the step ``h`` in T: twice the
+      linear-interpolation bound ``max|r''| D^2 / 8`` of a unit circle
+      between samples ``D <= pi h`` apart;
+    - the reflection-chord term: the largest px distance between the pair
+      of samples around each reflection and the pair around the first.
+      ``pairs[k]`` holds the ``(x, y)`` of the samples before and after
+      reflection ``k``.
+    """
+    x_lo, x_hi, y_lo, y_hi = axes
+    ml, mr, mt, mb = _MARGINS
+    a = (_PHASE_SIZE - ml - mr) / (x_hi - x_lo)
+    b = (_PHASE_SIZE - mt - mb) / (y_hi - y_lo)
+    s = max(a, b)
+    z = np.pi * h
+    moved = pairs - pairs[0]
+    chord = float(np.max(np.hypot(a * moved[..., 0], b * moved[..., 1])))
+    return s * (residual[1] - residual[0]) / 2.0 + s * z * z / 4.0 + chord
+
+
 def phase_plane_svg(traj, path) -> None:
     """Velocity-plane portrait: the pair traces the unit circle in the
-    coordinates (1 - dXdt/v0, dxdt/c), derived one chunk of `_CHUNK` samples
-    at a time. The abscissa is ``1 - V``, which can differ from ``Re w`` in
-    the last bit."""
+    coordinates (1 - dXdt/v0, dxdt/c). The abscissa is ``1 - V``, which can
+    differ from ``Re w`` in the last bit.
+
+    Every period runs the same half circle and jumps back along the same
+    chord at its reflection. So when the bound ``B`` of `_period_bound` is
+    at most `_PHASE_SLACK` (0.005 px, half the ``%.2f`` quantum of the
+    points), the panel draws samples ``0 .. q_1`` and ``q_last .. n - 1``
+    alone, where ``q_k`` is the first sample after reflection ``k`` (entry
+    ``k`` of ``traj.jumps``) and ``q_last`` that of the last reflection of
+    the run. It draws every sample when fewer than two reflections lie in
+    the run, when ``q_last <= q_1 + 1``, when a drawn value is not finite,
+    or when ``B`` is larger. The axis ranges, ``B``'s residual range and the
+    samples around each reflection come from one pass over every sample, one
+    block of `ROW_BLOCK` rows at a time, so all but the points are the bytes
+    of the full rendering; the drawn rows are derived one chunk of `_CHUNK`
+    samples at a time.
+    """
+    n = len(traj)
+    q = [i for i, _ in traj.jumps[1:]]
+    around = np.array([j for i in q for j in (i - 1, i)], dtype=np.intp)
+    ends, pairs = [], []
+    for lo in range(0, n, ROW_BLOCK):
+        V, U, residual = traj.rows(lo, lo + ROW_BLOCK, ("V", "U", "residual"))
+        x = np.subtract(1.0, V, out=V)
+        ends.append([*_ends(x, U), np.min(residual), np.max(residual)])
+        at = around[np.searchsorted(around, lo):np.searchsorted(around, lo + len(x))] - lo
+        pairs.append(np.stack([x[at], U[at]], axis=1))
+    ends = np.array(ends)
+    axes = _axes(ends[:, :4])
+    drawn = [(0, n)]
+    if len(q) >= 2 and q[-1] > q[0] + 1 and np.isfinite(axes).all():
+        residual = (float(np.min(ends[:, 4])), float(np.max(ends[:, 5])))
+        bound = _period_bound(axes, traj.dt / traj.params.T, residual, np.concatenate(pairs).reshape(-1, 2, 2))
+        if bound <= _PHASE_SLACK:
+            drawn = [(0, q[0] + 1), (q[-1], n)]
 
     def chunks():
-        for lo in range(0, len(traj), _CHUNK):
-            V, U = traj.rows(lo, lo + _CHUNK, ("V", "U"))
-            yield np.subtract(1.0, V, out=V), U
+        for lo, hi in drawn:
+            for i in range(lo, hi, _CHUNK):
+                V, U = traj.rows(i, min(i + _CHUNK, hi), ("V", "U"))
+                yield np.subtract(1.0, V, out=V), U
 
     render_line_svg(
         path,
@@ -204,6 +292,7 @@ def phase_plane_svg(traj, path) -> None:
         title="velocity-plane portrait",
         xlabel="1 - (dX/dt) / v0",
         ylabel="(dx/dt) / c",
-        width=480,
-        height=480,
+        width=_PHASE_SIZE,
+        height=_PHASE_SIZE,
+        axes=axes,
     )

@@ -1068,10 +1068,14 @@ def _simulate_case(draw):
 
 
 @settings(deadline=None, max_examples=60)
-@given(case=_simulate_case())
+@given(case=_simulate_case(), fmt=st.sampled_from(["csv", "svg"]))
 # the h-given config whose M v0 underflows, once a ZeroDivisionError in quantize
-@example(case=({"M0": 1e-160, "v0": 1e-170, "c": 1.0, "h": 2.0}, {}, 1000, {"extreme"}))
-def test_simulate_fuzz(case):
+@example(case=({"M0": 1e-160, "v0": 1e-170, "c": 1.0, "h": 2.0}, {}, 1000, {"extreme"}), fmt="csv")
+# a period of 1e-300 s over 2.5 T at T/1000: the phase panel draws one period
+# and the tail
+@example(case=({"M0": 1, "v0": 0.5, "c": 1, "T": 1e-300}, {"dt": 1e-303, "t_end": 2.5e-300}, 1000, {"extreme"}),
+         fmt="svg")
+def test_simulate_fuzz(case, fmt):
     pars, sim, divisor, kinds = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.json")
@@ -1080,13 +1084,16 @@ def test_simulate_fuzz(case):
         out = os.path.join(tmp, "o")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["simulate", "--config", path, "--out", out])
+            code = main(["simulate", "--config", path, "--out", out, "--format", fmt])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
         if "junk" in kinds:
             assert code == 1, err.getvalue()
         elif kinds == {"good"}:
             assert code == (0 if divisor >= 100 else 1), err.getvalue()
+        if code == 0 and fmt == "svg":
+            for name in ("trajectory.svg", "phase.svg"):
+                assert os.path.getsize(os.path.join(out, name)) > 0
         meta_path = os.path.join(out, "metadata.json")
         assert os.path.exists(meta_path) == (code == 0)
         assert os.path.exists(out) == (code == 0)

@@ -693,12 +693,19 @@ def natural_long(natural):
 _POINTS = re.compile(rb'points="([^"]*)"')
 
 
+def _assert_cut_of(every, kept):
+    """``kept`` is a subsequence of ``every`` with its first and last point."""
+    assert (kept[0], kept[-1]) == (every[0], every[-1])
+    rest = iter(every)
+    assert all(point in rest for point in kept)
+
+
 def test_svg_panels_against_every_point(natural_long, tmp_path):
     # trajectory.svg is the full-point rendering with each points list cut
-    # to a subsequence; phase.svg is the full-point rendering
+    # to a subsequence
     traj = natural_long
     tau = np.arange(len(traj)) * traj.dt / traj.params.T
-    xi, V, chi, U = traj.rows(0, len(traj), dynamics.ROWS[:4])
+    xi, chi = traj.rows(0, len(traj), ("xi", "chi"))
     full = tmp_path / "full.svg"
     render_line_svg(
         full,
@@ -713,13 +720,14 @@ def test_svg_panels_against_every_point(natural_long, tmp_path):
     for every, kept in zip(_POINTS.findall(full), _POINTS.findall(cut), strict=True):
         every, kept = every.split(b" "), kept.split(b" ")
         assert len(every) == len(traj) and len(kept) < len(every) // 20
-        assert (kept[0], kept[-1]) == (every[0], every[-1])
-        rest = iter(every)
-        assert all(point in rest for point in kept)
+        _assert_cut_of(every, kept)
 
-    full = tmp_path / "phase_full.svg"
+
+def _phase_full(traj, path) -> bytes:
+    """phase.svg as drawn through every sample."""
+    V, U = traj.rows(0, len(traj), ("V", "U"))
     render_line_svg(
-        full,
+        path,
         [(lambda: [(1.0 - V, U)], "velocity locus")],
         title="velocity-plane portrait",
         xlabel="1 - (dX/dt) / v0",
@@ -727,8 +735,93 @@ def test_svg_panels_against_every_point(natural_long, tmp_path):
         width=480,
         height=480,
     )
+    return path.read_bytes()
+
+
+def _phase_pair(natural, periods, divisor, tmp_path) -> tuple[bytes, bytes]:
+    """The full rendering and phase.svg of a run of the natural preset over
+    ``periods`` T at dt = T/``divisor``."""
+    params, _ = natural
+    traj = integrate(params, t_end=periods * params.T, dt=params.T / divisor)
     phase_plane_svg(traj, tmp_path / "phase.svg")
-    assert (tmp_path / "phase.svg").read_bytes() == full.read_bytes()
+    return _phase_full(traj, tmp_path / "full.svg"), (tmp_path / "phase.svg").read_bytes()
+
+
+def test_phase_panel_draws_one_period_of_a_long_run(natural_long, tmp_path):
+    # all but the points is the full rendering; the points are a
+    # subsequence of the full ones, with the same ends: one period and the
+    # tail from the last reflection
+    full = _phase_full(natural_long, tmp_path / "full.svg")
+    phase_plane_svg(natural_long, tmp_path / "phase.svg")
+    cut = (tmp_path / "phase.svg").read_bytes()
+    assert _POINTS.sub(b"", cut) == _POINTS.sub(b"", full)
+    (every,), (kept,) = _POINTS.findall(full), _POINTS.findall(cut)
+    every, kept = every.split(b" "), kept.split(b" ")
+    assert len(every) == len(natural_long) and len(kept) <= 2100
+    _assert_cut_of(every, kept)
+
+
+def _polyline(svg: bytes) -> np.ndarray:
+    """The printed points of the one polyline of ``svg``, in px."""
+    (points,) = _POINTS.findall(svg)
+    return np.array(points.replace(b",", b" ").split(), dtype=np.float64).reshape(-1, 2)
+
+
+def _segments(line: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct segments of the polyline ``line`` as start points and
+    steps: a periodic line repeats its printed points."""
+    ends = np.unique(np.concatenate([line[:-1], line[1:]], axis=1), axis=0)
+    return ends[:, :2], ends[:, 2:] - ends[:, :2]
+
+
+def _probes(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Points along the segments ``a + t d``, ends included, at most 1 px
+    apart on each."""
+    n = np.ceil(np.hypot(d[:, 0], d[:, 1])).astype(np.intp) + 1
+    seg = np.repeat(np.arange(len(n)), n)
+    t = (np.arange(len(seg)) - np.repeat(np.cumsum(n) - n, n)) / np.repeat(np.maximum(n - 1, 1), n)
+    return np.unique(a[seg] + t[:, None] * d[seg], axis=0)
+
+
+def _distance_to(points: np.ndarray, a: np.ndarray, d: np.ndarray) -> float:
+    """The largest distance from ``points`` to the segments ``a + t d``."""
+    length2 = np.sum(d * d, axis=1)
+    worst = 0.0
+    block = max(1, 2 ** 20 // len(d))
+    for lo in range(0, len(points), block):
+        rel = points[lo:lo + block, None, :] - a
+        dot = np.sum(rel * d, axis=2)
+        t = np.clip(np.divide(dot, length2, out=np.zeros_like(dot), where=length2 > 0), 0.0, 1.0)
+        gap = rel - t[..., None] * d
+        worst = max(worst, float(np.sqrt(np.min(np.sum(gap * gap, axis=2), axis=1)).max()))
+    return worst
+
+
+def _hausdorff(p: np.ndarray, q: np.ndarray) -> float:
+    """The Hausdorff distance between the polylines ``p`` and ``q``, taken
+    at the `_probes` of each: a distance that grows along a segment, as
+    between two chords that cross, is read to within 1 px of its end."""
+    p, q = _segments(p), _segments(q)
+    return max(_distance_to(_probes(*p), *q), _distance_to(_probes(*q), *p))
+
+
+@pytest.mark.parametrize("periods, divisor", [(20, 1000), (20, 500), (10.5, 1000)])
+def test_phase_panel_cut_is_within_its_text_quantum(natural, periods, divisor, tmp_path):
+    # the bound B <= 0.005 px, plus at most 0.0071 px of %.2f rounding at
+    # each end; the tail from the last reflection keeps a run that ends
+    # mid-period free of a spurious chord
+    full, cut = _phase_pair(natural, periods, divisor, tmp_path)
+    assert len(cut) < len(full) // 5
+    assert _hausdorff(_polyline(full), _polyline(cut)) <= 0.02
+
+
+@pytest.mark.parametrize("periods, divisor", [(50, 999.5), (20, 250), (20, 100), (1.5, 1000)])
+def test_phase_panel_keeps_every_sample_when_the_cut_would_show(natural, periods, divisor, tmp_path):
+    # T/999.5: each reflection falls at another phase, and its chord term
+    # is 0.63 px; T/250 and T/100: the arc term is 0.016 and 0.099 px; 1.5 T
+    # holds one reflection
+    full, cut = _phase_pair(natural, periods, divisor, tmp_path)
+    assert cut == full
 
 
 def _traced_peak(fn, *args):
@@ -823,6 +916,27 @@ def test_step_coefficients_and_factor_are_exact_to_an_ulp():
         factor = dynamics._step_factor(s)
         assert _ulps(factor.real, 1 - z ** 2 / 2 + z ** 4 / 24) <= 1, s
         assert _ulps(factor.imag, z ** 3 / 6 - z) <= 1, s
+
+
+def test_step_polynomial_is_its_nearest_doubles():
+    # each coefficient is the double nearest to (-i pi)^k / k!, in rationals
+    # from math.pi (measured: within 0.08 ulp), and _step_factor(s) lies
+    # within 2 ulp of the exact polynomial of those doubles at 2,000 seeded
+    # steps s in [0, 0.01] (measured: within 1.06 ulp)
+    coeffs = []
+    for k, c in enumerate(dynamics._STEP_COEFFS):
+        term = _PI ** k / math.factorial(k)
+        exact = [(term, 0), (0, -term), (-term, 0), (0, term)][k % 4]
+        assert (c.real, c.imag) == tuple(float(part) for part in exact), k
+        coeffs.append((Fraction(c.real), Fraction(c.imag)))
+    rng = random.Random(20141)
+    for _ in range(2000):
+        s = rng.uniform(0.0, 0.01)
+        re_part = im_part = Fraction(0)
+        for c_re, c_im in reversed(coeffs):
+            re_part, im_part = re_part * Fraction(s) + c_re, im_part * Fraction(s) + c_im
+        factor = dynamics._step_factor(s)
+        assert _ulps(factor.real, re_part) <= 2 and _ulps(factor.imag, im_part) <= 2, s
 
 
 def test_crossing_that_misses_the_target_is_refused(natural, monkeypatch, tmp_path):

@@ -63,8 +63,8 @@ def test_out_diff_identical_trees(tmp_path):
     _committed_copy(tmp_path)
     returncode, codes, files, peaks = _out_diff(tmp_path)
     assert returncode == 0
-    # 3 presets x 7 commands and 3 workloads x 3 seeds, each exiting 0 on both sides
-    assert len(codes) == 30 and all(line.split()[1:] == ["0", "0"] for line in codes)
+    # 3 presets x 7 commands, the off-grid panel and 3 workloads x 3 seeds, each exiting 0 on both sides
+    assert len(codes) == 31 and all(line.split()[1:] == ["0", "0"] for line in codes)
     verdicts = {line.split()[0]: line.split(None, 1)[1] for line in files}
     assert len(verdicts) > 100
     for name, verdict in verdicts.items():

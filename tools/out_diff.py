@@ -9,6 +9,8 @@ Runs one fixed case matrix on the files committed at git revision REV
   ``derive``, ``check``, a ``dt`` sweep at T/1000, T/500 and T/250 and a
   ``v0`` sweep at 0.5, 1 and 2 times the preset's ``v0``, on each of the
   three presets;
+- ``simulate --format svg`` on the natural preset over 50 T at
+  dt = T/999.5, a period of no whole number of steps;
 - the config of each benchmark workload (``bench/workloads.py``) at seeds
   1, 2 and 3.
 
@@ -69,7 +71,15 @@ root = sys.argv[1]
 el_config = root + ".el.json"  # beside root, so that only outputs are compared
 with open(el_config, "w") as fh:
     json.dump({"outputs": {"el_residuals": True}}, fh)
-cases = []
+# 50 T at T/999.5: a period of no whole number of steps, so each reflection
+# falls at another phase of its step
+T = cli.builtin_presets()["natural"]["parameters"]["T"]
+off_grid_config = root + ".off-grid.json"
+with open(off_grid_config, "w") as fh:
+    json.dump({"simulation": {"dt": T / 999.5, "t_end": 50 * T}}, fh)
+off_grid = "natural.simulate-svg-off-grid"
+cases = [(off_grid, ["simulate", "--format", "svg", "--config", off_grid_config, "--preset", "natural",
+                     "--out", os.path.join(root, off_grid)])]
 for preset in ("natural", "electron-1e6", "electron-atomic"):
     config = cli.builtin_presets()[preset]
     dt = config["simulation"]["dt"]  # T/1000
