@@ -129,10 +129,12 @@ class DivergenceError(RuntimeError):
     """Raised when the first-integral residual leaves the trust region."""
 
 
-def _units(p: SystemParams, t, xi, V, chi, U) -> dict:
+def _units(p: SystemParams, t, xi, V, chi, U, out=(None,) * 4) -> dict:
     """The state at times ``t`` in physical units, from its dimensionless
-    columns: ``X = xi lam``, ``dXdt = V v0``, ``x = chi Lam``, ``dxdt = U c``."""
-    return dict(t=t, X=xi * p.lam, dXdt=V * p.v0, x=chi * p.Lam, dxdt=U * p.c)
+    columns: ``X = xi lam``, ``dXdt = V v0``, ``x = chi Lam``, ``dxdt = U c``,
+    into the four arrays ``out`` if given."""
+    X, dXdt, x, dxdt = (np.multiply(col, scale, out=o) for col, scale, o in zip((xi, V, chi, U), (p.lam, p.v0, p.Lam, p.c), out))
+    return dict(t=t, X=X, dXdt=dXdt, x=x, dxdt=dxdt)
 
 
 def _tau(lo: int, hi: int, dt: float, T: float) -> np.ndarray:
@@ -247,13 +249,17 @@ class Trajectory:
             out[name] = col
         return out
 
-    def as_arrays(self, rows: slice = slice(None)) -> dict[str, np.ndarray]:
+    def as_arrays(self, rows: slice = slice(None), out=None) -> dict[str, np.ndarray]:
         """The columns ``t, X, dXdt, x, dxdt, invariant_residual`` of the
         trajectory CSV for the rows ``rows`` (a slice), derived by one `rows`
-        call."""
+        call, written into the columns of ``out``, a ``(rows, 6)`` float
+        array, if given."""
         lo, hi, _ = rows.indices(len(self))
         xi, V, chi, U, residual = self.rows(lo, hi)
-        return {**_units(self.params, np.arange(lo, hi) * self.dt, xi, V, chi, U), "invariant_residual": residual}
+        cols = np.empty((6, hi - lo)) if out is None else out.T
+        t = np.multiply(np.arange(lo, hi), self.dt, out=cols[0])
+        cols[5] = residual
+        return {**_units(self.params, t, xi, V, chi, U, cols[1:5]), "invariant_residual": cols[5]}
 
 
 def invariant_residual(s, p: SystemParams):
@@ -570,10 +576,11 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     after it, as at every reflection of a run whose grid holds the multiples
     of T (``dt = T/1000``, ``T/250``), and otherwise the first sample after
     it. Floats carry 17 significant digits (``%.17g``) so a file round-trips
-    to the exact same doubles. Each chunk's columns come from one
-    `Trajectory.as_arrays` call, are rendered as one row-major block by
-    `_text.rows` (byte-identical to per-value formatting) and written, so the
-    writer's memory beyond its flags does not grow with the run.
+    to the exact same doubles. One `Trajectory.as_arrays` call writes each
+    chunk's columns into its row-major float block, which `_text.rows`
+    renders into one row buffer (byte-identical to per-value formatting) and
+    which is written, so the writer's memory beyond its flags does not grow
+    with the run.
     """
     flags = np.zeros(len(traj), dtype=np.uint8)
     for t_ev in traj.events:
@@ -582,7 +589,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         idx = math.ceil((t_ev - PROBE_WINDOW * traj.params.T) / traj.dt)
         if 0 <= idx < len(flags):
             flags[idx] = 1
-    _text.write_csv(path, _CSV_HEADER, lambda rows: [*traj.as_arrays(rows).values()], flags)
+    _text.write_csv(path, _CSV_HEADER, traj.as_arrays, flags)
 
 
 def write_events_json(traj: Trajectory, path) -> None:

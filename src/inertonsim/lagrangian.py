@@ -277,8 +277,11 @@ def write_el_csv(report: ELResidualReport, path) -> None:
     Floats are ``%.17g`` (NaN as ``nan``), rendered by `_text.g17` and
     written by `_text.write_csv` in chunks of ``_text.CHUNK_ROWS // 2`` =
     4,096 rows, the rows whose two float columns make `_text.CHUNK_ROWS`
-    values.
+    values, each chunk's two columns stacked into its float block.
     """
     _text.write_csv(
-        path, "t,residual,excluded_flag", lambda rows: [report.times[rows], report.residuals[rows]], report.excluded
+        path,
+        "t,residual,excluded_flag",
+        lambda rows, out: np.stack([report.times[rows], report.residuals[rows]], axis=1, out=out),
+        report.excluded,
     )

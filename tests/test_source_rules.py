@@ -5,7 +5,13 @@
 - No ``.w`` outside ``dynamics.py``: ``w`` is how a run is stored, and
   every other module reads a run through ``len(traj)``, `Trajectory.rows`
   and `Trajectory.columns`, so a change of that layout stays in one module.
+- ``_text.py`` imports only ``__future__``, ``functools`` and ``numpy``:
+  the text kernels are numpy and the standard library alone, with no
+  thread, no compiled extension and no other module of the package.
 """
+
+# The only modules `_text.py` may import.
+TEXT_IMPORTS = {"__future__", "functools", "numpy"}
 
 import ast
 from pathlib import Path
@@ -23,6 +29,12 @@ def violations(source: str, name: str) -> list[str]:
                 found.append((node.lineno, "a square as ** 2"))
         if isinstance(node, ast.Attribute) and node.attr == "w" and name != "dynamics.py":
             found.append((node.lineno, "reads .w outside dynamics"))
+        if name == "_text.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = ["." * node.level + (node.module or "")]
+            found += [(node.lineno, f"_text imports {m}") for m in modules if m.split(".")[0] not in TEXT_IMPORTS]
     return [f"{name}:{line}: {rule}" for line, rule in sorted(found)]
 
 
@@ -35,6 +47,13 @@ def test_the_rules_catch_each_violation():
         "plotting.py:5: a square as ** 2",
     ]
     assert violations("d = traj.w\n", "dynamics.py") == []
+    source = "from __future__ import annotations\nimport math\nfrom . import core\nimport numpy as np, threading\nimport functools\n"
+    assert violations(source, "_text.py") == [
+        "_text.py:2: _text imports math",
+        "_text.py:3: _text imports .",
+        "_text.py:4: _text imports threading",
+    ]
+    assert violations(source, "plotting.py") == []
 
 
 def test_program_source_keeps_the_rules():

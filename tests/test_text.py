@@ -3,6 +3,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -207,7 +208,7 @@ def test_write_csv_matches_per_value_format(k, length, pool, seed):
     header = ",".join(f"c{j}" for j in range(k)) + ",flag"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "block.csv")
-        _text.write_csv(path, header, lambda rows: list(block[rows].T), flag_col)
+        _text.write_csv(path, header, lambda rows, out: np.copyto(out, block[rows]), flag_col)
         with open(path, "rb") as fh:
             written = fh.read()
     lines = [header] + [
@@ -232,3 +233,44 @@ def test_write_el_csv_matches_per_row_formatter(tmp_path):
     for t, r, ex in zip(times, residuals, excluded):
         lines.append(f"{t:.17g},{r:.17g},{1 if ex else 0}")
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_write_csv_widens_the_longest_texts_across_chunks(tmp_path):
+    # the longest %.17g texts: a 23-byte one fills a slot up to its separator,
+    # the 24-byte ones widen every slot of the first chunk and no slot of the second
+    longest = [-0.00012345678901234567, -1.2345678901234567e-100, -1.7976931348623157e308, -5e-324]
+    assert [len(format(v, ".17g")) for v in longest] == [23, 24, 24, 24]
+    k = 3
+    step = _text.CHUNK_ROWS // k
+    block = np.resize(np.array(longest), (2 * step, k))
+    block[step:] = longest[0]
+    flag_col = (np.arange(2 * step) % 3 == 0).astype(np.uint8)
+    path = tmp_path / "longest.csv"
+    _text.write_csv(path, "a,b,c,flag", lambda rows, out: np.copyto(out, block[rows]), flag_col)
+    lines = ["a,b,c,flag"] + [
+        ",".join(format(v, ".17g") for v in row) + f",{flag}" for row, flag in zip(block.tolist(), flag_col.tolist())
+    ]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_write_csv_memory_does_not_grow_with_the_run(tmp_path):
+    # one chunk's values, written again for every chunk, so that only the writer's own memory is traced
+    k = 6
+    step = _text.CHUNK_ROWS // k
+    pattern = np.random.default_rng(7).standard_normal((step, k)) * 10.0 ** np.arange(-12, 6, 3)
+    path = tmp_path / "long.csv"
+
+    def traced_peak(chunks):
+        flag_col = np.zeros(chunks * step, dtype=np.uint8)   # the flags, 1 B per row, are made before tracing
+        flag_col[::97] = 1
+        tracemalloc.start()
+        try:
+            _text.write_csv(path, "a,b,c,d,e,f,flag", lambda rows, out: np.copyto(out, pattern[:len(out)]), flag_col)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(1)                                          # the kernel's tables, built once
+    short, long = traced_peak(2), traced_peak(20)
+    assert os.path.getsize(path) > 18 * 100 * step          # a writer that kept the file would hold over 2 MB more
+    assert long <= short + 64 * 1024, (short, long)

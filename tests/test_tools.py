@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import re
 import shutil
@@ -71,8 +72,8 @@ def test_out_diff_identical_trees(tmp_path):
         # check timings differ from run to run, though at %.3f they may not
         timed = name.endswith(("report.csv", "report.jsonl"))
         assert verdict in (("identical", "identical outside runtime_s") if timed else ("identical",)), name
-    # both sides run the same 100,000-step simulate-long op, whose state w alone is 16 B per step;
-    # the bytes of the delta may read about 100 B off 0, in the interpreter's small objects
+    # both sides run the same 100,000-step simulate-long op, whose state w alone is 16 B per step,
+    # under the same paths, so the two peaks are equal to the byte
     rows = {line.split()[0]: line.split()[1:] for line in peaks}
     assert list(rows) == ["HEAD", "now", "delta"]
     for name in ("HEAD", "now"):
@@ -80,7 +81,7 @@ def test_out_diff_identical_trees(tmp_path):
         assert int(steps) == 100_000
         assert round(int(peak.replace(",", "")) / 100_000, 1) == float(per_step)
         assert 16.0 < float(per_step) <= 34.0
-    assert float(rows["delta"][1]) == 0.0
+    assert rows["delta"] == ["+0", "+0.0"]
 
 
 def test_out_diff_reports_a_value_moved_by_one_ulp(tmp_path):
@@ -109,3 +110,27 @@ def test_out_diff_reports_a_value_moved_by_one_ulp(tmp_path):
         assert re.fullmatch(r"kinematics\.mean_drift: 1 of 1 values moved, max rel [0-9.e-]+, max 1 ulp",
                             *moved.pop(f"{preset}.derive/derived.json"))
     assert moved == {}
+
+
+def _out_diff_module():
+    spec = importlib.util.spec_from_file_location("out_diff", os.path.join(REPO, "tools", "out_diff.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_out_diff_reports_polyline_points_as_one_field(tmp_path):
+    compare = _out_diff_module().compare
+    svg = '<svg width="760"><polyline points="{}" stroke="#1a6fb5"/><text x="12.50">t</text></svg>\n'
+    before, longer, moved, framed = (tmp_path / f"{name}.svg" for name in ("before", "longer", "moved", "framed"))
+    before.write_text(svg.format("0.00,1.00 2.50,3.00 4.00,5.00"))
+    longer.write_text(svg.format("0.00,1.00 2.50,3.00 4.00,5.00 6.00,7.00"))
+    moved.write_text(svg.format("0.00,1.00 2.50,3.25 4.00,5.00"))
+    framed.write_text(svg.format("0.00,1.00 2.50,3.00 4.00,5.00").replace('width="760"', 'width="761"'))
+    # a polyline whose length changed pairs up with the old one, and the rest of the file is compared
+    assert compare(before, longer) == ("differs", ["    polyline[0] points: 3 -> 4 points"])
+    assert compare(before, moved) == (
+        "differs", ["    polyline[0] points: 3 points on both sides, largest coordinate movement 0.25"])
+    verdict, lines = compare(before, framed)
+    assert verdict == "differs" and len(lines) == 1
+    assert re.fullmatch(r"    svg\[0\]: 1 of 1 values moved, max rel [0-9.e-]+, max \d+ ulp", lines[0])

@@ -3,7 +3,7 @@
     python tools/out_diff.py --against REV
 
 Runs one fixed case matrix on the files committed at git revision REV
-(``git archive`` unpacked into a temporary directory) and on the worktree:
+(``git archive`` unpacked into a scratch directory) and on the worktree:
 
 - ``simulate`` (csv, svg, and csv with ``outputs.el_residuals``),
   ``derive``, ``check``, a ``dt`` sweep at T/1000, T/500 and T/250 and a
@@ -19,7 +19,9 @@ importing that tree's own ``src`` and ``bench``. Then each output file is
 reported as identical or not. For a file that is not, each CSV column, JSON
 path or SVG element prints how many of its values moved, the largest
 relative movement and the largest movement in units in the last place
-(ulp). A value that is not a number counts as changed. The fields listed in
+(ulp). A value that is not a number counts as changed. The ``points`` of
+an SVG polyline are one field: it prints the point count on each side
+and, when the counts match, the largest movement of a coordinate. The fields listed in
 `EXCLUDED` differ from run to run by design and are left out. The exit
 code of every case is compared too, with its last stderr line when the
 codes differ.
@@ -31,8 +33,10 @@ traced peak of that op is printed per tree, in bytes and per integration
 step, with the difference between the trees. tracemalloc counts every
 numpy buffer, so this shows memory changes far below the resolution of a
 process's peak RSS. It also counts the interpreter's own small objects,
-and with the random name of the temporary directory, a tree's peak moves
-by about 100 B from one run to the next (0.0 B per step).
+among them the paths a run opens, so the scratch directory has a fixed
+name, `SCRATCH`, and both trees run the op under the same paths: two
+trees with the same program read the same peak. One run at a time: a run
+empties `SCRATCH` first.
 
 Exit status: 0 when every file and exit code is the same, 1 when anything
 differs, 2 when a tree could not be run. The traced peak is a report and
@@ -52,11 +56,14 @@ import os
 import pathlib
 import re
 import struct
+import shutil
 import subprocess
 import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# The one scratch directory of a run, the same in every run (see above).
+SCRATCH = pathlib.Path(tempfile.gettempdir()) / "inertonsim-out-diff"
 
 # Fields that differ from run to run by design, by file name: a CSV column,
 # or the last key of a JSON path.
@@ -150,7 +157,8 @@ def fields(path: pathlib.Path):
     keyed by its column; a JSON leaf by its path, with ``[]`` for any list
     index (a JSON-lines file's by ``[line]`` and its path); and each number
     of an SVG element keyed by the element's tag and index, and its text
-    around those numbers by the same key and `` text``."""
+    around those numbers by the same key and `` text``, but a polyline's
+    ``points`` whole, by its key and `` points``."""
     if path.suffix == ".csv":
         with open(path, newline="") as fh:
             rows = csv.reader(fh)
@@ -170,6 +178,10 @@ def fields(path: pathlib.Path):
             tag = tag.group(1) if tag else "#text"
             key = f"{tag}[{counts.setdefault(tag, 0)}]"
             counts[tag] += 1
+            points = re.search(r'\spoints="([^"]*)"', element) if tag == "polyline" else None
+            if points:
+                yield f"{key} points", points.group(1)
+                element = element[:points.start(1)] + element[points.end(1):]
             for number in _NUMBER.findall(element):
                 yield key, number
             yield f"{key} text", _NUMBER.sub("#", element)
@@ -196,17 +208,32 @@ def movement(a: str, b: str) -> tuple[float, float] | None:
     return (abs(x - y) / scale if scale else 0.0), float(abs(_ordered(x) - _ordered(y)))
 
 
+def points_moved(a: str, b: str) -> str:
+    """How two polylines' ``points`` differ: the point count on each side
+    and, when the counts match, the largest movement of a coordinate."""
+    xs, ys = ([float(v) for v in re.split(r"[\s,]+", text.strip()) if v] for text in (a, b))
+    if len(xs) != len(ys):
+        return f"{len(xs) // 2} -> {len(ys) // 2} points"
+    largest = max((abs(x - y) for x, y in zip(xs, ys)), default=0.0)
+    return f"{len(xs) // 2} points on both sides, largest coordinate movement {largest:.3g}"
+
+
 def compare(before: pathlib.Path, now: pathlib.Path) -> tuple[str, list[str]]:
     """``(verdict, detail lines)`` for one file present on both sides."""
     if before.read_bytes() == now.read_bytes():
         return "identical", []
     excluded = EXCLUDED.get(now.name, set())
     stats = {}  # key -> [values, moved, changed, max rel, max ulp]
+    lines = []
     for pair in itertools.zip_longest(fields(before), fields(now)):
         if None in pair or pair[0][0] != pair[1][0]:
             return "differs", ["    the files differ in shape: fields do not pair up"]
         (key, a), (_, b) = pair
         if key.rsplit(".", 1)[-1] in excluded:
+            continue
+        if key.endswith(" points"):
+            if a != b:
+                lines.append(f"    {key}: {points_moved(a, b)}")
             continue
         entry = stats.setdefault(key, [0, 0, 0, 0.0, 0.0])
         entry[0] += 1
@@ -218,7 +245,6 @@ def compare(before: pathlib.Path, now: pathlib.Path) -> tuple[str, list[str]]:
         else:
             entry[1] += 1
             entry[3], entry[4] = max(entry[3], moved[0]), max(entry[4], moved[1])
-    lines = []
     for key, (values, moved, changed, rel, ulps) in stats.items():
         if moved:
             lines.append(f"    {key}: {moved} of {values} values moved, max rel {rel:.3g}, max {ulps:.0f} ulp")
@@ -238,9 +264,10 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--against", metavar="REV", required=True, help="git revision to compare the worktree with")
     ns = ap.parse_args(argv)
     label = ns.against[:6]
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = pathlib.Path(tmp)
-        tree, outs = tmp / "tree", {label: tmp / "out-before", "now": tmp / "out-now"}
+    shutil.rmtree(SCRATCH, ignore_errors=True)
+    SCRATCH.mkdir()
+    try:
+        tree, outs = SCRATCH / "tree", {label: SCRATCH / "out-before", "now": SCRATCH / "out-now"}
         try:
             archive = subprocess.run(["git", "-C", str(ROOT), "archive", ns.against],
                                      check=True, capture_output=True).stdout
@@ -272,6 +299,8 @@ def main(argv: list[str]) -> int:
                 verdict, lines = compare(before, now)
             differs += not verdict.startswith("identical")
             print(f"{name:<60} {verdict}", *lines, sep="\n")
+    finally:
+        shutil.rmtree(SCRATCH, ignore_errors=True)
     print(f"\n{'traced peak of one simulate-long op':<36} {'bytes':>12} {'steps':>9} {'B per step':>11}")
     for side, (_, peak, steps) in runs.items():
         print(f"{side:<36} {peak:>12,} {steps:>9} {peak / steps:>11.1f}")
