@@ -68,6 +68,7 @@ _G17_WINDOW = 2.0 * (4.0 * _EPS * _EPS * 2.0**57 + 33.0 * _EPS)
 
 # Slot bytes per value, and of the flag slot that ends a row of `rows`.
 _G17_SLOT, _F2_SLOT, _TAIL = 24, 12, 8
+_ROWS = 21 * 18                          # `_layout_tables` rows of the positive values
 _ASCII0 = 0x3030303030303030             # "0" in every byte lane
 _MINUS, _DOT = ord("-"), ord(".")
 _ALL = ~np.uint64(0)
@@ -82,9 +83,9 @@ def _frozen(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @functools.cache
 def _pow10_table() -> tuple[np.ndarray, ...]:
-    """``thr`` and ``decade`` by binade, ``scale`` and ``k`` by row, and
-    ``scaled`` and ``layout`` by ``k``, built on first use (about 10 ms),
-    never at import.
+    """``thr`` by binade, ``k`` and ``scale`` by row, and ``scaled`` and
+    ``layout`` by ``k``, built on first use (about 10 ms), never at
+    import.
 
     A double ``a = m 2^q`` (``m`` in ``[0.5, 1)``, by `np.frexp`) lies in
     the decade ``e0`` of ``2^(q-1)``, or in ``e0 + 1`` where ``m >=
@@ -135,28 +136,31 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
         thr[i] = (10 ** max(e, 0) << max(-x, 0)) / (10 ** max(-e, 0) << max(x, 0))   # correctly rounded
     k = np.clip(16 - np.stack([e0, e0 + 1], axis=1).ravel(), _K_MIN, _K_MAX) - _K_MIN
     with np.errstate(over="ignore"):
-        scale = np.ldexp(1.0, np.clip(np.repeat(q, 2) + b[k], -1100, 1100))
+        scale = np.ldexp(1.0, np.clip(np.repeat(q, 2) + b[k], -1100, 1100).astype(np.intc))
     scale[np.abs(16 - _K_MIN - k) >= 100] = np.nan
     return _frozen(thr, k, scale, scaled, layout)
 
 
 @functools.cache
 def _layout_tables() -> np.ndarray:
-    """The words of a `g17` slot, by layout row ``cls * 18 + nd``, built on
-    first use: ``[w]`` holds, for slot word ``w``, the mask of the integer
-    digits, the mask of the fraction digits and the constant bytes.
+    """The words of a `g17` slot, by layout row ``cls * 18 + nd``, plus
+    `_ROWS` for a negative value, built on first use: ``[w]`` holds, for
+    slot word ``w``, the mask of the integer digits, the mask of the
+    fraction digits and the constant bytes.
 
     ``nd`` counts the digits up to the last nonzero one. The slot has the
-    sign in byte 0 and the separator in byte 23. Class ``cls = p`` (0-16)
-    puts digit ``j <= p`` at byte ``1 + j``, the point, if any digit
+    separator in byte 23. Class ``cls = p`` (0-16) has the sign in byte 0
+    and puts digit ``j <= p`` at byte ``1 + j``, the point, if any digit
     follows, at ``p + 2`` and digit ``j > p`` at ``2 + j``: fixed notation
     with ``p`` the decade, and the exponent form with ``p = 0`` and its
-    suffix in bytes 19-22. Class ``17 + z`` is ``0.`` and ``z`` zeros
-    (decade ``-1 - z``) in bytes 1-5 and digit ``j`` at byte ``6 + j``, all
-    as fraction digits. The constant bytes carry ASCII ``0`` under each
-    digit, so one OR makes the digit lanes text.
+    suffix in bytes 19-22. Class ``17 + z`` (decade ``-1 - z``) ends the
+    sign, ``0.`` and ``z`` zeros at byte 5, so that the NULs before them
+    run on from the previous slot's (one run fewer for the deletion), and
+    puts digit ``j`` at byte ``6 + j``, all as fraction digits. The
+    constant bytes carry the sign, and ASCII ``0`` under each digit, so one
+    OR makes the digit lanes text.
     """
-    text = np.zeros((3, 21 * 18, 24), dtype=np.uint8)
+    text = np.zeros((3, 2 * _ROWS, 24), dtype=np.uint8)
     integer, fraction, const = text
     for cls in range(21):
         for nd in range(18):
@@ -166,14 +170,18 @@ def _layout_tables() -> np.ndarray:
                 if nd > cls + 1:
                     const[row, cls + 2] = _DOT
                     fraction[row, cls + 3:nd + 2] = 0xFF
+                const[_ROWS + row, 0] = _MINUS
             else:
                 z = cls - 17
-                const[row, 1:3 + z] = np.frombuffer(b"0." + b"0" * z, dtype=np.uint8)
+                const[row, 4 - z:6] = np.frombuffer(b"0." + b"0" * z, dtype=np.uint8)
                 fraction[row, 6:6 + nd] = 0xFF
+                const[_ROWS + row, 3 - z] = _MINUS
+    integer[_ROWS:], fraction[_ROWS:] = integer[:_ROWS], fraction[:_ROWS]
+    const[_ROWS:] |= const[:_ROWS]
     const |= (integer | fraction) & ord("0")
     const[:, 23] = ord(",")
     # by slot word, rows of four words (one numpy take each): mask, mask, const, 0
-    table = np.zeros((3, 21 * 18, 4), dtype=np.uint64)
+    table = np.zeros((3, 2 * _ROWS, 4), dtype=np.uint64)
     table[..., :3] = text.view(np.uint64).transpose(2, 1, 0)
     return _frozen(table)[0]
 
@@ -333,6 +341,7 @@ def g17(col, out=None) -> np.ndarray:
     # the layout row: 9 digits plus those of ``lo`` up to its last nonzero one
     sel = (lay & 0xFFFF).view(np.intp)
     sel += _byte_length(lo)
+    sel += np.signbit(v) * _ROWS
     zero = np.flatnonzero(lo == 0)                       # at most 9 digits
     if zero.size:
         hi_z = hi.ravel()[zero]
@@ -342,7 +351,7 @@ def g17(col, out=None) -> np.ndarray:
     a = (lay >> 16) & 0xFF
     b = a + 8
     c = 56 - a
-    _put(words[..., 0], sel, 0, (lead << 8) | (hi << 16), (lead << a) | (hi << b), np.signbit(v) * np.uint64(_MINUS))
+    _put(words[..., 0], sel, 0, (lead << 8) | (hi << 16), (lead << a) | (hi << b))
     _put(words[..., 1], sel, 1, (hi >> 48) | (lo << 16), (hi >> c) | (lo << b))
     _put(words[..., 2], sel, 2, lo >> 48, lo >> c, lay & 0x00FFFFFFFF000000)     # the exponent suffix
     return _fallback(text, v, ok, "%.17g", _G17_SLOT)
