@@ -332,6 +332,9 @@ def g17(col, out=None) -> np.ndarray:
     wider copy if a fallback text needs it. Three words (24 bytes) per
     value, laid out by `_layout_tables`.
     """
+    # the cached tables are built together on first use, before any of the
+    # block's temporaries, so that they pin no freed heap between them
+    _pow10_table(), _layout_tables(), _lane_table()
     v, text = _block(col, _G17_SLOT, out)
     n, k = v.shape
     words = text.view(np.uint64)[:, :3 * k].reshape(n, k, 3)

@@ -133,8 +133,8 @@ def _units(p: SystemParams, t, xi, V, chi, U, out=(None,) * 4) -> dict:
     """The state at times ``t`` in physical units, from its dimensionless
     columns: ``X = xi lam``, ``dXdt = V v0``, ``x = chi Lam``, ``dxdt = U c``,
     into the four arrays ``out`` if given."""
-    X, dXdt, x, dxdt = (np.multiply(col, scale, out=o) for col, scale, o in zip((xi, V, chi, U), (p.lam, p.v0, p.Lam, p.c), out))
-    return dict(t=t, X=X, dXdt=dXdt, x=x, dxdt=dxdt)
+    scaled = (np.multiply(col, scale, out=o) for col, scale, o in zip((xi, V, chi, U), (p.lam, p.v0, p.Lam, p.c), out))
+    return dict(zip(SAMPLE_FIELDS, (t, *scaled)))
 
 
 def _tau(lo: int, hi: int, dt: float, T: float) -> np.ndarray:

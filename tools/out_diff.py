@@ -3,7 +3,8 @@
     python tools/out_diff.py --against REV
 
 Runs one fixed case matrix on the files committed at git revision REV
-(``git archive`` unpacked into a scratch directory) and on the worktree:
+(``git archive``) and on the worktree's ``src`` and ``bench``, each tree in
+turn unpacked or copied into the same scratch directory:
 
 - ``simulate`` (csv, svg, and csv with ``outputs.el_residuals``),
   ``derive``, ``check``, a ``dt`` sweep at T/1000, T/500 and T/250 and a
@@ -15,7 +16,8 @@ Runs one fixed case matrix on the files committed at git revision REV
   1, 2 and 3.
 
 Each tree runs every case in one child process with ``PYTHONHASHSEED=0``,
-importing that tree's own ``src`` and ``bench``. Then each output file is
+importing that tree's own ``src`` and ``bench``, under the same paths for
+both trees. Then each output file is
 reported as identical or not. For a file that is not, each CSV column, JSON
 path or SVG element prints how many of its values moved, the largest
 relative movement and the largest movement in units in the last place
@@ -34,9 +36,11 @@ step, with the difference between the trees. tracemalloc counts every
 numpy buffer, so this shows memory changes far below the resolution of a
 process's peak RSS. It also counts the interpreter's own small objects,
 among them the paths a run opens, so the scratch directory has a fixed
-name, `SCRATCH`, and both trees run the op under the same paths: two
-trees with the same program read the same peak. One run at a time: a run
-empties `SCRATCH` first.
+name, `SCRATCH`, and both trees run under the same paths. One run at a
+time: a run empties `SCRATCH` first. An interpreter object of a few dozen
+bytes is alive at the peak in some runs and not in others (5 of 40 runs
+of one tree read 67 B less), so two trees with the same program can read
+peaks that far apart (0.0 B per step).
 
 Exit status: 0 when every file and exit code is the same, 1 when anything
 differs, 2 when a tree could not be run. The traced peak is a report and
@@ -266,14 +270,23 @@ def main(argv: list[str]) -> int:
     label = ns.against[:6]
     shutil.rmtree(SCRATCH, ignore_errors=True)
     SCRATCH.mkdir()
+    tree, out = SCRATCH / "tree", SCRATCH / "out"
+    outs = {label: SCRATCH / "out-before", "now": SCRATCH / "out-now"}
     try:
-        tree, outs = SCRATCH / "tree", {label: SCRATCH / "out-before", "now": SCRATCH / "out-now"}
         try:
             archive = subprocess.run(["git", "-C", str(ROOT), "archive", ns.against],
                                      check=True, capture_output=True).stdout
-            tree.mkdir()
-            subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True, capture_output=True)
-            runs = {label: run_cases(tree, outs[label]), "now": run_cases(ROOT, outs["now"])}
+            runs = {}
+            for side in outs:
+                tree.mkdir()
+                if side == label:
+                    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True, capture_output=True)
+                else:
+                    for part in ("src", "bench"):
+                        shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+                runs[side] = run_cases(tree, out)
+                out.rename(outs[side])
+                shutil.rmtree(tree)
         except subprocess.CalledProcessError as exc:
             print(f"out_diff: {' '.join(exc.cmd)} failed: {exc.stderr.decode().strip()}", file=sys.stderr)
             return 2
