@@ -312,8 +312,8 @@ def _block(col, slot: int, out) -> tuple[np.ndarray, np.ndarray]:
 
 def _put(word: np.ndarray, sel: np.ndarray, w: int, integer: np.ndarray, fraction: np.ndarray, extra=None) -> None:
     """Write slot word ``w`` of layout rows ``sel`` into ``word``: the
-    integer and fraction digit lanes under their masks, ``extra`` (the sign
-    or the exponent suffix) and the constant bytes."""
+    integer and fraction digit lanes under their masks, ``extra`` (the
+    exponent suffix) and the constant bytes."""
     mask_i, mask_f, const, _ = np.moveaxis(np.take(_layout_tables()[w], sel, axis=0), -1, 0)
     integer &= mask_i
     fraction &= mask_f
@@ -341,7 +341,8 @@ def g17(col, out=None) -> np.ndarray:
     D, lay, ok = _round17(np.abs(v))
     lead, hi, lo = _digits17(D)
     del D
-    # the layout row: 9 digits plus those of ``lo`` up to its last nonzero one
+    # the layout row: the decade's, the digits up to the last nonzero one
+    # (9 plus those of ``lo``), the sign
     sel = (lay & 0xFFFF).view(np.intp)
     sel += _byte_length(lo)
     sel += np.signbit(v) * _ROWS
