@@ -56,9 +56,10 @@ way.
 The exact motion is known in closed form: `_exact_state` gives its state
 ``(w, u)`` in these units, with the branch at contact instants ``t = n T``
 resolved to the right (post-reflection) side so the state is
-right-continuous there. `closed_form`, `closed_form_trajectory` and
-`oracle_errors` all take it from there, and `_rows` derives the columns of
-the exact state as it does those of a run.
+right-continuous there. `closed_form` and `closed_form_trajectory` take it
+from there, `_rows` deriving the columns of `closed_form` as it does those
+of a run. `oracle_errors` compares it with the run's state, since each
+column's deviation is linear in ``w - w_exact`` and ``u - u_exact``.
 """
 
 from __future__ import annotations
@@ -107,9 +108,9 @@ NEWTON_MAX_ITER = 100
 # `outputs.el_residuals`, the full-length columns of `el_residual` take it to
 # about 123 B per step.
 MAX_STEPS = 12_500_000
-# Samples per block of a reader that derives rows of `w` (the divergence
-# guard, `oracle_errors`, the trajectory panel, the CLI's residual maximum):
-# 8 B per sample per row, 128 KB, however long the run.
+# Samples per block of a reader of `w` (the divergence guard, `oracle_errors`,
+# the trajectory panel, the CLI's residual maximum): 8 B per sample per row,
+# 128 KB, however long the run.
 ROW_BLOCK = 16384
 CLOSED_FORM_STEPS = 4000    # samples per period of `closed_form_trajectory`
 
@@ -210,21 +211,24 @@ class Trajectory:
         starts, jumps = zip(*self.jumps)
         return np.array([*starts, len(self)]), np.cumsum(jumps)
 
+    def _u(self, lo: int, hi: int) -> np.ndarray:
+        """``u`` of samples ``lo`` to ``hi - 1`` (``hi <= len(self)``), from
+        the jumps by `np.repeat`."""
+        starts, cum = self._segments
+        return np.repeat(cum, np.diff(np.clip(starts, lo, hi)))  # each segment's samples in the slice
+
     def rows(self, lo: int, hi: int, names=ROWS, out=None) -> np.ndarray:
         """The rows ``names`` (of `ROWS`) of samples ``lo`` to ``hi - 1``,
         derived from ``w`` by `_rows`, into ``out`` if given. Only for
-        ``xi`` are ``tau`` and ``u`` built, ``u`` from the jumps by
-        `np.repeat` and into the row of ``xi``, so that no block holds both
-        as temporaries."""
+        ``xi`` are ``tau`` and ``u`` built, ``u`` by `_u` into the row of
+        ``xi``, so that no block holds both as temporaries."""
         w = self.w[lo:hi]
         hi = lo + len(w)
         if "xi" not in names:
             return _rows(w, None, None, names, out)
         out = np.empty((len(names), len(w))) if out is None else out
-        starts, cum = self._segments
-        edges = np.minimum(np.maximum(starts, lo), hi)  # each segment's samples in the slice
         u = out[names.index("xi")]  # `_rows` turns this row into xi in place
-        u[...] = np.repeat(cum, edges[1:] - edges[:-1])
+        u[...] = self._u(lo, hi)
         return _rows(w, u, _tau(lo, hi, self.dt, self.params.T), names, out)
 
     def max_abs_residual(self) -> float:
@@ -288,7 +292,8 @@ def _exact_state(tau, w, u=None):
 
         w = sin(pi (tau - k)) + i cos(pi (tau - k))    u = 2 k + 1
 
-    `_rows` derives the columns from them. ``floor`` is right-continuous,
+    `_rows` derives the columns of `closed_form` from them, and
+    `oracle_errors` compares them with a run's. ``floor`` is right-continuous,
     so at integer ``tau`` this is the post-reflection branch. ``tau`` is a
     float array, 0-d for a scalar; the argument ``pi (tau - k)`` is formed
     in ``Im w``, so nothing else is allocated.
@@ -500,27 +505,23 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 def _deviations(traj: Trajectory, lo: int, hi: int, near: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Max deviation of each of the four columns from the closed form over
-    samples ``lo`` to ``hi - 1``, with ``near`` the samples whose dxdt
-    comparison accepts either branch (see `oracle_errors`). ``work``, of
-    shape ``(5, >= hi - lo)``, takes the exact state: ``w`` in the memory of
-    its last two rows, viewed as one complex buffer, and ``u`` in the first.
-    `_rows`
-    turns them into the exact columns in the first four rows (``U``,
-    written last, overlaps ``w``, and numpy buffers that copy), and then
-    each column of the trajectory goes, in turn, into the last row."""
-    dev, row = work[:4, :hi - lo], work[4:, :hi - lo]
-    tau = _tau(lo, hi, traj.dt, traj.params.T)
-    exact = work[3:].reshape(-1).view(np.complex128)[:hi - lo]
-    _rows(*_exact_state(tau, exact, dev[0]), tau, ROWS[:4], dev)
-    del tau  # freed before the trajectory's rows build their own
+    """The largest ``|Im dw - du|``, ``|Re dw|`` and ``|Im dw|`` (see
+    `oracle_errors`) over samples ``lo`` to ``hi - 1``, with ``near`` the
+    samples whose ``|Im dw|`` accepts either branch. ``work``, of shape
+    ``(5, >= hi - lo)``, takes ``w_exact`` and then ``dw`` in the memory of
+    its last two rows, viewed as one complex buffer, and ``u_exact``, ``du``
+    and the three rows it reduces in its first three."""
+    dev, exact = work[:3, :hi - lo], work[3:].reshape(-1).view(np.complex128)[:hi - lo]
+    _exact_state(_tau(lo, hi, traj.dt, traj.params.T), exact, dev[1])
+    du = np.subtract(traj._u(lo, hi), dev[1], out=dev[0])
     # this block's samples near an event, and their dxdt against the other branch
     here = near[(near >= lo) & (near < hi)] - lo
-    other = np.abs(traj.w.imag[lo:hi][here] + dev[3][here])
-    for name, ref in zip(ROWS[:4], dev):
-        (col,) = traj.rows(lo, hi, (name,), out=row)
-        np.abs(np.subtract(col, ref, out=ref), out=ref)
-    dev[3][here] = np.minimum(dev[3][here], other)
+    other = np.abs(traj.w.imag[lo:hi][here] + exact.imag[here])
+    dw = np.subtract(traj.w[lo:hi], exact, out=exact)
+    np.abs(np.subtract(dw.imag, du, out=du), out=du)
+    np.abs(dw.real, out=dev[1])
+    np.abs(dw.imag, out=dev[2])
+    dev[2][here] = np.minimum(dev[2][here], other)
     return dev.max(axis=1)
 
 
@@ -535,10 +536,18 @@ def oracle_errors(traj: Trajectory) -> dict[str, float]:
     at a sample ``i`` with ``|i dt - t_ev| <= PROBE_WINDOW T`` for a
     recorded event ``t_ev`` the dxdt comparison accepts the nearer of the
     two one-sided values. Those samples are found by grid index, a few per
-    event. The exact columns, the trajectory's and the deviations are
-    computed in place, one block of `ROW_BLOCK` samples at a time, and each
-    block is reduced to its four maxima (a NaN deviation propagates), so the
-    memory beyond the trajectory does not grow with the run.
+    event.
+
+    `_rows` makes each column linear in the state, so the run's state and
+    the exact one (`_exact_state`) are compared, not their columns: with
+    ``dw = w - w_exact`` and ``du = u - u_exact``, the deviations are
+    ``|Im dw - du| / pi`` (X, as ``tau`` cancels), ``|Re dw|`` (dXdt),
+    ``|Re dw| / pi`` (x) and ``|Im dw|`` (dxdt). Division by pi, correctly
+    rounded, keeps the order of values, so it is applied to the maxima.
+    `_deviations` computes them in place, one block of `ROW_BLOCK` samples at
+    a time, and reduces each block to its three maxima (a NaN deviation
+    propagates), so the memory beyond the trajectory does not grow with the
+    run.
     """
     p, dt, n = traj.params, traj.dt, len(traj)
     window = PROBE_WINDOW * p.T
@@ -552,14 +561,14 @@ def oracle_errors(traj: Trajectory) -> dict[str, float]:
     # with it the heap's trim threshold, past the CSV writer's chunk buffers
     # and a `check` op's temporaries, which would otherwise be faulted in
     # again on every chunk or op. The exact state is written into these
-    # rows and a block frees its times before the trajectory's rows are
-    # derived, so a block allocates one more row at a time: with two, glibc
-    # trimmed the heap of every `sweep` op.
+    # rows and a block frees its times before it builds the run's u, so a
+    # block allocates one more row at a time: with two, glibc trimmed the
+    # heap of every `sweep` op.
     work = np.empty((5, ROW_BLOCK))
-    worst = np.max(
+    d_xi, d_V, d_U = np.max(
         [_deviations(traj, lo, min(lo + ROW_BLOCK, n), near, work) for lo in range(0, n, ROW_BLOCK)], axis=0
-    )
-    out = dict(zip(("X", "dXdt", "x", "dxdt"), worst.tolist()))
+    ).tolist()
+    out = {"X": d_xi / math.pi, "dXdt": d_V, "x": d_V / math.pi, "dxdt": d_U}
     out["max"] = max(out.values())
     return out
 

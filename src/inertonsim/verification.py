@@ -21,7 +21,7 @@ dimensionless run, up to the last bits of its time axis.
 calibrated to a specific regime pin their own configuration and say so in
 their docstrings, and the other sampled checks draw their own. Registry:
 
-    oracle_agreement       integrated run vs closed form, scaled, 1e-6
+    oracle_agreement       run's state vs the exact state, per column, 1e-6
     invariant_conservation first-integral residual along a run, 1e-8
     periodicity            state recurrence at even contact times, 1e-6
     convergence_order      fourth-order error decay under step halving

@@ -620,19 +620,52 @@ def test_oracle_errors_match_dense_definition(
     assert oracle_errors(traj) == _dense_oracle_errors(traj)
 
 
+def _near_any_event(traj, t):
+    """The samples at times ``t`` within PROBE_WINDOW T of an event, from the
+    full samples x events distance matrix that the lookup by grid index
+    replaces."""
+    if not len(traj.events):
+        return np.zeros(len(t), dtype=bool)
+    return np.min(np.abs(t[:, None] - traj.events[None, :]), axis=1) <= 1.0e-6 * traj.params.T
+
+
 def _dense_oracle_errors(traj):
-    """`oracle_errors` from the full samples x events distance matrix that the
-    lookup by grid index replaces, in the trajectory's units."""
+    """`oracle_errors` by its definition on states, over the whole run at
+    once, in the trajectory's units: with ``dw = w - w_exact`` and ``du = u -
+    u_exact``, X is ``|Im dw - du| / pi``, dXdt ``|Re dw|``, x ``|Re dw| / pi``
+    and dxdt ``|Im dw|``, or ``|Im w + Im w_exact|`` where that is smaller
+    near an event."""
+    t = np.arange(len(traj)) * traj.dt
+    w_exact, u_exact = dynamics._exact_state(t / traj.params.T, np.empty(len(t), dtype=np.complex128))
+    u = np.zeros(len(traj))
+    for i, jump in traj.jumps:
+        u[i:] += jump
+    dw, du = traj.w - w_exact, u - u_exact
+    d_dxdt = np.abs(dw.imag)
+    near = _near_any_event(traj, t)
+    d_dxdt[near] = np.minimum(d_dxdt[near], np.abs(traj.w.imag + w_exact.imag)[near])
+    dense = {
+        "X": float(np.max(np.abs(dw.imag - du) / math.pi)),
+        "dXdt": float(np.max(np.abs(dw.real))),
+        "x": float(np.max(np.abs(dw.real) / math.pi)),
+        "dxdt": float(np.max(d_dxdt)),
+    }
+    dense["max"] = max(dense.values())
+    return dense
+
+
+def _dense_row_oracle_errors(traj):
+    """`oracle_errors` by its definition on rows: each column of the run
+    against the same column of the exact state, over the whole run at once,
+    in the trajectory's units."""
     p = traj.params
     t = np.arange(len(traj)) * traj.dt
     tau = t / p.T
     state = dynamics._exact_state(tau, np.empty(len(t), dtype=np.complex128))
     xi, V, chi, U = dynamics._rows(*state, tau, dynamics.ROWS[:4])
     d_dxdt = np.abs(_row(traj, "U") - U)
-    if len(traj.events):
-        near = np.min(np.abs(t[:, None] - traj.events[None, :]), axis=1) <= 1.0e-6 * p.T
-        other = np.abs(_row(traj, "U") + U)
-        d_dxdt = np.where(near, np.minimum(d_dxdt, other), d_dxdt)
+    near = _near_any_event(traj, t)
+    d_dxdt[near] = np.minimum(d_dxdt[near], np.abs(_row(traj, "U") + U)[near])
     dense = {
         "X": float(np.max(np.abs(_row(traj, "xi") - xi))),
         "dXdt": float(np.max(np.abs(_row(traj, "V") - V))),
@@ -641,6 +674,70 @@ def _dense_oracle_errors(traj):
     }
     dense["max"] = max(dense.values())
     return dense
+
+
+@pytest.mark.parametrize(
+    "pars, divisor, periods",
+    [((1.0, 1.0, 10.0, 1.0), 1000, 100), ((2.3, 0.37, 1.0, 1.7), 125, 200), ((1.0, 1.0e-4, 1.0, 1.0), 999.5, 20)],
+    ids=["natural-T/1000", "M0-2.3-T/125", "v0-c-1e-4-T/999.5"],
+)
+def test_oracle_definitions_on_states_and_rows_agree(pars, divisor, periods):
+    # The rows add tau to (Im w - u) / pi and subtract Re w from 1, and round
+    # there; the states do not. tau is the same array on both sides, so the
+    # two differ by their roundings alone, each at most the unit roundoff e
+    # times the largest magnitude the formulas meet. X: three per xi, of the
+    # run and of the closed form, and one subtraction; four in the states;
+    # all at most tau_end + |u| + |w|. dXdt: one per V, twice, and one
+    # subtraction; one in the states; at most 1 + |w|. x: one per chi, twice,
+    # and one subtraction; two in the states; at most 1 + |w|. dxdt is
+    # |Im w - Im w_exact| in both, bit for bit.
+    params, _ = derive_kinematics(*pars)
+    traj = integrate(params, t_end=round(periods * divisor) * params.T / divisor, dt=params.T / divisor)
+    e = np.finfo(np.float64).eps / 2
+    tau_end = (len(traj) - 1) * traj.dt / params.T
+    u_max = max(float(np.max(np.abs(np.cumsum([jump for _, jump in traj.jumps])))), 2 * math.floor(tau_end) + 1)
+    w_max = float(np.max(np.abs(traj.w)))
+    assert w_max < 1.001  # and |w_exact| = 1 to rounding
+    rounding = {"X": 11 * e * (tau_end + u_max + w_max), "dXdt": 4 * e * (1 + w_max), "x": 5 * e * (1 + w_max)}
+    states, rows = _dense_oracle_errors(traj), _dense_row_oracle_errors(traj)
+    for name, bound in rounding.items():
+        assert abs(states[name] - rows[name]) <= bound, name
+    assert states["dxdt"] == rows["dxdt"]
+    assert oracle_errors(traj) == states
+
+
+def test_oracle_errors_move_with_a_planted_fault(natural):
+    # A fault at one sample far from any event, a power of two delta in turn
+    # in Re w, in Im w, in one jump of u, and in Im w and u together (U moves,
+    # xi does not): exactly the columns that the fault moves read delta or
+    # delta / pi, and the rest their own deviation, each to within the
+    # unperturbed run's deviation of that column.
+    params, _ = natural
+    run = integrate(params, t_end=4.0 * params.T, dt=params.T / 1000.0)
+    base = oracle_errors(run)
+    assert 0.0 < min(base.values()) and max(base.values()) < 1e-9
+    i, delta = 2250, 2.0 ** -20  # t = 2.25 T
+    assert np.min(np.abs(i * run.dt - run.events)) > 0.2 * params.T
+    k = next(n for n, (start, _) in enumerate(run.jumps) if start > i)  # the next reflection's jump
+    faults = {
+        "Re w": (dict(w=run.w + delta * (np.arange(len(run)) == i)), {"dXdt": delta, "x": delta / math.pi}),
+        "Im w": (dict(w=run.w + 1j * delta * (np.arange(len(run)) == i)), {"X": delta / math.pi, "dxdt": delta}),
+        "jump of u": (
+            dict(jumps=[(start, jump + delta * (n == k)) for n, (start, jump) in enumerate(run.jumps)]),
+            {"X": delta / math.pi},
+        ),
+        "U alone": (
+            dict(
+                w=run.w + 1j * delta * (np.arange(len(run)) == i),
+                jumps=sorted(run.jumps + [(i, delta), (i + 1, -delta)]),
+            ),
+            {"dxdt": delta},
+        ),
+    }
+    for fault, (change, moved) in faults.items():
+        errors = oracle_errors(dataclasses.replace(run, **change))
+        for name in ("X", "dXdt", "x", "dxdt"):
+            assert abs(errors[name] - moved.get(name, base[name])) <= base[name], (fault, name)
 
 
 @pytest.mark.parametrize("events", [[], [1.0e-7], [-5.0e-7, 0.0, 2.5e-7, 9.0e-7], [1.5e-6, -2.0e-6]])
@@ -836,7 +933,7 @@ def _traced_peak(fn, *args):
 
 
 def test_oracle_errors_memory_per_sample(natural):
-    # one block of exact columns and their times at a time: the memory does
+    # one block of the exact state and its times at a time: the memory does
     # not grow with the run
     params, _ = natural
     peaks = []
