@@ -350,7 +350,7 @@ def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
         "n_samples": len(traj),
         "n_events": len(traj.events),
         "max_oracle_error": errs["max"],
-        "max_invariant_residual": traj.max_abs_residual(),
+        "max_invariant_residual": traj.max_abs_residual,
         "integrator": {
             "dt": sim["dt"],
             "t_end": sim["t_end"],

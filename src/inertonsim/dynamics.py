@@ -33,23 +33,27 @@ Taylor polynomial of ``exp(-i pi s)`` (Hairer & Wanner, *Solving ODEs II*,
 IV.2), and RK4 keeps linear invariants exactly (Hairer, Lubich & Wanner,
 *Geometric Numerical Integration*, Thm. IV.1.5): this is RK4 on all of
 ``y``. The integrator tabulates ``R^1..R^B`` once per run
-(``B <= BLOCK_STEPS``) and advances a whole block of samples from the
-block's start state with one multiplication into the state array, so
-memory is the state's 16 B per sample.
+(``B <= BLOCK_STEPS``) and advances a whole block of ``B`` samples from the
+block's start state with one multiplication into the state array, which is
+padded by ``B`` samples so that no block is cut at the end of the run, and
+one comparison into a boolean buffer of ``B``. Memory is the state's 16 B
+per sample.
 
 A step that ends with ``x < 0`` contains a reflection. Newton's method on
 ``Re(R(-i pi s) w)``, started from the linear guess, locates the partial
-step ``s`` of the crossing to ``|x| <= 1e-12 * Lam``; on the grids a run
-admits, one Newton step does. A crossing not located within the step, as
-in a step that starts below the guard, ends the run with a RuntimeError
-that names the step. The reset ``dx/dt -> -dx/dt`` turns ``w`` into its
-conjugate and lowers ``u`` by twice the ``U`` at impact; the rest of the
-step is taken from the reflected state, so samples stay on the grid, and
-the next block starts from there. Event location and the reset run on
-Python complex scalars, while the blocks stay vectorized. The run is ``w``
+step ``s`` of the crossing to ``|x| <= 1e-12 * Lam`` and gives the state
+there; on the grids a run admits, one Newton step does. A crossing not
+located within the step, as in a step that starts below the guard, ends
+the run with a RuntimeError that names the step. The reset ``dx/dt ->
+-dx/dt`` turns ``w`` into its conjugate and lowers ``u`` by twice the
+``U`` at impact; the rest of the step is taken from the reflected state, so
+samples stay on the grid, and the next block starts from there. Event
+location and the reset run on Python complex scalars, with ``R(-i pi h)``
+evaluated once per run, while the blocks stay vectorized. The run is ``w``
 and the jumps of ``u``: no column is stored. After the last block the
 first-integral residuals ``|w|^2 - 1``, and the divergence guard on them,
-are computed one block of `ROW_BLOCK` samples at a time, and
+are computed one block of `ROW_BLOCK` samples at a time; the same pass
+gives their largest magnitude, `Trajectory.max_abs_residual`.
 `Trajectory.rows` derives the columns and residuals of any slice the same
 way.
 
@@ -108,9 +112,9 @@ NEWTON_MAX_ITER = 100
 # `outputs.el_residuals`, the full-length columns of `el_residual` take it to
 # about 123 B per step.
 MAX_STEPS = 12_500_000
-# Samples per block of a reader of `w` (the divergence guard, `oracle_errors`,
-# the trajectory panel, the CLI's residual maximum): 8 B per sample per row,
-# 128 KB, however long the run.
+# Samples per block of a reader of `w` (the divergence guard, which also
+# gives the residual maximum, `oracle_errors`, the trajectory panel): 8 B per
+# sample per row, 128 KB, however long the run.
 ROW_BLOCK = 16384
 CLOSED_FORM_STEPS = 4000    # samples per period of `closed_form_trajectory`
 
@@ -231,11 +235,13 @@ class Trajectory:
         u[...] = self._u(lo, hi)
         return _rows(w, u, _tau(lo, hi, self.dt, self.params.T), names, out)
 
+    @cached_property
     def max_abs_residual(self) -> float:
-        """The largest ``|residual|``, one block of `ROW_BLOCK` samples at a
-        time; a NaN propagates."""
-        blocks = range(0, len(self), ROW_BLOCK)
-        return float(np.max([np.max(np.abs(self.rows(lo, lo + ROW_BLOCK, ("residual",)))) for lo in blocks]))
+        """The largest ``|residual|``, by the divergence guard's pass
+        (`_guarded_max`, so a diverged state raises `DivergenceError`),
+        which `integrate` has already made: it sets this value, so its run
+        derives every residual once."""
+        return _guarded_max(self.w, self.dt)
 
     def columns(self, rows: slice = slice(None)) -> dict[str, np.ndarray]:
         """The rows ``rows`` (a slice) in physical units: a state whose
@@ -358,20 +364,22 @@ def _step_powers(h: float, size: int) -> np.ndarray:
     return np.exp(np.arange(1, size + 1) * complex(log_rho, cmath.phase(_step_factor(h))))
 
 
-def _crossing(w: complex, h: float, t: float) -> float:
+def _crossing(w: complex, h: float, r_h: complex, t: float) -> tuple[float, complex]:
     """Partial step ``s`` in ``[0, h]`` at which the separation vanishes, in
-    the step that starts at time ``t`` from ``w`` and ends below the guard.
+    the step that starts at time ``t`` from ``w`` and ends below the guard,
+    and the state ``R(-i pi s) w`` at the crossing. ``r_h`` is the whole
+    step's factor ``R(-i pi h)``.
 
     Newton on ``chi(s) = Re(R(-i pi s) w) / pi`` from the linear guess, with
     the flow's slope ``U`` (the quartic's to a relative ``(pi s)^4/24``),
     until ``|chi| <= EVENT_X_TOL``, ``U = 0`` or `NEWTON_MAX_ITER` steps. On
     the grids that `step_count` admits one step is enough
-    (`test_one_newton_step_locates_every_admitted_crossing`). Raises
-    RuntimeError, naming ``t``, unless then ``|chi| <= EVENT_X_TOL`` and
-    ``0 <= s <= h``: so also for a step that starts below the guard, which
-    has no root in it.
+    (`test_one_newton_step_locates_every_admitted_crossing`), so a crossing
+    evaluates `_step_factor` twice. Raises RuntimeError, naming ``t``,
+    unless then ``|chi| <= EVENT_X_TOL`` and ``0 <= s <= h``: so also for a
+    step that starts below the guard, which has no root in it.
     """
-    s = h * w.real / (w.real - (_step_factor(h) * w).real)
+    s = h * w.real / (w.real - (r_h * w).real)
     ws = _step_factor(s) * w
     for _ in range(NEWTON_MAX_ITER):
         if abs(ws.real) <= math.pi * EVENT_X_TOL or not ws.imag:
@@ -384,19 +392,30 @@ def _crossing(w: complex, h: float, t: float) -> float:
             f"event location in the step at t={t} stopped at |x| = {miss:.3e} Lam, s = {s / h:.6g} h, "
             f"within {NEWTON_MAX_ITER} Newton steps; the target is |x| <= {EVENT_X_TOL} Lam with 0 <= s <= h"
         )
-    return s
+    return s, ws
 
 
-def _guard(residuals: np.ndarray, lo: int, dt: float) -> None:
+def _guard(residuals: np.ndarray, lo: int, dt: float) -> float:
     """Raise `DivergenceError` at the first of ``residuals``, those of the
-    samples from ``lo`` on, that is not within the limit (NaN included)."""
+    samples from ``lo`` on, that is not within the limit (NaN included);
+    otherwise return their largest ``|residual|``."""
     mag = np.abs(residuals)
-    if not mag.max(initial=0.0) <= DIVERGENCE_LIMIT:
+    peak = mag.max(initial=0.0)
+    if not peak <= DIVERGENCE_LIMIT:
         k = int(np.argmax(~(mag <= DIVERGENCE_LIMIT)))
         raise DivergenceError(
             f"first-integral residual {residuals[k]:.3e} at t={(lo + k) * dt} exceeds "
             f"{DIVERGENCE_LIMIT}; the run has diverged"
         )
+    return float(peak)
+
+
+def _guarded_max(w: np.ndarray, dt: float) -> float:
+    """The divergence guard on the residuals of the samples ``w``, one block
+    of `ROW_BLOCK` at a time (`_guard`), and their largest ``|residual|``:
+    `Trajectory.max_abs_residual`."""
+    blocks = range(0, len(w), ROW_BLOCK)
+    return max(_guard(_rows(w[lo:lo + ROW_BLOCK], None, None, ("residual",))[0], lo, dt) for lo in blocks)
 
 
 def step_count(T: float, t_end: float, dt: float) -> int:
@@ -442,62 +461,69 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
     Requirements: those of `step_count`, among them ``0 < dt <= T/100`` and
     ``t_end`` a whole number of steps, so samples land exactly on the grid.
 
+    Each reflection costs one block multiply and comparison, a crossing
+    (`_crossing`: two `_step_factor` evaluations) and a reset (one more).
+
     Raises `RuntimeError`, from `_crossing` and naming the step, as soon as
     a step that ends below the guard holds no located crossing, and
-    `DivergenceError` after the last block if the first-integral residual of
-    a sample exceeds 1e-3 (or is not a number), which signals an integration
-    failure rather than physics.
+    `DivergenceError` after the last block, before the trailing probe, if
+    the first-integral residual of a sample exceeds 1e-3 (or is not a
+    number), which signals an integration failure rather than physics. The
+    guard's pass sets `Trajectory.max_abs_residual`.
     """
     n_steps = step_count(p.T, t_end, dt)
 
     h = dt / p.T
+    r_h = _step_factor(h)
     # A block ends at the first reflection it contains, and the next
     # reflection is at most ceil(1/h) + 1 steps away, so longer tables are
     # never used: the blocks, and the samples, are those of a full table.
     table = _step_powers(h, min(BLOCK_STEPS, n_steps, math.ceil(1.0 / h) + 1))
 
-    # w = (1 - V) + iU per sample, and the jumps of u as (sample, jump): 1 at
-    # the start, then -2 U_ev on the first sample after each reflection.
-    w = np.empty(n_steps + 1, dtype=np.complex128)
+    # w = (1 - V) + iU per sample, padded by one table so that every block is
+    # a whole one, and the jumps of u as (sample, jump): 1 at the start, then
+    # -2 U_ev on the first sample after each reflection.
+    w = np.empty(n_steps + 1 + table.size, dtype=np.complex128)
     w[0] = 1j
+    below = np.empty(table.size, dtype=bool)
     jumps = [(0, 1.0)]
     events = []
 
     i = 0
     while i < n_steps:
         # The whole block goes straight into w; the samples past a crossing
-        # are overwritten by the reflected step and the next block.
-        m = min(table.size, n_steps - i)
-        below = np.multiply(table[:m], w[i], out=w[i + 1:i + 1 + m]).real < 0.0
+        # are overwritten by the reflected step and the next block, and those
+        # past n_steps are dropped.
+        np.less(np.multiply(table, w[i], out=w[i + 1:i + 1 + table.size]).real, 0.0, out=below)
         k = int(below.argmax())
-        if not below[k]:
-            i += m
+        if not below[k] or i + k >= n_steps:
+            i += table.size
             continue
         i += k
         # Step i -> i+1 crosses the guard.
-        start = complex(w[i])
-        s = _crossing(start, h, i * dt)
+        s, hit = _crossing(complex(w[i]), h, r_h, i * dt)
         events.append(i * dt + s * p.T)
-        hit = _step_factor(s) * start
         jumps.append((i + 1, -2.0 * hit.imag))
         w[i + 1] = _step_factor(h - s) * hit.conjugate()
         i += 1
+    w = w[:n_steps + 1]
 
-    # The guard on the residuals of samples 1..n_steps, one block at a time;
-    # the one at t = 0 is exactly 0.0.
-    for lo in range(1, n_steps + 1, ROW_BLOCK):
-        _guard(_rows(w[lo:lo + ROW_BLOCK], None, None, ("residual",))[0], lo, dt)
+    # The divergence guard runs before the trailing probe; its pass gives the
+    # residual maximum.
+    peak = _guarded_max(w, dt)
 
     # Trailing probe: the discretized crossing of the final period can land a
     # hair past t_end (the phase lag of PROBE_WINDOW's comment). One probe
     # step past the end recovers an event belonging to this run; only events
     # within PROBE_WINDOW * T of t_end are accepted and no samples are added.
     last = complex(w[n_steps])
-    if (_step_factor(h) * last).real < 0.0 <= last.real:
-        s = _crossing(last, h, n_steps * dt)
+    if (r_h * last).real < 0.0 <= last.real:
+        s, _ = _crossing(last, h, r_h, n_steps * dt)
         if s <= PROBE_WINDOW:
             events.append(n_steps * dt + s * p.T)
-    return Trajectory(p, dt, w, jumps, np.array(events, dtype=np.float64))
+    traj = Trajectory(p, dt, w, jumps, np.array(events, dtype=np.float64))
+    traj.max_abs_residual = peak  # the cached property, from the guard's pass
+    return traj
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,75 @@ def test_divergence_guard_stops_at_first_offending_sample(natural, monkeypatch):
         integrate(params, t_end=1.0, dt=1e-3)
 
 
+def test_divergence_guard_stops_in_a_later_block_before_the_trailing_probe(natural, monkeypatch):
+    # the first residual over the limit lies in the second block of
+    # ROW_BLOCK samples; the run's last reflection lies past t_end, so only
+    # the trailing probe would locate it, and the guard stops the run first
+    params, _ = natural
+    dt = params.T / 1000.0
+    args = (params, 40000 * dt, dt)
+    times = []
+    crossing = dynamics._crossing
+
+    def record(w, h, r_h, t):
+        times.append(t)
+        return crossing(w, h, r_h, t)
+
+    monkeypatch.setattr(dynamics, "_crossing", record)
+    residual = np.abs(_row(integrate(*args), "residual"))
+    assert times[-1] == 40000 * dt
+    limit = 0.5 * float(np.max(residual))
+    first = int(np.argmax(residual > limit))
+    assert dynamics.ROW_BLOCK <= first < 2 * dynamics.ROW_BLOCK
+    monkeypatch.setattr(dynamics, "DIVERGENCE_LIMIT", limit)
+    times.clear()
+    with pytest.raises(DivergenceError, match=f"^first-integral residual -[0-9.e-]+ at t={first * dt} exceeds"):
+        integrate(*args)
+    assert times and times[-1] < 40000 * dt
+
+
+@pytest.mark.parametrize("case", ["natural-T/1000", "T/250", "closed-form"])
+def test_max_abs_residual_is_the_largest_residual_bitwise(natural, case):
+    # runs of more than one ROW_BLOCK; the value that integrate's guard pass
+    # sets is the one a fresh Trajectory of the same run derives
+    params, _ = natural
+    if case == "natural-T/1000":
+        traj = integrate(params, t_end=40.0 * params.T, dt=params.T / 1000.0)
+    elif case == "T/250":
+        params, _ = derive_kinematics(2.3, 0.37, 1.0, 1.7)
+        traj = integrate(params, t_end=100.0 * params.T, dt=params.T / 250.0)
+    else:
+        traj = closed_form_trajectory(params, t_end=5.0 * params.T)
+    n = len(traj)
+    assert n > dynamics.ROW_BLOCK
+    expected = float(np.max(np.abs(traj.rows(0, n, ("residual",)))))
+    assert traj.max_abs_residual.hex() == expected.hex()
+    assert dataclasses.replace(traj).max_abs_residual.hex() == expected.hex()
+
+
+@pytest.mark.parametrize("divisor", [125, 999.5, 1000])
+def test_each_reflection_evaluates_the_step_polynomial_at_most_three_times(natural, divisor, monkeypatch):
+    # One table per run. Each reflection located by the loop evaluates the
+    # step polynomial R(-i pi s) three times at most: the crossing's linear
+    # guess and one Newton step, then the reset. The trailing probe takes
+    # three at most, and the run R(-i pi h) once, besides the one evaluation
+    # each in `step_count`'s lag test and `_step_powers`' phase.
+    params, _ = natural
+    calls = {"_step_factor": 0, "_step_powers": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(dynamics, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    dt = params.T / divisor
+    traj = integrate(params, round(20 * divisor) * dt, dt)
+    reflections = len(traj.jumps) - 1
+    assert reflections >= 19
+    assert calls["_step_powers"] == 1
+    assert calls["_step_factor"] <= 3 * reflections + 1 + 3 + 2
+
+
 def _reference_integrate(p, t_end, dt):
     """`integrate` with the block loop it had before blocks were stepped in
     place: a fresh product per block, `flatnonzero` and a copy up to the
@@ -348,7 +417,7 @@ def _reference_integrate(p, t_end, dt):
             continue
         assert w[i].real >= 0.0
         start = complex(w[i])
-        s = dynamics._crossing(start, h, i * dt)
+        s, _ = dynamics._crossing(start, h, dynamics._step_factor(h), i * dt)
         events.append(i * dt + s * p.T)
         hit = dynamics._step_factor(s) * start
         du[i + 1] = -2.0 * hit.imag
@@ -360,7 +429,7 @@ def _reference_integrate(p, t_end, dt):
         raise DivergenceError(f"at t={(1 + int(bad[0])) * dt}")
     last = complex(w[n_steps])
     if (dynamics._step_factor(h) * last).real < 0.0 <= last.real:
-        s = dynamics._crossing(last, h, n_steps * dt)
+        s, _ = dynamics._crossing(last, h, dynamics._step_factor(h), n_steps * dt)
         if s <= dynamics.PROBE_WINDOW:
             events.append(n_steps * dt + s * p.T)
     xi = np.arange(n_steps + 1) * dt / p.T + (w.imag - np.cumsum(du)) / math.pi
@@ -376,6 +445,21 @@ def _reference_integrate(p, t_end, dt):
     periods=st.integers(1, 120),
     cut=st.one_of(st.none(), st.floats(0.0, 1.0)),
 )
+# At T/125 the second reflection lies in the step from sample 250 to 251,
+# which a block of the one-period table (126 steps) from sample 126 holds.
+# t_end one step before that step, at its start (the trailing probe finds
+# the reflection, past the last sample of the block that holds it) and at
+# its end (the run's last step reflects).
+@example(M0=1.0, v0=0.5, T=1.0, divisor=125.0, periods=3, cut=249 / 375)
+@example(M0=1.0, v0=0.5, T=1.0, divisor=125.0, periods=3, cut=250 / 375)
+@example(M0=1.0, v0=0.5, T=1.0, divisor=125.0, periods=3, cut=251 / 375)
+# runs shorter than one table: one step, 100 steps, and 125 steps, whose one
+# reflection the trailing probe finds
+@example(M0=1.0, v0=0.5, T=1.0, divisor=125.0, periods=1, cut=0.0)
+@example(M0=1.0, v0=0.5, T=1.0, divisor=125.0, periods=1, cut=0.8)
+@example(M0=2.3, v0=0.37, T=1.7, divisor=125.0, periods=1, cut=None)
+# a period of no whole number of steps
+@example(M0=1.0, v0=0.5, T=1.0, divisor=999.5, periods=5, cut=None)
 def test_block_loop_matches_the_reference_loop_bitwise(M0, v0, T, divisor, periods, cut):
     # `per_draw.sample_params` ranges; half of the runs end at a random step. The
     # blocks are multiplied into views of w that need not be aligned, so a
@@ -385,6 +469,9 @@ def test_block_loop_matches_the_reference_loop_bitwise(M0, v0, T, divisor, perio
     n_steps = max(1, round(periods * divisor * (1.0 if cut is None else cut)))
     ref = _reference_integrate(params, n_steps * dt, dt)
     traj = integrate(params, n_steps * dt, dt)
+    # the blocks past the end of the run leave no sample and no event behind
+    assert len(traj.w) == n_steps + 1
+    assert not np.any(traj.events > n_steps * dt + dynamics.PROBE_WINDOW * params.T)
     got = (*(_row(traj, name) for name in dynamics.ROWS[:4]), traj.events, _row(traj, "residual"))
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -1068,22 +1155,23 @@ def test_one_newton_step_locates_every_admitted_crossing(h, monkeypatch):
         for f in rng.uniform(0.0, 1.0, 2000).tolist():
             w = radius * complex(math.sin(math.pi * f * h), -math.cos(math.pi * f * h))
             assert w.real >= 0.0 > (factor * w).real
-            s = dynamics._crossing(w, h, 0.0)
+            s, hit = dynamics._crossing(w, h, factor, 0.0)
             assert 0.0 <= s <= h
-            assert abs((dynamics._step_factor(s) * w).real) / math.pi <= target
+            assert hit == dynamics._step_factor(s) * w
+            assert abs(hit.real) / math.pi <= target
 
 
 def test_crossing_refuses_a_step_that_starts_below_the_guard():
     # its root lies before the step, so no s in [0, h] is located
     with pytest.raises(RuntimeError, match=r"^event location in the step at t=0\.5 stopped at .*, s = -"):
-        dynamics._crossing(complex(-1e-3, -1.0), 1e-3, 0.5)
+        dynamics._crossing(complex(-1e-3, -1.0), 1e-3, dynamics._step_factor(1e-3), 0.5)
 
 
 def test_crossing_with_a_flat_iterate_is_refused(monkeypatch):
     # an iterate with U = 0 has no Newton step: the location ends, refused
     monkeypatch.setattr(dynamics, "_step_factor", lambda s: complex(1.0 - 200.0 * s - 1.0e4 * s * s, 0.0))
     with pytest.raises(RuntimeError, match=r"^event location in the step at t=0\.25 stopped at \|x\| = 3\.5"):
-        dynamics._crossing(0.5 + 0j, 0.01, 0.25)
+        dynamics._crossing(0.5 + 0j, 0.01, dynamics._step_factor(0.01), 0.25)
 
 
 @settings(deadline=None, max_examples=30)
@@ -1099,18 +1187,19 @@ def test_every_located_event_meets_the_target(v0, T, divisor, periods):
     located = []
     crossing = dynamics._crossing
 
-    def record(w, h, t):
-        s = crossing(w, h, t)
-        located.append((w, h, s))
-        return s
+    def record(w, h, r_h, t):
+        s, hit = crossing(w, h, r_h, t)
+        located.append((w, h, s, hit))
+        return s, hit
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_crossing", record)
         traj = integrate(params, round(periods * divisor) * dt, dt)
     assert len(located) >= len(traj.events) >= periods - 1
-    for w, h, s in located:
+    for w, h, s, hit in located:
         assert 0.0 <= s <= h
-        assert abs((dynamics._step_factor(s) * w).real) <= math.pi * dynamics.EVENT_X_TOL
+        assert hit == dynamics._step_factor(s) * w
+        assert abs(hit.real) <= math.pi * dynamics.EVENT_X_TOL
 
 
 def test_power_table_of_one_period_keeps_the_blocks(natural, monkeypatch):
