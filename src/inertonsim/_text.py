@@ -1,9 +1,10 @@
 """Byte-exact decimal text for float64 values, rendered a whole block at a time.
 
-`g17` renders each value with the bytes of ``format(v, ".17g")`` and `f2`
-with those of ``"%.2f" % v``; `rows` renders a ``(rows, k)`` block into
-lines, and `write_csv` streams a CSV through it in chunks of about
-`CHUNK_ROWS` values.
+`rows` renders a ``(rows, k)`` float64 block into lines through one of two
+kernels, `g17` with the bytes of ``format(v, ".17g")`` per value or `f2`
+with those of ``"%.2f" % v``, and `write_csv` streams a CSV through it in
+chunks of about `CHUNK_ROWS` values. A kernel takes only that block and the
+row buffer that `rows` gives it.
 
 A block's text is one row buffer: a ``(rows, width)`` uint8 array over a
 ``bytearray``. Row ``i`` holds the ``k`` values of the block's row ``i`` in
@@ -302,14 +303,6 @@ def _fallback(text: np.ndarray, v: np.ndarray, ok: np.ndarray, fmt: str, slot: i
     return text
 
 
-def _block(col, slot: int, out) -> tuple[np.ndarray, np.ndarray]:
-    """A column or ``(n, k)`` block as float64 ``(n, k)``, and the text it
-    renders into: ``out``, or a new ``(n, k slot)`` array."""
-    v = np.asarray(col, dtype=np.float64)
-    v = v[:, None] if v.ndim == 1 else v
-    return v, np.empty((len(v), v.shape[1] * slot), dtype=np.uint8) if out is None else out
-
-
 def _put(word: np.ndarray, sel: np.ndarray, w: int, integer: np.ndarray, fraction: np.ndarray, extra=None) -> None:
     """Write slot word ``w`` of layout rows ``sel`` into ``word``: the
     integer and fraction digit lanes under their masks, ``extra`` (the
@@ -323,19 +316,17 @@ def _put(word: np.ndarray, sel: np.ndarray, w: int, integer: np.ndarray, fractio
     np.bitwise_or(integer, const, out=word)
 
 
-def g17(col, out=None) -> np.ndarray:
+def g17(v: np.ndarray, text: np.ndarray) -> np.ndarray:
     """Render float64 values as ``format(v, ".17g")`` does, value by value.
 
-    ``col`` is a column, or an ``(n, k)`` block whose row ``i`` goes into
-    the first ``24 k`` bytes of row ``i`` of ``out`` (a row buffer of
-    `rows`). Returns the text: ``out``, or a new ``(n, 24 k)`` array, or a
-    wider copy if a fallback text needs it. Three words (24 bytes) per
-    value, laid out by `_layout_tables`.
+    Row ``i`` of the ``(n, k)`` float64 block ``v`` goes into the first
+    ``24 k`` bytes of row ``i`` of ``text``, the row buffer of `rows`.
+    Returns ``text``, or a wider copy if a fallback text needs it. Three
+    words (24 bytes) per value, laid out by `_layout_tables`.
     """
     # the cached tables are built together on first use, before any of the
     # block's temporaries, so that they pin no freed heap between them
     _pow10_table(), _layout_tables(), _lane_table()
-    v, text = _block(col, _G17_SLOT, out)
     n, k = v.shape
     words = text.view(np.uint64)[:, :3 * k].reshape(n, k, 3)
     D, lay, ok = _round17(np.abs(v))
@@ -361,16 +352,15 @@ def g17(col, out=None) -> np.ndarray:
     return _fallback(text, v, ok, "%.17g", _G17_SLOT)
 
 
-def f2(col, out=None) -> np.ndarray:
+def f2(v: np.ndarray, text: np.ndarray) -> np.ndarray:
     """Render float64 values as ``"%.2f" % v`` does, value by value.
 
     ``s = |v| 100`` is one float64 product, within ``eps s`` of the exact
     value, so its rounding is exact unless the fraction of ``s`` is within
     ``eps s`` of one half. Values that round to 1e6 or more go to Python
-    too. ``col`` and ``out`` are as for `g17`. Twelve bytes per value:
-    sign, six integer digits, point, two decimals, NUL, separator.
+    too. ``v``, ``text`` and the return are as for `g17`. Twelve bytes per
+    value: sign, six integer digits, point, two decimals, NUL, separator.
     """
-    v, text = _block(col, _F2_SLOT, out)
     n, k = v.shape
     with np.errstate(all="ignore"):
         s = np.abs(v) * 100.0

@@ -491,13 +491,15 @@ def cmd_sweep(ns):
     _json("metadata.json", _metadata(cfg, "sweep"))  # the keys it will write, refused before any run
     rows = []
     n_failed = 0
+    # one action per parameter set of this sweep, and none kept past it
+    action_of = functools.cache(lambda M, v0, T: cyclic_action(OscillatorSpec.from_motion(M, v0, T)))
     for i, (value, case) in enumerate(zip(values, cases)):
         sub = os.path.join(ns.out, f"{axis}_{i}")
         try:
             if isinstance(case, ValueError):
                 raise case
             params, _, resolved = case
-            action = cyclic_action(OscillatorSpec.from_params(params))
+            action = action_of(params.M, params.v0, params.T)
             if action == math.inf:
                 raise ValueError(f"the cyclic action M v0^2 T overflows a float (M = {params.M:.6g}, "
                                  f"v0 = {params.v0:.6g}, T = {params.T:.6g})")

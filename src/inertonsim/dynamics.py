@@ -39,10 +39,10 @@ padded by ``B`` samples so that no block is cut at the end of the run, and
 one comparison into a boolean buffer of ``B``. Memory is the state's 16 B
 per sample.
 
-A step that ends with ``x < 0`` contains a reflection. Newton's method on
-``Re(R(-i pi s) w)``, started from the linear guess, locates the partial
-step ``s`` of the crossing to ``|x| <= 1e-12 * Lam`` and gives the state
-there; on the grids a run admits, one Newton step does. A crossing not
+A step that ends with ``x < 0`` contains a reflection. The linear guess
+and at most one Newton step on ``Re(R(-i pi s) w)`` locate the partial
+step ``s`` of the crossing to ``|x| <= 1e-12 * Lam`` and give the state
+there; on the grids a run admits, that one step is enough. A crossing not
 located within the step, as in a step that starts below the guard, ends
 the run with a RuntimeError that names the step. The reset ``dx/dt ->
 -dx/dt`` turns ``w`` into its conjugate and lowers ``u`` by twice the
@@ -93,7 +93,7 @@ __all__ = [
 ]
 
 # Guard and probe tolerances (see module docstring and integrate()).
-EVENT_X_TOL = 1.0e-12       # Newton target on |x|, in units of Lam
+EVENT_X_TOL = 1.0e-12       # event location's target on |x|, in units of Lam
 # A crossing whose true time is exactly t_end can land slightly past it
 # numerically: the integrator's phase lag grows like dt**4 and reaches
 # about 8.1e-8 T per ten periods at the coarsest admissible step (T/100). The
@@ -105,7 +105,6 @@ DIVERGENCE_LIMIT = 1.0e-3   # hard cap on the first-integral residual
 # Length of the table of step-factor powers: 1024 complex doubles (16 KB).
 # A block never spans more steps than this.
 BLOCK_STEPS = 1024
-NEWTON_MAX_ITER = 100
 # Largest admitted run. A whole `simulate` run peaks at 17 B per step, about
 # 0.21 GB, plus about 2 MB of fixed-size blocks (tracemalloc): the state `w`
 # (16 B per sample) and, in the CSV writer, its event flags (1 B). With
@@ -189,14 +188,16 @@ class Trajectory:
     (16 B per sample), and ``jumps`` the jumps of ``u`` as ``(sample,
     jump)`` pairs in sample order, the first ``(0, 1.0)``. `rows` derives the
     columns ``xi, V, chi, U`` (``X/lam, dXdt/v0, x/Lam, dxdt/c``) and the
-    first-integral residual of any slice, `columns` applies the units, and
-    `as_arrays` gives a slice's columns of the trajectory CSV.
+    first-integral residual of any slice, `columns` gives every row in the
+    physical units, and `as_arrays` gives a slice's columns of the
+    trajectory CSV.
     ``chi >= -EVENT_X_TOL`` to rounding (only a sample just after a
     reflection sits below zero). ``events`` is the float64 array of
     reflection times in increasing order. ``len(traj)`` is the number of
-    samples. No module but this one reads ``w``: the program reads by block,
-    through `rows`, `columns` and `as_arrays`, and `samples` derives every
-    sample anew on each access, for the tests and the benchmark's counters.
+    samples. No module but this one reads ``w``: the program reads through
+    `rows` and `as_arrays` by block and through `columns` whole, and
+    `samples` derives every sample anew on each access, for the tests and
+    the benchmark's counters.
     """
 
     params: SystemParams
@@ -243,11 +244,11 @@ class Trajectory:
         derives every residual once."""
         return _guarded_max(self.w, self.dt)
 
-    def columns(self, rows: slice = slice(None)) -> dict[str, np.ndarray]:
-        """The rows ``rows`` (a slice) in physical units: a state whose
-        fields, those of `SAMPLE_FIELDS`, are arrays."""
-        lo, hi, _ = rows.indices(len(self))
-        return _units(self.params, np.arange(lo, hi) * self.dt, *self.rows(lo, hi, ROWS[:4]))
+    def columns(self) -> dict[str, np.ndarray]:
+        """Every row in physical units: a state whose fields, those of
+        `SAMPLE_FIELDS`, are arrays."""
+        n = len(self)
+        return _units(self.params, np.arange(n) * self.dt, *self.rows(0, n, ROWS[:4]))
 
     @property
     def samples(self) -> np.ndarray:
@@ -370,10 +371,10 @@ def _crossing(w: complex, h: float, r_h: complex, t: float) -> tuple[float, comp
     and the state ``R(-i pi s) w`` at the crossing. ``r_h`` is the whole
     step's factor ``R(-i pi h)``.
 
-    Newton on ``chi(s) = Re(R(-i pi s) w) / pi`` from the linear guess, with
-    the flow's slope ``U`` (the quartic's to a relative ``(pi s)^4/24``),
-    until ``|chi| <= EVENT_X_TOL``, ``U = 0`` or `NEWTON_MAX_ITER` steps. On
-    the grids that `step_count` admits one step is enough
+    The linear guess, then, unless it already has ``|chi| <= EVENT_X_TOL``
+    or ``U = 0``, one Newton step on ``chi(s) = Re(R(-i pi s) w) / pi`` with
+    the flow's slope ``U`` (the quartic's to a relative ``(pi s)^4/24``). On
+    the grids that `step_count` admits that one step meets the target
     (`test_one_newton_step_locates_every_admitted_crossing`), so a crossing
     evaluates `_step_factor` twice. Raises RuntimeError, naming ``t``,
     unless then ``|chi| <= EVENT_X_TOL`` and ``0 <= s <= h``: so also for a
@@ -381,16 +382,14 @@ def _crossing(w: complex, h: float, r_h: complex, t: float) -> tuple[float, comp
     """
     s = h * w.real / (w.real - (r_h * w).real)
     ws = _step_factor(s) * w
-    for _ in range(NEWTON_MAX_ITER):
-        if abs(ws.real) <= math.pi * EVENT_X_TOL or not ws.imag:
-            break
+    if abs(ws.real) > math.pi * EVENT_X_TOL and ws.imag:
         s -= ws.real / (math.pi * ws.imag)
         ws = _step_factor(s) * w
     miss = abs(ws.real) / math.pi
     if not (miss <= EVENT_X_TOL and 0.0 <= s <= h):
         raise RuntimeError(
-            f"event location in the step at t={t} stopped at |x| = {miss:.3e} Lam, s = {s / h:.6g} h, "
-            f"within {NEWTON_MAX_ITER} Newton steps; the target is |x| <= {EVENT_X_TOL} Lam with 0 <= s <= h"
+            f"event location in the step at t={t} stopped at |x| = {miss:.3e} Lam, s = {s / h:.6g} h; "
+            f"the target is |x| <= {EVENT_X_TOL} Lam with 0 <= s <= h"
         )
     return s, ws
 

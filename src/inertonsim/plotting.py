@@ -86,22 +86,21 @@ def _axes(ends) -> tuple[float, float, float, float]:
 def render_line_svg(
     path,
     series,
+    axes,
     title: str,
     xlabel: str,
     ylabel: str,
     width: int = _WIDTH,
     height: int = 420,
-    axes=None,
 ) -> None:
     """Write one SVG panel. ``series`` holds ``(chunks, label)`` pairs:
-    ``chunks()`` returns the series' points as ``(x, y)`` pairs of float
-    arrays, and is called once for the ranges and once for the points. A
-    caller that took the ranges already passes them as ``axes`` (those of
-    `_axes`), and ``chunks()`` is then called for the points alone."""
+    ``chunks`` yields the series' points as ``(x, y)`` pairs of float
+    arrays, and is read once, for the points. ``axes`` are the ranges
+    ``(x_lo, x_hi, y_lo, y_hi)`` of every series' points, as `_axes` gives
+    them from each chunk's `_ends`: the caller takes them as it derives its
+    points."""
     ml, mr, mt, mb = _MARGINS
     pw, ph = width - ml - mr, height - mt - mb
-    if axes is None:
-        axes = _axes([_ends(x, y) for chunks, _ in series for x, y in chunks()])
     x_lo, x_hi, y_lo, y_hi = axes
 
     def px(v):
@@ -142,7 +141,7 @@ def render_line_svg(
         for idx, (chunks, label) in enumerate(series):
             color = _COLORS[idx % len(_COLORS)]
             fh.write(b'<polyline points="')
-            _write_points(fh, chunks(), px, py)
+            _write_points(fh, chunks, px, py)
             lx, ly = ml + pw - 130, mt + 16 + 16 * idx
             fh.write(
                 f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
@@ -191,8 +190,9 @@ def trajectory_svg(traj, path) -> None:
     the M4 points of its part of each pixel column, over the whole run's
     range (``t/T`` is increasing, so that range is its first and last
     sample's), and the points kept from every block are cut once more: they
-    hold the extremes and ends of each whole column. A block with a
-    non-finite value keeps all its points."""
+    hold the extremes and ends of each whole column, so the axis ranges
+    are taken from them. A block with a non-finite value keeps all its
+    points."""
     n, T = len(traj), traj.params.T
     span = (0.0, (n - 1) * traj.dt / T)
     kept = [[], []]
@@ -201,14 +201,15 @@ def trajectory_svg(traj, path) -> None:
         for parts, y in zip(kept, traj.rows(lo, lo + ROW_BLOCK, ("xi", "chi"))):
             keep = _m4(tau, y, _COLUMNS, span)
             parts.append((tau[keep], y[keep]))
-    series = []
-    for parts, label in zip(kept, ("X / lambda", "x / Lambda")):
+    points = []
+    for parts in kept:
         x, y = (np.concatenate(v) for v in zip(*parts))
         keep = _m4(x, y, _COLUMNS, span)
-        series.append((lambda points=[(x[keep], y[keep])]: points, label))
+        points.append((x[keep], y[keep]))
     render_line_svg(
         path,
-        series,
+        [([xy], label) for xy, label in zip(points, ("X / lambda", "x / Lambda"))],
+        _axes([_ends(x, y) for x, y in points]),
         title="particle coordinate and cloud separation",
         xlabel="t / T",
         ylabel="dimensionless position",
@@ -288,11 +289,11 @@ def phase_plane_svg(traj, path) -> None:
 
     render_line_svg(
         path,
-        [(chunks, "velocity locus")],
+        [(chunks(), "velocity locus")],
+        axes,
         title="velocity-plane portrait",
         xlabel="1 - (dX/dt) / v0",
         ylabel="(dx/dt) / c",
         width=_PHASE_SIZE,
         height=_PHASE_SIZE,
-        axes=axes,
     )

@@ -502,6 +502,20 @@ def test_sweep_v0_wavelength_linearity(tmp_path):
     assert lams[1] == pytest.approx(5.0)  # lambda = v0 T
 
 
+def test_sweep_computes_the_cyclic_action_once_per_parameter_set(tmp_path, monkeypatch):
+    # a dt sweep has one parameter set and a v0 sweep one per value; no
+    # action is kept from one sweep to the next
+    specs = []
+    action = cli.cyclic_action
+    monkeypatch.setattr(cli, "cyclic_action", lambda spec: specs.append(spec) or action(spec))
+    runs = [("dt", "0.01,0.005,0.004,0.0025", 1), ("dt", "0.01,0.005,0.004,0.0025", 1), ("v0", "1,2,3", 3)]
+    for i, (axis, values, calls) in enumerate(runs):
+        specs.clear()
+        argv = ("sweep", "--preset", "natural", "--axis", axis, "--values", values, "--out", str(tmp_path / f"sw{i}"))
+        assert run_cli(*argv) == 0
+        assert len(specs) == calls, (axis, specs)
+
+
 def test_sweep_failed_row_marked(tmp_path, capsys):
     out = tmp_path / "sw"
     code = run_cli(

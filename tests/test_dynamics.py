@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from inertonsim import (
     DivergenceError,
@@ -576,7 +576,8 @@ def test_svg_polyline_matches_per_point_formatter(tmp_path):
     x = np.array([0.0, 0.125, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0])
     y = np.array([-1.0, 0.3, 2.675, -0.005, 1e-9, 0.0])
     path = tmp_path / "line.svg"
-    render_line_svg(path, [(lambda: [(x, y)], "series")], title="t", xlabel="x", ylabel="y")
+    axes = plotting._axes([plotting._ends(x, y)])
+    render_line_svg(path, [([(x, y)], "series")], axes, title="t", xlabel="x", ylabel="y")
     # layout of render_line_svg at its default 760 x 420 size
     ml, mt, pw, ph = 64, 34, 760 - 64 - 16, 420 - 34 - 46
     x_lo, x_hi = 0.0, 1.0
@@ -893,7 +894,8 @@ def test_svg_panels_against_every_point(natural_long, tmp_path):
     full = tmp_path / "full.svg"
     render_line_svg(
         full,
-        [(lambda: [(tau, xi)], "X / lambda"), (lambda: [(tau, chi)], "x / Lambda")],
+        [([(tau, xi)], "X / lambda"), ([(tau, chi)], "x / Lambda")],
+        plotting._axes([plotting._ends(tau, xi), plotting._ends(tau, chi)]),
         title="particle coordinate and cloud separation",
         xlabel="t / T",
         ylabel="dimensionless position",
@@ -912,7 +914,8 @@ def _phase_full(traj, path) -> bytes:
     V, U = traj.rows(0, len(traj), ("V", "U"))
     render_line_svg(
         path,
-        [(lambda: [(1.0 - V, U)], "velocity locus")],
+        [([(1.0 - V, U)], "velocity locus")],
+        plotting._axes([plotting._ends(1.0 - V, U)]),
         title="velocity-plane portrait",
         xlabel="1 - (dX/dt) / v0",
         ylabel="(dx/dt) / c",
@@ -1124,11 +1127,12 @@ def test_step_polynomial_is_its_nearest_doubles():
 
 
 def test_crossing_that_misses_the_target_is_refused(natural, monkeypatch, tmp_path):
-    # with no Newton step, the linear guess of the first crossing of this
-    # off-grid run stops 2.6e-8 Lam from the guard
+    # one Newton step takes the first crossing of this off-grid run to about
+    # 3e-17 Lam from the guard, short of a target of 1e-20 Lam
     params, _ = natural
-    monkeypatch.setattr(dynamics, "NEWTON_MAX_ITER", 0)
-    with pytest.raises(RuntimeError, match=r"^event location in the step at t=0\.996 stopped at \|x\| = 2\.6"):
+    monkeypatch.setattr(dynamics, "EVENT_X_TOL", 1e-20)
+    with pytest.raises(RuntimeError, match=r"^event location in the step at t=0\.996 stopped at \|x\| = \S+ Lam, "
+                                           r"s = 0\.66666\d h; the target is \|x\| <= 1e-20 Lam"):
         integrate(params, t_end=3.0, dt=3.0 / 500.0)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"simulation": {"dt": 3.0 / 500.0, "t_end": 3.0}}))
@@ -1137,28 +1141,44 @@ def test_crossing_that_misses_the_target_is_refused(natural, monkeypatch, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("h", [0.01 * (1.0 + 1e-12), 1.0 / 123.4, 1.0 / 250.0, 1.0 / 999.5, 1.0 / 1000.0, 1e-5])
-def test_one_newton_step_locates_every_admitted_crossing(h, monkeypatch):
-    # Steps that `step_count` admits, from the coarsest (T/100 and its
-    # 1e-12 slack) to a fine one, at crossing phases drawn over the step and
-    # at the radius |w| = 1 of the start and 1 - 2e-4, far inside that of
-    # any admitted run (whose |w| shrinks by at most 8.3e-8). With the
-    # target made 100 times tighter, one Newton step from the linear guess
-    # still meets it: the worst measured is 3.2e-15 Lam.
-    target = dynamics.EVENT_X_TOL / 100.0
-    monkeypatch.setattr(dynamics, "NEWTON_MAX_ITER", 1)
-    monkeypatch.setattr(dynamics, "EVENT_X_TOL", target)
-    rng = np.random.default_rng(1)
+# The coarsest step that `step_count` admits: T/100 and its 1e-12 slack.
+_H_MAX = 0.01 * (1.0 + 1e-12)
+_PHASES = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_RADII = st.floats(1.0 - 2e-4, 1.0)
+
+
+def _assert_one_newton_step_meets_the_target(h, f, radius):
+    # The state a fraction f of the step before it would reach the guard from
+    # above, at a radius from |w| = 1 of the start down to 1 - 2e-4, far
+    # inside that of any admitted run (whose |w| shrinks by at most 8.3e-8).
+    # With the target made 100 times tighter, `_crossing`, the linear guess
+    # and one Newton step, still meets it: the worst measured is 3.2e-15 Lam.
     factor = dynamics._step_factor(h)
-    for radius in (1.0, 1.0 - 2e-4):
-        # the state a fraction f of the step before it would reach the guard from above
-        for f in rng.uniform(0.0, 1.0, 2000).tolist():
-            w = radius * complex(math.sin(math.pi * f * h), -math.cos(math.pi * f * h))
-            assert w.real >= 0.0 > (factor * w).real
-            s, hit = dynamics._crossing(w, h, factor, 0.0)
-            assert 0.0 <= s <= h
-            assert hit == dynamics._step_factor(s) * w
-            assert abs(hit.real) / math.pi <= target
+    w = radius * complex(math.sin(math.pi * f * h), -math.cos(math.pi * f * h))
+    assume(w.real >= 0.0 > (factor * w).real)
+    target = dynamics.EVENT_X_TOL / 100.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "EVENT_X_TOL", target)
+        s, hit = dynamics._crossing(w, h, factor, 0.0)
+    assert 0.0 <= s <= h
+    assert hit == dynamics._step_factor(s) * w
+    assert abs(hit.real) / math.pi <= target
+
+
+@pytest.mark.parametrize("h", [_H_MAX, 1.0 / 123.4, 1.0 / 250.0, 1.0 / 999.5, 1.0 / 1000.0, 1e-5])
+@settings(deadline=None, max_examples=300)
+@given(f=_PHASES, radius=_RADII)
+def test_one_newton_step_locates_every_admitted_crossing(h, f, radius):
+    # admitted steps on and off the grids of whole steps per period, from
+    # the coarsest to a fine one, at crossing phases and radii drawn
+    _assert_one_newton_step_meets_the_target(h, f, radius)
+
+
+@settings(deadline=None, max_examples=1000)
+@given(log_h=st.floats(math.log(1e-5), math.log(_H_MAX)), f=_PHASES, radius=_RADII)
+def test_one_newton_step_locates_the_crossing_at_any_admitted_step(log_h, f, radius):
+    # steps drawn log-uniformly from 1e-5 T to the coarsest admitted
+    _assert_one_newton_step_meets_the_target(min(math.exp(log_h), _H_MAX), f, radius)
 
 
 def test_crossing_refuses_a_step_that_starts_below_the_guard():

@@ -177,7 +177,8 @@ def test_f2_block_whose_fallback_widens_every_row():
     # values past 1e6 and exact ties go to Python's formatter; 1e22 and -1e300
     # need more bytes than the kernel's slots, so every row of the block widens
     block = np.array([[0.125, 1.5e6], [2.675, -0.005], [1e22, 3.0], [-0.0, 999999.995], [-1e300, 0.375]])
-    assert _text.f2(block.ravel()).shape[1] > _text.f2(np.zeros(1)).shape[1]
+    slots = np.zeros((len(block), 2 * 12), dtype=np.uint8)
+    assert _text.f2(block, slots).shape[1] > slots.shape[1]
     expected = b"".join(b"%.2f,%.2f " % tuple(row) for row in block.tolist())
     assert _text.rows(_text.f2, block, end=b" ") == expected
 

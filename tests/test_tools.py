@@ -28,14 +28,36 @@ def test_src_lines_against_a_revision(tmp_path):
     _git(tmp_path, "add", "-A")
     _git(tmp_path, "commit", "-q", "-m", "one")
     clean = _rows(src, "--against", "HEAD")
-    assert clean["a.py"] == [3, 3, 0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0]  # lines, code, docstring, comment, blank
+    # lines, code, docstring, comment, blank, options
+    assert clean["a.py"] == [3, 3, 0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0]
     assert clean["total"] == clean["a.py"]
     (src / "a.py").write_text('"""Doc."""\n\nx = 1  # trailing\n# note\ny = 2\n')
     (src / "b.py").write_text("z = 3\n")
     rows = _rows(src, "--against", "HEAD")
-    assert rows["a.py"] == [3, 5, 2, 1, 2, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0]
-    assert rows["b.py"] == [0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]
-    assert rows["total"] == [3, 6, 3, 1, 3, 2, 1, 1, 0, 0, 1, 1, 1, 1, 0]
+    assert rows["a.py"] == [3, 5, 2, 1, 2, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0]
+    assert rows["b.py"] == [0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+    assert rows["total"] == [3, 6, 3, 1, 3, 2, 1, 1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0]
+
+
+def test_src_lines_counts_options(tmp_path):
+    # an option is a parameter with a default: positional, keyword-only or
+    # of a lambda; a keyword-only parameter without one is not
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.py").write_text("def f(a, b=1, *, c=2, d):\n    return lambda x=0: x\n")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "one")
+    proc = subprocess.run([sys.executable, SCRIPT, str(src)], capture_output=True, text=True, check=True)
+    header, row, total = proc.stdout.splitlines()
+    assert header.split()[-1] == "options"
+    assert row.split() == ["a.py", "2", "2", "0", "0", "0", "3"] and total.split()[1:] == row.split()[1:]
+    (src / "a.py").write_text("def f(a, b, *, c=2, d):\n    return a\n")
+    (src / "b.py").write_text("def g(y=None):\n    return y\n")
+    rows = _rows(src, "--against", "HEAD")
+    assert rows["a.py"][-3:] == [3, 1, -2]
+    assert rows["b.py"][-3:] == [0, 1, 1]
+    assert rows["total"][-3:] == [3, 2, -1]
 
 
 def _committed_copy(root):

@@ -1,4 +1,5 @@
-"""Count the lines of ``src/`` by kind: code, docstring, comment and blank.
+"""Count the lines of ``src/`` by kind (code, docstring, comment and blank),
+and its options.
 
     python tools/src_lines.py [ROOT] [--against REV]
 
@@ -6,11 +7,13 @@ Standard library only. A docstring line is any line of a module, class or
 function docstring (found with `ast`); a comment line holds nothing but a
 comment (found with `tokenize`); a blank line is empty or whitespace, also
 inside a docstring; every other line is code, including a line of code with
-a trailing comment. Prints one row per ``.py`` file under ROOT
+a trailing comment. An option is a parameter with a default, of a function
+or a lambda (found with `ast`). Prints one row per ``.py`` file under ROOT
 (default: ``src`` next to this script's directory) and the total. With
 ``--against REV`` each count is printed as the count of the files committed
 at git revision REV (read with ``git show``), the current count and the
-difference; a file missing on one side counts as zero lines there.
+difference; a file missing on one side counts as zero lines and options
+there.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import sys
 import tokenize
 
 KINDS = ("code", "docstring", "comment", "blank")
+COLUMNS = ("lines", *KINDS, "options")
 
 
 def docstring_lines(tree: ast.AST) -> set[int]:
@@ -38,9 +42,16 @@ def docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
+def count_options(tree: ast.AST) -> int:
+    """Parameters with a default in the functions and lambdas of ``tree``."""
+    return sum(len(a.defaults) + sum(d is not None for d in a.kw_defaults)
+               for a in ast.walk(tree) if isinstance(a, ast.arguments))
+
+
 def count(source: str) -> dict[str, int]:
-    """Lines of ``source`` by kind."""
-    docs = docstring_lines(ast.parse(source))
+    """The `COLUMNS` of ``source``: its lines, by kind, and its options."""
+    tree = ast.parse(source)
+    docs = docstring_lines(tree)
     comments, code = set(), set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type == tokenize.COMMENT:
@@ -48,7 +59,7 @@ def count(source: str) -> dict[str, int]:
         elif tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
                               tokenize.ENDMARKER):
             code.update(range(tok.start[0], tok.end[0] + 1))
-    counts = dict.fromkeys(KINDS, 0)
+    counts = dict.fromkeys(COLUMNS, 0)
     for number, line in enumerate(source.splitlines(), start=1):
         if not line.strip():
             kind = "blank"
@@ -59,11 +70,13 @@ def count(source: str) -> dict[str, int]:
         else:
             kind = "code"
         counts[kind] += 1
+        counts["lines"] += 1
+    counts["options"] = count_options(tree)
     return counts
 
 
 def counts_at(root: pathlib.Path, rev: str) -> dict[str, dict[str, int]]:
-    """Lines by kind of each ``.py`` file under ``root`` as committed at ``rev``."""
+    """The `COLUMNS` of each ``.py`` file under ``root`` as committed at ``rev``."""
 
     def git(*args: str) -> str:
         return subprocess.run(["git", "-C", str(root), *args], check=True, capture_output=True, text=True).stdout
@@ -73,7 +86,7 @@ def counts_at(root: pathlib.Path, rev: str) -> dict[str, dict[str, int]]:
 
 
 def main(argv: list[str]) -> int:
-    ap = argparse.ArgumentParser(description="Count the lines of src/ by kind.")
+    ap = argparse.ArgumentParser(description="Count the lines of src/ by kind, and its options.")
     ap.add_argument("root", nargs="?", type=pathlib.Path,
                     default=pathlib.Path(__file__).resolve().parent.parent / "src")
     ap.add_argument("--against", metavar="REV", help="also print the counts at git revision REV and the difference")
@@ -85,16 +98,15 @@ def main(argv: list[str]) -> int:
         print(f"src_lines: {' '.join(exc.cmd)} failed: {exc.stderr.strip()}", file=sys.stderr)
         return 2
     names = sorted(set().union(*sides))
-    empty = dict.fromkeys(KINDS, 0)
-    # per file and side: the line total, then each kind
-    table = {name: [[sum(c.values()), *c.values()] for c in (side.get(name, empty) for side in sides)] for name in names}
+    empty = dict.fromkeys(COLUMNS, 0)
+    # per file and side: the `COLUMNS`
+    table = {name: [list(side.get(name, empty).values()) for side in sides] for name in names}
     table["total"] = [[sum(column) for column in zip(*(table[name][i] for name in names))] for i in range(len(sides))]
-    columns = ("lines", *KINDS)
     if ns.against:
-        print(f"{'':<40} " + " ".join(f"{k:^20}" for k in columns))
-        print(f"{'file':<40} " + " ".join(f"{ns.against[:6]:>6} {'now':>6} {'delta':>6}" for _ in columns))
+        print(f"{'':<40} " + " ".join(f"{k:^20}" for k in COLUMNS))
+        print(f"{'file':<40} " + " ".join(f"{ns.against[:6]:>6} {'now':>6} {'delta':>6}" for _ in COLUMNS))
     else:
-        print(f"{'file':<40} " + " ".join(f"{k:>9}" for k in columns))
+        print(f"{'file':<40} " + " ".join(f"{k:>9}" for k in COLUMNS))
     for name in (*names, "total"):
         if ns.against:
             cells = (f"{a:>6} {b:>6} {b - a:>+6}" for a, b in zip(*table[name]))
