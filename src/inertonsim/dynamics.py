@@ -63,7 +63,13 @@ resolved to the right (post-reflection) side so the state is
 right-continuous there. `closed_form` and `closed_form_trajectory` take it
 from there, `_rows` deriving the columns of `closed_form` as it does those
 of a run. `oracle_errors` compares it with the run's state, since each
-column's deviation is linear in ``w - w_exact`` and ``u - u_exact``.
+column's deviation is linear in ``w - w_exact`` and ``u - u_exact``. On the
+run's grid it takes the same state by angle addition (Tang, *ACM TOMS*
+15(2), 1989), `_grid_exact_state`: a table of `TURN_ROW` turns
+``e^{-i pi j h}`` per run and one coarse turn per row of `TURN_ROW`
+samples, both from `_exact_state`, so each sample costs one complex
+multiply instead of a ``sin`` and a ``cos``. ``u`` keeps its bits and
+``w`` its closed form to within the rounding of ``pi tau``.
 """
 
 from __future__ import annotations
@@ -116,6 +122,10 @@ MAX_STEPS = 12_500_000
 # sample per row, 128 KB, however long the run.
 ROW_BLOCK = 16384
 CLOSED_FORM_STEPS = 4000    # samples per period of `closed_form_trajectory`
+# Samples per row of `oracle_errors`' exact state (`_grid_exact_state`), and
+# the length of its table of turns: 512 complex doubles (8 KB), or the run's
+# length if shorter. It divides `ROW_BLOCK`, so each block starts a row.
+TURN_ROW = 512
 
 # Coefficients of R(-i pi s) in s, (-i pi)^k / k!, k = 0..4 (`_step_factor`).
 _STEP_COEFFS = tuple((-1j * math.pi) ** k / math.factorial(k) for k in range(5))
@@ -300,10 +310,12 @@ def _exact_state(tau, w, u=None):
         w = sin(pi (tau - k)) + i cos(pi (tau - k))    u = 2 k + 1
 
     `_rows` derives the columns of `closed_form` from them, and
-    `oracle_errors` compares them with a run's. ``floor`` is right-continuous,
-    so at integer ``tau`` this is the post-reflection branch. ``tau`` is a
-    float array, 0-d for a scalar; the argument ``pi (tau - k)`` is formed
-    in ``Im w``, so nothing else is allocated.
+    `oracle_errors` compares them with a run's, taking them on the run's
+    grid from `_grid_exact_state`, which calls this for its table and its
+    coarse turns. ``floor`` is right-continuous, so at integer ``tau`` this
+    is the post-reflection branch. ``tau`` is a float array, 0-d for a
+    scalar; the argument ``pi (tau - k)`` is formed in ``Im w``, so nothing
+    else is allocated.
     """
     u = np.floor(tau, out=u)
     arg = np.multiply(np.subtract(tau, u, out=w.imag), np.pi, out=w.imag)
@@ -311,6 +323,57 @@ def _exact_state(tau, w, u=None):
     np.cos(arg, out=arg)
     u *= 2.0
     u += 1.0
+    return w, u
+
+
+def _parity(u, out=None):
+    """``(-1)^k`` from ``u = 2k + 1`` (`_exact_state`), into ``out`` if
+    given, by floor passes: ``4 floor(u/4) + 2 - u``."""
+    s = np.multiply(u, 0.25, out=out)
+    np.floor(s, out=s)
+    s *= 4.0
+    s -= u
+    s += 2.0
+    return s
+
+
+def _turn_table(n: int, dt: float, T: float) -> np.ndarray:
+    """The turns ``e^{-i pi j h}``, ``h = dt/T``, of the first ``min(TURN_ROW,
+    n)`` samples of the grid: ``-i (-1)^k`` times `_exact_state`'s ``w``."""
+    tau = _tau(0, min(TURN_ROW, n), dt, T)
+    w, u = _exact_state(tau, np.empty(len(tau), dtype=np.complex128))
+    return w * (-1j * _parity(u))
+
+
+def _grid_exact_state(table: np.ndarray, lo: int, hi: int, dt: float, T: float, w: np.ndarray, u: np.ndarray):
+    """`_exact_state` of the samples ``lo`` to ``hi - 1`` of the grid ``t_i =
+    i dt``, with ``w`` written into the complex buffer ``w`` and ``u`` into
+    ``u``, both of ``hi - lo``, by angle addition from ``table``, the
+    `_turn_table` of the run.
+
+    ``u = 2 k + 1`` with ``k = floor(tau)`` as in `_exact_state`, from the
+    same `_tau`, so it keeps its bits. ``w = i (-1)^k e^{-i pi tau}``: each
+    row of `TURN_ROW` samples from ``lo`` on is the table times one coarse
+    turn, ``i e^{-i pi tau}`` at the row's first sample, which is
+    `_exact_state`'s ``w`` there times its ``(-1)^k``; then each sample's
+    ``(-1)^k``. The rows start at ``lo``, so calls on blocks that start at
+    multiples of `TURN_ROW` give the bits of one call on the whole run.
+    Beyond ``w`` and ``u`` this allocates the times, whose memory then holds
+    the signs, and one coarse turn per row.
+    """
+    tau = _tau(lo, hi, dt, T)
+    np.floor(tau, out=u)
+    u *= 2.0
+    u += 1.0
+    starts = tau[::TURN_ROW]
+    coarse, _ = _exact_state(starts, np.empty(len(starts), dtype=np.complex128))
+    sign = _parity(u, out=tau)
+    coarse *= sign[::TURN_ROW]
+    for a, turn in zip(range(0, hi - lo, TURN_ROW), coarse.tolist()):
+        row = w[a:a + TURN_ROW]
+        np.multiply(table[:len(row)], turn, out=row)
+    w.real *= sign
+    w.imag *= sign
     return w, u
 
 
@@ -529,15 +592,18 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
 # Diagnostics and serialization
 # ---------------------------------------------------------------------------
 
-def _deviations(traj: Trajectory, lo: int, hi: int, near: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _deviations(
+    traj: Trajectory, table: np.ndarray, lo: int, hi: int, near: np.ndarray, work: np.ndarray
+) -> np.ndarray:
     """The largest ``|Im dw - du|``, ``|Re dw|`` and ``|Im dw|`` (see
     `oracle_errors`) over samples ``lo`` to ``hi - 1``, with ``near`` the
-    samples whose ``|Im dw|`` accepts either branch. ``work``, of shape
-    ``(5, >= hi - lo)``, takes ``w_exact`` and then ``dw`` in the memory of
-    its last two rows, viewed as one complex buffer, and ``u_exact``, ``du``
-    and the three rows it reduces in its first three."""
+    samples whose ``|Im dw|`` accepts either branch and ``table`` the run's
+    `_turn_table`. ``work``, of shape ``(5, >= hi - lo)``, takes ``w_exact``
+    (`_grid_exact_state`) and then ``dw`` in the memory of its last two
+    rows, viewed as one complex buffer, and ``u_exact``, ``du`` and the
+    three rows it reduces in its first three."""
     dev, exact = work[:3, :hi - lo], work[3:].reshape(-1).view(np.complex128)[:hi - lo]
-    _exact_state(_tau(lo, hi, traj.dt, traj.params.T), exact, dev[1])
+    _grid_exact_state(table, lo, hi, traj.dt, traj.params.T, exact, dev[1])
     du = np.subtract(traj._u(lo, hi), dev[1], out=dev[0])
     # this block's samples near an event, and their dxdt against the other branch
     here = near[(near >= lo) & (near < hi)] - lo
@@ -564,7 +630,11 @@ def oracle_errors(traj: Trajectory) -> dict[str, float]:
     event.
 
     `_rows` makes each column linear in the state, so the run's state and
-    the exact one (`_exact_state`) are compared, not their columns: with
+    the exact one are compared, not their columns. The exact state is
+    `_exact_state`'s on the run's grid, by angle addition from one table of
+    turns per call (`_grid_exact_state`): ``u_exact`` to the bit, ``w_exact``
+    to within a few times ``pi ulp(tau) + eps``, the order of the rounding of
+    ``pi tau`` that `_exact_state` already has. With
     ``dw = w - w_exact`` and ``du = u - u_exact``, the deviations are
     ``|Im dw - du| / pi`` (X, as ``tau`` cancels), ``|Re dw|`` (dXdt),
     ``|Re dw| / pi`` (x) and ``|Im dw|`` (dxdt). Division by pi, correctly
@@ -586,12 +656,19 @@ def oracle_errors(traj: Trajectory) -> dict[str, float]:
     # with it the heap's trim threshold, past the CSV writer's chunk buffers
     # and a `check` op's temporaries, which would otherwise be faulted in
     # again on every chunk or op. The exact state is written into these
-    # rows and a block frees its times before it builds the run's u, so a
-    # block allocates one more row at a time: with two, glibc trimmed the
-    # heap of every `sweep` op.
+    # rows, the signs of its branch into the block's times, and a block
+    # frees its times before it builds the run's u, so a block allocates one
+    # more row at a time: with two, glibc trimmed the heap of every `sweep`
+    # op. So the angle addition multiplies a scalar by a contiguous row and
+    # scales `.real` and `.imag` by a float row: a broadcast operand
+    # (`np.multiply.outer`) or a float-to-complex cast allocates numpy's
+    # buffers of 8,192 elements per call, and took a `sweep` op in the
+    # benchmark's loop from a median of 0 minor faults to 1,601 and 738.
+    # Beside the rows, a call holds the table, at most TURN_ROW turns.
     work = np.empty((5, ROW_BLOCK))
+    table = _turn_table(n, dt, p.T)
     d_xi, d_V, d_U = np.max(
-        [_deviations(traj, lo, min(lo + ROW_BLOCK, n), near, work) for lo in range(0, n, ROW_BLOCK)], axis=0
+        [_deviations(traj, table, lo, min(lo + ROW_BLOCK, n), near, work) for lo in range(0, n, ROW_BLOCK)], axis=0
     ).tolist()
     out = {"X": d_xi / math.pi, "dXdt": d_V, "x": d_V / math.pi, "dxdt": d_U}
     out["max"] = max(out.values())

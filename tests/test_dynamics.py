@@ -299,16 +299,61 @@ def test_closed_form_trajectory_marks_events(natural):
 )
 def test_closed_form_agrees_with_itself(pars):
     # one exact state and one row formula: the sampled closed form is its own
-    # oracle to the bit, and the scalar, array and sampled forms agree
+    # oracle to within the rounding of the oracle's angle addition
+    # (`_grid_exact_state`), and the scalar, array and sampled forms agree
     params, _ = derive_kinematics(*pars)
     traj = closed_form_trajectory(params, t_end=2.0 * params.T)
-    assert oracle_errors(traj) == {"X": 0.0, "dXdt": 0.0, "x": 0.0, "dxdt": 0.0, "max": 0.0}
+    bound = _turn_rounding((len(traj) - 1) * traj.dt / params.T)
+    assert all(value <= bound for value in oracle_errors(traj).values())
     cols = traj.columns()
     array = closed_form(cols["t"], params)
     scalar = [closed_form(t, params) for t in cols["t"].tolist()]
     for name in ("X", "dXdt", "x", "dxdt"):
         assert array[name].tobytes() == cols[name].tobytes(), name
         assert np.array([s[name] for s in scalar]).tobytes() == cols[name].tobytes(), name
+
+
+def _turn_rounding(tau_end):
+    """Bound on how far the oracle's exact state (`dynamics._grid_exact_state`)
+    may lie from `dynamics._exact_state`'s up to ``tau = tau_end``: 4 (pi
+    ulp(tau_end) + eps), the order of the rounding of ``pi tau`` that both
+    already have."""
+    return 4.0 * (math.pi * float(np.spacing(tau_end)) + float(np.finfo(np.float64).eps))
+
+
+_MAX_BLOCK = (dynamics.MAX_STEPS - 3 * dynamics.ROW_BLOCK) // dynamics.ROW_BLOCK
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    T=st.floats(math.log(0.1), math.log(10.0)).map(math.exp),
+    divisor=st.one_of(st.floats(100.0, 4000.0), st.sampled_from([128.0, 333.3, 999.5, 101.7])),
+    first=st.one_of(st.just(0), st.integers(0, _MAX_BLOCK)),
+    size=st.one_of(st.integers(1, dynamics.TURN_ROW - 1), st.integers(1, 3 * dynamics.ROW_BLOCK)),
+)
+@example(T=1.0, divisor=128.0, first=7, size=2 * dynamics.ROW_BLOCK)  # every block and row starts at an integer tau
+@example(T=2.3, divisor=999.5, first=0, size=dynamics.TURN_ROW - 1)  # a run shorter than the table
+@example(T=0.37, divisor=101.7, first=_MAX_BLOCK, size=dynamics.ROW_BLOCK + 1)  # partial rows, the largest tau
+def test_grid_exact_state_matches_the_closed_form(T, divisor, first, size):
+    # The last `size` samples of a run, from the start of its block `first`
+    # of ROW_BLOCK samples, on any grid: the exact state by angle addition
+    # against `_exact_state`'s sin and cos at the same times. w agrees to
+    # within `_turn_rounding`, u to the bit, and one call on the whole window
+    # gives the bits of one call per block of ROW_BLOCK, as `oracle_errors`
+    # makes them.
+    dt, lo = T / divisor, first * dynamics.ROW_BLOCK
+    hi = lo + size
+    table = dynamics._turn_table(hi, dt, T)
+    assert len(table) == min(dynamics.TURN_ROW, hi)
+    w, u = dynamics._grid_exact_state(table, lo, hi, dt, T, np.empty(size, dtype=np.complex128), np.empty(size))
+    w_ref, u_ref = dynamics._exact_state(dynamics._tau(lo, hi, dt, T), np.empty(size, dtype=np.complex128))
+    assert u.tobytes() == u_ref.tobytes()
+    assert float(np.max(np.abs(w - w_ref))) <= _turn_rounding((hi - 1) * dt / T)
+    for a in range(0, size, dynamics.ROW_BLOCK):
+        b = min(a + dynamics.ROW_BLOCK, size)
+        block = dynamics._grid_exact_state(table, lo + a, lo + b, dt, T, np.empty(b - a, dtype=np.complex128),
+                                           np.empty(b - a))
+        assert block[0].tobytes() == w[a:b].tobytes() and block[1].tobytes() == u[a:b].tobytes()
 
 
 # ------------------------------------------------------- column pipeline
@@ -717,6 +762,14 @@ def _near_any_event(traj, t):
     return np.min(np.abs(t[:, None] - traj.events[None, :]), axis=1) <= 1.0e-6 * traj.params.T
 
 
+def _exact_on_grid(traj):
+    """The exact state ``(w, u)`` on the run's grid, as `oracle_errors` takes
+    it, by one call of `dynamics._grid_exact_state` on the whole run."""
+    n, dt, T = len(traj), traj.dt, traj.params.T
+    table = dynamics._turn_table(n, dt, T)
+    return dynamics._grid_exact_state(table, 0, n, dt, T, np.empty(n, dtype=np.complex128), np.empty(n))
+
+
 def _dense_oracle_errors(traj):
     """`oracle_errors` by its definition on states, over the whole run at
     once, in the trajectory's units: with ``dw = w - w_exact`` and ``du = u -
@@ -724,7 +777,7 @@ def _dense_oracle_errors(traj):
     and dxdt ``|Im dw|``, or ``|Im w + Im w_exact|`` where that is smaller
     near an event."""
     t = np.arange(len(traj)) * traj.dt
-    w_exact, u_exact = dynamics._exact_state(t / traj.params.T, np.empty(len(t), dtype=np.complex128))
+    w_exact, u_exact = _exact_on_grid(traj)
     u = np.zeros(len(traj))
     for i, jump in traj.jumps:
         u[i:] += jump
@@ -749,8 +802,7 @@ def _dense_row_oracle_errors(traj):
     p = traj.params
     t = np.arange(len(traj)) * traj.dt
     tau = t / p.T
-    state = dynamics._exact_state(tau, np.empty(len(t), dtype=np.complex128))
-    xi, V, chi, U = dynamics._rows(*state, tau, dynamics.ROWS[:4])
+    xi, V, chi, U = dynamics._rows(*_exact_on_grid(traj), tau, dynamics.ROWS[:4])
     d_dxdt = np.abs(_row(traj, "U") - U)
     near = _near_any_event(traj, t)
     d_dxdt[near] = np.minimum(d_dxdt[near], np.abs(_row(traj, "U") + U)[near])
@@ -1023,8 +1075,9 @@ def _traced_peak(fn, *args):
 
 
 def test_oracle_errors_memory_per_sample(natural):
-    # one block of the exact state and its times at a time: the memory does
-    # not grow with the run
+    # one block of the exact state, its times and the run's u at a time, and
+    # one table of at most TURN_ROW turns: the memory does not grow with the
+    # run
     params, _ = natural
     peaks = []
     for periods in (20, 200):
@@ -1032,6 +1085,18 @@ def test_oracle_errors_memory_per_sample(natural):
         assert len(traj) > dynamics.ROW_BLOCK
         peaks.append(_traced_peak(oracle_errors, traj))
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_oracle_errors_allocates_no_block_sized_buffer(natural):
+    # the work block, one more row of ROW_BLOCK floats (a block's times, whose
+    # memory then holds the signs, and then the run's u) and 32 KiB for the
+    # rest: the turn table, the coarse turns and the samples near an event.
+    # numpy's own buffer of 8,192 elements, which a broadcast operand or a
+    # cast to complex would allocate, is larger than that slack.
+    params, _ = natural
+    traj = integrate(params, t_end=200.0 * params.T, dt=params.T / 1000.0)
+    row = 8 * dynamics.ROW_BLOCK
+    assert _traced_peak(oracle_errors, traj) <= 5 * row + row + 32 * 1024
 
 
 @pytest.mark.parametrize("panel", [trajectory_svg, phase_plane_svg], ids=["trajectory", "phase"])

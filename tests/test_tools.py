@@ -94,16 +94,26 @@ def test_out_diff_identical_trees(tmp_path):
         # check timings differ from run to run, though at %.3f they may not
         timed = name.endswith(("report.csv", "report.jsonl"))
         assert verdict in (("identical", "identical outside runtime_s") if timed else ("identical",)), name
-    # both sides run the same 100,000-step simulate-long op, whose state w alone is 16 B per step;
-    # the bytes of the delta may read a few dozen off 0, an interpreter object alive at the peak in some runs
-    rows = {line.split()[0]: line.split()[1:] for line in peaks}
-    assert list(rows) == ["HEAD", "now", "delta"]
-    for name in ("HEAD", "now"):
-        peak, steps, per_step = rows[name]
-        assert int(steps) == 100_000
-        assert round(int(peak.replace(",", "")) / 100_000, 1) == float(per_step)
-        assert 16.0 < float(per_step) <= 34.0
-    assert float(rows["delta"][1]) == 0.0
+    # both sides run the same op of each workload: the 100,000-step simulate-long op, whose state w
+    # alone is 16 B per step, the four sweep-coarse runs of 200 T at T/125 to T/250, and check-all,
+    # whose steps the workload does not state; the bytes of a delta may read a few hundred off 0
+    # (interpreter objects alive at the peak in some runs), far below any block-sized buffer
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in peaks}
+    steps = {"simulate-long": 100_000, "sweep-coarse": 200 * (125 + 160 + 200 + 250), "check-all": None}
+    assert list(rows) == [(workload, side) for workload in steps for side in ("HEAD", "now", "delta")]
+    for workload, n_steps in steps.items():
+        for side in ("HEAD", "now"):
+            peak, shown, per_step = rows[workload, side]
+            peak = int(peak.replace(",", ""))
+            if n_steps is None:
+                assert (shown, per_step) == ("-", "-")
+            else:
+                assert int(shown) == n_steps and round(peak / n_steps, 1) == float(per_step)
+            if workload == "simulate-long":
+                assert 16.0 < float(per_step) <= 34.0
+        delta = rows[workload, "delta"]
+        assert abs(int(delta[0].replace(",", ""))) < 1024, workload
+        assert (delta[1] == "-") if n_steps is None else (float(delta[1]) == 0.0)
 
 
 def test_out_diff_reports_a_value_moved_by_one_ulp(tmp_path):

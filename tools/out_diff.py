@@ -28,25 +28,30 @@ and, when the counts match, the largest movement of a coordinate. The fields lis
 code of every case is compared too, with its last stderr line when the
 codes differ.
 
-After its cases, each tree's child runs the ``simulate-long`` workload's op
-at seed 1 (``simulate --format svg`` over 100 T at dt = T/1000, with the
-trajectory CSV) once more under `tracemalloc`, so with warm caches, and the
-traced peak of that op is printed per tree, in bytes and per integration
-step, with the difference between the trees. tracemalloc counts every
-numpy buffer, so this shows memory changes far below the resolution of a
-process's peak RSS. It also counts the interpreter's own small objects,
-among them the paths a run opens, so the scratch directory has a fixed
-name, `SCRATCH`, and both trees run under the same paths. One run at a
-time: a run empties `SCRATCH` first. An interpreter object of a few dozen
-bytes is alive at the peak in some runs and not in others (5 of 40 runs
-of one tree read 67 B less), so two trees with the same program can read
+After its cases, each tree's child runs each benchmark workload's op at
+seed 1 once more under `tracemalloc`, so with warm caches: ``simulate-long``
+(``simulate --format svg`` over 100 T at dt = T/1000, with the trajectory
+CSV), ``sweep-coarse`` (four runs of 200 T, T/125 to T/250) and
+``check-all``. The traced peak of each op is printed per tree, in bytes and,
+for the ops whose steps the workload states, per integration step, with the
+difference between the trees. tracemalloc counts every numpy buffer, so
+this shows memory changes far below the resolution of a process's peak
+RSS, such as a block-sized temporary in a sweep's oracle. It also counts
+the interpreter's own small objects, among them the paths a run opens, so
+the scratch directory has a fixed name, `SCRATCH`, and both trees run
+under the same paths. One run at a time: a run empties `SCRATCH` first.
+Interpreter objects of a few dozen bytes are alive at the peak in some
+runs and not in others (5 of 40 ``simulate-long`` runs of one tree read
+67 B less; over 17 runs of two copies of one tree, the three ops' deltas
+ranged from -177 to +295 B), so two trees with the same program can read
 peaks that far apart (0.0 B per step).
 
 Exit status: 0 when every file and exit code is the same, 1 when anything
 differs, 2 when a tree could not be run. The traced peak is a report and
 does not change the exit status. Compare two trees on one machine
-only: numpy's ``sin``, ``cos`` and ``log`` may round differently on another
-CPU or numpy version. Standard library only in this process.
+only: numpy's ``sin``, ``cos``, ``log`` and complex multiply may round
+differently on another CPU or numpy version. Standard library only in this
+process.
 """
 
 from __future__ import annotations
@@ -117,22 +122,26 @@ for name, argv in cases:
         except Exception as exc:
             code, err = "traceback", io.StringIO(repr(exc))
     codes[name] = [code, (err.getvalue().strip().splitlines() or [""])[-1]]
-argv, expect = workloads.make_op("simulate-long", 1, sys.argv[2])
-with contextlib.redirect_stdout(io.StringIO()):
-    tracemalloc.start()
-    cli.main(argv)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-shutil.rmtree(sys.argv[2])
-print(json.dumps([codes, peak, sum(case["n_steps"] for case in expect["cases"])]))
+peaks = {}
+for workload in workloads.WORKLOADS:
+    argv, expect = workloads.make_op(workload, 1, sys.argv[2])
+    with contextlib.redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    shutil.rmtree(sys.argv[2])
+    peaks[workload] = [peak, sum(case["n_steps"] for case in expect.get("cases", []))]
+print(json.dumps([codes, peaks]))
 """
 
 
-def run_cases(tree: pathlib.Path, out: pathlib.Path) -> tuple[dict[str, list], int, int]:
+def run_cases(tree: pathlib.Path, out: pathlib.Path) -> tuple[dict[str, list], dict[str, list]]:
     """Run the case matrix on the tree at ``tree``, writing under ``out``;
-    returns each case's exit code and last stderr line, then the traced
-    peak in bytes and the step count of the ``simulate-long`` op, which runs
-    in ``peak`` beside ``out``."""
+    returns each case's exit code and last stderr line, then per benchmark
+    workload the traced peak in bytes and the step count (0 if the workload
+    states none) of its op at seed 1, which runs in ``peak`` beside
+    ``out``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(tree / "bench")]),
            "PYTHONHASHSEED": "0"}
     proc = subprocess.run([sys.executable, "-c", CHILD, str(out), str(out.parent / "peak")], cwd=tree, env=env,
@@ -314,11 +323,15 @@ def main(argv: list[str]) -> int:
             print(f"{name:<60} {verdict}", *lines, sep="\n")
     finally:
         shutil.rmtree(SCRATCH, ignore_errors=True)
-    print(f"\n{'traced peak of one simulate-long op':<36} {'bytes':>12} {'steps':>9} {'B per step':>11}")
-    for side, (_, peak, steps) in runs.items():
-        print(f"{side:<36} {peak:>12,} {steps:>9} {peak / steps:>11.1f}")
-    delta = runs["now"][1] - runs[label][1]
-    print(f"{'delta':<36} {delta:>+12,} {'':>9} {delta / steps:>+11.1f}")
+    print(f"\n{'traced peak of one op':<36} {'bytes':>12} {'steps':>9} {'B per step':>11}")
+    for workload, (peak, steps) in runs["now"][1].items():
+        if workload not in runs[label][1]:
+            continue
+        before = runs[label][1][workload][0]
+        for side, value, sign in ((label, before, ""), ("now", peak, ""), ("delta", peak - before, "+")):
+            per_step = f"{value / steps:{sign}.1f}" if steps else "-"
+            shown = "" if side == "delta" else steps or "-"
+            print(f"{workload + ' ' + side:<36} {value:>{sign}12,} {shown:>9} {per_step:>11}")
     print(f"\n{len(names)} files, {len(codes['now'])} cases; {differs} files or exit codes differ")
     return 1 if differs else 0
 
