@@ -21,7 +21,7 @@ from inertonsim import (
 )
 from inertonsim.constants import ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR
 
-electron = dict(e=ELEMENTARY_CHARGE, B_z=1.0, hbar=HBAR, M=ELECTRON_MASS)
+electron = dict(e=ELEMENTARY_CHARGE, B_z=1.0, M=ELECTRON_MASS)
 up = spin_eigenvalue(SpinContext(channel=SPIN_UP, **electron))
 dn = spin_eigenvalue(SpinContext(channel=SPIN_DOWN, **electron))
 print("electron in a 1 T field:")

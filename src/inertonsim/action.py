@@ -30,7 +30,6 @@ from .core import SystemParams
 __all__ = [
     "OscillatorSpec",
     "QuantizedKinematics",
-    "effective_hamiltonian",
     "shortened_action",
     "hj_residual",
     "cyclic_action",
@@ -83,11 +82,6 @@ class QuantizedKinematics:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def effective_hamiltonian(p: float, X: float, spec: OscillatorSpec) -> float:
-    """Oscillator energy function ``p^2/(2M) + M omega^2 X^2 / 2``."""
-    return p * p / (2.0 * spec.M) + 0.5 * spec.M * (spec.omega * spec.omega) * X * X
 
 
 def shortened_action(X: float, spec: OscillatorSpec) -> float:

@@ -32,10 +32,6 @@ __all__ = [
     "SystemParams",
     "DerivedKinematics",
     "derive_kinematics",
-    "mass_from_deformation",
-    "coupling_coefficients",
-    "coupling_from_speeds",
-    "natural_params",
 ]
 
 
@@ -179,41 +175,3 @@ def _square(value, name: str):
         raise ValueError(f"{name}**2 {'under' if abs(first) < 1.0 else 'over'}flows a float ({name} = {first:.6g})")
     return square
 
-
-def mass_from_deformation(constant: float, cell_volume: float, particle_volume: float) -> float:
-    """Mass induced by volumetric deformation of a substrate cell.
-
-    The deformation rule is a plain ratio scaled by a dimensional constant:
-    ``constant * cell_volume / particle_volume``.
-    """
-    if not (constant > 0.0):
-        raise ValueError(f"dimensional constant must be positive, got {constant}")
-    if not (cell_volume > 0.0):
-        raise ValueError(f"cell volume must be positive, got {cell_volume}")
-    if not (particle_volume > 0.0):
-        raise ValueError(f"particle volume must be positive, got {particle_volume}")
-    return constant * cell_volume / particle_volume
-
-
-def coupling_coefficients(params: SystemParams) -> tuple[float, float]:
-    """Dimensionless mass-ratio couplings of the interaction operator.
-
-    Returns ``(sqrt(m/M), sqrt(M/m))``, which collapse to ``(v0/c, c/v0)``
-    because of the mass-velocity relation. Their product is 1.
-    """
-    forward = math.sqrt(params.m / params.M)
-    backward = math.sqrt(params.M / params.m)
-    return forward, backward
-
-
-def coupling_from_speeds(v0: float, c: float) -> tuple[float, float]:
-    """Per-inerton coupling pair ``(v0/c, c/v0)`` for a given emission speed."""
-    if not (0.0 < v0 < c):
-        raise ValueError(f"speeds must satisfy 0 < v0 < c, got v0={v0}, c={c}")
-    return v0 / c, c / v0
-
-
-def natural_params() -> SystemParams:
-    """The natural test-unit configuration: M0=1, v0=1, c=10, T=1."""
-    params, _ = derive_kinematics(M0=1.0, v0=1.0, c=10.0, T=1.0)
-    return params

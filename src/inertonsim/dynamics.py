@@ -19,7 +19,7 @@ In the dimensionless units ``tau = t/T``, ``xi = X/lam``, ``V = dXdt/v0``,
 homogeneous generator: ``xi' = V``, ``V' = -pi U``, ``chi' = U``,
 ``U' = pi (V - 1)``. The integrator and `Trajectory` work in these
 units; the physical ones are applied only at the edges, by
-`Trajectory.columns` and `closed_form`. The integrator's state is
+`Trajectory.columns` and `Trajectory.as_arrays`. The integrator's state is
 ``w = (1 - V) + iU``, which obeys ``dw/dtau = -i pi w`` and so turns on the
 unit circle at pi per T. ``1 - V - pi chi`` and ``U - pi xi + pi tau`` are
 linear invariants, so ``chi = Re(w)/pi`` and ``xi = tau + (U - u)/pi``,
@@ -60,9 +60,9 @@ way.
 The exact motion is known in closed form: `_exact_state` gives its state
 ``(w, u)`` in these units, with the branch at contact instants ``t = n T``
 resolved to the right (post-reflection) side so the state is
-right-continuous there. `closed_form` and `closed_form_trajectory` take it
-from there, `_rows` deriving the columns of `closed_form` as it does those
-of a run. `oracle_errors` compares it with the run's state, since each
+right-continuous there. `closed_form_trajectory` samples it into a
+`Trajectory`, whose rows `_rows` derives as it does those of a run.
+`oracle_errors` compares it with the run's state, since each
 column's deviation is linear in ``w - w_exact`` and ``u - u_exact``. On the
 run's grid it takes the same state by angle addition (Tang, *ACM TOMS*
 15(2), 1989), `_grid_exact_state`: a table of `TURN_ROW` turns
@@ -90,9 +90,7 @@ __all__ = [
     "SAMPLE_DTYPE",
     "integrate",
     "step_count",
-    "closed_form",
     "closed_form_trajectory",
-    "invariant_residual",
     "oracle_errors",
     "write_trajectory_csv",
     "write_events_json",
@@ -131,7 +129,7 @@ TURN_ROW = 512
 _STEP_COEFFS = tuple((-1j * math.pi) ** k / math.factorial(k) for k in range(5))
 
 # A state is anything indexed by these names: a dict, a SAMPLE_DTYPE record
-# or array. The evaluators here and in `lagrangian` accept any of them.
+# or array. The evaluators in `lagrangian` accept any of them.
 SAMPLE_FIELDS = ("t", "X", "dXdt", "x", "dxdt")
 SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in SAMPLE_FIELDS])
 # The rows that `Trajectory.rows` derives from ``w``: the dimensionless
@@ -167,8 +165,7 @@ def _rows(w, u, tau, names, out=None) -> np.ndarray:
         U = Im w                      residual = (Re w)^2 + (Im w)^2 - 1
 
     Each is computed in this order, so a value keeps its bits whatever the
-    slice. The state may be 0-d, with ``out`` of shape ``(len(names),)``.
-    ``u`` may be the row of ``xi`` itself.
+    slice. ``u`` may be the row of ``xi`` itself.
     """
     out = np.empty((len(names), *w.shape)) if out is None else out
     for j, name in enumerate(names):
@@ -283,41 +280,27 @@ class Trajectory:
         return {**_units(self.params, t, xi, V, chi, U, cols[1:5]), "invariant_residual": cols[5]}
 
 
-def invariant_residual(s, p: SystemParams):
-    """First integral of the coupled system, shifted to vanish on shell.
-
-    The pair ``(1 - dXdt/v0, dxdt/c)`` rotates on the unit circle, so
-    ``(1 - dXdt/v0)^2 + (dxdt/c)^2 - 1`` is conserved and equals zero on
-    exact solutions. The fields of ``s`` may be scalars or arrays.
-    """
-    a = 1.0 - s["dXdt"] / p.v0
-    b = s["dxdt"] / p.c
-    return a * a + b * b - 1.0
-
-
 # ---------------------------------------------------------------------------
 # Closed-form reference motion
 # ---------------------------------------------------------------------------
 
-def _exact_state(tau, w, u=None):
-    """Exact state ``(w, u)`` at ``tau = t/T``, a scalar or an array, with
-    ``w`` written into the caller's complex buffer ``w`` and ``u`` into
-    ``u`` if given.
+def _exact_state(tau, w):
+    """Exact state ``(w, u)`` at the times ``tau = t/T``, a float array,
+    with ``w`` written into the caller's complex buffer ``w``.
 
     With ``k = floor(tau)`` the pair turns on the velocity circle and ``u``
     steps by 2 at each reflection:
 
         w = sin(pi (tau - k)) + i cos(pi (tau - k))    u = 2 k + 1
 
-    `_rows` derives the columns of `closed_form` from them, and
-    `oracle_errors` compares them with a run's, taking them on the run's
-    grid from `_grid_exact_state`, which calls this for its table and its
-    coarse turns. ``floor`` is right-continuous, so at integer ``tau`` this
-    is the post-reflection branch. ``tau`` is a float array, 0-d for a
-    scalar; the argument ``pi (tau - k)`` is formed in ``Im w``, so nothing
-    else is allocated.
+    `closed_form_trajectory` samples them, and `oracle_errors` compares them
+    with a run's, taking them on the run's grid from `_grid_exact_state`,
+    which calls this for its table and its coarse turns. ``floor`` is
+    right-continuous, so at integer ``tau`` this is the post-reflection
+    branch. The argument ``pi (tau - k)`` is formed in ``Im w``, so beside
+    ``u`` nothing else is allocated.
     """
-    u = np.floor(tau, out=u)
+    u = np.floor(tau)
     arg = np.multiply(np.subtract(tau, u, out=w.imag), np.pi, out=w.imag)
     np.sin(arg, out=w.real)
     np.cos(arg, out=arg)
@@ -375,15 +358,6 @@ def _grid_exact_state(table: np.ndarray, lo: int, hi: int, dt: float, T: float, 
     w.real *= sign
     w.imag *= sign
     return w, u
-
-
-def closed_form(t, p: SystemParams) -> dict:
-    """Exact state at time ``t >= 0``, a scalar or an array of times: the
-    columns of `_exact_state` at ``t/T``, in physical units."""
-    if np.any(np.asarray(t) < 0.0):
-        raise ValueError(f"closed form is defined for t >= 0, got {np.min(t)}")
-    tau = np.asarray(t / p.T, dtype=float)
-    return _units(p, t, *_rows(*_exact_state(tau, np.empty(tau.shape, dtype=np.complex128)), tau, ROWS[:4]))
 
 
 def closed_form_trajectory(p: SystemParams, t_end: float) -> Trajectory:
@@ -650,20 +624,20 @@ def oracle_errors(traj: Trajectory) -> dict[str, float]:
     ev = np.asarray(traj.events, dtype=np.float64)[:, None]
     j = np.maximum(np.floor((ev - window) / dt) - 1.0, 0.0) + np.arange(min(math.ceil(2.0 * window / dt) + 4, n))
     near = j[(j < n) & (np.abs(j * dt - ev) <= window)].astype(np.intp)
-    # one call per block, each into the same work rows; a NaN deviation
-    # propagates through both maxima. The rows are one block of 640 KB,
-    # however short the run: freeing it raises glibc's mmap threshold, and
-    # with it the heap's trim threshold, past the CSV writer's chunk buffers
-    # and a `check` op's temporaries, which would otherwise be faulted in
-    # again on every chunk or op. The exact state is written into these
-    # rows, the signs of its branch into the block's times, and a block
-    # frees its times before it builds the run's u, so a block allocates one
-    # more row at a time: with two, glibc trimmed the heap of every `sweep`
-    # op. So the angle addition multiplies a scalar by a contiguous row and
-    # scales `.real` and `.imag` by a float row: a broadcast operand
-    # (`np.multiply.outer`) or a float-to-complex cast allocates numpy's
-    # buffers of 8,192 elements per call, and took a `sweep` op in the
-    # benchmark's loop from a median of 0 minor faults to 1,601 and 738.
+    # One call per block, each into the same work rows; a NaN deviation
+    # propagates through both maxima. Three rules keep a call's memory flat;
+    # test_oracle_errors_allocates_no_block_sized_buffer fails on a break of
+    # the last two:
+    # - the rows are one whole block of 640 KB, however short the run: freeing
+    #   one that size lifts the allocator's trim threshold past the CSV
+    #   writer's chunks and a `check` op's temporaries, so they are not
+    #   faulted in again on every chunk or op;
+    # - the exact state goes into these rows and its signs into the block's
+    #   times, freed before the run's u is built: one more row at a time;
+    # - no broadcast operand (`np.multiply.outer`) and no float-to-complex
+    #   cast, each of which allocates numpy's 8,192-element buffers: the
+    #   angle addition multiplies a contiguous row by a scalar and scales
+    #   `.real` and `.imag` by a float row.
     # Beside the rows, a call holds the table, at most TURN_ROW turns.
     work = np.empty((5, ROW_BLOCK))
     table = _turn_table(n, dt, p.T)

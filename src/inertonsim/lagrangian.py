@@ -1,10 +1,10 @@
 """Lagrangian evaluators and numerical Euler-Lagrange verification.
 
-Three closely related Lagrangians describe the pair:
+Two forms of one Lagrangian describe the pair:
 
-* the free relativistic particle, ``-M0 c^2 sqrt(1 - v^2/c^2)``;
 * the aggregate form over ``(X, dX/dt, x, dx/dt)``, a square root whose
-  radicand couples particle and cloud through the collision period;
+  radicand couples particle and cloud through the collision period, also
+  shifted by the rest energy for finite differences;
 * the canonical form, the same function rewritten in a shifted cloud
   velocity that turns the coupling into an explicit harmonic term in X.
 
@@ -25,30 +25,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _text
-from .core import SystemParams, _beta2
+from .core import SystemParams
 from .dynamics import Trajectory
 
 __all__ = [
     "ELResidualReport",
-    "eval_lagrangian_relativistic",
     "eval_lagrangian_aggregate",
     "eval_lagrangian_aggregate_shifted",
     "eval_lagrangian_canonical",
     "kappa_transform",
-    "kappa_transform_inverse",
     "el_residual",
     "particle_residual_scale",
     "cloud_residual_scale",
     "scale_channel",
     "write_el_csv",
 ]
-
-
-def eval_lagrangian_relativistic(v0: float, M0: float, c: float) -> float:
-    """Free-particle value ``-M0 c^2 sqrt(1 - v0^2/c^2)``."""
-    if abs(v0) >= c:
-        raise ValueError(f"speed must satisfy |v0| < c, got v0={v0}, c={c}")
-    return -M0 * c * c * math.sqrt(1.0 - _beta2(v0, c))
 
 
 def _bracket_aggregate(s, p: SystemParams):
@@ -134,23 +125,14 @@ def eval_lagrangian_canonical(s, p: SystemParams):
     return _sqrt_form(_bracket_canonical(s, p), p)
 
 
-def _kappa_shift(s, p: SystemParams):
-    """The particle coordinate term ``(pi/T) X sqrt(M0/m0)`` of both transforms."""
-    if p.m0 <= 0.0:
-        raise ValueError(f"transform needs m0 > 0, got {p.m0}")
-    return (math.pi / p.T) * s["X"] * math.sqrt(p.M0 / p.m0)
-
-
 def kappa_transform(s, p: SystemParams) -> dict:
     """Shift the cloud velocity by the particle coordinate term: the state
     as a dict with the keys ``t, X, dXdt, kappa_rate, x``, where
     ``kappa_rate = dxdt - (pi/T) X sqrt(M0/m0)`` replaces ``dxdt``."""
-    return dict(t=s["t"], X=s["X"], dXdt=s["dXdt"], kappa_rate=s["dxdt"] - _kappa_shift(s, p), x=s["x"])
-
-
-def kappa_transform_inverse(s, p: SystemParams) -> dict:
-    """Undo `kappa_transform`: the state as a dict of its five fields."""
-    return dict(t=s["t"], X=s["X"], dXdt=s["dXdt"], x=s["x"], dxdt=s["kappa_rate"] + _kappa_shift(s, p))
+    if p.m0 <= 0.0:
+        raise ValueError(f"transform needs m0 > 0, got {p.m0}")
+    shift = (math.pi / p.T) * s["X"] * math.sqrt(p.M0 / p.m0)
+    return dict(t=s["t"], X=s["X"], dXdt=s["dXdt"], kappa_rate=s["dxdt"] - shift, x=s["x"])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The intrinsic pulsation of the particle comes in two antipodal modes,
 labelled up/down with sign ``e_alpha``. In a magnetic field the channels
 split by ``e_alpha * e * hbar * B_z / (2 M)`` and project spin ``+hbar/2``
-or ``-hbar/2`` on the field axis.
+or ``-hbar/2`` on the field axis, with ``hbar`` the SI constant `HBAR` of
+`constants`.
 
 The full energy function ``c * sqrt(p^2 + pi^2 + M0^2 c^2)`` (``pi`` the
 intrinsic momentum) linearizes at ``pi = 0`` into the standard 4x4 matrix
@@ -30,7 +31,6 @@ __all__ = [
     "SpinContext",
     "DiracOperator",
     "spin_eigenvalue",
-    "chi_eigenfunction",
     "spin_projection",
     "total_hamiltonian",
     "pauli_matrices",
@@ -48,18 +48,15 @@ ArrayC = np.ndarray
 
 @dataclass(frozen=True)
 class SpinContext:
-    """Channel sign, charge, field projection and vector potential.
+    """Channel sign, charge, field projection and mass.
 
-    ``channel`` is +1 (up) or -1 (down); ``A`` holds the vector-potential
-    components, of which only the first enters the intrinsic eigenfunction.
+    ``channel`` is +1 (up) or -1 (down).
     """
 
     channel: int
     e: float
     B_z: float
-    A: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    hbar: float = HBAR
-    M: float = 1.0
+    M: float
 
     def __post_init__(self):
         if self.channel not in (SPIN_UP, SPIN_DOWN):
@@ -73,38 +70,14 @@ def spin_eigenvalue(ctx: SpinContext):
     refused = ~(masses > 0.0)
     if refused.any():
         raise ValueError(f"mass must be positive, got {masses[refused][0]}")
-    return ctx.channel * ctx.e * ctx.hbar * ctx.B_z / (2.0 * ctx.M)
+    return ctx.channel * ctx.e * HBAR * ctx.B_z / (2.0 * ctx.M)
 
 
-def chi_eigenfunction(ctx: SpinContext, pi_x: float, variant: str = "literal") -> float:
-    """Intrinsic-momentum eigenfunction of the channel problem.
-
-    Two variants are shipped on purpose. ``literal`` uses a linear exponent,
-
-        pi**(-1/4) * exp(-(pi_x - e A_x) / (2 e hbar B_z)),
-
-    which is not normalizable but is kept as the defining form. ``gaussian``
-    squares the deviation,
-
-        pi**(-1/4) * exp(-(pi_x - e A_x)**2 / (2 e hbar B_z)),
-
-    the bound-state form. Callers pick; the default stays ``literal``.
-    """
-    if variant not in ("literal", "gaussian"):
-        raise ValueError(f"variant must be 'literal' or 'gaussian', got {variant!r}")
-    denom = 2.0 * ctx.e * ctx.hbar * ctx.B_z
-    if denom == 0.0:
-        raise ValueError("e * hbar * B_z must be nonzero for the eigenfunction")
-    dev = pi_x - ctx.e * ctx.A[0]
-    exponent = dev / denom if variant == "literal" else dev * dev / denom
-    return math.pi ** (-0.25) * math.exp(-exponent)
-
-
-def spin_projection(channel: int, hbar: float = HBAR) -> tuple[float, float, float]:
+def spin_projection(channel: int) -> tuple[float, float, float]:
     """Spin components ``(S_z, S_x, S_y) = (channel * hbar/2, 0, 0)``."""
     if channel not in (SPIN_UP, SPIN_DOWN):
         raise ValueError(f"channel must be +1 or -1, got {channel}")
-    return (channel * hbar / 2.0, 0.0, 0.0)
+    return (channel * HBAR / 2.0, 0.0, 0.0)
 
 
 def _sumsq(v):
@@ -230,7 +203,7 @@ def anticommutation_deviations() -> dict[str, float]:
 
 def classify_inerton_wave(E: float) -> str:
     """Positive branch energies are outgoing cloud waves, negative ones
-    incoming; zero has no direction and is rejected."""
-    if E == 0.0:
-        raise ValueError("cannot classify a zero branch energy")
+    incoming; zero and NaN have no direction and are rejected."""
+    if E == 0.0 or math.isnan(E):
+        raise ValueError(f"cannot classify a branch energy of {E}")
     return "outgoing" if E > 0.0 else "incoming"

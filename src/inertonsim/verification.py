@@ -49,7 +49,7 @@ import numpy as np
 
 from . import action as action_mod
 from . import dynamics, lagrangian, observables, spin
-from .core import SystemParams, _square, derive_kinematics, natural_params
+from .core import SystemParams, _square, derive_kinematics
 
 __all__ = ["CheckReport", "run_checks", "registry_names", "reports_to_json_lines"]
 
@@ -268,20 +268,15 @@ def registry_names() -> list[str]:
     return list(_REGISTRY)
 
 
-def run_checks(
-    selection: list[str] | None = None,
-    params: SystemParams | None = None,
-    seed: int = 0,
-) -> list[CheckReport]:
-    """Run the selected checks (all of them by default) deterministically.
+def run_checks(params: SystemParams, selection: list[str] | None = None, seed: int = 0) -> list[CheckReport]:
+    """Run the selected checks (all of them by default) deterministically
+    on the config ``params``.
 
     Unknown names raise a ValueError that lists the registry. Reports come
     back in registry order regardless of the selection's order. The checks
     on the standard ten-period run share one integration, paid for inside
     the first of them to run.
     """
-    if params is None:
-        params = natural_params()
     if selection is None:
         chosen = registry_names()
     else:

@@ -32,7 +32,6 @@ from inertonsim import (
     spin_eigenvalue,
     spin_projection,
 )
-from inertonsim.action import effective_hamiltonian
 from inertonsim.constants import (
     ELECTRON_MASS,
     ELEMENTARY_CHARGE,
@@ -173,10 +172,10 @@ def test_criterion_07_dirac_algebra_and_spectrum():
 
 def test_criterion_08_spin_channel():
     up = spin_eigenvalue(
-        SpinContext(channel=SPIN_UP, e=ELEMENTARY_CHARGE, B_z=1.0, hbar=HBAR, M=ELECTRON_MASS)
+        SpinContext(channel=SPIN_UP, e=ELEMENTARY_CHARGE, B_z=1.0, M=ELECTRON_MASS)
     )
     dn = spin_eigenvalue(
-        SpinContext(channel=SPIN_DOWN, e=ELEMENTARY_CHARGE, B_z=1.0, hbar=HBAR, M=ELECTRON_MASS)
+        SpinContext(channel=SPIN_DOWN, e=ELEMENTARY_CHARGE, B_z=1.0, M=ELECTRON_MASS)
     )
     antisym = up + dn
     mag_err = abs(up - 9.274e-24) / 9.274e-24

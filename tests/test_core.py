@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from inertonsim import (
-    coupling_coefficients,
-    coupling_from_speeds,
-    derive_kinematics,
-    mass_from_deformation,
-)
+from inertonsim import derive_kinematics
 
 
 def test_natural_units_scales(natural):
@@ -44,38 +39,11 @@ def test_to_dict_keys(natural):
     assert set(kin.to_dict()) == {"nu", "collision_rate", "E", "p0", "mean_drift"}
 
 
-def test_mass_from_deformation_example():
-    assert mass_from_deformation(3.0, 4.0, 2.0) == 6.0
-
-
-def test_mass_from_deformation_rejects_bad_volumes():
-    with pytest.raises(ValueError):
-        mass_from_deformation(1.0, 2.0, 0.0)
-    with pytest.raises(ValueError):
-        mass_from_deformation(1.0, -1.0, 2.0)
-
-
-def test_coupling_from_speeds_example():
-    fwd, back = coupling_from_speeds(0.6, 1.0)
-    assert fwd == pytest.approx(0.6, rel=1e-15)
-    assert back == pytest.approx(5.0 / 3.0, rel=1e-15)
-
-
 def test_coupling_coefficients_match_speed_form(natural):
+    # the couplings sqrt(m/M) and sqrt(M/m) are v0/c and c/v0
     params, _ = natural
-    from_mass = coupling_coefficients(params)
-    from_speed = coupling_from_speeds(params.v0, params.c)
-    assert from_mass[0] == pytest.approx(from_speed[0], rel=1e-12)
-    assert from_mass[1] == pytest.approx(from_speed[1], rel=1e-12)
-
-
-@given(
-    v0=st.floats(min_value=1e-3, max_value=0.9),
-    c_mult=st.floats(min_value=1.2, max_value=100.0),
-)
-def test_coupling_product_is_unity(v0, c_mult):
-    fwd, back = coupling_from_speeds(v0, v0 * c_mult)
-    assert fwd * back == pytest.approx(1.0, rel=1e-12)
+    assert math.sqrt(params.m / params.M) == pytest.approx(params.v0 / params.c, rel=1e-12)
+    assert math.sqrt(params.M / params.m) == pytest.approx(params.c / params.v0, rel=1e-12)
 
 
 def test_validation_rejects_superluminal():

@@ -12,10 +12,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from inertonsim import (
     DivergenceError,
-    closed_form,
     derive_kinematics,
     integrate,
-    invariant_residual,
     oracle_errors,
     write_events_json,
     write_trajectory_csv,
@@ -46,9 +44,15 @@ GENERATOR = np.array(
 
 # ---------------------------------------------------------------- closed form
 
+def _closed_form_period(params):
+    """The columns of one period of `closed_form_trajectory`, whose sample
+    ``i`` is at ``t = i T / CLOSED_FORM_STEPS``."""
+    return closed_form_trajectory(params, t_end=params.T).columns()
+
+
 def test_closed_form_quarter_points(natural):
     params, _ = natural
-    s = closed_form(0.5 * params.T, params)
+    s = {name: col[dynamics.CLOSED_FORM_STEPS // 2] for name, col in _closed_form_period(params).items()}
     assert s["dXdt"] == pytest.approx(0.0, abs=1e-15)
     assert s["x"] == pytest.approx(params.Lam / math.pi, rel=1e-14)
     assert s["dxdt"] == pytest.approx(0.0, abs=1e-14)
@@ -56,7 +60,7 @@ def test_closed_form_quarter_points(natural):
 
 def test_closed_form_one_period(natural):
     params, _ = natural
-    s = closed_form(params.T, params)
+    s = {name: col[dynamics.CLOSED_FORM_STEPS] for name, col in _closed_form_period(params).items()}
     assert s["X"] == pytest.approx(params.lam * (1.0 - 2.0 / math.pi), rel=1e-13)
     assert s["X"] == pytest.approx(0.36338, rel=1e-4)
     assert s["x"] == pytest.approx(0.0, abs=1e-12)
@@ -65,7 +69,7 @@ def test_closed_form_one_period(natural):
 
 def test_closed_form_initial_conditions(natural):
     params, _ = natural
-    s = closed_form(0.0, params)
+    s = {name: col[0] for name, col in _closed_form_period(params).items()}
     assert (s["X"], s["x"]) == (0.0, 0.0)
     assert s["dXdt"] == params.v0
     assert s["dxdt"] == params.c
@@ -74,22 +78,20 @@ def test_closed_form_initial_conditions(natural):
 def test_closed_form_rejects_negative_time(natural):
     params, _ = natural
     with pytest.raises(ValueError):
-        closed_form(-0.1, params)
+        closed_form_trajectory(params, t_end=-0.1)
 
 
-@given(t=st.floats(min_value=0.0, max_value=50.0))
-def test_invariant_vanishes_on_closed_form(t):
-    params, _ = derive_kinematics(1.0, 1.0, 10.0, 1.0)
-    s = closed_form(t, params)
-    assert abs(invariant_residual(s, params)) <= 1e-12
+def test_invariant_vanishes_on_closed_form(natural):
+    params, _ = natural
+    traj = closed_form_trajectory(params, t_end=50.0 * params.T)
+    assert np.max(np.abs(_row(traj, "residual"))) <= 1e-12
 
 
 def test_mean_drift_matches_quadrature(natural):
-    # brute-force quadrature of the closed-form velocity over one period
+    # Simpson's rule on the closed-form velocity over one period
     params, kin = natural
-    t = np.linspace(0.0, params.T, 20001)
-    v = np.array([closed_form(ti, params)["dXdt"] for ti in t])
-    drift = np.trapezoid(v, t)
+    v, h = _closed_form_period(params)["dXdt"], params.T / dynamics.CLOSED_FORM_STEPS
+    drift = h / 3.0 * (v[0] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-1:2].sum() + v[-1])
     assert drift == pytest.approx(kin.mean_drift * params.T, rel=1e-8)
 
 
@@ -300,17 +302,11 @@ def test_closed_form_trajectory_marks_events(natural):
 def test_closed_form_agrees_with_itself(pars):
     # one exact state and one row formula: the sampled closed form is its own
     # oracle to within the rounding of the oracle's angle addition
-    # (`_grid_exact_state`), and the scalar, array and sampled forms agree
+    # (`_grid_exact_state`)
     params, _ = derive_kinematics(*pars)
     traj = closed_form_trajectory(params, t_end=2.0 * params.T)
     bound = _turn_rounding((len(traj) - 1) * traj.dt / params.T)
     assert all(value <= bound for value in oracle_errors(traj).values())
-    cols = traj.columns()
-    array = closed_form(cols["t"], params)
-    scalar = [closed_form(t, params) for t in cols["t"].tolist()]
-    for name in ("X", "dXdt", "x", "dxdt"):
-        assert array[name].tobytes() == cols[name].tobytes(), name
-        assert np.array([s[name] for s in scalar]).tobytes() == cols[name].tobytes(), name
 
 
 def _turn_rounding(tau_end):

@@ -43,5 +43,10 @@ def test_package_exports_each_module_all():
     assert set(inertonsim.__all__) - set(_EXPORTED_BEFORE) == {
         "SAMPLE_DTYPE", "step_count", "particle_residual_scale", "cloud_residual_scale"
     }
-    # the canonical state became a plain mapping, like every other state
-    assert set(_EXPORTED_BEFORE) - set(inertonsim.__all__) == {"CanonicalState"}
+    # the canonical state became a plain mapping, like every other state, and
+    # the functions that no command, check, demo or benchmark reached went
+    assert set(_EXPORTED_BEFORE) - set(inertonsim.__all__) == {
+        "CanonicalState", "mass_from_deformation", "coupling_coefficients", "coupling_from_speeds",
+        "natural_params", "closed_form", "invariant_residual", "eval_lagrangian_relativistic",
+        "kappa_transform_inverse", "effective_hamiltonian", "chi_eigenfunction",
+    }

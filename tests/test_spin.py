@@ -10,7 +10,6 @@ from inertonsim import (
     SPIN_UP,
     SpinContext,
     anticommutation_deviations,
-    chi_eigenfunction,
     classify_inerton_wave,
     dirac_hamiltonian,
     dirac_matrices,
@@ -29,51 +28,25 @@ def _bits(a):
 
 
 def test_eigenvalue_plug_in():
-    ctx = SpinContext(channel=SPIN_UP, e=2.0, B_z=3.0, hbar=1.0, M=1.0)
-    assert spin_eigenvalue(ctx) == pytest.approx(3.0, rel=1e-15)
+    ctx = SpinContext(channel=SPIN_UP, e=2.0, B_z=3.0, M=1.0)
+    assert spin_eigenvalue(ctx) == pytest.approx(3.0 * HBAR, rel=1e-15)
 
 
 def test_electron_bohr_magneton_energy():
-    ctx = SpinContext(
-        channel=SPIN_UP, e=ELEMENTARY_CHARGE, B_z=1.0, hbar=HBAR, M=ELECTRON_MASS
-    )
+    ctx = SpinContext(channel=SPIN_UP, e=ELEMENTARY_CHARGE, B_z=1.0, M=ELECTRON_MASS)
     assert spin_eigenvalue(ctx) == pytest.approx(9.274e-24, rel=1e-4)
 
 
 def test_channel_antisymmetry_exact():
     for e, B, M in ((1.0, 1.0, 1.0), (ELEMENTARY_CHARGE, 0.37, ELECTRON_MASS)):
-        up = spin_eigenvalue(SpinContext(channel=SPIN_UP, e=e, B_z=B, hbar=HBAR, M=M))
-        dn = spin_eigenvalue(SpinContext(channel=SPIN_DOWN, e=e, B_z=B, hbar=HBAR, M=M))
+        up = spin_eigenvalue(SpinContext(channel=SPIN_UP, e=e, B_z=B, M=M))
+        dn = spin_eigenvalue(SpinContext(channel=SPIN_DOWN, e=e, B_z=B, M=M))
         assert up + dn == 0.0
 
 
 def test_channel_validation():
     with pytest.raises(ValueError):
-        SpinContext(channel=0, e=1.0, B_z=1.0)
-
-
-def test_chi_literal_example():
-    ctx = SpinContext(channel=SPIN_UP, e=1.0, B_z=1.0, hbar=1.0, M=1.0)
-    val = chi_eigenfunction(ctx, 2.0, variant="literal")
-    assert val == pytest.approx(math.pi ** -0.25 * math.exp(-1.0), rel=1e-12)
-
-
-def test_chi_gaussian_example():
-    ctx = SpinContext(channel=SPIN_UP, e=1.0, B_z=1.0, hbar=1.0, M=1.0)
-    val = chi_eigenfunction(ctx, 2.0, variant="gaussian")
-    assert val == pytest.approx(math.pi ** -0.25 * math.exp(-2.0), rel=1e-12)
-
-
-def test_chi_vector_potential_offset():
-    ctx = SpinContext(channel=SPIN_UP, e=1.0, B_z=1.0, A=(2.0, 0.0, 0.0), hbar=1.0, M=1.0)
-    # pi_x - e A_x = 0 leaves only the normalization factor
-    assert chi_eigenfunction(ctx, 2.0) == pytest.approx(math.pi ** -0.25, rel=1e-12)
-
-
-def test_chi_unknown_variant():
-    ctx = SpinContext(channel=SPIN_UP, e=1.0, B_z=1.0, hbar=1.0, M=1.0)
-    with pytest.raises(ValueError):
-        chi_eigenfunction(ctx, 1.0, variant="octopus")
+        SpinContext(channel=0, e=1.0, B_z=1.0, M=1.0)
 
 
 def test_spin_projection_half_hbar():
@@ -210,8 +183,9 @@ def test_massless_spectrum():
 def test_wave_classification():
     assert classify_inerton_wave(1.5) == "outgoing"
     assert classify_inerton_wave(-0.2) == "incoming"
-    with pytest.raises(ValueError):
-        classify_inerton_wave(0.0)
+    for no_direction in (0.0, -0.0, math.nan):
+        with pytest.raises(ValueError):
+            classify_inerton_wave(no_direction)
 
 
 def test_dirac_matrices_are_fresh_writable_copies():

@@ -41,7 +41,9 @@ def test_src_lines_against_a_revision(tmp_path):
 
 def test_src_lines_counts_options(tmp_path):
     # an option is a parameter with a default: positional, keyword-only or
-    # of a lambda; a keyword-only parameter without one is not
+    # of a lambda; a keyword-only parameter without one is not. A field with
+    # a default of a dataclass is one too, whatever form the decorator takes;
+    # an unannotated class attribute, or one of a plain class, is not
     src = tmp_path / "src"
     src.mkdir()
     (src / "a.py").write_text("def f(a, b=1, *, c=2, d):\n    return lambda x=0: x\n")
@@ -54,10 +56,18 @@ def test_src_lines_counts_options(tmp_path):
     assert row.split() == ["a.py", "2", "2", "0", "0", "0", "3"] and total.split()[1:] == row.split()[1:]
     (src / "a.py").write_text("def f(a, b, *, c=2, d):\n    return a\n")
     (src / "b.py").write_text("def g(y=None):\n    return y\n")
+    (src / "c.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass P:\n    a: int\n    b: int = 1\n    c = 2\n\n\n"
+        "@dataclasses.dataclass\nclass Q:\n    d: float = 0.0\n\n\n"
+        "@dataclass\nclass S:\n    f: tuple = ()\n\n\n"
+        "class R:\n    e: int = 3\n"
+    )
     rows = _rows(src, "--against", "HEAD")
     assert rows["a.py"][-3:] == [3, 1, -2]
     assert rows["b.py"][-3:] == [0, 1, 1]
-    assert rows["total"][-3:] == [3, 2, -1]
+    assert rows["c.py"][-3:] == [0, 3, 3]
+    assert rows["total"][-3:] == [3, 5, 2]
 
 
 def _committed_copy(root):

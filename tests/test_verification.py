@@ -19,7 +19,6 @@ from inertonsim import (
     eval_lagrangian_aggregate,
     eval_lagrangian_canonical,
     kappa_transform,
-    natural_params,
     registry_names,
     reports_to_json_lines,
     run_checks,
@@ -54,8 +53,8 @@ def test_registry_contents():
 
 
 @pytest.fixture(scope="module")
-def full_run():
-    return run_checks(seed=42)
+def full_run(natural):
+    return run_checks(natural[0], seed=42)
 
 
 def test_full_suite_passes(full_run):
@@ -69,21 +68,21 @@ def test_measured_below_tolerance(full_run):
         assert r.measured <= r.tolerance, r.name
 
 
-def test_determinism_across_runs(full_run):
-    again = run_checks(seed=42)
+def test_determinism_across_runs(natural, full_run):
+    again = run_checks(natural[0], seed=42)
     for a, b in zip(full_run, again):
         assert a.name == b.name
         assert a.measured == b.measured  # bitwise
 
 
-def test_seed_changes_sampled_checks():
-    a = {r.name: r.measured for r in run_checks(selection=["transform_invariance"], seed=1)}
-    b = {r.name: r.measured for r in run_checks(selection=["transform_invariance"], seed=2)}
+def test_seed_changes_sampled_checks(natural):
+    a = {r.name: r.measured for r in run_checks(natural[0], selection=["transform_invariance"], seed=1)}
+    b = {r.name: r.measured for r in run_checks(natural[0], selection=["transform_invariance"], seed=2)}
     assert a["transform_invariance"] != b["transform_invariance"]
 
 
-def test_selection_order_does_not_matter(full_run):
-    pair = run_checks(selection=["resonator_ratio", "periodicity"], seed=42)
+def test_selection_order_does_not_matter(natural, full_run):
+    pair = run_checks(natural[0], selection=["resonator_ratio", "periodicity"], seed=42)
     # reports come back in registry order
     assert [r.name for r in pair] == ["periodicity", "resonator_ratio"]
     by_name = {r.name: r for r in full_run}
@@ -91,9 +90,9 @@ def test_selection_order_does_not_matter(full_run):
         assert r.measured == by_name[r.name].measured
 
 
-def test_unknown_selection_raises():
+def test_unknown_selection_raises(natural):
     with pytest.raises(ValueError, match="registry"):
-        run_checks(selection=["no_such_check"])
+        run_checks(natural[0], selection=["no_such_check"])
 
 
 def test_custom_params_flow_through():
@@ -184,12 +183,12 @@ _LAST_CASE_NAN = {
 
 
 @pytest.mark.parametrize("name", EXPECTED_ORDER)
-def test_a_non_finite_last_case_fails_the_check(monkeypatch, full_run, name):
+def test_a_non_finite_last_case_fails_the_check(monkeypatch, natural, full_run, name):
     clean = {r.name: r for r in full_run}[name]
     assert clean.passed and clean.non_finite == 0
     owner, attr, call, poison = _LAST_CASE_NAN[name]
     _poison_call(monkeypatch, owner, attr, call, poison)
-    (report,) = run_checks(selection=[name], seed=42)
+    (report,) = run_checks(natural[0], selection=[name], seed=42)
     assert report.status == "fail"
     assert report.cases == clean.cases
     assert report.non_finite >= 1
@@ -215,7 +214,7 @@ def test_transform_invariance_passes_for_a_tiny_rest_mass(M0):
     assert report.passed and report.cases > 100, report
 
 
-def test_standard_run_is_integrated_once(monkeypatch):
+def test_standard_run_is_integrated_once(monkeypatch, natural):
     from inertonsim import dynamics
 
     calls = []
@@ -227,7 +226,7 @@ def test_standard_run_is_integrated_once(monkeypatch):
 
     monkeypatch.setattr(dynamics, "integrate", counted)
     reports = run_checks(
-        selection=["oracle_agreement", "invariant_conservation", "periodicity", "convergence_order"]
+        natural[0], selection=["oracle_agreement", "invariant_conservation", "periodicity", "convergence_order"]
     )
     assert all(r.passed for r in reports)
     assert len(calls) == 5  # one shared ten-period run plus the four convergence steps
@@ -252,8 +251,8 @@ def test_dirac_draws_follow_the_per_draw_stream():
         assert _bits(batched.random()) == _bits(rng.random())  # same stream position
 
 
-def test_batched_uniform_draws_follow_the_per_draw_stream():
-    for params in (natural_params(), derive_kinematics(1.0, 0.999, 1.0, 1.0)[0]):
+def test_batched_uniform_draws_follow_the_per_draw_stream(natural):
+    for params in (natural[0], derive_kinematics(1.0, 0.999, 1.0, 1.0)[0]):
         p = params
         lows, highs = [-p.lam, 0.0, 0.0, -p.c], [p.lam, p.v0, p.Lam, p.c]
         batched = np.random.default_rng(3).uniform(lows, highs, size=(200, 4))
@@ -465,7 +464,7 @@ def _electron_atomic_params():
 @pytest.mark.parametrize(
     "make_params",
     [
-        natural_params,
+        lambda: derive_kinematics(1.0, 1.0, 10.0, 1.0)[0],
         lambda: derive_kinematics(1.0, 0.5, 5.0, 2.0)[0],
         _electron_atomic_params,
         lambda: derive_kinematics(1.0, 0.999, 1.0, 1.0)[0],  # some draws refused
@@ -480,5 +479,5 @@ def test_sampled_checks_match_per_draw_loops_bitwise(make_params, seed):
 
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_sampled_checks_match_per_draw_loops_bitwise_any_seed(seed):
-    _assert_matches_per_draw(natural_params(), seed)
+def test_sampled_checks_match_per_draw_loops_bitwise_any_seed(natural, seed):
+    _assert_matches_per_draw(natural[0], seed)

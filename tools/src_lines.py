@@ -8,12 +8,12 @@ function docstring (found with `ast`); a comment line holds nothing but a
 comment (found with `tokenize`); a blank line is empty or whitespace, also
 inside a docstring; every other line is code, including a line of code with
 a trailing comment. An option is a parameter with a default, of a function
-or a lambda (found with `ast`). Prints one row per ``.py`` file under ROOT
-(default: ``src`` next to this script's directory) and the total. With
-``--against REV`` each count is printed as the count of the files committed
-at git revision REV (read with ``git show``), the current count and the
-difference; a file missing on one side counts as zero lines and options
-there.
+or a lambda, or a field with a default of a ``@dataclass`` (found with
+`ast`). Prints one row per ``.py`` file under ROOT (default: ``src`` next to
+this script's directory) and the total. With ``--against REV`` each count
+is printed as the count of the files committed at git revision REV (read
+with ``git show``), the current count and the difference; a file missing on
+one side counts as zero lines and options there.
 """
 
 from __future__ import annotations
@@ -42,10 +42,22 @@ def docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether ``node`` is decorated with ``dataclass``, called or not, bare
+    or as ``dataclasses.dataclass``."""
+    targets = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(getattr(t, "attr", getattr(t, "id", None)) == "dataclass" for t in targets)
+
+
 def count_options(tree: ast.AST) -> int:
-    """Parameters with a default in the functions and lambdas of ``tree``."""
-    return sum(len(a.defaults) + sum(d is not None for d in a.kw_defaults)
-               for a in ast.walk(tree) if isinstance(a, ast.arguments))
+    """Parameters with a default in the functions and lambdas of ``tree``,
+    and fields with a default in its dataclasses."""
+    parameters = sum(len(a.defaults) + sum(d is not None for d in a.kw_defaults)
+                     for a in ast.walk(tree) if isinstance(a, ast.arguments))
+    fields = sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                 for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and is_dataclass(node)
+                 for stmt in node.body)
+    return parameters + fields
 
 
 def count(source: str) -> dict[str, int]:
