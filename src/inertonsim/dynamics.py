@@ -35,9 +35,12 @@ IV.2), and RK4 keeps linear invariants exactly (Hairer, Lubich & Wanner,
 ``y``. The integrator tabulates ``R^1..R^B`` once per run
 (``B <= BLOCK_STEPS``) and advances a whole block of ``B`` samples from the
 block's start state with one multiplication into the state array, which is
-padded by ``B`` samples so that no block is cut at the end of the run, and
-one comparison into a boolean buffer of ``B``. Memory is the state's 16 B
-per sample.
+padded by ``B`` samples so that no block is cut at the end of the run. Each
+step turns ``w`` by ``theta = -arg R(-i pi h)``, so the angle of the start
+predicts the block's first sample below the guard (`_predicted_step`); the
+loop reads the two samples around it and moves it a sample at a time until
+they straddle the guard, so no pass over the block compares its samples.
+Memory is the state's 16 B per sample.
 
 A step that ends with ``x < 0`` contains a reflection. The linear guess
 and at most one Newton step on ``Re(R(-i pi s) w)`` locate the partial
@@ -389,17 +392,38 @@ def _step_factor(s: float) -> complex:
     return c0 + s * (c1 + s * (c2 + s * (c3 + s * c4)))
 
 
-def _step_powers(h: float, size: int) -> np.ndarray:
+def _step_powers(h: float, theta: float, size: int) -> np.ndarray:
     """``R^1..R^size`` for the step ``h``, written as ``rho^k e^{-ik theta}``.
 
-    ``-theta`` is the argument of ``R(-i pi h)`` and ``rho^2 = 1 - z^6/72 +
-    z^8/576`` (``z = pi h``) its squared modulus, taken through ``log1p``
-    because ``1 - rho`` falls below 1e-16 at T/1000. Every power is computed
-    directly, so none inherits the rounding of the one before it.
+    ``-theta`` is the argument of ``R(-i pi h)``, which the caller holds,
+    and ``rho^2 = 1 - z^6/72 + z^8/576`` (``z = pi h``) its squared modulus,
+    taken through ``log1p`` because ``1 - rho`` falls below 1e-16 at
+    T/1000. Every power is computed directly, so none inherits the rounding
+    of the one before it.
     """
     z = math.pi * h
     log_rho = 0.5 * math.log1p(z ** 8 / 576.0 - z ** 6 / 72.0)
-    return np.exp(np.arange(1, size + 1) * complex(log_rho, cmath.phase(_step_factor(h))))
+    return np.exp(np.arange(1, size + 1) * complex(log_rho, -theta))
+
+
+def _predicted_step(start: complex, theta: float, size: int) -> int:
+    """The first sample ``k`` (1 to ``size``) of the block ``R^k start``
+    that lies below the guard, as the turn angle predicts it. A sample
+    within rounding of the guard can put it one off, so `integrate` checks
+    it against the samples.
+
+    Each step turns ``w`` by ``theta`` from ``alpha = atan2(Re start, Im
+    start)``, and ``Re w < 0`` once the angle passes pi, so ``k =
+    floor((pi - alpha) / theta) + 1``; but 1 for a start more than half a
+    step below the guard, whose next sample may be below it too: the check
+    then starts at that sample, so a block never passes over it. A ``k``
+    past ``size``, or one that is not a number, is capped at ``size``.
+    """
+    alpha = math.atan2(start.real, start.imag)
+    if alpha < -0.5 * theta:
+        return 1
+    k = (math.pi - alpha) / theta
+    return int(k) + 1 if k < size else size
 
 
 def _crossing(w: complex, h: float, r_h: complex, t: float) -> tuple[float, complex]:
@@ -497,7 +521,8 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
     Requirements: those of `step_count`, among them ``0 < dt <= T/100`` and
     ``t_end`` a whole number of steps, so samples land exactly on the grid.
 
-    Each reflection costs one block multiply and comparison, a crossing
+    Each reflection costs one block multiply, the prediction of its step
+    from the turn angle and a read of the two samples around it, a crossing
     (`_crossing`: two `_step_factor` evaluations) and a reset (one more).
 
     Raises `RuntimeError`, from `_crossing` and naming the step, as soon as
@@ -511,17 +536,19 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
 
     h = dt / p.T
     r_h = _step_factor(h)
+    theta = -cmath.phase(r_h)  # the turn of one step
     # A block ends at the first reflection it contains, and the next
     # reflection is at most ceil(1/h) + 1 steps away, so longer tables are
     # never used: the blocks, and the samples, are those of a full table.
-    table = _step_powers(h, min(BLOCK_STEPS, n_steps, math.ceil(1.0 / h) + 1))
+    table = _step_powers(h, theta, min(BLOCK_STEPS, n_steps, math.ceil(1.0 / h) + 1))
+    size = table.size
 
     # w = (1 - V) + iU per sample, padded by one table so that every block is
     # a whole one, and the jumps of u as (sample, jump): 1 at the start, then
     # -2 U_ev on the first sample after each reflection.
-    w = np.empty(n_steps + 1 + table.size, dtype=np.complex128)
+    w = np.empty(n_steps + 1 + size, dtype=np.complex128)
     w[0] = 1j
-    below = np.empty(table.size, dtype=bool)
+    re = w.real
     jumps = [(0, 1.0)]
     events = []
 
@@ -530,14 +557,24 @@ def integrate(p: SystemParams, t_end: float, dt: float) -> Trajectory:
         # The whole block goes straight into w; the samples past a crossing
         # are overwritten by the reflected step and the next block, and those
         # past n_steps are dropped.
-        np.less(np.multiply(table, w[i], out=w[i + 1:i + 1 + table.size]).real, 0.0, out=below)
-        k = int(below.argmax())
-        if not below[k] or i + k >= n_steps:
-            i += table.size
+        start = w.item(i)
+        np.multiply(table, start, out=w[i + 1:i + 1 + size])
+        # Sample i+k is the block's first below the guard, or none is: the
+        # prediction, moved one sample at a time until the samples around it
+        # straddle the guard.
+        k = _predicted_step(start, theta, size)
+        while k > 1 and re[i + k - 1] < 0.0:
+            k -= 1
+        below = re[i + k] < 0.0
+        while not below and k < size:
+            k += 1
+            below = re[i + k] < 0.0
+        if not below or i + k > n_steps:
+            i += size
             continue
-        i += k
+        i += k - 1
         # Step i -> i+1 crosses the guard.
-        s, hit = _crossing(complex(w[i]), h, r_h, i * dt)
+        s, hit = _crossing(w.item(i), h, r_h, i * dt)
         events.append(i * dt + s * p.T)
         jumps.append((i + 1, -2.0 * hit.imag))
         w[i + 1] = _step_factor(h - s) * hit.conjugate()

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import json
 import math
@@ -415,8 +416,8 @@ def test_each_reflection_evaluates_the_step_polynomial_at_most_three_times(natur
     # One table per run. Each reflection located by the loop evaluates the
     # step polynomial R(-i pi s) three times at most: the crossing's linear
     # guess and one Newton step, then the reset. The trailing probe takes
-    # three at most, and the run R(-i pi h) once, besides the one evaluation
-    # each in `step_count`'s lag test and `_step_powers`' phase.
+    # three at most, and the run R(-i pi h) once, whose phase the table
+    # takes, besides the one evaluation in `step_count`'s lag test.
     params, _ = natural
     calls = {"_step_factor": 0, "_step_powers": 0}
     for name in calls:
@@ -430,7 +431,7 @@ def test_each_reflection_evaluates_the_step_polynomial_at_most_three_times(natur
     reflections = len(traj.jumps) - 1
     assert reflections >= 19
     assert calls["_step_powers"] == 1
-    assert calls["_step_factor"] <= 3 * reflections + 1 + 3 + 2
+    assert calls["_step_factor"] <= 3 * reflections + 1 + 3 + 1
 
 
 def _reference_integrate(p, t_end, dt):
@@ -441,7 +442,8 @@ def _reference_integrate(p, t_end, dt):
     ``(xi, V, chi, U, events, residuals)``, or raises `DivergenceError`."""
     n_steps = dynamics.step_count(p.T, t_end, dt)
     h = dt / p.T
-    table = dynamics._step_powers(h, min(dynamics.BLOCK_STEPS, n_steps, math.ceil(1.0 / h) + 1))
+    theta = -cmath.phase(dynamics._step_factor(h))
+    table = dynamics._step_powers(h, theta, min(dynamics.BLOCK_STEPS, n_steps, math.ceil(1.0 / h) + 1))
     w = np.empty(n_steps + 1, dtype=np.complex128)
     w[0] = 1j
     du = np.zeros(n_steps + 1)
@@ -482,7 +484,7 @@ def _reference_integrate(p, t_end, dt):
     M0=st.floats(0.1, 10.0),
     v0=st.floats(0.01, 0.9),
     T=st.floats(0.1, 10.0),
-    divisor=st.floats(100.0, 1000.0),
+    divisor=st.floats(100.0, 4000.0),
     periods=st.integers(1, 120),
     cut=st.one_of(st.none(), st.floats(0.0, 1.0)),
 )
@@ -501,6 +503,10 @@ def _reference_integrate(p, t_end, dt):
 @example(M0=2.3, v0=0.37, T=1.7, divisor=125.0, periods=1, cut=None)
 # a period of no whole number of steps
 @example(M0=1.0, v0=0.5, T=1.0, divisor=999.5, periods=5, cut=None)
+# grids finer than BLOCK_STEPS, whose blocks need not hold a crossing: at
+# T/1025 one block in a period, at T/4000 three of four
+@example(M0=1.0, v0=0.5, T=1.0, divisor=1025.0, periods=3, cut=None)
+@example(M0=1.0, v0=0.5, T=1.0, divisor=4000.0, periods=5, cut=None)
 def test_block_loop_matches_the_reference_loop_bitwise(M0, v0, T, divisor, periods, cut):
     # `per_draw.sample_params` ranges; half of the runs end at a random step. The
     # blocks are multiplied into views of w that need not be aligned, so a
@@ -527,6 +533,157 @@ def test_block_loop_matches_the_reference_loop_bitwise(M0, v0, T, divisor, perio
             _reference_integrate(params, n_steps * dt, dt)
         with pytest.raises(DivergenceError, match=re.escape(str(expected.value)) + " exceeds"):
             integrate(params, n_steps * dt, dt)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    v0=st.floats(0.01, 0.9),
+    T=st.floats(0.1, 10.0),
+    divisor=st.one_of(st.floats(100.0, 4000.0), st.sampled_from([101.7, 333.3, 999.5, 1025.0, 4000.0])),
+    periods=st.integers(1, 40),
+)
+def test_predicted_step_is_within_one_sample_of_the_first_below(v0, T, divisor, periods):
+    # For every block of the run, the turn angle predicts its first sample
+    # below the guard to within one sample, so the loop corrects it once at
+    # most; and the loop picks that sample, which a full scan of the block
+    # finds, or, if none is below, ends the block at its last sample. Replays
+    # the blocks from their starts: each is the run's sample there, bitwise.
+    params, _ = derive_kinematics(1.0, v0, 1.0, T)
+    dt = params.T / divisor
+    n_steps = max(1, round(periods * divisor))
+    blocks, crossings = [], []
+    predicted_step, crossing = dynamics._predicted_step, dynamics._crossing
+
+    def predict(start, theta, size):
+        k = predicted_step(start, theta, size)
+        blocks.append((start, theta, size, k))
+        return k
+
+    def record(w, h, r_h, t):
+        crossings.append(t)
+        return crossing(w, h, r_h, t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_predicted_step", predict)
+        mp.setattr(dynamics, "_crossing", record)
+        traj = integrate(params, n_steps * dt, dt)
+    h = dt / params.T
+    table = dynamics._step_powers(h, blocks[0][1], blocks[0][2])
+    steps, i = [], 0
+    for start, theta, size, k in blocks:
+        assert start == traj.w[i] and (theta, size) == blocks[0][1:3]
+        below = np.flatnonzero((table * start).real < 0.0) + 1
+        first = int(below[0]) if below.size else size
+        assert abs(k - first) <= 1
+        if below.size and i + first <= n_steps:
+            steps.append(i + first - 1)
+            i += first
+        else:
+            i += size
+    assert i >= n_steps
+    # the loop's crossings, then the trailing probe's, if any
+    assert crossings[:len(steps)] == [step * dt for step in steps]
+    assert crossings[len(steps):] in ([], [n_steps * dt])
+
+
+def test_predicted_step_from_a_start_on_or_below_the_guard():
+    # from the guard the next sample is below it; a start below the guard
+    # whose next sample is still below predicts that sample; a start just
+    # below it, as a reset can leave, predicts the next crossing; a state
+    # that is not a number is capped at the block's length
+    h = 1.0 / 250.0
+    theta = -cmath.phase(dynamics._step_factor(h))
+    table = dynamics._step_powers(h, theta, 251)
+    for start, first in ((complex(0.0, -1.0), 1), (complex(-1e-3, -1.0), 1), (complex(-3 * theta, 1.0), 1),
+                         (complex(-1e-12, 1.0), 251), (complex(0.0, 1.0), 251)):
+        k = dynamics._predicted_step(start, theta, 251)
+        assert k == first == int(np.flatnonzero((table * start).real < 0.0)[0]) + 1, start
+    for start in (complex(math.nan, 1.0), complex(math.nan, math.nan), complex(1.0, math.inf)):
+        assert dynamics._predicted_step(start, theta, 251) == 251
+
+
+@pytest.mark.parametrize("divisor", [250.0, 1025.0])
+@pytest.mark.parametrize("offset", [-3, -1, 1, 3])
+def test_a_prediction_off_by_some_samples_leaves_the_run_unchanged(natural, monkeypatch, divisor, offset):
+    # the prediction only starts the check, which moves it to the first
+    # sample below the guard, or to the block's last when none is below (at
+    # T/1025, one block in a period): the run keeps its bits
+    params, _ = natural
+    args = (params, 20.0 * params.T, params.T / divisor)
+    ref = integrate(*args)
+    predicted_step = dynamics._predicted_step
+    monkeypatch.setattr(dynamics, "_predicted_step",
+                        lambda start, theta, size: min(max(predicted_step(start, theta, size) + offset, 1), size))
+    run = integrate(*args)
+    assert run.w.tobytes() == ref.w.tobytes() and run.events.tobytes() == ref.events.tobytes()
+    assert run.jumps == ref.jumps
+
+
+def _skewed_reset(monkeypatch, turn):
+    """Make each located crossing hand the reset its state times ``turn``."""
+    crossing = dynamics._crossing
+
+    def skewed(w, h, r_h, t):
+        s, hit = crossing(w, h, r_h, t)
+        return s, hit * turn
+
+    monkeypatch.setattr(dynamics, "_crossing", skewed)
+
+
+def test_a_reset_below_the_guard_ends_the_run_at_the_next_step(natural, monkeypatch):
+    # A reset turned back by three steps leaves the next block's start and
+    # its first sample below the guard. The block's first sample below is
+    # its first, so the step from that start is located, and refused: it
+    # holds no crossing.
+    params, _ = natural
+    dt = params.T / 250.0
+    _skewed_reset(monkeypatch, cmath.exp(-3j * math.pi / 250.0))
+    with pytest.raises(RuntimeError, match=rf"^event location in the step at t={251 * dt} stopped at "):
+        integrate(params, 3.0 * params.T, dt)
+
+
+def test_a_reset_one_step_below_the_guard_ends_its_block_where_a_scan_does(natural, monkeypatch):
+    # A reset that leaves w one step below the guard, give or take a few
+    # ulps, puts the next block's first sample within rounding of the guard,
+    # on either side of it. The next step located is the one into that
+    # sample when the sample is below the guard, and a later one otherwise.
+    params, _ = natural
+    dt = params.T / 250.0
+    theta = -cmath.phase(dynamics._step_factor(1.0 / 250.0))
+    first = dynamics._step_powers(1.0 / 250.0, theta, 1)
+    start = -math.sin(theta)
+
+    class Located(Exception):
+        pass
+
+    seen = set()
+    for nudge in range(-6, 7):
+        target = complex(start + nudge * math.ulp(start), math.cos(theta))
+        resets = []
+
+        def located(w, h, r_h, t):
+            if resets:
+                raise Located(round(t / dt))
+            resets.append(t)
+            return h, target.conjugate()  # the reset's factor R(0) is 1: w = target
+
+        monkeypatch.setattr(dynamics, "_crossing", located)
+        with pytest.raises(Located) as step:
+            integrate(params, 3.0 * params.T, dt)
+        below = bool((first * target).real[0] < 0.0)
+        seen.add(below)
+        assert (step.value.args[0] == 251) == below, nudge
+    assert seen == {True, False}
+
+
+def test_a_reset_to_a_state_that_is_not_a_number_ends_the_run_at_the_guard(natural, monkeypatch):
+    # no sample after it is below the guard, so no block ends early, and the
+    # divergence guard stops the run at the first of them
+    params, _ = natural
+    dt = params.T / 250.0
+    _skewed_reset(monkeypatch, complex(math.nan, 0.0))
+    with pytest.raises(DivergenceError, match=rf"^first-integral residual nan at t={251 * dt} exceeds"):
+        integrate(params, 3.0 * params.T, dt)
 
 
 def _post_loop_fill(traj):
@@ -1103,17 +1260,22 @@ def test_svg_panel_memory_per_sample(natural_long, panel, tmp_path):
 
 
 def test_integrate_memory_is_linear_in_samples(natural):
+    # The working set: the state, 16 B per sample of the run and of the
+    # table that pads it; the divergence guard's two rows of ROW_BLOCK
+    # floats (a block's residuals, then their magnitudes); the table; and 32
+    # KiB plus 160 B per reflection for the rest, among them each jump of u
+    # (a tuple of an int and a float), each event time and their list slots.
+    # Traced peaks: T/1000 x 100 T 1,904,052 B, of which 1,616,032 state;
+    # T/125 x 200 T 685,364 (402,032); T/250 x 200 T 1,089,428 (804,032).
     params, _ = natural
-    integrate(params, t_end=params.T, dt=params.T / 1000.0)  # warm caches
-    tracemalloc.start()
-    try:
-        traj = integrate(params, t_end=100.0 * params.T, dt=params.T / 1000.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    output = traj.samples.nbytes + _row(traj, "residual").nbytes
-    assert len(traj.samples) == 100001
-    assert peak <= 4 * output
+    for divisor, periods in ((1000, 100), (125, 200), (250, 200)):
+        args = (params, periods * params.T, params.T / divisor)
+        n_steps = periods * divisor
+        table = min(dynamics.BLOCK_STEPS, divisor + 1)
+        reflections = len(integrate(*args).jumps) - 1
+        assert reflections == periods - 1
+        budget = 16 * (n_steps + 1 + table) + 2 * 8 * dynamics.ROW_BLOCK + 16 * table + 32 * 1024 + 160 * reflections
+        assert _traced_peak(integrate, *args) <= budget, divisor
 
 
 def _read_off(y, w, s):
@@ -1131,7 +1293,8 @@ def test_step_map_is_rk4():
     h = 1e-2
     y = np.array([0.3, 0.8, 0.05, -0.6, 1.0])
     w = complex(1.0 - y[1], y[3])
-    for s, factor in ((h, dynamics._step_powers(h, 3)[0]), (0.37 * h, dynamics._step_factor(0.37 * h))):
+    table = dynamics._step_powers(h, -cmath.phase(dynamics._step_factor(h)), 3)
+    for s, factor in ((h, table[0]), (0.37 * h, dynamics._step_factor(0.37 * h))):
         k1 = GENERATOR @ y
         k2 = GENERATOR @ (y + 0.5 * s * k1)
         k3 = GENERATOR @ (y + 0.5 * s * k2)
@@ -1293,9 +1456,9 @@ def test_power_table_of_one_period_keeps_the_blocks(natural, monkeypatch):
     sizes = []
     full_table = dynamics._step_powers
 
-    def full(h, size):
+    def full(h, theta, size):
         sizes.append(size)
-        return full_table(h, min(dynamics.BLOCK_STEPS, 200 * 125))
+        return full_table(h, theta, min(dynamics.BLOCK_STEPS, 200 * 125))
 
     monkeypatch.setattr(dynamics, "_step_powers", full)
     full_run = integrate(*args)

@@ -11,7 +11,9 @@ turn unpacked or copied into the same scratch directory:
   ``v0`` sweep at 0.5, 1 and 2 times the preset's ``v0``, on each of the
   three presets;
 - ``simulate --format svg`` on the natural preset over 50 T at
-  dt = T/999.5, a period of no whole number of steps;
+  dt = T/999.5, a period of no whole number of steps, and over 20 T at
+  dt = T/4000, a grid finer than ``BLOCK_STEPS``, whose blocks need not
+  hold a reflection;
 - the config of each benchmark workload (``bench/workloads.py``) at seeds
   1, 2 and 3.
 
@@ -88,14 +90,17 @@ el_config = root + ".el.json"  # beside root, so that only outputs are compared
 with open(el_config, "w") as fh:
     json.dump({"outputs": {"el_residuals": True}}, fh)
 # 50 T at T/999.5: a period of no whole number of steps, so each reflection
-# falls at another phase of its step
+# falls at another phase of its step; 20 T at T/4000: three blocks of four
+# hold no reflection
 T = cli.builtin_presets()["natural"]["parameters"]["T"]
-off_grid_config = root + ".off-grid.json"
-with open(off_grid_config, "w") as fh:
-    json.dump({"simulation": {"dt": T / 999.5, "t_end": 50 * T}}, fh)
-off_grid = "natural.simulate-svg-off-grid"
-cases = [(off_grid, ["simulate", "--format", "svg", "--config", off_grid_config, "--preset", "natural",
-                     "--out", os.path.join(root, off_grid)])]
+cases = []
+for name, divisor, periods in (("off-grid", 999.5, 50), ("fine", 4000, 20)):
+    grid_config = root + f".{name}.json"
+    with open(grid_config, "w") as fh:
+        json.dump({"simulation": {"dt": T / divisor, "t_end": periods * T}}, fh)
+    case = f"natural.simulate-svg-{name}"
+    cases.append((case, ["simulate", "--format", "svg", "--config", grid_config, "--preset", "natural",
+                         "--out", os.path.join(root, case)]))
 for preset in ("natural", "electron-1e6", "electron-atomic"):
     config = cli.builtin_presets()[preset]
     dt = config["simulation"]["dt"]  # T/1000
