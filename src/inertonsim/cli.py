@@ -7,8 +7,8 @@ Subcommands:
     check      run the verification suite, exit nonzero on any failure
     sweep      repeat a simulation along one parameter axis
 
-Configuration is a JSON file with four sections (all except ``parameters``
-optional):
+Configuration is a JSON file with four sections and two top-level values,
+``units`` and ``seed`` (all except ``parameters`` optional):
 
     units        "natural" or "si", a declarative label
     parameters   M0, v0, c, and exactly one of T or h
@@ -317,7 +317,10 @@ def _metadata(config, command, extra=None):
     return meta
 
 
-def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
+def _run_simulation(params, resolved, out_dir, fmt):
+    """Run one simulation and write its files into ``out_dir``; returns
+    ``derived`` (the ``derived`` block of its metadata.json) and the written
+    paths."""
     # compute and render every file before the first write: a ValueError or RuntimeError leaves out_dir untouched
     sim = resolved["simulation"]
     outs = resolved["outputs"]
@@ -341,7 +344,7 @@ def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
                 bad = ~np.isfinite(report.residuals)
                 if bad.any():
                     raise ValueError(f"{coord} residual is not finite at t={report.times[bad][0]:.6g}")
-                files.append((f"el_{coord}.csv", lambda path, report=report: write_el_csv(report, path)))
+                files.append((f"el_{coord}.csv", functools.partial(write_el_csv, report)))
         except ValueError as exc:
             raise ConfigError(f"outputs.el_residuals: {exc}") from None
 
@@ -360,21 +363,17 @@ def _run_simulation(params, resolved, out_dir, fmt, quiet=False):
         },
     }
     files.append(("metadata.json", _json("metadata.json", _metadata(resolved, "simulate", derived))))
-    written = _write_files(out_dir, files)
-    if not quiet:
-        print(
-            f"simulate: {derived['n_samples']} samples, {derived['n_events']} events, "
-            f"max oracle error {derived['max_oracle_error']:.3e}, "
-            f"max invariant residual {derived['max_invariant_residual']:.3e}"
-        )
-        for path in written:
-            print(f"  wrote {path}")
-    return traj, derived
+    return derived, _write_files(out_dir, files)
 
 
 def cmd_simulate(ns):
     params, _, resolved = resolve_config(_gather_config(ns))
-    _run_simulation(params, resolved, ns.out, ns.format)
+    derived, written = _run_simulation(params, resolved, ns.out, ns.format)
+    print(f"simulate: {derived['n_samples']} samples, {derived['n_events']} events, "
+          f"max oracle error {derived['max_oracle_error']:.3e}, "
+          f"max invariant residual {derived['max_invariant_residual']:.3e}")
+    for path in written:
+        print(f"  wrote {path}")
     return 0
 
 
@@ -503,7 +502,7 @@ def cmd_sweep(ns):
             if action == math.inf:
                 raise ValueError(f"the cyclic action M v0^2 T overflows a float (M = {params.M:.6g}, "
                                  f"v0 = {params.v0:.6g}, T = {params.T:.6g})")
-            _, derived = _run_simulation(params, resolved, sub, ns.format, quiet=True)
+            derived, _ = _run_simulation(params, resolved, sub, ns.format)
             row = {
                 "max_oracle_error": derived["max_oracle_error"],
                 "max_invariant_residual": derived["max_invariant_residual"],

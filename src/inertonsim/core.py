@@ -117,7 +117,8 @@ def derive_kinematics(M0, v0, c, T) -> tuple[SystemParams, DerivedKinematics]:
             M0=M0, m0=m0, v0=v0, c=c, T=T,
             lam=v0 * T, Lam=c * T, M=_moving_mass(M0, beta2), m=_moving_mass(m0, beta2),
         )
-        kin = DerivedKinematics(*_kinematics(params.M, v0, T))
+        M = params.M
+        kin = DerivedKinematics(1.0 / (2.0 * T), 1.0 / T, 0.5 * M * v0 * v0, M * v0, v0 * (1.0 - 2.0 / math.pi))
     fields = {**vars(params), **vars(kin)}
     if draws:
         # the conditions of `_validate_base`, the underflow loop and the finiteness loop
@@ -136,12 +137,6 @@ def derive_kinematics(M0, v0, c, T) -> tuple[SystemParams, DerivedKinematics]:
         if not math.isfinite(value):
             raise ValueError(f"{name} = {value} is not finite for M0={M0}, v0={v0}, c={c}, T={T}")
     return params, kin
-
-
-def _kinematics(M, v0, T):
-    """The `DerivedKinematics` fields from floats or from arrays of
-    ``M, v0, T``; each is rounded alike in both."""
-    return 1.0 / (2.0 * T), 1.0 / T, 0.5 * M * v0 * v0, M * v0, v0 * (1.0 - 2.0 / math.pi)
 
 
 def _beta2(v0, c):

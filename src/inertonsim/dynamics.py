@@ -232,16 +232,16 @@ class Trajectory:
         starts, cum = self._segments
         return np.repeat(cum, np.diff(np.clip(starts, lo, hi)))  # each segment's samples in the slice
 
-    def rows(self, lo: int, hi: int, names=ROWS, out=None) -> np.ndarray:
+    def rows(self, lo: int, hi: int, names=ROWS) -> np.ndarray:
         """The rows ``names`` (of `ROWS`) of samples ``lo`` to ``hi - 1``,
-        derived from ``w`` by `_rows`, into ``out`` if given. Only for
-        ``xi`` are ``tau`` and ``u`` built, ``u`` by `_u` into the row of
-        ``xi``, so that no block holds both as temporaries."""
+        derived from ``w`` by `_rows` into a new array. Only for ``xi`` are
+        ``tau`` and ``u`` built, ``u`` by `_u` into the row of ``xi``, so
+        that no block holds both as temporaries."""
         w = self.w[lo:hi]
         hi = lo + len(w)
         if "xi" not in names:
-            return _rows(w, None, None, names, out)
-        out = np.empty((len(names), len(w))) if out is None else out
+            return _rows(w, None, None, names)
+        out = np.empty((len(names), len(w)))
         u = out[names.index("xi")]  # `_rows` turns this row into xi in place
         u[...] = self._u(lo, hi)
         return _rows(w, u, _tau(lo, hi, self.dt, self.params.T), names, out)
@@ -251,7 +251,8 @@ class Trajectory:
         """The largest ``|residual|``, by the divergence guard's pass
         (`_guarded_max`, so a diverged state raises `DivergenceError`),
         which `integrate` has already made: it sets this value, so its run
-        derives every residual once."""
+        derives every residual once, for the guard, the CLI's reports and
+        the phase panel's bound."""
         return _guarded_max(self.w, self.dt)
 
     def columns(self) -> dict[str, np.ndarray]:

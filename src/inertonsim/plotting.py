@@ -17,12 +17,12 @@ but every period of the pair runs the same half circle and the same
 reflection chord. So it draws one period and the tail after the last
 reflection when they lie within ``B <= 0.005`` px of every sample, half the
 ``%.2f`` quantum of its points, and every sample otherwise. ``B`` is the sum
-of a radius term (the spread of the first-integral residual), an arc term
-(twice the linear-interpolation bound of the circle between samples) and a
-reflection-chord term (how far each reflection's pair of samples lies from
-the first one's); see `_period_bound`. Its axis ranges come from every
-sample, one block of rows at a time, so all but its points are the bytes of
-the full rendering.
+of a radius term (the largest first-integral residual, which the divergence
+guard's pass has measured), an arc term (twice the linear-interpolation
+bound of the circle between samples) and a reflection-chord term (how far
+each reflection's pair of samples lies from the first one's); see
+`_period_bound`. Its axis ranges come from every sample, one block of rows
+at a time, so all but its points are the bytes of the full rendering.
 """
 
 from __future__ import annotations
@@ -216,14 +216,15 @@ def trajectory_svg(traj, path) -> None:
     )
 
 
-def _period_bound(axes, h: float, residual: tuple[float, float], pairs: np.ndarray) -> float:
+def _period_bound(axes, h: float, residual: float, pairs: np.ndarray) -> float:
     """``B``: how far, in px, the phase panel's polyline through every
     sample can lie from the one through its first period and its tail.
 
     With ``a`` and ``b`` the panel's px per unit on x and y over ``axes``
     and ``s = max(a, b)``, ``B`` is the sum of
-    - the radius term ``s (max - min of the residual) / 2``, with
-      ``residual = (min, max)``: every sample lies that close to one circle;
+    - the radius term ``s residual``, with ``residual`` the largest
+      ``|residual|`` of the run: every sample lies within ``(max - min) / 2
+      <= residual`` of one circle;
     - the arc term ``s (pi h)^2 / 4``, for the step ``h`` in T: twice the
       linear-interpolation bound ``max|r''| D^2 / 8`` of a unit circle
       between samples ``D <= pi h`` apart;
@@ -240,7 +241,7 @@ def _period_bound(axes, h: float, residual: tuple[float, float], pairs: np.ndarr
     z = np.pi * h
     moved = pairs - pairs[0]
     chord = float(np.max(np.hypot(a * moved[..., 0], b * moved[..., 1])))
-    return s * (residual[1] - residual[0]) / 2.0 + s * z * z / 4.0 + chord
+    return s * residual + s * z * z / 4.0 + chord
 
 
 def phase_plane_svg(traj, path) -> None:
@@ -256,28 +257,30 @@ def phase_plane_svg(traj, path) -> None:
     ``k`` of ``traj.jumps``) and ``q_last`` that of the last reflection of
     the run. It draws every sample when fewer than two reflections lie in
     the run, when ``q_last <= q_1 + 1``, when a drawn value is not finite,
-    or when ``B`` is larger. The axis ranges, ``B``'s residual range and the
-    samples around each reflection come from one pass over every sample, one
-    block of `ROW_BLOCK` rows at a time, so all but the points are the bytes
-    of the full rendering; the drawn rows are derived one chunk of `_CHUNK`
-    samples at a time.
+    or when ``B`` is larger. The axis ranges and the samples around each
+    reflection come from one pass over every sample, one block of
+    `ROW_BLOCK` rows at a time, so all but the points are the bytes of the
+    full rendering; ``B``'s radius term reads `Trajectory.max_abs_residual`,
+    which `integrate`'s divergence guard has set (a trajectory that fails
+    the guard, which `integrate` never returns, raises `DivergenceError`
+    here). The drawn rows are derived one chunk of `_CHUNK` samples at a
+    time.
     """
     n = len(traj)
     q = [i for i, _ in traj.jumps[1:]]
     around = np.array([j for i in q for j in (i - 1, i)], dtype=np.intp)
     ends, pairs = [], []
     for lo in range(0, n, ROW_BLOCK):
-        V, U, residual = traj.rows(lo, lo + ROW_BLOCK, ("V", "U", "residual"))
+        V, U = traj.rows(lo, lo + ROW_BLOCK, ("V", "U"))
         x = np.subtract(1.0, V, out=V)
-        ends.append([*_ends(x, U), np.min(residual), np.max(residual)])
+        ends.append(_ends(x, U))
         at = around[np.searchsorted(around, lo):np.searchsorted(around, lo + len(x))] - lo
         pairs.append(np.stack([x[at], U[at]], axis=1))
-    ends = np.array(ends)
-    axes = _axes(ends[:, :4])
+    axes = _axes(ends)
     drawn = [(0, n)]
     if len(q) >= 2 and q[-1] > q[0] + 1 and np.isfinite(axes).all():
-        residual = (float(np.min(ends[:, 4])), float(np.max(ends[:, 5])))
-        bound = _period_bound(axes, traj.dt / traj.params.T, residual, np.concatenate(pairs).reshape(-1, 2, 2))
+        pairs = np.concatenate(pairs).reshape(-1, 2, 2)
+        bound = _period_bound(axes, traj.dt / traj.params.T, traj.max_abs_residual, pairs)
         if bound <= _PHASE_SLACK:
             drawn = [(0, q[0] + 1), (q[-1], n)]
 

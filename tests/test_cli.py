@@ -926,6 +926,31 @@ def test_simulate_peak_memory_per_step(tmp_path, fmt):
     assert peak <= 17 * 100_000 + 2 * 2**20
 
 
+def test_simulate_peak_memory_per_added_step(tmp_path):
+    # the fixed-size blocks cancel between two run lengths, so the 50,000
+    # steps that 100 T adds to 50 T cost 17 B each (the state w and the CSV's
+    # event flags) and at most 32 KiB more; each run is traced after one
+    # untraced run of its config. Peaks: about 2.24 and 3.10 MB (+17.3 B per
+    # added step).
+    import tracemalloc
+
+    pars = {"M0": 1.0, "v0": 1.0, "c": 10.0, "T": 1.0}
+    peaks = []
+    with contextlib.redirect_stdout(io.StringIO()):
+        for periods in (50, 100):
+            sim = {"dt": 1e-3, "t_end": periods}
+            cfg = write_cfg(tmp_path / f"{periods}.json", {"parameters": pars, "simulation": sim})
+            argv = ["simulate", "--format", "svg", "--config", cfg, "--out", str(tmp_path / str(periods))]
+            assert main(argv) == 0
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 17 * 50_000 + 32 * 1024, peaks
+
+
 def test_sweep_rejects_non_finite_values(tmp_path, capsys):
     assert run_cli(
         "sweep", "--preset", "natural", "--axis", "dt", "--values", "1e-3,nan", "--out", str(tmp_path)

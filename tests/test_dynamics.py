@@ -726,7 +726,7 @@ def _rows_case(case):
 @pytest.mark.parametrize("case", ["natural", "electron-1e6", "electron-atomic", "dense-T/100", "closed-form"])
 def test_rows_match_the_post_loop_fill_bitwise(case):
     # whole blocks, blocks that cut through each reflection, single rows, one
-    # slice past the end, and a selection of rows into a given buffer
+    # slice past the end, and a selection of rows in another order
     traj = _rows_case(case)
     n = len(traj.w)
     ref = _post_loop_fill(traj)
@@ -737,9 +737,7 @@ def test_rows_match_the_post_loop_fill_bitwise(case):
     for lo, hi in cuts:
         assert traj.rows(lo, hi).tobytes() == ref[:, lo:hi].tobytes(), (lo, hi)
     lo = traj.jumps[2][0] - 3
-    out = np.empty((2, 7))
-    assert traj.rows(lo, lo + 7, ("residual", "xi"), out=out) is out
-    assert out.tobytes() == ref[[4, 0], lo:lo + 7].tobytes()
+    assert traj.rows(lo, lo + 7, ("residual", "xi")).tobytes() == ref[[4, 0], lo:lo + 7].tobytes()
 
 
 def test_divergence_guard_catches_nan():
@@ -1205,6 +1203,25 @@ def test_phase_panel_cut_is_within_its_text_quantum(natural, periods, divisor, t
     full, cut = _phase_pair(natural, periods, divisor, tmp_path)
     assert len(cut) < len(full) // 5
     assert _hausdorff(_polyline(full), _polyline(cut)) <= 0.02
+
+
+def test_phase_panel_radius_term_is_the_runs_largest_residual(natural, tmp_path):
+    # B's radius term reads the residual that the divergence guard measured:
+    # at 0.1 it alone is 40 px, so the panel draws every sample
+    params, _ = natural
+    traj = integrate(params, t_end=100.0 * params.T, dt=params.T / 1000.0)
+    traj.max_abs_residual = 0.1  # the cached property, as integrate sets it
+    phase_plane_svg(traj, tmp_path / "phase.svg")
+    assert (tmp_path / "phase.svg").read_bytes() == _phase_full(traj, tmp_path / "full.svg")
+
+
+def test_phase_panel_refuses_a_trajectory_that_fails_the_guard(natural, tmp_path):
+    # states 1 % off the circle, which integrate never returns: the bound's
+    # max_abs_residual runs the divergence guard on them
+    params, _ = natural
+    traj = integrate(params, t_end=20.0 * params.T, dt=params.T / 1000.0)
+    with pytest.raises(DivergenceError, match="the run has diverged"):
+        phase_plane_svg(dataclasses.replace(traj, w=traj.w * 1.01), tmp_path / "phase.svg")
 
 
 @pytest.mark.parametrize("periods, divisor", [(50, 999.5), (20, 250), (20, 100), (1.5, 1000)])

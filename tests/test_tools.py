@@ -54,6 +54,9 @@ def test_src_lines_counts_options(tmp_path):
     header, row, total = proc.stdout.splitlines()
     assert header.split()[-1] == "options"
     assert row.split() == ["a.py", "2", "2", "0", "0", "0", "3"] and total.split()[1:] == row.split()[1:]
+    # --options names each of them, in its function's scope
+    proc = subprocess.run([sys.executable, SCRIPT, str(src), "--options"], capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["a.py:1 f(b)", "a.py:1 f(c)", "a.py:2 f.<lambda>(x)"]
     (src / "a.py").write_text("def f(a, b, *, c=2, d):\n    return a\n")
     (src / "b.py").write_text("def g(y=None):\n    return y\n")
     (src / "c.py").write_text(
@@ -68,6 +71,8 @@ def test_src_lines_counts_options(tmp_path):
     assert rows["b.py"][-3:] == [0, 1, 1]
     assert rows["c.py"][-3:] == [0, 3, 3]
     assert rows["total"][-3:] == [3, 5, 2]
+    proc = subprocess.run([sys.executable, SCRIPT, str(src), "--options"], capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["a.py:1 f(c)", "b.py:1 g(y)", "c.py:8 P.b", "c.py:14 Q.d", "c.py:19 S.f"]
 
 
 def _committed_copy(root):

@@ -1,7 +1,7 @@
 """Count the lines of ``src/`` by kind (code, docstring, comment and blank),
 and its options.
 
-    python tools/src_lines.py [ROOT] [--against REV]
+    python tools/src_lines.py [ROOT] [--against REV | --options]
 
 Standard library only. A docstring line is any line of a module, class or
 function docstring (found with `ast`); a comment line holds nothing but a
@@ -13,7 +13,11 @@ or a lambda, or a field with a default of a ``@dataclass`` (found with
 this script's directory) and the total. With ``--against REV`` each count
 is printed as the count of the files committed at git revision REV (read
 with ``git show``), the current count and the difference; a file missing on
-one side counts as zero lines and options there.
+one side counts as zero lines and options there. With ``--options`` it
+prints, in place of the table, one line per option of the current files, in
+file and line order: ``file:line function(parameter)``, the function named
+by its qualified name (``Class.method``, ``outer.<lambda>``), and a
+dataclass field as ``file:line Class.field``.
 """
 
 from __future__ import annotations
@@ -49,15 +53,29 @@ def is_dataclass(node: ast.ClassDef) -> bool:
     return any(getattr(t, "attr", getattr(t, "id", None)) == "dataclass" for t in targets)
 
 
-def count_options(tree: ast.AST) -> int:
-    """Parameters with a default in the functions and lambdas of ``tree``,
-    and fields with a default in its dataclasses."""
-    parameters = sum(len(a.defaults) + sum(d is not None for d in a.kw_defaults)
-                     for a in ast.walk(tree) if isinstance(a, ast.arguments))
-    fields = sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
-                 for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and is_dataclass(node)
-                 for stmt in node.body)
-    return parameters + fields
+def options(node: ast.AST, scope: str = "") -> list[tuple[int, str]]:
+    """``(line, name)`` of each option under ``node``, whose enclosing
+    qualified name is ``scope``: a parameter with a default of a function or
+    a lambda, as ``function(parameter)``, and a field with a default of a
+    dataclass, as ``Class.field``."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            name = scope + getattr(child, "name", "<lambda>")
+            if isinstance(child, ast.ClassDef):
+                if is_dataclass(child):
+                    found += [(stmt.lineno, f"{name}.{stmt.target.id}") for stmt in child.body
+                              if isinstance(stmt, ast.AnnAssign) and stmt.value is not None]
+            else:
+                a = child.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                found += [(arg.lineno, f"{name}({arg.arg})") for arg in defaulted]
+            found += options(child, name + ".")
+        else:
+            found += options(child, scope)
+    return sorted(found, key=lambda option: option[0])  # stable: a line keeps its parameters' order
 
 
 def count(source: str) -> dict[str, int]:
@@ -83,7 +101,7 @@ def count(source: str) -> dict[str, int]:
             kind = "code"
         counts[kind] += 1
         counts["lines"] += 1
-    counts["options"] = count_options(tree)
+    counts["options"] = len(options(tree))
     return counts
 
 
@@ -101,8 +119,15 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description="Count the lines of src/ by kind, and its options.")
     ap.add_argument("root", nargs="?", type=pathlib.Path,
                     default=pathlib.Path(__file__).resolve().parent.parent / "src")
-    ap.add_argument("--against", metavar="REV", help="also print the counts at git revision REV and the difference")
+    which = ap.add_mutually_exclusive_group()
+    which.add_argument("--against", metavar="REV", help="also print the counts at git revision REV and the difference")
+    which.add_argument("--options", action="store_true", help="list each option as file:line function(parameter)")
     ns = ap.parse_args(argv)
+    if ns.options:
+        for path in sorted(ns.root.rglob("*.py")):
+            for line, name in options(ast.parse(path.read_text())):
+                print(f"{path.relative_to(ns.root).as_posix()}:{line} {name}")
+        return 0
     now = {path.relative_to(ns.root).as_posix(): count(path.read_text()) for path in ns.root.rglob("*.py")}
     try:
         sides = [counts_at(ns.root, ns.against), now] if ns.against else [now]
