@@ -19,6 +19,16 @@ writes its slots as three uint64 words straight into the buffer's strided
 columns, and makes its digits four at a time in a word's byte lanes
 (`_lane_table`).
 
+Beside its values, a chunk pays a fixed cost: the hundred or so numpy calls
+of its passes, each 0.3-1 µs before its values count. On a 16-row block of
+the trajectory CSV (x86-64, numpy 2.4) `rows` with `g17` takes about 70 µs; it
+took about 115 µs while the chunk path called numpy's Python-level
+wrappers (``np.moveaxis``, ``np.flatnonzero``, ``np.take``, 1-5 µs each),
+gathered the decade's tables five times and counted digits in two passes.
+So the kernels use views and ndarray methods, gather `_pow10_table` once
+by row for the product and once for the layout, and count a value's digits
+in one pass (`_digit_count`).
+
 The digits come from wide arithmetic. ``%.17g`` needs ``round(|v| 10^k)``
 for the ``k`` that puts it in ``[1e16, 1e17)``; the decade comes from the
 binary exponent and one threshold per binade, and the product is formed in
@@ -45,9 +55,12 @@ import numpy as np
 __all__ = ["CHUNK_ROWS", "g17", "f2", "rows", "write_csv"]
 
 # Values rendered per chunk by `write_csv` (``CHUNK_ROWS // k`` rows of
-# ``k`` columns): enough to amortise the per-call cost of the numpy passes,
-# few enough that a chunk's temporaries stay a few hundred KB however long
-# the run.
+# ``k`` columns): enough to amortise the fixed cost of a chunk's numpy
+# calls, few enough that a chunk's temporaries stay a few hundred KB however
+# long the run. With `Trajectory.as_arrays` that fixed cost is about 85 µs
+# of the 1.0-1.3 ms of a trajectory chunk (it was about 140 µs). Twice as
+# many values per chunk made a `simulate` op about 3 % faster, but raised
+# its peak RSS by 1.4 MB and broke the per-step memory budget of `simulate`.
 CHUNK_ROWS = 8192
 
 _EPS = np.finfo(np.float64).eps          # 2u, u the unit roundoff of float64
@@ -84,9 +97,8 @@ def _frozen(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @functools.cache
 def _pow10_table() -> tuple[np.ndarray, ...]:
-    """``thr`` by binade, ``k`` and ``scale`` by row, and ``scaled`` and
-    ``layout`` by ``k``, built on first use (about 10 ms), never at
-    import.
+    """``thr`` by binade, and ``scaled`` and ``layout`` by row, built on
+    first use (about 10 ms), never at import.
 
     A double ``a = m 2^q`` (``m`` in ``[0.5, 1)``, by `np.frexp`) lies in
     the decade ``e0`` of ``2^(q-1)``, or in ``e0 + 1`` where ``m >=
@@ -94,16 +106,18 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
     the binade holds no power of ten); its row is ``2 (q - _Q_MIN)`` plus
     that bit. A value the threshold's rounding puts in the wrong decade
     gets a ``D`` outside `_round17`'s range, so it goes to Python. For the
-    row's decade ``e``, ``k[row]`` is ``16 - e - _K_MIN`` and ``scale[row]``
-    is ``2^(q+b)`` (NaN for a three-digit exponent), where ``10^(16-e) =
-    2^b (hi + lo)`` with ``hi`` the double nearest the mantissa in ``[1,
-    2]`` and ``lo`` the double nearest the remainder, both from exact
-    integer division. ``scaled`` holds ``hi, hi_head, hi_tail, lo``, with
-    ``hi_head + hi_tail`` Dekker's split of ``hi``. ``layout`` packs the
-    decade's `_layout_tables` row for 9 digits (bytes 0-1), the fraction
-    digits' shift in bits (byte 2) and the exponent suffix at its place in
-    the last slot word (bytes 3-6; none where ``%g`` uses fixed notation,
-    -4 <= e <= 16).
+    row's decade ``e``, ``10^(16-e) = 2^b (hi + lo)`` with ``hi`` the double
+    nearest the mantissa in ``[1, 2]`` and ``lo`` the double nearest the
+    remainder, both from exact integer division. ``scaled[:, row]`` holds
+    ``hi``, ``hi_head``, ``hi_tail`` and ``lo``, with ``hi_head +
+    hi_tail`` Dekker's split of ``hi``, each times ``2^(q+b)`` (NaN for a
+    three-digit exponent), so that one gather by row gives all four.
+    Scaling by a power of two is exact wherever ``D`` falls in range, so
+    each step of `_round17`'s product is the unscaled one times ``2^(q+b)``
+    there. ``layout[row]`` packs the decade's `_layout_tables` row for no
+    digits (bytes 0-1), the exponent suffix at its place in the last slot
+    word (bytes 3-6; none where ``%g`` uses fixed notation, -4 <= e <= 16)
+    and the fraction digits' shift in bits (byte 7).
     """
     b = np.empty(_K_MAX - _K_MIN + 1, dtype=np.int64)
     hi = np.empty(len(b))
@@ -120,46 +134,48 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
         lo[row] = (num * one - int(hi[row] * one) * den) / (den * one)
     c = _SPLIT * hi
     head = c - (c - hi)
-    scaled = np.stack([hi, head, hi - head, lo], axis=1)
     e = 16 - np.arange(_K_MIN, _K_MAX + 1)                   # the decade of each k
     suffix = [b"" if -4 <= x <= 16 or abs(x) >= 100 else b"e%+03d" % x for x in e.tolist()]
     exponent = np.frombuffer(b"".join(b"\0\0\0" + x.ljust(5, b"\0") for x in suffix), dtype=np.uint64)
     fixed = (e >= -4) & (e <= 16)
     cls = np.where(fixed, np.where(e >= 0, e, 16 - e), 0)
     shift = np.where(fixed & (e < 0), 48, 16)
-    layout = exponent | (cls * 18 + 9 | shift << 16).astype(np.uint64)
+    layout = exponent | (cls * 18 | shift << 56).astype(np.uint64)
 
     q = np.arange(_Q_MIN, _Q_MAX + 1)
     e0 = np.floor((q - 1) * _LOG10_2).astype(np.int64)       # the decade of 2^(q-1)
     thr = np.full(len(q), 2.0)                                # never reached
-    for i in np.flatnonzero(np.ceil(q * _LOG10_2) - 1 > e0).tolist():   # 10^(e0+1) < 2^q
+    for i in (np.ceil(q * _LOG10_2) - 1 > e0).nonzero()[0].tolist():   # 10^(e0+1) < 2^q
         x, e = int(q[i]), int(e0[i]) + 1
         thr[i] = (10 ** max(e, 0) << max(-x, 0)) / (10 ** max(-e, 0) << max(x, 0))   # correctly rounded
     k = np.clip(16 - np.stack([e0, e0 + 1], axis=1).ravel(), _K_MIN, _K_MAX) - _K_MIN
     with np.errstate(over="ignore"):
         scale = np.ldexp(1.0, np.clip(np.repeat(q, 2) + b[k], -1100, 1100).astype(np.intc))
-    scale[np.abs(16 - _K_MIN - k) >= 100] = np.nan
-    return _frozen(thr, k, scale, scaled, layout)
+        scale[np.abs(16 - _K_MIN - k) >= 100] = np.nan
+        scaled = np.stack([hi[k], head[k], (hi - head)[k], lo[k]]) * scale
+    return _frozen(thr, scaled, layout[k])
 
 
 @functools.cache
 def _layout_tables() -> np.ndarray:
     """The words of a `g17` slot, by layout row ``cls * 18 + nd``, plus
     `_ROWS` for a negative value, built on first use: ``[w]`` holds, for
-    slot word ``w``, the mask of the integer digits, the mask of the
-    fraction digits and the constant bytes.
+    slot word ``w``, three rows over the layout rows: the mask of the
+    integer digits, the mask of the fraction digits and the constant bytes,
+    so that one gather by layout row gives all three.
 
     ``nd`` counts the digits up to the last nonzero one. The slot has the
     separator in byte 23. Class ``cls = p`` (0-16) has the sign in byte 0
     and puts digit ``j <= p`` at byte ``1 + j``, the point, if any digit
     follows, at ``p + 2`` and digit ``j > p`` at ``2 + j``: fixed notation
     with ``p`` the decade, and the exponent form with ``p = 0`` and its
-    suffix in bytes 19-22. Class ``17 + z`` (decade ``-1 - z``) ends the
-    sign, ``0.`` and ``z`` zeros at byte 5, so that the NULs before them
-    run on from the previous slot's (one run fewer for the deletion), and
-    puts digit ``j`` at byte ``6 + j``, all as fraction digits. The
-    constant bytes carry the sign, and ASCII ``0`` under each digit, so one
-    OR makes the digit lanes text.
+    suffix in bytes 19-22, which the fraction mask of class 0 takes in as
+    well, so that the suffix rides with the fraction digits. Class ``17 +
+    z`` (decade ``-1 - z``) ends the sign, ``0.`` and ``z`` zeros at byte 5,
+    so that the NULs before them run on from the previous slot's (one run
+    fewer for the deletion), and puts digit ``j`` at byte ``6 + j``, all as
+    fraction digits. The constant bytes carry the sign, and ASCII ``0``
+    under each digit, so one OR makes the digit lanes text.
     """
     text = np.zeros((3, 2 * _ROWS, 24), dtype=np.uint8)
     integer, fraction, const = text
@@ -181,10 +197,8 @@ def _layout_tables() -> np.ndarray:
     const[_ROWS:] |= const[:_ROWS]
     const |= (integer | fraction) & ord("0")
     const[:, 23] = ord(",")
-    # by slot word, rows of four words (one numpy take each): mask, mask, const, 0
-    table = np.zeros((3, 2 * _ROWS, 4), dtype=np.uint64)
-    table[..., :3] = text.view(np.uint64).transpose(2, 1, 0)
-    return _frozen(table)[0]
+    fraction.reshape(2, 21, 18, 24)[:, 0, :, 19:23] = 0xFF   # class 0's exponent suffix
+    return _frozen(np.ascontiguousarray(text.view(np.uint64).transpose(2, 0, 1)))[0]
 
 
 @functools.cache
@@ -204,7 +218,7 @@ def _digits8(x: np.ndarray) -> np.ndarray:
     quads = np.empty((2, *x.shape), dtype=np.uint64)
     np.floor_divide(x, 10000, out=quads[0])
     np.subtract(x, quads[0] * 10000, out=quads[1])
-    lanes = np.take(_lane_table(), quads.view(np.intp), out=quads, mode="clip")
+    lanes = _lane_table().take(quads.view(np.intp), out=quads, mode="clip")
     lanes[1] <<= 32
     return lanes[0] | lanes[1]
 
@@ -222,18 +236,27 @@ def _digits17(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lead, hi, lo
 
 
-def _byte_length(w: np.ndarray) -> np.ndarray:
-    """Bytes up to and including the highest nonzero byte of each word.
+def _digit_count(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Digits up to and including the last nonzero one of the 17 that
+    `_digits17` gives, digit 0 nonzero: those of the lanes of ``hi`` (1-8)
+    and of ``lo`` (9-16), or 1.
 
-    A word of digit lanes is below 10 * 2^(8 (n - 1)), far from the next
-    power of two, so rounding it to float64 keeps its bit length."""
-    return (np.frexp(w.astype(np.float64))[1] + 7) >> 3
+    A word of digit lanes is below 10 * 2^(8 (n - 1)), with ``n`` its bytes
+    up to the highest nonzero one, far from the next power of two. So the
+    float64 ``lo + hi 2^-64 + 2^-72`` has the bit length of ``lo``, or where
+    ``lo`` is zero that of ``hi`` less 64, or where both are zero that of
+    ``2^-72``, which counts one digit: neither the rounding nor the smaller
+    terms reach the next power of two."""
+    x = lo.astype(np.float64)
+    x += hi * 2.0**-64
+    x += 2.0**-72
+    return (np.frexp(x)[1] + 79) >> 3
 
 
 def _round17(a: np.ndarray):
     """``(D, lay, ok)`` with ``D = round(a 10^(16-e))`` in ``[1e16, 1e17)``
     for the decade ``e`` of each ``a >= 0``, and ``lay`` its `_pow10_table`
-    layout row.
+    layout word.
 
     ``S = p 2^(q+b)`` is an integer (``p`` has 53 bits and ``q + b >=
     53``), so ``D`` is ``S`` plus the rounded low part ``r``. ``ok`` is
@@ -241,18 +264,18 @@ def _round17(a: np.ndarray):
     ``D`` is not in ``[1e16 + 1, 1e17 - 1]``: there ``D`` means nothing. A
     decade off by one, a zero, an infinity or NaN gives such a ``D``, and
     so does a value that rounds to a power of ten; a three-digit exponent
-    gives a NaN scale.
+    gives NaN table entries.
     """
-    thr, decades, scales, scaled, layout = _pow10_table()
-    m, q = np.frexp(a)                                   # a = m 2^q exactly
-    row = q.astype(np.intp)
+    thr, scaled, layout = _pow10_table()
+    m, row = np.frexp(a)                                 # a = m 2^q exactly
+    row = row.astype(np.intp)
     row -= _Q_MIN
     bit = m >= thr[row]
     row += row
     row += bit
-    k = decades[row]
-    hi, hh, hl, lo = np.moveaxis(np.take(scaled, k, axis=0), -1, 0)
-    scale = scales[row]
+    hi, hh, hl, lo = scaled.take(row, axis=1)           # each times 2^(q+b)
+    lay = layout[row]
+    del bit, row                                         # freed before the product's temporaries
     with np.errstate(all="ignore"):                      # zeros, infinities and NaN
         mh = _SPLIT * m
         mh -= mh - m
@@ -269,15 +292,13 @@ def _round17(a: np.ndarray):
         r = np.multiply(m, lo, out=t)
         del hi, hh, hl, lo, mh, ml                       # the rows of the table, freed
         r += err
-        r *= scale
-        p *= scale
         D = p.astype(np.int64)
         rr = np.rint(r)
         D += rr.astype(np.int64)
         r -= rr
         ok = np.abs(r, out=r) < 0.5 - _G17_WINDOW
         ok &= (D - _D_MIN).view(np.uint64) <= _D_SPAN
-    return D.view(np.uint64), layout[k], ok
+    return D.view(np.uint64), lay, ok
 
 
 def _fallback(text: np.ndarray, v: np.ndarray, ok: np.ndarray, fmt: str, slot: int) -> np.ndarray:
@@ -285,7 +306,7 @@ def _fallback(text: np.ndarray, v: np.ndarray, ok: np.ndarray, fmt: str, slot: i
     of the ``(n, k)`` block ``v`` that is not ``ok``. ``text`` holds ``k``
     slots of ``slot`` bytes at the start of each row; if one rendering
     needs more bytes, every slot widens, in a copy that is returned."""
-    idx = np.flatnonzero(~ok)
+    idx = (~ok).ravel().nonzero()[0]
     if not idx.size:
         return text
     n, k = v.shape
@@ -303,16 +324,14 @@ def _fallback(text: np.ndarray, v: np.ndarray, ok: np.ndarray, fmt: str, slot: i
     return text
 
 
-def _put(word: np.ndarray, sel: np.ndarray, w: int, integer: np.ndarray, fraction: np.ndarray, extra=None) -> None:
-    """Write slot word ``w`` of layout rows ``sel`` into ``word``: the
-    integer and fraction digit lanes under their masks, ``extra`` (the
-    exponent suffix) and the constant bytes."""
-    mask_i, mask_f, const, _ = np.moveaxis(np.take(_layout_tables()[w], sel, axis=0), -1, 0)
+def _put(word: np.ndarray, parts: np.ndarray, integer: np.ndarray, fraction: np.ndarray) -> None:
+    """Write a slot word into ``word``: the integer and fraction digit
+    lanes under their masks and the constant bytes, ``parts``, the rows of
+    one slot word of `_layout_tables` gathered by layout row."""
+    mask_i, mask_f, const = parts
     integer &= mask_i
     fraction &= mask_f
     integer |= fraction
-    if extra is not None:
-        integer |= extra
     np.bitwise_or(integer, const, out=word)
 
 
@@ -326,29 +345,29 @@ def g17(v: np.ndarray, text: np.ndarray) -> np.ndarray:
     """
     # the cached tables are built together on first use, before any of the
     # block's temporaries, so that they pin no freed heap between them
-    _pow10_table(), _layout_tables(), _lane_table()
+    _pow10_table()
+    table = _layout_tables()
+    _lane_table()
     n, k = v.shape
     words = text.view(np.uint64)[:, :3 * k].reshape(n, k, 3)
     D, lay, ok = _round17(np.abs(v))
     lead, hi, lo = _digits17(D)
     del D
-    # the layout row: the decade's, the digits up to the last nonzero one
-    # (9 plus those of ``lo``), the sign
+    # the layout row: the decade's, the digits up to the last nonzero one, the sign
     sel = (lay & 0xFFFF).view(np.intp)
-    sel += _byte_length(lo)
+    sel += _digit_count(hi, lo)
     sel += np.signbit(v) * _ROWS
-    zero = np.flatnonzero(lo == 0)                       # at most 9 digits
-    if zero.size:
-        hi_z = hi.ravel()[zero]
-        sel.ravel()[zero] += np.where(hi_z != 0, 1 + _byte_length(hi_z), lead.ravel()[zero] != 0) - 9
     # digit j at byte 1 + j as an integer digit, and at byte j plus the
-    # class's shift as a fraction digit
-    a = (lay >> 16) & 0xFF
+    # class's shift as a fraction digit; digits 0-7 as one word
+    a = lay >> 56
     b = a + 8
     c = 56 - a
-    _put(words[..., 0], sel, 0, (lead << 8) | (hi << 16), (lead << a) | (hi << b))
-    _put(words[..., 1], sel, 1, (hi >> 48) | (lo << 16), (hi >> c) | (lo << b))
-    _put(words[..., 2], sel, 2, lo >> 48, lo >> c, lay & 0x00FFFFFFFF000000)     # the exponent suffix
+    lead |= hi << 8
+    _put(words[..., 0], table[0].take(sel, axis=1), lead << 8, lead << a)
+    _put(words[..., 1], table[1].take(sel, axis=1), (hi >> 48) | (lo << 16), (hi >> c) | (lo << b))
+    lay &= 0x00FFFFFFFF000000                            # the exponent suffix, a fraction lane of class 0
+    lay |= lo >> c
+    _put(words[..., 2], table[2].take(sel, axis=1), lo >> 48, lay)
     return _fallback(text, v, ok, "%.17g", _G17_SLOT)
 
 
@@ -394,8 +413,9 @@ def rows(render, block: np.ndarray, end: bytes = b"\n", tail=None) -> bytearray:
     if tail is None:
         text[:, -1] = ord(end)
     else:
-        text[:, -_TAIL] = np.asarray(tail) != 0
-        text[:, -_TAIL] += ord("0")
+        flag = text[:, -_TAIL]
+        np.not_equal(tail, 0, out=flag.view(np.bool_))
+        flag += ord("0")
         text[:, 1 - _TAIL] = ord(end)
     return (buf if text.shape[1] == width else bytearray(text)).translate(None, b"\0")
 

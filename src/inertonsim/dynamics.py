@@ -135,6 +135,8 @@ _STEP_COEFFS = tuple((-1j * math.pi) ** k / math.factorial(k) for k in range(5))
 # or array. The evaluators in `lagrangian` accept any of them.
 SAMPLE_FIELDS = ("t", "X", "dXdt", "x", "dxdt")
 SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in SAMPLE_FIELDS])
+# The float columns of the trajectory CSV (`Trajectory.as_arrays`).
+_CSV_COLUMNS = (*SAMPLE_FIELDS, "invariant_residual")
 # The rows that `Trajectory.rows` derives from ``w``: the dimensionless
 # columns, then the first-integral residual.
 ROWS = ("xi", "V", "chi", "U", "residual")
@@ -144,12 +146,10 @@ class DivergenceError(RuntimeError):
     """Raised when the first-integral residual leaves the trust region."""
 
 
-def _units(p: SystemParams, t, xi, V, chi, U, out=(None,) * 4) -> dict:
-    """The state at times ``t`` in physical units, from its dimensionless
-    columns: ``X = xi lam``, ``dXdt = V v0``, ``x = chi Lam``, ``dxdt = U c``,
-    into the four arrays ``out`` if given."""
-    scaled = (np.multiply(col, scale, out=o) for col, scale, o in zip((xi, V, chi, U), (p.lam, p.v0, p.Lam, p.c), out))
-    return dict(zip(SAMPLE_FIELDS, (t, *scaled)))
+def _scales(p: SystemParams) -> tuple[float, float, float, float]:
+    """The physical scale of each of the rows ``xi, V, chi, U``: ``X = xi
+    lam``, ``dXdt = V v0``, ``x = chi Lam``, ``dxdt = U c``."""
+    return p.lam, p.v0, p.Lam, p.c
 
 
 def _tau(lo: int, hi: int, dt: float, T: float) -> np.ndarray:
@@ -168,24 +168,26 @@ def _rows(w, u, tau, names, out=None) -> np.ndarray:
         U = Im w                      residual = (Re w)^2 + (Im w)^2 - 1
 
     Each is computed in this order, so a value keeps its bits whatever the
-    slice. ``u`` may be the row of ``xi`` itself.
+    slice. ``u`` may be the row of ``xi`` itself, and ``tau`` that of
+    ``residual``, which comes last.
     """
     out = np.empty((len(names), *w.shape)) if out is None else out
+    re, im = w.real, w.imag
     for j, name in enumerate(names):
         row = out[j, ...]
         if name == "xi":
-            np.subtract(w.imag, u, out=row)
+            np.subtract(im, u, out=row)
             row /= math.pi
             row += tau
         elif name == "V":
-            np.subtract(1.0, w.real, out=row)
+            np.subtract(1.0, re, out=row)
         elif name == "chi":
-            np.divide(w.real, math.pi, out=row)
+            np.divide(re, math.pi, out=row)
         elif name == "U":
-            row[...] = w.imag
+            row[...] = im
         else:
-            np.square(w.real, out=row)
-            row += np.square(w.imag)
+            np.square(re, out=row)
+            row += np.square(im)
             row -= 1.0
     return out
 
@@ -228,9 +230,11 @@ class Trajectory:
 
     def _u(self, lo: int, hi: int) -> np.ndarray:
         """``u`` of samples ``lo`` to ``hi - 1`` (``hi <= len(self)``), from
-        the jumps by `np.repeat`."""
+        the jumps by `numpy.ndarray.repeat`."""
         starts, cum = self._segments
-        return np.repeat(cum, np.diff(np.clip(starts, lo, hi)))  # each segment's samples in the slice
+        ends = np.maximum(starts, lo)  # each segment's samples in the slice
+        np.minimum(ends, hi, out=ends)
+        return cum.repeat(ends[1:] - ends[:-1])
 
     def rows(self, lo: int, hi: int, names=ROWS) -> np.ndarray:
         """The rows ``names`` (of `ROWS`) of samples ``lo`` to ``hi - 1``,
@@ -256,10 +260,11 @@ class Trajectory:
         return _guarded_max(self.w, self.dt)
 
     def columns(self) -> dict[str, np.ndarray]:
-        """Every row in physical units: a state whose fields, those of
-        `SAMPLE_FIELDS`, are arrays."""
+        """Every row in physical units (`_scales`): a state whose fields,
+        those of `SAMPLE_FIELDS`, are arrays."""
         n = len(self)
-        return _units(self.params, np.arange(n) * self.dt, *self.rows(0, n, ROWS[:4]))
+        scaled = [row * scale for row, scale in zip(self.rows(0, n, ROWS[:4]), _scales(self.params))]
+        return dict(zip(SAMPLE_FIELDS, (np.arange(n) * self.dt, *scaled)))
 
     @property
     def samples(self) -> np.ndarray:
@@ -273,15 +278,19 @@ class Trajectory:
 
     def as_arrays(self, rows: slice = slice(None), out=None) -> dict[str, np.ndarray]:
         """The columns ``t, X, dXdt, x, dxdt, invariant_residual`` of the
-        trajectory CSV for the rows ``rows`` (a slice), derived by one `rows`
-        call, written into the columns of ``out``, a ``(rows, 6)`` float
-        array, if given."""
+        trajectory CSV for the rows ``rows`` (a slice), written into the
+        columns of ``out``, a ``(rows, 6)`` float array, if given. `_rows`
+        derives them straight into their columns, with ``tau = t/T`` in the
+        residual's column until the residual replaces it, and each of the
+        four physical ones is then scaled in place (`_scales`), so the bits
+        are those of `rows` and `columns`."""
         lo, hi, _ = rows.indices(len(self))
-        xi, V, chi, U, residual = self.rows(lo, hi)
         cols = np.empty((6, hi - lo)) if out is None else out.T
-        t = np.multiply(np.arange(lo, hi), self.dt, out=cols[0])
-        cols[5] = residual
-        return {**_units(self.params, t, xi, V, chi, U, cols[1:5]), "invariant_residual": cols[5]}
+        t = np.multiply(np.arange(lo, hi, dtype=np.float64), self.dt, out=cols[0])
+        _rows(self.w[lo:hi], self._u(lo, hi), np.divide(t, self.params.T, out=cols[5]), ROWS, cols[1:])
+        for col, scale in zip(cols[1:5], _scales(self.params)):
+            col *= scale
+        return dict(zip(_CSV_COLUMNS, cols))
 
 
 # ---------------------------------------------------------------------------

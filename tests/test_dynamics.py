@@ -1276,6 +1276,24 @@ def test_svg_panel_memory_per_sample(natural_long, panel, tmp_path):
     assert _traced_peak(panel, natural_long, tmp_path / "panel.svg") <= 40 * len(natural_long)
 
 
+@pytest.mark.parametrize(
+    "writer, reading",
+    [(write_trajectory_csv, 1_469_606), (trajectory_svg, 831_540), (phase_plane_svg, 532_324)],
+    ids=["csv", "trajectory", "phase"],
+)
+def test_block_loop_peak_memory_stays_within_its_budget(writer, reading, tmp_path):
+    # Each writer that reads the run by block, on the run of
+    # test_simulate_peak_memory_per_step (M0 1, v0 1, c 10, T 1, T/1000 over
+    # 100 T), traced after one untraced call: its peak is at most the
+    # reading when the budget was set plus 32 KiB, far below one numpy
+    # buffer of 8,192 elements (64-128 KB) or a chunk-sized temporary. The
+    # CSV writer read 1,456,630-1,469,606 B then, and about 1,372,600 B
+    # since its chunks gather three layout words per value, not four.
+    params, _ = derive_kinematics(1.0, 1.0, 10.0, 1.0)
+    traj = integrate(params, t_end=100.0, dt=1e-3)
+    assert _traced_peak(writer, traj, tmp_path / "out") <= reading + 32 * 1024
+
+
 def test_integrate_memory_is_linear_in_samples(natural):
     # The working set: the state, 16 B per sample of the run and of the
     # table that pads it; the divergence guard's two rows of ROW_BLOCK

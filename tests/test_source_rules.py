@@ -8,6 +8,10 @@
 - ``_text.py`` imports only ``__future__``, ``functools`` and ``numpy``:
   the text kernels are numpy and the standard library alone, with no
   thread, no compiled extension and no other module of the package.
+- ``_text.py`` calls neither ``np.moveaxis`` nor ``np.flatnonzero``:
+  each is a Python-level wrapper that costs a chunk of the CSV writer
+  several times what its view (``.T``, a row-major table) or its ndarray
+  method (``.ravel().nonzero()[0]``) does.
 - Every name of ``inertonsim.__all__`` is loaded somewhere in ``src/``
   (outside its own definition and ``__all__``), ``demos/`` or ``bench/``:
   a public name that only the tests reach is code that no command, check,
@@ -23,6 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "inertonsim"
 # The only modules `_text.py` may import.
 TEXT_IMPORTS = {"__future__", "functools", "numpy"}
+# numpy's Python-level wrappers that `_text.py` may not call.
+TEXT_WRAPPERS = {"moveaxis", "flatnonzero"}
 # Exported names that only a test reaches, each with the test module and the
 # test that loads it: `shortened_action` is the reference of the cyclic action.
 TEST_ONLY_EXPORTS = {
@@ -46,6 +52,9 @@ def violations(source: str, name: str) -> list[str]:
             else:
                 modules = ["." * node.level + (node.module or "")]
             found += [(node.lineno, f"_text imports {m}") for m in modules if m.split(".")[0] not in TEXT_IMPORTS]
+        if name == "_text.py" and isinstance(node, ast.Attribute) and node.attr in TEXT_WRAPPERS:
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                found.append((node.lineno, f"_text calls np.{node.attr}"))
     return [f"{name}:{line}: {rule}" for line, rule in sorted(found)]
 
 
@@ -98,12 +107,15 @@ def test_the_rules_catch_each_violation():
     assert violations("d = traj.w\n", "dynamics.py") == []
     source = (
         "from __future__ import annotations\nimport math\nfrom . import core\nimport numpy, threading\n"
-        "import functools\n"
+        "import functools\nh, l = np.moveaxis(t, -1, 0)\ni = numpy.flatnonzero(~ok)\nj = x.flatnonzero\n"
+        "k = (~ok).ravel().nonzero()[0]\n"
     )
     assert violations(source, "_text.py") == [
         "_text.py:2: _text imports math",
         "_text.py:3: _text imports .",
         "_text.py:4: _text imports threading",
+        "_text.py:6: _text calls np.moveaxis",
+        "_text.py:7: _text calls np.flatnonzero",
     ]
     assert violations(source, "plotting.py") == []
     sources = {

@@ -30,23 +30,27 @@ and, when the counts match, the largest movement of a coordinate. The fields lis
 code of every case is compared too, with its last stderr line when the
 codes differ.
 
-After its cases, each tree's child runs each benchmark workload's op at
-seed 1 once more under `tracemalloc`, so with warm caches: ``simulate-long``
-(``simulate --format svg`` over 100 T at dt = T/1000, with the trajectory
-CSV), ``sweep-coarse`` (four runs of 200 T, T/125 to T/250) and
-``check-all``. The traced peak of each op is printed per tree, in bytes and,
-for the ops whose steps the workload states, per integration step, with the
-difference between the trees. tracemalloc counts every numpy buffer, so
-this shows memory changes far below the resolution of a process's peak
-RSS, such as a block-sized temporary in a sweep's oracle. It also counts
-the interpreter's own small objects, among them the paths a run opens, so
-the scratch directory has a fixed name, `SCRATCH`, and both trees run
-under the same paths. One run at a time: a run empties `SCRATCH` first.
-Interpreter objects of a few dozen bytes are alive at the peak in some
-runs and not in others (5 of 40 ``simulate-long`` runs of one tree read
-67 B less; over 17 runs of two copies of one tree, the three ops' deltas
-ranged from -177 to +295 B), so two trees with the same program can read
-peaks that far apart (0.0 B per step).
+Then, for each benchmark workload, each tree starts a fresh child
+(`PEAK`) that runs the workload's op at seed 1 once untraced, so with warm
+caches, and once more under `tracemalloc`: ``simulate-long`` (``simulate
+--format svg`` over 100 T at dt = T/1000, with the trajectory CSV),
+``sweep-coarse`` (four runs of 200 T, T/125 to T/250) and ``check-all``.
+A child of its own keeps the reading apart from what the case matrix, or
+another workload, left allocated: read after the matrix, a ``sweep-coarse``
+op of the same program moved by about 2 KB. The traced peak of each op is
+printed per tree, in bytes and, for the ops whose steps the workload
+states, per integration step, with the difference between the trees.
+tracemalloc counts every numpy buffer, so this shows memory changes far
+below the resolution of a process's peak RSS, such as a block-sized
+temporary in a sweep's oracle. It also counts the interpreter's own small
+objects, among them the paths a run opens, so the scratch directory has a
+fixed name, `SCRATCH`, and both trees run under the same paths. One run at
+a time: a run empties `SCRATCH` first. Interpreter objects of a few dozen
+bytes are alive at the peak in some runs and not in others (5 of 40
+``simulate-long`` runs of one tree read 67 B less; over 17 runs of two
+copies of one tree, the three ops' deltas ranged from -177 to +295 B), so
+two trees with the same program can read peaks that far apart (0.0 B per
+step).
 
 Exit status: 0 when every file and exit code is the same, 1 when anything
 differs, 2 when a tree could not be run. The traced peak is a report and
@@ -81,7 +85,7 @@ SCRATCH = pathlib.Path(tempfile.gettempdir()) / "inertonsim-out-diff"
 EXCLUDED = {"report.jsonl": {"runtime_s"}, "report.csv": {"runtime_s"}}
 
 CHILD = """
-import contextlib, io, json, os, shutil, sys, tracemalloc
+import contextlib, io, json, os, sys
 import workloads
 from inertonsim import cli
 
@@ -127,17 +131,25 @@ for name, argv in cases:
         except Exception as exc:
             code, err = "traceback", io.StringIO(repr(exc))
     codes[name] = [code, (err.getvalue().strip().splitlines() or [""])[-1]]
-peaks = {}
-for workload in workloads.WORKLOADS:
-    argv, expect = workloads.make_op(workload, 1, sys.argv[2])
-    with contextlib.redirect_stdout(io.StringIO()):
-        tracemalloc.start()
-        cli.main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    shutil.rmtree(sys.argv[2])
-    peaks[workload] = [peak, sum(case["n_steps"] for case in expect.get("cases", []))]
-print(json.dumps([codes, peaks]))
+print(json.dumps([codes, list(workloads.WORKLOADS)]))
+"""
+
+# One workload's op at seed 1, in a fresh process: once untraced, then once
+# under tracemalloc; prints the traced peak and the steps the workload states.
+PEAK = """
+import contextlib, io, json, shutil, sys, tracemalloc
+import workloads
+from inertonsim import cli
+
+argv, expect = workloads.make_op(sys.argv[1], 1, sys.argv[2])
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(argv)
+    shutil.rmtree(expect["out"])
+    tracemalloc.start()
+    cli.main(argv)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+print(json.dumps([peak, sum(case["n_steps"] for case in expect.get("cases", []))]))
 """
 
 
@@ -145,15 +157,23 @@ def run_cases(tree: pathlib.Path, out: pathlib.Path) -> tuple[dict[str, list], d
     """Run the case matrix on the tree at ``tree``, writing under ``out``;
     returns each case's exit code and last stderr line, then per benchmark
     workload the traced peak in bytes and the step count (0 if the workload
-    states none) of its op at seed 1, which runs in ``peak`` beside
-    ``out``."""
+    states none) of its op at seed 1, each read by a `PEAK` child in
+    ``peak`` beside ``out``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(tree / "bench")]),
            "PYTHONHASHSEED": "0"}
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(out), str(out.parent / "peak")], cwd=tree, env=env,
-                          capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"cases on {tree} failed: {proc.stderr.strip()}")
-    return json.loads(proc.stdout.splitlines()[-1])
+
+    def child(what, *args):
+        proc = subprocess.run([sys.executable, "-c", *args], cwd=tree, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{what} on {tree} failed: {proc.stderr.strip()}")
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    codes, workloads = child("cases", CHILD, str(out))
+    peaks = {}
+    for workload in workloads:
+        peaks[workload] = child(f"the {workload} op", PEAK, workload, str(out.parent / "peak"))
+        shutil.rmtree(out.parent / "peak")
+    return codes, peaks
 
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
