@@ -20,14 +20,12 @@ columns, and makes its digits four at a time in a word's byte lanes
 (`_lane_table`).
 
 Beside its values, a chunk pays a fixed cost: the hundred or so numpy calls
-of its passes, each 0.3-1 µs before its values count. On a 16-row block of
-the trajectory CSV (x86-64, numpy 2.4) `rows` with `g17` takes about 70 µs; it
-took about 115 µs while the chunk path called numpy's Python-level
-wrappers (``np.moveaxis``, ``np.flatnonzero``, ``np.take``, 1-5 µs each),
-gathered the decade's tables five times and counted digits in two passes.
-So the kernels use views and ndarray methods, gather `_pow10_table` once
-by row for the product and once for the layout, and count a value's digits
-in one pass (`_digit_count`).
+of its passes, each 0.3-1 µs before its values count (on a 16-row block of
+the trajectory CSV, x86-64, numpy 2.4, `rows` with `g17` takes about 70
+µs). numpy's Python-level wrappers (``np.moveaxis``, ``np.flatnonzero``,
+``np.take``) cost 1-5 µs each, so the kernels use views and ndarray
+methods, gather `_pow10_table` once by row for the product and once for the
+layout, and count a value's digits in one pass (`_digit_count`).
 
 The digits come from wide arithmetic. ``%.17g`` needs ``round(|v| 10^k)``
 for the ``k`` that puts it in ``[1e16, 1e17)``; the decade comes from the
@@ -58,9 +56,12 @@ __all__ = ["CHUNK_ROWS", "g17", "f2", "rows", "write_csv"]
 # ``k`` columns): enough to amortise the fixed cost of a chunk's numpy
 # calls, few enough that a chunk's temporaries stay a few hundred KB however
 # long the run. With `Trajectory.as_arrays` that fixed cost is about 85 µs
-# of the 1.0-1.3 ms of a trajectory chunk (it was about 140 µs). Twice as
-# many values per chunk made a `simulate` op about 3 % faster, but raised
-# its peak RSS by 1.4 MB and broke the per-step memory budget of `simulate`.
+# of the 1.0-1.3 ms of a trajectory chunk. Twice as many values per chunk
+# take a `simulate` op past its memory budgets:
+# test_simulate_peak_memory_per_step,
+# test_block_loop_peak_memory_stays_within_its_budget[csv] and
+# test_one_op_of_each_workload_stays_within_its_memory_budget[simulate-long]
+# fail.
 CHUNK_ROWS = 8192
 
 _EPS = np.finfo(np.float64).eps          # 2u, u the unit roundoff of float64

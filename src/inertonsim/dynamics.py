@@ -236,7 +236,7 @@ class Trajectory:
         np.minimum(ends, hi, out=ends)
         return cum.repeat(ends[1:] - ends[:-1])
 
-    def rows(self, lo: int, hi: int, names=ROWS) -> np.ndarray:
+    def rows(self, lo: int, hi: int, names) -> np.ndarray:
         """The rows ``names`` (of `ROWS`) of samples ``lo`` to ``hi - 1``,
         derived from ``w`` by `_rows` into a new array. Only for ``xi`` are
         ``tau`` and ``u`` built, ``u`` by `_u` into the row of ``xi``, so
@@ -276,16 +276,16 @@ class Trajectory:
             out[name] = col
         return out
 
-    def as_arrays(self, rows: slice = slice(None), out=None) -> dict[str, np.ndarray]:
+    def as_arrays(self, rows: slice, out) -> dict[str, np.ndarray]:
         """The columns ``t, X, dXdt, x, dxdt, invariant_residual`` of the
         trajectory CSV for the rows ``rows`` (a slice), written into the
-        columns of ``out``, a ``(rows, 6)`` float array, if given. `_rows`
+        columns of ``out``, a ``(rows, 6)`` float array. `_rows`
         derives them straight into their columns, with ``tau = t/T`` in the
         residual's column until the residual replaces it, and each of the
         four physical ones is then scaled in place (`_scales`), so the bits
         are those of `rows` and `columns`."""
         lo, hi, _ = rows.indices(len(self))
-        cols = np.empty((6, hi - lo)) if out is None else out.T
+        cols = out.T
         t = np.multiply(np.arange(lo, hi, dtype=np.float64), self.dt, out=cols[0])
         _rows(self.w[lo:hi], self._u(lo, hi), np.divide(t, self.params.T, out=cols[5]), ROWS, cols[1:])
         for col, scale in zip(cols[1:5], _scales(self.params)):

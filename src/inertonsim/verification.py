@@ -268,9 +268,9 @@ def registry_names() -> list[str]:
     return list(_REGISTRY)
 
 
-def run_checks(params: SystemParams, selection: list[str] | None = None, seed: int = 0) -> list[CheckReport]:
-    """Run the selected checks (all of them by default) deterministically
-    on the config ``params``.
+def run_checks(params: SystemParams, selection: list[str] | None, seed: int) -> list[CheckReport]:
+    """Run the selected checks (all of them if ``selection`` is None)
+    deterministically on the config ``params``, each drawing from ``seed``.
 
     Unknown names raise a ValueError that lists the registry. Reports come
     back in registry order regardless of the selection's order. The checks

@@ -8,11 +8,13 @@ path, ``el_residual``'s trajectory). A change in ``src/`` that removes or
 renames one of those names, or reorders those arguments, breaks every traced
 benchmark run, and these tests catch it in the tier-1 suite. So does one op
 of each workload of `bench/workloads.py`, judged by the benchmark's own
-output check.
+output check, and that op's traced peak by its memory budget.
 """
 
 import importlib.util
 import json
+import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,29 @@ def test_one_op_of_each_workload_passes_the_benchmark_check(workload, tmp_path):
     argv, expect = WORKLOADS.make_op(workload, 1, str(tmp_path))
     attempted, problems = WORKLOADS.check_op(workload, cli.main(argv), expect)
     assert attempted > 0 and problems == []
+
+
+@pytest.mark.parametrize(
+    "workload, reading",
+    [("simulate-long", 3_007_290), ("sweep-coarse", 1_657_447), ("check-all", 1_082_913)],
+    ids=["simulate-long", "sweep-coarse", "check-all"],
+)
+def test_one_op_of_each_workload_stays_within_its_memory_budget(workload, reading, tmp_path):
+    # The op at seed 1, traced after one untraced op, as tools/out_diff.py
+    # reads it: its peak is at most the reading when the budget was set plus
+    # 32 KiB, far above the few hundred bytes that interpreter objects move
+    # between runs and far below one numpy buffer of 8,192 elements (64-128
+    # KB) or a block-sized temporary.
+    argv, expect = WORKLOADS.make_op(workload, 1, str(tmp_path))
+    assert cli.main(argv) == 0
+    shutil.rmtree(expect["out"])
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= reading + 32 * 1024
 
 
 def test_tracer_install_and_uninstall_restore_the_program():

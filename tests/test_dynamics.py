@@ -735,7 +735,7 @@ def test_rows_match_the_post_loop_fill_bitwise(case):
         cuts += [(a - 3, a + 4), (a - 1, a), (a, a + 1), (a - 1, a + 1)]
     assert len(traj.jumps) >= 4  # a trailing event found by the probe has no jump
     for lo, hi in cuts:
-        assert traj.rows(lo, hi).tobytes() == ref[:, lo:hi].tobytes(), (lo, hi)
+        assert traj.rows(lo, hi, dynamics.ROWS).tobytes() == ref[:, lo:hi].tobytes(), (lo, hi)
     lo = traj.jumps[2][0] - 3
     assert traj.rows(lo, lo + 7, ("residual", "xi")).tobytes() == ref[[4, 0], lo:lo + 7].tobytes()
 
@@ -756,7 +756,7 @@ def test_trajectory_csv_matches_per_row_formatter(tmp_path):
     traj = dynamics.Trajectory(
         params=params, dt=0.1, w=w, jumps=[(0, 1.0), (3, -2.0)], events=np.array([0.25, 0.4 + 1e-7])
     )
-    cols = traj.as_arrays()
+    cols = traj.as_arrays(slice(None), np.empty((len(traj), 6)))
     assert cols["x"][1] == 0.0 and math.copysign(1.0, cols["x"][1]) == -1.0 and 0.0 < cols["x"][3] < 1e-320
     path = tmp_path / "cols.csv"
     write_trajectory_csv(traj, path)
@@ -1276,19 +1276,35 @@ def test_svg_panel_memory_per_sample(natural_long, panel, tmp_path):
     assert _traced_peak(panel, natural_long, tmp_path / "panel.svg") <= 40 * len(natural_long)
 
 
+def _rows_pass(traj, path):
+    """`Trajectory.rows` of every row, one block of `ROW_BLOCK` at a time."""
+    for lo in range(0, len(traj), dynamics.ROW_BLOCK):
+        traj.rows(lo, lo + dynamics.ROW_BLOCK, dynamics.ROWS)
+
+
 @pytest.mark.parametrize(
     "writer, reading",
-    [(write_trajectory_csv, 1_469_606), (trajectory_svg, 831_540), (phase_plane_svg, 532_324)],
-    ids=["csv", "trajectory", "phase"],
+    [
+        (write_trajectory_csv, 1_469_606),
+        (trajectory_svg, 831_540),
+        (phase_plane_svg, 532_324),
+        (lambda traj, path: dynamics._guarded_max(traj.w, traj.dt), 263_988),
+        (_rows_pass, 918_504),
+    ],
+    ids=["csv", "trajectory", "phase", "guard", "rows"],
 )
 def test_block_loop_peak_memory_stays_within_its_budget(writer, reading, tmp_path):
-    # Each writer that reads the run by block, on the run of
-    # test_simulate_peak_memory_per_step (M0 1, v0 1, c 10, T 1, T/1000 over
-    # 100 T), traced after one untraced call: its peak is at most the
-    # reading when the budget was set plus 32 KiB, far below one numpy
+    # Each loop that reads the run by block, a callable of (traj, path), on
+    # the run of test_simulate_peak_memory_per_step (M0 1, v0 1, c 10, T 1,
+    # T/1000 over 100 T), traced after one untraced call: its peak is at most
+    # the reading when the budget was set plus 32 KiB, far below one numpy
     # buffer of 8,192 elements (64-128 KB) or a chunk-sized temporary. The
     # CSV writer read 1,456,630-1,469,606 B then, and about 1,372,600 B
-    # since its chunks gather three layout words per value, not four.
+    # since its chunks gather three layout words per value, not four. The
+    # guard's working set is two rows of ROW_BLOCK floats (a block's
+    # residuals, then their magnitudes), 262,144 B; that of the pass of
+    # `rows` is seven: the five rows, tau and `_rows`' squared imaginary
+    # part, 917,504 B.
     params, _ = derive_kinematics(1.0, 1.0, 10.0, 1.0)
     traj = integrate(params, t_end=100.0, dt=1e-3)
     assert _traced_peak(writer, traj, tmp_path / "out") <= reading + 32 * 1024

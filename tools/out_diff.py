@@ -52,12 +52,20 @@ copies of one tree, the three ops' deltas ranged from -177 to +295 B), so
 two trees with the same program can read peaks that far apart (0.0 B per
 step).
 
+The same child then runs two more untraced ops, and the minor page faults
+of the last (``ru_minflt`` of `resource.getrusage`) are printed per
+workload and tree, in a table after the traced peaks. An op that gives
+memory back to the system and faults it in again on the next op shows
+there: glibc unmaps a large freed block, or trims the heap above its trim
+threshold, and each page of it is faulted anew when an op needs it. The
+count depends on that threshold, so it is a report, not a bound.
+
 Exit status: 0 when every file and exit code is the same, 1 when anything
-differs, 2 when a tree could not be run. The traced peak is a report and
-does not change the exit status. Compare two trees on one machine
-only: numpy's ``sin``, ``cos``, ``log`` and complex multiply may round
-differently on another CPU or numpy version. Standard library only in this
-process.
+differs, 2 when a tree could not be run. The traced peak and the fault
+counts are reports and do not change the exit status. Compare two trees on
+one machine only: numpy's ``sin``, ``cos``, ``log`` and complex multiply
+may round differently on another CPU or numpy version. Standard library
+only in this process.
 """
 
 from __future__ import annotations
@@ -135,9 +143,10 @@ print(json.dumps([codes, list(workloads.WORKLOADS)]))
 """
 
 # One workload's op at seed 1, in a fresh process: once untraced, then once
-# under tracemalloc; prints the traced peak and the steps the workload states.
+# under tracemalloc, then twice more untraced; prints the traced peak, the
+# steps the workload states and the minor faults of the last op.
 PEAK = """
-import contextlib, io, json, shutil, sys, tracemalloc
+import contextlib, io, json, resource, shutil, sys, tracemalloc
 import workloads
 from inertonsim import cli
 
@@ -149,16 +158,21 @@ with contextlib.redirect_stdout(io.StringIO()):
     cli.main(argv)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-print(json.dumps([peak, sum(case["n_steps"] for case in expect.get("cases", []))]))
+    for _ in range(2):
+        shutil.rmtree(expect["out"])
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        cli.main(argv)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+print(json.dumps([peak, sum(case["n_steps"] for case in expect.get("cases", [])), faults]))
 """
 
 
 def run_cases(tree: pathlib.Path, out: pathlib.Path) -> tuple[dict[str, list], dict[str, list]]:
     """Run the case matrix on the tree at ``tree``, writing under ``out``;
     returns each case's exit code and last stderr line, then per benchmark
-    workload the traced peak in bytes and the step count (0 if the workload
-    states none) of its op at seed 1, each read by a `PEAK` child in
-    ``peak`` beside ``out``."""
+    workload, for its op at seed 1, the traced peak in bytes, the step count
+    (0 if the workload states none) and the minor faults of a steady-state
+    op, each read by a `PEAK` child in ``peak`` beside ``out``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(tree / "bench")]),
            "PYTHONHASHSEED": "0"}
 
@@ -349,7 +363,7 @@ def main(argv: list[str]) -> int:
     finally:
         shutil.rmtree(SCRATCH, ignore_errors=True)
     print(f"\n{'traced peak of one op':<36} {'bytes':>12} {'steps':>9} {'B per step':>11}")
-    for workload, (peak, steps) in runs["now"][1].items():
+    for workload, (peak, steps, _) in runs["now"][1].items():
         if workload not in runs[label][1]:
             continue
         before = runs[label][1][workload][0]
@@ -357,6 +371,9 @@ def main(argv: list[str]) -> int:
             per_step = f"{value / steps:{sign}.1f}" if steps else "-"
             shown = "" if side == "delta" else steps or "-"
             print(f"{workload + ' ' + side:<36} {value:>{sign}12,} {shown:>9} {per_step:>11}")
+    print(f"\n{'minor faults of a steady-state op':<36} {label:>9} {'now':>9}")
+    for workload, (_, _, faults) in runs["now"][1].items():
+        print(f"{workload:<36} {runs[label][1].get(workload, [0, 0, '-'])[2]!s:>9} {faults:>9}")
     print(f"\n{len(names)} files, {len(codes['now'])} cases; {differs} files or exit codes differ")
     return 1 if differs else 0
 
