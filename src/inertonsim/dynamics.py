@@ -18,8 +18,8 @@ In the dimensionless units ``tau = t/T``, ``xi = X/lam``, ``V = dXdt/v0``,
 ``y = (xi, V, chi, U, 1)`` obeys ``dy/dtau = A y`` with a fixed
 homogeneous generator: ``xi' = V``, ``V' = -pi U``, ``chi' = U``,
 ``U' = pi (V - 1)``. The integrator and `Trajectory` work in these
-units; the physical ones are applied only at the edges, by
-`Trajectory.columns` and `Trajectory.as_arrays`. The integrator's state is
+units; the physical ones (`UNITS`) are applied only at the edge, by
+`Trajectory.as_arrays`. The integrator's state is
 ``w = (1 - V) + iU``, which obeys ``dw/dtau = -i pi w`` and so turns on the
 unit circle at pi per T. ``1 - V - pi chi`` and ``U - pi xi + pi tau`` are
 linear invariants, so ``chi = Re(w)/pi`` and ``xi = tau + (U - u)/pi``,
@@ -115,8 +115,8 @@ BLOCK_STEPS = 1024
 # Largest admitted run. A whole `simulate` run peaks at 17 B per step, about
 # 0.21 GB, plus about 2 MB of fixed-size blocks (tracemalloc): the state `w`
 # (16 B per sample) and, in the CSV writer, its event flags (1 B). With
-# `outputs.el_residuals`, the full-length columns of `el_residual` take it to
-# about 123 B per step.
+# `outputs.el_residuals`, the full-length block of `el_residual` and the
+# evaluators' temporaries take it to about 123 B per step.
 MAX_STEPS = 12_500_000
 # Samples per block of a reader of `w` (the divergence guard, which also
 # gives the residual maximum, `oracle_errors`, the trajectory panel): 8 B per
@@ -131,12 +131,14 @@ TURN_ROW = 512
 # Coefficients of R(-i pi s) in s, (-i pi)^k / k!, k = 0..4 (`_step_factor`).
 _STEP_COEFFS = tuple((-1j * math.pi) ** k / math.factorial(k) for k in range(5))
 
-# A state is anything indexed by these names: a dict, a SAMPLE_DTYPE record
-# or array. The evaluators in `lagrangian` accept any of them.
-SAMPLE_FIELDS = ("t", "X", "dXdt", "x", "dxdt")
+# The float columns of the trajectory CSV, in its order (`Trajectory.as_arrays`).
+# The first five are a state: a state is anything indexed by them, a dict, a
+# SAMPLE_DTYPE record or array. The evaluators in `lagrangian` accept any of them.
+SAMPLE_FIELDS = ("t", "X", "dXdt", "x", "dxdt", "invariant_residual")
 SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in SAMPLE_FIELDS])
-# The float columns of the trajectory CSV (`Trajectory.as_arrays`).
-_CSV_COLUMNS = (*SAMPLE_FIELDS, "invariant_residual")
+# The unit of each physical column, a field of `SystemParams`: ``X = xi lam``,
+# ``dXdt = V v0``, ``x = chi Lam``, ``dxdt = U c``.
+UNITS = {"X": "lam", "dXdt": "v0", "x": "Lam", "dxdt": "c"}
 # The rows that `Trajectory.rows` derives from ``w``: the dimensionless
 # columns, then the first-integral residual.
 ROWS = ("xi", "V", "chi", "U", "residual")
@@ -144,12 +146,6 @@ ROWS = ("xi", "V", "chi", "U", "residual")
 
 class DivergenceError(RuntimeError):
     """Raised when the first-integral residual leaves the trust region."""
-
-
-def _scales(p: SystemParams) -> tuple[float, float, float, float]:
-    """The physical scale of each of the rows ``xi, V, chi, U``: ``X = xi
-    lam``, ``dXdt = V v0``, ``x = chi Lam``, ``dxdt = U c``."""
-    return p.lam, p.v0, p.Lam, p.c
 
 
 def _tau(lo: int, hi: int, dt: float, T: float) -> np.ndarray:
@@ -200,16 +196,15 @@ class Trajectory:
     (16 B per sample), and ``jumps`` the jumps of ``u`` as ``(sample,
     jump)`` pairs in sample order, the first ``(0, 1.0)``. `rows` derives the
     columns ``xi, V, chi, U`` (``X/lam, dXdt/v0, x/Lam, dxdt/c``) and the
-    first-integral residual of any slice, `columns` gives every row in the
-    physical units, and `as_arrays` gives a slice's columns of the
-    trajectory CSV.
+    first-integral residual of any slice, and `as_arrays` gives a slice's
+    columns of the trajectory CSV, the only ones in physical units.
     ``chi >= -EVENT_X_TOL`` to rounding (only a sample just after a
     reflection sits below zero). ``events`` is the float64 array of
     reflection times in increasing order. ``len(traj)`` is the number of
     samples. No module but this one reads ``w``: the program reads through
-    `rows` and `as_arrays` by block and through `columns` whole, and
-    `samples` derives every sample anew on each access, for the tests and
-    the benchmark's counters.
+    `rows` and `as_arrays`, by block or, in `lagrangian.el_residual`, whole,
+    and `samples` derives every sample anew on each access, for the tests
+    and the benchmark's counters.
     """
 
     params: SystemParams
@@ -259,22 +254,15 @@ class Trajectory:
         the phase panel's bound."""
         return _guarded_max(self.w, self.dt)
 
-    def columns(self) -> dict[str, np.ndarray]:
-        """Every row in physical units (`_scales`): a state whose fields,
-        those of `SAMPLE_FIELDS`, are arrays."""
-        n = len(self)
-        scaled = [row * scale for row, scale in zip(self.rows(0, n, ROWS[:4]), _scales(self.params))]
-        return dict(zip(SAMPLE_FIELDS, (np.arange(n) * self.dt, *scaled)))
-
     @property
     def samples(self) -> np.ndarray:
-        """Every row packed into a structured array of `SAMPLE_DTYPE`
-        (``samples["X"]`` the particle coordinate column, ``samples[i]``
-        the i-th sample), built anew on each access."""
-        out = np.empty(len(self), dtype=SAMPLE_DTYPE)
-        for name, col in self.columns().items():
-            out[name] = col
-        return out
+        """Every sample's columns of the trajectory CSV, by one `as_arrays`
+        call, as a structured array of `SAMPLE_DTYPE` (``samples["X"]`` the
+        particle coordinate column, ``samples[i]`` the i-th sample), built
+        anew on each access."""
+        block = np.empty((len(self), len(SAMPLE_FIELDS)))
+        self.as_arrays(slice(None), block)
+        return block.view(SAMPLE_DTYPE)[:, 0]
 
     def as_arrays(self, rows: slice, out) -> dict[str, np.ndarray]:
         """The columns ``t, X, dXdt, x, dxdt, invariant_residual`` of the
@@ -282,15 +270,16 @@ class Trajectory:
         columns of ``out``, a ``(rows, 6)`` float array. `_rows`
         derives them straight into their columns, with ``tau = t/T`` in the
         residual's column until the residual replaces it, and each of the
-        four physical ones is then scaled in place (`_scales`), so the bits
-        are those of `rows` and `columns`."""
+        four physical ones is then scaled in place by its unit (`UNITS`), so
+        the bits are those of `rows`. This is the one place where a run gets
+        its physical units."""
         lo, hi, _ = rows.indices(len(self))
         cols = out.T
         t = np.multiply(np.arange(lo, hi, dtype=np.float64), self.dt, out=cols[0])
         _rows(self.w[lo:hi], self._u(lo, hi), np.divide(t, self.params.T, out=cols[5]), ROWS, cols[1:])
-        for col, scale in zip(cols[1:5], _scales(self.params)):
-            col *= scale
-        return dict(zip(_CSV_COLUMNS, cols))
+        for col, name in zip(cols[1:5], SAMPLE_FIELDS[1:5]):
+            col *= getattr(self.params, UNITS[name])
+        return dict(zip(SAMPLE_FIELDS, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +685,7 @@ def oracle_errors(traj: Trajectory) -> dict[str, float]:
     return out
 
 
-_CSV_HEADER = "t,X,dXdt,x,dxdt,invariant_residual,event_flag"
+_CSV_HEADER = ",".join((*SAMPLE_FIELDS, "event_flag"))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _text
 from .core import SystemParams
-from .dynamics import Trajectory
+from .dynamics import SAMPLE_FIELDS, UNITS, Trajectory
 
 __all__ = [
     "ELResidualReport",
@@ -143,8 +143,6 @@ _COORDS = {
     "particle": ("X", "dXdt"),
     "cloud": ("x", "dxdt"),
 }
-# The units of each channel's coordinate and velocity, fields of `SystemParams`.
-_UNITS = {"particle": ("lam", "v0"), "cloud": ("Lam", "c")}
 # Finite-difference step of `el_residual`, relative to each channel's largest magnitude.
 EL_FD_STEP = 1.0e-6
 
@@ -196,32 +194,36 @@ def el_residual(L, traj: Trajectory, coord: str) -> ELResidualReport:
     n = len(traj)
     if n < 9:
         raise ValueError(f"need at least 9 samples for the residual stencil, got {n}")
-    cols = traj.columns()
-    t, dt = cols["t"], traj.dt
-    q, qdot = cols[q_name], cols[qdot_name]
+    # The run's columns, each a contiguous row of one block; the state is
+    # the first five, and the sixth, which no evaluator reads, takes the momenta.
+    block = np.empty((len(SAMPLE_FIELDS), n))
+    traj.as_arrays(slice(None), block.T)
+    state = dict(zip(SAMPLE_FIELDS[:5], block))
+    t, dt = state["t"], traj.dt
+    q, qdot = state[q_name], state[qdot_name]
     dq = EL_FD_STEP * (float(np.max(np.abs(q))) or 1.0)
     dqdot = EL_FD_STEP * (float(np.max(np.abs(qdot))) or 1.0)
 
     # Conjugate momentum dL/dqdot at every sample, force dL/dq at interior ones.
-    inner = {name: col[1:-1] for name, col in cols.items()}
+    inner = {name: col[1:-1] for name, col in state.items()}
     with np.errstate(all="ignore"):  # a residual that overflows is inf or NaN, for the caller to judge
-        momenta = (L({**cols, qdot_name: qdot + dqdot}) - L({**cols, qdot_name: qdot - dqdot})) / (2.0 * dqdot)
+        momenta = np.subtract(
+            L({**state, qdot_name: qdot + dqdot}), L({**state, qdot_name: qdot - dqdot}), out=block[5]
+        )
+        momenta /= 2.0 * dqdot
         force = (L({**inner, q_name: q[1:-1] + dq}) - L({**inner, q_name: q[1:-1] - dq})) / (2.0 * dq)
         residuals = (momenta[2:] - momenta[:-2]) / (2.0 * dt) - force
 
-    times = t[1:-1]
+    times = t[1:-1].copy()  # so that the report does not keep the block alive
     excluded = np.zeros(n - 2, dtype=bool)
     windows: list[tuple[float, float]] = []
     for t_ev in traj.events:
         j = round(t_ev / dt)
         lo_idx = max(j - 5, 0)
         hi_idx = min(j + 5, n - 1)
-        windows.append((t[lo_idx], t[hi_idx]))
+        windows.append((float(t[lo_idx]), float(t[hi_idx])))
         # Interior index i maps to residual slot i - 1.
-        lo_slot = max(lo_idx - 1, 0)
-        hi_slot = min(hi_idx - 1, n - 3)
-        if lo_slot <= hi_slot:
-            excluded[lo_slot:hi_slot + 1] = True
+        excluded[max(lo_idx - 1, 0):min(hi_idx, n - 2)] = True
 
     kept = residuals[~excluded]
     max_abs = float(np.max(np.abs(kept))) if kept.size else float("nan")
@@ -242,15 +244,16 @@ def scale_channel(traj: Trajectory, coord: str, factor: float) -> Trajectory:
     coordinate and its velocity are multiplied. A scaled channel is no
     rotation state, so the trajectory keeps its ``w`` and the channel's
     units in its ``params`` are scaled (``lam`` and ``v0``, or ``Lam`` and
-    ``c``): `Trajectory.columns`, what `el_residual` reads, gives the scaled
-    path. Used in sensitivity studies: a valid trajectory stops satisfying
-    the Euler-Lagrange equations once a channel is rescaled, and the
-    residual should say so loudly.
+    ``c``, by `dynamics.UNITS`): `Trajectory.as_arrays`, what `el_residual`
+    reads, gives the scaled path. Used in sensitivity studies: a valid
+    trajectory stops satisfying the Euler-Lagrange equations once a channel
+    is rescaled, and the residual should say so loudly.
     """
     if coord not in _COORDS:
         raise ValueError(f"coord must be one of {sorted(_COORDS)}, got {coord!r}")
     p = traj.params
-    return replace(traj, params=replace(p, **{name: getattr(p, name) * factor for name in _UNITS[coord]}))
+    units = [UNITS[name] for name in _COORDS[coord]]
+    return replace(traj, params=replace(p, **{unit: getattr(p, unit) * factor for unit in units}))
 
 
 def write_el_csv(report: ELResidualReport, path) -> None:

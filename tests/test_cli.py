@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -924,6 +925,34 @@ def test_simulate_peak_memory_per_step(tmp_path, fmt):
         finally:
             tracemalloc.stop()
     assert peak <= 17 * 100_000 + 2 * 2**20
+
+
+def test_simulate_el_peak_memory_per_step(tmp_path):
+    # with outputs.el_residuals a run peaks at about 123 B per step
+    # (dynamics.MAX_STEPS): el_residual's block of the run's six columns, whose
+    # residual row takes the momenta, the evaluators' temporaries and the
+    # reports. The second op of a 40 T run (40,000 steps), traced, is at most
+    # its reading when the budget was set plus 32 KiB. Report times that are a
+    # view into the block read 164.7 B per step, and momenta in a new array
+    # 131.7 B per step.
+    import tracemalloc
+
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "parameters": {"M0": 1.0, "v0": 1e-4, "c": 1.0, "T": 1.0},
+        "simulation": {"dt": 1e-3, "t_end": 40.0},
+        "outputs": {"el_residuals": True},
+    })
+    argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "out")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+        shutil.rmtree(tmp_path / "out")
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 4_950_169 + 32 * 1024, peak / 40_000
 
 
 def test_simulate_peak_memory_per_added_step(tmp_path):

@@ -48,7 +48,8 @@ GENERATOR = np.array(
 def _closed_form_period(params):
     """The columns of one period of `closed_form_trajectory`, whose sample
     ``i`` is at ``t = i T / CLOSED_FORM_STEPS``."""
-    return closed_form_trajectory(params, t_end=params.T).columns()
+    samples = closed_form_trajectory(params, t_end=params.T).samples
+    return {name: samples[name] for name in samples.dtype.names}
 
 
 def test_closed_form_quarter_points(natural):
@@ -1285,7 +1286,7 @@ def _rows_pass(traj, path):
 @pytest.mark.parametrize(
     "writer, reading",
     [
-        (write_trajectory_csv, 1_469_606),
+        (write_trajectory_csv, 1_372_614),
         (trajectory_svg, 831_540),
         (phase_plane_svg, 532_324),
         (lambda traj, path: dynamics._guarded_max(traj.w, traj.dt), 263_988),
@@ -1299,12 +1300,11 @@ def test_block_loop_peak_memory_stays_within_its_budget(writer, reading, tmp_pat
     # T/1000 over 100 T), traced after one untraced call: its peak is at most
     # the reading when the budget was set plus 32 KiB, far below one numpy
     # buffer of 8,192 elements (64-128 KB) or a chunk-sized temporary. The
-    # CSV writer read 1,456,630-1,469,606 B then, and about 1,372,600 B
-    # since its chunks gather three layout words per value, not four. The
-    # guard's working set is two rows of ROW_BLOCK floats (a block's
-    # residuals, then their magnitudes), 262,144 B; that of the pass of
-    # `rows` is seven: the five rows, tau and `_rows`' squared imaginary
-    # part, 917,504 B.
+    # CSV writer reads 1,372,550-1,372,614 B, since its chunks gather three
+    # layout words per value, not four. The guard's working set is two rows
+    # of ROW_BLOCK floats (a block's residuals, then their magnitudes),
+    # 262,144 B; that of the pass of `rows` is seven: the five rows, tau and
+    # `_rows`' squared imaginary part, 917,504 B.
     params, _ = derive_kinematics(1.0, 1.0, 10.0, 1.0)
     traj = integrate(params, t_end=100.0, dt=1e-3)
     assert _traced_peak(writer, traj, tmp_path / "out") <= reading + 32 * 1024

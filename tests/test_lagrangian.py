@@ -21,8 +21,7 @@ from inertonsim.lagrangian import _admitted, cloud_residual_scale, particle_resi
 def _closed_form_at(params, i):
     """The exact state at sample ``i`` of one period of `closed_form_trajectory`
     (`CLOSED_FORM_STEPS` samples per period), as a dict of floats."""
-    cols = closed_form_trajectory(params, t_end=params.T).columns()
-    return {name: float(col[i]) for name, col in cols.items()}
+    return dict(zip(SAMPLE_DTYPE.names, closed_form_trajectory(params, t_end=params.T).samples[i].tolist()))
 
 
 def test_aggregate_plug_in():
@@ -193,6 +192,7 @@ def test_el_event_windows_are_flagged(slow_regime):
     assert report.excluded.sum() > 0
     # the flagged slots hug the recorded events
     for t_lo, t_hi in report.excluded_windows:
+        assert type(t_lo) is float and type(t_hi) is float
         assert t_hi - t_lo <= 11.0 * traj.dt
 
 

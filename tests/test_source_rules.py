@@ -4,7 +4,7 @@
   from the product ``x * x`` that the program uses for every square.
 - No ``.w`` outside ``dynamics.py``: ``w`` is how a run is stored, and
   every other module reads a run through ``len(traj)``, `Trajectory.rows`
-  and `Trajectory.columns`, so a change of that layout stays in one module.
+  and `Trajectory.as_arrays`, so a change of that layout stays in one module.
 - ``_text.py`` imports only ``__future__``, ``functools`` and ``numpy``:
   the text kernels are numpy and the standard library alone, with no
   thread, no compiled extension and no other module of the package.

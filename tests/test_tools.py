@@ -112,10 +112,12 @@ def test_out_diff_identical_trees(tmp_path):
         assert verdict in (("identical", "identical outside runtime_s") if timed else ("identical",)), name
     # both sides run the same op of each workload: the 100,000-step simulate-long op, whose state w
     # alone is 16 B per step, the four sweep-coarse runs of 200 T at T/125 to T/250, and check-all,
-    # whose steps the workload does not state; the bytes of a delta may read a few hundred off 0
-    # (interpreter objects alive at the peak in some runs), far below any block-sized buffer
+    # whose steps the workload does not state; and the natural preset's 10,000-step simulate-el case;
+    # the bytes of a delta may read a few hundred off 0 (interpreter objects alive at the peak in some
+    # runs), far below any block-sized buffer
     rows = {tuple(line.split()[:2]): line.split()[2:] for line in peaks}
-    steps = {"simulate-long": 100_000, "sweep-coarse": 200 * (125 + 160 + 200 + 250), "check-all": None}
+    steps = {"simulate-long": 100_000, "sweep-coarse": 200 * (125 + 160 + 200 + 250), "check-all": None,
+             "natural.simulate-el": 10_000}
     assert list(rows) == [(workload, side) for workload in steps for side in ("HEAD", "now", "delta")]
     for workload, n_steps in steps.items():
         for side in ("HEAD", "now"):

@@ -35,6 +35,10 @@ Then, for each benchmark workload, each tree starts a fresh child
 caches, and once more under `tracemalloc`: ``simulate-long`` (``simulate
 --format svg`` over 100 T at dt = T/1000, with the trajectory CSV),
 ``sweep-coarse`` (four runs of 200 T, T/125 to T/250) and ``check-all``.
+One more child does the same for the natural preset's ``simulate-el`` case
+of the matrix (`EL_CASE`: 10 T at dt = T/1000 with
+``outputs.el_residuals``), so the table also shows the bytes per step of
+the Euler-Lagrange path.
 A child of its own keeps the reading apart from what the case matrix, or
 another workload, left allocated: read after the matrix, a ``sweep-coarse``
 op of the same program moved by about 2 KB. The traced peak of each op is
@@ -142,37 +146,52 @@ for name, argv in cases:
 print(json.dumps([codes, list(workloads.WORKLOADS)]))
 """
 
-# One workload's op at seed 1, in a fresh process: once untraced, then once
-# under tracemalloc, then twice more untraced; prints the traced peak, the
-# steps the workload states and the minor faults of the last op.
+# The case of the matrix whose traced peak is read beside the workloads'.
+EL_CASE = "natural.simulate-el"
+
+# One op in a fresh process, a workload's at seed 1 or `EL_CASE`: once
+# untraced, then once under tracemalloc, then twice more untraced; prints the
+# traced peak, the steps the op states and the minor faults of the last op.
 PEAK = """
-import contextlib, io, json, resource, shutil, sys, tracemalloc
+import contextlib, io, json, os, resource, shutil, sys, tracemalloc
 import workloads
 from inertonsim import cli
 
-argv, expect = workloads.make_op(sys.argv[1], 1, sys.argv[2])
+name, root = sys.argv[1:]
+if name in workloads.WORKLOADS:
+    argv, expect = workloads.make_op(name, 1, root)
+    out, steps = expect["out"], sum(case["n_steps"] for case in expect.get("cases", []))
+else:  # the natural preset's simulate-el case, as CHILD runs it
+    os.makedirs(root)
+    config, out = os.path.join(root, "config.json"), os.path.join(root, "out")
+    with open(config, "w") as fh:
+        json.dump({"outputs": {"el_residuals": True}}, fh)
+    argv = ["simulate", "--config", config, "--preset", "natural", "--out", out]
+    sim = cli.builtin_presets()["natural"]["simulation"]
+    steps = round(sim["t_end"] / sim["dt"])
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(argv)
-    shutil.rmtree(expect["out"])
+    shutil.rmtree(out)
     tracemalloc.start()
     cli.main(argv)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     for _ in range(2):
-        shutil.rmtree(expect["out"])
+        shutil.rmtree(out)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         cli.main(argv)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-print(json.dumps([peak, sum(case["n_steps"] for case in expect.get("cases", [])), faults]))
+print(json.dumps([peak, steps, faults]))
 """
 
 
 def run_cases(tree: pathlib.Path, out: pathlib.Path) -> tuple[dict[str, list], dict[str, list]]:
     """Run the case matrix on the tree at ``tree``, writing under ``out``;
     returns each case's exit code and last stderr line, then per benchmark
-    workload, for its op at seed 1, the traced peak in bytes, the step count
-    (0 if the workload states none) and the minor faults of a steady-state
-    op, each read by a `PEAK` child in ``peak`` beside ``out``."""
+    workload, for its op at seed 1, and for `EL_CASE`, the traced peak in
+    bytes, the step count (0 if the workload states none) and the minor
+    faults of a steady-state op, each read by a `PEAK` child in ``peak``
+    beside ``out``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(tree / "bench")]),
            "PYTHONHASHSEED": "0"}
 
@@ -184,7 +203,7 @@ def run_cases(tree: pathlib.Path, out: pathlib.Path) -> tuple[dict[str, list], d
 
     codes, workloads = child("cases", CHILD, str(out))
     peaks = {}
-    for workload in workloads:
+    for workload in [*workloads, EL_CASE]:
         peaks[workload] = child(f"the {workload} op", PEAK, workload, str(out.parent / "peak"))
         shutil.rmtree(out.parent / "peak")
     return codes, peaks
