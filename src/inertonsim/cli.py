@@ -67,7 +67,7 @@ from .dynamics import (
     write_events_json,
     write_trajectory_csv,
 )
-from .lagrangian import el_residual, eval_lagrangian_aggregate_shifted, write_el_csv
+from .lagrangian import el_residual, write_el_csv
 from .observables import cross_section_bounds, resonator_dimensions
 from .plotting import phase_plane_svg, trajectory_svg
 from .verification import registry_names, reports_to_json_lines, run_checks
@@ -335,12 +335,9 @@ def _run_simulation(params, resolved, out_dir, fmt):
     if outs["events"]:
         files.append(("events.json", lambda path: write_events_json(traj, path)))
     if outs["el_residuals"]:
-        def lag(state):
-            return eval_lagrangian_aggregate_shifted(state, params)
-
         try:
             for coord in ("particle", "cloud"):
-                report = el_residual(lag, traj, coord)
+                report = el_residual(params, traj, coord)
                 bad = ~np.isfinite(report.residuals)
                 if bad.any():
                     raise ValueError(f"{coord} residual is not finite at t={report.times[bad][0]:.6g}")

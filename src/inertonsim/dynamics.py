@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,7 +117,7 @@ BLOCK_STEPS = 1024
 # 0.21 GB, plus about 2 MB of fixed-size blocks (tracemalloc): the state `w`
 # (16 B per sample) and, in the CSV writer, its event flags (1 B). With
 # `outputs.el_residuals`, the full-length block of `el_residual` and the
-# evaluators' temporaries take it to about 123 B per step.
+# Lagrangian's temporaries take it to about 123 B per step.
 MAX_STEPS = 12_500_000
 # Samples per block of a reader of `w` (the divergence guard, which also
 # gives the residual maximum, `oracle_errors`, the trajectory panel): 8 B per
@@ -368,7 +369,7 @@ def closed_form_trajectory(p: SystemParams, t_end: float) -> Trajectory:
 
     Handy as an oracle input for residual studies: the returned object has
     the same shape as an integrated `Trajectory`, with reflection events at
-    every multiple of ``T`` up to ``t_end``.
+    every multiple of ``T`` up to the last sample.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -376,8 +377,7 @@ def closed_form_trajectory(p: SystemParams, t_end: float) -> Trajectory:
     n = round(t_end / dt)
     w, u = _exact_state(_tau(0, n + 1, dt, p.T), np.empty(n + 1, dtype=np.complex128))
     jumps = [(0, 1.0)] + [(i, 2.0) for i in (np.flatnonzero(np.diff(u)) + 1).tolist()]
-    n_events = math.floor(t_end / p.T + 1e-12)
-    return Trajectory(p, dt, w, jumps, events=np.arange(1, n_events + 1) * p.T)
+    return Trajectory(p, dt, w, jumps, events=np.arange(1, len(jumps)) * p.T)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +482,8 @@ def step_count(T: float, t_end: float, dt: float) -> int:
 
     Raises ValueError unless ``0 < dt <= T/100``, ``t_end`` is a finite,
     whole number of steps (within 1e-9 relative), the run fits in
-    `MAX_STEPS` steps and its events stay within `PROBE_WINDOW` of ``nT``:
+    `MAX_STEPS` steps, the step ``h = dt/T`` is no less than the smallest
+    normal float and the events stay within `PROBE_WINDOW` of ``nT``:
     one step turns ``w`` by ``theta`` instead of ``pi h`` (``h = dt/T``),
     so the events lag ``pi h / theta - 1`` T per period.
     """
@@ -505,6 +506,8 @@ def step_count(T: float, t_end: float, dt: float) -> int:
             "pick t_end = n * dt"
         )
     h = dt / T
+    if h < sys.float_info.min:
+        raise ValueError(f"dt/T = {h} underflows a float (dt = {dt}, T = {T})")
     lag = math.pi * h / -cmath.phase(_step_factor(h)) - 1.0  # per period, in T
     if lag * t_end / T > PROBE_WINDOW:
         raise ValueError(

@@ -9,12 +9,13 @@ Two forms of one Lagrangian describe the pair:
   velocity that turns the coupling into an explicit harmonic term in X.
 
 `el_residual` checks whether a sampled trajectory satisfies the
-Euler-Lagrange equations of a given evaluator. Both partial derivatives
-come from symmetric state perturbations and the time derivative from
-symmetric differencing along the samples, so the test needs nothing but
-the evaluator as a black box. Reflection instants carry genuine velocity
-kinks, so a window of five samples on either side of each event is
-excluded from the residual maximum and reported as such.
+Euler-Lagrange equations of the model's Lagrangian, the shifted aggregate
+form. Both partial derivatives come from symmetric state perturbations and
+the time derivative from symmetric differencing along the samples.
+Reflection instants carry genuine velocity kinks, so a window of five
+samples on either side of each event is excluded from the residual maximum
+and reported as such. `residual_scale` gives each channel's natural force
+scale, by which the callers normalize the residual.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ __all__ = [
     "eval_lagrangian_canonical",
     "kappa_transform",
     "el_residual",
-    "particle_residual_scale",
-    "cloud_residual_scale",
+    "residual_scale",
     "scale_channel",
     "write_el_csv",
 ]
@@ -139,24 +139,31 @@ def kappa_transform(s, p: SystemParams) -> dict:
 # Euler-Lagrange residuals
 # ---------------------------------------------------------------------------
 
+# Each channel: its coordinate and velocity columns, and the mass and speed
+# of its force scale.
 _COORDS = {
-    "particle": ("X", "dXdt"),
-    "cloud": ("x", "dxdt"),
+    "particle": ("X", "dXdt", "M0", "v0"),
+    "cloud": ("x", "dxdt", "m0", "c"),
 }
 # Finite-difference step of `el_residual`, relative to each channel's largest magnitude.
 EL_FD_STEP = 1.0e-6
 
 
+def _channel(coord: str) -> tuple[str, str, str, str]:
+    if coord not in _COORDS:
+        raise ValueError(f"coord must be one of {sorted(_COORDS)}, got {coord!r}")
+    return _COORDS[coord]
+
+
 @dataclass
 class ELResidualReport:
-    """Residual ``d/dt(dL/dqdot) - dL/dq`` per interior sample.
+    """Residual ``d/dt(dL/dqdot) - dL/dq`` of one channel per interior sample.
 
     ``times``/``residuals``/``excluded`` are aligned; ``max_abs_residual``
     is taken over the non-excluded samples only. ``excluded_windows`` lists
     the event neighbourhoods as ``(t_lo, t_hi)`` pairs.
     """
 
-    coordinate: str
     times: np.ndarray
     residuals: np.ndarray
     excluded: np.ndarray
@@ -164,38 +171,36 @@ class ELResidualReport:
     max_abs_residual: float
 
 
-def particle_residual_scale(p: SystemParams) -> float:
-    """Natural force scale of the particle channel, ``M0 v0 pi / T``."""
-    return p.M0 * p.v0 * math.pi / p.T
+def residual_scale(params: SystemParams, coord: str) -> float:
+    """Natural force scale of a channel: ``M0 v0 pi / T`` for
+    ``"particle"``, ``m0 c pi / T`` for ``"cloud"``."""
+    _, _, mass, speed = _channel(coord)
+    return getattr(params, mass) * getattr(params, speed) * math.pi / params.T
 
 
-def cloud_residual_scale(p: SystemParams) -> float:
-    """Natural force scale of the cloud channel, ``m0 c pi / T``."""
-    return p.m0 * p.c * math.pi / p.T
+def el_residual(params: SystemParams, traj: Trajectory, coord: str) -> ELResidualReport:
+    """Euler-Lagrange residual of `eval_lagrangian_aggregate_shifted` with
+    ``params`` along a trajectory.
 
-
-def el_residual(L, traj: Trajectory, coord: str) -> ELResidualReport:
-    """Euler-Lagrange residual of evaluator ``L`` along a trajectory.
-
-    ``L`` maps a state whose fields are equal-length arrays to the array
-    of Lagrangian values, elementwise (the evaluators in this module do).
-    ``coord`` selects the varied channel, ``"particle"`` for
-    ``(X, dXdt)`` or ``"cloud"`` for ``(x, dxdt)``. Each perturbation is
-    ``EL_FD_STEP`` times the channel's largest magnitude over the trajectory.
+    ``params`` are the Lagrangian's; ``traj.params`` only set the units of the
+    columns, which `scale_channel` alters. ``coord`` selects the varied
+    channel, ``"particle"`` for ``(X, dXdt)`` or ``"cloud"`` for
+    ``(x, dxdt)``. Each perturbation is ``EL_FD_STEP`` times the channel's
+    largest magnitude over the trajectory.
 
     The trajectory must have at least nine samples. Residuals are computed
     at every interior sample; samples within five grid points of a
     reflection event are flagged and left out of ``max_abs_residual``.
+    Raises ValueError if the Lagrangian refuses a state (a negative
+    radicand).
     """
-    if coord not in _COORDS:
-        raise ValueError(f"coord must be one of {sorted(_COORDS)}, got {coord!r}")
-    q_name, qdot_name = _COORDS[coord]
+    q_name, qdot_name, _, _ = _channel(coord)
 
     n = len(traj)
     if n < 9:
         raise ValueError(f"need at least 9 samples for the residual stencil, got {n}")
     # The run's columns, each a contiguous row of one block; the state is
-    # the first five, and the sixth, which no evaluator reads, takes the momenta.
+    # the first five, and the sixth, which the Lagrangian does not read, takes the momenta.
     block = np.empty((len(SAMPLE_FIELDS), n))
     traj.as_arrays(slice(None), block.T)
     state = dict(zip(SAMPLE_FIELDS[:5], block))
@@ -205,13 +210,16 @@ def el_residual(L, traj: Trajectory, coord: str) -> ELResidualReport:
     dqdot = EL_FD_STEP * (float(np.max(np.abs(qdot))) or 1.0)
 
     # Conjugate momentum dL/dqdot at every sample, force dL/dq at interior ones.
+    L = eval_lagrangian_aggregate_shifted
     inner = {name: col[1:-1] for name, col in state.items()}
     with np.errstate(all="ignore"):  # a residual that overflows is inf or NaN, for the caller to judge
         momenta = np.subtract(
-            L({**state, qdot_name: qdot + dqdot}), L({**state, qdot_name: qdot - dqdot}), out=block[5]
+            L({**state, qdot_name: qdot + dqdot}, params), L({**state, qdot_name: qdot - dqdot}, params),
+            out=block[5],
         )
         momenta /= 2.0 * dqdot
-        force = (L({**inner, q_name: q[1:-1] + dq}) - L({**inner, q_name: q[1:-1] - dq})) / (2.0 * dq)
+        force = L({**inner, q_name: q[1:-1] + dq}, params) - L({**inner, q_name: q[1:-1] - dq}, params)
+        force /= 2.0 * dq
         residuals = (momenta[2:] - momenta[:-2]) / (2.0 * dt) - force
 
     times = t[1:-1].copy()  # so that the report does not keep the block alive
@@ -227,14 +235,7 @@ def el_residual(L, traj: Trajectory, coord: str) -> ELResidualReport:
 
     kept = residuals[~excluded]
     max_abs = float(np.max(np.abs(kept))) if kept.size else float("nan")
-    return ELResidualReport(
-        coordinate=coord,
-        times=times,
-        residuals=residuals,
-        excluded=excluded,
-        excluded_windows=windows,
-        max_abs_residual=max_abs,
-    )
+    return ELResidualReport(times, residuals, excluded, windows, max_abs)
 
 
 def scale_channel(traj: Trajectory, coord: str, factor: float) -> Trajectory:
@@ -249,10 +250,8 @@ def scale_channel(traj: Trajectory, coord: str, factor: float) -> Trajectory:
     trajectory stops satisfying the Euler-Lagrange equations once a channel
     is rescaled, and the residual should say so loudly.
     """
-    if coord not in _COORDS:
-        raise ValueError(f"coord must be one of {sorted(_COORDS)}, got {coord!r}")
     p = traj.params
-    units = [UNITS[name] for name in _COORDS[coord]]
+    units = [UNITS[name] for name in _channel(coord)[:2]]
     return replace(traj, params=replace(p, **{unit: getattr(p, unit) * factor for unit in units}))
 
 

@@ -149,17 +149,14 @@ def _check_el_residual_aggregate(params, rng):
     """Pinned regime: the square-root Lagrangian deviates from the simple
     coupled equations at relative order (v0/c)^2, so the check runs far from
     the wave speed (v0/c = 1e-4) where that systematic sits four decades
-    below the tolerance, and uses the shifted evaluator to keep finite
-    differences out of cancellation. Normalization is M0 v0 pi / T.
+    below the tolerance; `el_residual` evaluates the shifted form, which
+    keeps finite differences out of cancellation. Normalization is
+    `residual_scale`, M0 v0 pi / T.
     """
     p_ref, _ = derive_kinematics(M0=1.0, v0=1.0e-4, c=1.0, T=1.0)
     traj = dynamics.closed_form_trajectory(p_ref, t_end=2.0 * p_ref.T)
-
-    def L(s):
-        return lagrangian.eval_lagrangian_aggregate_shifted(s, p_ref)
-
-    report = lagrangian.el_residual(L, traj, "particle")
-    return [report.max_abs_residual / lagrangian.particle_residual_scale(p_ref)], 1.0e-5
+    report = lagrangian.el_residual(p_ref, traj, "particle")
+    return [report.max_abs_residual / lagrangian.residual_scale(p_ref, "particle")], 1.0e-5
 
 
 def _check_transform_invariance(params, rng):

@@ -22,11 +22,11 @@ from inertonsim import (
     derive_kinematics,
     dirac_hamiltonian,
     el_residual,
-    eval_lagrangian_aggregate_shifted,
     hj_residual,
     integrate,
     oracle_errors,
     quantize,
+    residual_scale,
     resonator_dimensions,
     scale_channel,
     spin_eigenvalue,
@@ -40,7 +40,6 @@ from inertonsim.constants import (
     PLANCK,
 )
 from inertonsim.dynamics import closed_form_trajectory
-from inertonsim.lagrangian import cloud_residual_scale, particle_residual_scale
 
 
 def verdict(n, ok, label, detail):
@@ -121,14 +120,10 @@ def test_criterion_05_el_residual():
     # discussion in the README
     params, _ = derive_kinematics(1.0, 1.0e-4, 1.0, 1.0)
     traj = closed_form_trajectory(params, t_end=2.0 * params.T)
-
-    def L(s):
-        return eval_lagrangian_aggregate_shifted(s, params)
-
-    res_p = el_residual(L, traj, "particle").max_abs_residual / particle_residual_scale(params)
-    res_c = el_residual(L, traj, "cloud").max_abs_residual / cloud_residual_scale(params)
-    corrupted = el_residual(L, scale_channel(traj, "particle", 1.1), "particle")
-    sens = corrupted.max_abs_residual / particle_residual_scale(params)
+    res_p = el_residual(params, traj, "particle").max_abs_residual / residual_scale(params, "particle")
+    res_c = el_residual(params, traj, "cloud").max_abs_residual / residual_scale(params, "cloud")
+    corrupted = el_residual(params, scale_channel(traj, "particle", 1.1), "particle")
+    sens = corrupted.max_abs_residual / residual_scale(params, "particle")
     ok = res_p <= 1e-5 and res_c <= 1e-5 and sens > 100.0 * res_p
     assert verdict(
         5, ok, "Euler-Lagrange residual",

@@ -1068,6 +1068,24 @@ def _section_of(keys):
     return st.dictionaries(st.sampled_from(keys), _VALUES, max_size=len(keys)) | _VALUES
 
 
+# The two grids whose step dt/T underflows a float: 0.0, once a
+# ZeroDivisionError in every command, and a subnormal, once an OverflowError
+# in simulate and sweep while derive and check exited 0.
+_STEP_UNDERFLOWS = (
+    ({"M0": 1, "v0": 0.5, "c": 1, "T": 1e300}, {"dt": 1e-30, "t_end": 1e-28}),
+    ({"M0": 1, "v0": 0.5, "c": 1, "T": 1.0}, {"dt": 1e-309, "t_end": 1e-307}),
+)
+
+
+def _step_underflows(pars, sim):
+    """Whether a config gives ``T`` and ``dt`` whose ratio falls below the
+    smallest normal float; every command refuses such a config."""
+    try:
+        return float(sim["dt"]) / float(pars["T"]) < sys.float_info.min
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return False
+
+
 @settings(deadline=None, max_examples=150)
 @given(
     cfg=st.fixed_dictionaries(
@@ -1083,6 +1101,8 @@ def _section_of(keys):
     ),
     preset=st.booleans(),
 )
+@example(cfg={"parameters": _STEP_UNDERFLOWS[0][0], "simulation": _STEP_UNDERFLOWS[0][1]}, preset=False)
+@example(cfg={"parameters": _STEP_UNDERFLOWS[1][0], "simulation": _STEP_UNDERFLOWS[1][1]}, preset=False)
 def test_derive_config_fuzz(cfg, preset):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.json")
@@ -1095,6 +1115,8 @@ def test_derive_config_fuzz(cfg, preset):
             code = main(args)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
+        if _step_underflows(cfg.get("parameters"), cfg.get("simulation")):
+            assert code == 1, err.getvalue()
         for name in ("metadata.json", "derived.json"):
             fpath = os.path.join(out, name)
             if os.path.exists(fpath):
@@ -1143,6 +1165,9 @@ def _simulate_case(draw):
 # and the tail
 @example(case=({"M0": 1, "v0": 0.5, "c": 1, "T": 1e-300}, {"dt": 1e-303, "t_end": 2.5e-300}, 1000, {"extreme"}),
          fmt="svg")
+# the two grids whose step dt/T underflows
+@example(case=(*_STEP_UNDERFLOWS[0], 1000, {"extreme"}), fmt="csv")
+@example(case=(*_STEP_UNDERFLOWS[1], 1000, {"extreme"}), fmt="csv")
 def test_simulate_fuzz(case, fmt):
     pars, sim, divisor, kinds = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -1155,7 +1180,7 @@ def test_simulate_fuzz(case, fmt):
             code = main(["simulate", "--config", path, "--out", out, "--format", fmt])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
-        if "junk" in kinds:
+        if "junk" in kinds or _step_underflows(pars, sim):
             assert code == 1, err.getvalue()
         elif kinds == {"good"}:
             assert code == (0 if divisor >= 100 else 1), err.getvalue()
@@ -1186,6 +1211,9 @@ def test_simulate_fuzz(case, fmt):
 @example(case=({"M0": 1e-300, "v0": 0.5, "c": 1, "T": 1e-300}, {"dt": 1e-303, "t_end": 1e-300}, 1000, {"extreme"}))
 # the h-given config whose M v0 underflows, once a ZeroDivisionError in quantize
 @example(case=({"M0": 1e-160, "v0": 1e-170, "c": 1.0, "h": 2.0}, {}, 1000, {"extreme"}))
+# the two grids whose step dt/T underflows
+@example(case=(*_STEP_UNDERFLOWS[0], 1000, {"extreme"}))
+@example(case=(*_STEP_UNDERFLOWS[1], 1000, {"extreme"}))
 def test_check_fuzz(case):
     pars, sim, divisor, kinds = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -1198,7 +1226,7 @@ def test_check_fuzz(case):
             code = main(["check", "--config", path, "--out", out])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
-        if "junk" in kinds:
+        if "junk" in kinds or _step_underflows(pars, sim):
             assert code == 1, err.getvalue()
         elif kinds == {"good"}:
             assert code == (0 if divisor >= 100 else 1), err.getvalue()
@@ -1218,6 +1246,9 @@ def test_check_fuzz(case):
 )
 # the h sweep whose M v0 underflows, once a ZeroDivisionError in quantize
 @example(case=({"M0": 1e-160, "v0": 1e-170, "c": 1.0, "h": 2.0}, {}, 1000, {"extreme"}), axis="h", values=[1.0, 2.0])
+# the two grids whose step dt/T underflows
+@example(case=(*_STEP_UNDERFLOWS[0], 1000, {"extreme"}), axis="v0", values=[0.5, 0.25])
+@example(case=(*_STEP_UNDERFLOWS[1], 1000, {"extreme"}), axis="v0", values=[0.5, 0.25])
 def test_sweep_fuzz(case, axis, values):
     pars, sim, _, _ = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -1231,6 +1262,8 @@ def test_sweep_fuzz(case, axis, values):
             code = main(argv)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
+        if axis in ("M0", "v0", "c") and _step_underflows(pars, sim):
+            assert code == 1, err.getvalue()
         # a sweep none of whose cases resolves writes nothing; otherwise every
         # value has a row, of finite metrics on exit 0 and a nan row per failure
         assert os.path.exists(out) == (code != 1)

@@ -20,7 +20,7 @@ from inertonsim import (
     write_trajectory_csv,
 )
 from inertonsim import SystemParams, cli, dynamics
-from inertonsim.dynamics import closed_form_trajectory
+from inertonsim.dynamics import CLOSED_FORM_STEPS, closed_form_trajectory
 from inertonsim import plotting
 from inertonsim.plotting import phase_plane_svg, render_line_svg, trajectory_svg
 
@@ -290,11 +290,16 @@ def test_events_json_bytes_match_json_dump(tmp_path, natural, times):
     assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
 
 
-def test_closed_form_trajectory_marks_events(natural):
+@pytest.mark.parametrize("shift", [0.0, -0.3, 0.3], ids=["2T", "2T-0.3dt", "2T+0.3dt"])
+def test_closed_form_trajectory_marks_events(natural, shift):
+    # 2T - 0.3 dt rounds to the same 8,001 samples as 2T, through the second
+    # reflection, which once went without its event
     params, _ = natural
-    traj = closed_form_trajectory(params, t_end=2.0 * params.T)
-    assert len(traj.events) == 2
+    dt = params.T / CLOSED_FORM_STEPS
+    traj = closed_form_trajectory(params, t_end=2.0 * params.T + shift * dt)
     assert len(traj.samples) == 8001
+    assert len(traj.events) == len(traj.jumps) - 1 == 2
+    assert traj.events[-1] <= (len(traj) - 1) * traj.dt
 
 
 @pytest.mark.parametrize(

@@ -41,7 +41,7 @@ def test_package_exports_each_module_all():
     assert len(set(inertonsim.__all__)) == len(inertonsim.__all__)
     assert len(_EXPORTED_BEFORE) == 57
     assert set(inertonsim.__all__) - set(_EXPORTED_BEFORE) == {
-        "SAMPLE_DTYPE", "step_count", "particle_residual_scale", "cloud_residual_scale"
+        "SAMPLE_DTYPE", "step_count", "residual_scale"
     }
     # the canonical state became a plain mapping, like every other state, and
     # the functions that no command, check, demo or benchmark reached went

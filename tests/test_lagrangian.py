@@ -11,11 +11,12 @@ from inertonsim import (
     eval_lagrangian_aggregate_shifted,
     eval_lagrangian_canonical,
     kappa_transform,
+    residual_scale,
     scale_channel,
     write_el_csv,
 )
 from inertonsim.dynamics import CLOSED_FORM_STEPS, SAMPLE_DTYPE, closed_form_trajectory
-from inertonsim.lagrangian import _admitted, cloud_residual_scale, particle_residual_scale
+from inertonsim.lagrangian import _admitted
 
 
 def _closed_form_at(params, i):
@@ -158,36 +159,32 @@ def slow_regime():
     the variational equations to high accuracy."""
     params, _ = derive_kinematics(1.0, 1.0e-4, 1.0, 1.0)
     traj = closed_form_trajectory(params, t_end=2.0 * params.T)
-
-    def L(s):
-        return eval_lagrangian_aggregate_shifted(s, params)
-
-    return params, traj, L
+    return params, traj
 
 
 def test_el_residual_particle(slow_regime):
-    params, traj, L = slow_regime
-    report = el_residual(L, traj, "particle")
-    assert report.max_abs_residual / particle_residual_scale(params) <= 1e-5
+    params, traj = slow_regime
+    report = el_residual(params, traj, "particle")
+    assert report.max_abs_residual / residual_scale(params, "particle") <= 1e-5
 
 
 def test_el_residual_cloud(slow_regime):
-    params, traj, L = slow_regime
-    report = el_residual(L, traj, "cloud")
-    assert report.max_abs_residual / cloud_residual_scale(params) <= 1e-5
+    params, traj = slow_regime
+    report = el_residual(params, traj, "cloud")
+    assert report.max_abs_residual / residual_scale(params, "cloud") <= 1e-5
 
 
 def test_el_corruption_sensitivity(slow_regime):
-    params, traj, L = slow_regime
-    clean = el_residual(L, traj, "particle").max_abs_residual
+    params, traj = slow_regime
+    clean = el_residual(params, traj, "particle").max_abs_residual
     bad = scale_channel(traj, "particle", 1.1)
-    corrupted = el_residual(L, bad, "particle").max_abs_residual
+    corrupted = el_residual(params, bad, "particle").max_abs_residual
     assert corrupted > 100.0 * clean
 
 
 def test_el_event_windows_are_flagged(slow_regime):
-    _, traj, L = slow_regime
-    report = el_residual(L, traj, "particle")
+    params, traj = slow_regime
+    report = el_residual(params, traj, "particle")
     assert len(report.excluded_windows) == len(traj.events) == 2
     assert report.excluded.sum() > 0
     # the flagged slots hug the recorded events
@@ -197,14 +194,14 @@ def test_el_event_windows_are_flagged(slow_regime):
 
 
 def test_el_rejects_unknown_coordinate(slow_regime):
-    _, traj, L = slow_regime
+    params, traj = slow_regime
     with pytest.raises(ValueError):
-        el_residual(L, traj, "sideways")
+        el_residual(params, traj, "sideways")
 
 
 def test_el_csv_output(tmp_path, slow_regime):
-    _, traj, L = slow_regime
-    report = el_residual(L, traj, "particle")
+    params, traj = slow_regime
+    report = el_residual(params, traj, "particle")
     path = tmp_path / "el.csv"
     write_el_csv(report, path)
     lines = path.read_text().strip().splitlines()
@@ -217,8 +214,12 @@ def test_el_csv_output(tmp_path, slow_regime):
 
 def test_el_residual_matches_per_sample_loop(slow_regime):
     # the scalar loop the array form replaced: one dict of floats per sample
-    params, traj, L = slow_regime
+    params, traj = slow_regime
     short = dataclasses.replace(traj, w=traj.w[:300], events=traj.events[:0])
+
+    def L(s):
+        return eval_lagrangian_aggregate_shifted(s, params)
+
     rows = [dict(zip(short.samples.dtype.names, row)) for row in short.samples.tolist()]
     dX = 1e-6 * max(abs(s["X"]) for s in rows)
     dV = 1e-6 * max(abs(s["dXdt"]) for s in rows)
@@ -232,5 +233,5 @@ def test_el_residual_matches_per_sample_loop(slow_regime):
         s = rows[i]
         force = (L({**s, "X": s["X"] + dX}) - L({**s, "X": s["X"] - dX})) / (2.0 * dX)
         expected.append((momenta[i + 1] - momenta[i - 1]) / (2.0 * dt) - force)
-    report = el_residual(L, short, "particle")
+    report = el_residual(params, short, "particle")
     assert report.residuals.tolist() == expected

@@ -12,7 +12,12 @@ by a factor of two in its logarithm, or a turn angle one ulp off each break
 that bound, while the registry's oracle tolerance (1e-6) would pass a fault
 many orders larger. Nothing here shares code with the program's step map.
 
-The event times are not checked here yet.
+Each event time is checked against the exact crossing of the step that
+holds it: the root ``s`` of ``Re(R(-i pi s) w_i) = 0``, solved by Newton in
+`decimal` from the program's own start sample ``w_i``. Event location
+stops at ``|x| <= EVENT_X_TOL Lam``, which places the event within
+``EVENT_X_TOL T / |U|`` of the root, where ``U`` is the exact ``Im`` there;
+the time ``i dt + s T`` adds a few ulp of rounding.
 """
 
 import decimal
@@ -44,13 +49,24 @@ def _arctan_inverse(x: int) -> decimal.Decimal:
         k += 1
 
 
+with decimal.localcontext(CONTEXT):
+    PI = 16 * _arctan_inverse(5) - 4 * _arctan_inverse(239)  # Machin's formula
+
+
+def _factor(s: decimal.Decimal) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """``R(-i pi s) = 1 - z^2/2 + z^4/24 + i (z^3/6 - z)``, ``z = pi s``,
+    as ``(re, im)``."""
+    with decimal.localcontext(CONTEXT):
+        z = PI * s
+        z2 = z * z
+        return 1 - z2 / 2 + z2 * z2 / 24, z * z2 / 6 - z
+
+
 def _exact_powers(h: float, count: int) -> list[tuple[decimal.Decimal, decimal.Decimal]]:
     """``R(-i pi h)^j`` for ``j`` from 0 to ``count - 1``, as ``(re, im)``
-    pairs: ``R = 1 - z^2/2 + z^4/24 + i (z^3/6 - z)``, ``z = pi h``."""
+    pairs."""
+    r_re, r_im = _factor(decimal.Decimal(h))
     with decimal.localcontext(CONTEXT):
-        z = (16 * _arctan_inverse(5) - 4 * _arctan_inverse(239)) * decimal.Decimal(h)
-        z2 = z * z
-        r_re, r_im = 1 - z2 / 2 + z2 * z2 / 24, z * z2 / 6 - z
         powers = [(decimal.Decimal(1), decimal.Decimal(0))]
         for _ in range(count - 1):
             re, im = powers[-1]
@@ -90,3 +106,41 @@ def test_run_and_its_step_powers_match_the_exact_rk4_map(natural, divisor, monke
     assert _deviation(table.tolist(), 1.0, powers[1:]) <= BOUND
     for lo, hi in ((0, a), (a, b)):
         assert _deviation(w[lo:hi], w[lo], powers) <= BOUND, (lo, hi)
+
+
+def _exact_crossing(start: complex) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """The root ``s`` (in T) of ``Re(R(-i pi s) start) = 0`` that Newton
+    reaches from 0, and ``U``, the ``Im`` of ``R(-i pi s) start`` there.
+    The slope is ``pi (r_im a - (z^2/2 - 1) b)`` for ``start = a + ib``."""
+    a, b = decimal.Decimal(start.real), decimal.Decimal(start.imag)
+    s = decimal.Decimal(0)
+    with decimal.localcontext(CONTEXT):
+        for _ in range(20):
+            r_re, r_im = _factor(s)
+            z = PI * s
+            step = (r_re * a - r_im * b) / (PI * (r_im * a - (z * z / 2 - 1) * b))
+            s -= step
+            if abs(step) <= abs(s) * decimal.Decimal(10) ** -(CONTEXT.prec - 2):
+                break
+        r_re, r_im = _factor(s)
+        return s, r_re * b + r_im * a
+
+
+@pytest.mark.parametrize("divisor", [125, 250, 999.5, 1000, 4000])
+def test_event_times_match_the_exact_crossings(natural, divisor):
+    # each reflection's step starts one sample before its jump, and the
+    # trailing probe's at the last sample
+    params, _ = natural
+    dt = params.T / divisor
+    traj = integrate(params, t_end=math.ceil(3 * divisor) * dt, dt=dt)
+    starts = [j - 1 for j, _ in traj.jumps[1:]]
+    starts += [len(traj) - 1] * (len(traj.events) - len(starts))
+    assert len(traj.events) >= 3
+    w = traj.w.tolist()
+    for i, t_event in zip(starts, traj.events.tolist()):
+        s, u = _exact_crossing(w[i])
+        assert 0 <= s <= decimal.Decimal(dt / params.T)
+        with decimal.localcontext(CONTEXT):
+            exact = i * decimal.Decimal(dt) + s * decimal.Decimal(params.T)
+            bound = decimal.Decimal(dynamics.EVENT_X_TOL * params.T) / abs(u) + 4 * decimal.Decimal(math.ulp(t_event))
+            assert abs(decimal.Decimal(t_event) - exact) <= bound, (i, t_event)

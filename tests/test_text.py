@@ -227,7 +227,7 @@ def test_write_el_csv_matches_per_row_formatter(tmp_path):
     residuals[5] = 0.0
     residuals[6] = -0.0
     excluded = rng.random(n) < 0.1
-    report = ELResidualReport("particle", times, residuals, excluded, [], float("nan"))
+    report = ELResidualReport(times, residuals, excluded, [], float("nan"))
     path = tmp_path / "el.csv"
     write_el_csv(report, path)
     lines = ["t,residual,excluded_flag"]
